@@ -7,7 +7,10 @@
 //! overlaps their network time through the per-connection
 //! [`crate::window::OpWindow`]. Scalar [`crate::GengarClient::read`] and
 //! [`crate::GengarClient::write`] are implemented as single-op batches,
-//! so there is exactly one issue path.
+//! so both enter through one planner and one reactor. Four op shapes
+//! still block inside it (non-cached seqlock reads, locked
+//! write-through, oversize chunking, payloads over the tenant's staged
+//! cap) — `DESIGN.md`, "Concurrent issue reactor", says why.
 //!
 //! # Partial completion
 //!
@@ -31,7 +34,8 @@
 //! observe: an object lives on exactly one server, so operations that
 //! touch the same data are always in the same group. Within a group,
 //! writes are applied before reads are issued, and multiple writes to
-//! the same object apply in submission order. Reads are unordered among
+//! the same object apply in submission order (a staged window never
+//! holds two writes to one object). Reads are unordered among
 //! themselves, and no order holds between operations homed on different
 //! servers. A read of an object written earlier in the *same* batch
 //! observes that write (served from the local store buffer like any

@@ -281,9 +281,6 @@ struct GroupRun {
     state: RetryState,
     /// Unresolved ops when the current attempt started (progress check).
     pending_at_start: usize,
-    /// Last unresolved write per object this attempt; only it may ride a
-    /// staged window (earlier ones must land first, in order).
-    last_write: HashMap<u64, usize>,
     phase: GroupPhase,
     /// Staged-occupancy bytes this group currently holds reserved against
     /// the tenant's in-flight cap (released when the flight settles or
@@ -758,60 +755,92 @@ impl GengarClient {
         self.policy.start(self.op_salt)
     }
 
-    /// Handles one failed attempt of an operation against `server`:
-    /// transient losses back off and return for another attempt, dead
-    /// connections additionally re-run the mount handshake, permanent
-    /// errors (and exhausted budgets) propagate.
+    /// The recovery policy, in exactly one place: decides what one failed
+    /// attempt against `server` means. `Ok((resume_at, reconnect))` grants
+    /// another attempt at `resume_at` (re-dialling the connection first if
+    /// `reconnect`); `Err` is the error the operation fails with. The
+    /// reactor parks the failed group until `resume_at`
+    /// ([`GengarClient::end_attempt`]); blocking callers wait it out
+    /// ([`GengarClient::recover`]).
+    fn recovery(
+        &mut self,
+        server: u8,
+        err: GengarError,
+        state: &mut RetryState,
+    ) -> Result<(Instant, bool), GengarError> {
+        let policy = self.policy;
+        let recorder = gengar_telemetry::FlightRecorder::global();
+        match classify(&err) {
+            Disposition::Fatal => {
+                // Escalation past retry dumps the flight recorder (one-shot,
+                // no-op unless armed) so the spans leading here survive.
+                recorder.trigger("client-fatal");
+                Err(err)
+            }
+            Disposition::Retry => {
+                self.metrics.retries.inc();
+                Ok((state.charge_deferred(&policy, err)?, false))
+            }
+            Disposition::Reconnect => {
+                recorder.trigger("client-reconnect");
+                self.metrics.retries.inc();
+                match state.charge_deferred(&policy, err) {
+                    Ok(at) => Ok((at, true)),
+                    // Reconnect budget exhausted: the server is as good as
+                    // gone. One failover to its replica is the last resort
+                    // before the error surfaces to the application.
+                    Err(last) => self.fail_over_once(server, last, state),
+                }
+            }
+            Disposition::Failover => {
+                // The fabric says the machine itself is gone; reconnecting
+                // is hopeless, so skip straight to the replica (once).
+                recorder.trigger("client-failover");
+                self.metrics.retries.inc();
+                self.fail_over_once(server, err, state)
+            }
+        }
+    }
+
+    /// Re-mounts `server`'s objects on its replica, at most once per
+    /// operation. The immediate resume restarts the attempt over whatever
+    /// is unresolved — settled records stay settled.
+    fn fail_over_once(
+        &mut self,
+        server: u8,
+        err: GengarError,
+        state: &mut RetryState,
+    ) -> Result<(Instant, bool), GengarError> {
+        if state.escalate() && self.failover(server).is_ok() {
+            Ok((Instant::now(), false))
+        } else {
+            Err(err)
+        }
+    }
+
+    /// [`GengarClient::recovery`] for the blocking callers (alloc,
+    /// atomics, `drain_all`): waits the backoff out and re-dials before
+    /// returning for another attempt.
     fn recover(
         &mut self,
         server: u8,
         err: GengarError,
         state: &mut RetryState,
     ) -> Result<(), GengarError> {
-        let policy = self.policy;
-        match classify(&err) {
-            Disposition::Fatal => {
-                // Escalation past retry dumps the flight recorder (one-shot,
-                // no-op unless armed) so the spans leading here survive.
-                gengar_telemetry::FlightRecorder::global().trigger("client-fatal");
-                Err(err)
-            }
-            Disposition::Retry => {
-                self.metrics.retries.inc();
-                state.charge(&policy, err)
-            }
-            Disposition::Reconnect => {
-                gengar_telemetry::FlightRecorder::global().trigger("client-reconnect");
-                self.metrics.retries.inc();
-                if let Err(last) = state.charge(&policy, err) {
-                    // Reconnect budget exhausted: the server is as good as
-                    // gone. One failover to its replica is the last resort
-                    // before the error surfaces to the application.
-                    return if state.escalate() && self.failover(server).is_ok() {
-                        Ok(())
-                    } else {
-                        Err(last)
-                    };
-                }
-                // A failed re-dial (server still down) is not fatal: the
-                // next attempt fails fast and lands back here until the
-                // operation deadline expires.
-                if self.reconnect(server).is_ok() {
-                    self.metrics.reconnects.inc();
-                }
-                Ok(())
-            }
-            Disposition::Failover => {
-                // The fabric says the machine itself is gone; reconnecting
-                // is hopeless, so skip straight to the replica (once).
-                gengar_telemetry::FlightRecorder::global().trigger("client-failover");
-                self.metrics.retries.inc();
-                if state.escalate() && self.failover(server).is_ok() {
-                    Ok(())
-                } else {
-                    Err(err)
-                }
-            }
+        let (resume_at, reconnect) = self.recovery(server, err, state)?;
+        std::thread::sleep(resume_at.saturating_duration_since(Instant::now()));
+        if reconnect {
+            self.redial(server);
+        }
+        Ok(())
+    }
+
+    /// Re-dials `server` ahead of the next attempt. A failed re-dial
+    /// (server still down) is not fatal: the next attempt fails fast and
+    /// lands back in recovery until the operation budget expires.
+    fn redial(&mut self, server: u8) {
+        if self.reconnect(server).is_ok() {
+            self.metrics.reconnects.inc();
         }
     }
 
@@ -929,23 +958,13 @@ impl GengarClient {
                 .ok_or(GengarError::ProtocolViolation("bad store-buffer address"))?
                 .add(wb.off);
             let data = wb.data.clone();
-            let conn = &mut self.conns[idx];
-            if let Some(staging) = conn.staging.as_mut() {
+            if let Some(staging) = self.conns[idx].staging.as_mut() {
                 let new_seq = staging.stage_write(target.raw(), &data)?;
                 self.write_back.get_mut(&base).expect("present").seq = new_seq;
             } else {
                 // The server no longer mounts the proxy: anchor the write
                 // durably through the direct path instead.
-                let nvm_rkey = conn.nvm_rkey();
-                self.write_remote(server, nvm_rkey, target.offset(), &data)?;
-                match self.conns[idx].rpc.call(&Request::FlushRange {
-                    addr: target.raw(),
-                    len: data.len() as u64,
-                })? {
-                    Response::Ok => {}
-                    Response::Err { code } => return Err(error_for_code(code, data.len() as u64)),
-                    _ => return Err(GengarError::ProtocolViolation("bad flush response")),
-                }
+                self.write_through(target, &data)?;
                 self.write_back.remove(&base);
             }
         }
@@ -1281,142 +1300,104 @@ impl GengarClient {
     /// deadline, or [`GengarError::ReadContended`] if a seqlock read keeps
     /// losing to writers.
     pub fn read(&mut self, ptr: GlobalPtr, offset: u64, buf: &mut [u8]) -> Result<(), GengarError> {
-        // A scalar read is a batch of one: there is exactly one issue path.
+        // A scalar read is a batch of one: same planner, same reactor.
         self.run_batch(vec![BatchOp::Read { ptr, offset, buf }])?
             .into_single()
     }
 
-    /// One attempt of [`GengarClient::read`]; every step is idempotent so
-    /// the recovery loop can re-run it wholesale.
-    fn read_attempt(
+    /// Step 1 of every read: the local store buffer, which serves
+    /// read-your-writes while the staged write may still be in flight.
+    /// Returns `true` when it served the read into `buf`; `false` means no
+    /// entry covers `ptr` any more (none existed, or it was retired here)
+    /// and the read is planned like any other. The drained watermark is
+    /// refreshed lazily (one extra 8-byte READ every 16 queries) so
+    /// entries retire shortly after the proxy drains them without taxing
+    /// every read. Idempotent, so a replayed attempt can re-run it.
+    fn serve_from_store_buffer(
+        &mut self,
+        ptr: GlobalPtr,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> Result<bool, GengarError> {
+        let base = ptr.addr.raw();
+        let server = ptr.addr.server();
+        let Some(wb) = self.write_back.get(&base) else {
+            return Ok(false);
+        };
+        let seq = wb.seq;
+        let covers = offset >= wb.off && offset + buf.len() as u64 <= wb.off + wb.data.len() as u64;
+        self.wb_checks = self.wb_checks.wrapping_add(1);
+        let refresh = self.wb_checks.is_multiple_of(16) || !covers;
+        let drained = match self.conn_mut(server)?.staging.as_mut() {
+            Some(st) => {
+                if st.known_drained() < seq && refresh {
+                    st.refresh_drained()?;
+                }
+                st.known_drained() >= seq
+            }
+            None => true,
+        };
+        if !drained && covers {
+            let wb = &self.write_back[&base];
+            let start = (offset - wb.off) as usize;
+            buf.copy_from_slice(&wb.data[start..start + buf.len()]);
+            self.metrics.writeback_hits.inc();
+            return Ok(true);
+        }
+        if !drained {
+            // Partial overlap with an in-flight write: wait it out.
+            if let Some(st) = self.conn_mut(server)?.staging.as_mut() {
+                st.wait_drained(seq)?;
+            }
+        }
+        self.write_back.remove(&base);
+        Ok(false)
+    }
+
+    /// FaRM-style validation of the whole cache frame of `ptr` that a READ
+    /// landed at scratch offset `lane`: correct tag and length, even head
+    /// version, tail version matching head (rejects torn, stale and
+    /// mid-update frames). A valid frame is self-validating under either
+    /// consistency mode.
+    fn frame_is_valid(region: &MemRegion, lane: u64, ptr: GlobalPtr) -> Result<bool, GengarError> {
+        let mut hdr_bytes = [0u8; SLOT_HEADER as usize];
+        region.read(lane, &mut hdr_bytes)?;
+        let hdr = decode_slot_header(&hdr_bytes);
+        let mut tail_bytes = [0u8; 8];
+        region.read(lane + SLOT_HEADER + ptr.size, &mut tail_bytes)?;
+        Ok(hdr.tag == ptr.addr.raw()
+            && hdr.version.is_multiple_of(2)
+            && hdr.len == ptr.size
+            && u64::from_le_bytes(tail_bytes) == hdr.version)
+    }
+
+    /// Whether reads of the object at `base` may skip seqlock validation.
+    /// A client that holds the object's writer lock reads plainly: no
+    /// other writer can be active, and the lock bit it set itself would
+    /// otherwise never clear.
+    fn reads_plainly(&self, base: u64) -> bool {
+        self.config.consistency == Consistency::None || self.held.contains_key(&base)
+    }
+
+    /// The NVM reads with no reactor form yet, run to completion on the
+    /// calling thread: the seqlock version/data/version triple (with its
+    /// retry loop), and plain reads larger than the op area (chunked).
+    /// Everything else reads through a planned window.
+    fn read_nvm_blocking(
         &mut self,
         ptr: GlobalPtr,
         offset: u64,
         buf: &mut [u8],
     ) -> Result<(), GengarError> {
-        let base = ptr.addr.raw();
-        let server = ptr.addr.server();
-
-        // 1. Local store buffer: serves read-your-writes while the staged
-        // write may still be in flight. The drained watermark is refreshed
-        // lazily (one extra 8-byte READ every 16 queries) so entries retire
-        // shortly after the proxy drains them without taxing every read.
-        if let Some(wb) = self.write_back.get(&base) {
-            let seq = wb.seq;
-            let covers =
-                offset >= wb.off && offset + buf.len() as u64 <= wb.off + wb.data.len() as u64;
-            self.wb_checks = self.wb_checks.wrapping_add(1);
-            let refresh = self.wb_checks.is_multiple_of(16) || !covers;
-            let drained = match self.conn_mut(server)?.staging.as_mut() {
-                Some(st) => {
-                    if st.known_drained() < seq && refresh {
-                        st.refresh_drained()?;
-                    }
-                    st.known_drained() >= seq
-                }
-                None => true,
-            };
-            if drained {
-                self.write_back.remove(&base);
-            } else if covers {
-                let wb = self.write_back.get(&base).expect("checked above");
-                let start = (offset - wb.off) as usize;
-                buf.copy_from_slice(&wb.data[start..start + buf.len()]);
-                self.metrics.writeback_hits.inc();
-                self.record(server, base, false)?;
-                return Ok(());
-            } else {
-                // Partial overlap with an in-flight write: wait it out.
-                if let Some(st) = self.conn_mut(server)?.staging.as_mut() {
-                    st.wait_drained(seq)?;
-                }
-                self.write_back.remove(&base);
-            }
-        }
-
-        // 2. Server DRAM cache. Slot frames validate as a whole, so a
-        // cached read fetches the full object; engage it only when the
-        // request covers most of the object (small probes into large
-        // objects — e.g. index buckets — are cheaper straight from NVM).
-        let worth_caching = buf.len() as u64 * 2 >= ptr.size;
-        if worth_caching {
-            if let Some(&slot_raw) = self.remap.get(&base) {
-                if self.try_cached_read(ptr, offset, buf, slot_raw)? {
-                    self.metrics.cache_hits.inc();
-                    self.record(server, base, false)?;
-                    return Ok(());
-                }
-                self.remap.remove(&base);
-                self.metrics.cache_rejects.inc();
-            }
-        }
-
-        // 3. NVM home copy. A client that holds the object's writer lock
-        // reads plainly: no other writer can be active, and the lock bit it
-        // set itself would otherwise never clear.
-        let plain = self.config.consistency == Consistency::None || self.held.contains_key(&base);
-        if plain {
-            let conn_rkey = self.conn(server)?.nvm_rkey();
-            self.read_remote(server, conn_rkey, ptr.addr.offset() + offset, buf)?;
+        if self.reads_plainly(ptr.addr.raw()) {
+            let server = ptr.addr.server();
+            let nvm_rkey = self.conn(server)?.nvm_rkey();
+            self.read_remote(server, nvm_rkey, ptr.addr.offset() + offset, buf)?;
         } else {
             self.read_nvm_seqlock(ptr, offset, buf)?;
         }
         self.metrics.nvm_reads.inc();
-        // Only cache-worthy reads feed the hotness monitor: promoting an
-        // object that is probed 16 bytes at a time would waste DRAM on a
-        // copy no read path would use.
-        if worth_caching {
-            self.record(server, base, false)?;
-        }
         Ok(())
-    }
-
-    /// Attempts a validated read from the cache slot at `slot_raw`.
-    fn try_cached_read(
-        &mut self,
-        ptr: GlobalPtr,
-        offset: u64,
-        buf: &mut [u8],
-        slot_raw: u64,
-    ) -> Result<bool, GengarError> {
-        let slot = match GlobalAddr::from_raw(slot_raw) {
-            Some(s) if s.class() == MemClass::DramCache => s,
-            _ => return Ok(false),
-        };
-        let total = SLOT_HEADER + ptr.size + SLOT_TAIL;
-        let server = ptr.addr.server();
-        // One READ of the whole frame into the connection's op area;
-        // header, tail and the requested payload range are then extracted
-        // directly from scratch (no intermediate whole-frame copy).
-        let mr_lkey = self.mr.lkey();
-        let region = self.mr.region().clone();
-        let op_buf = {
-            let conn = self.conn(server)?;
-            if total > conn.op_buf_len {
-                return Ok(false); // object larger than our frame budget
-            }
-            conn.data.read(
-                Sge::new(mr_lkey, conn.op_buf, total),
-                RemoteAddr::new(conn.cache_rkey(), slot.offset()),
-            )?;
-            conn.op_buf
-        };
-        let mut hdr_bytes = [0u8; SLOT_HEADER as usize];
-        region.read(op_buf, &mut hdr_bytes)?;
-        let hdr = decode_slot_header(&hdr_bytes);
-        let mut tail_bytes = [0u8; 8];
-        region.read(op_buf + SLOT_HEADER + ptr.size, &mut tail_bytes)?;
-        let tail = u64::from_le_bytes(tail_bytes);
-        // FaRM-style validation: correct tag and length, even head version,
-        // tail version matching head (rejects torn/stale/mid-update frames).
-        let valid = hdr.tag == ptr.addr.raw()
-            && hdr.version.is_multiple_of(2)
-            && hdr.len == ptr.size
-            && tail == hdr.version;
-        if valid {
-            region.read(op_buf + SLOT_HEADER + offset, buf)?;
-        }
-        Ok(valid)
     }
 
     /// Seqlock-validated NVM read: fetch, re-fetch the version word, retry
@@ -1465,14 +1446,17 @@ impl GengarClient {
     /// Bounds violations, lock contention, transport failures that outlive
     /// the operation deadline.
     pub fn write(&mut self, ptr: GlobalPtr, offset: u64, data: &[u8]) -> Result<(), GengarError> {
-        // A scalar write is a batch of one: there is exactly one issue path.
+        // A scalar write is a batch of one: same planner, same reactor.
         self.run_batch(vec![BatchOp::Write { ptr, offset, data }])?
             .into_single()
     }
 
-    /// One attempt of [`GengarClient::write`]. Safe to re-run: a staged
-    /// write either completes (acknowledged, durable) or provably never
-    /// reached the ring, and the direct path rewrites the same bytes.
+    /// One attempt of a write the window planner declined, run to
+    /// completion on the calling thread: the locked write-through of
+    /// `Consistency::Seqlock`, and under `Consistency::None` the direct
+    /// path for what cannot be staged (no proxy, degraded connection,
+    /// payload over the slot or over the tenant's staged-bytes cap). Safe
+    /// to re-run: the direct path rewrites the same bytes.
     fn write_attempt(
         &mut self,
         ptr: GlobalPtr,
@@ -1499,79 +1483,24 @@ impl GengarClient {
                 }
             }
             Consistency::None => {
-                let (fits_proxy, degraded) = {
-                    let conn = self.conn(server)?;
-                    (
-                        conn.staging
-                            .as_ref()
-                            .is_some_and(|st| data.len() as u64 <= st.max_payload()),
-                        conn.degraded,
-                    )
-                };
-                // Staged-occupancy admission: a tenant at its in-flight
-                // cap sheds this write to the direct path (slower, but it
-                // does not queue more into the shared ring); a payload
-                // that could never fit the cap always sheds.
-                let shed = fits_proxy
-                    && !degraded
-                    && self.tenant.as_ref().is_some_and(|t| {
-                        let need = data.len() as u64;
-                        let admitted = t.staged_fits(need) && t.try_reserve_staged(need);
-                        if !admitted {
-                            t.note_staged_shed();
-                        }
-                        !admitted
-                    });
-                if fits_proxy && !degraded && !shed {
-                    let target = ptr.addr.add(offset).raw();
-                    let threshold = self.config.staging_fault_threshold;
-                    let staged = {
-                        let conn = self.conn_mut(server)?;
-                        let staged = conn
-                            .staging
-                            .as_mut()
-                            .expect("checked above")
-                            .stage_write(target, data);
-                        match staged {
-                            Ok(seq) => {
-                                conn.staging_faults = 0;
-                                Ok(seq)
-                            }
-                            Err(e) => {
-                                // Track consecutive ring failures; past the
-                                // threshold the connection degrades to the
-                                // direct path until a reconnect heals it.
-                                conn.staging_faults += 1;
-                                if conn.staging_faults >= threshold {
-                                    conn.degraded = true;
-                                }
-                                Err(e)
-                            }
-                        }
-                    };
-                    // A scalar stage settles at return (acknowledged or
-                    // failed): hand the occupancy reservation back.
-                    if let Some(t) = &self.tenant {
-                        t.release_staged(data.len() as u64);
+                let conn = self.conn(server)?;
+                let need = data.len() as u64;
+                let fits_slot = conn
+                    .staging
+                    .as_ref()
+                    .is_some_and(|st| need <= st.max_payload());
+                if conn.degraded {
+                    self.metrics.degraded_ops.inc();
+                } else if fits_slot {
+                    // A payload that could never fit the tenant's
+                    // in-flight cap sheds to the direct path (slower, but
+                    // it does not wedge waiting on a reservation that
+                    // cannot succeed).
+                    if let Some(tenant) = self.tenant.as_ref().filter(|t| !t.staged_fits(need)) {
+                        tenant.note_staged_shed();
                     }
-                    let seq = staged?;
-                    self.write_back.insert(
-                        base,
-                        WriteBack {
-                            seq,
-                            off: offset,
-                            data: data.to_vec(),
-                        },
-                    );
-                    self.purge_write_back(server)?;
-                    self.metrics.staged_writes.inc();
-                    self.maybe_remirror(server);
-                } else {
-                    if degraded {
-                        self.metrics.degraded_ops.inc();
-                    }
-                    self.write_direct(ptr, offset, data)?;
                 }
+                self.write_direct(ptr, offset, data)?;
             }
         }
         self.record(server, base, true)?;
@@ -1597,22 +1526,35 @@ impl GengarClient {
                 }
             }
         }
-        let nvm_rkey = self.conn(server)?.nvm_rkey();
-        self.write_remote(server, nvm_rkey, ptr.addr.offset() + offset, data)?;
-        let conn = self.conn(server)?;
-        match conn.rpc.call(&Request::FlushRange {
-            addr: ptr.addr.add(offset).raw(),
-            len: data.len() as u64,
-        })? {
-            Response::Ok => {}
-            Response::Err { code } => return Err(error_for_code(code, data.len() as u64)),
-            _ => return Err(GengarError::ProtocolViolation("bad flush response")),
-        }
+        self.write_through(ptr.addr.add(offset), data)?;
         let base = ptr.addr.raw();
         self.remap.remove(&base);
         self.write_back.remove(&base);
         self.metrics.direct_writes.inc();
         Ok(())
+    }
+
+    /// Write-through: RDMA WRITE of `data` to its NVM home at `target`,
+    /// then the flush RPC that anchors it durably.
+    fn write_through(&mut self, target: GlobalAddr, data: &[u8]) -> Result<(), GengarError> {
+        let server = target.server();
+        let nvm_rkey = self.conn(server)?.nvm_rkey();
+        self.write_remote(server, nvm_rkey, target.offset(), data)?;
+        self.flush_range(target, data.len() as u64)
+    }
+
+    /// The flush+invalidate RPC: persists `len` bytes at `target` on the
+    /// home server and drops any cached copy of the object there.
+    fn flush_range(&mut self, target: GlobalAddr, len: u64) -> Result<(), GengarError> {
+        let conn = self.conn(target.server())?;
+        match conn.rpc.call(&Request::FlushRange {
+            addr: target.raw(),
+            len,
+        })? {
+            Response::Ok => Ok(()),
+            Response::Err { code } => Err(error_for_code(code, len)),
+            _ => Err(GengarError::ProtocolViolation("bad flush response")),
+        }
     }
 
     /// Caps the write-back buffer by retiring drained entries.
@@ -1678,9 +1620,9 @@ impl GengarClient {
         )
     }
 
-    /// The single issue path: runs a batch of operations to completion
-    /// under the per-server recovery loops. Scalar `read`/`write` pass a
-    /// batch of one through here.
+    /// The issue path: runs a batch of operations to completion under the
+    /// per-server recovery loops. Scalar `read`/`write` pass a batch of
+    /// one through here.
     pub(crate) fn run_batch(
         &mut self,
         mut ops: Vec<BatchOp<'_>>,
@@ -1759,7 +1701,6 @@ impl GengarClient {
                     indices,
                     state: self.retry_state(),
                     pending_at_start: 0,
-                    last_write: HashMap::new(),
                     phase: GroupPhase::Done,
                     staged_reserved: 0,
                     group_span,
@@ -1767,7 +1708,7 @@ impl GengarClient {
                     attempt_span: TraceSpan::disabled(),
                     attempt_ctx: group_ctx,
                 };
-                self.start_attempt(&mut run, &ops, &results);
+                self.start_attempt(&mut run, &results);
                 run
             })
             .collect();
@@ -1817,24 +1758,22 @@ impl GengarClient {
         ))
     }
 
-    /// Routes one scalar-path outcome inside a batch attempt: successes
-    /// and permanent failures resolve the op in place, transient faults
-    /// abort the attempt so the recovery loop can back off / reconnect
-    /// and replay only the unresolved ops.
+    /// Routes the outcome of one blocking op inside a batch attempt:
+    /// successes and permanent failures resolve the op in place (`Ok`
+    /// carries whether it succeeded), transient faults abort the attempt
+    /// so the recovery loop can back off / reconnect and replay only the
+    /// unresolved ops.
     fn resolve_scalar(
         outcome: Result<(), GengarError>,
         slot: &mut Option<Result<(), GengarError>>,
-    ) -> Result<(), GengarError> {
+    ) -> Result<bool, GengarError> {
         match outcome {
-            Ok(()) => {
-                *slot = Some(Ok(()));
-                Ok(())
+            Err(e) if classify(&e) != Disposition::Fatal => Err(e),
+            settled => {
+                let landed = settled.is_ok();
+                *slot = Some(settled);
+                Ok(landed)
             }
-            Err(e) if classify(&e) == Disposition::Fatal => {
-                *slot = Some(Err(e));
-                Ok(())
-            }
-            Err(e) => Err(e),
         }
     }
 
@@ -1843,7 +1782,8 @@ impl GengarClient {
     /// whether the group made progress and, if it parked, when the event
     /// loop should next wake it. Helper passes return their attempt error
     /// and only this dispatcher routes it into [`GengarClient::end_attempt`],
-    /// so recovery policy lives in exactly one place.
+    /// so recovery policy lives in exactly one place
+    /// ([`GengarClient::recovery`]).
     fn step_group(
         &mut self,
         run: &mut GroupRun,
@@ -1869,14 +1809,9 @@ impl GengarClient {
                     progressed = true;
                     let _ctx = adopt(run.group_ctx.0, run.group_ctx.1);
                     if reconnect {
-                        // A failed re-dial (server still down) is not
-                        // fatal: the next attempt fails fast and lands
-                        // back in recovery until the budget expires.
-                        if self.reconnect(run.server).is_ok() {
-                            self.metrics.reconnects.inc();
-                        }
+                        self.redial(run.server);
                     }
-                    self.start_attempt(run, ops, results);
+                    self.start_attempt(run, results);
                 }
                 GroupPhase::Throttle { resume_at, next } => {
                     if Instant::now() < resume_at {
@@ -2081,15 +2016,10 @@ impl GengarClient {
         }
     }
 
-    /// Opens the next attempt for a group: recounts the unresolved ops,
-    /// recomputes the per-object last-write map, and opens the attempt
-    /// span. A group with nothing left to resolve closes out instead.
-    fn start_attempt(
-        &mut self,
-        run: &mut GroupRun,
-        ops: &[BatchOp<'_>],
-        results: &[Option<Result<(), GengarError>>],
-    ) {
+    /// Opens the next attempt for a group: recounts the unresolved ops and
+    /// opens the attempt span. A group with nothing left to resolve closes
+    /// out instead.
+    fn start_attempt(&mut self, run: &mut GroupRun, results: &[Option<Result<(), GengarError>>]) {
         run.pending_at_start = run
             .indices
             .iter()
@@ -2100,19 +2030,6 @@ impl GengarClient {
             run.group_span = TraceSpan::disabled();
             run.phase = GroupPhase::Done;
             return;
-        }
-        // Only the last unresolved write per object may ride a staged
-        // window: earlier ones must land first to keep same-object order.
-        // Recomputing per attempt is safe because writes issue in
-        // submission order, so a later same-object write never resolves
-        // while an earlier one is still unresolved.
-        run.last_write.clear();
-        for &i in &run.indices {
-            if results[i].is_none() {
-                if let BatchOp::Write { ptr, .. } = &ops[i] {
-                    run.last_write.insert(ptr.addr.raw(), i);
-                }
-            }
         }
         let _ctx = adopt(run.group_ctx.0, run.group_ctx.1);
         let mut span = gengar_telemetry::Tracer::global().span("client.attempt");
@@ -2125,10 +2042,11 @@ impl GengarClient {
         run.phase = GroupPhase::Writes { cursor: 0 };
     }
 
-    /// Ends a failed attempt: classifies the error, charges the group's
-    /// private recovery budget, and parks the group in backoff — fatal
-    /// errors and exhausted budgets fail its remaining ops instead. Only
-    /// this group stalls; the event loop keeps the others moving.
+    /// Ends a failed attempt: hands the error to the recovery policy
+    /// ([`GengarClient::recovery`], charged against the group's private
+    /// budget) and parks the group in backoff, or fails its remaining ops
+    /// with the policy's final error. Only this group stalls; the event
+    /// loop keeps the others moving.
     fn end_attempt(
         &mut self,
         run: &mut GroupRun,
@@ -2145,66 +2063,14 @@ impl GengarClient {
         }
         run.attempt_span = TraceSpan::disabled();
         let _ctx = adopt(run.group_ctx.0, run.group_ctx.1);
-        let policy = self.policy;
-        match classify(&err) {
-            Disposition::Fatal => {
-                // Escalation past retry dumps the flight recorder (one-shot,
-                // no-op unless armed) so the spans leading here survive.
-                gengar_telemetry::FlightRecorder::global().trigger("client-fatal");
-                Self::fail_group(run, results, err);
-            }
-            Disposition::Retry => {
-                self.metrics.retries.inc();
-                match run.state.charge_deferred(&policy, err) {
-                    Ok(at) => {
-                        run.phase = GroupPhase::Backoff {
-                            resume_at: at,
-                            reconnect: false,
-                        }
-                    }
-                    Err(last) => Self::fail_group(run, results, last),
+        match self.recovery(run.server, err, &mut run.state) {
+            Ok((resume_at, reconnect)) => {
+                run.phase = GroupPhase::Backoff {
+                    resume_at,
+                    reconnect,
                 }
             }
-            Disposition::Reconnect => {
-                gengar_telemetry::FlightRecorder::global().trigger("client-reconnect");
-                self.metrics.retries.inc();
-                match run.state.charge_deferred(&policy, err) {
-                    Ok(at) => {
-                        run.phase = GroupPhase::Backoff {
-                            resume_at: at,
-                            reconnect: true,
-                        }
-                    }
-                    Err(last) => {
-                        // Reconnect budget exhausted: escalate to the
-                        // replica (once per group) before giving up.
-                        if run.state.escalate() && self.failover(run.server).is_ok() {
-                            run.phase = GroupPhase::Backoff {
-                                resume_at: Instant::now(),
-                                reconnect: false,
-                            };
-                        } else {
-                            Self::fail_group(run, results, last);
-                        }
-                    }
-                }
-            }
-            Disposition::Failover => {
-                // The machine is gone from the fabric; skip the reconnect
-                // dance and re-mount the group's ward on its replica. The
-                // immediate backoff wake restarts the attempt over the
-                // unresolved ops — settled records stay settled.
-                gengar_telemetry::FlightRecorder::global().trigger("client-failover");
-                self.metrics.retries.inc();
-                if run.state.escalate() && self.failover(run.server).is_ok() {
-                    run.phase = GroupPhase::Backoff {
-                        resume_at: Instant::now(),
-                        reconnect: false,
-                    };
-                } else {
-                    Self::fail_group(run, results, err);
-                }
-            }
+            Err(last) => Self::fail_group(run, results, last),
         }
     }
 
@@ -2232,7 +2098,6 @@ impl GengarClient {
     fn finish_attempt(
         &mut self,
         run: &mut GroupRun,
-        ops: &[BatchOp<'_>],
         results: &mut [Option<Result<(), GengarError>>],
     ) {
         let pending = run
@@ -2256,20 +2121,25 @@ impl GengarClient {
             return;
         }
         run.attempt_span = TraceSpan::disabled();
-        self.start_attempt(run, ops, results);
+        self.start_attempt(run, results);
     }
 
     /// The write half of an attempt pass, resumable at any op index.
     ///
-    /// Under `Consistency::None` on a healthy staging ring, the *last*
-    /// write per object is window-eligible — its record is gathered into
+    /// Under `Consistency::None` on a healthy staging ring every write
+    /// that fits a slot is window-eligible — its record is gathered into
     /// a scratch lane and posted with up to `window_depth` others under
-    /// one doorbell ([`GengarClient::post_staged`]). Earlier same-object
-    /// writes and everything the planner cannot batch (seqlock writes,
-    /// oversize payloads, degraded connections) take the scalar path,
-    /// with any planned chunk posted first as an ordering barrier.
-    /// Posting parks the group (`StagedWait`/`RingWait`) instead of
-    /// blocking; the walk resumes at `resume` once the flight settles.
+    /// one doorbell ([`GengarClient::post_staged`]). A window never holds
+    /// two writes to one object: meeting a second one posts the window
+    /// and resumes at that op, and a window must settle before the next
+    /// posts, so same-object writes land in submission order (and a
+    /// failed window replays its unresolved ops, still in order, before
+    /// anything later is planned). What the planner cannot stage (seqlock
+    /// writes, oversize payloads, degraded connections) blocks in
+    /// [`GengarClient::write_attempt`], with any planned window posted
+    /// first as an ordering barrier. Posting parks the group
+    /// (`StagedWait`/`RingWait`) instead of blocking; the walk resumes at
+    /// `resume` once the flight settles.
     fn step_writes(
         &mut self,
         run: &mut GroupRun,
@@ -2277,23 +2147,32 @@ impl GengarClient {
         ops: &mut [BatchOp<'_>],
         results: &mut [Option<Result<(), GengarError>>],
     ) -> Result<(), GengarError> {
-        let (stage_cap, slot_bytes, max_payload, op_buf) = {
+        let (stage_cap, slot_bytes, max_payload, lanes) = {
             let conn = self.conn(run.server)?;
-            match conn.staging.as_ref() {
-                Some(st) if self.config.consistency == Consistency::None && !conn.degraded => {
+            match (conn.staging.as_ref(), conn.staging_scratch_off) {
+                (Some(st), Some(own_lane))
+                    if self.config.consistency == Consistency::None && !conn.degraded =>
+                {
                     let layout = st.layout();
-                    let cap = (conn.window.depth() as usize)
-                        .min(layout.slots as usize)
-                        .min((conn.op_buf_len / layout.slot_bytes()) as usize);
-                    (cap, layout.slot_bytes(), st.max_payload(), conn.op_buf)
+                    let fit = (conn.op_buf_len / layout.slot_bytes()) as usize;
+                    if fit == 0 {
+                        // An op area smaller than one slot still stages: a
+                        // window of one gathers in the writer's own lane.
+                        (1, layout.slot_bytes(), st.max_payload(), own_lane)
+                    } else {
+                        let cap = (conn.window.depth() as usize)
+                            .min(layout.slots as usize)
+                            .min(fit);
+                        (cap, layout.slot_bytes(), st.max_payload(), conn.op_buf)
+                    }
                 }
                 _ => (0, 0, 0, conn.op_buf),
             }
         };
         // A tenant with a staged-occupancy cap never plans a window larger
         // than the cap: an oversize window could never reserve, so it
-        // would park forever. Oversize single payloads take the scalar
-        // path, which sheds them to the direct write.
+        // would park forever. Oversize single payloads go to
+        // `write_attempt`, which sheds them to the direct write.
         let tenant_cap = self
             .tenant
             .as_ref()
@@ -2317,13 +2196,15 @@ impl GengarClient {
             };
             let base = ptr.addr.raw();
             if stage_cap > 0
-                && run.last_write.get(&base) == Some(&i)
                 && data_len <= max_payload
                 && tenant_cap.is_none_or(|cap| data_len <= cap)
             {
-                if tenant_cap.is_some_and(|cap| staged_bytes + data_len > cap) {
-                    // The occupancy cap bounds one window; post what is
-                    // planned and resume here, unadvanced.
+                if staged.iter().any(|p| p.base_raw == base)
+                    || tenant_cap.is_some_and(|cap| staged_bytes + data_len > cap)
+                {
+                    // One write per object and at most the occupancy cap
+                    // per window; post what is planned and resume here,
+                    // unadvanced.
                     return self.post_staged(run, cursor, staged, ops);
                 }
                 staged_bytes += data_len;
@@ -2332,7 +2213,7 @@ impl GengarClient {
                     target_raw: ptr.addr.add(offset).raw(),
                     base_raw: base,
                     off: offset,
-                    lane: op_buf + staged.len() as u64 * slot_bytes,
+                    lane: lanes + staged.len() as u64 * slot_bytes,
                 });
                 cursor += 1;
                 if staged.len() == stage_cap {
@@ -2340,8 +2221,8 @@ impl GengarClient {
                 }
             } else if !staged.is_empty() {
                 // Ordering barrier: planned records must land before this
-                // scalar write (same-object order; the scalar path also
-                // reuses the scratch lanes). Resume here, unadvanced.
+                // blocking write (same-object order; the blocking path
+                // also reuses the scratch lanes). Resume here, unadvanced.
                 return self.post_staged(run, cursor, staged, ops);
             } else {
                 // Issue gate: a dry tenant bucket parks the group (no
@@ -2376,7 +2257,7 @@ impl GengarClient {
 
     /// Routes a planned staged-write window: posts it if the ring has
     /// room, otherwise parks the group in `RingWait` to poll the drained
-    /// watermark (the blocking paths sleep here instead).
+    /// watermark (the blocking `stage_write` sleeps here instead).
     fn post_staged(
         &mut self,
         run: &mut GroupRun,
@@ -2571,11 +2452,14 @@ impl GengarClient {
 
     /// The read half of an attempt pass, resumable at any op index.
     ///
-    /// Store-buffer hits and seqlock-validated reads stay scalar; plain
-    /// NVM reads and cache-frame fetches are packed into scratch lanes
+    /// The store buffer is a step, not a path: it either serves the read
+    /// locally or retires its entry, and everything it does not serve is
+    /// planned. Cache-frame fetches (self-validating, so under either
+    /// consistency mode) and plain NVM reads are packed into scratch lanes
     /// and posted in windows ([`GengarClient::post_reads`]), parking the
-    /// group on the flight instead of blocking. A pass that plans nothing
-    /// further closes the attempt.
+    /// group on the flight instead of blocking. Only the two shapes of
+    /// [`GengarClient::read_nvm_blocking`] run on the calling thread. A
+    /// pass that plans nothing further closes the attempt.
     fn step_reads(
         &mut self,
         run: &mut GroupRun,
@@ -2592,30 +2476,34 @@ impl GengarClient {
         let mut cursor = cursor;
         while cursor < run.indices.len() {
             let i = run.indices[cursor];
-            if results[i].is_some() {
-                cursor += 1;
-                continue;
-            }
-            let (ptr, offset, buf_len) = match &ops[i] {
-                BatchOp::Read { ptr, offset, buf } => (*ptr, *offset, buf.len() as u64),
+            let (ptr, offset, buf) = match &mut ops[i] {
+                BatchOp::Read { ptr, offset, buf } if results[i].is_none() => {
+                    (*ptr, *offset, &mut **buf)
+                }
                 _ => {
                     cursor += 1;
                     continue;
                 }
             };
+            let buf_len = buf.len() as u64;
             let base = ptr.addr.raw();
-            let plain =
-                self.config.consistency == Consistency::None || self.held.contains_key(&base);
+            if self.serve_from_store_buffer(ptr, offset, buf)? {
+                results[i] = Some(Ok(()));
+                self.record(run.server, base, false)?;
+                cursor += 1;
+                continue;
+            }
+            // Slot frames validate as a whole, so a cached read fetches
+            // the full object; engage the cache only when the request
+            // covers most of it (small probes into large objects — e.g.
+            // index buckets — are cheaper straight from NVM).
             let worth = buf_len * 2 >= ptr.size;
-            let mut scalar = !plain || self.write_back.contains_key(&base);
+            let frame = SLOT_HEADER + ptr.size + SLOT_TAIL;
             let mut cached = None;
-            if !scalar && worth {
+            if worth {
                 if let Some(&slot_raw) = self.remap.get(&base) {
                     match GlobalAddr::from_raw(slot_raw) {
-                        Some(s)
-                            if s.class() == MemClass::DramCache
-                                && SLOT_HEADER + ptr.size + SLOT_TAIL <= op_buf_len =>
-                        {
+                        Some(s) if s.class() == MemClass::DramCache && frame <= op_buf_len => {
                             cached = Some(s)
                         }
                         _ => {
@@ -2625,15 +2513,10 @@ impl GengarClient {
                     }
                 }
             }
-            let need = match cached {
-                Some(_) => SLOT_HEADER + ptr.size + SLOT_TAIL,
-                // Oversize plain reads chunk through the scalar path.
-                None => buf_len,
-            };
-            scalar |= need > op_buf_len;
-            if scalar {
+            let need = if cached.is_some() { frame } else { buf_len };
+            if cached.is_none() && (!self.reads_plainly(base) || need > op_buf_len) {
                 if !plans.is_empty() {
-                    // Scalar reads scribble over the whole op area, so
+                    // Blocking reads scribble over the whole op area, so
                     // every planned lane must be copied out first.
                     // Resume here, unadvanced.
                     return self.post_reads(run, cursor, plans, ops);
@@ -2649,14 +2532,13 @@ impl GengarClient {
                         return Ok(());
                     }
                 }
-                let outcome = {
-                    let buf = match &mut ops[i] {
-                        BatchOp::Read { buf, .. } => &mut **buf,
-                        _ => unreachable!("matched above"),
-                    };
-                    self.read_attempt(ptr, offset, buf)
-                };
-                Self::resolve_scalar(outcome, &mut results[i])?;
+                let outcome = self.read_nvm_blocking(ptr, offset, buf);
+                // Only cache-worthy reads feed the hotness monitor:
+                // promoting an object that is probed 16 bytes at a time
+                // would waste DRAM on a copy no read path would use.
+                if Self::resolve_scalar(outcome, &mut results[i])? && worth {
+                    self.record(run.server, base, false)?;
+                }
                 cursor += 1;
                 continue;
             }
@@ -2674,7 +2556,7 @@ impl GengarClient {
             cursor += 1;
         }
         if plans.is_empty() {
-            self.finish_attempt(run, ops, results);
+            self.finish_attempt(run, results);
             Ok(())
         } else {
             self.post_reads(run, run.indices.len(), plans, ops)
@@ -2744,10 +2626,11 @@ impl GengarClient {
     }
 
     /// Settles a completed read flight: copies every lane out and
-    /// resolves per-op outcomes. Cache frames are FaRM-validated from
-    /// their lanes; invalid ones fall back to scalar NVM reads in a
-    /// second pass *after* all lane copies (the scalar path reuses the
-    /// lanes as scratch). The read walk then resumes at `resume`.
+    /// resolves per-op outcomes. Cache frames are validated from their
+    /// lanes ([`GengarClient::frame_is_valid`]); rejected ones fall back
+    /// to [`GengarClient::read_nvm_blocking`] in a second pass *after* all
+    /// lane copies (it reuses the lanes as scratch). The read walk then
+    /// resumes at `resume`.
     fn settle_reads(
         &mut self,
         run: &mut GroupRun,
@@ -2758,81 +2641,52 @@ impl GengarClient {
         results: &mut [Option<Result<(), GengarError>>],
     ) -> Result<(), GengarError> {
         let region = self.mr.region().clone();
-        let nvm_rkey = self.conn(run.server)?.nvm_rkey();
         let mut first_err: Option<GengarError> = None;
-        let mut fallbacks: Vec<usize> = Vec::new();
-        for (k, (p, wc)) in plans.iter().zip(completions).enumerate() {
+        let mut fallbacks: Vec<&ReadPlan> = Vec::new();
+        for (p, wc) in plans.iter().zip(completions) {
+            let buf = match &mut ops[p.idx] {
+                BatchOp::Read { buf, .. } => &mut **buf,
+                _ => unreachable!("planned from a read"),
+            };
+            let base = p.ptr.addr.raw();
+            // A cached plan implies a cache-worthy read.
+            let worth = p.cached.is_some() || buf.len() as u64 * 2 >= p.ptr.size;
             match wc {
                 Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(GengarError::Rdma(e));
-                    }
+                    first_err.get_or_insert(GengarError::Rdma(e));
+                    continue;
                 }
-                Ok(_) if p.cached.is_some() => {
-                    let mut hdr_bytes = [0u8; SLOT_HEADER as usize];
-                    region.read(p.lane, &mut hdr_bytes)?;
-                    let hdr = decode_slot_header(&hdr_bytes);
-                    let mut tail_bytes = [0u8; 8];
-                    region.read(p.lane + SLOT_HEADER + p.ptr.size, &mut tail_bytes)?;
-                    let tail = u64::from_le_bytes(tail_bytes);
-                    let valid = hdr.tag == p.ptr.addr.raw()
-                        && hdr.version.is_multiple_of(2)
-                        && hdr.len == p.ptr.size
-                        && tail == hdr.version;
-                    if valid {
-                        {
-                            let buf = match &mut ops[p.idx] {
-                                BatchOp::Read { buf, .. } => &mut **buf,
-                                _ => unreachable!("planned from a read"),
-                            };
-                            region.read(p.lane + SLOT_HEADER + p.offset, buf)?;
-                        }
-                        self.metrics.cache_hits.inc();
-                        results[p.idx] = Some(Ok(()));
-                        self.record(run.server, p.ptr.addr.raw(), false)?;
-                    } else {
-                        self.remap.remove(&p.ptr.addr.raw());
-                        self.metrics.cache_rejects.inc();
-                        fallbacks.push(k);
-                    }
+                Ok(_) if p.cached.is_none() => {
+                    region.read(p.lane, buf)?;
+                    self.metrics.nvm_reads.inc();
+                }
+                Ok(_) if Self::frame_is_valid(&region, p.lane, p.ptr)? => {
+                    region.read(p.lane + SLOT_HEADER + p.offset, buf)?;
+                    self.metrics.cache_hits.inc();
                 }
                 Ok(_) => {
-                    let worth = {
-                        let buf = match &mut ops[p.idx] {
-                            BatchOp::Read { buf, .. } => &mut **buf,
-                            _ => unreachable!("planned from a read"),
-                        };
-                        region.read(p.lane, buf)?;
-                        buf.len() as u64 * 2 >= p.ptr.size
-                    };
-                    self.metrics.nvm_reads.inc();
-                    results[p.idx] = Some(Ok(()));
-                    if worth {
-                        self.record(run.server, p.ptr.addr.raw(), false)?;
-                    }
+                    self.remap.remove(&base);
+                    self.metrics.cache_rejects.inc();
+                    fallbacks.push(p);
+                    continue;
                 }
             }
+            results[p.idx] = Some(Ok(()));
+            if worth {
+                self.record(run.server, base, false)?;
+            }
         }
-        for k in fallbacks {
-            let p = &plans[k];
-            let outcome = {
-                let buf = match &mut ops[p.idx] {
-                    BatchOp::Read { buf, .. } => &mut **buf,
-                    _ => unreachable!("planned from a read"),
-                };
-                self.read_remote(run.server, nvm_rkey, p.ptr.addr.offset() + p.offset, buf)
+        for p in fallbacks {
+            let buf = match &mut ops[p.idx] {
+                BatchOp::Read { buf, .. } => &mut **buf,
+                _ => unreachable!("planned from a read"),
             };
-            match outcome {
-                Ok(()) => {
-                    self.metrics.nvm_reads.inc();
-                    results[p.idx] = Some(Ok(()));
-                    // A cached plan implies a cache-worthy read.
-                    self.record(run.server, p.ptr.addr.raw(), false)?;
-                }
+            let outcome = self.read_nvm_blocking(p.ptr, p.offset, buf);
+            match Self::resolve_scalar(outcome, &mut results[p.idx]) {
+                Ok(true) => self.record(run.server, p.ptr.addr.raw(), false)?,
+                Ok(false) => {}
                 Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
+                    first_err.get_or_insert(e);
                 }
             }
         }
@@ -2909,15 +2763,7 @@ impl GengarClient {
     /// drop stale local views.
     fn finish_atomic(&mut self, ptr: GlobalPtr, offset: u64) -> Result<(), GengarError> {
         let server = ptr.addr.server();
-        let conn = self.conn(server)?;
-        match conn.rpc.call(&Request::FlushRange {
-            addr: ptr.addr.add(offset).raw(),
-            len: 8,
-        })? {
-            Response::Ok => {}
-            Response::Err { code } => return Err(error_for_code(code, 8)),
-            _ => return Err(GengarError::ProtocolViolation("bad flush response")),
-        }
+        self.flush_range(ptr.addr.add(offset), 8)?;
         self.remap.remove(&ptr.addr.raw());
         self.write_back.remove(&ptr.addr.raw());
         self.record(server, ptr.addr.raw(), true)
@@ -3074,17 +2920,31 @@ impl GengarClient {
     /// Transport failures as [`GengarError::Rdma`].
     pub fn flush_reports(&mut self) -> Result<(), GengarError> {
         self.ops_since_report = 0;
-        let pending = std::mem::take(&mut self.pending);
-        for (server, entries) in pending {
-            let mut batch: Vec<AccessEntry> = entries
-                .into_iter()
-                .map(|(addr, (count, wrote))| AccessEntry { addr, count, wrote })
+        let mut queues: Vec<(u8, Vec<AccessEntry>)> = std::mem::take(&mut self.pending)
+            .into_iter()
+            .map(|(server, entries)| {
+                let entries = entries.into_iter();
+                let entry = |(addr, (count, wrote))| AccessEntry { addr, count, wrote };
+                (server, entries.map(entry).collect())
+            })
+            .collect();
+        // One chunk per server per round, all sent before any response is
+        // awaited: the servers' handler wake-ups overlap instead of queueing
+        // behind each other inside whichever call crossed the threshold (on
+        // a busy host each is a scheduling delay). Every begun call is
+        // finished, so no response is left to be taken for a later request's.
+        let mut first_err = None;
+        while first_err.is_none() && !queues.is_empty() {
+            let calls: Vec<_> = queues
+                .iter_mut()
+                .map(|(server, batch)| {
+                    let entries = batch.drain(..batch.len().min(MAX_REPORT)).collect();
+                    Ok(self.conn(*server)?.rpc.begin(&Request::Report { entries }))
+                })
                 .collect();
-            while !batch.is_empty() {
-                let chunk: Vec<AccessEntry> = batch.drain(..batch.len().min(MAX_REPORT)).collect();
-                let conn = self.conn(server)?;
-                match conn.rpc.call(&Request::Report { entries: chunk })? {
-                    Response::Report { remaps } => {
+            for ((server, _), call) in queues.iter().zip(calls) {
+                match call.and_then(|c| self.conn(*server)?.rpc.finish(c)) {
+                    Ok(Response::Report { remaps }) => {
                         for r in remaps {
                             if r.cache_addr == 0 {
                                 self.remap.remove(&r.addr);
@@ -3097,14 +2957,21 @@ impl GengarClient {
                                 self.remap.insert(r.addr, r.cache_addr);
                             }
                         }
+                        self.metrics.reports.inc();
                     }
-                    Response::Err { .. } => {}
-                    _ => return Err(GengarError::ProtocolViolation("bad report response")),
+                    Ok(Response::Err { .. }) => self.metrics.reports.inc(),
+                    Ok(_) => {
+                        let bad = GengarError::ProtocolViolation("bad report response");
+                        first_err.get_or_insert(bad);
+                    }
+                    Err(e) => {
+                        first_err.get_or_insert(e);
+                    }
                 }
-                self.metrics.reports.inc();
             }
+            queues.retain(|(_, batch)| !batch.is_empty());
         }
-        Ok(())
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Blocks until every staged write this client issued has been drained

@@ -370,7 +370,8 @@ impl StagingWriter {
         self.effective_drained()
     }
 
-    /// Stages a durable write of `data` to raw global address `addr_raw`.
+    /// Stages a durable write of `data` to raw global address `addr_raw`:
+    /// a blocking flight of one, gathered in the writer's own scratch lane.
     /// Returns the record's sequence number. Durable when this returns.
     ///
     /// # Errors
@@ -378,179 +379,23 @@ impl StagingWriter {
     /// [`GengarError::ObjectTooLarge`] if `data` exceeds the slot payload;
     /// transport failures as [`GengarError::Rdma`].
     pub fn stage_write(&mut self, addr_raw: u64, data: &[u8]) -> Result<u64, GengarError> {
-        if data.len() as u64 > self.layout.slot_payload {
-            return Err(GengarError::ObjectTooLarge {
-                requested: data.len() as u64,
-                max: self.layout.slot_payload,
-            });
-        }
         let _t = self.stage_ns.span();
-        // Staging runs on the issuing client thread, so the op's trace
-        // context is live here; the trace id also rides the record header
-        // into the ring so the server's drain can join the same trace.
-        let tracer = Tracer::global();
-        let mut stage_span = tracer.span("proxy.stage");
-        let trace = gengar_telemetry::current_context().0 .0;
         // Ring full: wait for the proxy to drain the oldest slot.
-        while self.in_flight.len() >= self.layout.slots as usize {
-            let _wait = tracer.span("proxy.ring_full_wait");
+        while self.ring_room() == 0 {
+            let _wait = Tracer::global().span("proxy.ring_full_wait");
             self.ring_full_waits.inc();
             let oldest = *self.in_flight.front().expect("nonempty");
             self.wait_drained(oldest)?;
         }
-        let seq = self.next_seq;
-        let slot = self.next_slot;
-        stage_span.set_detail(seq);
-
-        // Gather the record in local scratch, then ship it with one
-        // WRITE_WITH_IMM. The immediate names the slot.
-        let mut header = [0u8; RECORD_HEADER as usize];
-        encode_record_header(
-            &mut header,
-            seq,
-            addr_raw,
-            data.len() as u64,
-            checksum(data),
-            trace,
-            self.tenant_tag,
-            self.record_epoch(),
-        );
-        self.scratch.region().write(self.scratch_off, &header)?;
-        self.scratch
-            .region()
-            .write(self.scratch_off + RECORD_HEADER, data)?;
-        let record_len = RECORD_HEADER + data.len() as u64;
-        let sge = Sge::new(self.scratch.lkey(), self.scratch_off, record_len);
-        let remote = RemoteAddr::new(
-            self.staging_rkey,
-            self.ring_offset + self.layout.slot_offset(slot),
-        );
-        // Fan-out: post the mirror WR first (non-blocking) so its
-        // completion overlaps the primary's blocking round trip — the
-        // replication tax is one extra WR, not a second round trip.
-        let mirror_pending = match &self.mirror {
-            Some(m) => {
-                let op = SendOp::Write {
-                    payload: Payload::Sge(sge),
-                    remote: RemoteAddr::new(
-                        m.staging_rkey,
-                        m.ring_offset + self.layout.slot_offset(slot),
-                    ),
-                    imm: Some(slot),
-                };
-                match m.ep.post_many(vec![op]) {
-                    Ok(p) => Some(p),
-                    Err(_) if !self.primary_down => {
-                        // Mirror post failed: drop the lane, ack on the
-                        // primary alone (availability over redundancy).
-                        self.lose_mirror();
-                        None
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            None => {
-                if self.primary_down {
-                    // Failover with no mirror: nowhere to stage.
-                    return Err(GengarError::Rdma(gengar_rdma::RdmaError::NotConnected));
-                }
-                None
-            }
-        };
-        if !self.primary_down {
-            if let Err(e) = self.ep.write_with_imm(Payload::Sge(sge), remote, slot) {
-                // The record may still land in the mirror ring, which is
-                // harmless: a retry restages the same seq into the same
-                // slot, and the drain is idempotent per sequence number.
-                if let Some(mut p) = mirror_pending {
-                    if let Some(m) = &self.mirror {
-                        while !m.ep.poll_pending(&mut p) {
-                            if let Some(wake) = m.ep.pending_done_wake(&p) {
-                                gengar_hybridmem::latency::spin_until(wake);
-                            }
-                        }
-                    }
-                }
-                return Err(e.into());
-            }
-        }
-        if let Some(mut p) = mirror_pending {
-            let mirror_ok = {
-                let m = self.mirror.as_ref().expect("mirror lane posted");
-                while !m.ep.poll_pending(&mut p) {
-                    if let Some(wake) = m.ep.pending_done_wake(&p) {
-                        gengar_hybridmem::latency::spin_until(wake);
-                    }
-                }
-                p.into_results().into_iter().all(|r| r.is_ok())
-            };
-            if !mirror_ok {
-                if self.primary_down {
-                    // The mirror is the only lane: surface the failure.
-                    return Err(GengarError::Rdma(gengar_rdma::RdmaError::NotConnected));
-                }
-                self.lose_mirror();
-            }
-        }
-
-        self.in_flight.push_back(seq);
-        self.staged.inc();
-        self.occupancy.set(self.in_flight.len() as i64);
-        self.next_seq += 1;
-        self.next_slot = (self.next_slot + 1) % self.layout.slots;
-        self.publish_mirror_lag();
-        Ok(seq)
-    }
-
-    /// Stages a window of durable writes with one doorbell: every record
-    /// is gathered into its own scratch lane (`gather_off`, caller-owned,
-    /// inside this writer's scratch MR) and the whole list is posted as a
-    /// single WRITE_WITH_IMM batch. Returns one result per item in order;
-    /// `Ok(seq)` means that record is durably in its slot.
-    ///
-    /// Failure handling follows a prefix/hole rule. Let `k` be the last
-    /// item that completed: the ring cursors advance by `k + 1` and every
-    /// sequence number up to `k` — including failed holes — is tracked as
-    /// in flight. Hole seqs retire automatically because the server's
-    /// drained watermark stores each drained record's own (monotonically
-    /// increasing) sequence number, so a later record's drain covers the
-    /// hole. Items after `k` never occupied their slots: a retry reuses
-    /// the same slots with fresh sequence numbers.
-    ///
-    /// # Errors
-    ///
-    /// [`GengarError::ObjectTooLarge`] if any payload exceeds the slot
-    /// capacity (nothing staged); transport failures of the post itself
-    /// as [`GengarError::Rdma`] (nothing staged). Per-record transport
-    /// failures land in the inner results.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that `items` fits the ring (`len <= slots`); the
-    /// client's window planner guarantees this.
-    pub fn stage_write_batch(
-        &mut self,
-        items: &[(u64, &[u8], u64)],
-    ) -> Result<Vec<Result<u64, GengarError>>, GengarError> {
-        if items.is_empty() {
-            return Ok(Vec::new());
-        }
-        let _t = self.stage_ns.span();
-        // Ring must have room for the whole window before anything posts.
-        let tracer = Tracer::global();
-        while self.ring_room() < items.len() {
-            let _wait = tracer.span("proxy.ring_full_wait");
-            self.ring_full_waits.inc();
-            let oldest = *self.in_flight.front().expect("nonempty");
-            self.wait_drained(oldest)?;
-        }
-        let mut flight = self.stage_batch_begin(items)?;
+        let mut flight = self.stage_batch_begin(&[(addr_raw, data, self.scratch_off)])?;
         while !self.poll_flight(&mut flight) {
             if let Some(wake) = self.flight_done_wake(&flight) {
                 gengar_hybridmem::latency::spin_until(wake);
             }
         }
-        Ok(self.stage_batch_finish(flight))
+        self.stage_batch_finish(flight)
+            .pop()
+            .expect("one result for one record")
     }
 
     /// Slots currently free in the ring (as of the last watermark read).
@@ -561,15 +406,19 @@ impl StagingWriter {
     }
 
     /// Counts one ring-full stall (`proxy.ring_full_waits`). The blocking
-    /// staging paths count their own waits; the concurrent issue engine,
-    /// which parks instead of blocking, calls this when it first finds the
-    /// ring too full for a flight.
+    /// [`StagingWriter::stage_write`] counts its own waits; the concurrent
+    /// issue engine, which parks instead of blocking, calls this when it
+    /// first finds the ring too full for a flight.
     pub fn note_ring_full(&self) {
         self.ring_full_waits.inc();
     }
 
     /// Posts a window of staged writes as one doorbell without waiting
-    /// for completions. The ring cursors stay put until
+    /// for completions. Each item is `(addr_raw, data, gather_off)`: the
+    /// record is gathered into its own scratch lane at `gather_off`
+    /// (caller-owned, inside this writer's scratch MR) and the whole list
+    /// goes out as a single WRITE_WITH_IMM batch — this is the only place
+    /// a record header is encoded. The ring cursors stay put until
     /// [`StagingWriter::stage_batch_finish`] learns which prefix of the
     /// flight made it; until then no other staging may run on this writer.
     ///
@@ -598,6 +447,9 @@ impl StagingWriter {
                 "staging ring lacks room for the batch",
             ));
         }
+        // Staging runs on the issuing client thread, so the op's trace
+        // context is live here; the trace id also rides the record header
+        // into the ring so the server's drain can join the same trace.
         let tracer = Tracer::global();
         let mut stage_span = tracer.span("proxy.stage_batch");
         stage_span.set_detail(items.len() as u64);
@@ -707,22 +559,6 @@ impl StagingWriter {
             (None, _) => {}
         }
         done
-    }
-
-    /// When to next poll a still-pending flight; `None` once it is done.
-    pub fn flight_next_wake(&self, flight: &StagedFlight) -> Option<Instant> {
-        let a = flight
-            .pending
-            .as_ref()
-            .and_then(|p| self.ep.pending_next_wake(p));
-        let b = match (&flight.mirror_pending, &self.mirror) {
-            (Some(p), Some(m)) => m.ep.pending_next_wake(p),
-            _ => None,
-        };
-        match (a, b) {
-            (Some(x), Some(y)) => Some(x.min(y)),
-            (x, y) => x.or(y),
-        }
     }
 
     /// When a still-pending flight is expected to be *fully* harvestable;
@@ -900,7 +736,128 @@ impl StagingWriter {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use gengar_hybridmem::{DeviceProfile, MemDevice, MemKind, MemRegion};
+    use gengar_rdma::{Access, Fabric, FabricConfig, ProtectionDomain, QpOptions, RdmaNode};
+
     use super::*;
+    use crate::layout::decode_record_header;
+
+    /// A bare staging target: a node exposing a ring's worth of staging
+    /// memory and a drained-watermark word, with one receive armed per
+    /// slot. Returns the writer-side endpoint, the target-side endpoint
+    /// (kept alive by the caller), the staging memory and the two rkeys.
+    fn ring_target(
+        fabric: &Arc<Fabric>,
+        writer: (&Arc<RdmaNode>, &ProtectionDomain),
+        layout: RingLayout,
+    ) -> (Endpoint, Endpoint, MemRegion, RKey, RKey) {
+        let node = fabric.add_node();
+        let pd = node.alloc_pd();
+        let dram = |bytes| {
+            let dev = MemDevice::new(0, DeviceProfile::instant(MemKind::Dram), bytes).unwrap();
+            MemRegion::whole(Arc::new(dev))
+        };
+        let staging = dram(layout.ring_bytes());
+        let staging_mr = pd
+            .reg_mr(staging.clone(), Access::LOCAL_WRITE | Access::REMOTE_WRITE)
+            .unwrap();
+        let ctl_mr = pd
+            .reg_mr(dram(64), Access::LOCAL_WRITE | Access::REMOTE_READ)
+            .unwrap();
+        let (ep, target_ep) = Endpoint::pair(writer, (&node, &pd), QpOptions::default()).unwrap();
+        for _ in 0..layout.slots {
+            target_ep
+                .post_recv(Sge::new(staging_mr.lkey(), 0, 0))
+                .unwrap();
+        }
+        (ep, target_ep, staging, staging_mr.rkey(), ctl_mr.rkey())
+    }
+
+    /// The blocking `stage_write` is a flight of one, so both entry
+    /// points must leave byte-identical slots (header, checksum, epoch,
+    /// tenant tag, payload) on the primary ring and on the mirror ring.
+    #[test]
+    fn stage_write_and_a_flight_of_one_fill_identical_slots() {
+        let fabric = Fabric::new(FabricConfig::instant());
+        let layout = RingLayout::for_ring_bytes(SLOTS_PER_RING as u64 * 256);
+        let lane = layout.slot_bytes() + 16;
+        let (addr, data) = (0x0001_0000_0000_4000u64, [0xC3u8; 100]);
+        for mirrored in [false, true] {
+            let mut slots = Vec::new();
+            for blocking in [true, false] {
+                // Identical writers, each with its own ring(s), stage the
+                // same record as seq 1 into slot 0.
+                let node = fabric.add_node();
+                let pd = node.alloc_pd();
+                let scratch_dev = MemDevice::new(
+                    0,
+                    DeviceProfile::instant(MemKind::Dram),
+                    lane + layout.slot_bytes(),
+                )
+                .unwrap();
+                let scratch = pd
+                    .reg_mr(MemRegion::whole(Arc::new(scratch_dev)), Access::all())
+                    .unwrap();
+                let (ep, _primary_ep, primary, staging_rkey, ctl_rkey) =
+                    ring_target(&fabric, (&node, &pd), layout);
+                let mut writer = StagingWriter::new(
+                    ep,
+                    staging_rkey,
+                    ctl_rkey,
+                    0,
+                    layout,
+                    3,
+                    scratch,
+                    0,
+                    TelemetryConfig::disabled(),
+                );
+                writer.set_tenant_tag(7);
+                let mirror = mirrored.then(|| {
+                    let (ep, target_ep, staging, staging_rkey, ctl_rkey) =
+                        ring_target(&fabric, (&node, &pd), layout);
+                    writer.set_mirror(MirrorLane {
+                        ep,
+                        staging_rkey,
+                        ctl_rkey,
+                        ring_offset: 0,
+                        client_id: 3,
+                        epoch: 9,
+                        floor: 0,
+                    });
+                    (target_ep, staging)
+                });
+                let seq = if blocking {
+                    writer.stage_write(addr, &data).unwrap()
+                } else {
+                    let mut flight = writer.stage_batch_begin(&[(addr, &data, lane)]).unwrap();
+                    while !writer.poll_flight(&mut flight) {}
+                    writer.stage_batch_finish(flight).pop().unwrap().unwrap()
+                };
+                assert_eq!(seq, 1);
+                assert_eq!(writer.has_mirror(), mirrored, "mirror lane was shed");
+                let slot_of = |ring: &MemRegion| {
+                    let mut slot = vec![0u8; layout.slot_bytes() as usize];
+                    ring.read(0, &mut slot).unwrap();
+                    slot
+                };
+                slots.push((slot_of(&primary), mirror.map(|(_ep, ring)| slot_of(&ring))));
+            }
+            assert_eq!(slots[0], slots[1], "mirrored={mirrored}");
+            let (slot, mirror_slot) = &slots[0];
+            let hdr = decode_record_header(slot);
+            assert_eq!((hdr.seq, hdr.addr, hdr.len), (1, addr, data.len() as u64));
+            assert_eq!(hdr.checksum, checksum(&data));
+            assert_eq!(hdr.tenant, 7);
+            assert_eq!(hdr.epoch, if mirrored { 9 } else { 0 });
+            let payload = RECORD_HEADER as usize..RECORD_HEADER as usize + data.len();
+            assert_eq!(slot[payload], data);
+            if let Some(mirror_slot) = mirror_slot {
+                assert_eq!(mirror_slot, slot, "mirror ring must carry the same record");
+            }
+        }
+    }
 
     #[test]
     fn layout_geometry() {

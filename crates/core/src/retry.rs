@@ -171,41 +171,16 @@ impl RetryState {
         doubled.min(policy.max_backoff)
     }
 
-    /// Charges one failed attempt: checks the attempt cap and deadline,
-    /// then sleeps the jittered exponential backoff.
+    /// Charges one failed attempt: checks the attempt cap and deadline and
+    /// returns the instant the jittered exponential backoff ends. The
+    /// concurrent issue engine parks the failed group until then while the
+    /// event loop keeps driving everyone else; blocking callers wait it
+    /// out ([`RetryState::charge`]).
     ///
     /// # Errors
     ///
     /// Returns `err` unchanged when the budget is exhausted — the caller's
     /// loop simply propagates it.
-    pub fn charge(&mut self, policy: &RetryPolicy, err: GengarError) -> Result<(), GengarError> {
-        if self.attempt >= policy.max_retries {
-            return Err(err);
-        }
-        let backoff = Self::raw_backoff(policy, self.attempt);
-        // ±50% jitter, deterministic per (salt, attempt).
-        let jittered =
-            backoff / 2 + backoff.mul_f64((self.next_u64() >> 11) as f64 / (1u64 << 53) as f64);
-        let remaining = self.remaining();
-        if remaining.is_zero() {
-            return Err(err);
-        }
-        self.attempt += 1;
-        gengar_telemetry::Tracer::global().event("retry.backoff", self.attempt as u64);
-        std::thread::sleep(jittered.min(remaining));
-        Ok(())
-    }
-
-    /// Like [`RetryState::charge`], but instead of sleeping returns the
-    /// instant the backoff ends. The concurrent issue engine uses this so
-    /// one group's backoff never stalls the groups that are healthy: the
-    /// group parks until the returned instant while the event loop keeps
-    /// driving everyone else.
-    ///
-    /// # Errors
-    ///
-    /// Returns `err` unchanged when the budget is exhausted, exactly like
-    /// [`RetryState::charge`].
     pub fn charge_deferred(
         &mut self,
         policy: &RetryPolicy,
@@ -225,6 +200,19 @@ impl RetryState {
         self.attempt += 1;
         gengar_telemetry::Tracer::global().event("retry.backoff", self.attempt as u64);
         Ok(Instant::now() + jittered.min(remaining))
+    }
+
+    /// [`RetryState::charge_deferred`] for a caller with nothing else to
+    /// drive: sleeps the backoff out before returning.
+    ///
+    /// # Errors
+    ///
+    /// Returns `err` unchanged when the budget is exhausted, exactly like
+    /// [`RetryState::charge_deferred`].
+    pub fn charge(&mut self, policy: &RetryPolicy, err: GengarError) -> Result<(), GengarError> {
+        let resume_at = self.charge_deferred(policy, err)?;
+        std::thread::sleep(resume_at.saturating_duration_since(Instant::now()));
+        Ok(())
     }
 
     /// One-shot failover grant for this operation: the first call returns

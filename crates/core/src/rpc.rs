@@ -4,7 +4,9 @@
 //! side owns a small registered message buffer with an outgoing slot and an
 //! incoming slot of [`MAX_MSG`] bytes. Calls are synchronous (one
 //! outstanding request per connection), which matches how Gengar uses the
-//! control plane: the data plane is entirely one-sided.
+//! control plane: the data plane is entirely one-sided. A caller holding
+//! several connections may overlap one call on each
+//! ([`RpcClient::begin`] / [`RpcClient::finish`]).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -94,14 +96,50 @@ impl RpcClient {
     /// as `Rdma(Timeout)`; malformed responses as
     /// [`GengarError::ProtocolViolation`].
     pub fn call(&self, req: &Request) -> Result<Response, GengarError> {
-        // Open the span before encode so the request wire bytes carry this
-        // span as the server-side parent.
         let _call_span = gengar_telemetry::Tracer::global().span("rpc.call");
+        let call = self.start(req);
+        self.finish(call)
+    }
+
+    /// First half of [`RpcClient::call`]: sends the request and returns
+    /// without waiting. A caller with requests for several servers begins
+    /// them all before finishing any, so the servers' wake-ups overlap.
+    /// Every begun call must be finished before the next on this
+    /// connection; a send failure is reported by [`RpcClient::finish`].
+    /// The `rpc.call` span covers the send alone: spans close in the order
+    /// they open, and the calls finish in any order.
+    pub fn begin(&self, req: &Request) -> PendingCall {
+        let _call_span = gengar_telemetry::Tracer::global().span("rpc.call");
+        self.start(req)
+    }
+
+    /// Encodes and sends `req`. The caller opens the `rpc.call` span before
+    /// this so the request wire bytes carry it as the server-side parent.
+    fn start(&self, req: &Request) -> PendingCall {
         let mut out = Vec::with_capacity(256);
         req.encode(&mut out);
         debug_assert!(out.len() <= MAX_MSG);
-
         let deadline = Instant::now() + self.timeout;
+        let sent = self.post(&out);
+        PendingCall {
+            out,
+            deadline,
+            sent,
+        }
+    }
+
+    /// Second half of [`RpcClient::call`]: waits for the response,
+    /// re-sending the request each time the patience runs out.
+    ///
+    /// # Errors
+    ///
+    /// As [`RpcClient::call`].
+    pub fn finish(&self, call: PendingCall) -> Result<Response, GengarError> {
+        let PendingCall {
+            out,
+            deadline,
+            mut sent,
+        } = call;
         // Attempt-scale patience, mirroring RetryPolicy::attempt_timeout:
         // several lost responses (each costing one patience) plus the
         // re-sends must fit inside one deadline, and a connection that died
@@ -109,38 +147,51 @@ impl RpcClient {
         let patience =
             (self.timeout / 20).clamp(Duration::from_millis(5), Duration::from_millis(500));
         loop {
-            // Drop completions of responses that arrived after an earlier
-            // attempt gave up on them — they belong to a stale request.
-            while !self.ep.qp().recv_cq().poll(16).is_empty() {}
-
-            // Arm the response buffer before sending the request.
-            self.ep
-                .post_recv(Sge::new(self.buf.lkey(), IN_SLOT, MAX_MSG as u64))?;
-
-            // Stage the request bytes in the outgoing slot and send.
-            self.buf.region().write(OUT_SLOT, &out)?;
-            let outcome = self
-                .ep
-                .send(
-                    Payload::Sge(Sge::new(self.buf.lkey(), OUT_SLOT, out.len() as u64)),
-                    None,
-                )
-                .and_then(|_| {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    self.ep
-                        .recv(patience.min(left.max(Duration::from_millis(1))))
-                });
+            let outcome = sent.and_then(|()| {
+                let left = deadline.saturating_duration_since(Instant::now());
+                self.ep
+                    .recv(patience.min(left.max(Duration::from_millis(1))))
+            });
             match outcome {
                 Ok(wc) => {
                     let mut resp_bytes = vec![0u8; wc.byte_len as usize];
                     self.buf.region().read(IN_SLOT, &mut resp_bytes)?;
                     return Response::decode(&resp_bytes);
                 }
-                Err(RdmaError::Timeout) if Instant::now() < deadline => {}
+                Err(RdmaError::Timeout) if Instant::now() < deadline => sent = self.post(&out),
                 Err(e) => return Err(e.into()),
             }
         }
     }
+
+    /// Arms the response buffer, stages the request bytes and sends them.
+    fn post(&self, out: &[u8]) -> Result<(), RdmaError> {
+        // Drop completions of responses that arrived after an earlier
+        // attempt gave up on them — they belong to a stale request.
+        while !self.ep.qp().recv_cq().poll(16).is_empty() {}
+
+        // Arm the response buffer before sending the request.
+        self.ep
+            .post_recv(Sge::new(self.buf.lkey(), IN_SLOT, MAX_MSG as u64))?;
+
+        // Stage the request bytes in the outgoing slot and send.
+        self.buf.region().write(OUT_SLOT, out)?;
+        self.ep
+            .send(
+                Payload::Sge(Sge::new(self.buf.lkey(), OUT_SLOT, out.len() as u64)),
+                None,
+            )
+            .map(|_| ())
+    }
+}
+
+/// A request sent by [`RpcClient::begin`] whose response has not been
+/// awaited yet.
+#[derive(Debug)]
+pub struct PendingCall {
+    out: Vec<u8>,
+    deadline: Instant,
+    sent: Result<(), RdmaError>,
 }
 
 /// Server half of an RPC connection: a loop that decodes requests, invokes
@@ -309,6 +360,43 @@ mod tests {
         }
         shutdown.store(true, Ordering::Relaxed);
         t.join().unwrap();
+    }
+
+    /// Calls begun on two connections overlap: both requests are out
+    /// before either response is awaited, and they finish in any order.
+    #[test]
+    fn begun_calls_on_two_connections_finish_in_any_order() {
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let mut clients = Vec::new();
+        let mut servers = Vec::new();
+        for id in [10u64, 20] {
+            let (fabric, client, server) = rpc_pair();
+            let shutdown = Arc::clone(&shutdown);
+            servers.push(std::thread::spawn(move || {
+                server.serve(&shutdown, |req| match req {
+                    Request::Alloc { size } => Response::Alloc { addr: size + id },
+                    _ => Response::Ok,
+                });
+            }));
+            clients.push((fabric, client));
+        }
+        let calls: Vec<PendingCall> = clients
+            .iter()
+            .map(|(_, c)| c.begin(&Request::Alloc { size: 1 }))
+            .collect();
+        for ((_, client), (call, id)) in clients.iter().zip(calls.into_iter().zip([10, 20])).rev() {
+            let resp = client.finish(call).unwrap();
+            assert_eq!(resp, Response::Alloc { addr: 1 + id });
+        }
+        // The connection is free again: a plain call follows a begun one.
+        assert_eq!(
+            clients[0].1.call(&Request::OpenStaging).unwrap(),
+            Response::Ok
+        );
+        shutdown.store(true, Ordering::Relaxed);
+        for t in servers {
+            t.join().unwrap();
+        }
     }
 
     #[test]

@@ -30,6 +30,40 @@ fn undersized_scratch_rejected_at_connect() {
 }
 
 #[test]
+fn op_area_smaller_than_a_staging_slot_still_stages() {
+    // 128 KiB slots against an op area of ~96 KiB: no gather lane fits, so
+    // staged windows shrink to one record in the writer's own lane instead
+    // of falling off the proxy path.
+    let mut config = ServerConfig::small();
+    config.staging_ring_capacity = 2 << 20;
+    let cluster = Cluster::launch(1, config, FabricConfig::instant()).unwrap();
+    let slot_bytes = (2 << 20) / 16;
+    let mut client = cluster
+        .client(ClientConfig {
+            scratch_capacity: gengar_core::rpc::RPC_BUF_BYTES + slot_bytes + 16 + 64 + (96 << 10),
+            ..Default::default()
+        })
+        .unwrap();
+    let a = client.alloc(0, 64).unwrap();
+    let b = client.alloc(0, 64).unwrap();
+    let result = client
+        .batch()
+        .write(a, 0, &[1u8; 64])
+        .write(b, 0, &[2u8; 64])
+        .write(a, 0, &[3u8; 64])
+        .submit()
+        .unwrap();
+    assert!(result.all_ok(), "{:?}", result.results());
+    assert_eq!(client.stats().staged_writes, 3, "{:?}", client.stats());
+    client.drain_all().unwrap();
+    let mut buf = [0u8; 64];
+    client.read(a, 0, &mut buf).unwrap();
+    assert!(buf.iter().all(|&x| x == 3));
+    client.read(b, 0, &mut buf).unwrap();
+    assert!(buf.iter().all(|&x| x == 2));
+}
+
+#[test]
 fn pool_exhaustion_is_clean_and_recoverable() {
     let mut config = ServerConfig::small();
     config.nvm_capacity = 1 << 20; // 1 MiB

@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use gengar_core::cluster::Cluster;
-use gengar_core::config::{ClientConfig, ServerConfig};
+use gengar_core::config::{ClientConfig, Consistency, ServerConfig};
 use gengar_rdma::{FabricConfig, FaultPlane};
 use gengar_telemetry::{
     FlightRecorder, Registry, SpanRecord, TelemetryConfig, TraceId, TraceMode, Tracer,
@@ -222,16 +222,29 @@ fn staged_write_trace_links_client_to_async_drain() {
 /// the scalar API and the identical workload pushed through `OpBatch`
 /// must report the *same* per-client counters and the same number of
 /// whole-op latency samples — batch slots are not second-class citizens.
+/// Holds under both consistency modes: `Seqlock` ops block inside the
+/// reactor (locked write-through, validated NVM reads) but are counted
+/// exactly like the windowed `None` ops.
 #[test]
 fn scalar_and_batch_paths_report_identical_telemetry() {
     let _guard = tracer_guard(TraceMode::Off);
+    for consistency in [Consistency::None, Consistency::Seqlock] {
+        assert_telemetry_parity(consistency);
+    }
+}
+
+fn assert_telemetry_parity(consistency: Consistency) {
     let cluster = Cluster::launch(1, ServerConfig::small(), FabricConfig::instant()).unwrap();
+    let config = ClientConfig {
+        consistency,
+        ..quiet_client_config()
+    };
 
     let registry = Registry::global();
     let hist_count = |key: &str| registry.snapshot().histogram(key).map_or(0, |h| h.count);
 
     // Scalar phase: 24 writes then 24 reads, one op per call.
-    let mut scalar = cluster.client(quiet_client_config()).unwrap();
+    let mut scalar = cluster.client(config.clone()).unwrap();
     let ptrs: Vec<_> = (0..4).map(|_| scalar.alloc(0, 64).unwrap()).collect();
     let (w0, r0) = (hist_count("client.write_ns"), hist_count("client.read_ns"));
     for i in 0..24u32 {
@@ -246,7 +259,7 @@ fn scalar_and_batch_paths_report_identical_telemetry() {
     let (w1, r1) = (hist_count("client.write_ns"), hist_count("client.read_ns"));
 
     // Batch phase: the same 48 ops in batches of 4 against fresh objects.
-    let mut batched = cluster.client(quiet_client_config()).unwrap();
+    let mut batched = cluster.client(config).unwrap();
     let bptrs: Vec<_> = (0..4).map(|_| batched.alloc(0, 64).unwrap()).collect();
     for round in 0..6u32 {
         let vals: Vec<[u8; 64]> = (0..4).map(|i| [(round * 4 + i) as u8; 64]).collect();
@@ -278,6 +291,15 @@ fn scalar_and_batch_paths_report_identical_telemetry() {
         s.staged_writes + s.direct_writes,
         b.staged_writes + b.direct_writes,
         "every write lands via staging or direct on both paths"
+    );
+    assert_eq!(
+        (s.staged_writes, s.direct_writes),
+        if consistency == Consistency::None {
+            (24, 0)
+        } else {
+            (0, 24)
+        },
+        "{consistency:?} writes took the wrong route"
     );
     assert_eq!(s.degraded_ops, 0);
     assert_eq!(b.degraded_ops, 0);

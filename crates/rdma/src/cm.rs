@@ -25,7 +25,7 @@ pub const DEFAULT_OP_TIMEOUT: Duration = Duration::from_secs(10);
 ///
 /// Returned by [`Endpoint::post_many`]; drive it with
 /// [`Endpoint::poll_pending`] (non-blocking) and sleep until
-/// [`Endpoint::pending_next_wake`] between passes. One `PendingOps` per
+/// [`Endpoint::pending_done_wake`] between passes. One `PendingOps` per
 /// batch; a single endpoint can only be driven by one thread, but one
 /// thread can hold `PendingOps` for *several endpoints* in flight at once
 /// — that is the whole point of the completion-driven issue engine.
@@ -257,21 +257,6 @@ impl Endpoint {
             return true;
         }
         false
-    }
-
-    /// When to next poll a still-pending batch: the earlier of the send
-    /// CQ's next ready instant and the batch deadline. `None` once the
-    /// batch is done.
-    pub fn pending_next_wake(&self, p: &PendingOps) -> Option<Instant> {
-        if p.pending == 0 {
-            return None;
-        }
-        Some(
-            self.qp
-                .send_cq()
-                .next_ready_at()
-                .map_or(p.deadline, |at| at.min(p.deadline)),
-        )
     }
 
     /// When a still-pending batch is expected to be *fully* harvestable:

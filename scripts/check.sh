@@ -12,6 +12,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test --workspace"
 cargo test --workspace -q
 
+# The benchmark package path-depends on the public surface of the core,
+# rdma, hybridmem and telemetry crates but sits outside the workspace, so
+# an API break there passes everything above and would only show up as a
+# failed benchmark run.
+echo "== benchmark package (fmt, clippy, tests, smoke run)"
+bash benchmark/run.sh check
+
 # Opt-in chaos sweep (ten fixed seeds); slowish, so gated:
 #   CHAOS=1 scripts/check.sh
 # Includes the replication scenarios: kill-primary-under-load must lose
