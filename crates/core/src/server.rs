@@ -1,15 +1,21 @@
 //! The Gengar memory server.
 //!
 //! Each server contributes NVM and DRAM to the pool. It exports four RDMA
-//! regions (NVM data, DRAM cache, ADR staging rings, control words) and
-//! runs three kinds of background work:
+//! regions (NVM data, DRAM cache, ADR staging rings, control words), plus a
+//! shadow NVM image when replication is on, and runs three kinds of
+//! background work:
 //!
 //! * **RPC threads** (one per connection) serve the control plane: mount,
-//!   allocation, hotness reports, flush/invalidate, staging setup.
+//!   allocation, hotness reports, flush/invalidate, staging setup, and
+//!   `Promote` (failover replay of the mirror rings).
 //! * The **epoch thread** folds hotness reports and promotes hot objects
 //!   into the DRAM cache.
-//! * The **proxy thread** drains staged writes from the per-client rings to
-//!   NVM, keeps cached copies fresh, and advances durable watermarks.
+//! * The **proxy drain threads** finish staged writes and advance durable
+//!   watermarks. A *primary lane* (a client's own ring) applies records to
+//!   local NVM and keeps cached copies fresh; a *mirror lane* applies them
+//!   to the shadow image of the primary it wards. The live drains,
+//!   [`MemoryServer::recover`] and `Promote` share one record applier
+//!   (`apply_record`) and one watermark step (`publish_watermark`).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -32,7 +38,9 @@ use crate::config::ServerConfig;
 use crate::error::GengarError;
 use crate::health::HealthPlane;
 use crate::hotness::HotnessMonitor;
-use crate::layout::{checksum, decode_record_header, lockword, OBJ_HEADER};
+use crate::layout::{
+    checksum, decode_record_header, lockword, RecordHeader, OBJ_HEADER, RECORD_HEADER,
+};
 use crate::proto::{
     err_code, MountInfo, RemapUpdate, Request, Response, MAX_INSPECT_JSON, NO_BACKUP,
 };
@@ -126,19 +134,20 @@ struct ClientTable {
     /// storms (e.g. re-dialling through a partition) from exhausting
     /// `max_clients`.
     free_ids: Vec<u32>,
-    /// Server-side proxy QPN -> client id (routes drain completions).
-    proxy_clients: HashMap<Qpn, u32>,
-    /// Server-side proxy QPs (for re-posting receives).
-    proxy_qps: HashMap<u32, Arc<QueuePair>>,
-    /// Client ids whose ring is a *mirror* lane: drained records apply to
-    /// the shadow image of the warded primary, not local NVM.
-    mirror_rings: HashMap<u32, MirrorRing>,
+    /// Open rings by server-side proxy QPN (routes drain completions):
+    /// client id, QP (for re-posting receives) and lane kind — `None` for a
+    /// primary lane (a client's own ring, drained into local NVM), the
+    /// ward and epoch for a *mirror* lane (drained into the shadow image
+    /// of the warded primary).
+    rings: HashMap<Qpn, (u32, Arc<QueuePair>, Option<MirrorRing>)>,
 }
 
 pub(crate) struct ServerInner {
     id: u8,
     config: ServerConfig,
     ring: RingLayout,
+    /// Size of the per-ring watermark words heading the NVM/shadow image.
+    wm_area: u64,
     node: Arc<RdmaNode>,
     pd: ProtectionDomain,
     nvm_dev: Arc<MemDevice>,
@@ -171,10 +180,13 @@ pub(crate) struct ServerInner {
     /// retargeted by [`MemoryServer::install_shadow_image`], which refuses
     /// while the old ward is promoted.
     shadow_ward: RwLock<Option<u8>>,
-    /// Held for read by the proxy drain while it applies a record to NVM
-    /// (payload + watermark), for write by [`MemoryServer::nvm_image`]
-    /// while it copies the region — so a rebalance snapshot can never
-    /// capture a half-applied record.
+    /// Held for read by the primary drain while it applies a record to NVM
+    /// (payload, cache refresh, watermark) and by `handle_flush` while it
+    /// invalidates; for write by [`MemoryServer::nvm_image`] while it
+    /// copies the region — so a rebalance snapshot can never capture a
+    /// half-applied record — and by the epoch thread while it copies and
+    /// publishes one object, so a promotion never publishes bytes an apply
+    /// or invalidate already superseded. Lock order: before `cache`.
     nvm_quiesce: RwLock<()>,
     /// Replica-epoch source for mirror tenures (starts at 1; epoch 0 in a
     /// record header means "unreplicated").
@@ -216,10 +228,6 @@ impl std::fmt::Debug for MemoryServer {
     }
 }
 
-fn round_up(x: u64, to: u64) -> u64 {
-    x.div_ceil(to) * to
-}
-
 impl MemoryServer {
     /// Creates the server's devices and regions on a fresh fabric node and
     /// launches its background threads.
@@ -232,31 +240,14 @@ impl MemoryServer {
         id: u8,
         config: ServerConfig,
     ) -> Result<Arc<MemoryServer>, GengarError> {
-        // A standalone server owns a private plane; clusters pass a shared
-        // one through `launch_with_qos` so tenants span servers.
+        // A standalone server owns a private QoS plane and a private health
+        // plane (one sampler over the process registry); clusters pass
+        // shared ones through `launch_full` so tenants span servers and
+        // one tick thread serves every server's `Inspect`.
         let qos = config
             .qos
             .enabled
             .then(|| QosPlane::new(config.qos.clone(), config.telemetry));
-        Self::launch_with_qos(fabric, id, config, qos)
-    }
-
-    /// Like [`MemoryServer::launch`], but with an explicit (typically
-    /// cluster-shared) QoS plane. `None` disables QoS for this server
-    /// regardless of `config.qos.enabled`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device/region/registration failures.
-    pub fn launch_with_qos(
-        fabric: &Arc<Fabric>,
-        id: u8,
-        config: ServerConfig,
-        qos: Option<Arc<QosPlane>>,
-    ) -> Result<Arc<MemoryServer>, GengarError> {
-        // A standalone server owns a private health plane (one sampler over
-        // the process registry); clusters pass a shared one through
-        // `launch_full` so one tick thread serves every server's `Inspect`.
         let health = config.health.enabled.then(|| {
             let plane = HealthPlane::new(config.health.clone(), config.telemetry);
             plane.start();
@@ -265,10 +256,11 @@ impl MemoryServer {
         Self::launch_full(fabric, id, config, qos, health)
     }
 
-    /// Like [`MemoryServer::launch_with_qos`], but with an explicit
-    /// (typically cluster-shared) health plane. `None` disables the health
-    /// plane for this server regardless of `config.health.enabled` —
-    /// `Inspect` then answers with the minimal "unknown" document.
+    /// Like [`MemoryServer::launch`], but with explicit (typically
+    /// cluster-shared) QoS and health planes. `None` disables the plane
+    /// for this server regardless of `config.qos.enabled` /
+    /// `config.health.enabled` — without a health plane `Inspect` answers
+    /// with the minimal "unknown" document.
     ///
     /// # Errors
     ///
@@ -284,7 +276,7 @@ impl MemoryServer {
         let pd = node.alloc_pd();
         let ring = RingLayout::for_ring_bytes(config.staging_ring_capacity);
 
-        let wm_area = round_up(config.max_clients as u64 * 8, 4096);
+        let wm_area = (config.max_clients as u64 * 8).div_ceil(4096) * 4096;
         let nvm_capacity = wm_area + config.nvm_capacity;
         let nvm_dev = Arc::new(MemDevice::with_telemetry(
             0,
@@ -307,11 +299,7 @@ impl MemoryServer {
             "staging",
             config.telemetry,
         )?);
-        let ctl_dev = Arc::new(MemDevice::new(
-            3,
-            config.dram_profile.clone(),
-            round_up(config.max_clients as u64 * 8, 4096),
-        )?);
+        let ctl_dev = Arc::new(MemDevice::new(3, config.dram_profile.clone(), wm_area)?);
         let msg_dev = Arc::new(MemDevice::new(
             4,
             config.dram_profile.clone(),
@@ -383,6 +371,7 @@ impl MemoryServer {
         let inner = Arc::new(ServerInner {
             id,
             ring,
+            wm_area,
             alloc: Mutex::new(SlabAllocator::new(wm_area, config.nvm_capacity)),
             objects: RwLock::new(BTreeMap::new()),
             hotness: Mutex::new(HotnessMonitor::with_policy(&config.cache, config.telemetry)),
@@ -390,9 +379,7 @@ impl MemoryServer {
             clients: Mutex::new(ClientTable {
                 next_id: 0,
                 free_ids: Vec::new(),
-                proxy_clients: HashMap::new(),
-                proxy_qps: HashMap::new(),
-                mirror_rings: HashMap::new(),
+                rings: HashMap::new(),
             }),
             proxy_recv_cqs: (0..config.proxy_threads.max(1))
                 .map(|_| Arc::new(CompletionQueue::new(65_536)))
@@ -428,25 +415,25 @@ impl MemoryServer {
             threads: Mutex::new(Vec::new()),
         });
 
-        // Epoch thread: hotness folding + promotion.
-        {
-            let inner = Arc::clone(&server.inner);
-            server.threads.lock().push(std::thread::spawn(move || {
-                while !inner.shutdown.load(Ordering::Relaxed) {
-                    std::thread::sleep(inner.config.epoch);
-                    inner.run_epoch();
-                }
-            }));
-        }
-        // Proxy drain threads (rings pinned by client id).
-        for t in 0..server.inner.proxy_recv_cqs.len() {
-            let inner = Arc::clone(&server.inner);
-            server
-                .threads
-                .lock()
-                .push(std::thread::spawn(move || inner.drain_loop(t)));
-        }
+        server.spawn_workers();
         Ok(server)
+    }
+
+    /// Starts the epoch thread (hotness folding + promotion) and the proxy
+    /// drain threads (rings pinned by client id).
+    fn spawn_workers(&self) {
+        let mut threads = self.threads.lock();
+        let inner = Arc::clone(&self.inner);
+        threads.push(std::thread::spawn(move || {
+            while !inner.shutdown.load(Ordering::Relaxed) {
+                std::thread::sleep(inner.config.epoch);
+                inner.run_epoch();
+            }
+        }));
+        for t in 0..self.inner.proxy_recv_cqs.len() {
+            let inner = Arc::clone(&self.inner);
+            threads.push(std::thread::spawn(move || inner.drain_loop(t)));
+        }
     }
 
     /// This server's pool identifier.
@@ -503,51 +490,43 @@ impl MemoryServer {
         client_pd: &ProtectionDomain,
     ) -> Result<ClientChannel, GengarError> {
         let inner = &self.inner;
-        // A stopped server accepts nobody: its RPC threads would exit
-        // immediately and the client would stall on a dead connection.
-        // Refusing here lets clients back off and re-dial after restart().
-        if !self.is_running() {
-            return Err(GengarError::ServerUnavailable(inner.id));
-        }
-        let cid = {
-            let mut clients = inner.clients.lock();
-            match clients.free_ids.pop() {
-                Some(cid) => cid,
-                None => {
-                    if clients.next_id >= inner.config.max_clients {
-                        return Err(GengarError::ServerUnavailable(inner.id));
-                    }
-                    let cid = clients.next_id;
-                    clients.next_id += 1;
-                    cid
-                }
+        self.with_client_id(|cid| {
+            // Register the pending session with the QoS plane before
+            // anything can fail: a handshake that dies pre-Mount still
+            // releases cleanly.
+            if let Some(plane) = &inner.qos {
+                plane.connect(inner.id, cid, client_node.id());
             }
-        };
-        // Register the pending session with the QoS plane before anything
-        // can fail: a handshake that dies pre-Mount still releases cleanly.
-        if let Some(plane) = &inner.qos {
-            plane.connect(inner.id, cid, client_node.id());
-        }
 
-        // Control-plane pair + its message buffer and serving thread.
-        let (c_rpc, mut s_rpc) = Endpoint::pair(
-            (client_node, client_pd),
-            (&inner.node, &inner.pd),
-            QpOptions::default(),
-        )?;
-        // Bound the serve loop's response-send patience: if a response is
-        // lost to an injected fault the thread must not spin for the
-        // default 10 s — it gives up, the connection dies, and the client
-        // reconnects.
-        s_rpc.set_op_timeout(std::time::Duration::from_millis(250));
-        let msg_region = MemRegion::new(
-            Arc::clone(&inner.msg_dev),
-            cid as u64 * RPC_BUF_BYTES,
-            RPC_BUF_BYTES,
-        )?;
-        let msg_mr = inner.pd.reg_mr(msg_region, Access::LOCAL_WRITE)?;
-        let conn = RpcServerConn::new(s_rpc, Arc::clone(&msg_mr));
-        {
+            // Control-plane pair + its message buffer.
+            let (rpc, mut s_rpc) = Endpoint::pair(
+                (client_node, client_pd),
+                (&inner.node, &inner.pd),
+                QpOptions::default(),
+            )?;
+            // Bound the serve loop's response-send patience: if a response
+            // is lost to an injected fault the thread must not spin for the
+            // default 10 s — it gives up, the connection dies, and the
+            // client reconnects.
+            s_rpc.set_op_timeout(std::time::Duration::from_millis(250));
+            let msg_region = MemRegion::new(
+                Arc::clone(&inner.msg_dev),
+                cid as u64 * RPC_BUF_BYTES,
+                RPC_BUF_BYTES,
+            )?;
+            let msg_mr = inner.pd.reg_mr(msg_region, Access::LOCAL_WRITE)?;
+
+            // Data-plane pair (client drives it; the server side just exists).
+            let (data, _s_data) = Endpoint::pair(
+                (client_node, client_pd),
+                (&inner.node, &inner.pd),
+                QpOptions::default(),
+            )?;
+            let proxy = inner.open_lane(cid, client_node, client_pd, None)?;
+
+            // The serving thread starts last, once nothing can fail: a
+            // refused accept leaves no thread behind.
+            let conn = RpcServerConn::new(s_rpc, msg_mr);
             let handler_inner = Arc::clone(inner);
             let loop_inner = Arc::clone(inner);
             self.threads.lock().push(std::thread::spawn(move || {
@@ -555,47 +534,12 @@ impl MemoryServer {
                     handler_inner.handle(cid, req)
                 });
             }));
-        }
-
-        // Data-plane pair (client drives it; the server side just exists).
-        let (c_data, _s_data) = Endpoint::pair(
-            (client_node, client_pd),
-            (&inner.node, &inner.pd),
-            QpOptions::default(),
-        )?;
-
-        // Proxy pair: the server side uses the recv CQ of the drain
-        // thread this ring is pinned to.
-        let drain_cq = &inner.proxy_recv_cqs[cid as usize % inner.proxy_recv_cqs.len()];
-        let s_proxy = inner.node.create_qp(
-            &inner.pd,
-            inner.node.create_cq(1024),
-            Arc::clone(drain_cq),
-            QpOptions::default(),
-        );
-        let c_proxy_qp = client_node.create_qp(
-            client_pd,
-            client_node.create_cq(1024),
-            client_node.create_cq(1024),
-            QpOptions::default(),
-        );
-        c_proxy_qp.connect(inner.node.id(), s_proxy.qpn())?;
-        s_proxy.connect(client_node.id(), c_proxy_qp.qpn())?;
-        // Arm one receive per ring slot.
-        for _ in 0..inner.ring.slots {
-            s_proxy.post_recv(gengar_rdma::RecvWr::new(0, Sge::new(msg_mr.lkey(), 0, 0)))?;
-        }
-        {
-            let mut clients = inner.clients.lock();
-            clients.proxy_clients.insert(s_proxy.qpn(), cid);
-            clients.proxy_qps.insert(cid, Arc::clone(&s_proxy));
-        }
-
-        Ok(ClientChannel {
-            cid,
-            rpc: c_rpc,
-            data: c_data,
-            proxy: Endpoint::from_qp(Arc::clone(client_node), c_proxy_qp),
+            Ok(ClientChannel {
+                cid,
+                rpc,
+                data,
+                proxy,
+            })
         })
     }
 
@@ -607,8 +551,9 @@ impl MemoryServer {
     ///
     /// # Errors
     ///
-    /// [`GengarError::ProtocolViolation`] when replication is disabled;
-    /// otherwise the same failures as [`MemoryServer::accept`].
+    /// [`GengarError::ProtocolViolation`] when replication is disabled or
+    /// the shadow is dedicated to another ward; otherwise the same
+    /// failures as [`MemoryServer::accept`].
     pub fn accept_mirror(
         &self,
         client_node: &Arc<RdmaNode>,
@@ -616,14 +561,11 @@ impl MemoryServer {
         ward: u8,
     ) -> Result<MirrorChannel, GengarError> {
         let inner = &self.inner;
-        if inner.shadow_mr.is_none() {
+        let Some(shadow) = &inner.shadow_mr else {
             return Err(GengarError::ProtocolViolation(
                 "mirror lane on a server without replication",
             ));
-        }
-        if !self.is_running() {
-            return Err(GengarError::ServerUnavailable(inner.id));
-        }
+        };
         // One shadow, one ward: a lane for a second primary would
         // interleave two servers' overlapping NVM offsets in the same byte
         // range. Checked again under the write lock at ring insertion; this
@@ -633,84 +575,54 @@ impl MemoryServer {
                 "shadow already dedicated to another ward",
             ));
         }
+        // Mirror lanes carry only the proxy plane: no RPC thread, no data
+        // QP — the client already holds a full connection to this server
+        // for its *own* objects.
+        self.with_client_id(|cid| {
+            let epoch = inner.mirror_epoch.fetch_add(1, Ordering::Relaxed);
+            let ring = MirrorRing { ward, epoch };
+            let proxy = inner.open_lane(cid, client_node, client_pd, Some(ring))?;
+            // A fresh tenure starts from a clean watermark: the ring id may
+            // be reused, and the old tenure's progress must not mask new
+            // records.
+            shadow.region().store_u64(cid as u64 * 8, 0)?;
+            inner.ctl_mr.region().store_u64(cid as u64 * 8, 0)?;
+            Ok(MirrorChannel {
+                cid,
+                ring_offset: cid as u64 * inner.ring.ring_bytes(),
+                epoch,
+                proxy,
+            })
+        })
+    }
+
+    /// Claims a client id (released ids first) for one lane-opening
+    /// attempt and hands it back — with its QoS session and anything `open`
+    /// registered under it — on every error path, so no failed accept can
+    /// bleed `max_clients`.
+    fn with_client_id<T>(
+        &self,
+        open: impl FnOnce(u32) -> Result<T, GengarError>,
+    ) -> Result<T, GengarError> {
+        let inner = &self.inner;
+        // A stopped server accepts nobody: its RPC threads would exit
+        // immediately and the client would stall on a dead connection.
+        // Refusing here lets clients back off and re-dial after restart().
+        if !self.is_running() {
+            return Err(GengarError::ServerUnavailable(inner.id));
+        }
         let cid = {
             let mut clients = inner.clients.lock();
             match clients.free_ids.pop() {
                 Some(cid) => cid,
-                None => {
-                    if clients.next_id >= inner.config.max_clients {
-                        return Err(GengarError::ServerUnavailable(inner.id));
-                    }
-                    let cid = clients.next_id;
+                None if clients.next_id < inner.config.max_clients => {
                     clients.next_id += 1;
-                    cid
+                    clients.next_id - 1
                 }
+                None => return Err(GengarError::ServerUnavailable(inner.id)),
             }
         };
-        // Mirror lanes carry only the proxy plane: no RPC thread, no data
-        // QP — the client already holds a full connection to this server
-        // for its *own* objects.
-        let drain_cq = &inner.proxy_recv_cqs[cid as usize % inner.proxy_recv_cqs.len()];
-        let s_proxy = inner.node.create_qp(
-            &inner.pd,
-            inner.node.create_cq(1024),
-            Arc::clone(drain_cq),
-            QpOptions::default(),
-        );
-        let c_proxy_qp = client_node.create_qp(
-            client_pd,
-            client_node.create_cq(1024),
-            client_node.create_cq(1024),
-            QpOptions::default(),
-        );
-        if let Err(e) = c_proxy_qp
-            .connect(inner.node.id(), s_proxy.qpn())
-            .and_then(|_| s_proxy.connect(client_node.id(), c_proxy_qp.qpn()))
-        {
-            self.release_client(cid);
-            return Err(e.into());
-        }
-        for _ in 0..inner.ring.slots {
-            s_proxy.post_recv(gengar_rdma::RecvWr::new(
-                0,
-                Sge::new(inner.ctl_mr.lkey(), 0, 0),
-            ))?;
-        }
-        let epoch = inner.mirror_epoch.fetch_add(1, Ordering::Relaxed);
-        {
-            // Claim the shadow for `ward` atomically with registering the
-            // ring (lock order: shadow_ward before clients). A concurrent
-            // Promote or install for a different ward that won the race
-            // makes this lane refuse rather than alias the shadow.
-            let mut shadow_ward = inner.shadow_ward.write();
-            match *shadow_ward {
-                Some(w) if w != ward => {
-                    drop(shadow_ward);
-                    self.release_client(cid);
-                    return Err(GengarError::ProtocolViolation(
-                        "shadow already dedicated to another ward",
-                    ));
-                }
-                _ => *shadow_ward = Some(ward),
-            }
-            let mut clients = inner.clients.lock();
-            clients.proxy_clients.insert(s_proxy.qpn(), cid);
-            clients.proxy_qps.insert(cid, Arc::clone(&s_proxy));
-            clients.mirror_rings.insert(cid, MirrorRing { ward, epoch });
-        }
-        // A fresh tenure starts from a clean watermark: the ring id may be
-        // reused, and the old tenure's progress must not mask new records.
-        if let Some(shadow) = &inner.shadow_mr {
-            let _ = shadow.region().store_u64(cid as u64 * 8, 0);
-        }
-        let _ = inner.ctl_mr.region().store_u64(cid as u64 * 8, 0);
-
-        Ok(MirrorChannel {
-            cid,
-            ring_offset: cid as u64 * inner.ring.ring_bytes(),
-            epoch,
-            proxy: Endpoint::from_qp(Arc::clone(client_node), c_proxy_qp),
-        })
+        open(cid).inspect_err(|_| self.release_client(cid))
     }
 
     /// Declares which server backs this one up. Set by the cluster at
@@ -732,7 +644,7 @@ impl MemoryServer {
 
     /// Number of live mirror lanes warding other servers on this one.
     pub fn mirror_count(&self) -> usize {
-        self.inner.clients.lock().mirror_rings.len()
+        self.inner.mirror_rings().len()
     }
 
     /// Whether this server has promoted for `primary` (serves its
@@ -812,9 +724,8 @@ impl MemoryServer {
         // watermark would mask mirror records from replay): reset it. Any
         // live mirror lane for `ward` re-zeroed its word at accept time and
         // retires slots off the ctl word, which is untouched here.
-        let wm_area = round_up(self.inner.config.max_clients as u64 * 8, 4096).min(shadow.len());
-        shadow.write(0, &vec![0u8; wm_area as usize])?;
-        shadow.flush(0, wm_area)?;
+        shadow.write(0, &vec![0u8; self.inner.wm_area as usize])?;
+        shadow.flush(0, self.inner.wm_area)?;
         *self.inner.last_shadow_update.lock() = Some(Instant::now());
         Ok(())
     }
@@ -832,9 +743,7 @@ impl MemoryServer {
             plane.release(self.inner.id, cid);
         }
         let mut clients = self.inner.clients.lock();
-        clients.proxy_clients.retain(|_, c| *c != cid);
-        clients.proxy_qps.remove(&cid);
-        clients.mirror_rings.remove(&cid);
+        clients.rings.retain(|_, ring| ring.0 != cid);
         if !clients.free_ids.contains(&cid) {
             clients.free_ids.push(cid);
         }
@@ -876,20 +785,7 @@ impl MemoryServer {
     /// [`recover`]: MemoryServer::recover
     pub fn restart(&self) {
         self.inner.shutdown.store(false, Ordering::Relaxed);
-        let mut threads = self.threads.lock();
-        {
-            let inner = Arc::clone(&self.inner);
-            threads.push(std::thread::spawn(move || {
-                while !inner.shutdown.load(Ordering::Relaxed) {
-                    std::thread::sleep(inner.config.epoch);
-                    inner.run_epoch();
-                }
-            }));
-        }
-        for t in 0..self.inner.proxy_recv_cqs.len() {
-            let inner = Arc::clone(&self.inner);
-            threads.push(std::thread::spawn(move || inner.drain_loop(t)));
-        }
+        self.spawn_workers();
     }
 
     /// Simulates a power failure of this server's machine: NVM reverts to
@@ -920,73 +816,23 @@ impl MemoryServer {
         let inner = &self.inner;
         inner.cache.lock().clear();
         inner.hotness.lock().reset();
-        let nvm = inner.nvm_mr.region();
-        let staging = inner.staging_mr.region();
-        let (n_clients, mirrors) = {
-            let clients = inner.clients.lock();
-            (clients.next_id, clients.mirror_rings.clone())
-        };
+        let n_clients = inner.clients.lock().next_id;
+        let mirrors = inner.mirror_rings();
         let mut replayed = 0u64;
         for cid in 0..n_clients {
-            // Mirror rings replay into the *shadow* image of their warded
-            // primary (with the tenure's epoch as a filter); regular rings
-            // replay into local NVM exactly as before.
-            let mirror = mirrors.get(&cid).copied();
-            let target = match mirror {
-                // A stale lane whose ward lost the shadow (re-dedicated to
-                // another primary) must not replay into it.
-                Some(m) => match &inner.shadow_mr {
-                    Some(mr) if *inner.shadow_ward.read() == Some(m.ward) => mr.region(),
-                    _ => continue,
-                },
-                None => nvm,
+            replayed += match mirrors.get(&cid).copied() {
+                None => inner.replay_ring(cid, inner.nvm_mr.region(), None)?,
+                // Mirror rings replay into the shadow image of their ward,
+                // under the same guard as the live mirror drain: a stale
+                // lane whose ward lost the shadow (re-dedicated to another
+                // primary) must not replay into it, and an image install
+                // must not interleave with the replay.
+                ring => {
+                    let claim = inner.shadow_ward.read();
+                    let shadow = inner.shadow_of(ring, *claim);
+                    shadow.map_or(Ok(0), |shadow| inner.replay_ring(cid, shadow, ring))?
+                }
             };
-            let wm_off = cid as u64 * 8;
-            let watermark = target.load_u64(wm_off)?;
-            let ring_off = cid as u64 * inner.ring.ring_bytes();
-            let mut records = Vec::new();
-            for slot in 0..inner.ring.slots {
-                let slot_off = ring_off + inner.ring.slot_offset(slot);
-                let mut hdr = [0u8; crate::layout::RECORD_HEADER as usize];
-                staging.read(slot_off, &mut hdr)?;
-                let rec = decode_record_header(&hdr);
-                if rec.seq == 0 || rec.seq <= watermark || rec.len > inner.ring.slot_payload {
-                    continue;
-                }
-                if let Some(m) = mirror {
-                    if rec.epoch != m.epoch {
-                        continue; // stale tenure's leftover record
-                    }
-                }
-                let mut payload = vec![0u8; rec.len as usize];
-                staging.read(slot_off + crate::layout::RECORD_HEADER, &mut payload)?;
-                if checksum(&payload) != rec.checksum {
-                    continue; // torn record from mid-crash staging write
-                }
-                records.push((rec.seq, rec.addr, payload));
-            }
-            records.sort_by_key(|r| r.0);
-            let mut max_seq = watermark;
-            for (seq, addr_raw, payload) in records {
-                if let Some(addr) = GlobalAddr::from_raw(addr_raw) {
-                    let right_home = match mirror {
-                        Some(m) => addr.server() == m.ward,
-                        None => true,
-                    };
-                    if right_home && addr.class() == MemClass::Nvm {
-                        let off = addr.offset();
-                        if off + payload.len() as u64 <= target.len() {
-                            target.write(off, &payload)?;
-                            target.flush(off, payload.len() as u64)?;
-                            max_seq = max_seq.max(seq);
-                            replayed += 1;
-                        }
-                    }
-                }
-            }
-            target.store_u64(wm_off, max_seq)?;
-            target.flush(wm_off, 8)?;
-            inner.ctl_mr.region().store_u64(cid as u64 * 8, max_seq)?;
         }
         Ok(replayed)
     }
@@ -1021,132 +867,231 @@ impl ServerInner {
     /// Drains one staged record (proxy thread).
     fn drain(&self, qpn: Qpn, slot: u32) -> Result<(), GengarError> {
         let _t = self.metrics.drain_ns.span();
-        let (cid, qp, mirror) = {
-            let clients = self.clients.lock();
-            let cid = match clients.proxy_clients.get(&qpn) {
-                Some(&c) => c,
-                None => return Ok(()),
-            };
-            // Unreplicated servers host no mirror rings at all; skip the
-            // per-record hash on that (hot) path.
-            let mirror = if clients.mirror_rings.is_empty() {
-                None
-            } else {
-                clients.mirror_rings.get(&cid).copied()
-            };
-            (cid, Arc::clone(&clients.proxy_qps[&cid]), mirror)
+        let Some((cid, qp, mirror)) = self.clients.lock().rings.get(&qpn).cloned() else {
+            return Ok(());
         };
-        let staging = self.staging_mr.region();
-        let nvm = self.nvm_mr.region();
-        let slot_off = cid as u64 * self.ring.ring_bytes() + self.ring.slot_offset(slot);
-
-        let mut hdr = [0u8; crate::layout::RECORD_HEADER as usize];
-        staging.read(slot_off, &mut hdr)?;
-        let rec = decode_record_header(&hdr);
+        // Re-arm the consumed receive first, whatever becomes of the record:
+        // the client reuses a slot only once the watermark passes it, so
+        // the ring never has more writes in flight than receives posted.
+        let _ = self.arm_recv(&qp);
+        let (rec, slot_off) = self.read_slot(cid, slot)?;
         // Join the originating client op's trace: the record header carries
         // its trace id, so the asynchronous NVM drain shows up in the same
         // causal trace even though it runs after the client saw completion.
         let mut drain_span = gengar_telemetry::Tracer::global()
             .root_span_in("server.drain", gengar_telemetry::TraceId(rec.trace));
         drain_span.set_detail(rec.seq);
-        if let Some(m) = mirror {
-            // Mirror lane: the record belongs to the warded primary; apply
-            // it to that primary's shadow image. No cache to refresh, no
-            // tenant to bill (the primary's drain did both); the epoch
-            // filter drops any stale tenure's leftovers in a reused ring.
-            if let Some(shadow_mr) = &self.shadow_mr {
-                // The shadow holds exactly one ward's image: a stale lane
-                // that outlived a retarget (its ward died unpromoted and
-                // the shadow was re-dedicated) must not scribble over the
-                // new ward's bytes. The read guard keeps an image install
-                // or promotion replay from interleaving with this apply.
-                let ward_guard = self.shadow_ward.read();
-                let shadow = shadow_mr.region();
-                if *ward_guard == Some(m.ward)
-                    && rec.len <= self.ring.slot_payload
-                    && rec.epoch == m.epoch
-                {
-                    let mut payload = vec![0u8; rec.len as usize];
-                    staging.read(slot_off + crate::layout::RECORD_HEADER, &mut payload)?;
-                    if checksum(&payload) == rec.checksum {
-                        if let Some(addr) = GlobalAddr::from_raw(rec.addr) {
-                            if addr.server() == m.ward
-                                && addr.class() == MemClass::Nvm
-                                && addr.offset() + rec.len <= shadow.len()
-                            {
-                                let off = addr.offset();
-                                shadow.write(off, &payload)?;
-                                shadow.flush(off, rec.len)?;
-                                // Shadow watermark first (crash consistency),
-                                // then the client-visible ctl word: the
-                                // client's mirror lane retires slots off it.
-                                let wm_off = cid as u64 * 8;
-                                shadow.store_u64(wm_off, rec.seq)?;
-                                shadow.flush(wm_off, 8)?;
-                                self.ctl_mr.region().store_u64(cid as u64 * 8, rec.seq)?;
-                                self.metrics.drained_records.inc();
-                                *self.last_shadow_update.lock() = Some(Instant::now());
-                            }
-                        }
-                    }
+        if mirror.is_some() {
+            // Mirror lane: no cache to refresh, no tenant to bill (the
+            // primary's drain did both). The shadow holds exactly one
+            // ward's image: a stale lane that outlived a retarget (its
+            // ward died unpromoted and the shadow was re-dedicated) must
+            // not scribble over the new ward's bytes. The read guard keeps
+            // an image install or promotion replay from interleaving with
+            // this apply.
+            let claim = self.shadow_ward.read();
+            if let Some(shadow) = self.shadow_of(mirror, *claim) {
+                if self.apply_record(shadow, mirror, &rec, slot_off)?.is_some() {
+                    self.publish_watermark(shadow, cid, rec.seq)?;
+                    self.metrics.drained_records.inc();
+                    *self.last_shadow_update.lock() = Some(Instant::now());
                 }
             }
-            let _ = qp.post_recv(gengar_rdma::RecvWr::new(
-                0,
-                Sge::new(self.ctl_mr.lkey(), 0, 0),
-            ));
             return Ok(());
         }
-        if rec.len <= self.ring.slot_payload {
-            let mut payload = vec![0u8; rec.len as usize];
-            staging.read(slot_off + crate::layout::RECORD_HEADER, &mut payload)?;
-            if checksum(&payload) == rec.checksum {
-                if let Some(addr) = GlobalAddr::from_raw(rec.addr) {
-                    if addr.class() == MemClass::Nvm && addr.offset() + rec.len <= nvm.len() {
-                        // Payload and watermark land atomically w.r.t. a
-                        // rebalance snapshot (nvm_image holds this for
-                        // write), so the seeded shadow never carries a
-                        // torn record.
-                        let _quiesce = self.nvm_quiesce.read();
-                        let off = addr.offset();
-                        nvm.write(off, &payload)?;
-                        nvm.flush(off, rec.len)?;
-                        // Keep the cached copy fresh.
-                        if self.config.cache.enabled {
-                            if let Some((base, _len)) = self.containing_object(off) {
-                                let base_raw = GlobalAddr::new(self.id, MemClass::Nvm, base).raw();
-                                let rel = off - base;
-                                let _ = self.cache.lock().update_range(base_raw, rel, &payload);
-                            }
-                        }
-                        // Advance the durable watermark: NVM word first
-                        // (crash consistency), then the client-visible one.
-                        let wm_off = cid as u64 * 8;
-                        nvm.store_u64(wm_off, rec.seq)?;
-                        nvm.flush(wm_off, 8)?;
-                        self.ctl_mr.region().store_u64(cid as u64 * 8, rec.seq)?;
-                        self.metrics.drained_records.inc();
-                        // Per-tenant durable-byte accounting: the record
-                        // header carries the tenant tag across the
-                        // client→drain handoff (0 = QoS off).
-                        if rec.tenant != 0 {
-                            if let Some(plane) = &self.qos {
-                                if let Some(t) = plane.tenant_by_tag(rec.tenant) {
-                                    t.note_drained(rec.len);
-                                }
-                            }
-                        }
-                    }
+        // Payload, cache refresh and watermark land atomically w.r.t. a
+        // rebalance snapshot and a cache promotion (both hold this for
+        // write): the seeded shadow never carries a torn record, and a
+        // promotion never publishes the bytes this record replaces.
+        let _quiesce = self.nvm_quiesce.read();
+        let nvm = self.nvm_mr.region();
+        let Some((off, payload)) = self.apply_record(nvm, None, &rec, slot_off)? else {
+            return Ok(());
+        };
+        // Keep the cached copy fresh.
+        if self.config.cache.enabled {
+            if let Some((base, _len)) = self.containing_object(off) {
+                let base_raw = GlobalAddr::new(self.id, MemClass::Nvm, base).raw();
+                let rel = off - base;
+                let _ = self.cache.lock().update_range(base_raw, rel, &payload);
+            }
+        }
+        self.publish_watermark(nvm, cid, rec.seq)?;
+        self.metrics.drained_records.inc();
+        // Per-tenant durable-byte accounting: the record header carries the
+        // tenant tag across the client→drain handoff (0 = QoS off).
+        if rec.tenant != 0 {
+            if let Some(plane) = &self.qos {
+                if let Some(t) = plane.tenant_by_tag(rec.tenant) {
+                    t.note_drained(rec.len);
                 }
             }
         }
-        // Re-arm the consumed receive (zero-length: WRITE_WITH_IMM never
-        // scatters into it, any PD-local lkey satisfies the interface).
-        let _ = qp.post_recv(gengar_rdma::RecvWr::new(
-            0,
-            Sge::new(self.ctl_mr.lkey(), 0, 0),
-        ));
         Ok(())
+    }
+
+    /// The open mirror rings: ring id -> ward and epoch.
+    fn mirror_rings(&self) -> HashMap<u32, MirrorRing> {
+        let clients = self.clients.lock();
+        let rings = clients.rings.values();
+        rings
+            .filter_map(|(cid, _, m)| Some((*cid, (*m)?)))
+            .collect()
+    }
+
+    /// The image a mirror lane applies to: the shadow, unless it is not (or
+    /// no longer) dedicated to the ring's ward. `claim` is read under the
+    /// `shadow_ward` guard, which the caller holds while it uses the image.
+    fn shadow_of(&self, ring: Option<MirrorRing>, claim: Option<u8>) -> Option<&MemRegion> {
+        let shadow = self.shadow_mr.as_ref()?.region();
+        ring.is_some_and(|r| claim == Some(r.ward))
+            .then_some(shadow)
+    }
+
+    /// The record header staged in `slot` of ring `cid`, and the slot's staging offset.
+    fn read_slot(&self, cid: u32, slot: u32) -> Result<(RecordHeader, u64), GengarError> {
+        let slot_off = cid as u64 * self.ring.ring_bytes() + self.ring.slot_offset(slot);
+        let mut hdr = [0u8; RECORD_HEADER as usize];
+        self.staging_mr.region().read(slot_off, &mut hdr)?;
+        Ok((decode_record_header(&hdr), slot_off))
+    }
+
+    /// The one judge of a staged record, shared by the live drains and the
+    /// replays. A record applies to `target` (local NVM for a primary lane,
+    /// the ward's shadow for a mirror lane) only if its length fits a slot,
+    /// it carries the mirror tenure's epoch (a reused mirror ring may hold
+    /// a stale tenure's leftovers), its address names NVM on the lane's
+    /// home server — this one, or the ward — inside the target image, and
+    /// — read only once all of that holds — its payload matches its
+    /// checksum (a torn record from a mid-crash staging write does not).
+    /// Applying is payload write, then flush of that range; the caller
+    /// publishes the watermark afterwards.
+    ///
+    /// Returns the target offset and payload of an applied record, `None`
+    /// for a rejected one.
+    fn apply_record(
+        &self,
+        target: &MemRegion,
+        mirror: Option<MirrorRing>,
+        rec: &RecordHeader,
+        slot_off: u64,
+    ) -> Result<Option<(u64, Vec<u8>)>, GengarError> {
+        let addr = GlobalAddr::from_raw(rec.addr).filter(|a| {
+            rec.len <= self.ring.slot_payload
+                && mirror.is_none_or(|ring| ring.epoch == rec.epoch)
+                && a.class() == MemClass::Nvm
+                && a.server() == mirror.map_or(self.id, |ring| ring.ward)
+                && a.offset() + rec.len <= target.len()
+        });
+        let Some(off) = addr.map(GlobalAddr::offset) else {
+            return Ok(None);
+        };
+        let mut payload = vec![0u8; rec.len as usize];
+        let staging = self.staging_mr.region();
+        staging.read(slot_off + RECORD_HEADER, &mut payload)?;
+        if checksum(&payload) != rec.checksum {
+            return Ok(None);
+        }
+        target.write(off, &payload)?;
+        target.flush(off, rec.len)?;
+        Ok(Some((off, payload)))
+    }
+
+    /// Advances ring `cid`'s durable watermark to `seq`: the word in the
+    /// lane's image first (crash consistency: every record up to `seq` is
+    /// already flushed), then the client-visible ctl word that the client
+    /// retires slots off.
+    fn publish_watermark(&self, target: &MemRegion, cid: u32, seq: u64) -> Result<(), GengarError> {
+        let wm_off = cid as u64 * 8;
+        target.store_u64(wm_off, seq)?;
+        target.flush(wm_off, 8)?;
+        self.ctl_mr.region().store_u64(wm_off, seq)?;
+        Ok(())
+    }
+
+    /// Replays ring `cid` into its lane's image: every staged record past
+    /// the ring's durable watermark that `apply_record` accepts, in
+    /// sequence order, then the watermark — which makes a second replay
+    /// find nothing. Returns how many records were applied.
+    fn replay_ring(
+        &self,
+        cid: u32,
+        target: &MemRegion,
+        mirror: Option<MirrorRing>,
+    ) -> Result<u64, GengarError> {
+        let watermark = target.load_u64(cid as u64 * 8)?;
+        let mut records = Vec::new();
+        for slot in 0..self.ring.slots {
+            let staged = self.read_slot(cid, slot)?;
+            if staged.0.seq > watermark {
+                records.push(staged);
+            }
+        }
+        records.sort_by_key(|(rec, _)| rec.seq);
+        let (mut max_seq, mut replayed) = (watermark, 0);
+        for (rec, slot_off) in records {
+            if self.apply_record(target, mirror, &rec, slot_off)?.is_some() {
+                max_seq = rec.seq;
+                replayed += 1;
+            }
+        }
+        self.publish_watermark(target, cid, max_seq)?;
+        Ok(replayed)
+    }
+
+    /// Opens ring `cid`'s proxy lane: builds and connects the proxy QP
+    /// pair, arms one receive per ring slot and registers the ring (a
+    /// mirror ring claims the shadow for its ward in the same step).
+    /// Returns the client's end.
+    fn open_lane(
+        &self,
+        cid: u32,
+        client_node: &Arc<RdmaNode>,
+        client_pd: &ProtectionDomain,
+        mirror: Option<MirrorRing>,
+    ) -> Result<Endpoint, GengarError> {
+        // The server side uses the recv CQ of the drain thread this ring
+        // is pinned to.
+        let drain_cq = &self.proxy_recv_cqs[cid as usize % self.proxy_recv_cqs.len()];
+        let s_proxy = self.node.create_qp(
+            &self.pd,
+            self.node.create_cq(1024),
+            Arc::clone(drain_cq),
+            QpOptions::default(),
+        );
+        let c_proxy = client_node.create_qp(
+            client_pd,
+            client_node.create_cq(1024),
+            client_node.create_cq(1024),
+            QpOptions::default(),
+        );
+        c_proxy.connect(self.node.id(), s_proxy.qpn())?;
+        s_proxy.connect(client_node.id(), c_proxy.qpn())?;
+        for _ in 0..self.ring.slots {
+            self.arm_recv(&s_proxy)?;
+        }
+        // Claim the shadow for the ward atomically with registering the
+        // ring (lock order: shadow_ward before clients). A concurrent
+        // Promote or install for a different ward that won the race makes
+        // this lane refuse rather than alias the shadow.
+        let mut claim = mirror.map(|_| self.shadow_ward.write());
+        if let (Some(ring), Some(claim)) = (mirror, claim.as_mut()) {
+            if *claim.get_or_insert(ring.ward) != ring.ward {
+                return Err(GengarError::ProtocolViolation(
+                    "shadow already dedicated to another ward",
+                ));
+            }
+        }
+        let mut clients = self.clients.lock();
+        clients.rings.insert(s_proxy.qpn(), (cid, s_proxy, mirror));
+        Ok(Endpoint::from_qp(Arc::clone(client_node), c_proxy))
+    }
+
+    /// Posts one proxy-ring receive (zero-length: WRITE_WITH_IMM never
+    /// scatters into it, any PD-local lkey satisfies the interface).
+    fn arm_recv(&self, qp: &QueuePair) -> Result<(), gengar_rdma::RdmaError> {
+        let sge = Sge::new(self.ctl_mr.lkey(), 0, 0);
+        qp.post_recv(gengar_rdma::RecvWr::new(0, sge))
     }
 
     /// Finds the live object containing NVM offset `off`.
@@ -1214,11 +1159,21 @@ impl ServerInner {
                 }
             }
             let mut payload = vec![0u8; len as usize];
-            if self
-                .nvm_mr
-                .region()
-                .read(addr.offset(), &mut payload)
-                .is_err()
+            let nvm = self.nvm_mr.region();
+            let word_off = addr.offset() - OBJ_HEADER;
+            // Copy and publish as one step w.r.t. everything that changes
+            // the object: a drain apply or a flush-RPC invalidate landing
+            // between the two finds nothing cached to refresh or drop, and
+            // the old bytes would be published after it. One-sided writers
+            // cannot be held off, but under `Seqlock` they hold the lock
+            // word across WRITE → flush RPC → unlock: a copy bracketed by
+            // two equal, unlocked loads of it raced no such write. Anything
+            // else skips the promotion for this epoch.
+            let _still = self.nvm_quiesce.write();
+            let word = nvm.load_u64(word_off).ok();
+            if word.is_none_or(lockword::is_locked)
+                || nvm.read(addr.offset(), &mut payload).is_err()
+                || nvm.load_u64(word_off).ok() != word
             {
                 continue;
             }
@@ -1326,86 +1281,24 @@ impl ServerInner {
     /// from the shadow on the data and control planes. Idempotent — the
     /// shadow watermark makes a second promotion replay nothing new.
     fn handle_promote(&self, primary: u8) -> Response {
-        let Some(shadow_mr) = &self.shadow_mr else {
-            return Response::Err {
-                code: err_code::BAD_REQUEST,
-            };
-        };
         // The shadow serves exactly one ward; promoting a second one would
         // hand out another server's bytes at the same offsets. Claim it
         // (and hold the claim for the whole replay, so a concurrent image
         // install for a different primary cannot interleave) or refuse.
         let mut shadow_ward = self.shadow_ward.write();
-        match *shadow_ward {
-            Some(w) if w != primary => {
-                return Response::Err {
-                    code: err_code::BAD_REQUEST,
-                };
-            }
-            _ => *shadow_ward = Some(primary),
+        if self.shadow_mr.is_none() || *shadow_ward.get_or_insert(primary) != primary {
+            return Response::Err {
+                code: err_code::BAD_REQUEST,
+            };
         }
-        let shadow = shadow_mr.region();
-        let staging = self.staging_mr.region();
-        let rings: Vec<(u32, u32)> = {
-            let clients = self.clients.lock();
-            clients
-                .mirror_rings
-                .iter()
-                .filter(|(_, m)| m.ward == primary)
-                .map(|(&cid, m)| (cid, m.epoch))
-                .collect()
-        };
         let mut replayed = 0u64;
-        for (cid, epoch) in rings {
-            let wm_off = cid as u64 * 8;
-            let watermark = shadow.load_u64(wm_off).unwrap_or(0);
-            let ring_off = cid as u64 * self.ring.ring_bytes();
-            let mut records = Vec::new();
-            for slot in 0..self.ring.slots {
-                let slot_off = ring_off + self.ring.slot_offset(slot);
-                let mut hdr = [0u8; crate::layout::RECORD_HEADER as usize];
-                if staging.read(slot_off, &mut hdr).is_err() {
-                    continue;
-                }
-                let rec = decode_record_header(&hdr);
-                if rec.seq == 0
-                    || rec.seq <= watermark
-                    || rec.len > self.ring.slot_payload
-                    || rec.epoch != epoch
-                {
-                    continue;
-                }
-                let mut payload = vec![0u8; rec.len as usize];
-                if staging
-                    .read(slot_off + crate::layout::RECORD_HEADER, &mut payload)
-                    .is_err()
-                    || checksum(&payload) != rec.checksum
-                {
-                    continue;
-                }
-                records.push((rec.seq, rec.addr, payload));
+        for (cid, ring) in self.mirror_rings() {
+            // A ring whose replay hits a device error is skipped, its
+            // watermark unmoved: promotion is the availability path and
+            // serves what it could replay rather than failing outright.
+            if let Some(shadow) = self.shadow_of(Some(ring), *shadow_ward) {
+                replayed += self.replay_ring(cid, shadow, Some(ring)).unwrap_or(0);
             }
-            records.sort_by_key(|r| r.0);
-            let mut max_seq = watermark;
-            for (seq, addr_raw, payload) in records {
-                let Some(addr) = GlobalAddr::from_raw(addr_raw) else {
-                    continue;
-                };
-                if addr.server() != primary || addr.class() != MemClass::Nvm {
-                    continue;
-                }
-                let off = addr.offset();
-                if off + payload.len() as u64 <= shadow.len()
-                    && shadow.write(off, &payload).is_ok()
-                    && shadow.flush(off, payload.len() as u64).is_ok()
-                {
-                    max_seq = max_seq.max(seq);
-                    replayed += 1;
-                }
-            }
-            let _ = shadow.store_u64(wm_off, max_seq);
-            let _ = shadow.flush(wm_off, 8);
-            let _ = self.ctl_mr.region().store_u64(wm_off, max_seq);
         }
         if replayed > 0 {
             *self.last_shadow_update.lock() = Some(Instant::now());
@@ -1525,6 +1418,10 @@ impl ServerInner {
         if addr.server() == self.id {
             if let Some((base, _)) = self.containing_object(off) {
                 let base_raw = GlobalAddr::new(self.id, MemClass::Nvm, base).raw();
+                // A promotion that copied the object before this write
+                // holds this for write until it has published: invalidate
+                // after it, not in the middle.
+                let _quiesce = self.nvm_quiesce.read();
                 let _ = self.cache.lock().invalidate(base_raw);
             }
         }

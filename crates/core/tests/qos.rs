@@ -205,6 +205,36 @@ fn failed_handshake_storm_releases_tenant_sessions() {
     assert!(plane.tenants().contains(&"storm".to_owned()));
 }
 
+/// An accept that fails after the server claimed a client id and a QoS
+/// session hands both back: more such failures in a row than `max_clients`
+/// leave the server mountable and the tenant's session count where it was.
+#[test]
+fn failed_accepts_release_client_ids_and_sessions() {
+    let mut server_config = qos_server_config(Vec::new(), 2.0);
+    server_config.max_clients = 4;
+    let cluster = Cluster::launch(1, server_config, FabricConfig::instant()).expect("launch");
+    let _live = cluster.client(tenant_client_config("storm")).unwrap();
+    let plane = cluster.qos_plane().expect("qos enabled").clone();
+    let storm = plane.handle("storm");
+    assert_eq!(storm.sessions(), 1);
+
+    // A client machine that died mid-dial: its node has left the fabric, so
+    // the server-side QP connect is refused — after the id is claimed.
+    let ghost = cluster.fabric().add_node();
+    let ghost_pd = ghost.alloc_pd();
+    cluster.fabric().remove_node(ghost.id());
+    let server = cluster.server(0).unwrap();
+    for _ in 0..=server.config().max_clients {
+        assert!(server.accept(&ghost, &ghost_pd).is_err());
+    }
+    assert_eq!(storm.sessions(), 1, "failed accepts changed live sessions");
+
+    let mut fresh = cluster.client(tenant_client_config("storm")).unwrap();
+    assert_eq!(storm.sessions(), 2);
+    let ptr = fresh.alloc(0, 64).unwrap();
+    fresh.write(ptr, 0, &[7u8; 64]).unwrap();
+}
+
 /// A staged-bytes cap sheds oversized batches to the direct path instead
 /// of wedging: writes larger than the cap still land and are readable.
 #[test]

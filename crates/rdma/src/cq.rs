@@ -3,7 +3,7 @@
 //! Completions carry a *ready instant*: the simulated time at which the
 //! operation finishes. The fabric executes a verb's data movement at post
 //! time but computes its completion deadline from the virtual-time cursor
-//! model, pushing the `Wc` with [`CompletionQueue::push_at`]. Harvesting
+//! model, pushing the `Wc` with `CompletionQueue::push_at`. Harvesting
 //! ([`CompletionQueue::poll`] / [`CompletionQueue::wait`]) only releases
 //! entries whose ready instant has passed, so a single thread can hold
 //! many operations in flight — across several connections — and observe

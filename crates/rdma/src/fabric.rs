@@ -195,7 +195,7 @@ impl Gathered {
 /// does not block — the configured latencies and bandwidth reservations
 /// accumulate into a virtual-time cursor per doorbell, and each work
 /// completion is queued with the instant it becomes harvestable
-/// ([`CompletionQueue::push_at`]). One thread can therefore hold many
+/// (`CompletionQueue::push_at`). One thread can therefore hold many
 /// doorbells in flight across independent targets and genuinely overlap
 /// their modelled wire time. Fault injection: links can be partitioned or
 /// given extra delay, and the RC state machine reacts as real hardware

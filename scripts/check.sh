@@ -9,6 +9,10 @@ cargo fmt --all --check
 echo "== cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Intra-doc links name items by path; a rename or removal only shows up here.
+echo "== cargo doc --workspace -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
 echo "== cargo test --workspace"
 cargo test --workspace -q
 
