@@ -1,18 +1,19 @@
 //! Criterion benchmarks of Gengar pool operations against the baselines.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gengar_bench::exp::{base_config, System, SystemKind};
+use gengar_bench::exp::{System, SystemKind};
+use gengar_bench::RunConfig;
 use gengar_core::pool::DshmPool;
 
 fn bench_pool_ops(c: &mut Criterion) {
-    gengar_hybridmem::set_time_scale(1.0);
+    let rc = RunConfig::default();
     let mut group = c.benchmark_group("pool_ops");
     for kind in [
         SystemKind::Gengar,
         SystemKind::NvmDirect,
         SystemKind::DramOnly,
     ] {
-        let system = System::launch(kind, 1, base_config());
+        let system = System::launch(kind, 1, rc.base_config(), &rc);
         let mut pool = system.client();
         for size in [64u64, 4096] {
             let ptr = pool.alloc(0, size).unwrap();

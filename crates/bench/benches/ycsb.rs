@@ -2,18 +2,19 @@
 //! direct baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gengar_bench::exp::{base_config, System, SystemKind};
+use gengar_bench::exp::{System, SystemKind};
+use gengar_bench::RunConfig;
 use gengar_workloads::ycsb::{load, run as ycsb_run, WorkloadSpec};
 
 const RECORDS: u64 = 1_000;
 const BATCH: u64 = 200;
 
 fn bench_ycsb(c: &mut Criterion) {
-    gengar_hybridmem::set_time_scale(1.0);
+    let rc = RunConfig::default();
     let mut group = c.benchmark_group("ycsb");
     group.throughput(Throughput::Elements(BATCH));
     for kind in [SystemKind::Gengar, SystemKind::NvmDirect] {
-        let system = System::launch(kind, 1, base_config());
+        let system = System::launch(kind, 1, rc.base_config(), &rc);
         let mut pool = system.client();
         let kv = load(&mut pool, RECORDS, 1024, 1).unwrap();
         // Warm pass so hotness/promotion settles.

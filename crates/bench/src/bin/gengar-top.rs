@@ -32,27 +32,9 @@ use std::time::Duration;
 
 use gengar_core::cluster::Cluster;
 use gengar_core::config::{ClientConfig, ServerConfig};
+use gengar_core::health::COMPONENTS;
 use gengar_rdma::{FabricConfig, FaultPlane, PartitionFlap};
-use gengar_telemetry::{prometheus_text, Registry};
-
-/// Extracts the number following `"key":` in `doc`, starting at `from`.
-fn field_num(doc: &str, from: usize, key: &str) -> Option<i64> {
-    let pat = format!("\"{key}\":");
-    let at = from + doc[from..].find(&pat)? + pat.len();
-    let digits: String = doc[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '-')
-        .collect();
-    digits.parse().ok()
-}
-
-/// Extracts the string following `"key":"` in `doc`, starting at `from`.
-fn field_str(doc: &str, from: usize, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let at = from + doc[from..].find(&pat)? + pat.len();
-    let end = doc[at..].find('"')?;
-    Some(doc[at..at + end].to_string())
-}
+use gengar_telemetry::{json_field_num, json_field_str, prometheus_text, Registry};
 
 /// ANSI-colours a health state word for the terminal.
 fn paint(state: &str) -> String {
@@ -66,33 +48,30 @@ fn paint(state: &str) -> String {
 
 /// Renders one server's inspect document as rows of the live view.
 fn render_server(doc: &str) {
-    let server = field_num(doc, 0, "server").unwrap_or(-1);
-    let tick = field_num(doc, 0, "tick").unwrap_or(0);
-    let overall = field_str(doc, 0, "overall").unwrap_or_else(|| "?".into());
-    print!(
-        "server {server}  tick {tick:<6} overall {}",
-        paint(&overall)
-    );
+    let server = json_field_num(doc, 0, "server").unwrap_or(-1);
+    let tick = json_field_num(doc, 0, "tick").unwrap_or(0);
+    let overall = json_field_str(doc, 0, "overall").unwrap_or("?");
+    print!("server {server}  tick {tick:<6} overall {}", paint(overall));
 
     // Component states, in the order the plane defines them.
-    for name in ["proxy_ring", "drain", "replication", "qos", "clients"] {
+    for name in COMPONENTS {
         let pat = format!("\"{name}\":{{");
         let state = doc
             .find(&pat)
-            .and_then(|at| field_str(doc, at, "state"))
-            .unwrap_or_else(|| "?".into());
-        print!("  {name} {}", paint(&state));
+            .and_then(|at| json_field_str(doc, at, "state"))
+            .unwrap_or("?");
+        print!("  {name} {}", paint(state));
     }
     println!();
 
     // Newest window digest (windows are serialized newest-first).
     if let Some(at) = doc.find("\"windows\":[{") {
-        let ops = field_num(doc, at, "ops").unwrap_or(0);
-        let rp99 = field_num(doc, at, "read_p99_us").unwrap_or(0);
-        let wp99 = field_num(doc, at, "write_p99_us").unwrap_or(0);
-        let err = field_num(doc, at, "err").unwrap_or(0);
-        let backlog = field_num(doc, at, "backlog").unwrap_or(0);
-        let lag = field_num(doc, at, "lag").unwrap_or(0);
+        let ops = json_field_num(doc, at, "ops").unwrap_or(0);
+        let rp99 = json_field_num(doc, at, "read_p99_us").unwrap_or(0);
+        let wp99 = json_field_num(doc, at, "write_p99_us").unwrap_or(0);
+        let err = json_field_num(doc, at, "err").unwrap_or(0);
+        let backlog = json_field_num(doc, at, "backlog").unwrap_or(0);
+        let lag = json_field_num(doc, at, "lag").unwrap_or(0);
         println!(
             "          window: ops {ops:<7} read_p99 {rp99:>5}us  \
              write_p99 {wp99:>5}us  err {err:<4} backlog {backlog:<4} lag {lag}"
@@ -105,7 +84,7 @@ fn render_server(doc: &str) {
         let hit = at + rel;
         // Walk back to this SLO entry's opening brace to read its fields.
         let start = doc[..hit].rfind('{').unwrap_or(0);
-        let name = field_str(doc, start, "name").unwrap_or_else(|| "?".into());
+        let name = json_field_str(doc, start, "name").unwrap_or("?");
         println!("          \x1b[31mSLO ALERT\x1b[0m {name} burning its error budget");
         at = hit + 1;
     }

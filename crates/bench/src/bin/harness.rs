@@ -8,6 +8,7 @@
 //! cargo run -p gengar-bench --release --bin harness -- e4 --no-telemetry
 //! cargo run -p gengar-bench --release --bin harness -- e4 --quick \
 //!     --faults 'drop:p=0.01 + delay:ns=20000,p=0.05'
+//! cargo run -p gengar-bench --release --bin harness -- gate   # the ten gates
 //! ```
 //!
 //! After each experiment the harness emits a one-line JSON record with a
@@ -16,9 +17,10 @@
 //! `--no-telemetry` disables collection to measure its overhead.
 //!
 //! The same record (plus the experiment's headline `metrics`, e.g. E11's
-//! per-server-count kops) is also written to `BENCH_<ID>.json` in the
-//! current directory, one file per experiment per run, so the perf
-//! trajectory stays machine-readable across runs and PRs.
+//! per-server-count kops, at full precision) is also written to
+//! `BENCH_<ID>.json` in the current directory, one file per experiment
+//! per run (the previous one rotates to `.prev`), so the perf trajectory
+//! stays machine-readable across runs and PRs.
 //!
 //! `--faults <spec>` arms a deterministic fault plane (fixed seed) on every
 //! Gengar fabric the experiments launch (baselines run fault-free: they
@@ -49,185 +51,116 @@
 //! `--trace-mode full` disables sampling (default `sampled`: complete
 //! traces are kept while the span buffer is roomy, children are thinned
 //! 1-in-8 once it passes half occupancy).
+//!
+//! `gate [name…]` evaluates the numeric gates (all ten rows of
+//! `gengar_bench::gate`, or the named ones) instead of reporting; it exits
+//! 1 if any failed and writes no snapshot.
 
-use gengar_bench::{
-    fault_spec, qos_enabled, replica_count, run_experiment, set_faults, set_qos, set_replicas,
-    set_telemetry, set_tenants, set_trace_out, set_window, take_metrics, tenant_count, trace_out,
-    Scale, ALL_EXPERIMENTS,
-};
-use gengar_telemetry::{
-    chrome_trace_json, critical_path_table, json_escape, Registry, TraceMode, Tracer,
-};
+use gengar_bench::{gate, resolve, snapshot_record, Provenance, RunConfig, Scale};
+use gengar_telemetry::{chrome_trace_json, critical_path_table, Registry, TraceMode, Tracer};
 
-/// The repo revision this run measured, for `scripts/bench_compare.sh`
-/// provenance. Best-effort: a tarball checkout reports "unknown".
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_owned())
-        .filter(|rev| !rev.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
-}
-
-/// The machine the numbers came from — two snapshots from different hosts
-/// are not comparable, and the compare script warns on a mismatch.
-fn hostname() -> String {
-    std::fs::read_to_string("/proc/sys/kernel/hostname")
-        .ok()
-        .map(|s| s.trim().to_owned())
-        .or_else(|| std::env::var("HOSTNAME").ok())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
+/// Prints `msg` and exits with the usage status.
+fn usage(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut no_telemetry = false;
-    let mut faults: Option<String> = None;
+    let mut config = RunConfig::default();
     let mut trace_path: Option<String> = None;
     let mut trace_mode = TraceMode::Sampled;
     let mut selected: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
+    let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--quick" => quick = true,
-            "--no-telemetry" => no_telemetry = true,
+            "--quick" => config.scale = Scale::Quick,
+            "--no-telemetry" => config.telemetry = false,
             "--faults" => match it.next() {
-                Some(spec) => faults = Some(spec),
-                None => {
-                    eprintln!("--faults needs a spec, e.g. --faults 'drop:p=0.01'");
-                    std::process::exit(2);
-                }
+                Some(spec) => config.faults = Some(spec),
+                None => usage("--faults needs a spec, e.g. --faults 'drop:p=0.01'"),
             },
             "--trace-out" => match it.next() {
                 Some(path) => trace_path = Some(path),
-                None => {
-                    eprintln!("--trace-out needs a path, e.g. --trace-out trace.json");
-                    std::process::exit(2);
-                }
+                None => usage("--trace-out needs a path, e.g. --trace-out trace.json"),
             },
             "--trace-mode" => match it.next().as_deref() {
                 Some("sampled") => trace_mode = TraceMode::Sampled,
                 Some("full") => trace_mode = TraceMode::Full,
-                _ => {
-                    eprintln!("--trace-mode needs 'sampled' or 'full'");
-                    std::process::exit(2);
-                }
+                _ => usage("--trace-mode needs 'sampled' or 'full'"),
             },
             "--window" => match it.next().map(|v| v.parse::<u32>()) {
-                Some(Ok(depth)) if depth >= 1 => set_window(depth),
-                _ => {
-                    eprintln!("--window needs a depth >= 1, e.g. --window 16");
-                    std::process::exit(2);
-                }
+                Some(Ok(depth)) if depth >= 1 => config.window = depth,
+                _ => usage("--window needs a depth >= 1, e.g. --window 16"),
             },
             "--tenants" => match it.next().map(|v| v.parse::<u32>()) {
-                Some(Ok(n)) if n >= 1 => set_tenants(n),
-                _ => {
-                    eprintln!("--tenants needs a count >= 1, e.g. --tenants 3");
-                    std::process::exit(2);
-                }
+                Some(Ok(n)) if n >= 1 => config.tenants = n,
+                _ => usage("--tenants needs a count >= 1, e.g. --tenants 3"),
             },
-            "--qos" => set_qos(true),
+            "--qos" => config.qos = true,
             "--replicas" => match it.next().map(|v| v.parse::<u32>()) {
-                Some(Ok(n)) => set_replicas(n),
-                _ => {
-                    eprintln!("--replicas needs a count >= 0, e.g. --replicas 1");
-                    std::process::exit(2);
-                }
+                Some(Ok(n)) => config.replicas = n,
+                _ => usage("--replicas needs a count >= 0, e.g. --replicas 1"),
             },
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag: {flag}");
-                std::process::exit(2);
-            }
+            flag if flag.starts_with("--") => usage(&format!("unknown flag: {flag}")),
             id => selected.push(id.to_owned()),
         }
     }
-    let scale = if quick { Scale::Quick } else { Scale::Full };
-    set_telemetry(!no_telemetry);
-    set_trace_out(trace_path.as_deref(), trace_mode);
-    if let Err(e) = set_faults(faults.as_deref()) {
-        eprintln!("bad --faults spec: {e}");
-        std::process::exit(2);
+    // Parse the spec eagerly so a typo fails here, not mid-experiment.
+    if let Err(e) = config.fault_plane() {
+        usage(&format!("bad --faults spec: {e}"));
     }
     let selected: Vec<&str> = selected.iter().map(String::as_str).collect();
 
-    let ids: Vec<&str> = if selected.is_empty() || selected.contains(&"all") {
-        ALL_EXPERIMENTS.to_vec()
-    } else {
-        selected
-    };
+    if let Some((&"gate", names)) = selected.split_first() {
+        match gate::run_gates(names, &config) {
+            Ok(true) => return println!("\nall gates passed"),
+            Ok(false) => std::process::exit(1),
+            Err(e) => usage(&e),
+        }
+    }
 
+    let experiments = resolve(&selected).unwrap_or_else(|e| usage(&e));
+    // Causal tracing is on exactly when there is somewhere to write it.
+    if trace_path.is_some() {
+        Tracer::global().set_mode(trace_mode);
+    }
+
+    let ids: Vec<&str> = experiments.iter().map(|e| e.id).collect();
     println!(
         "gengar evaluation harness ({} mode{}{}), experiments: {}",
-        if quick { "quick" } else { "full" },
-        if no_telemetry { ", telemetry off" } else { "" },
-        match fault_spec() {
-            Some(ref s) => format!(", faults: {s}"),
+        config.scale.name(),
+        if config.telemetry {
+            ""
+        } else {
+            ", telemetry off"
+        },
+        match &config.faults {
+            Some(s) => format!(", faults: {s}"),
             None => String::new(),
         },
         ids.join(", ")
     );
     let t0 = std::time::Instant::now();
-    // Provenance stamped into every snapshot: when, which revision, and
-    // on which machine — resolved once, identical across the run.
-    let ts_unix = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let rev = git_rev();
-    let host = hostname();
-    for id in &ids {
-        // Each experiment gets a clean slate so its telemetry section
-        // reflects that experiment alone. Reset keeps handles valid.
-        Registry::global().reset();
+    // Resolved once, identical across the run.
+    let provenance = Provenance::capture();
+    for experiment in experiments {
+        let id = experiment.id;
         let started = std::time::Instant::now();
-        if !run_experiment(id, scale) {
-            eprintln!("unknown experiment id: {id} (known: {ALL_EXPERIMENTS:?})");
-            std::process::exit(2);
-        }
+        let metrics = experiment.execute(&config);
         let elapsed = started.elapsed();
-        let metrics = take_metrics();
-        let metrics_field = if metrics.is_empty() {
-            String::new()
-        } else {
-            let body: Vec<String> = metrics
-                .iter()
-                .map(|(name, value)| format!("\"{}\":{value:.1}", json_escape(name)))
-                .collect();
-            format!("\"metrics\":{{{}}},", body.join(","))
-        };
-        let faults_field = match fault_spec() {
-            Some(ref s) => format!("\"faults\":\"{}\",", json_escape(s)),
-            None => String::new(),
-        };
-        let telemetry_field = if no_telemetry {
-            String::new()
-        } else {
-            format!(",\"telemetry\":{}", Registry::global().snapshot().to_json())
-        };
-        // The per-run snapshot: headline kops plus the full telemetry
+        let telemetry = config.telemetry.then(|| Registry::global().snapshot());
+        // The per-run snapshot: headline numbers plus the full telemetry
         // section (latency percentiles and all), machine-readable so the
         // perf trajectory can be compared across runs and PRs.
-        let record = format!(
-            "{{\"experiment\":\"{}\",\"mode\":\"{}\",\"ts_unix\":{ts_unix},\"rev\":\"{}\",\"host\":\"{}\",\"tenants\":{},\"qos\":{},\"replicas\":{},{}{}\"elapsed_ms\":{}{}}}",
-            json_escape(id),
-            if quick { "quick" } else { "full" },
-            json_escape(&rev),
-            json_escape(&host),
-            tenant_count(),
-            qos_enabled(),
-            replica_count(),
-            faults_field,
-            metrics_field,
-            elapsed.as_millis(),
-            telemetry_field,
+        let record = snapshot_record(
+            id,
+            &config,
+            &provenance,
+            elapsed,
+            &metrics,
+            telemetry.as_ref(),
         );
-        if !no_telemetry {
+        if config.telemetry {
             println!("{record}");
         }
         let snap_path = format!("BENCH_{}.json", id.to_uppercase());
@@ -241,7 +174,7 @@ fn main() {
         }
         println!("[{id} done in {elapsed:.1?}]");
     }
-    if let Some(path) = trace_out() {
+    if let Some(path) = trace_path {
         let tracer = Tracer::global();
         let spans = tracer.snapshot();
         let (started, ended, dropped) = tracer.counts();

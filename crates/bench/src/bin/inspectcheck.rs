@@ -17,18 +17,11 @@
 
 use std::process::ExitCode;
 
+use gengar_core::health::COMPONENTS;
 use gengar_core::proto::MAX_INSPECT_JSON;
+use gengar_telemetry::json_field_str;
 
 const STATES: [&str; 3] = ["healthy", "degraded", "critical"];
-const COMPONENTS: [&str; 5] = ["proxy_ring", "drain", "replication", "qos", "clients"];
-
-/// Extracts the string following `"key":"` in `doc`, starting at `from`.
-fn field_str<'a>(doc: &'a str, from: usize, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let at = from + doc[from..].find(&pat)? + pat.len();
-    let end = doc[at..].find('"')?;
-    Some(&doc[at..at + end])
-}
 
 /// Checks one document, appending violations tagged with its line number.
 fn check_doc(lineno: usize, doc: &str, errors: &mut Vec<String>) {
@@ -46,7 +39,7 @@ fn check_doc(lineno: usize, doc: &str, errors: &mut Vec<String>) {
     if !doc.contains("\"server\":") {
         err("missing the \"server\" id".to_owned());
     }
-    match field_str(doc, 0, "overall") {
+    match json_field_str(doc, 0, "overall") {
         Some(s) if STATES.contains(&s) || s == "unknown" => {}
         Some(s) => err(format!("unknown overall state {s:?}")),
         None => err("missing the \"overall\" state".to_owned()),
@@ -54,13 +47,13 @@ fn check_doc(lineno: usize, doc: &str, errors: &mut Vec<String>) {
 
     // A disabled plane legitimately serves an empty shell; everything
     // beyond the envelope is only required of a live document.
-    let live = field_str(doc, 0, "overall") != Some("unknown");
+    let live = json_field_str(doc, 0, "overall") != Some("unknown");
     if live {
         for name in COMPONENTS {
             let pat = format!("\"{name}\":{{");
             match doc.find(&pat) {
                 Some(at) => {
-                    match field_str(doc, at, "state") {
+                    match json_field_str(doc, at, "state") {
                         Some(s) if STATES.contains(&s) => {}
                         Some(s) => err(format!("component {name} in unknown state {s:?}")),
                         None => err(format!("component {name} missing \"state\"")),

@@ -18,16 +18,7 @@
 use std::collections::HashSet;
 use std::process::ExitCode;
 
-/// Extracts the numeric value following `"key":` in `line`, if present.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let digits: String = line[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
+use gengar_telemetry::json_field_num;
 
 fn main() -> ExitCode {
     let Some(path) = std::env::args().nth(1) else {
@@ -54,9 +45,12 @@ fn main() -> ExitCode {
 
     // First pass: collect every live (trace, span) pair so the parent
     // check below is order-independent.
-    let mut live: HashSet<(u64, u64)> = HashSet::new();
+    let mut live: HashSet<(i64, i64)> = HashSet::new();
     for line in text.lines() {
-        if let (Some(t), Some(s)) = (field_u64(line, "trace"), field_u64(line, "span")) {
+        if let (Some(t), Some(s)) = (
+            json_field_num(line, 0, "trace"),
+            json_field_num(line, 0, "span"),
+        ) {
             live.insert((t, s));
         }
     }
@@ -70,7 +64,7 @@ fn main() -> ExitCode {
         }
         events += 1;
         for key in ["pid", "tid"] {
-            if field_u64(line, key).is_none() {
+            if json_field_num(line, 0, key).is_none() {
                 errors.push(format!("line {lineno}: event missing \"{key}\""));
             }
         }
@@ -81,9 +75,9 @@ fn main() -> ExitCode {
             errors.push(format!("line {lineno}: event missing \"ph\""));
         }
         match (
-            field_u64(line, "trace"),
-            field_u64(line, "span"),
-            field_u64(line, "parent"),
+            json_field_num(line, 0, "trace"),
+            json_field_num(line, 0, "span"),
+            json_field_num(line, 0, "parent"),
         ) {
             (Some(trace), Some(_), Some(parent)) => {
                 if parent != 0 && !live.contains(&(trace, parent)) {

@@ -10,7 +10,7 @@ use gengar_hybridmem::{DeviceProfile, MemDevice, MemKind, MemRegion};
 use gengar_rdma::{Access, Endpoint, Fabric, FabricConfig, Payload, QpOptions, RemoteAddr, Sge};
 
 use crate::table::{ns, Table};
-use crate::{median_ns, Scale};
+use crate::{median_ns, Metrics, RunConfig};
 
 fn device_row(table: &mut Table, name: &str, profile: DeviceProfile, iters: u64) {
     let dev = MemDevice::new(0, profile, 1 << 20).expect("device");
@@ -32,9 +32,8 @@ fn device_row(table: &mut Table, name: &str, profile: DeviceProfile, iters: u64)
 }
 
 /// Runs E1.
-pub fn run(scale: Scale) {
-    gengar_hybridmem::set_time_scale(1.0);
-    let iters = scale.ops(2_000);
+pub fn run(rc: &RunConfig) -> Metrics {
+    let iters = rc.scale.ops(2_000);
 
     let mut devices = Table::new(
         "E1a: device characterisation",
@@ -130,4 +129,5 @@ pub fn run(scale: Scale) {
         ]);
     }
     verbs.print();
+    Metrics::new()
 }

@@ -7,16 +7,15 @@
 
 use gengar_core::pool::DshmPool;
 
-use crate::exp::{base_config, System, SystemKind};
+use crate::exp::{System, SystemKind};
 use crate::table::{ns, Table};
-use crate::{median_ns, Scale};
+use crate::{median_ns, Metrics, RunConfig};
 
 const SIZES: &[u64] = &[64, 256, 1024, 4096, 16384];
 
 /// Runs E3.
-pub fn run(scale: Scale) {
-    gengar_hybridmem::set_time_scale(1.0);
-    let iters = scale.ops(800);
+pub fn run(rc: &RunConfig) -> Metrics {
+    let iters = rc.scale.ops(800);
 
     let mut table = Table::new(
         "E3: durable write latency vs size (median)",
@@ -29,7 +28,7 @@ pub fn run(scale: Scale) {
         SystemKind::NvmDirect,
         SystemKind::DramOnly,
     ] {
-        let system = System::launch(kind, 1, base_config());
+        let system = System::launch(kind, 1, rc.base_config(), rc);
         let mut pool = system.client();
         for (i, &size) in SIZES.iter().enumerate() {
             let ptr = pool.alloc(0, size).expect("alloc");
@@ -42,4 +41,5 @@ pub fn run(scale: Scale) {
         table.row(row);
     }
     table.print();
+    Metrics::new()
 }

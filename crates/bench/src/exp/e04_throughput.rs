@@ -11,9 +11,9 @@ use std::time::Instant;
 use gengar_workloads::micro::{closed_loop, setup_objects, OpMix};
 use gengar_workloads::Distribution;
 
-use crate::exp::{base_config, System, SystemKind};
+use crate::exp::{System, SystemKind};
 use crate::table::Table;
-use crate::Scale;
+use crate::{Metrics, RunConfig};
 
 // 32 KiB objects: big enough that the NVM read/write channels saturate
 // within a few client threads (the regime the paper's figure shows), while
@@ -63,9 +63,8 @@ fn run_threads(system: &Arc<System>, threads: usize, mix: OpMix, ops: u64) -> f6
 }
 
 /// Runs E4.
-pub fn run(scale: Scale) {
-    gengar_hybridmem::set_time_scale(1.0);
-    let ops = scale.ops(2_000);
+pub fn run(rc: &RunConfig) -> Metrics {
+    let ops = rc.scale.ops(2_000);
 
     for (mix_name, mix) in [
         ("95/5 r/w", OpMix::read_heavy()),
@@ -75,8 +74,13 @@ pub fn run(scale: Scale) {
             &format!("E4: throughput vs client threads ({mix_name}, zipfian 0.99, kops/s)"),
             &["threads", "gengar", "nvm-direct"],
         );
-        let gengar = Arc::new(System::launch(SystemKind::Gengar, 1, base_config()));
-        let direct = Arc::new(System::launch(SystemKind::NvmDirect, 1, base_config()));
+        let gengar = Arc::new(System::launch(SystemKind::Gengar, 1, rc.base_config(), rc));
+        let direct = Arc::new(System::launch(
+            SystemKind::NvmDirect,
+            1,
+            rc.base_config(),
+            rc,
+        ));
         for &t in THREADS {
             let g = run_threads(&gengar, t, mix, ops);
             let d = run_threads(&direct, t, mix, ops);
@@ -84,4 +88,5 @@ pub fn run(scale: Scale) {
         }
         table.print();
     }
+    Metrics::new()
 }

@@ -9,8 +9,9 @@
 //! cache is disabled: the sweep isolates round-trip amortisation, not
 //! promotion effects.
 //!
-//! `scripts/check.sh` gates on the printed `E4P window=...` lines:
-//! random-read throughput at window 16 must be at least twice window 1.
+//! The `pipelining` gate (`harness gate`, see `crate::gate`) reads the
+//! reported `window<N>.read_kops`: random-read throughput at window 16
+//! must be at least twice window 1.
 
 use std::time::Instant;
 
@@ -18,9 +19,9 @@ use gengar_core::config::ClientConfig;
 use gengar_core::GlobalPtr;
 use gengar_telemetry::Registry;
 
-use crate::exp::{base_client_config, base_config, System, SystemKind};
+use crate::exp::{System, SystemKind};
 use crate::table::Table;
-use crate::Scale;
+use crate::{Metrics, RunConfig};
 
 // 512 B objects: small enough that the round trip (not the payload's
 // bandwidth cost) dominates a serial op, which is the regime doorbell
@@ -33,7 +34,7 @@ const WINDOWS: &[u32] = &[1, 2, 4, 8, 16, 32];
 /// Delay stretch: makes modelled wire time dominate the client's per-op
 /// CPU cost, so the sweep measures round-trip amortisation rather than
 /// host-side planning overhead (which real NICs do not pay).
-const TIME_SCALE: f64 = 8.0;
+pub const TIME_SCALE: f64 = 8.0;
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -51,14 +52,13 @@ fn doorbells_saved() -> u64 {
 }
 
 /// Runs E4P.
-pub fn run(scale: Scale) {
-    gengar_hybridmem::set_time_scale(TIME_SCALE);
-    let ops = scale.ops(16_000);
-    let mut config = base_config();
+pub fn run(rc: &RunConfig) -> Metrics {
+    let ops = rc.scale.ops(16_000);
+    let mut config = rc.base_config();
     config.cache = gengar_core::CachePolicy::disabled();
-    let system = System::launch(SystemKind::Gengar, 1, config);
+    let system = System::launch(SystemKind::Gengar, 1, config, rc);
 
-    let mut loader = system.gengar_client(base_client_config());
+    let mut loader = system.gengar_client(rc.base_client_config());
     let init = vec![0x5Au8; OBJECT_SIZE as usize];
     let ptrs: Vec<GlobalPtr> = (0..OBJECTS)
         .map(|_| {
@@ -69,6 +69,7 @@ pub fn run(scale: Scale) {
         .collect();
     loader.drain_all().expect("drain");
 
+    let mut metrics = Metrics::new();
     let mut table = Table::new(
         &format!("E4P: pipelined random 512 B ops vs window depth (1 client, time x{TIME_SCALE})"),
         &[
@@ -81,7 +82,7 @@ pub fn run(scale: Scale) {
     for &w in WINDOWS {
         let mut client = system.gengar_client(ClientConfig {
             window_depth: w,
-            ..base_client_config()
+            ..rc.base_client_config()
         });
         let saved_before = doorbells_saved();
 
@@ -131,10 +132,8 @@ pub fn run(scale: Scale) {
         client.drain_all().expect("drain");
         let saved = doorbells_saved().saturating_sub(saved_before);
 
-        // Machine-greppable line for the check.sh performance gate.
-        println!("E4P window={w} read_kops={read_kops:.1} write_kops={write_kops:.1}");
-        crate::report_metric(&format!("window{w}.read_kops"), read_kops);
-        crate::report_metric(&format!("window{w}.write_kops"), write_kops);
+        metrics.push((format!("window{w}.read_kops"), read_kops));
+        metrics.push((format!("window{w}.write_kops"), write_kops));
         table.row(vec![
             w.to_string(),
             format!("{read_kops:.1}"),
@@ -143,5 +142,5 @@ pub fn run(scale: Scale) {
         ]);
     }
     table.print();
-    gengar_hybridmem::set_time_scale(1.0);
+    metrics
 }

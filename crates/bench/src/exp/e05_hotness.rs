@@ -8,21 +8,21 @@
 use gengar_workloads::micro::{closed_loop, setup_objects, OpMix};
 use gengar_workloads::Distribution;
 
-use crate::exp::{base_client_config, base_config, System, SystemKind};
+use crate::exp::{System, SystemKind};
 use crate::table::{ns, Table};
-use crate::Scale;
+use crate::{Metrics, RunConfig};
 
 const OBJECT_SIZE: u64 = 16384;
 const OBJECTS: u64 = 512;
 
 /// Runs E5.
-pub fn run(scale: Scale) {
-    gengar_hybridmem::set_time_scale(1.0);
-    let ops = scale.ops(4_000);
-    let mut config = base_config();
+pub fn run(rc: &RunConfig) -> Metrics {
+    let ops = rc.scale.ops(4_000);
+    let mut config = rc.base_config();
     // Cache sized to ~12% of the working set so skew matters.
     config.cache = config.cache.capacity(OBJECTS * OBJECT_SIZE / 8);
 
+    let mut metrics = Metrics::new();
     let mut table = Table::new(
         "E5: hot-data caching vs skew (512 x 16 KiB, cache = 1/8 of set)",
         &["distribution", "hit ratio", "lat cache-on", "lat cache-off"],
@@ -43,8 +43,8 @@ pub fn run(scale: Scale) {
             if !cache_on {
                 cfg.cache = gengar_core::CachePolicy::disabled();
             }
-            let system = System::launch(SystemKind::Gengar, 1, cfg);
-            let mut client = system.gengar_client(base_client_config());
+            let system = System::launch(SystemKind::Gengar, 1, cfg, rc);
+            let mut client = system.gengar_client(rc.base_client_config());
             let objects = setup_objects(&mut client, OBJECTS, OBJECT_SIZE).expect("setup");
             // Warm-up: two epochs of skewed traffic.
             closed_loop(&mut client, &objects, dist, OpMix::read_only(), ops / 2, 11)
@@ -58,8 +58,7 @@ pub fn run(scale: Scale) {
                 let hits = after.cache_hits - before.cache_hits;
                 let total = after.reads - before.reads;
                 let ratio = hits as f64 / total as f64;
-                println!("E5 dist={slug} hit_ratio={ratio:.3}");
-                crate::report_metric(&format!("{slug}.hit_ratio"), ratio);
+                metrics.push((format!("{slug}.hit_ratio"), ratio));
                 row.push(format!("{:.1}%", ratio * 100.0));
                 row.push(ns(result.reads.p50_ns));
             } else {
@@ -69,4 +68,5 @@ pub fn run(scale: Scale) {
         table.row(row);
     }
     table.print();
+    metrics
 }

@@ -8,26 +8,26 @@
 use gengar_workloads::micro::{closed_loop, setup_objects, OpMix};
 use gengar_workloads::Distribution;
 
-use crate::exp::{base_client_config, base_config, System, SystemKind};
+use crate::exp::{System, SystemKind};
 use crate::table::{ns, Table};
-use crate::Scale;
+use crate::{Metrics, RunConfig};
 
 const OBJECT_SIZE: u64 = 16384;
 const OBJECTS: u64 = 512;
 
 /// Runs E6.
-pub fn run(scale: Scale) {
-    gengar_hybridmem::set_time_scale(1.0);
-    let ops = scale.ops(8_000);
+pub fn run(rc: &RunConfig) -> Metrics {
+    let ops = rc.scale.ops(8_000);
     let working_set = OBJECTS * OBJECT_SIZE;
 
+    let mut metrics = Metrics::new();
     let mut table = Table::new(
         "E6: cache-size sensitivity (512 x 16 KiB, zipf 0.99)",
         &["cache / working set", "hit ratio", "median read"],
     );
 
     for pct in [2u64, 4, 8, 16, 32, 64] {
-        let mut config = base_config();
+        let mut config = rc.base_config();
         // Promote on first sight: this sweep measures what *capacity*
         // (via admission + eviction) retains, not what the threshold
         // filters out.
@@ -35,8 +35,8 @@ pub fn run(scale: Scale) {
             .cache
             .capacity((working_set * pct / 100).max(256 << 10))
             .hot_threshold(1);
-        let system = System::launch(SystemKind::Gengar, 1, config);
-        let mut client = system.gengar_client(base_client_config());
+        let system = System::launch(SystemKind::Gengar, 1, config, rc);
+        let mut client = system.gengar_client(rc.base_client_config());
         let objects = setup_objects(&mut client, OBJECTS, OBJECT_SIZE).expect("setup");
         closed_loop(
             &mut client,
@@ -62,8 +62,7 @@ pub fn run(scale: Scale) {
         let hits = after.cache_hits - before.cache_hits;
         let total = after.reads - before.reads;
         let ratio = hits as f64 / total as f64;
-        println!("E6 pct={pct} hit_ratio={ratio:.3}");
-        crate::report_metric(&format!("pct{pct}.hit_ratio"), ratio);
+        metrics.push((format!("pct{pct}.hit_ratio"), ratio));
         table.row(vec![
             format!("{pct}%"),
             format!("{:.1}%", ratio * 100.0),
@@ -71,4 +70,5 @@ pub fn run(scale: Scale) {
         ]);
     }
     table.print();
+    metrics
 }

@@ -8,17 +8,16 @@
 
 use gengar_workloads::ycsb::{load, run as ycsb_run, WorkloadSpec};
 
-use crate::exp::{base_config, System, SystemKind};
+use crate::exp::{System, SystemKind};
 use crate::table::Table;
-use crate::Scale;
+use crate::{Metrics, RunConfig};
 
 const RECORDS: u64 = 2_000;
 const VALUE_SIZE: u64 = 4096;
 
 /// Runs E7.
-pub fn run(scale: Scale) {
-    gengar_hybridmem::set_time_scale(1.0);
-    let ops = scale.ops(4_000);
+pub fn run(rc: &RunConfig) -> Metrics {
+    let ops = rc.scale.ops(4_000);
 
     let mut table = Table::new(
         &format!("E7: YCSB throughput, kops/s ({RECORDS} x {VALUE_SIZE} B, {ops} ops)"),
@@ -34,7 +33,7 @@ pub fn run(scale: Scale) {
 
     let mut results: Vec<Vec<f64>> = vec![Vec::new(); WorkloadSpec::all().len()];
     for kind in SystemKind::all() {
-        let system = System::launch(kind, 2, base_config());
+        let system = System::launch(kind, 2, rc.base_config(), rc);
         let mut pool = system.client();
         let kv = load(&mut pool, RECORDS, VALUE_SIZE, 1).expect("load");
         // Warm pass so caches/hotness settle before the measured runs.
@@ -65,4 +64,5 @@ pub fn run(scale: Scale) {
         ]);
     }
     table.print();
+    Metrics::new()
 }

@@ -6,17 +6,16 @@
 
 use gengar_workloads::ycsb::{load, run as ycsb_run, WorkloadSpec};
 
-use crate::exp::{base_config, System, SystemKind};
+use crate::exp::{System, SystemKind};
 use crate::table::{ns, Table};
-use crate::Scale;
+use crate::{Metrics, RunConfig};
 
 const RECORDS: u64 = 2_000;
 const VALUE_SIZE: u64 = 4096;
 
 /// Runs E8.
-pub fn run(scale: Scale) {
-    gengar_hybridmem::set_time_scale(1.0);
-    let ops = scale.ops(4_000);
+pub fn run(rc: &RunConfig) -> Metrics {
+    let ops = rc.scale.ops(4_000);
 
     let mut table = Table::new(
         "E8: YCSB latency (read p50/p99, update p50/p99)",
@@ -31,7 +30,7 @@ pub fn run(scale: Scale) {
     );
 
     for kind in [SystemKind::Gengar, SystemKind::NvmDirect] {
-        let system = System::launch(kind, 2, base_config());
+        let system = System::launch(kind, 2, rc.base_config(), rc);
         let mut pool = system.client();
         let kv = load(&mut pool, RECORDS, VALUE_SIZE, 1).expect("load");
         ycsb_run(&mut pool, &kv, WorkloadSpec::c(), RECORDS, ops / 4, 5).expect("warm");
@@ -49,4 +48,5 @@ pub fn run(scale: Scale) {
         }
     }
     table.print();
+    Metrics::new()
 }

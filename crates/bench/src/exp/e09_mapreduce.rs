@@ -9,15 +9,14 @@
 use gengar_workloads::corpus;
 use gengar_workloads::mapreduce::{grep, sort, wordcount};
 
-use crate::exp::{base_config, System, SystemKind};
+use crate::exp::{System, SystemKind};
 use crate::table::Table;
-use crate::Scale;
+use crate::{Metrics, RunConfig};
 
 /// Runs E9.
-pub fn run(scale: Scale) {
-    gengar_hybridmem::set_time_scale(1.0);
-    let words = scale.ops(120_000) as usize;
-    let records = scale.ops(200_000) as usize;
+pub fn run(rc: &RunConfig) -> Metrics {
+    let words = rc.scale.ops(120_000) as usize;
+    let records = rc.scale.ops(200_000) as usize;
     let input = corpus::text(words, 42);
     let sort_input = corpus::records(records, 43);
     let mappers = 4;
@@ -39,7 +38,7 @@ pub fn run(scale: Scale) {
         SystemKind::NvmDirect,
         SystemKind::DramOnly,
     ] {
-        let system = System::launch(kind, 2, base_config());
+        let system = System::launch(kind, 2, rc.base_config(), rc);
         let factory = || Ok(system.client());
 
         // Best of two runs per app: job times are ms-scale and sensitive
@@ -77,4 +76,5 @@ pub fn run(scale: Scale) {
         table.row(row);
     }
     table.print();
+    Metrics::new()
 }

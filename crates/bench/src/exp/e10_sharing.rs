@@ -11,14 +11,13 @@ use std::time::Instant;
 
 use gengar_core::config::Consistency;
 
-use crate::exp::{base_client_config, base_config, seqlock_client_config, System, SystemKind};
+use crate::exp::{System, SystemKind};
 use crate::table::{ns, Table};
-use crate::{median_ns, Scale};
+use crate::{median_ns, Metrics, RunConfig};
 
 /// Runs E10.
-pub fn run(scale: Scale) {
-    gengar_hybridmem::set_time_scale(1.0);
-    let incs = scale.ops(400);
+pub fn run(rc: &RunConfig) -> Metrics {
+    let incs = rc.scale.ops(400);
 
     // Part 1: contended shared counter under object locks.
     let mut sharing = Table::new(
@@ -26,8 +25,8 @@ pub fn run(scale: Scale) {
         &["sharers", "total kops/s", "lock retries", "final value"],
     );
     for &sharers in &[1usize, 2, 4, 8] {
-        let system = Arc::new(System::launch(SystemKind::Gengar, 1, base_config()));
-        let mut owner = system.gengar_client(seqlock_client_config());
+        let system = Arc::new(System::launch(SystemKind::Gengar, 1, rc.base_config(), rc));
+        let mut owner = system.gengar_client(rc.seqlock_client_config());
         let ptr = gengar_core::pool::DshmPool::alloc(&mut owner, 0, 64).expect("alloc");
         gengar_core::pool::DshmPool::write(&mut owner, ptr, 0, &0u64.to_le_bytes()).expect("init");
 
@@ -35,8 +34,9 @@ pub fn run(scale: Scale) {
         let handles: Vec<_> = (0..sharers)
             .map(|_| {
                 let system = Arc::clone(&system);
+                let config = rc.seqlock_client_config();
                 std::thread::spawn(move || {
-                    let mut c = system.gengar_client(seqlock_client_config());
+                    let mut c = system.gengar_client(config);
                     for _ in 0..incs {
                         c.lock(ptr).expect("lock");
                         let mut buf = [0u8; 8];
@@ -70,10 +70,10 @@ pub fn run(scale: Scale) {
         "E10b: consistency overhead (single user, 1 KiB ops, median)",
         &["mode", "read", "write"],
     );
-    let system = System::launch(SystemKind::Gengar, 1, base_config());
-    let iters = scale.ops(800);
+    let system = System::launch(SystemKind::Gengar, 1, rc.base_config(), rc);
+    let iters = rc.scale.ops(800);
     for consistency in [Consistency::None, Consistency::Seqlock] {
-        let mut config = base_client_config();
+        let mut config = rc.base_client_config();
         config.consistency = consistency;
         let mut c = system.gengar_client(config);
         let ptr = gengar_core::pool::DshmPool::alloc(&mut c, 0, 1024).expect("alloc");
@@ -85,4 +85,5 @@ pub fn run(scale: Scale) {
         overhead.row(vec![format!("{consistency:?}"), ns(read), ns(write)]);
     }
     overhead.print();
+    Metrics::new()
 }

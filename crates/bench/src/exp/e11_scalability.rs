@@ -18,9 +18,9 @@ use gengar_core::GlobalPtr;
 use gengar_workloads::micro::{closed_loop, setup_objects, OpMix};
 use gengar_workloads::Distribution;
 
-use crate::exp::{base_client_config, base_config, System, SystemKind};
+use crate::exp::{System, SystemKind};
 use crate::table::Table;
-use crate::Scale;
+use crate::{Metrics, RunConfig};
 
 const THREADS: usize = 8;
 /// 8 KiB keeps the workload latency-bound rather than device-bound: at
@@ -30,18 +30,17 @@ const THREADS: usize = 8;
 const OBJECT_SIZE: u64 = 8192;
 const OBJECTS: u64 = 128;
 /// Delay stretch: multi-microsecond NVM reads become sleepable waits.
-const TIME_SCALE: f64 = 32.0;
+pub const TIME_SCALE: f64 = 32.0;
 
 /// Runs E11.
-pub fn run(scale: Scale) {
-    gengar_hybridmem::set_time_scale(TIME_SCALE);
+pub fn run(rc: &RunConfig) -> Metrics {
     // Quick-sized runs (100 ops/thread) give a ~15 ms timed window — one
     // scheduler hiccup on a small host swings the figure 3x. 400 ops per
     // thread still finishes in ~2 s, so E11 ignores quick scaling.
-    let _ = scale;
     let ops = 400;
 
-    let window = crate::window_depth();
+    let window = rc.window;
+    let mut metrics = Metrics::new();
     let mut table = Table::new(
         &format!(
             "E11: throughput vs memory servers ({THREADS} client threads, reads, time x{TIME_SCALE})"
@@ -53,13 +52,13 @@ pub fn run(scale: Scale) {
         ],
     );
     for &servers in &[1usize, 2, 4, 8] {
-        let mut config = base_config();
+        let mut config = rc.base_config();
         // Keep the total pool size constant as servers vary, and disable
         // the cache so the figure isolates how raw NVM/NIC channel
         // capacity scales with the server count.
         config.nvm_capacity = (256 << 20) / servers as u64;
         config.cache = gengar_core::CachePolicy::disabled();
-        let system = Arc::new(System::launch(SystemKind::Gengar, servers, config));
+        let system = Arc::new(System::launch(SystemKind::Gengar, servers, config, rc));
         let mut loader = system.client();
         let objects = Arc::new(setup_objects(&mut loader, OBJECTS, OBJECT_SIZE).expect("setup"));
 
@@ -95,7 +94,7 @@ pub fn run(scale: Scale) {
         // span every server, so the client's per-server windows overlap
         // round trips across the whole pool.
         let clients: Vec<_> = (0..THREADS)
-            .map(|_| system.gengar_client(base_client_config()))
+            .map(|_| system.gengar_client(rc.base_client_config()))
             .collect();
         let t0 = Instant::now();
         let handles: Vec<_> = clients
@@ -139,13 +138,9 @@ pub fn run(scale: Scale) {
             format!("{scalar_kops:.1}"),
             format!("{batched_kops:.1}"),
         ]);
-        // Machine-readable line for the check.sh fan-out gate.
-        println!(
-            "E11 servers={servers} scalar_kops={scalar_kops:.1} batched_kops={batched_kops:.1}"
-        );
-        crate::report_metric(&format!("servers{servers}.scalar_kops"), scalar_kops);
-        crate::report_metric(&format!("servers{servers}.batched_kops"), batched_kops);
+        metrics.push((format!("servers{servers}.scalar_kops"), scalar_kops));
+        metrics.push((format!("servers{servers}.batched_kops"), batched_kops));
     }
     table.print();
-    gengar_hybridmem::set_time_scale(1.0);
+    metrics
 }

@@ -24,12 +24,12 @@ use gengar_core::config::ClientConfig;
 use gengar_core::qos::TenantSpec;
 use gengar_workloads::micro::setup_objects;
 
-use crate::exp::{base_client_config, base_config, System, SystemKind};
+use crate::exp::{System, SystemKind};
 use crate::table::Table;
-use crate::Scale;
+use crate::{Metrics, RunConfig};
 
 /// Delay stretch (see E11): multi-microsecond NVM reads become sleepable.
-const TIME_SCALE: f64 = 32.0;
+pub const TIME_SCALE: f64 = 32.0;
 const VICTIM_OBJECT: u64 = 8192;
 const VICTIM_OBJECTS: u64 = 32;
 const AGGR_OBJECT: u64 = 16384;
@@ -48,17 +48,10 @@ const AGGR_CAP_BYTES: u64 = 64 << 20;
 /// dominated by the refill rate rather than the initial token grant.
 const BURST_RATIO: f64 = 0.02;
 
-fn victim_config() -> ClientConfig {
+fn tenant_config(rc: &RunConfig, tenant: String) -> ClientConfig {
     ClientConfig {
-        tenant: "victim".to_owned(),
-        ..base_client_config()
-    }
-}
-
-fn aggressor_config(k: usize) -> ClientConfig {
-    ClientConfig {
-        tenant: format!("aggr{k}"),
-        ..base_client_config()
+        tenant,
+        ..rc.base_client_config()
     }
 }
 
@@ -66,8 +59,8 @@ fn aggressor_config(k: usize) -> ClientConfig {
 /// threads against the victim's sampled reads, and returns the victim's
 /// p99 (simulated µs) and the aggregate aggressor throughput (simulated
 /// kops/s) over the victim's measured window.
-fn run_phase(aggressors: usize, qos_on: bool, ops: u64) -> (f64, f64) {
-    let mut config = base_config();
+fn run_phase(rc: &RunConfig, aggressors: usize, qos_on: bool, ops: u64) -> (f64, f64) {
+    let mut config = rc.base_config();
     // No DRAM cache: the phases measure channel contention, and a cache
     // would absorb the victim's skew-free reads.
     config.cache = gengar_core::CachePolicy::disabled();
@@ -84,7 +77,7 @@ fn run_phase(aggressors: usize, qos_on: bool, ops: u64) -> (f64, f64) {
             })
             .collect();
     }
-    let system = Arc::new(System::launch(SystemKind::Gengar, 1, config));
+    let system = Arc::new(System::launch(SystemKind::Gengar, 1, config, rc));
     let mut loader = system.client();
     let victim_objs =
         Arc::new(setup_objects(&mut loader, VICTIM_OBJECTS, VICTIM_OBJECT).expect("setup victim"));
@@ -97,7 +90,7 @@ fn run_phase(aggressors: usize, qos_on: bool, ops: u64) -> (f64, f64) {
         .map(|t| {
             // AGGR_THREADS closed-loop readers share each tenant's budget.
             let k = t / AGGR_THREADS;
-            let mut client = system.gengar_client(aggressor_config(k));
+            let mut client = system.gengar_client(tenant_config(rc, format!("aggr{k}")));
             let objects = Arc::clone(&aggr_objs);
             let stop = Arc::clone(&stop);
             let done = Arc::clone(&aggr_ops);
@@ -116,7 +109,7 @@ fn run_phase(aggressors: usize, qos_on: bool, ops: u64) -> (f64, f64) {
         })
         .collect();
 
-    let mut victim = system.gengar_client(victim_config());
+    let mut victim = system.gengar_client(tenant_config(rc, "victim".to_owned()));
     let mut buf = vec![0u8; VICTIM_OBJECT as usize];
     let mut rng: u64 = 0xE12F;
     // Warm-up: faults the victim's paths in and, with QoS on, lets the
@@ -159,14 +152,12 @@ fn run_phase(aggressors: usize, qos_on: bool, ops: u64) -> (f64, f64) {
 }
 
 /// Runs E12.
-pub fn run(scale: Scale) {
-    gengar_hybridmem::set_time_scale(TIME_SCALE);
+pub fn run(rc: &RunConfig) -> Metrics {
     // Like E11, the sample count ignores quick scaling: a p99 over fewer
     // than a few hundred samples is one scheduler hiccup away from any
     // value, and 600 sampled reads still finish in a couple of seconds.
-    let _ = scale;
     let ops = 600;
-    let aggressors = crate::tenant_count() as usize;
+    let aggressors = rc.tenants as usize;
     let cap_kops = aggressors as f64 * AGGR_CAP_BYTES as f64 / AGGR_OBJECT as f64 / 1e3;
 
     let mut table = Table::new(
@@ -180,19 +171,19 @@ pub fn run(scale: Scale) {
             "aggressors kops/s (simulated)",
         ],
     );
-    let (solo_p99, _) = run_phase(0, false, ops);
+    let (solo_p99, _) = run_phase(rc, 0, false, ops);
     table.row(vec![
         "victim solo".to_owned(),
         format!("{solo_p99:.1}"),
         "-".to_owned(),
     ]);
-    let (off_p99, off_kops) = run_phase(aggressors, false, ops);
+    let (off_p99, off_kops) = run_phase(rc, aggressors, false, ops);
     table.row(vec![
         "qos off".to_owned(),
         format!("{off_p99:.1} ({:.1}x solo)", off_p99 / solo_p99.max(1e-9)),
         format!("{off_kops:.1}"),
     ]);
-    let (on_p99, on_kops) = run_phase(aggressors, true, ops);
+    let (on_p99, on_kops) = run_phase(rc, aggressors, true, ops);
     table.row(vec![
         "qos on".to_owned(),
         format!("{on_p99:.1} ({:.1}x solo)", on_p99 / solo_p99.max(1e-9)),
@@ -200,17 +191,12 @@ pub fn run(scale: Scale) {
     ]);
     table.print();
 
-    // Machine-readable line for the check.sh fairness gate.
-    println!(
-        "E12 victim_solo_p99_us={solo_p99:.1} victim_qosoff_p99_us={off_p99:.1} \
-         victim_qoson_p99_us={on_p99:.1} aggr_qosoff_kops={off_kops:.1} \
-         aggr_qoson_kops={on_kops:.1} aggr_cap_kops={cap_kops:.1}"
-    );
-    crate::report_metric("victim_solo_p99_us", solo_p99);
-    crate::report_metric("victim_qosoff_p99_us", off_p99);
-    crate::report_metric("victim_qoson_p99_us", on_p99);
-    crate::report_metric("aggr_qosoff_kops", off_kops);
-    crate::report_metric("aggr_qoson_kops", on_kops);
-    crate::report_metric("aggr_cap_kops", cap_kops);
-    gengar_hybridmem::set_time_scale(1.0);
+    vec![
+        ("victim_solo_p99_us".to_owned(), solo_p99),
+        ("victim_qosoff_p99_us".to_owned(), off_p99),
+        ("victim_qoson_p99_us".to_owned(), on_p99),
+        ("aggr_qosoff_kops".to_owned(), off_kops),
+        ("aggr_qoson_kops".to_owned(), on_kops),
+        ("aggr_cap_kops".to_owned(), cap_kops),
+    ]
 }

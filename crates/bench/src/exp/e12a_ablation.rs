@@ -12,26 +12,27 @@
 //! and wire time makes the modelled I/O dominate again, so the mechanism
 //! gap survives host speed; throughputs are reported in simulated time.
 //!
-//! `scripts/check.sh` gates on the printed `E12A config=...` lines:
-//! proxy-only and full must clearly beat the no-mechanism baseline.
+//! The `ablation` gate (`harness gate`) reads the reported
+//! `<config>.kops`: proxy-only and full must clearly beat the
+//! no-mechanism baseline.
 
 use gengar_workloads::ycsb::{load, run as ycsb_run, WorkloadSpec};
 
-use crate::exp::{base_client_config, base_config, System, SystemKind};
+use crate::exp::{System, SystemKind};
 use crate::table::Table;
-use crate::Scale;
+use crate::{Metrics, RunConfig};
 
 const RECORDS: u64 = 2_000;
 const VALUE_SIZE: u64 = 4096;
 /// Delay stretch: modelled NVM/wire time dominates client CPU cost, so
 /// the ablation measures the mechanisms rather than the host.
-const TIME_SCALE: f64 = 8.0;
+pub const TIME_SCALE: f64 = 8.0;
 
 /// Runs E12A.
-pub fn run(scale: Scale) {
-    gengar_hybridmem::set_time_scale(TIME_SCALE);
-    let ops = scale.ops(4_000);
+pub fn run(rc: &RunConfig) -> Metrics {
+    let ops = rc.scale.ops(4_000);
 
+    let mut metrics = Metrics::new();
     let mut table = Table::new(
         &format!("E12A: ablation, YCSB-A throughput (simulated, time x{TIME_SCALE})"),
         &["configuration", "kops/s", "vs neither"],
@@ -43,13 +44,13 @@ pub fn run(scale: Scale) {
         ("proxy only", "proxy_only", false, true),
         ("full gengar", "full", true, true),
     ] {
-        let mut config = base_config();
+        let mut config = rc.base_config();
         if !cache {
             config.cache = gengar_core::CachePolicy::disabled();
         }
         config.enable_proxy = proxy;
-        let system = System::launch(SystemKind::Gengar, 1, config);
-        let mut client = system.gengar_client(base_client_config());
+        let system = System::launch(SystemKind::Gengar, 1, config, rc);
+        let mut client = system.gengar_client(rc.base_client_config());
         let kv = load(&mut client, RECORDS, VALUE_SIZE, 1).expect("load");
         ycsb_run(&mut client, &kv, WorkloadSpec::c(), RECORDS, ops / 4, 5).expect("warm");
         std::thread::sleep(std::time::Duration::from_millis(50));
@@ -67,8 +68,7 @@ pub fn run(scale: Scale) {
             baseline = kops;
         }
         let ratio = kops / baseline.max(1e-9);
-        println!("E12A config={slug} kops={kops:.1} vs_neither={ratio:.2}");
-        crate::report_metric(&format!("{slug}.kops"), kops);
+        metrics.push((format!("{slug}.kops"), kops));
         table.row(vec![
             name.to_owned(),
             format!("{kops:.1}"),
@@ -76,5 +76,5 @@ pub fn run(scale: Scale) {
         ]);
     }
     table.print();
-    gengar_hybridmem::set_time_scale(1.0);
+    metrics
 }

@@ -11,9 +11,10 @@
 //! write acknowledges against the promoted replica, with every settled
 //! pre-kill write still readable.
 //!
-//! `scripts/check.sh` gates on the printed `E13 ...` lines: replicated
-//! median ≤ 2x unreplicated and < nvm-direct, and the post-kill
-//! read-back must verify every settled write.
+//! The `replication` gate (`harness gate`) reads the reported
+//! `write1024.*_ns`: replicated median ≤ 2x unreplicated and <
+//! nvm-direct; the post-kill read-back must verify every settled write
+//! (`settled_verified`).
 
 use std::time::{Duration, Instant};
 
@@ -21,9 +22,9 @@ use gengar_core::config::ClientConfig;
 use gengar_core::pool::DshmPool;
 use gengar_core::GlobalPtr;
 
-use crate::exp::{base_client_config, base_config, System, SystemKind};
+use crate::exp::{System, SystemKind};
 use crate::table::{ns, Table};
-use crate::{median_ns, Scale};
+use crate::{median_ns, Metrics, RunConfig};
 
 const SIZES: &[u64] = &[256, 1024, 4096];
 /// Objects the recovery phase writes round-robin; each holds the last
@@ -31,9 +32,8 @@ const SIZES: &[u64] = &[256, 1024, 4096];
 const RECOVERY_OBJECTS: usize = 8;
 
 /// Runs E13.
-pub fn run(scale: Scale) {
-    gengar_hybridmem::set_time_scale(1.0);
-    let iters = scale.ops(800);
+pub fn run(rc: &RunConfig) -> Metrics {
+    let iters = rc.scale.ops(800);
 
     // --- Replication tax: durable-write latency, three systems. -------
     let mut table = Table::new(
@@ -41,15 +41,16 @@ pub fn run(scale: Scale) {
         &["size", "gengar", "gengar+replica", "nvm-direct", "tax"],
     );
     let mut lat = vec![Vec::<u64>::new(); SIZES.len()];
+    let mut metrics = Metrics::new();
 
     // Unreplicated and replicated proxies run on identical two-server
     // clusters (writes land on server 0) so the only delta is the mirror
     // fan-out; --replicas must not leak into the unreplicated arm.
     for replicated in [false, true] {
-        let mut config = base_config();
+        let mut config = rc.base_config();
         config.replication.enabled = replicated;
-        let system = System::launch(SystemKind::Gengar, 2, config);
-        let mut client = system.gengar_client(base_client_config());
+        let system = System::launch(SystemKind::Gengar, 2, config, rc);
+        let mut client = system.gengar_client(rc.base_client_config());
         for (i, &size) in SIZES.iter().enumerate() {
             let ptr = client.alloc(0, size).expect("alloc");
             let data = vec![0xA5u8; size as usize];
@@ -59,7 +60,7 @@ pub fn run(scale: Scale) {
         }
     }
     {
-        let system = System::launch(SystemKind::NvmDirect, 1, base_config());
+        let system = System::launch(SystemKind::NvmDirect, 1, rc.base_config(), rc);
         let mut pool = system.client();
         for (i, &size) in SIZES.iter().enumerate() {
             let ptr = pool.alloc(0, size).expect("alloc");
@@ -72,13 +73,9 @@ pub fn run(scale: Scale) {
     for (i, &size) in SIZES.iter().enumerate() {
         let (plain, mirrored, direct) = (lat[i][0], lat[i][1], lat[i][2]);
         let tax = mirrored as f64 / plain.max(1) as f64;
-        println!(
-            "E13 size={size} unreplicated_ns={plain} replicated_ns={mirrored} \
-             nvmdirect_ns={direct} tax={tax:.2}"
-        );
-        crate::report_metric(&format!("write{size}.unreplicated_ns"), plain as f64);
-        crate::report_metric(&format!("write{size}.replicated_ns"), mirrored as f64);
-        crate::report_metric(&format!("write{size}.nvmdirect_ns"), direct as f64);
+        metrics.push((format!("write{size}.unreplicated_ns"), plain as f64));
+        metrics.push((format!("write{size}.replicated_ns"), mirrored as f64));
+        metrics.push((format!("write{size}.nvmdirect_ns"), direct as f64));
         table.row(vec![
             format!("{size}B"),
             ns(plain),
@@ -90,21 +87,21 @@ pub fn run(scale: Scale) {
     table.print();
 
     // --- Recovery: kill the primary under load. ------------------------
-    let mut config = base_config();
+    let mut config = rc.base_config();
     config.replication.enabled = true;
-    let system = System::launch(SystemKind::Gengar, 2, config);
+    let system = System::launch(SystemKind::Gengar, 2, config, rc);
     let mut client = system.gengar_client(ClientConfig {
         // A short reconnect budget bounds the blackout: the escalation to
         // failover is what this phase measures, not backoff patience.
         max_retries: 6,
         op_deadline: Duration::from_secs(1),
-        ..base_client_config()
+        ..rc.base_client_config()
     });
     let ptrs: Vec<GlobalPtr> = (0..RECOVERY_OBJECTS)
         .map(|_| client.alloc(0, 64).expect("alloc"))
         .collect();
     let mut settled = [0u8; RECOVERY_OBJECTS];
-    let pre_kill = scale.ops(400);
+    let pre_kill = rc.scale.ops(400);
     for op in 0..pre_kill {
         let i = (op % RECOVERY_OBJECTS as u64) as usize;
         let val = 1 + (op % 250) as u8;
@@ -152,16 +149,11 @@ pub fn run(scale: Scale) {
         );
         verified += 1;
     }
-    let stats = client.stats();
     let recovery_ms = recovery.as_secs_f64() * 1e3;
-    println!(
-        "E13 recovery_ms={recovery_ms:.1} blackout_failed_ops={blackout_failed} \
-         settled_verified={verified} failovers={}",
-        stats.failovers
-    );
-    crate::report_metric("recovery_ms", recovery_ms);
-    crate::report_metric("blackout_failed_ops", blackout_failed as f64);
-    crate::report_metric("settled_verified", verified as f64);
+    metrics.push(("recovery_ms".to_owned(), recovery_ms));
+    metrics.push(("blackout_failed_ops".to_owned(), blackout_failed as f64));
+    metrics.push(("settled_verified".to_owned(), verified as f64));
+    metrics.push(("failovers".to_owned(), client.stats().failovers as f64));
 
     let mut table = Table::new(
         "E13: kill-primary recovery (wall-clock)",
@@ -177,4 +169,5 @@ pub fn run(scale: Scale) {
         format!("{verified}/{RECOVERY_OBJECTS}"),
     ]);
     table.print();
+    metrics
 }

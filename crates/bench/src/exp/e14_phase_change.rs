@@ -22,12 +22,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use gengar_core::{AdmissionMode, CachePolicy, GengarClient};
-use gengar_workloads::stats::Histogram;
+use gengar_workloads::stats::LatencyHistogram;
 use gengar_workloads::zipf::{KeyChooser, Zipfian};
 
-use crate::exp::{base_client_config, base_config, System, SystemKind};
+use crate::exp::{System, SystemKind};
 use crate::table::Table;
-use crate::Scale;
+use crate::{Metrics, RunConfig};
 
 const OBJECT_SIZE: u64 = 16384;
 const OBJECTS: u64 = 512;
@@ -52,7 +52,7 @@ fn run_phase(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut zipf = Zipfian::new(HOT_WINDOW, 0.99);
     let mut buf = vec![0u8; OBJECT_SIZE as usize];
-    let mut hist = Histogram::new();
+    let hist = LatencyHistogram::new();
     let mut hit_ratios = Vec::new();
     let mut done = 0u64;
     while done < ops {
@@ -73,7 +73,7 @@ fn run_phase(
     }
     PhaseTrace {
         hit_ratios,
-        p50_ns: hist.summary().p50_ns,
+        p50_ns: hist.snapshot().p50_ns(),
     }
 }
 
@@ -88,10 +88,10 @@ fn ops_to_reach(trace: &PhaseTrace, target: f64, ops: u64) -> u64 {
 }
 
 /// Runs E14.
-pub fn run(scale: Scale) {
-    gengar_hybridmem::set_time_scale(1.0);
-    let phase_ops = scale.ops(8_000);
+pub fn run(rc: &RunConfig) -> Metrics {
+    let phase_ops = rc.scale.ops(8_000);
 
+    let mut metrics = Metrics::new();
     let mut table = Table::new(
         "E14: phase-change adaptation (hotspot 64 of 512 x 16 KiB, cache = 1/8 of set)",
         &[
@@ -118,11 +118,11 @@ pub fn run(scale: Scale) {
     ];
 
     for &(name, arm_policy) in arms {
-        let mut config = base_config();
+        let mut config = rc.base_config();
         config.cache = arm_policy;
         config.epoch = std::time::Duration::from_millis(5);
-        let system = System::launch(SystemKind::Gengar, 1, config);
-        let mut client_config = base_client_config();
+        let system = System::launch(SystemKind::Gengar, 1, config, rc);
+        let mut client_config = rc.base_client_config();
         // Tight report cadence so the windowed hit ratio tracks the
         // server's adaptation, not the report lag.
         client_config.report_every = 64;
@@ -147,20 +147,16 @@ pub fn run(scale: Scale) {
             .cache_stats()
             .repromotions;
 
-        println!(
-            "E14 arm={name} steady_hit={steady:.3} half_life_ops={half_life} \
-             recovery_ops={recovery} return_recovery_ops={return_recovery} \
-             repromotions={repromotions} cold_p50_ns={} late_p50_ns={}",
-            phase_b.p50_ns, phase_c.p50_ns
-        );
-        crate::report_metric(&format!("{name}.steady_hit"), steady);
-        crate::report_metric(&format!("{name}.half_life_ops"), half_life as f64);
-        crate::report_metric(&format!("{name}.recovery_ops"), recovery as f64);
-        crate::report_metric(
-            &format!("{name}.return_recovery_ops"),
+        metrics.push((format!("{name}.steady_hit"), steady));
+        metrics.push((format!("{name}.half_life_ops"), half_life as f64));
+        metrics.push((format!("{name}.recovery_ops"), recovery as f64));
+        metrics.push((
+            format!("{name}.return_recovery_ops"),
             return_recovery as f64,
-        );
-        crate::report_metric(&format!("{name}.repromotions"), repromotions as f64);
+        ));
+        metrics.push((format!("{name}.repromotions"), repromotions as f64));
+        metrics.push((format!("{name}.cold_p50_ns"), phase_b.p50_ns as f64));
+        metrics.push((format!("{name}.late_p50_ns"), phase_c.p50_ns as f64));
         table.row(vec![
             name.to_owned(),
             format!("{:.1}%", steady * 100.0),
@@ -171,4 +167,5 @@ pub fn run(scale: Scale) {
         ]);
     }
     table.print();
+    metrics
 }

@@ -4,8 +4,8 @@
 //! tracker) rides a background tick thread and must be close to free for
 //! the foreground data path. This experiment runs the *same* read-heavy
 //! closed loop twice — health plane off, then on with a fast tick — and
-//! reports both throughputs. `scripts/check.sh` gates the on-arm at no
-//! worse than 5% under the off-arm.
+//! reports both throughputs. The `health-overhead` gate (`harness gate`)
+//! holds the on-arm at no worse than 5% under the off-arm.
 //!
 //! The on-arm also proves the plane is actually alive while being
 //! measured: after the loop it calls the `Inspect` RPC and asserts the
@@ -18,9 +18,9 @@ use std::time::{Duration, Instant};
 use gengar_workloads::micro::{closed_loop, setup_objects, OpMix};
 use gengar_workloads::Distribution;
 
-use crate::exp::{base_client_config, base_config, System, SystemKind};
+use crate::exp::{System, SystemKind};
 use crate::table::Table;
-use crate::Scale;
+use crate::{Metrics, RunConfig};
 
 const OBJECT_SIZE: u64 = 4096;
 const OBJECTS: u64 = 128;
@@ -28,8 +28,8 @@ const THREADS: usize = 2;
 
 /// One arm of the pair: identical workload, health plane off or on.
 /// Returns the measured kops and (on-arm only) the inspect document.
-fn run_arm(health_on: bool, ops: u64) -> (f64, Option<String>) {
-    let mut config = base_config();
+fn run_arm(rc: &RunConfig, health_on: bool, ops: u64) -> (f64, Option<String>) {
+    let mut config = rc.base_config();
     config.health.enabled = health_on;
     if health_on {
         // A 10ms tick samples aggressively — two orders of magnitude
@@ -37,7 +37,7 @@ fn run_arm(health_on: bool, ops: u64) -> (f64, Option<String>) {
         // an upper bound on the plane's real cost.
         config.health.tick = Duration::from_millis(10);
     }
-    let system = Arc::new(System::launch(SystemKind::Gengar, 1, config));
+    let system = Arc::new(System::launch(SystemKind::Gengar, 1, config, rc));
     let mut loader = system.client();
     let objects = Arc::new(setup_objects(&mut loader, OBJECTS, OBJECT_SIZE).expect("setup"));
     closed_loop(
@@ -75,24 +75,23 @@ fn run_arm(health_on: bool, ops: u64) -> (f64, Option<String>) {
     let kops = total as f64 / t0.elapsed().as_secs_f64() / 1e3;
 
     let doc = health_on.then(|| {
-        let mut client = system.gengar_client(base_client_config());
+        let mut client = system.gengar_client(rc.base_client_config());
         client.inspect(0).expect("inspect rpc")
     });
     (kops, doc)
 }
 
 /// Runs E15.
-pub fn run(scale: Scale) {
-    gengar_hybridmem::set_time_scale(1.0);
-    let ops = scale.ops(48_000);
+pub fn run(rc: &RunConfig) -> Metrics {
+    let ops = rc.scale.ops(48_000);
 
-    let (off_kops, _) = run_arm(false, ops);
-    let (on_kops, doc) = run_arm(true, ops);
+    let (off_kops, _) = run_arm(rc, false, ops);
+    let (on_kops, doc) = run_arm(rc, true, ops);
     let doc = doc.expect("on-arm inspect doc");
 
     // The plane was live while being measured, not just configured.
     assert!(doc.contains("\"v\":1"), "inspect doc unversioned: {doc}");
-    for component in ["proxy_ring", "drain", "replication", "qos", "clients"] {
+    for component in gengar_core::health::COMPONENTS {
         assert!(
             doc.contains(&format!("\"{component}\"")),
             "inspect doc missing component {component}: {doc}"
@@ -104,17 +103,6 @@ pub fn run(scale: Scale) {
     );
 
     let overhead_pct = (1.0 - on_kops / off_kops.max(f64::MIN_POSITIVE)) * 100.0;
-    println!("E15 health=off read_kops={off_kops:.1}");
-    println!("E15 health=on read_kops={on_kops:.1}");
-    println!(
-        "E15 overhead_pct={overhead_pct:.1} inspect_bytes={}",
-        doc.len()
-    );
-    crate::report_metric("health_off_kops", off_kops);
-    crate::report_metric("health_on_kops", on_kops);
-    crate::report_metric("overhead_pct", overhead_pct);
-    crate::report_metric("inspect_bytes", doc.len() as f64);
-
     let mut table = Table::new(
         "E15: health-plane overhead (95/5 r/w, zipfian 0.99, 2 threads)",
         &["arm", "kops/s", "inspect"],
@@ -130,4 +118,11 @@ pub fn run(scale: Scale) {
         format!("{} B doc", doc.len()),
     ]);
     table.print();
+
+    vec![
+        ("health_off_kops".to_owned(), off_kops),
+        ("health_on_kops".to_owned(), on_kops),
+        ("overhead_pct".to_owned(), overhead_pct),
+        ("inspect_bytes".to_owned(), doc.len() as f64),
+    ]
 }

@@ -18,47 +18,12 @@ pub mod e13_replication;
 pub mod e14_phase_change;
 pub mod e15_observability;
 
-use std::time::Duration;
-
 use gengar_baselines::{ClientCache, DramOnly, NvmDirect};
 use gengar_core::cluster::Cluster;
-use gengar_core::config::{ClientConfig, Consistency, ServerConfig};
+use gengar_core::config::{ClientConfig, ServerConfig};
 use gengar_core::pool::DshmPool;
-use gengar_rdma::FabricConfig;
 
-/// The server configuration every experiment starts from.
-pub fn base_config() -> ServerConfig {
-    let mut config = ServerConfig {
-        nvm_capacity: 128 << 20,
-        cache: gengar_core::CachePolicy::new()
-            .capacity(16 << 20)
-            .hot_threshold(2),
-        epoch: Duration::from_millis(10),
-        telemetry: crate::telemetry_config(),
-        ..Default::default()
-    };
-    // `--qos` arms the plane with no budgets on every launched system
-    // (identity plumbing + plane overhead under every experiment); E12
-    // overrides this per phase with real tenant budgets.
-    config.qos.enabled = crate::qos_enabled();
-    // `--replicas` mirrors every staged write to a backup (single-server
-    // systems have no successor to mirror to and stay unreplicated); E13
-    // overrides this per arm.
-    if crate::replica_count() > 0 {
-        config.replication.enabled = true;
-    }
-    config
-}
-
-/// The client configuration every experiment starts from.
-pub fn base_client_config() -> ClientConfig {
-    ClientConfig {
-        report_every: 128,
-        window_depth: crate::window_depth(),
-        telemetry: crate::telemetry_config(),
-        ..Default::default()
-    }
-}
+use crate::RunConfig;
 
 /// The systems compared throughout the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,19 +64,19 @@ impl SystemKind {
 pub struct System {
     kind: SystemKind,
     cluster: Cluster,
+    client_config: ClientConfig,
 }
 
 impl System {
-    /// Launches `kind` with `n_servers`, deriving from `base`.
-    pub fn launch(kind: SystemKind, n_servers: usize, base: ServerConfig) -> System {
-        let mut fabric = FabricConfig::infiniband_100g();
-        fabric.telemetry = crate::telemetry_config();
-        // The `--faults` schedule arms Gengar fabrics only: the baselines
-        // have no retry/reconnect machinery, so a single injected fault
-        // would abort their run instead of measuring anything.
-        if kind == SystemKind::Gengar {
-            fabric.faults = crate::fault_plane();
-        }
+    /// Launches `kind` with `n_servers`, deriving from `base`, on the
+    /// fabric (and with the client defaults) `run` asks for.
+    pub fn launch(
+        kind: SystemKind,
+        n_servers: usize,
+        base: ServerConfig,
+        run: &RunConfig,
+    ) -> System {
+        let fabric = run.fabric_config(kind);
         let cluster = match kind {
             SystemKind::Gengar => Cluster::launch(n_servers, base, fabric).expect("launch gengar"),
             SystemKind::NvmDirect => {
@@ -124,7 +89,11 @@ impl System {
                 DramOnly::launch(n_servers, base, fabric).expect("launch dram-only")
             }
         };
-        System { kind, cluster }
+        System {
+            kind,
+            cluster,
+            client_config: run.base_client_config(),
+        }
     }
 
     /// Display name.
@@ -140,11 +109,7 @@ impl System {
     /// Connects a pool client of the appropriate flavour.
     pub fn client(&self) -> Box<dyn DshmPool + Send> {
         match self.kind {
-            SystemKind::Gengar => Box::new(
-                self.cluster
-                    .client(base_client_config())
-                    .expect("gengar client"),
-            ),
+            SystemKind::Gengar => Box::new(self.gengar_client(self.client_config.clone())),
             SystemKind::NvmDirect => {
                 Box::new(NvmDirect::client(&self.cluster).expect("nvm-direct client"))
             }
@@ -165,13 +130,5 @@ impl System {
     /// Gengar-shaped clusters).
     pub fn gengar_client(&self, config: ClientConfig) -> gengar_core::GengarClient {
         self.cluster.client(config).expect("gengar client")
-    }
-}
-
-/// Client config for shared-object experiments.
-pub fn seqlock_client_config() -> ClientConfig {
-    ClientConfig {
-        consistency: Consistency::Seqlock,
-        ..base_client_config()
     }
 }

@@ -280,7 +280,7 @@ impl SloTracker {
 }
 
 /// Components the plane watches, in Inspect order.
-const COMPONENTS: [&str; 5] = ["proxy_ring", "drain", "replication", "qos", "clients"];
+pub const COMPONENTS: [&str; 5] = ["proxy_ring", "drain", "replication", "qos", "clients"];
 
 /// The live health plane: one window sampler, five component state
 /// machines, and the SLO tracker, advanced together by [`tick`].

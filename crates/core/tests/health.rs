@@ -14,6 +14,7 @@ use gengar_core::cluster::Cluster;
 use gengar_core::config::{ClientConfig, HealthConfig, ServerConfig};
 use gengar_core::HealthState;
 use gengar_rdma::{FabricConfig, FaultPlane, PartitionFlap};
+use gengar_telemetry::json_field_str;
 
 /// A health configuration tuned for test timelines: fast ticks, short
 /// hysteresis, and a retry threshold low enough that a flapping link's
@@ -53,15 +54,6 @@ fn client_config() -> ClientConfig {
     }
 }
 
-/// Pull one JSON string field out of a flat document (the inspect doc
-/// nests only objects/arrays, and the probed keys are top-level).
-fn json_str_field(doc: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let start = doc.find(&needle)? + needle.len();
-    let end = doc[start..].find('"')?;
-    Some(doc[start..start + end].to_string())
-}
-
 #[test]
 fn inspect_rpc_serves_live_health_and_windows() {
     let (cluster, _plane) = health_cluster();
@@ -85,9 +77,9 @@ fn inspect_rpc_serves_live_health_and_windows() {
     assert!(doc.len() <= gengar_core::proto::MAX_INSPECT_JSON);
     assert!(doc.contains("\"v\":1"), "unversioned doc: {doc}");
     assert!(doc.contains("\"server\":0"), "wrong server: {doc}");
-    let overall = json_str_field(&doc, "overall").expect("overall field");
+    let overall = json_field_str(&doc, 0, "overall").expect("overall field");
     assert!(
-        ["healthy", "degraded", "critical"].contains(&overall.as_str()),
+        ["healthy", "degraded", "critical"].contains(&overall),
         "unknown overall state {overall:?}"
     );
     for component in ["proxy_ring", "drain", "replication", "qos", "clients"] {

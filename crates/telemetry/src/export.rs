@@ -26,6 +26,31 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// The string value following `"key":"` in `doc`, searching from byte
+/// `from`. A substring scan, not a parser: it relies on every exporter in
+/// the workspace writing one compact document per line with no space
+/// after the colon, which is what lets the schema gates and `gengar-top`
+/// stay line-scanners. The value ends at the next quote, so it must not
+/// contain an escaped one.
+pub fn json_field_str<'a>(doc: &'a str, from: usize, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\":\"");
+    let at = from + doc.get(from..)?.find(&pat)? + pat.len();
+    let end = doc[at..].find('"')?;
+    Some(&doc[at..at + end])
+}
+
+/// The integer value following `"key":` in `doc`, searching from byte
+/// `from` (see [`json_field_str`]; a fractional part is ignored).
+pub fn json_field_num(doc: &str, from: usize, key: &str) -> Option<i64> {
+    let pat = format!("\"{key}\":");
+    let at = from + doc.get(from..)?.find(&pat)? + pat.len();
+    let digits: String = doc[at..]
+        .chars()
+        .take_while(|c| c.is_ascii_digit() || *c == '-')
+        .collect();
+    digits.parse().ok()
+}
+
 /// Formats nanoseconds with an adaptive unit for human output.
 pub fn fmt_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
@@ -298,6 +323,22 @@ mod tests {
             h.record_ns(ns);
         }
         r
+    }
+
+    #[test]
+    fn field_scanners_find_values_from_an_offset() {
+        let doc = r#"{"server":3,"overall":"healthy","drain":{"state":"degraded","signal":-7.5},"qos":{"state":"critical"}}"#;
+        assert_eq!(json_field_num(doc, 0, "server"), Some(3));
+        assert_eq!(json_field_num(doc, 0, "signal"), Some(-7));
+        assert_eq!(json_field_str(doc, 0, "overall"), Some("healthy"));
+        assert_eq!(json_field_str(doc, 0, "state"), Some("degraded"));
+        let qos = doc.find("\"qos\"").unwrap();
+        assert_eq!(json_field_str(doc, qos, "state"), Some("critical"));
+        // A string is not a number, an absent key and an offset past the
+        // end are both "not found".
+        assert_eq!(json_field_num(doc, 0, "overall"), None);
+        assert_eq!(json_field_str(doc, 0, "missing"), None);
+        assert_eq!(json_field_num(doc, doc.len() + 1, "server"), None);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   shared handles; [`Registry::global`] is the process-wide instance the
 //!   bench harness snapshots.
 //! - [`Span`] is an RAII guard that records wall-time into a histogram on
-//!   drop, with an optional ring-buffer event trace for ordering bugs.
+//!   drop.
 //! - [`TelemetryConfig`] / [`Telemetry`] thread an on/off switch through
 //!   `ServerConfig`/`ClientConfig`/`FabricConfig`; when disabled every
 //!   handle is a `None` and instrumentation short-circuits to no-ops.
@@ -32,12 +32,15 @@ pub mod span;
 pub mod trace;
 pub mod window;
 
-pub use export::{chrome_trace_json, critical_path_table, fmt_ns, json_escape, prometheus_text};
+pub use export::{
+    chrome_trace_json, critical_path_table, fmt_ns, json_escape, json_field_num, json_field_str,
+    prometheus_text,
+};
 pub use metrics::{Counter, Gauge, HistogramSnapshot, LatencyHistogram};
 pub use registry::{
     CounterHandle, GaugeHandle, HistogramHandle, MetricSnapshot, Registry, RegistrySnapshot,
 };
-pub use span::{Event, EventTrace, Span};
+pub use span::Span;
 pub use trace::{
     adopt, current_context, ContextGuard, FlightRecorder, SpanId, SpanRecord, TraceId, TraceMode,
     TraceSpan, Tracer,
@@ -148,14 +151,6 @@ impl Telemetry {
             None => Span::disabled(),
         }
     }
-
-    /// Appends an event to the registry's ring-buffer trace, if tracing
-    /// was enabled via [`Registry::enable_trace`].
-    pub fn trace(&self, component: &str, op: &str, detail: u64) {
-        if let Some(r) = &self.registry {
-            r.trace_event(component, op, detail);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -181,7 +176,6 @@ mod tests {
         let h = t.histogram("x", "lat_ns");
         h.record_ns(100);
         drop(t.span("x", "op"));
-        t.trace("x", "op", 1);
         // Nothing should have reached any registry; the handle has none.
         assert!(t.registry().is_none());
     }

@@ -4,9 +4,8 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Sub-buckets per power-of-two octave; matches the benchmark histogram in
-/// `gengar-workloads` so the two report comparable percentiles (~3 %
-/// resolution).
+/// Sub-buckets per power-of-two octave (~3 % resolution); the workload
+/// drivers in `gengar-workloads` record into this same histogram.
 pub const SUB_BUCKETS: usize = 32;
 /// Octaves covered: 1 ns .. ~1099 s.
 pub const OCTAVES: usize = 40;

@@ -2,11 +2,10 @@
 //! shared metric handles, and produces ordered snapshots for export.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
-use std::time::Instant;
+use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::metrics::{Counter, Gauge, HistogramSnapshot, LatencyHistogram};
-use crate::span::{Event, EventTrace, Span};
+use crate::span::Span;
 
 /// One registered metric.
 #[derive(Debug, Clone)]
@@ -34,8 +33,6 @@ impl Metric {
 #[derive(Debug)]
 pub struct Registry {
     metrics: RwLock<HashMap<String, Metric>>,
-    trace: Mutex<Option<EventTrace>>,
-    epoch: Instant,
 }
 
 impl Default for Registry {
@@ -49,8 +46,6 @@ impl Registry {
     pub fn new() -> Self {
         Registry {
             metrics: RwLock::new(HashMap::new()),
-            trace: Mutex::new(None),
-            epoch: Instant::now(),
         }
     }
 
@@ -139,8 +134,8 @@ impl Registry {
         )
     }
 
-    /// Zeroes every metric in place and clears the event trace. Handles
-    /// held by instrumented components remain valid.
+    /// Zeroes every metric in place. Handles held by instrumented
+    /// components remain valid.
     pub fn reset(&self) {
         for metric in self.metrics.read().expect("registry lock").values() {
             match metric {
@@ -149,43 +144,6 @@ impl Registry {
                 Metric::Histogram(h) => h.reset(),
             }
         }
-        if let Some(trace) = self.trace.lock().expect("trace lock").as_ref() {
-            trace.clear();
-        }
-    }
-
-    /// Enables the ring-buffer event trace, keeping the newest `capacity`
-    /// events. Zero capacity disables tracing.
-    pub fn enable_trace(&self, capacity: usize) {
-        let mut trace = self.trace.lock().expect("trace lock");
-        *trace = if capacity == 0 {
-            None
-        } else {
-            Some(EventTrace::new(capacity))
-        };
-    }
-
-    /// Appends an event to the trace, if enabled. `detail` is an
-    /// operation-specific payload (a slot index, a sequence number, ...).
-    pub fn trace_event(&self, component: &str, op: &str, detail: u64) {
-        if let Some(trace) = self.trace.lock().expect("trace lock").as_ref() {
-            trace.push(Event {
-                ts_ns: self.epoch.elapsed().as_nanos() as u64,
-                component: component.to_owned(),
-                op: op.to_owned(),
-                detail,
-            });
-        }
-    }
-
-    /// Returns the traced events, oldest first (empty when disabled).
-    pub fn trace_events(&self) -> Vec<Event> {
-        self.trace
-            .lock()
-            .expect("trace lock")
-            .as_ref()
-            .map(EventTrace::events)
-            .unwrap_or_default()
     }
 
     /// Starts a span recording into the histogram `component.{op}_ns`.
@@ -440,22 +398,6 @@ mod tests {
         assert_eq!(snap.counter("b.depth"), None);
         assert_eq!(snap.gauge("a.ops"), None);
         assert!(snap.histogram("a.ops").is_none());
-    }
-
-    #[test]
-    fn trace_ring_keeps_newest() {
-        let r = Registry::new();
-        r.trace_event("proxy", "drain", 1); // disabled: dropped
-        r.enable_trace(2);
-        r.trace_event("proxy", "drain", 2);
-        r.trace_event("proxy", "drain", 3);
-        r.trace_event("proxy", "drain", 4);
-        let events = r.trace_events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].detail, 3);
-        assert_eq!(events[1].detail, 4);
-        r.reset();
-        assert!(r.trace_events().is_empty());
     }
 
     #[test]

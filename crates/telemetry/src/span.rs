@@ -1,7 +1,6 @@
-//! RAII timing spans and the ring-buffer event trace.
+//! RAII timing spans.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::metrics::LatencyHistogram;
@@ -68,63 +67,6 @@ impl Drop for Span {
     }
 }
 
-/// One traced event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Event {
-    /// Nanoseconds since the owning registry was created.
-    pub ts_ns: u64,
-    /// Reporting component (e.g. `proxy`).
-    pub component: String,
-    /// Operation name (e.g. `drain`).
-    pub op: String,
-    /// Operation-specific payload (slot index, sequence number, ...).
-    pub detail: u64,
-}
-
-/// A bounded ring buffer of [`Event`]s keeping the newest entries. Used to
-/// reconstruct ordering in paths like the proxy drain loop, where a
-/// breakpoint would perturb the timing under investigation.
-#[derive(Debug)]
-pub struct EventTrace {
-    capacity: usize,
-    ring: Mutex<VecDeque<Event>>,
-}
-
-impl EventTrace {
-    /// Creates a trace keeping the newest `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "EventTrace capacity must be non-zero");
-        EventTrace {
-            capacity,
-            ring: Mutex::new(VecDeque::with_capacity(capacity)),
-        }
-    }
-
-    /// Appends an event, evicting the oldest when full.
-    pub fn push(&self, event: Event) {
-        let mut ring = self.ring.lock().expect("trace ring lock");
-        if ring.len() == self.capacity {
-            ring.pop_front();
-        }
-        ring.push_back(event);
-    }
-
-    /// The buffered events, oldest first.
-    pub fn events(&self) -> Vec<Event> {
-        self.ring
-            .lock()
-            .expect("trace ring lock")
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// Empties the buffer.
-    pub fn clear(&self) {
-        self.ring.lock().expect("trace ring lock").clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,26 +94,5 @@ mod tests {
         assert!(s.is_recording());
         s.cancel();
         assert_eq!(h.count(), 0);
-    }
-
-    #[test]
-    fn ring_evicts_oldest() {
-        let trace = EventTrace::new(3);
-        for i in 0..5 {
-            trace.push(Event {
-                ts_ns: i,
-                component: "t".into(),
-                op: "op".into(),
-                detail: i,
-            });
-        }
-        let events = trace.events();
-        assert_eq!(events.len(), 3);
-        assert_eq!(
-            events.iter().map(|e| e.detail).collect::<Vec<_>>(),
-            vec![2, 3, 4]
-        );
-        trace.clear();
-        assert!(trace.events().is_empty());
     }
 }

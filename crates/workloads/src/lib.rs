@@ -10,7 +10,7 @@
 //! * [`micro`] — latency sweeps and closed-loop throughput drivers.
 //! * [`zipf`] — YCSB-style key distributions (uniform, zipfian, scrambled
 //!   zipfian, latest).
-//! * [`stats`] — log-bucketed latency histograms.
+//! * [`stats`] — latency summaries over the telemetry crate's histogram.
 //! * [`corpus`] — deterministic synthetic inputs.
 //!
 //! [`DshmPool`]: gengar_core::pool::DshmPool
@@ -25,6 +25,6 @@ pub mod zipf;
 
 pub use kv::{KvSpec, KvStore};
 pub use micro::{closed_loop, latency_sweep, setup_objects, LoopResult, OpMix};
-pub use stats::{Histogram, Summary};
+pub use stats::Summary;
 pub use ycsb::{load as ycsb_load, run as ycsb_run, WorkloadSpec, YcsbResult};
 pub use zipf::{Distribution, KeyChooser};

@@ -9,7 +9,7 @@ use gengar_core::error::GengarError;
 use gengar_core::pool::DshmPool;
 use gengar_core::GlobalPtr;
 
-use crate::stats::{Histogram, Summary};
+use crate::stats::{LatencyHistogram, Summary};
 use crate::zipf::{AnyChooser, Distribution, KeyChooser};
 
 /// Read/write mix of a closed loop.
@@ -109,8 +109,8 @@ pub fn closed_loop<P: DshmPool>(
     let mut chooser = AnyChooser::new(dist, objects.len() as u64);
     let size = objects[0].size as usize;
     let mut buf = vec![0u8; size];
-    let mut reads = Histogram::new();
-    let mut writes = Histogram::new();
+    let reads = LatencyHistogram::new();
+    let writes = LatencyHistogram::new();
 
     let start = Instant::now();
     for i in 0..ops {
@@ -130,8 +130,8 @@ pub fn closed_loop<P: DshmPool>(
     Ok(LoopResult {
         ops,
         elapsed_ns,
-        reads: reads.summary(),
-        writes: writes.summary(),
+        reads: Summary::from(&reads.snapshot()),
+        writes: Summary::from(&writes.snapshot()),
     })
 }
 
@@ -156,8 +156,8 @@ pub fn latency_sweep<P: DshmPool>(
         let mut buf = vec![0u8; size as usize];
         rng.fill(buf.as_mut_slice());
         pool.write(ptr, 0, &buf)?;
-        let mut reads = Histogram::new();
-        let mut writes = Histogram::new();
+        let reads = LatencyHistogram::new();
+        let writes = LatencyHistogram::new();
         for _ in 0..iters {
             let t = Instant::now();
             pool.read(ptr, 0, &mut buf)?;
@@ -166,7 +166,11 @@ pub fn latency_sweep<P: DshmPool>(
             pool.write(ptr, 0, &buf)?;
             writes.record(t.elapsed());
         }
-        out.push((size, reads.summary(), writes.summary()));
+        out.push((
+            size,
+            Summary::from(&reads.snapshot()),
+            Summary::from(&writes.snapshot()),
+        ));
         pool.free(ptr)?;
     }
     Ok(out)

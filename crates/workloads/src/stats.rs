@@ -1,140 +1,9 @@
-//! Latency histograms and summaries for benchmark reporting.
+//! Latency summaries for benchmark reporting, condensed from the
+//! workspace's one log-bucketed histogram
+//! ([`gengar_telemetry::LatencyHistogram`]).
 
-use std::time::Duration;
-
-/// Sub-buckets per power-of-two octave (trades memory for resolution).
-const SUB_BUCKETS: usize = 32;
-/// Octaves covered: 1 ns .. ~1099 s.
-const OCTAVES: usize = 40;
-
-/// A log-bucketed latency histogram (HdrHistogram-style) with ~3 %
-/// resolution across nine orders of magnitude.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum_ns: u128,
-    min_ns: u64,
-    max_ns: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: vec![0; OCTAVES * SUB_BUCKETS],
-            count: 0,
-            sum_ns: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
-        }
-    }
-
-    fn index(ns: u64) -> usize {
-        let ns = ns.max(1);
-        let octave = (63 - ns.leading_zeros()) as usize;
-        let base = 1u64 << octave;
-        // Linear interpolation within the octave.
-        let sub = ((ns - base) as u128 * SUB_BUCKETS as u128 / base as u128) as usize;
-        (octave * SUB_BUCKETS + sub.min(SUB_BUCKETS - 1)).min(OCTAVES * SUB_BUCKETS - 1)
-    }
-
-    fn bucket_value(idx: usize) -> u64 {
-        let octave = idx / SUB_BUCKETS;
-        let sub = idx % SUB_BUCKETS;
-        let base = 1u64 << octave;
-        base + (base as u128 * sub as u128 / SUB_BUCKETS as u128) as u64
-    }
-
-    /// Records one sample in nanoseconds.
-    pub fn record_ns(&mut self, ns: u64) {
-        self.buckets[Self::index(ns)] += 1;
-        self.count += 1;
-        self.sum_ns += ns as u128;
-        self.min_ns = self.min_ns.min(ns.max(1));
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Records one sample as a [`Duration`].
-    pub fn record(&mut self, d: Duration) {
-        self.record_ns(d.as_nanos().min(u128::from(u64::MAX)) as u64);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            (self.sum_ns / self.count as u128) as u64
-        }
-    }
-
-    /// Value at percentile `p` (0.0–100.0), in nanoseconds.
-    pub fn percentile_ns(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Self::bucket_value(idx);
-            }
-        }
-        self.max_ns
-    }
-
-    /// Smallest recorded sample (0 when empty).
-    pub fn min_ns(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min_ns
-        }
-    }
-
-    /// Largest recorded sample.
-    pub fn max_ns(&self) -> u64 {
-        self.max_ns
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-        if other.count > 0 {
-            self.min_ns = self.min_ns.min(other.min_ns);
-            self.max_ns = self.max_ns.max(other.max_ns);
-        }
-    }
-
-    /// Condenses the histogram into a [`Summary`].
-    pub fn summary(&self) -> Summary {
-        Summary {
-            count: self.count,
-            mean_ns: self.mean_ns(),
-            p50_ns: self.percentile_ns(50.0),
-            p99_ns: self.percentile_ns(99.0),
-            min_ns: self.min_ns(),
-            max_ns: self.max_ns(),
-        }
-    }
-}
+use gengar_telemetry::HistogramSnapshot;
+pub use gengar_telemetry::{fmt_ns, LatencyHistogram};
 
 /// Condensed latency statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -153,6 +22,19 @@ pub struct Summary {
     pub max_ns: u64,
 }
 
+impl From<&HistogramSnapshot> for Summary {
+    fn from(h: &HistogramSnapshot) -> Summary {
+        Summary {
+            count: h.count,
+            mean_ns: h.mean_ns(),
+            p50_ns: h.p50_ns(),
+            p99_ns: h.p99_ns(),
+            min_ns: h.min_ns(),
+            max_ns: h.max_ns(),
+        }
+    }
+}
+
 impl std::fmt::Display for Summary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -167,78 +49,9 @@ impl std::fmt::Display for Summary {
     }
 }
 
-/// Formats nanoseconds with an adaptive unit.
-pub fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.2}us", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_histogram_is_zeroed() {
-        let h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean_ns(), 0);
-        assert_eq!(h.percentile_ns(99.0), 0);
-        assert_eq!(h.min_ns(), 0);
-    }
-
-    #[test]
-    fn percentiles_are_close_to_exact() {
-        let mut h = Histogram::new();
-        for ns in 1..=10_000u64 {
-            h.record_ns(ns);
-        }
-        let p50 = h.percentile_ns(50.0);
-        assert!((4700..=5300).contains(&p50), "p50 = {p50}");
-        let p99 = h.percentile_ns(99.0);
-        assert!((9500..=10_400).contains(&p99), "p99 = {p99}");
-        assert_eq!(h.count(), 10_000);
-        let mean = h.mean_ns();
-        assert!((4900..=5100).contains(&mean), "mean = {mean}");
-    }
-
-    #[test]
-    fn extremes_are_tracked_exactly() {
-        let mut h = Histogram::new();
-        h.record_ns(3);
-        h.record_ns(1_000_000_007);
-        assert_eq!(h.min_ns(), 3);
-        assert_eq!(h.max_ns(), 1_000_000_007);
-    }
-
-    #[test]
-    fn merge_combines_populations() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for _ in 0..100 {
-            a.record_ns(100);
-            b.record_ns(10_000);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 200);
-        let p50 = a.percentile_ns(50.0);
-        assert!(p50 <= 110, "p50 = {p50}");
-        let p99 = a.percentile_ns(99.0);
-        assert!(p99 >= 9_000, "p99 = {p99}");
-    }
-
-    #[test]
-    fn zero_duration_sample_is_accepted() {
-        let mut h = Histogram::new();
-        h.record(Duration::ZERO);
-        assert_eq!(h.count(), 1);
-    }
 
     #[test]
     fn formats_units() {
@@ -250,9 +63,9 @@ mod tests {
 
     #[test]
     fn summary_display_mentions_fields() {
-        let mut h = Histogram::new();
+        let h = LatencyHistogram::new();
         h.record_ns(1000);
-        let s = h.summary().to_string();
+        let s = Summary::from(&h.snapshot()).to_string();
         assert!(s.contains("n=1"));
         assert!(s.contains("p99"));
     }

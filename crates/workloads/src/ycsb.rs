@@ -9,7 +9,7 @@ use gengar_core::error::GengarError;
 use gengar_core::pool::DshmPool;
 
 use crate::kv::KvStore;
-use crate::stats::{Histogram, Summary};
+use crate::stats::{LatencyHistogram, Summary};
 use crate::zipf::{AnyChooser, Distribution, KeyChooser};
 
 /// Operation mix of one YCSB workload.
@@ -191,8 +191,8 @@ pub fn run<P: DshmPool>(
     let mut value = vec![0u8; value_size as usize];
     let mut out = vec![0u8; value_size as usize];
     let mut scan_out = Vec::new();
-    let mut read_hist = Histogram::new();
-    let mut write_hist = Histogram::new();
+    let read_hist = LatencyHistogram::new();
+    let write_hist = LatencyHistogram::new();
 
     let start = Instant::now();
     for _ in 0..ops {
@@ -236,8 +236,8 @@ pub fn run<P: DshmPool>(
         workload: spec.name,
         ops,
         elapsed_ns,
-        read_latency: read_hist.summary(),
-        write_latency: write_hist.summary(),
+        read_latency: Summary::from(&read_hist.snapshot()),
+        write_latency: Summary::from(&write_hist.snapshot()),
     })
 }
 

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use gengar_core::cluster::Cluster;
 use gengar_core::config::ServerConfig;
 use gengar_rdma::FabricConfig;
-use gengar_workloads::stats::Histogram;
+use gengar_workloads::stats::{LatencyHistogram, Summary};
 use gengar_workloads::zipf::{AnyChooser, Distribution, KeyChooser};
 use gengar_workloads::KvStore;
 use proptest::prelude::*;
@@ -30,34 +30,31 @@ proptest! {
         }
     }
 
-    /// Histogram percentiles are monotone in p and bracket min/max.
+    /// A summary's percentiles are ordered and bracketed by its exact
+    /// extremes.
     #[test]
-    fn histogram_percentiles_monotone(samples in proptest::collection::vec(1u64..10_000_000, 1..300)) {
-        let mut h = Histogram::new();
+    fn summary_percentiles_bracketed(samples in proptest::collection::vec(1u64..10_000_000, 1..300)) {
+        let h = LatencyHistogram::new();
         for &s in &samples {
             h.record_ns(s);
         }
-        let p25 = h.percentile_ns(25.0);
-        let p50 = h.percentile_ns(50.0);
-        let p99 = h.percentile_ns(99.0);
-        prop_assert!(p25 <= p50 && p50 <= p99);
+        let s = Summary::from(&h.snapshot());
+        prop_assert!(s.p50_ns <= s.p99_ns);
         // Log-bucketing error is < ~4%.
-        let max = *samples.iter().max().unwrap();
-        let min = *samples.iter().min().unwrap();
-        prop_assert!(h.percentile_ns(100.0) <= max + max / 16 + 1);
-        prop_assert!(p25 + p25 / 16 + 1 >= min);
-        prop_assert_eq!(h.count(), samples.len() as u64);
+        prop_assert!(s.p99_ns <= s.max_ns + s.max_ns / 16 + 1);
+        prop_assert!(s.p50_ns + s.p50_ns / 16 + 1 >= s.min_ns);
+        prop_assert_eq!(s.min_ns, *samples.iter().min().unwrap());
+        prop_assert_eq!(s.max_ns, *samples.iter().max().unwrap());
+        prop_assert_eq!(s.count, samples.len() as u64);
     }
 
-    /// Merging histograms equals recording the union.
+    /// Summarising merged per-thread shards equals summarising the union.
     #[test]
-    fn histogram_merge_is_union(
+    fn summary_of_merge_is_summary_of_union(
         a in proptest::collection::vec(1u64..1_000_000, 1..100),
         b in proptest::collection::vec(1u64..1_000_000, 1..100),
     ) {
-        let mut ha = Histogram::new();
-        let mut hb = Histogram::new();
-        let mut hu = Histogram::new();
+        let (ha, hb, hu) = (LatencyHistogram::new(), LatencyHistogram::new(), LatencyHistogram::new());
         for &s in &a {
             ha.record_ns(s);
             hu.record_ns(s);
@@ -66,11 +63,9 @@ proptest! {
             hb.record_ns(s);
             hu.record_ns(s);
         }
-        ha.merge(&hb);
-        prop_assert_eq!(ha.count(), hu.count());
-        prop_assert_eq!(ha.percentile_ns(50.0), hu.percentile_ns(50.0));
-        prop_assert_eq!(ha.percentile_ns(99.0), hu.percentile_ns(99.0));
-        prop_assert_eq!(ha.max_ns(), hu.max_ns());
+        let mut merged = ha.snapshot();
+        merged.merge(&hb.snapshot());
+        prop_assert_eq!(Summary::from(&merged), Summary::from(&hu.snapshot()));
     }
 }
 
