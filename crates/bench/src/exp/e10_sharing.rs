@@ -4,12 +4,16 @@
 //! sweeping the number of sharers; reports aggregate throughput, lock
 //! retries, and verifies no update is lost. Part two: the per-operation
 //! overhead of `Consistency::Seqlock` vs `Consistency::None` on unshared
-//! data.
+//! data. Part three: the same `Seqlock` op sequence over objects spread
+//! across four servers, issued one call at a time and as `OpBatch`es —
+//! the reactor overlaps the per-server lock / write / flush / unlock
+//! chains, so the batched arm should clearly beat the scalar one.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use gengar_core::config::Consistency;
+use gengar_core::GlobalPtr;
 
 use crate::exp::{System, SystemKind};
 use crate::table::{ns, Table};
@@ -18,6 +22,7 @@ use crate::{median_ns, Metrics, RunConfig};
 /// Runs E10.
 pub fn run(rc: &RunConfig) -> Metrics {
     let incs = rc.scale.ops(400);
+    let mut metrics = Metrics::new();
 
     // Part 1: contended shared counter under object locks.
     let mut sharing = Table::new(
@@ -56,9 +61,12 @@ pub fn run(rc: &RunConfig) -> Metrics {
         owner.read(ptr, 0, &mut buf).expect("final read");
         let total = u64::from_le_bytes(buf);
         assert_eq!(total, sharers as u64 * incs, "lost updates!");
+        let kops = total as f64 / elapsed.as_secs_f64() / 1e3;
+        metrics.push((format!("sharers{sharers}.kops"), kops));
+        metrics.push((format!("sharers{sharers}.lock_retries"), retries as f64));
         sharing.row(vec![
             sharers.to_string(),
-            format!("{:.1}", total as f64 / elapsed.as_secs_f64() / 1e3),
+            format!("{kops:.1}"),
             retries.to_string(),
             total.to_string(),
         ]);
@@ -82,8 +90,101 @@ pub fn run(rc: &RunConfig) -> Metrics {
         let mut buf = vec![0u8; 1024];
         let read = median_ns(iters, || c.read(ptr, 0, &mut buf).expect("read"));
         let write = median_ns(iters, || c.write(ptr, 0, &data).expect("write"));
+        let mode = format!("{consistency:?}").to_lowercase();
+        metrics.push((format!("{mode}.read_ns"), read as f64));
+        metrics.push((format!("{mode}.write_ns"), write as f64));
         overhead.row(vec![format!("{consistency:?}"), ns(read), ns(write)]);
     }
     overhead.print();
-    Metrics::new()
+
+    seqlock_batch(rc, &mut metrics);
+    metrics
+}
+
+/// Part 3: one `Seqlock` op sequence (25% writes, 1 KiB objects spread
+/// over four servers), scalar and as batches of 16.
+fn seqlock_batch(rc: &RunConfig, metrics: &mut Metrics) {
+    const SERVERS: usize = 4;
+    const OBJECTS: usize = 64;
+    const SIZE: usize = 1024;
+    const BATCH: usize = 16;
+    let system = System::launch(SystemKind::Gengar, SERVERS, rc.base_config(), rc);
+    let mut client = system.gengar_client(rc.seqlock_client_config());
+    let mut other = system.gengar_client(rc.seqlock_client_config());
+    let ptrs: Vec<GlobalPtr> = (0..OBJECTS)
+        .map(|i| {
+            client
+                .alloc((i % SERVERS) as u8, SIZE as u64)
+                .expect("alloc")
+        })
+        .collect();
+    for ptr in &ptrs {
+        other.write(*ptr, 0, &[0u8; SIZE]).expect("init");
+    }
+    // (object, fill to write or None to read), the same for both arms.
+    let n = (rc.scale.ops(6400) as usize).next_multiple_of(BATCH);
+    let mut rng: u64 = 0xE10C;
+    let ops: Vec<(usize, Option<u8>)> = (0..n)
+        .map(|i| {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let draw = (rng >> 33) as usize;
+            (
+                draw % OBJECTS,
+                (draw / OBJECTS).is_multiple_of(4).then_some(i as u8 | 1),
+            )
+        })
+        .collect();
+    let mut bufs = vec![0u8; SIZE * BATCH];
+    let mut payloads = vec![[0u8; SIZE]; BATCH];
+
+    let t0 = Instant::now();
+    for &(obj, fill) in &ops {
+        match fill {
+            Some(fill) => client.write(ptrs[obj], 0, &[fill; SIZE]).expect("write"),
+            None => client.read(ptrs[obj], 0, &mut bufs[..SIZE]).expect("read"),
+        }
+    }
+    let scalar_kops = n as f64 / t0.elapsed().as_secs_f64() / 1e3;
+
+    let t0 = Instant::now();
+    for group in ops.chunks_exact(BATCH) {
+        for (payload, op) in payloads.iter_mut().zip(group) {
+            payload.fill(op.1.unwrap_or(0));
+        }
+        let mut batch = client.batch();
+        let slots = payloads.iter().zip(bufs.chunks_exact_mut(SIZE));
+        for (&(obj, fill), (payload, buf)) in group.iter().zip(slots) {
+            batch = match fill {
+                Some(_) => batch.write(ptrs[obj], 0, payload),
+                None => batch.read(ptrs[obj], 0, buf),
+            };
+        }
+        assert!(batch.submit().expect("batch").all_ok(), "batched op failed");
+    }
+    let batched_kops = n as f64 / t0.elapsed().as_secs_f64() / 1e3;
+
+    // The other user sees every object's last write.
+    let mut last = [0u8; OBJECTS];
+    for &(obj, fill) in &ops {
+        last[obj] = fill.unwrap_or(last[obj]);
+    }
+    for (ptr, fill) in ptrs.iter().zip(last) {
+        other.read(*ptr, 0, &mut bufs[..SIZE]).expect("verify");
+        assert!(bufs[..SIZE].iter().all(|&b| b == fill), "lost write");
+    }
+
+    let ratio = batched_kops / scalar_kops;
+    let mut table = Table::new(
+        "E10c: Seqlock ops over 4 servers, scalar vs OpBatch of 16 (25% writes, 1 KiB)",
+        &["scalar kops/s", "batched kops/s", "ratio"],
+    );
+    table.row(vec![
+        format!("{scalar_kops:.1}"),
+        format!("{batched_kops:.1}"),
+        format!("{ratio:.2}"),
+    ]);
+    table.print();
+    metrics.push(("seqlock_batch.scalar_kops".to_owned(), scalar_kops));
+    metrics.push(("seqlock_batch.batched_kops".to_owned(), batched_kops));
+    metrics.push(("seqlock_batch.ratio".to_owned(), ratio));
 }

@@ -7,10 +7,9 @@
 //! overlaps their network time through the per-connection
 //! [`crate::window::OpWindow`]. Scalar [`crate::GengarClient::read`] and
 //! [`crate::GengarClient::write`] are implemented as single-op batches,
-//! so both enter through one planner and one reactor. Four op shapes
-//! still block inside it (non-cached seqlock reads, locked
-//! write-through, oversize chunking, payloads over the tenant's staged
-//! cap) — `DESIGN.md`, "Concurrent issue reactor", says why.
+//! so both enter through one planner and one reactor, and no op shape
+//! runs a round trip to completion inside it (`DESIGN.md`, "Concurrent
+//! issue reactor").
 //!
 //! # Partial completion
 //!

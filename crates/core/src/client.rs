@@ -10,9 +10,11 @@
 //! queue pairs across threads.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use gengar_hybridmem::latency::{spin_until, SLEEP_THRESHOLD_NS};
 use gengar_hybridmem::{DeviceProfile, MemDevice, MemRegion};
 use gengar_rdma::{
     Access, Fabric, MemoryRegion, Payload, PendingOps, ProtectionDomain, RKey, RdmaError, RdmaNode,
@@ -34,7 +36,7 @@ use crate::proto::{error_for_code, MountInfo, Request, Response, MAX_REPORT, NO_
 use crate::proxy::{MirrorLane, StagedFlight, StagingWriter};
 use crate::qos::TenantState;
 use crate::retry::{classify, Disposition, RetryPolicy, RetryState};
-use crate::rpc::{RpcClient, RPC_BUF_BYTES};
+use crate::rpc::{PendingCall, RpcClient, RPC_BUF_BYTES};
 use crate::server::MemoryServer;
 use crate::window::OpWindow;
 
@@ -195,20 +197,95 @@ struct StagedPlan {
     lane: u64,
 }
 
-/// One window-eligible read in the current batch attempt, landing in the
-/// scratch lane at `lane`: either a validated cache-frame fetch
-/// (`cached`) or a plain NVM fetch.
+/// What a planned read fetches into its lane.
+#[derive(Debug, Clone, Copy)]
+enum ReadKind {
+    /// The whole cache frame at this slot (FaRM-validated after the fact).
+    Cached(GlobalAddr),
+    /// Payload bytes straight from NVM.
+    Plain,
+    /// The seqlock triple `[lock word][payload][lock word]`, three READs
+    /// under one doorbell: valid if the words are equal and unlocked.
+    Versioned,
+}
+
+impl ReadKind {
+    /// Work requests one posting of this read costs against the window.
+    fn wrs(self) -> usize {
+        match self {
+            ReadKind::Versioned => 3,
+            _ => 1,
+        }
+    }
+}
+
+/// One read of the current batch attempt, re-posted until it resolves:
+/// against NVM after a rejected cache frame, from the start after a lost
+/// seqlock validation, chunk by chunk when larger than the op area.
 #[derive(Debug)]
 struct ReadPlan {
     /// Index of the op in the batch.
     idx: usize,
     ptr: GlobalPtr,
     offset: u64,
-    /// Scratch offset this read lands at.
+    /// Bytes the op reads, and how many are already copied out.
+    len: u64,
+    done: u64,
+    /// Scratch offset this read lands at, and the bytes reserved there.
     lane: u64,
-    /// Cache slot to fetch (whole frame, FaRM-validated after the fact);
-    /// `None` reads straight from NVM.
-    cached: Option<GlobalAddr>,
+    lane_len: u64,
+    kind: ReadKind,
+    /// Lock word of the first chunk; later chunks must see the same.
+    word: u64,
+    /// Rejected seqlock validations so far (bounded by `read_retries`).
+    tries: u32,
+}
+
+impl ReadPlan {
+    /// Payload bytes the next posting fetches.
+    fn chunk(&self) -> u64 {
+        let words = 8 * (self.kind.wrs() as u64 - 1); // the triple's two lock words
+        (self.len - self.done).min(self.lane_len - words)
+    }
+}
+
+/// The verb a [`DirectWrite`] has on the wire or, with no flight open,
+/// posts next (past the last `Write` chunk: the flush RPC).
+#[derive(Debug, Clone, Copy, Default)]
+enum DirectStep {
+    ReadWord,
+    Cas,
+    #[default]
+    Write,
+    Unlock,
+}
+
+/// What a [`DirectWrite`] waits for.
+#[derive(Debug)]
+enum Flight {
+    Verb(PendingOps),
+    Rpc(PendingCall),
+}
+
+/// A write the staging planner declined, part-way down the direct chain:
+/// lock-word READ → lock CAS → WRITE per op-area chunk → flush RPC →
+/// unlock WRITE, each a wait other servers' groups overlap. Unlocked
+/// writes (`Consistency::None`, caller's lock) run WRITE → flush only.
+#[derive(Debug, Default)]
+struct DirectWrite {
+    /// Position of the op in the group's indices (the walk resumes behind it).
+    cursor: usize,
+    step: DirectStep,
+    flight: Option<Flight>,
+    /// Unlocked word the next lock CAS expects.
+    expected: u64,
+    /// Lost lock CASes so far (bounded by `lock_retries`).
+    tries: u32,
+    /// Payload bytes already written.
+    done: u64,
+    /// Why the op fails (lock never won, flush refused); a lock the write
+    /// took is released all the same.
+    refused: Option<GengarError>,
 }
 
 /// Where one per-server group of a batch currently stands in the
@@ -236,6 +313,8 @@ enum GroupPhase {
         plans: Vec<StagedPlan>,
         flight: StagedFlight,
     },
+    /// A write the staging planner declined is walking the direct chain.
+    Direct(Box<DirectWrite>),
     /// Planning/issuing reads from `indices[cursor]` onward.
     Reads { cursor: usize },
     /// A read doorbell flight is on the wire.
@@ -248,10 +327,11 @@ enum GroupPhase {
     /// jittered backoff expires (reconnecting first if the connection
     /// died) while the event loop keeps driving the healthy groups.
     Backoff { resume_at: Instant, reconnect: bool },
-    /// The tenant's QoS budget denied the next issue; the group parks
-    /// until the bucket refills (no retry budget charged — nothing
-    /// failed), then re-enters the phase in `next`. Healthy tenants keep
-    /// flowing while a throttled one queues here.
+    /// The tenant's QoS budget denied the next issue, or a lock CAS or
+    /// seqlock validation lost to a writer; the group parks until the
+    /// bucket refills or the contention backoff runs out (no retry budget
+    /// charged — nothing failed), then re-enters the phase in `next`.
+    /// Healthy tenants keep flowing while a throttled one queues here.
     Throttle {
         resume_at: Instant,
         next: Box<GroupPhase>,
@@ -263,8 +343,9 @@ enum GroupPhase {
         resume: usize,
         plans: Vec<StagedPlan>,
     },
-    /// A planned read window waiting to re-enter
-    /// [`GengarClient::post_reads`] after a throttle park.
+    /// Read plans waiting to (re-)enter [`GengarClient::post_reads`]:
+    /// after a throttle park, or because a settled flight left them
+    /// unresolved.
     PostReads { resume: usize, plans: Vec<ReadPlan> },
     /// Every op resolved (or the recovery budget died trying).
     Done,
@@ -371,8 +452,9 @@ pub struct GengarClient {
     remap: HashMap<u64, u64>,
     /// Local store buffer for in-flight proxied writes (read-your-writes).
     write_back: HashMap<u64, WriteBack>,
-    /// Locks this client currently holds: base raw -> locked word.
-    held: HashMap<u64, u64>,
+    /// Locks this client holds: base raw -> (locked word, whether a write
+    /// took it for itself — the attempt that finishes the write releases it).
+    held: HashMap<u64, (u64, bool)>,
     /// Failed-over wards: dead primary id -> the replica now serving its
     /// objects (through the shadow region at unchanged offsets). The
     /// connection slot for the primary is rewired in place, so this map
@@ -382,10 +464,9 @@ pub struct GengarClient {
     /// Pending hotness entries per server id.
     pending: HashMap<u8, HashMap<u64, (u32, bool)>>,
     ops_since_report: u32,
-    /// Shared scratch control words: CAS result word, header word. The
-    /// bulk op lanes live per connection ([`ServerConn::op_buf`]). The
-    /// shared words are safe under the concurrent engine because every
-    /// scalar op that touches them runs to completion within one step.
+    /// Shared scratch control words of the blocking atomics: CAS result
+    /// word, header word. The reactor never touches them — its lock words
+    /// land in the group's own op lanes ([`ServerConn::op_buf`]).
     op_cas: u64,
     op_hdr: u64,
     /// Counter that amortises drained-watermark refreshes on the
@@ -1216,70 +1297,28 @@ impl GengarClient {
         }
     }
 
-    /// One-sided chunked READ from `(rkey, remote_off)` into `out`.
-    fn read_remote(
-        &mut self,
-        server: u8,
-        rkey: RKey,
-        remote_off: u64,
-        out: &mut [u8],
-    ) -> Result<(), GengarError> {
-        let mr_lkey = self.mr.lkey();
-        let region = self.mr.region().clone();
+    /// One-sided chunked WRITE of `data` to NVM offset `nvm_off` on `server`.
+    fn write_remote(&self, server: u8, nvm_off: u64, data: &[u8]) -> Result<(), GengarError> {
         let conn = self.conn(server)?;
-        let op_buf = conn.op_buf;
-        let chunk_max = conn.op_buf_len as usize;
-        let mut done = 0usize;
-        while done < out.len() {
-            let chunk = (out.len() - done).min(chunk_max);
-            conn.data.read(
-                Sge::new(mr_lkey, op_buf, chunk as u64),
-                RemoteAddr::new(rkey, remote_off + done as u64),
-            )?;
-            region.read(op_buf, &mut out[done..done + chunk])?;
-            done += chunk;
-        }
-        Ok(())
-    }
-
-    /// One-sided chunked WRITE of `data` to `(rkey, remote_off)`.
-    fn write_remote(
-        &mut self,
-        server: u8,
-        rkey: RKey,
-        remote_off: u64,
-        data: &[u8],
-    ) -> Result<(), GengarError> {
-        let mr_lkey = self.mr.lkey();
-        let region = self.mr.region().clone();
-        let conn = self.conn(server)?;
-        let op_buf = conn.op_buf;
-        let chunk_max = conn.op_buf_len as usize;
         let mut done = 0usize;
         while done < data.len() {
-            let chunk = (data.len() - done).min(chunk_max);
-            region.write(op_buf, &data[done..done + chunk])?;
+            let chunk = (data.len() - done).min(conn.op_buf_len as usize);
+            self.mr
+                .region()
+                .write(conn.op_buf, &data[done..done + chunk])?;
             conn.data.write(
-                Payload::Sge(Sge::new(mr_lkey, op_buf, chunk as u64)),
-                RemoteAddr::new(rkey, remote_off + done as u64),
+                Payload::Sge(Sge::new(self.mr.lkey(), conn.op_buf, chunk as u64)),
+                RemoteAddr::new(conn.nvm_rkey(), nvm_off + done as u64),
             )?;
             done += chunk;
         }
         Ok(())
     }
 
-    /// Reads the 8-byte object lock/version word.
-    fn read_lockword(&mut self, addr: GlobalAddr) -> Result<u64, GengarError> {
-        let op_hdr = self.op_hdr;
-        let mr_lkey = self.mr.lkey();
-        let region = self.mr.region().clone();
-        let conn = self.conn(addr.server())?;
-        conn.data.read(
-            Sge::new(mr_lkey, op_hdr, 8),
-            RemoteAddr::new(conn.nvm_rkey(), addr.offset() - OBJ_HEADER),
-        )?;
+    /// The word a READ or an atomic's prior value landed at scratch `off`.
+    fn scratch_word(&self, off: u64) -> Result<u64, GengarError> {
         let mut w = [0u8; 8];
-        region.read(op_hdr, &mut w)?;
+        self.mr.region().read(off, &mut w)?;
         Ok(u64::from_le_bytes(w))
     }
 
@@ -1371,61 +1410,15 @@ impl GengarClient {
             && u64::from_le_bytes(tail_bytes) == hdr.version)
     }
 
-    /// Whether reads of the object at `base` may skip seqlock validation.
-    /// A client that holds the object's writer lock reads plainly: no
-    /// other writer can be active, and the lock bit it set itself would
-    /// otherwise never clear.
-    fn reads_plainly(&self, base: u64) -> bool {
-        self.config.consistency == Consistency::None || self.held.contains_key(&base)
-    }
-
-    /// The NVM reads with no reactor form yet, run to completion on the
-    /// calling thread: the seqlock version/data/version triple (with its
-    /// retry loop), and plain reads larger than the op area (chunked).
-    /// Everything else reads through a planned window.
-    fn read_nvm_blocking(
-        &mut self,
-        ptr: GlobalPtr,
-        offset: u64,
-        buf: &mut [u8],
-    ) -> Result<(), GengarError> {
-        if self.reads_plainly(ptr.addr.raw()) {
-            let server = ptr.addr.server();
-            let nvm_rkey = self.conn(server)?.nvm_rkey();
-            self.read_remote(server, nvm_rkey, ptr.addr.offset() + offset, buf)?;
+    /// How the object at `base` is read from NVM. The holder of its writer
+    /// lock reads plainly even under `Seqlock`: no other writer can be
+    /// active, and the lock bit it set itself would otherwise never clear.
+    fn nvm_read_kind(&self, base: u64) -> ReadKind {
+        if self.config.consistency == Consistency::None || self.held.contains_key(&base) {
+            ReadKind::Plain
         } else {
-            self.read_nvm_seqlock(ptr, offset, buf)?;
+            ReadKind::Versioned
         }
-        self.metrics.nvm_reads.inc();
-        Ok(())
-    }
-
-    /// Seqlock-validated NVM read: fetch, re-fetch the version word, retry
-    /// while a writer is active.
-    fn read_nvm_seqlock(
-        &mut self,
-        ptr: GlobalPtr,
-        offset: u64,
-        buf: &mut [u8],
-    ) -> Result<(), GengarError> {
-        let mut backoff = Backoff::default();
-        for _ in 0..self.config.read_retries {
-            let before = self.read_lockword(ptr.addr)?;
-            if lockword::is_locked(before) {
-                self.metrics.read_retries.inc();
-                backoff.wait();
-                continue;
-            }
-            let nvm_rkey = self.conn(ptr.addr.server())?.nvm_rkey();
-            self.read_remote(ptr.addr.server(), nvm_rkey, ptr.addr.offset() + offset, buf)?;
-            let after = self.read_lockword(ptr.addr)?;
-            if after == before {
-                return Ok(());
-            }
-            self.metrics.read_retries.inc();
-            backoff.wait();
-        }
-        Err(GengarError::ReadContended(ptr.addr))
     }
 
     /// Writes `data` at `ptr.addr + offset`.
@@ -1451,95 +1444,10 @@ impl GengarClient {
             .into_single()
     }
 
-    /// One attempt of a write the window planner declined, run to
-    /// completion on the calling thread: the locked write-through of
-    /// `Consistency::Seqlock`, and under `Consistency::None` the direct
-    /// path for what cannot be staged (no proxy, degraded connection,
-    /// payload over the slot or over the tenant's staged-bytes cap). Safe
-    /// to re-run: the direct path rewrites the same bytes.
-    fn write_attempt(
-        &mut self,
-        ptr: GlobalPtr,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<(), GengarError> {
-        let base = ptr.addr.raw();
-        let server = ptr.addr.server();
-
-        match self.config.consistency {
-            Consistency::Seqlock => {
-                let auto = !self.held.contains_key(&base);
-                if auto {
-                    self.lock(ptr)?;
-                }
-                let result = self.write_direct(ptr, offset, data);
-                if auto {
-                    // Unlock even if the write failed, then surface the
-                    // first error.
-                    let unlock_result = self.unlock(ptr);
-                    result.and(unlock_result)?;
-                } else {
-                    result?;
-                }
-            }
-            Consistency::None => {
-                let conn = self.conn(server)?;
-                let need = data.len() as u64;
-                let fits_slot = conn
-                    .staging
-                    .as_ref()
-                    .is_some_and(|st| need <= st.max_payload());
-                if conn.degraded {
-                    self.metrics.degraded_ops.inc();
-                } else if fits_slot {
-                    // A payload that could never fit the tenant's
-                    // in-flight cap sheds to the direct path (slower, but
-                    // it does not wedge waiting on a reservation that
-                    // cannot succeed).
-                    if let Some(tenant) = self.tenant.as_ref().filter(|t| !t.staged_fits(need)) {
-                        tenant.note_staged_shed();
-                    }
-                }
-                self.write_direct(ptr, offset, data)?;
-            }
-        }
-        self.record(server, base, true)?;
-        Ok(())
-    }
-
-    /// Direct write path: RDMA WRITE to NVM, then flush+invalidate RPC.
-    fn write_direct(
-        &mut self,
-        ptr: GlobalPtr,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<(), GengarError> {
-        let server = ptr.addr.server();
-        // An older staged record for this object may still sit un-drained
-        // in the server ring (e.g. the connection degraded between the two
-        // writes). Let it land first: the drain thread would otherwise
-        // replay the *older* value over this newer direct write.
-        if let Some(seq) = self.write_back.get(&ptr.addr.raw()).map(|wb| wb.seq) {
-            if let Some(st) = self.conn_mut(server)?.staging.as_mut() {
-                if st.known_drained() < seq {
-                    st.wait_drained(seq)?;
-                }
-            }
-        }
-        self.write_through(ptr.addr.add(offset), data)?;
-        let base = ptr.addr.raw();
-        self.remap.remove(&base);
-        self.write_back.remove(&base);
-        self.metrics.direct_writes.inc();
-        Ok(())
-    }
-
     /// Write-through: RDMA WRITE of `data` to its NVM home at `target`,
     /// then the flush RPC that anchors it durably.
     fn write_through(&mut self, target: GlobalAddr, data: &[u8]) -> Result<(), GengarError> {
-        let server = target.server();
-        let nvm_rkey = self.conn(server)?.nvm_rkey();
-        self.write_remote(server, nvm_rkey, target.offset(), data)?;
+        self.write_remote(target.server(), target.offset(), data)?;
         self.flush_range(target, data.len() as u64)
     }
 
@@ -1547,10 +1455,13 @@ impl GengarClient {
     /// home server and drops any cached copy of the object there.
     fn flush_range(&mut self, target: GlobalAddr, len: u64) -> Result<(), GengarError> {
         let conn = self.conn(target.server())?;
-        match conn.rpc.call(&Request::FlushRange {
-            addr: target.raw(),
-            len,
-        })? {
+        let addr = target.raw();
+        Self::flush_ack(conn.rpc.call(&Request::FlushRange { addr, len })?, len)
+    }
+
+    /// Decodes the answer to a `FlushRange` of `len` bytes.
+    fn flush_ack(resp: Response, len: u64) -> Result<(), GengarError> {
+        match resp {
             Response::Ok => Ok(()),
             Response::Err { code } => Err(error_for_code(code, len)),
             _ => Err(GengarError::ProtocolViolation("bad flush response")),
@@ -1717,7 +1628,7 @@ impl GengarClient {
             let mut next_wake: Option<Instant> = None;
             let mut all_done = true;
             for run in &mut runs {
-                let (stepped, wake) = self.step_group(run, &mut ops, &mut results);
+                let (stepped, wake) = self.step_group(run, &mut ops, &mut results, Duration::ZERO);
                 progressed |= stepped;
                 if let Some(at) = wake {
                     next_wake = Some(next_wake.map_or(at, |w| w.min(at)));
@@ -1727,15 +1638,31 @@ impl GengarClient {
             if all_done {
                 break;
             }
-            if !progressed {
-                // Everyone is parked: sleep until the earliest wake (next
-                // deferred completion, backoff expiry or ring poll).
-                let wake = next_wake
-                    .unwrap_or_else(|| Instant::now() + std::time::Duration::from_micros(10));
-                gengar_hybridmem::latency::spin_until(wake);
+            if progressed {
+                continue;
+            }
+            // Everyone is parked. An RPC response has no modelled arrival (it
+            // comes when the server thread has run), so a group awaiting one
+            // parks on its response CQ until the earliest other wake — or,
+            // with none, its own patience: a short timed wait re-arms the
+            // host timer going in and out, which doubled the wake-up latency
+            // measured here. Never spin for it: the spinner sits on the core
+            // the woken server thread needs. Short parks are spun out.
+            let now = Instant::now();
+            let park = next_wake.map_or(Duration::MAX, |at| at.saturating_duration_since(now));
+            let sleepable = park > Duration::from_nanos(SLEEP_THRESHOLD_NS);
+            let awaits_rpc = runs.iter_mut().find(|run| {
+                sleepable
+                    && matches!(&run.phase, GroupPhase::Direct(w) if matches!(w.flight, Some(Flight::Rpc(_))))
+            });
+            match awaits_rpc {
+                Some(run) => drop(self.step_group(run, &mut ops, &mut results, park)),
+                // The earliest wake: a deferred completion, backoff expiry or ring poll.
+                None => spin_until(next_wake.unwrap_or(now + Duration::from_micros(10))),
             }
         }
         drop(runs);
+        self.report_if_due();
 
         // Whole-batch latency recorded once per op, mirroring the scalar
         // histograms' sample counts (the span there also covered retries).
@@ -1758,37 +1685,20 @@ impl GengarClient {
         ))
     }
 
-    /// Routes the outcome of one blocking op inside a batch attempt:
-    /// successes and permanent failures resolve the op in place (`Ok`
-    /// carries whether it succeeded), transient faults abort the attempt
-    /// so the recovery loop can back off / reconnect and replay only the
-    /// unresolved ops.
-    fn resolve_scalar(
-        outcome: Result<(), GengarError>,
-        slot: &mut Option<Result<(), GengarError>>,
-    ) -> Result<bool, GengarError> {
-        match outcome {
-            Err(e) if classify(&e) != Disposition::Fatal => Err(e),
-            settled => {
-                let landed = settled.is_ok();
-                *slot = Some(settled);
-                Ok(landed)
-            }
-        }
-    }
-
     /// Advances one group as far as it can without blocking: polls open
     /// flights, expires backoffs, issues the next writes/reads. Returns
     /// whether the group made progress and, if it parked, when the event
-    /// loop should next wake it. Helper passes return their attempt error
-    /// and only this dispatcher routes it into [`GengarClient::end_attempt`],
-    /// so recovery policy lives in exactly one place
-    /// ([`GengarClient::recovery`]).
+    /// loop should next wake it (`None` while it awaits an RPC response,
+    /// on whose CQ it may sleep for `park` — zero in the sweep over all
+    /// groups). Helper passes return their attempt error and only this
+    /// dispatcher routes it into [`GengarClient::end_attempt`], so recovery
+    /// policy lives in exactly one place ([`GengarClient::recovery`]).
     fn step_group(
         &mut self,
         run: &mut GroupRun,
         ops: &mut [BatchOp<'_>],
         results: &mut [Option<Result<(), GengarError>>],
+        park: Duration,
     ) -> (bool, Option<Instant>) {
         let mut progressed = false;
         loop {
@@ -1821,31 +1731,28 @@ impl GengarClient {
                     progressed = true;
                     run.phase = *next;
                 }
-                GroupPhase::PostWrites { resume, plans } => {
+                phase @ (GroupPhase::PostWrites { .. }
+                | GroupPhase::PostReads { .. }
+                | GroupPhase::Writes { .. }
+                | GroupPhase::Reads { .. }) => {
                     progressed = true;
                     let outcome = {
                         let _ctx = adopt(run.attempt_ctx.0, run.attempt_ctx.1);
-                        self.post_staged(run, resume, plans, ops)
-                    };
-                    if let Err(e) = outcome {
-                        self.end_attempt(run, e, results);
-                    }
-                }
-                GroupPhase::PostReads { resume, plans } => {
-                    progressed = true;
-                    let outcome = {
-                        let _ctx = adopt(run.attempt_ctx.0, run.attempt_ctx.1);
-                        self.post_reads(run, resume, plans, ops)
-                    };
-                    if let Err(e) = outcome {
-                        self.end_attempt(run, e, results);
-                    }
-                }
-                GroupPhase::Writes { cursor } => {
-                    progressed = true;
-                    let outcome = {
-                        let _ctx = adopt(run.attempt_ctx.0, run.attempt_ctx.1);
-                        self.step_writes(run, cursor, ops, results)
+                        match phase {
+                            GroupPhase::PostWrites { resume, plans } => {
+                                self.post_staged(run, resume, plans, ops)
+                            }
+                            GroupPhase::PostReads { resume, plans } => {
+                                self.post_reads(run, resume, plans)
+                            }
+                            GroupPhase::Writes { cursor } => {
+                                self.step_writes(run, cursor, ops, results)
+                            }
+                            GroupPhase::Reads { cursor } => {
+                                self.step_reads(run, cursor, ops, results)
+                            }
+                            _ => unreachable!("matched above"),
+                        }
                     };
                     if let Err(e) = outcome {
                         self.end_attempt(run, e, results);
@@ -1967,14 +1874,22 @@ impl GengarClient {
                         self.end_attempt(run, e, results);
                     }
                 }
-                GroupPhase::Reads { cursor } => {
-                    progressed = true;
+                GroupPhase::Direct(w) => {
+                    let cursor = w.cursor;
                     let outcome = {
                         let _ctx = adopt(run.attempt_ctx.0, run.attempt_ctx.1);
-                        self.step_reads(run, cursor, ops, results)
+                        self.step_direct(run, w, ops, results, park)
                     };
-                    if let Err(e) = outcome {
-                        self.end_attempt(run, e, results);
+                    match outcome {
+                        Ok(ControlFlow::Continue(())) => progressed = true,
+                        Ok(ControlFlow::Break(wake)) => return (progressed, wake),
+                        // A permanent failure is this op's result; a transient
+                        // one ends the attempt (recovery replays the unresolved).
+                        Err(e) if classify(&e) == Disposition::Fatal => {
+                            results[run.indices[cursor]] = Some(Err(e));
+                            run.phase = GroupPhase::Writes { cursor: cursor + 1 };
+                        }
+                        Err(e) => self.end_attempt(run, e, results),
                     }
                 }
                 GroupPhase::ReadWait {
@@ -2135,11 +2050,11 @@ impl GengarClient {
     /// posts, so same-object writes land in submission order (and a
     /// failed window replays its unresolved ops, still in order, before
     /// anything later is planned). What the planner cannot stage (seqlock
-    /// writes, oversize payloads, degraded connections) blocks in
-    /// [`GengarClient::write_attempt`], with any planned window posted
-    /// first as an ordering barrier. Posting parks the group
-    /// (`StagedWait`/`RingWait`) instead of blocking; the walk resumes at
-    /// `resume` once the flight settles.
+    /// writes, oversize payloads, degraded connections) walks the direct
+    /// chain ([`GengarClient::step_direct`]) one write at a time, with any
+    /// planned window posted first as an ordering barrier. Posting parks
+    /// the group instead of blocking; the walk resumes at `resume` once
+    /// the flight settles.
     fn step_writes(
         &mut self,
         run: &mut GroupRun,
@@ -2171,8 +2086,8 @@ impl GengarClient {
         };
         // A tenant with a staged-occupancy cap never plans a window larger
         // than the cap: an oversize window could never reserve, so it
-        // would park forever. Oversize single payloads go to
-        // `write_attempt`, which sheds them to the direct write.
+        // would park forever. Oversize single payloads shed to the direct
+        // chain.
         let tenant_cap = self
             .tenant
             .as_ref()
@@ -2221,8 +2136,8 @@ impl GengarClient {
                 }
             } else if !staged.is_empty() {
                 // Ordering barrier: planned records must land before this
-                // blocking write (same-object order; the blocking path
-                // also reuses the scratch lanes). Resume here, unadvanced.
+                // direct write (same-object order; the chain also reuses
+                // the scratch lanes). Resume here, unadvanced.
                 return self.post_staged(run, cursor, staged, ops);
             } else {
                 // Issue gate: a dry tenant bucket parks the group (no
@@ -2236,13 +2151,7 @@ impl GengarClient {
                         return Ok(());
                     }
                 }
-                let data: &[u8] = match &ops[i] {
-                    BatchOp::Write { data, .. } => data,
-                    _ => unreachable!("matched above"),
-                };
-                let outcome = self.write_attempt(ptr, offset, data);
-                Self::resolve_scalar(outcome, &mut results[i])?;
-                cursor += 1;
+                return self.begin_direct(run, cursor, ptr, data_len);
             }
         }
         if staged.is_empty() {
@@ -2253,6 +2162,199 @@ impl GengarClient {
             // through to the read pass.
             self.post_staged(run, run.indices.len(), staged, ops)
         }
+    }
+
+    /// Opens the direct chain for the write at `cursor`, taking the lock
+    /// first unless this client already holds it. Safe to re-run after a
+    /// failed attempt: the chain rewrites the same bytes, and a lock that
+    /// attempt took is still in `held`.
+    fn begin_direct(
+        &mut self,
+        run: &mut GroupRun,
+        cursor: usize,
+        ptr: GlobalPtr,
+        need: u64,
+    ) -> Result<(), GengarError> {
+        let base = ptr.addr.raw();
+        let mut step = DirectStep::Write;
+        if self.config.consistency == Consistency::Seqlock {
+            if !self.held.contains_key(&base) {
+                step = DirectStep::ReadWord;
+            }
+        } else {
+            let conn = self.conn(run.server)?;
+            let fits_slot = conn
+                .staging
+                .as_ref()
+                .is_some_and(|st| need <= st.max_payload());
+            if conn.degraded {
+                self.metrics.degraded_ops.inc();
+            } else if fits_slot {
+                // A payload that could never fit the tenant's in-flight
+                // cap sheds to the direct path (slower, but it does not
+                // wedge waiting on a reservation that cannot succeed).
+                if let Some(tenant) = self.tenant.as_ref().filter(|t| !t.staged_fits(need)) {
+                    tenant.note_staged_shed();
+                }
+            }
+        }
+        // An older staged record for this object may still sit un-drained
+        // in the server ring (e.g. the connection degraded between the two
+        // writes). Let it land first: the drain thread would otherwise
+        // replay the *older* value over this newer direct write.
+        if let Some(seq) = self.write_back.get(&base).map(|wb| wb.seq) {
+            if let Some(st) = self.conn_mut(run.server)?.staging.as_mut() {
+                if st.known_drained() < seq {
+                    st.wait_drained(seq)?;
+                }
+            }
+        }
+        run.phase = GroupPhase::Direct(Box::new(DirectWrite {
+            cursor,
+            step,
+            ..Default::default()
+        }));
+        Ok(())
+    }
+
+    /// Advances a direct write: harvests the step on the wire, applies its
+    /// outcome, posts the next. The lock word, the CAS's prior value and
+    /// the release word use the first 8 bytes of the group's op area, the
+    /// payload chunks the rest (the group has no other flight open).
+    /// `Break` parks the group (`None`: on the RPC response); `Continue`
+    /// leaves the next phase in `run.phase`.
+    fn step_direct(
+        &mut self,
+        run: &mut GroupRun,
+        mut w: Box<DirectWrite>,
+        ops: &[BatchOp<'_>],
+        results: &mut [Option<Result<(), GengarError>>],
+        park: Duration,
+    ) -> Result<ControlFlow<Option<Instant>>, GengarError> {
+        let i = run.indices[w.cursor];
+        let (ptr, offset, data): (GlobalPtr, u64, &[u8]) = match &ops[i] {
+            BatchOp::Write { ptr, offset, data } => (*ptr, *offset, data),
+            _ => unreachable!("the write walk opened this chain"),
+        };
+        let base = ptr.addr.raw();
+        let word_at = ptr.addr.offset() - OBJ_HEADER;
+        let (mr_lkey, region) = (self.mr.lkey(), self.mr.region().clone());
+        loop {
+            let conn = self.conn(run.server)?;
+            let (word_lane, data_lane) = (conn.op_buf, conn.op_buf + 8);
+            let chunk = (data.len() as u64 - w.done).min(conn.op_buf_len - 8);
+            let nvm = |off: u64| RemoteAddr::new(conn.nvm_rkey(), off);
+            let word_sge = Sge::new(mr_lkey, word_lane, 8);
+            let write = |from: Sge, to: u64| SendOp::Write {
+                payload: Payload::Sge(from),
+                remote: nvm(to),
+                imm: None,
+            };
+            match w.flight.take() {
+                None => {
+                    let op = match w.step {
+                        DirectStep::ReadWord => SendOp::Read {
+                            local: word_sge,
+                            remote: nvm(word_at),
+                        },
+                        DirectStep::Cas => SendOp::CompareSwap {
+                            local: word_sge,
+                            remote: nvm(word_at),
+                            expected: w.expected,
+                            swap: lockword::locked(w.expected),
+                        },
+                        DirectStep::Write if chunk == 0 => {
+                            let addr = ptr.addr.add(offset).raw();
+                            let len = data.len() as u64;
+                            let call = conn.rpc.begin(&Request::FlushRange { addr, len });
+                            w.flight = Some(Flight::Rpc(call));
+                            continue;
+                        }
+                        DirectStep::Write => {
+                            let from = w.done as usize;
+                            region.write(data_lane, &data[from..from + chunk as usize])?;
+                            let to = ptr.addr.offset() + offset + w.done;
+                            write(Sge::new(mr_lkey, data_lane, chunk), to)
+                        }
+                        DirectStep::Unlock => {
+                            let (locked, _) = self.held[&base];
+                            region.write(word_lane, &lockword::release(locked).to_le_bytes())?;
+                            write(word_sge, word_at)
+                        }
+                    };
+                    w.flight = Some(Flight::Verb(conn.data.post_many(vec![op])?));
+                }
+                Some(Flight::Verb(mut pending)) => {
+                    if !conn.data.poll_pending(&mut pending) {
+                        let wake = conn.data.pending_done_wake(&pending);
+                        w.flight = Some(Flight::Verb(pending));
+                        run.phase = GroupPhase::Direct(w);
+                        return Ok(ControlFlow::Break(wake));
+                    }
+                    pending.into_results().pop().expect("one op posted")?;
+                    match w.step {
+                        DirectStep::ReadWord => {
+                            w.expected = lockword::next_unlocked(self.scratch_word(word_lane)?);
+                            w.step = DirectStep::Cas;
+                        }
+                        DirectStep::Cas => {
+                            let prev = self.scratch_word(word_lane)?;
+                            if prev == w.expected {
+                                self.held.insert(base, (lockword::locked(prev), true));
+                                w.step = DirectStep::Write;
+                                continue;
+                            }
+                            // Lost: the word the CAS returned is the next
+                            // expectation, no second READ.
+                            self.metrics.lock_retries.inc();
+                            w.tries += 1;
+                            w.expected = lockword::next_unlocked(prev);
+                            if w.tries >= self.config.lock_retries {
+                                w.refused = Some(GengarError::LockContended(ptr.addr));
+                                break;
+                            }
+                            run.phase = GroupPhase::Throttle {
+                                resume_at: Instant::now() + Backoff::park_after(w.tries),
+                                next: Box::new(GroupPhase::Direct(w)),
+                            };
+                            return Ok(ControlFlow::Continue(()));
+                        }
+                        DirectStep::Write => w.done += chunk,
+                        DirectStep::Unlock => {
+                            self.held.remove(&base);
+                            break;
+                        }
+                    }
+                }
+                Some(Flight::Rpc(mut call)) => {
+                    let Some(resp) = conn.rpc.poll(&mut call, park)? else {
+                        w.flight = Some(Flight::Rpc(call));
+                        run.phase = GroupPhase::Direct(w);
+                        return Ok(ControlFlow::Break(None));
+                    };
+                    w.refused = Self::flush_ack(resp, data.len() as u64).err();
+                    // Release only a lock a write took for itself (this
+                    // attempt or a failed earlier one), never the caller's.
+                    match self.held.get(&base) {
+                        Some((_, true)) => w.step = DirectStep::Unlock,
+                        _ => break,
+                    }
+                }
+            }
+        }
+        run.phase = GroupPhase::Writes {
+            cursor: w.cursor + 1,
+        };
+        if let Some(e) = w.refused {
+            results[i] = Some(Err(e));
+            return Ok(ControlFlow::Continue(()));
+        }
+        results[i] = Some(Ok(()));
+        self.remap.remove(&base);
+        self.write_back.remove(&base);
+        self.metrics.direct_writes.inc();
+        self.record(run.server, base, true);
+        Ok(ControlFlow::Continue(()))
     }
 
     /// Routes a planned staged-write window: posts it if the ring has
@@ -2418,7 +2520,7 @@ impl GengarClient {
                     );
                     self.metrics.staged_writes.inc();
                     results[p.idx] = Some(Ok(()));
-                    self.record(run.server, p.base_raw, true)?;
+                    self.record(run.server, p.base_raw, true);
                 }
                 Err(e) => {
                     if first_err.is_none() {
@@ -2454,12 +2556,13 @@ impl GengarClient {
     ///
     /// The store buffer is a step, not a path: it either serves the read
     /// locally or retires its entry, and everything it does not serve is
-    /// planned. Cache-frame fetches (self-validating, so under either
-    /// consistency mode) and plain NVM reads are packed into scratch lanes
-    /// and posted in windows ([`GengarClient::post_reads`]), parking the
-    /// group on the flight instead of blocking. Only the two shapes of
-    /// [`GengarClient::read_nvm_blocking`] run on the calling thread. A
-    /// pass that plans nothing further closes the attempt.
+    /// planned — a cache-frame fetch (self-validating, so under either
+    /// consistency mode), a plain NVM read, or under
+    /// `Consistency::Seqlock` the versioned triple. Plans are packed into
+    /// scratch lanes and posted in windows ([`GengarClient::post_reads`]),
+    /// parking the group on the flight instead of blocking. A read larger
+    /// than the op area takes all of it, alone in its window, and arrives
+    /// in chunks. A pass that plans nothing further closes the attempt.
     fn step_reads(
         &mut self,
         run: &mut GroupRun,
@@ -2472,7 +2575,7 @@ impl GengarClient {
             (conn.window.depth() as usize, conn.op_buf, conn.op_buf_len)
         };
         let mut plans: Vec<ReadPlan> = Vec::new();
-        let mut lane_off: u64 = 0;
+        let (mut lane_off, mut wrs) = (0u64, 0usize);
         let mut cursor = cursor;
         while cursor < run.indices.len() {
             let i = run.indices[cursor];
@@ -2489,7 +2592,7 @@ impl GengarClient {
             let base = ptr.addr.raw();
             if self.serve_from_store_buffer(ptr, offset, buf)? {
                 results[i] = Some(Ok(()));
-                self.record(run.server, base, false)?;
+                self.record(run.server, base, false);
                 cursor += 1;
                 continue;
             }
@@ -2497,14 +2600,13 @@ impl GengarClient {
             // the full object; engage the cache only when the request
             // covers most of it (small probes into large objects — e.g.
             // index buckets — are cheaper straight from NVM).
-            let worth = buf_len * 2 >= ptr.size;
             let frame = SLOT_HEADER + ptr.size + SLOT_TAIL;
-            let mut cached = None;
-            if worth {
+            let mut kind = self.nvm_read_kind(base);
+            if buf_len * 2 >= ptr.size {
                 if let Some(&slot_raw) = self.remap.get(&base) {
                     match GlobalAddr::from_raw(slot_raw) {
                         Some(s) if s.class() == MemClass::DramCache && frame <= op_buf_len => {
-                            cached = Some(s)
+                            kind = ReadKind::Cached(s)
                         }
                         _ => {
                             self.remap.remove(&base);
@@ -2513,80 +2615,84 @@ impl GengarClient {
                     }
                 }
             }
-            let need = if cached.is_some() { frame } else { buf_len };
-            if cached.is_none() && (!self.reads_plainly(base) || need > op_buf_len) {
-                if !plans.is_empty() {
-                    // Blocking reads scribble over the whole op area, so
-                    // every planned lane must be copied out first.
-                    // Resume here, unadvanced.
-                    return self.post_reads(run, cursor, plans, ops);
-                }
-                // Issue gate: a dry tenant bucket parks the group and the
-                // read walk resumes right here.
-                if let Some(tenant) = &self.tenant {
-                    if let Err(wake) = tenant.issue_admit(1, buf_len) {
-                        run.phase = GroupPhase::Throttle {
-                            resume_at: wake,
-                            next: Box::new(GroupPhase::Reads { cursor }),
-                        };
-                        return Ok(());
-                    }
-                }
-                let outcome = self.read_nvm_blocking(ptr, offset, buf);
-                // Only cache-worthy reads feed the hotness monitor:
-                // promoting an object that is probed 16 bytes at a time
-                // would waste DRAM on a copy no read path would use.
-                if Self::resolve_scalar(outcome, &mut results[i])? && worth {
-                    self.record(run.server, base, false)?;
-                }
-                cursor += 1;
-                continue;
+            let need = match kind {
+                ReadKind::Cached(_) => frame,
+                ReadKind::Plain => buf_len,
+                ReadKind::Versioned => buf_len + 16,
             }
-            if plans.len() == depth || lane_off + need > op_buf_len {
-                return self.post_reads(run, cursor, plans, ops);
+            .min(op_buf_len);
+            if !plans.is_empty() && (wrs + kind.wrs() > depth || lane_off + need > op_buf_len) {
+                return self.post_reads(run, cursor, plans);
             }
             plans.push(ReadPlan {
                 idx: i,
                 ptr,
                 offset,
+                len: buf_len,
+                done: 0,
                 lane: op_buf + lane_off,
-                cached,
+                lane_len: need,
+                kind,
+                word: 0,
+                tries: 0,
             });
             lane_off += need;
+            wrs += kind.wrs();
             cursor += 1;
         }
         if plans.is_empty() {
             self.finish_attempt(run, results);
             Ok(())
         } else {
-            self.post_reads(run, run.indices.len(), plans, ops)
+            self.post_reads(run, run.indices.len(), plans)
         }
     }
 
-    /// Posts a planned read window under one doorbell and parks the group
-    /// on the pending completions.
+    /// Posts read plans under one doorbell and parks the group on it. Plans
+    /// past the window depth (re-plans can triple) wait for the next round.
     fn post_reads(
         &mut self,
         run: &mut GroupRun,
         resume: usize,
         plans: Vec<ReadPlan>,
-        ops: &[BatchOp<'_>],
     ) -> Result<(), GengarError> {
-        // Issue gate: charge the window's ops and wire bytes (cache-frame
+        let mr_lkey = self.mr.lkey();
+        let conn = self.conn(run.server)?;
+        let (nvm_rkey, cache_rkey) = (conn.nvm_rkey(), conn.cache_rkey());
+        let mut sends: Vec<SendOp> = Vec::with_capacity(plans.len());
+        let (mut posted, mut bytes) = (0u64, 0u64);
+        for p in &plans {
+            if !sends.is_empty() && sends.len() + p.kind.wrs() > conn.window.depth() as usize {
+                break;
+            }
+            let mut read = |lane_off: u64, len: u64, rkey: RKey, remote_off: u64| {
+                bytes += len;
+                sends.push(SendOp::Read {
+                    local: Sge::new(mr_lkey, p.lane + lane_off, len),
+                    remote: RemoteAddr::new(rkey, remote_off),
+                });
+            };
+            let len = p.chunk();
+            let word_at = p.ptr.addr.offset() - OBJ_HEADER;
+            let data_at = p.ptr.addr.offset() + p.offset + p.done;
+            match p.kind {
+                ReadKind::Cached(slot) => read(0, p.lane_len, cache_rkey, slot.offset()),
+                ReadKind::Plain => read(0, len, nvm_rkey, data_at),
+                // An RC queue pair executes a doorbell's READs in posting
+                // order, so the payload is bracketed by the two words.
+                ReadKind::Versioned => {
+                    read(0, 8, nvm_rkey, word_at);
+                    read(8, len, nvm_rkey, data_at);
+                    read(8 + len, 8, nvm_rkey, word_at);
+                }
+            }
+            posted += 1;
+        }
+        // Issue gate: charge the doorbell's ops and wire bytes (cache-frame
         // fetches pull the whole frame); a dry bucket parks the group and
         // re-enters here (`PostReads`) on wake.
         if let Some(tenant) = &self.tenant {
-            let bytes: u64 = plans
-                .iter()
-                .map(|p| match p.cached {
-                    Some(_) => SLOT_HEADER + p.ptr.size + SLOT_TAIL,
-                    None => match &ops[p.idx] {
-                        BatchOp::Read { buf, .. } => buf.len() as u64,
-                        _ => 0,
-                    },
-                })
-                .sum();
-            if let Err(wake) = tenant.issue_admit(plans.len() as u64, bytes) {
+            if let Err(wake) = tenant.issue_admit(posted, bytes) {
                 run.phase = GroupPhase::Throttle {
                     resume_at: wake,
                     next: Box::new(GroupPhase::PostReads { resume, plans }),
@@ -2594,28 +2700,6 @@ impl GengarClient {
                 return Ok(());
             }
         }
-        let mr_lkey = self.mr.lkey();
-        let conn = self.conn(run.server)?;
-        let (nvm_rkey, cache_rkey) = (conn.nvm_rkey(), conn.cache_rkey());
-        let sends: Vec<SendOp> = plans
-            .iter()
-            .map(|p| match p.cached {
-                Some(slot) => SendOp::Read {
-                    local: Sge::new(mr_lkey, p.lane, SLOT_HEADER + p.ptr.size + SLOT_TAIL),
-                    remote: RemoteAddr::new(cache_rkey, slot.offset()),
-                },
-                None => {
-                    let len = match &ops[p.idx] {
-                        BatchOp::Read { buf, .. } => buf.len() as u64,
-                        _ => unreachable!("planned from a read"),
-                    };
-                    SendOp::Read {
-                        local: Sge::new(mr_lkey, p.lane, len),
-                        remote: RemoteAddr::new(nvm_rkey, p.ptr.addr.offset() + p.offset),
-                    }
-                }
-            })
-            .collect();
         let pending = conn.window.post(&conn.data, sends)?;
         run.phase = GroupPhase::ReadWait {
             resume,
@@ -2625,12 +2709,13 @@ impl GengarClient {
         Ok(())
     }
 
-    /// Settles a completed read flight: copies every lane out and
-    /// resolves per-op outcomes. Cache frames are validated from their
-    /// lanes ([`GengarClient::frame_is_valid`]); rejected ones fall back
-    /// to [`GengarClient::read_nvm_blocking`] in a second pass *after* all
-    /// lane copies (it reuses the lanes as scratch). The read walk then
-    /// resumes at `resume`.
+    /// Settles a completed read flight: copies every validated lane out
+    /// and resolves per-op outcomes. A rejected cache frame
+    /// ([`GengarClient::frame_is_valid`]) re-plans against NVM in the same
+    /// lane; a versioned read whose words are locked, differ, or differ
+    /// from an earlier chunk's starts over, up to `read_retries` times.
+    /// Those, further chunks and unposted plans go round again
+    /// ([`GengarClient::post_reads`]); then the walk resumes at `resume`.
     fn settle_reads(
         &mut self,
         run: &mut GroupRun,
@@ -2641,62 +2726,96 @@ impl GengarClient {
         results: &mut [Option<Result<(), GengarError>>],
     ) -> Result<(), GengarError> {
         let region = self.mr.region().clone();
+        let mut completions = completions.into_iter();
         let mut first_err: Option<GengarError> = None;
-        let mut fallbacks: Vec<&ReadPlan> = Vec::new();
-        for (p, wc) in plans.iter().zip(completions) {
+        let mut again: Vec<ReadPlan> = Vec::new();
+        let mut park = Duration::ZERO;
+        for mut p in plans {
+            let mut mine = completions.by_ref().take(p.kind.wrs());
+            let Some(first) = mine.next() else {
+                again.push(p);
+                continue;
+            };
+            // Drain the plan's completions even past a failed one, so the
+            // next plan's line up.
+            if let Some(e) = mine.fold(first.err(), |err, wc| err.or(wc.err())) {
+                first_err.get_or_insert(GengarError::Rdma(e));
+                continue;
+            }
             let buf = match &mut ops[p.idx] {
                 BatchOp::Read { buf, .. } => &mut **buf,
                 _ => unreachable!("planned from a read"),
             };
             let base = p.ptr.addr.raw();
-            // A cached plan implies a cache-worthy read.
-            let worth = p.cached.is_some() || buf.len() as u64 * 2 >= p.ptr.size;
-            match wc {
-                Err(e) => {
-                    first_err.get_or_insert(GengarError::Rdma(e));
-                    continue;
-                }
-                Ok(_) if p.cached.is_none() => {
-                    region.read(p.lane, buf)?;
-                    self.metrics.nvm_reads.inc();
-                }
-                Ok(_) if Self::frame_is_valid(&region, p.lane, p.ptr)? => {
+            let len = p.chunk();
+            match p.kind {
+                ReadKind::Cached(_) if Self::frame_is_valid(&region, p.lane, p.ptr)? => {
                     region.read(p.lane + SLOT_HEADER + p.offset, buf)?;
                     self.metrics.cache_hits.inc();
                 }
-                Ok(_) => {
+                ReadKind::Cached(_) => {
                     self.remap.remove(&base);
                     self.metrics.cache_rejects.inc();
-                    fallbacks.push(p);
+                    p.kind = self.nvm_read_kind(base);
+                    again.push(p);
                     continue;
+                }
+                ReadKind::Plain | ReadKind::Versioned => {
+                    let mut data_at = p.lane;
+                    if let ReadKind::Versioned = p.kind {
+                        let before = self.scratch_word(p.lane)?;
+                        let stable = !lockword::is_locked(before)
+                            && before == self.scratch_word(p.lane + 8 + len)?
+                            && (p.done == 0 || before == p.word);
+                        if !stable {
+                            self.metrics.read_retries.inc();
+                            (p.tries, p.done) = (p.tries + 1, 0);
+                            if p.tries >= self.config.read_retries {
+                                results[p.idx] = Some(Err(GengarError::ReadContended(p.ptr.addr)));
+                            } else {
+                                park = park.max(Backoff::park_after(p.tries));
+                                again.push(p);
+                            }
+                            continue;
+                        }
+                        (p.word, data_at) = (before, p.lane + 8);
+                    }
+                    let from = p.done as usize;
+                    region.read(data_at, &mut buf[from..from + len as usize])?;
+                    p.done += len;
+                    if p.done < p.len {
+                        again.push(p);
+                        continue;
+                    }
+                    self.metrics.nvm_reads.inc();
                 }
             }
             results[p.idx] = Some(Ok(()));
-            if worth {
-                self.record(run.server, base, false)?;
+            // Only cache-worthy reads feed the hotness monitor: promoting
+            // an object that is probed 16 bytes at a time would waste DRAM
+            // on a copy no read path would use.
+            if p.len * 2 >= p.ptr.size {
+                self.record(run.server, base, false);
             }
         }
-        for p in fallbacks {
-            let buf = match &mut ops[p.idx] {
-                BatchOp::Read { buf, .. } => &mut **buf,
-                _ => unreachable!("planned from a read"),
-            };
-            let outcome = self.read_nvm_blocking(p.ptr, p.offset, buf);
-            match Self::resolve_scalar(outcome, &mut results[p.idx]) {
-                Ok(true) => self.record(run.server, p.ptr.addr.raw(), false)?,
-                Ok(false) => {}
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
+        if let Some(e) = first_err {
+            return Err(e);
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => {
-                run.phase = GroupPhase::Reads { cursor: resume };
-                Ok(())
+        // What is unresolved goes round again — after the contention park,
+        // if a validation was lost (nothing failed, a writer is at work:
+        // no retry budget is charged).
+        run.phase = if again.is_empty() {
+            GroupPhase::Reads { cursor: resume }
+        } else {
+            GroupPhase::Throttle {
+                resume_at: Instant::now() + park,
+                next: Box::new(GroupPhase::PostReads {
+                    resume,
+                    plans: again,
+                }),
             }
-        }
+        };
+        Ok(())
     }
 
     /// Remote atomic compare-and-swap on an 8-byte-aligned word of the
@@ -2720,7 +2839,7 @@ impl GengarClient {
         // preceded execution (the fabric injects faults before the remote
         // word is touched), so a retried CAS cannot double-apply.
         let prev = loop {
-            match self.cas_attempt(ptr, offset, expected, new) {
+            match self.cas_attempt(server, ptr.addr.offset() + offset, expected, new) {
                 Ok(v) => break v,
                 Err(e) => self.recover(server, e, &mut state)?,
             }
@@ -2735,27 +2854,22 @@ impl GengarClient {
         }
     }
 
+    /// CASes the NVM word at `word_off` on `server`; returns the prior value.
     fn cas_attempt(
         &mut self,
-        ptr: GlobalPtr,
-        offset: u64,
+        server: u8,
+        word_off: u64,
         expected: u64,
         new: u64,
     ) -> Result<u64, GengarError> {
-        let op_cas = self.op_cas;
-        let mr_lkey = self.mr.lkey();
-        let region = self.mr.region().clone();
-        let server = ptr.addr.server();
         let conn = self.conn(server)?;
         conn.data.compare_swap(
-            Sge::new(mr_lkey, op_cas, 8),
-            RemoteAddr::new(conn.nvm_rkey(), ptr.addr.offset() + offset),
+            Sge::new(self.mr.lkey(), self.op_cas, 8),
+            RemoteAddr::new(conn.nvm_rkey(), word_off),
             expected,
             new,
         )?;
-        let mut prev = [0u8; 8];
-        region.read(op_cas, &mut prev)?;
-        Ok(u64::from_le_bytes(prev))
+        self.scratch_word(self.op_cas)
     }
 
     /// Remote atomics mutate NVM without persistence; anchor durability
@@ -2766,7 +2880,9 @@ impl GengarClient {
         self.flush_range(ptr.addr.add(offset), 8)?;
         self.remap.remove(&ptr.addr.raw());
         self.write_back.remove(&ptr.addr.raw());
-        self.record(server, ptr.addr.raw(), true)
+        self.record(server, ptr.addr.raw(), true);
+        self.report_if_due();
+        Ok(())
     }
 
     /// Remote atomic fetch-and-add, returning the prior value.
@@ -2797,22 +2913,17 @@ impl GengarClient {
     }
 
     fn faa_attempt(&mut self, ptr: GlobalPtr, offset: u64, add: u64) -> Result<u64, GengarError> {
-        let op_cas = self.op_cas;
-        let mr_lkey = self.mr.lkey();
-        let region = self.mr.region().clone();
-        let server = ptr.addr.server();
-        let conn = self.conn(server)?;
+        let conn = self.conn(ptr.addr.server())?;
         conn.data.fetch_add(
-            Sge::new(mr_lkey, op_cas, 8),
+            Sge::new(self.mr.lkey(), self.op_cas, 8),
             RemoteAddr::new(conn.nvm_rkey(), ptr.addr.offset() + offset),
             add,
         )?;
-        let mut prev = [0u8; 8];
-        region.read(op_cas, &mut prev)?;
-        Ok(u64::from_le_bytes(prev))
+        self.scratch_word(self.op_cas)
     }
 
-    /// Acquires the object's writer lock via remote CAS.
+    /// Acquires the object's writer lock via remote CAS, by a write's own
+    /// rule: READ the word once, then expect what each lost CAS returned.
     ///
     /// # Errors
     ///
@@ -2820,33 +2931,23 @@ impl GengarClient {
     pub fn lock(&mut self, ptr: GlobalPtr) -> Result<(), GengarError> {
         Self::check_access(ptr, 0, 0)?;
         let base = ptr.addr.raw();
-        if self.held.contains_key(&base) {
+        if let Some((_, own)) = self.held.get_mut(&base) {
+            // A lock a failed write left behind becomes the caller's.
+            *own = false;
             return Ok(());
         }
         let word_off = ptr.addr.offset() - OBJ_HEADER;
+        let mut expected = lockword::next_unlocked(self.read_lock_word(ptr)?);
         let mut backoff = Backoff::default();
         for _ in 0..self.config.lock_retries {
-            let current = self.read_lockword(ptr.addr)?;
-            if !lockword::is_locked(current) {
-                let locked = lockword::locked(current);
-                let op_cas = self.op_cas;
-                let mr_lkey = self.mr.lkey();
-                let region = self.mr.region().clone();
-                let conn = self.conn(ptr.addr.server())?;
-                conn.data.compare_swap(
-                    Sge::new(mr_lkey, op_cas, 8),
-                    RemoteAddr::new(conn.nvm_rkey(), word_off),
-                    current,
-                    locked,
-                )?;
-                let mut prev = [0u8; 8];
-                region.read(op_cas, &mut prev)?;
-                if u64::from_le_bytes(prev) == current {
-                    self.held.insert(base, locked);
-                    return Ok(());
-                }
+            let locked = lockword::locked(expected);
+            let prev = self.cas_attempt(ptr.addr.server(), word_off, expected, locked)?;
+            if prev == expected {
+                self.held.insert(base, (locked, false));
+                return Ok(());
             }
             self.metrics.lock_retries.inc();
+            expected = lockword::next_unlocked(prev);
             backoff.wait();
         }
         Err(GengarError::LockContended(ptr.addr))
@@ -2860,19 +2961,16 @@ impl GengarClient {
     /// lock.
     pub fn unlock(&mut self, ptr: GlobalPtr) -> Result<(), GengarError> {
         let base = ptr.addr.raw();
-        let locked_word = *self
+        let (locked_word, _) = *self
             .held
             .get(&base)
             .ok_or(GengarError::ProtocolViolation("unlock without lock"))?;
         let release = lockword::release(locked_word);
         let word_off = ptr.addr.offset() - OBJ_HEADER;
-        let server = ptr.addr.server();
-        let nvm_rkey = self.conn(server)?.nvm_rkey();
         // Forget the lock only once the release write landed; a failed
-        // release leaves it in `held` so a retried unlock (or the write
-        // path's auto-unlock) can release it instead of deadlocking on a
-        // lock word nobody remembers owning.
-        self.write_remote(server, nvm_rkey, word_off, &release.to_le_bytes())?;
+        // release leaves it in `held` so a retried unlock can release it
+        // instead of deadlocking on a lock word nobody remembers owning.
+        self.write_remote(ptr.addr.server(), word_off, &release.to_le_bytes())?;
         self.held.remove(&base);
         Ok(())
     }
@@ -2886,16 +2984,21 @@ impl GengarClient {
     /// Transport failures as [`GengarError::Rdma`].
     pub fn read_lock_word(&mut self, ptr: GlobalPtr) -> Result<u64, GengarError> {
         Self::check_access(ptr, 0, 0)?;
-        self.read_lockword(ptr.addr)
+        let conn = self.conn(ptr.addr.server())?;
+        conn.data.read(
+            Sge::new(self.mr.lkey(), self.op_hdr, 8),
+            RemoteAddr::new(conn.nvm_rkey(), ptr.addr.offset() - OBJ_HEADER),
+        )?;
+        self.scratch_word(self.op_hdr)
     }
 
     /// Records one access for the piggybacked hotness report.
-    fn record(&mut self, server: u8, base_raw: u64, wrote: bool) -> Result<(), GengarError> {
+    fn record(&mut self, server: u8, base_raw: u64, wrote: bool) {
         // A promoted ward serves from the replica's shadow region, which
         // has no cache plane of its own: reporting would make the replica
         // cache the ward's addresses against its *own* NVM. Skip it.
         if self.redirects.contains_key(&server) {
-            return Ok(());
+            return;
         }
         let entry = self
             .pending
@@ -2906,10 +3009,16 @@ impl GengarClient {
         entry.0 += 1;
         entry.1 |= wrote;
         self.ops_since_report += 1;
+    }
+
+    /// Sends the hotness reports once `report_every` accesses are pending:
+    /// behind a batch, never inside it (a group may hold a begun flush RPC
+    /// on the connection a report would use), and best-effort (the ops it
+    /// follows have settled; a dead connection is the next op's to recover).
+    fn report_if_due(&mut self) {
         if self.ops_since_report >= self.config.report_every {
-            self.flush_reports()?;
+            let _ = self.flush_reports();
         }
-        Ok(())
     }
 
     /// Sends pending hotness reports now and applies the piggybacked remap
@@ -3012,5 +3121,23 @@ impl GengarClient {
     /// Number of remap entries currently cached locally.
     pub fn remap_entries(&self) -> usize {
         self.remap.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `step_group` moves the phase out and back (`mem::replace`) on every
+    /// step of every op, staged writes and plain reads included, so the
+    /// phases this module adds box their payloads: the enum must not grow
+    /// past what it measured before the direct chain existed.
+    #[test]
+    fn group_phase_stays_small() {
+        assert!(
+            std::mem::size_of::<GroupPhase>() <= 168,
+            "GroupPhase grew to {} bytes",
+            std::mem::size_of::<GroupPhase>()
+        );
     }
 }

@@ -7,17 +7,17 @@
 //! 1. **Writer locks** — every object carries a lock/version word
 //!    ([`crate::layout::lockword`]) in its NVM header. Writers acquire it
 //!    with remote CAS, release it with a version bump.
-//! 2. **Seqlock reads** — readers fetch `header ‖ payload`, then re-fetch
-//!    the 8-byte header; a changed version or a set lock bit retries.
-//!    Cached copies carry their own version + checksum frame.
+//! 2. **Seqlock reads** — readers fetch `header ‖ payload ‖ header` under
+//!    one doorbell; a changed version or a set lock bit retries. Cached
+//!    copies carry their own version + checksum frame.
 //! 3. **Write-through for shared objects** — under `Consistency::Seqlock`
 //!    writes bypass the proxy ring and go straight to NVM followed by a
 //!    flush+invalidate RPC *before* the lock is released, so the next lock
 //!    holder reads the committed value. (The proxy fast path remains for
 //!    `Consistency::None`, where objects are private to one user.)
 //!
-//! The lock/read loops live in [`crate::client::GengarClient`]; this module
-//! provides the retry policy.
+//! The lock and read phases live in [`crate::client::GengarClient`]'s
+//! reactor; this module provides the retry policy.
 
 use std::time::Duration;
 
@@ -56,16 +56,30 @@ impl Backoff {
 
     /// Waits once (spin or sleep) and records the attempt.
     pub fn wait(&mut self) {
-        if self.attempt < self.spin_limit {
-            for _ in 0..(1 << self.attempt.min(10)) {
-                std::hint::spin_loop();
+        match self.sleep(self.attempt) {
+            Duration::ZERO => {
+                for _ in 0..(1 << self.attempt.min(10)) {
+                    std::hint::spin_loop();
+                }
             }
-        } else {
-            let exp = (self.attempt - self.spin_limit).min(10);
-            let sleep = Duration::from_micros(1u64 << exp).min(self.max_sleep);
-            std::thread::sleep(sleep);
+            sleep => std::thread::sleep(sleep),
         }
         self.attempt += 1;
+    }
+
+    /// How long wait number `attempt` sleeps: zero while the policy spins.
+    fn sleep(&self, attempt: u32) -> Duration {
+        match attempt.checked_sub(self.spin_limit) {
+            Some(over) => Duration::from_micros(1u64 << over.min(10)).min(self.max_sleep),
+            None => Duration::ZERO,
+        }
+    }
+
+    /// The default policy's schedule for a caller that parks instead of
+    /// blocking (the client reactor): how long to stay away after the
+    /// `tries`-th lost lock CAS or rejected seqlock read.
+    pub(crate) fn park_after(tries: u32) -> Duration {
+        Backoff::default().sleep(tries.saturating_sub(1))
     }
 
     /// Resets the policy after a success.

@@ -92,6 +92,13 @@ pub mod lockword {
     pub fn release(locked_word: u64) -> u64 {
         with_version(version(locked_word) + 1)
     }
+
+    /// The unlocked word a lock CAS should expect after observing `word`
+    /// (by READ, or as the value a lost CAS returned): `word` itself if
+    /// it is free, else what its holder will release it to.
+    pub(crate) fn next_unlocked(word: u64) -> u64 {
+        with_version(version(word) + (word & 1))
+    }
 }
 
 /// Encodes a cache-slot frame header into `out[0..32]`.

@@ -119,13 +119,22 @@ impl RpcClient {
         let mut out = Vec::with_capacity(256);
         req.encode(&mut out);
         debug_assert!(out.len() <= MAX_MSG);
-        let deadline = Instant::now() + self.timeout;
+        let now = Instant::now();
         let sent = self.post(&out);
         PendingCall {
             out,
-            deadline,
+            deadline: now + self.timeout,
+            resend_at: now + self.patience(),
             sent,
         }
+    }
+
+    /// Attempt-scale patience, mirroring RetryPolicy::attempt_timeout:
+    /// several lost responses (each costing one patience) plus the
+    /// re-sends must fit inside one deadline, and a connection that died
+    /// mid-call should be discovered in a fraction of the budget.
+    fn patience(&self) -> Duration {
+        (self.timeout / 20).clamp(Duration::from_millis(5), Duration::from_millis(500))
     }
 
     /// Second half of [`RpcClient::call`]: waits for the response,
@@ -134,33 +143,42 @@ impl RpcClient {
     /// # Errors
     ///
     /// As [`RpcClient::call`].
-    pub fn finish(&self, call: PendingCall) -> Result<Response, GengarError> {
-        let PendingCall {
-            out,
-            deadline,
-            mut sent,
-        } = call;
-        // Attempt-scale patience, mirroring RetryPolicy::attempt_timeout:
-        // several lost responses (each costing one patience) plus the
-        // re-sends must fit inside one deadline, and a connection that died
-        // mid-call should be discovered in a fraction of the budget.
-        let patience =
-            (self.timeout / 20).clamp(Duration::from_millis(5), Duration::from_millis(500));
+    pub fn finish(&self, mut call: PendingCall) -> Result<Response, GengarError> {
         loop {
-            let outcome = sent.and_then(|()| {
-                let left = deadline.saturating_duration_since(Instant::now());
-                self.ep
-                    .recv(patience.min(left.max(Duration::from_millis(1))))
-            });
-            match outcome {
-                Ok(wc) => {
-                    let mut resp_bytes = vec![0u8; wc.byte_len as usize];
-                    self.buf.region().read(IN_SLOT, &mut resp_bytes)?;
-                    return Response::decode(&resp_bytes);
-                }
-                Err(RdmaError::Timeout) if Instant::now() < deadline => sent = self.post(&out),
-                Err(e) => return Err(e.into()),
+            if let Some(resp) = self.poll(&mut call, self.patience())? {
+                return Ok(resp);
             }
+        }
+    }
+
+    /// One bounded wait for `call`'s response, for the reactor: parks on
+    /// the response CQ for at most `wait` (zero = a non-blocking look);
+    /// `None` while the response is outstanding, re-sending the request
+    /// once its patience has run out.
+    pub(crate) fn poll(
+        &self,
+        call: &mut PendingCall,
+        wait: Duration,
+    ) -> Result<Option<Response>, GengarError> {
+        let left = call.resend_at.saturating_duration_since(Instant::now());
+        match call
+            .sent
+            .clone()
+            .and_then(|()| self.ep.recv(wait.min(left)))
+        {
+            Ok(wc) => {
+                let mut resp_bytes = vec![0u8; wc.byte_len as usize];
+                self.buf.region().read(IN_SLOT, &mut resp_bytes)?;
+                Response::decode(&resp_bytes).map(Some)
+            }
+            Err(RdmaError::Timeout) if Instant::now() < call.deadline => {
+                if call.sent.is_err() || Instant::now() >= call.resend_at {
+                    call.sent = self.post(&call.out);
+                    call.resend_at = Instant::now() + self.patience();
+                }
+                Ok(None)
+            }
+            Err(e) => Err(e.into()),
         }
     }
 
@@ -191,6 +209,8 @@ impl RpcClient {
 pub struct PendingCall {
     out: Vec<u8>,
     deadline: Instant,
+    /// When an unanswered request is next re-sent.
+    resend_at: Instant,
     sent: Result<(), RdmaError>,
 }
 

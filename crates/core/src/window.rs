@@ -95,9 +95,10 @@ impl OpWindow {
     /// # Errors
     ///
     /// [`GengarError::ProtocolViolation`] if `ops` exceeds the window
-    /// depth (callers chunk); otherwise failures of the post itself.
+    /// depth (callers chunk; one seqlock read's three READs always fit);
+    /// otherwise failures of the post itself.
     pub fn post(&self, ep: &Endpoint, ops: Vec<SendOp>) -> Result<PendingOps, GengarError> {
-        if ops.len() > self.depth as usize {
+        if ops.len() > self.depth.max(3) as usize {
             return Err(GengarError::ProtocolViolation(
                 "doorbell batch exceeds window depth",
             ));

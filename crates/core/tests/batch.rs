@@ -1,6 +1,7 @@
 //! End-to-end tests of the vectored `OpBatch` API: mixed batches,
 //! per-op results and partial completion, scalar-atomic interleaving, the
-//! cached-read window path, multi-server fan-out and seqlock batches.
+//! cached-read window path, multi-server fan-out, and the seqlock and
+//! chunk phases (lock overlap, torn-read freedom, contention, oversize).
 
 use std::time::{Duration, Instant};
 
@@ -246,30 +247,238 @@ fn batched_reads_use_the_cache_once_hot() {
     }
 }
 
+/// One `Consistency::Seqlock` write and one read per server, as one batch.
+/// Returns how long the batch took.
+fn seqlock_round(client: &mut GengarClient, ptrs: &[GlobalPtr], fill: u8) -> Duration {
+    let payload = [fill; 64];
+    let mut bufs = vec![[0u8; 64]; ptrs.len()];
+    let mut batch = client.batch();
+    for (ptr, buf) in ptrs.iter().zip(bufs.iter_mut()) {
+        batch = batch.write(*ptr, 0, &payload).read(*ptr, 0, buf);
+    }
+    let started = Instant::now();
+    let result = batch.submit().unwrap();
+    let took = started.elapsed();
+    assert!(result.all_ok(), "{:?}", result.results());
+    for buf in &bufs {
+        assert!(buf.iter().all(|&x| x == fill), "read missed the write");
+    }
+    took
+}
+
 #[test]
-fn seqlock_batches_take_the_locked_scalar_path() {
-    let cluster = small_cluster();
+fn seqlock_batches_overlap_their_locks_across_servers() {
+    const SERVERS: u8 = 4;
+    let cluster = Cluster::launch(
+        SERVERS as usize,
+        ServerConfig::small(),
+        FabricConfig::instant(),
+    )
+    .unwrap();
     let mut client = cluster
         .client(ClientConfig {
             consistency: Consistency::Seqlock,
+            report_every: u32::MAX,
             ..Default::default()
         })
         .unwrap();
-    let a = client.alloc(0, 64).unwrap();
-    let b = client.alloc(0, 64).unwrap();
-    let mut got = [0u8; 64];
-    let result = client
-        .batch()
-        .write(a, 0, &[4u8; 64])
-        .write(b, 0, &[5u8; 64])
-        .read(a, 0, &mut got)
-        .submit()
-        .unwrap();
-    assert!(result.all_ok(), "{:?}", result.results());
-    assert!(got.iter().all(|&x| x == 4));
+    let ptrs: Vec<GlobalPtr> = (0..SERVERS).map(|s| client.alloc(s, 64).unwrap()).collect();
+    // 300 us each way makes every step of the locked write-through (lock
+    // READ, CAS, WRITE, flush RPC, unlock) a round trip the host cannot
+    // hide: a server's write + read is about seven of them.
+    for s in 0..SERVERS {
+        cluster.fabric().set_extra_delay_ns(
+            client.node().id(),
+            cluster.server(s).unwrap().node().id(),
+            300_000,
+        );
+    }
+    let alone: Duration = ptrs
+        .iter()
+        .map(|ptr| seqlock_round(&mut client, std::slice::from_ref(ptr), 1))
+        .sum();
+    let together = seqlock_round(&mut client, &ptrs, 2);
+    // Run back to back the four groups cost the sum; overlapped, about one
+    // server's share of it.
+    assert!(
+        together < alone / 2,
+        "four servers took {together:?} together, {alone:?} one at a time"
+    );
     // Seqlock writes go through the direct (write-through) path.
-    assert_eq!(client.stats().direct_writes, 2);
-    assert_eq!(client.stats().staged_writes, 0);
+    let stats = client.stats();
+    assert_eq!(stats.direct_writes, 2 * u64::from(SERVERS), "{stats:?}");
+    assert_eq!(stats.staged_writes, 0, "{stats:?}");
+    assert_eq!(stats.lock_retries + stats.read_retries, 0, "{stats:?}");
+}
+
+/// Hotness reports are RPCs on the connections whose groups may be
+/// awaiting a flush RPC: they must ride behind the batch, not inside it,
+/// or a report's response and a flush's are taken for one another.
+#[test]
+fn reports_never_cross_a_flush_in_flight() {
+    const SERVERS: u8 = 4;
+    let cluster = Cluster::launch(
+        SERVERS as usize,
+        ServerConfig::small(),
+        FabricConfig::instant(),
+    )
+    .unwrap();
+    let mut client = cluster
+        .client(ClientConfig {
+            consistency: Consistency::Seqlock,
+            report_every: 3,
+            ..Default::default()
+        })
+        .unwrap();
+    let ptrs: Vec<GlobalPtr> = (0..SERVERS).map(|s| client.alloc(s, 64).unwrap()).collect();
+    let started = Instant::now();
+    for round in 0..200u8 {
+        seqlock_round(&mut client, &ptrs, round);
+    }
+    // A response dropped as stale costs the flush its 100 ms patience.
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "{:?}",
+        started.elapsed()
+    );
+    assert!(client.stats().reports > 200, "{:?}", client.stats());
+}
+
+/// A writer republishes a 16 KiB object of one repeated sequence word while
+/// a reader reads it whole on the planned (versioned) path: a validated
+/// read is never torn and never older than the last acknowledged write.
+#[test]
+fn seqlock_reads_are_never_torn_or_stale_under_a_writer() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    const WORDS: usize = 2048;
+    const WRITES: u64 = 400;
+    let cluster = std::sync::Arc::new(small_cluster());
+    let seqlock = ClientConfig {
+        consistency: Consistency::Seqlock,
+        report_every: u32::MAX,
+        read_retries: 64,
+        ..Default::default()
+    };
+    let mut reader = cluster.client(seqlock.clone()).unwrap();
+    let ptr = reader.alloc(0, (WORDS * 8) as u64).unwrap();
+    reader.write(ptr, 0, &[0u8; WORDS * 8]).unwrap();
+    let acked = std::sync::Arc::new(AtomicU64::new(0));
+    let done = std::sync::Arc::new(AtomicBool::new(false));
+    let writer = {
+        let (cluster, acked, done) = (cluster.clone(), acked.clone(), done.clone());
+        std::thread::spawn(move || {
+            let mut writer = cluster.client(seqlock).unwrap();
+            for seq in 1..=WRITES {
+                let payload: Vec<u8> = seq.to_le_bytes().repeat(WORDS);
+                writer.write(ptr, 0, &payload).unwrap();
+                acked.store(seq, Ordering::SeqCst);
+            }
+            done.store(true, Ordering::SeqCst);
+            writer.stats()
+        })
+    };
+    let mut buf = vec![0u8; WORDS * 8];
+    let (mut reads, mut contended) = (0u64, 0u64);
+    while !done.load(Ordering::SeqCst) {
+        let floor = acked.load(Ordering::SeqCst);
+        match reader.read(ptr, 0, &mut buf) {
+            Ok(()) => {
+                let first = u64::from_le_bytes(buf[..8].try_into().unwrap());
+                assert!(
+                    buf.chunks_exact(8).all(|w| w == &buf[..8]),
+                    "torn read around sequence {first}"
+                );
+                assert!(
+                    first >= floor,
+                    "read {first} after {floor} was acknowledged"
+                );
+                reads += 1;
+            }
+            Err(GengarError::ReadContended(_)) => contended += 1,
+            Err(e) => panic!("read failed: {e}"),
+        }
+    }
+    let writer_stats = writer.join().unwrap();
+    assert_eq!(writer_stats.direct_writes, WRITES, "{writer_stats:?}");
+    assert_eq!(writer_stats.lock_retries, 0, "nobody else locks");
+    let stats = reader.stats();
+    assert!(
+        reads > 0,
+        "the reader never got a validated read: {stats:?}"
+    );
+    // Every retry belongs to a read, and no read takes more than its budget.
+    assert!(stats.read_retries <= 64 * (reads + contended), "{stats:?}");
+    assert_eq!(stats.nvm_reads, reads, "{stats:?}");
+}
+
+#[test]
+fn seqlock_read_gives_up_when_the_lock_outlasts_its_retries() {
+    let cluster = small_cluster();
+    let seqlock = ClientConfig {
+        consistency: Consistency::Seqlock,
+        read_retries: 5,
+        ..Default::default()
+    };
+    let mut holder = cluster.client(seqlock.clone()).unwrap();
+    let mut reader = cluster.client(seqlock).unwrap();
+    let ptr = holder.alloc(0, 64).unwrap();
+    holder.write(ptr, 0, &[9u8; 64]).unwrap();
+    holder.lock(ptr).unwrap();
+    let mut buf = [0u8; 64];
+    let err = reader.read(ptr, 0, &mut buf).unwrap_err();
+    assert!(matches!(err, GengarError::ReadContended(_)), "got {err:?}");
+    assert_eq!(reader.stats().read_retries, 5);
+    // The holder itself reads plainly under its own lock.
+    holder.read(ptr, 0, &mut buf).unwrap();
+    holder.unlock(ptr).unwrap();
+    reader.read(ptr, 0, &mut buf).unwrap();
+    assert!(buf.iter().all(|&x| x == 9));
+}
+
+/// Objects larger than the op area go through the chunk phases: the direct
+/// write chain's chunk cursor and the read plan that re-posts per chunk,
+/// plain under `Consistency::None` and versioned per chunk under `Seqlock`.
+#[test]
+fn oversize_ops_round_trip_through_the_chunk_phases() {
+    const LEN: usize = 300 << 10;
+    let cluster = small_cluster();
+    // One 4 KiB staging slot (+ watermark pads), two control words and an
+    // op area of ~96 KiB: a 300 KiB object is three chunks and a remainder.
+    let scratch = gengar_core::rpc::RPC_BUF_BYTES + (4 << 10) + 16 + 64 + (96 << 10);
+    let pattern =
+        |salt: usize| -> Vec<u8> { (0..LEN).map(|i| ((i * 31 + salt) % 251) as u8).collect() };
+    for (consistency, salt) in [(Consistency::None, 1), (Consistency::Seqlock, 2)] {
+        let mut client = cluster
+            .client(ClientConfig {
+                consistency,
+                scratch_capacity: scratch,
+                ..Default::default()
+            })
+            .unwrap();
+        let ptr = client.alloc(0, LEN as u64).unwrap();
+        let small = client.alloc(0, 64).unwrap();
+        let data = pattern(salt);
+        let (mut big, mut little) = (vec![0u8; LEN], [0u8; 64]);
+        // The small neighbours share the batch: they must not be planned
+        // into the op area while a chunked op owns it.
+        let result = client
+            .batch()
+            .write(small, 0, &[salt as u8; 64])
+            .write(ptr, 0, &data)
+            .read(small, 0, &mut little)
+            .read(ptr, 0, &mut big)
+            .submit()
+            .unwrap();
+        assert!(result.all_ok(), "{consistency:?}: {:?}", result.results());
+        assert!(big == data, "{consistency:?}: chunked read-back differs");
+        assert!(little.iter().all(|&x| x == salt as u8));
+        // An unaligned interior range crosses a chunk boundary too.
+        let mut mid = vec![0u8; 150 << 10];
+        client.read(ptr, 12_345, &mut mid).unwrap();
+        assert!(mid == data[12_345..12_345 + mid.len()], "{consistency:?}");
+        let stats = client.stats();
+        assert_eq!(stats.read_retries + stats.lock_retries, 0, "{stats:?}");
+    }
 }
 
 #[test]

@@ -5,10 +5,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gengar_core::cluster::Cluster;
-use gengar_core::config::{ClientConfig, ServerConfig};
+use gengar_core::config::{ClientConfig, Consistency, ServerConfig};
 use gengar_core::layout::{encode_record_header, RECORD_HEADER};
 use gengar_core::GengarError;
-use gengar_rdma::FabricConfig;
+use gengar_rdma::{FabricConfig, FaultPlane};
 
 fn crash_cluster() -> Cluster {
     let mut config = ServerConfig::small();
@@ -255,6 +255,43 @@ fn rnr_on_stalled_proxy_is_survivable() {
     let mut buf = [0u8; 64];
     client.read(ptr, 0, &mut buf).unwrap();
     assert!(buf.iter().all(|&b| b == 99));
+}
+
+/// The data WRITE of a `Consistency::Seqlock` write dies with its queue
+/// pair while the write holds the object's lock. The replay after the
+/// reconnect must still release the lock it took in the failed attempt:
+/// the write returns `Ok`, so nobody is left to unlock it.
+#[test]
+fn retried_seqlock_write_releases_the_lock_it_took() {
+    let plane = Arc::new(FaultPlane::new(11));
+    let mut fabric = FabricConfig::instant();
+    fabric.faults = Some(Arc::clone(&plane));
+    let cluster = Cluster::launch(1, ServerConfig::small(), fabric).unwrap();
+    let seqlock = ClientConfig {
+        consistency: Consistency::Seqlock,
+        lock_retries: 50,
+        ..Default::default()
+    };
+    let mut first = cluster.client(seqlock.clone()).unwrap();
+    let mut second = cluster.client(seqlock).unwrap();
+    let ptr = first.alloc(0, 64).unwrap();
+    first.write(ptr, 0, &[1u8; 64]).unwrap();
+
+    // Armed only now: the next plain WRITE on the fabric is the payload of
+    // the locked write-through (lock READ and CAS come first, untouched).
+    plane.parse("err:verb=write,imm=0,at=1").unwrap();
+    first.write(ptr, 0, &[2u8; 64]).unwrap();
+    assert_eq!(first.stats().reconnects, 1, "the WRITE must have failed");
+
+    second.lock(ptr).expect("the object was left locked");
+    let mut buf = [0u8; 64];
+    second.read(ptr, 0, &mut buf).unwrap();
+    assert!(buf.iter().all(|&b| b == 2), "replayed write lost: {buf:?}");
+    second.unlock(ptr).unwrap();
+    // And the first client holds nothing it would skip locking for.
+    first.write(ptr, 0, &[3u8; 64]).unwrap();
+    second.read(ptr, 0, &mut buf).unwrap();
+    assert!(buf.iter().all(|&b| b == 3));
 }
 
 #[test]

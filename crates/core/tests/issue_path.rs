@@ -1,7 +1,7 @@
 //! End-to-end tests of what rides the reactor's windows: same-object
 //! writes under the one-write-per-object window rule, cache-frame reads
-//! under `Consistency::Seqlock`, and reads whose store-buffer entry has
-//! drained.
+//! and the one-doorbell NVM triple under `Consistency::Seqlock`, and reads
+//! whose store-buffer entry has drained.
 //!
 //! Doorbell accounting comes from the process-global metrics registry, so
 //! every test here serialises on [`REGISTRY_LOCK`] and asserts exact
@@ -22,11 +22,12 @@ fn registry_guard() -> MutexGuard<'static, ()> {
     REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+fn counter(name: &str) -> u64 {
+    Registry::global().snapshot().counter(name).unwrap_or(0)
+}
+
 fn doorbells_saved() -> u64 {
-    Registry::global()
-        .snapshot()
-        .counter("rdma.doorbells_saved")
-        .unwrap_or(0)
+    counter("rdma.doorbells_saved")
 }
 
 /// Reads every object whole in one batch and returns what the batch added
@@ -182,4 +183,31 @@ fn reads_behind_a_drained_store_buffer_entry_share_the_window() {
     assert_eq!(saved, 2, "three reads, one doorbell");
     assert!(bufs[1][..32].iter().all(|&b| b == 7) && bufs[1][32..].iter().all(|&b| b == 1));
     assert!(bufs[0].iter().chain(&bufs[2]).all(|&b| b == 1));
+}
+
+/// A non-cached read under `Consistency::Seqlock` is the version/data/
+/// version triple under one doorbell: three READ verbs, one round trip.
+#[test]
+fn seqlock_nvm_read_is_three_reads_under_one_doorbell() {
+    let _guard = registry_guard();
+    let cluster = Cluster::launch(1, ServerConfig::small(), FabricConfig::instant()).unwrap();
+    let mut client = cluster
+        .client(ClientConfig {
+            report_every: u32::MAX,
+            consistency: Consistency::Seqlock,
+            ..Default::default()
+        })
+        .unwrap();
+    let ptr = client.alloc(0, 64).unwrap();
+    client.write(ptr, 0, &[6u8; 64]).unwrap();
+
+    let before = ["rdma.doorbells", "rdma.read_ops", "rdma.batched_ops"].map(counter);
+    let mut buf = [0u8; 64];
+    client.read(ptr, 0, &mut buf).unwrap();
+    let after = ["rdma.doorbells", "rdma.read_ops", "rdma.batched_ops"].map(counter);
+    assert!(buf.iter().all(|&b| b == 6));
+    let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+    assert_eq!(delta, [1, 3, 3], "doorbells, READ verbs, WRs posted");
+    let stats = client.stats();
+    assert_eq!((stats.nvm_reads, stats.read_retries), (1, 0), "{stats:?}");
 }
