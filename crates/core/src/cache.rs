@@ -87,12 +87,6 @@ pub struct CachePolicy {
     /// Sample 1-in-N reported accesses into the frequency sketch (1 =
     /// exact). Sampled adds are weighted by N so scores stay comparable.
     pub sample_every: u32,
-    /// Count-min sketch width (counters per row).
-    pub sketch_width: usize,
-    /// Count-min sketch depth (rows).
-    pub sketch_depth: usize,
-    /// Max distinct addresses tracked per epoch fold.
-    pub max_candidates: usize,
 }
 
 impl Default for CachePolicy {
@@ -106,9 +100,6 @@ impl Default for CachePolicy {
             hot_threshold: 4,
             cacheable_max: 64 << 10,
             sample_every: 1,
-            sketch_width: 4096,
-            sketch_depth: 4,
-            max_candidates: 1 << 16,
         }
     }
 }
@@ -167,13 +158,6 @@ impl CachePolicy {
     #[must_use]
     pub fn cacheable_max(mut self, bytes: u64) -> Self {
         self.cacheable_max = bytes;
-        self
-    }
-
-    /// Sets the 1-in-N access sampling rate for the frequency sketch.
-    #[must_use]
-    pub fn sample_every(mut self, n: u32) -> Self {
-        self.sample_every = n.max(1);
         self
     }
 }
@@ -1027,15 +1011,13 @@ mod tests {
             .ghost_entries(7)
             .demotion(true)
             .hot_threshold(9)
-            .cacheable_max(456)
-            .sample_every(3);
+            .cacheable_max(456);
         assert_eq!(p.capacity, 123);
         assert_eq!(p.admission, AdmissionMode::ScoreOnly);
         assert_eq!(p.ghost_entries, 7);
         assert!(p.demotion);
         assert_eq!(p.hot_threshold, 9);
         assert_eq!(p.cacheable_max, 456);
-        assert_eq!(p.sample_every, 3);
         assert!(!CachePolicy::disabled().enabled);
         assert_eq!(CachePolicy::new(), CachePolicy::default());
     }

@@ -35,7 +35,7 @@ use crate::layout::{decode_slot_header, lockword, OBJ_HEADER, SLOT_HEADER, SLOT_
 use crate::proto::{error_for_code, MountInfo, Request, Response, MAX_REPORT, NO_BACKUP};
 use crate::proxy::{MirrorLane, StagedFlight, StagingWriter};
 use crate::qos::TenantState;
-use crate::retry::{classify, Disposition, RetryPolicy, RetryState};
+use crate::retry::{attempt_timeout, classify, Disposition, RetryState};
 use crate::rpc::{PendingCall, RpcClient, RPC_BUF_BYTES};
 use crate::server::MemoryServer;
 use crate::window::OpWindow;
@@ -472,8 +472,6 @@ pub struct GengarClient {
     /// Counter that amortises drained-watermark refreshes on the
     /// store-buffer read path.
     wb_checks: u32,
-    /// Fault-recovery pacing derived from the configuration.
-    policy: RetryPolicy,
     /// Per-operation jitter salt (monotonic; deterministic per client).
     op_salt: u64,
     /// The tenant's shared QoS state when the pool runs with a QoS plane:
@@ -508,7 +506,6 @@ impl GengarClient {
         )?);
         let mr = pd.reg_mr(MemRegion::whole(Arc::clone(&scratch_dev)), Access::all())?;
 
-        let policy = RetryPolicy::from_config(&config);
         let mut bump: u64 = 0;
         let mut conns = Vec::new();
         let mut server_index = HashMap::new();
@@ -526,7 +523,8 @@ impl GengarClient {
             // is retried until the deadline, not surfaced on first loss.
             // The scratch reservation sticks across attempts (the closure
             // is idempotent), so retries don't leak bump space.
-            let mut state = policy.start(u64::from(node.id().0) << 32 | conns.len() as u64);
+            let mut state =
+                RetryState::start(&config, u64::from(node.id().0) << 32 | conns.len() as u64);
             let hs = loop {
                 let result = Self::handshake(
                     server,
@@ -544,12 +542,11 @@ impl GengarClient {
                         }
                     },
                     &config,
-                    &policy,
                 );
                 match result {
                     Ok(hs) => break hs,
                     Err(e) if classify(&e) == Disposition::Fatal => return Err(e),
-                    Err(e) => state.charge(&policy, e)?,
+                    Err(e) => state.charge(e)?,
                 }
             };
             server_index.insert(hs.mount.server_id, conns.len());
@@ -622,7 +619,6 @@ impl GengarClient {
             op_cas,
             op_hdr,
             wb_checks: 0,
-            policy,
             tenant,
             metrics: ClientMetrics::new(config.telemetry),
             config,
@@ -658,7 +654,9 @@ impl GengarClient {
         };
         let srv = Arc::clone(&self.servers[bidx]);
         let mut channel = srv.accept_mirror(&self.node, &self.pd, primary)?;
-        channel.proxy.set_op_timeout(self.policy.attempt_timeout());
+        channel
+            .proxy
+            .set_op_timeout(attempt_timeout(self.config.op_deadline));
         let lane = MirrorLane {
             ep: channel.proxy,
             staging_rkey: RKey(self.conns[bidx].mount.staging_rkey),
@@ -684,7 +682,6 @@ impl GengarClient {
     /// allocator, `reconnect` returns the connection's existing
     /// reservation (the ring geometry is a server-config constant, so the
     /// size never changes across reconnects).
-    #[allow(clippy::too_many_arguments)]
     fn handshake(
         server: &Arc<MemoryServer>,
         node: &Arc<RdmaNode>,
@@ -693,7 +690,6 @@ impl GengarClient {
         rpc_mr: Arc<MemoryRegion>,
         alloc_scratch: &mut dyn FnMut(u64) -> u64,
         config: &ClientConfig,
-        policy: &RetryPolicy,
     ) -> Result<Handshake, GengarError> {
         let channel = server.accept(node, pd)?;
         let cid = channel.cid;
@@ -701,7 +697,7 @@ impl GengarClient {
         // a fault) never staged anything under this id, so hand it straight
         // back — otherwise every failed re-dial through a partition would
         // burn a slot of `max_clients` forever.
-        Self::finish_handshake(channel, scratch_mr, rpc_mr, alloc_scratch, config, policy)
+        Self::finish_handshake(channel, scratch_mr, rpc_mr, alloc_scratch, config)
             .inspect_err(|_| server.release_client(cid))
     }
 
@@ -713,12 +709,11 @@ impl GengarClient {
         rpc_mr: Arc<MemoryRegion>,
         alloc_scratch: &mut dyn FnMut(u64) -> u64,
         config: &ClientConfig,
-        policy: &RetryPolicy,
     ) -> Result<Handshake, GengarError> {
         let cid = channel.cid;
         // Verbs must give up well inside the operation deadline so the
         // retry loop gets several attempts (and a reconnect) per budget.
-        let attempt = policy.attempt_timeout();
+        let attempt = attempt_timeout(config.op_deadline);
         channel.rpc.set_op_timeout(attempt);
         channel.data.set_op_timeout(attempt);
         channel.proxy.set_op_timeout(attempt);
@@ -833,7 +828,7 @@ impl GengarClient {
     /// Starts the recovery state for one operation.
     fn retry_state(&mut self) -> RetryState {
         self.op_salt = self.op_salt.wrapping_add(1);
-        self.policy.start(self.op_salt)
+        RetryState::start(&self.config, self.op_salt)
     }
 
     /// The recovery policy, in exactly one place: decides what one failed
@@ -849,7 +844,6 @@ impl GengarClient {
         err: GengarError,
         state: &mut RetryState,
     ) -> Result<(Instant, bool), GengarError> {
-        let policy = self.policy;
         let recorder = gengar_telemetry::FlightRecorder::global();
         match classify(&err) {
             Disposition::Fatal => {
@@ -860,12 +854,12 @@ impl GengarClient {
             }
             Disposition::Retry => {
                 self.metrics.retries.inc();
-                Ok((state.charge_deferred(&policy, err)?, false))
+                Ok((state.charge_deferred(err)?, false))
             }
             Disposition::Reconnect => {
                 recorder.trigger("client-reconnect");
                 self.metrics.retries.inc();
-                match state.charge_deferred(&policy, err) {
+                match state.charge_deferred(err) {
                     Ok(at) => Ok((at, true)),
                     // Reconnect budget exhausted: the server is as good as
                     // gone. One failover to its replica is the last resort
@@ -948,7 +942,6 @@ impl GengarClient {
             .as_ref()
             .and_then(|st| st.mirror_client_id())
             .map(|cid| (self.conns[idx].mount.backup, cid));
-        let policy = self.policy;
         let hs = Self::handshake(
             &srv,
             &self.node,
@@ -959,7 +952,6 @@ impl GengarClient {
             // scratch reservation fits the new ring exactly.
             &mut |_need| scratch_off.expect("proxy mount implies a scratch reservation"),
             &self.config,
-            &policy,
         )?;
 
         // Ask the new connection how far the old ring durably drained, so
@@ -1099,7 +1091,7 @@ impl GengarClient {
         let srv = Arc::clone(&self.servers[bidx]);
         let mut channel = srv.accept(&self.node, &self.pd)?;
         let cid = channel.cid;
-        let attempt = self.policy.attempt_timeout();
+        let attempt = attempt_timeout(self.config.op_deadline);
         channel.rpc.set_op_timeout(attempt);
         channel.data.set_op_timeout(attempt);
         let rpc = RpcClient::with_deadline(
@@ -1814,7 +1806,7 @@ impl GengarClient {
                                 );
                             } else {
                                 let (last_seen, stall_deadline) = if drained > last_seen {
-                                    (drained, now + self.policy.attempt_timeout())
+                                    (drained, now + attempt_timeout(self.config.op_deadline))
                                 } else {
                                     (last_seen, stall_deadline)
                                 };
@@ -2417,7 +2409,7 @@ impl GengarClient {
                 next_poll: now,
                 sleep_us: 5,
                 last_seen: drained,
-                stall_deadline: now + self.policy.attempt_timeout(),
+                stall_deadline: now + attempt_timeout(self.config.op_deadline),
             };
             return Ok(());
         }
@@ -3028,6 +3020,10 @@ impl GengarClient {
     ///
     /// Transport failures as [`GengarError::Rdma`].
     pub fn flush_reports(&mut self) -> Result<(), GengarError> {
+        /// Remap entries kept at most: a frame for every 512 bytes of one
+        /// server's default 32 MiB cache. The cap only bounds the map's
+        /// growth; past it, new remaps are skipped, not evicted.
+        const REMAP_ENTRIES: usize = 65_536;
         self.ops_since_report = 0;
         let mut queues: Vec<(u8, Vec<AccessEntry>)> = std::mem::take(&mut self.pending)
             .into_iter()
@@ -3058,7 +3054,7 @@ impl GengarClient {
                             if r.cache_addr == 0 {
                                 self.remap.remove(&r.addr);
                             } else {
-                                if self.remap.len() >= self.config.remap_cache_entries
+                                if self.remap.len() >= REMAP_ENTRIES
                                     && !self.remap.contains_key(&r.addr)
                                 {
                                     continue;

@@ -49,7 +49,8 @@ impl Default for ReplicationConfig {
 /// Live health & SLO plane: windowed sampling, per-component state
 /// machines with hysteresis, and burn-rate alerts that arm the flight
 /// recorder. Disabled by default: no sampler thread runs and `Inspect`
-/// serves a minimal "unknown" document.
+/// serves a minimal "unknown" document. Thresholds, hysteresis and SLO
+/// targets are constants beside their reader in [`crate::health`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HealthConfig {
     /// Run the health plane (sampler + evaluation tick).
@@ -57,20 +58,6 @@ pub struct HealthConfig {
     /// Sampling/evaluation interval: each tick closes one window and
     /// re-evaluates every component state machine.
     pub tick: Duration,
-    /// Windows retained in the ring (the live history `Inspect` serves).
-    pub window_ring: usize,
-    /// Consecutive ticks a signal must sit above a threshold before the
-    /// component escalates (suppresses single-tick blips).
-    pub escalate_after: u32,
-    /// Consecutive clean ticks before a component steps back down one
-    /// level (longer than `escalate_after` so recovery doesn't flap).
-    pub recover_after: u32,
-    /// Signal thresholds for the component state machines.
-    #[serde(default)]
-    pub thresholds: HealthThresholds,
-    /// Service-level objectives evaluated every tick.
-    #[serde(default)]
-    pub slo: SloConfig,
 }
 
 impl Default for HealthConfig {
@@ -78,97 +65,16 @@ impl Default for HealthConfig {
         HealthConfig {
             enabled: false,
             tick: Duration::from_millis(100),
-            window_ring: 60,
-            escalate_after: 2,
-            recover_after: 3,
-            thresholds: HealthThresholds::default(),
-            slo: SloConfig::default(),
         }
     }
 }
 
 impl HealthConfig {
-    /// An enabled plane with the default cadence and thresholds.
+    /// An enabled plane with the default cadence.
     pub fn enabled() -> Self {
         HealthConfig {
             enabled: true,
             ..Default::default()
-        }
-    }
-}
-
-/// Per-component `Degraded`/`Critical` thresholds on windowed signals.
-/// Rates are events per second over the window; levels are raw gauge
-/// readings at window close.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HealthThresholds {
-    /// Proxy ring-full waits per second: clients blocking on ring space.
-    pub ring_wait_degraded: f64,
-    /// Ring-full waits per second at which the ring is critical.
-    pub ring_wait_critical: f64,
-    /// Drain backlog (staged-not-yet-drained records) marking pressure.
-    pub backlog_degraded: i64,
-    /// Drain backlog at which the drain plane is critical.
-    pub backlog_critical: i64,
-    /// Mirror-lane lag (records staged ahead of the mirror drain).
-    pub mirror_lag_degraded: i64,
-    /// Mirror-lane lag at which replication is critical.
-    pub mirror_lag_critical: i64,
-    /// Tenant throttle events per second (QoS plane pushing back).
-    pub throttle_degraded: f64,
-    /// Throttle events per second at which the QoS plane is critical.
-    pub throttle_critical: f64,
-    /// Client fault-recovery retries + reconnects per second.
-    pub retry_degraded: f64,
-    /// Retry/reconnect rate marking a client storm as critical.
-    pub retry_critical: f64,
-}
-
-impl Default for HealthThresholds {
-    fn default() -> Self {
-        HealthThresholds {
-            ring_wait_degraded: 100.0,
-            ring_wait_critical: 10_000.0,
-            backlog_degraded: 4_096,
-            backlog_critical: 65_536,
-            mirror_lag_degraded: 1_024,
-            mirror_lag_critical: 16_384,
-            throttle_degraded: 1_000.0,
-            throttle_critical: 100_000.0,
-            retry_degraded: 50.0,
-            retry_critical: 5_000.0,
-        }
-    }
-}
-
-/// Service-level objectives. Each is evaluated per window as a burn rate —
-/// how fast the error budget is being consumed relative to plan — and a
-/// sustained burn above `burn_alert` arms the flight recorder so the
-/// incident's causal trace is captured while it is still happening.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SloConfig {
-    /// Target 99th-percentile op latency (reads and writes pooled).
-    pub op_p99: Duration,
-    /// Fraction of ops allowed to miss the latency target (the budget the
-    /// burn rate is measured against).
-    pub error_budget: f64,
-    /// Allowed fault-recovery retries per op (error-rate objective).
-    pub max_error_rate: f64,
-    /// Allowed mirror-lane lag, in staged records (replication objective).
-    pub max_replication_lag: i64,
-    /// Burn-rate multiple that fires the alert (1.0 = consuming budget
-    /// exactly as planned; 2.0 = twice as fast).
-    pub burn_alert: f64,
-}
-
-impl Default for SloConfig {
-    fn default() -> Self {
-        SloConfig {
-            op_p99: Duration::from_millis(10),
-            error_budget: 0.01,
-            max_error_rate: 0.01,
-            max_replication_lag: 16_384,
-            burn_alert: 2.0,
         }
     }
 }
@@ -197,8 +103,6 @@ pub struct ServerConfig {
     pub nvm_profile: DeviceProfile,
     /// Timing profile of the DRAM devices (cache, control, messages).
     pub dram_profile: DeviceProfile,
-    /// Timing profile of the staging device (must be durable on write).
-    pub staging_profile: DeviceProfile,
     /// Track durable images so crashes can be simulated (costs memory).
     pub crash_sim: bool,
     /// Proxy drain threads. Rings are assigned to threads by client id, so
@@ -233,7 +137,6 @@ impl Default for ServerConfig {
             max_object: 16 << 20,
             nvm_profile: DeviceProfile::optane(),
             dram_profile: DeviceProfile::dram(),
-            staging_profile: DeviceProfile::adr_dram(),
             crash_sim: false,
             proxy_threads: 2,
             telemetry: TelemetryConfig::default(),
@@ -246,11 +149,9 @@ impl Default for ServerConfig {
 
 impl ServerConfig {
     /// A small configuration for unit tests (few MiB, fast epochs,
-    /// zero-latency devices).
+    /// zero-latency NVM and DRAM).
     pub fn small() -> Self {
-        use gengar_hybridmem::{MemKind, PersistenceMode};
-        let mut staging = DeviceProfile::instant(MemKind::Dram);
-        staging.persistence = PersistenceMode::Adr;
+        use gengar_hybridmem::MemKind;
         ServerConfig {
             nvm_capacity: 8 << 20,
             staging_ring_capacity: 64 << 10,
@@ -263,7 +164,6 @@ impl ServerConfig {
             max_object: 1 << 20,
             nvm_profile: DeviceProfile::instant(MemKind::Nvm),
             dram_profile: DeviceProfile::instant(MemKind::Dram),
-            staging_profile: staging,
             ..Default::default()
         }
     }
@@ -292,17 +192,11 @@ pub struct ClientConfig {
     pub read_retries: u32,
     /// Retries for lock acquisition before giving up.
     pub lock_retries: u32,
-    /// Remember at most this many remote-cache remap entries.
-    pub remap_cache_entries: usize,
     /// Overall deadline for one client operation, spanning every retry,
     /// backoff sleep and reconnect attempt. Also the default RPC deadline.
     pub op_deadline: Duration,
     /// Maximum fault-recovery retries per operation (backoff attempts).
     pub max_retries: u32,
-    /// First backoff sleep after a retryable fault; doubles per attempt.
-    pub retry_backoff: Duration,
-    /// Ceiling for the exponential backoff between retries.
-    pub retry_backoff_max: Duration,
     /// After this many consecutive staged-write failures on one server the
     /// client degrades that connection to the direct NVM write path until
     /// the next successful reconnect.
@@ -338,11 +232,8 @@ impl Default for ClientConfig {
             report_every: 64,
             read_retries: 16,
             lock_retries: 10_000,
-            remap_cache_entries: 65_536,
             op_deadline: Duration::from_secs(2),
             max_retries: 64,
-            retry_backoff: Duration::from_micros(50),
-            retry_backoff_max: Duration::from_millis(5),
             staging_fault_threshold: 3,
             window_depth: 16,
             telemetry: TelemetryConfig::default(),
@@ -369,7 +260,6 @@ mod tests {
         assert!(c.report_every > 0);
         assert!(c.scratch_capacity >= 1 << 20);
         assert!(c.op_deadline >= Duration::from_millis(100));
-        assert!(c.retry_backoff <= c.retry_backoff_max);
         assert!(c.max_retries > 0 && c.staging_fault_threshold > 0);
         assert!(c.window_depth >= 1);
         assert_eq!(c.tenant, "default");
@@ -377,21 +267,7 @@ mod tests {
         assert!(!s.replication.enabled, "replication must be opt-in");
         assert!(s.replication.rebalance_interval > Duration::ZERO);
         assert!(!s.health.enabled, "health plane must be opt-in");
-        assert!(s.health.tick > Duration::ZERO && s.health.window_ring > 0);
-        assert!(
-            s.health.recover_after >= s.health.escalate_after,
-            "recovery must be at least as slow as escalation or states flap"
-        );
-        let t = &s.health.thresholds;
-        assert!(t.ring_wait_degraded < t.ring_wait_critical);
-        assert!(t.backlog_degraded < t.backlog_critical);
-        assert!(t.mirror_lag_degraded < t.mirror_lag_critical);
-        assert!(t.throttle_degraded < t.throttle_critical);
-        assert!(t.retry_degraded < t.retry_critical);
-        let slo = &s.health.slo;
-        assert!(slo.op_p99 > Duration::ZERO);
-        assert!(slo.error_budget > 0.0 && slo.error_budget < 1.0);
-        assert!(slo.max_error_rate > 0.0 && slo.burn_alert >= 1.0);
+        assert!(s.health.tick > Duration::ZERO);
         assert!(HealthConfig::enabled().enabled);
     }
 

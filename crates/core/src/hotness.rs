@@ -14,6 +14,20 @@ use gengar_telemetry::{CounterHandle, TelemetryConfig};
 
 use crate::cache::CachePolicy;
 
+/// Count-min sketch width: over-estimates stay within e/4 096 ≈ 0.07 % of
+/// the sketch's total (decayed) count, for 64 KiB of counters per server.
+const SKETCH_WIDTH: usize = 4096;
+
+/// Count-min sketch depth: four rows make that bound fail for under 2 % of
+/// addresses (e⁻⁴).
+const SKETCH_DEPTH: usize = 4;
+
+/// Distinct addresses one epoch fold tracks: bounds the fold's sort at
+/// 64 Ki entries per epoch. An address first reported past the bound
+/// still counts in the sketch and can become a candidate in a later
+/// epoch.
+const MAX_CANDIDATES: usize = 1 << 16;
+
 /// A count-min sketch over `u64` keys with saturating `u32` counters.
 #[derive(Debug)]
 pub struct CountMinSketch {
@@ -99,10 +113,8 @@ pub struct AccessEntry {
 #[derive(Debug)]
 pub struct HotnessMonitor {
     sketch: CountMinSketch,
-    /// Addresses seen since the last fold (bounded by eviction below).
+    /// Addresses seen since the last fold, at most [`MAX_CANDIDATES`].
     seen: HashMap<u64, ()>,
-    /// Upper bound on `seen` between folds.
-    max_seen: usize,
     /// Sample 1-in-N reported entries into the sketch (adds are weighted by
     /// N so scores stay comparable across sampling rates).
     sample_every: u32,
@@ -114,14 +126,13 @@ pub struct HotnessMonitor {
 }
 
 impl HotnessMonitor {
-    /// Creates a monitor shaped by `policy` (sketch width/depth, candidate
-    /// bound, sampling rate) whose `hotness.*` metrics follow `telemetry`.
+    /// Creates a monitor sampling at `policy`'s rate whose `hotness.*`
+    /// metrics follow `telemetry`.
     pub fn with_policy(policy: &CachePolicy, telemetry: TelemetryConfig) -> Self {
         let tel = telemetry.handle();
         HotnessMonitor {
-            sketch: CountMinSketch::new(policy.sketch_width, policy.sketch_depth),
+            sketch: CountMinSketch::new(SKETCH_WIDTH, SKETCH_DEPTH),
             seen: HashMap::new(),
-            max_seen: policy.max_candidates.max(16),
             sample_every: policy.sample_every.max(1),
             sample_tick: 0,
             epoch: 0,
@@ -144,7 +155,7 @@ impl HotnessMonitor {
                 self.sketch
                     .add(e.addr, e.count.saturating_mul(self.sample_every));
             }
-            if self.seen.len() < self.max_seen || self.seen.contains_key(&e.addr) {
+            if self.seen.len() < MAX_CANDIDATES || self.seen.contains_key(&e.addr) {
                 self.seen.insert(e.addr, ());
             }
         }
@@ -187,14 +198,8 @@ impl HotnessMonitor {
 mod tests {
     use super::*;
 
-    fn monitor(width: usize, depth: usize, max_seen: usize) -> HotnessMonitor {
-        let policy = CachePolicy {
-            sketch_width: width,
-            sketch_depth: depth,
-            max_candidates: max_seen,
-            ..CachePolicy::default()
-        };
-        HotnessMonitor::with_policy(&policy, TelemetryConfig::default())
+    fn monitor() -> HotnessMonitor {
+        HotnessMonitor::with_policy(&CachePolicy::default(), TelemetryConfig::default())
     }
 
     #[test]
@@ -237,7 +242,7 @@ mod tests {
 
     #[test]
     fn monitor_surfaces_hot_addresses_first() {
-        let mut m = monitor(1024, 4, 1000);
+        let mut m = monitor();
         m.record(&[
             AccessEntry {
                 addr: 10,
@@ -267,8 +272,8 @@ mod tests {
 
     #[test]
     fn monitor_bounds_candidate_set() {
-        let mut m = monitor(256, 2, 16);
-        let entries: Vec<AccessEntry> = (0..100)
+        let mut m = monitor();
+        let entries: Vec<AccessEntry> = (0..MAX_CANDIDATES as u64 + 100)
             .map(|i| AccessEntry {
                 addr: i,
                 count: 1,
@@ -276,22 +281,16 @@ mod tests {
             })
             .collect();
         m.record(&entries);
-        assert!(m.fold_epoch().len() <= 16);
+        assert_eq!(m.fold_epoch().len(), MAX_CANDIDATES);
     }
 
     #[test]
     fn sampled_monitor_weights_adds_to_stay_comparable() {
-        let policy = CachePolicy {
-            sketch_width: 1024,
-            sketch_depth: 4,
-            max_candidates: 1000,
-            ..CachePolicy::default()
-        };
-        let mut exact = HotnessMonitor::with_policy(&policy, TelemetryConfig::default());
+        let mut exact = monitor();
         let mut sampled = HotnessMonitor::with_policy(
             &CachePolicy {
                 sample_every: 4,
-                ..policy
+                ..CachePolicy::default()
             },
             TelemetryConfig::default(),
         );
@@ -313,7 +312,7 @@ mod tests {
 
     #[test]
     fn reset_clears_everything() {
-        let mut m = monitor(64, 2, 100);
+        let mut m = monitor();
         m.record(&[AccessEntry {
             addr: 5,
             count: 10,

@@ -54,7 +54,7 @@ pub mod pool;
 pub mod proto;
 pub mod proxy;
 pub mod qos;
-pub mod retry;
+mod retry;
 pub mod rpc;
 pub mod server;
 pub mod window;
@@ -64,13 +64,11 @@ pub use batch::{BatchError, BatchResult, OpBatch};
 pub use cache::{AdmissionMode, CachePolicy, CacheStats};
 pub use client::{ClientStats, GengarClient};
 pub use cluster::Cluster;
-pub use config::{ClientConfig, Consistency, ServerConfig};
-pub use config::{HealthConfig, HealthThresholds, SloConfig};
+pub use config::{ClientConfig, Consistency, HealthConfig, ServerConfig};
 pub use error::GengarError;
-pub use health::{HealthPlane, HealthState, SloStatus};
+pub use health::{HealthPlane, HealthState};
 pub use pool::DshmPool;
-pub use qos::{QosConfig, QosPlane, TenantSpec, TokenBucket};
-pub use retry::{Disposition, RetryPolicy};
+pub use qos::{QosConfig, QosPlane, TenantSpec};
 pub use server::MemoryServer;
 
 /// Crate-wide result alias.

@@ -20,10 +20,10 @@ pub const MAX_REPORT: usize = 128;
 pub const MAX_TENANT: usize = 64;
 
 /// Maximum JSON bytes an `Inspect` response carries: [`MAX_MSG`] minus the
-/// opcode and length prefix. The health plane builds its document against
-/// this budget (dropping the oldest window digests first), so encode-side
-/// truncation is a backstop, not the sizing mechanism.
-pub const MAX_INSPECT_JSON: usize = MAX_MSG - 5;
+/// opcode, call id and length prefix. The health plane builds its document
+/// against this budget (dropping the oldest window digests first), so
+/// encode-side truncation is a backstop, not the sizing mechanism.
+pub const MAX_INSPECT_JSON: usize = MAX_MSG - 13;
 
 /// Client-to-server requests.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -239,6 +239,7 @@ pub fn error_for_code(code: u16, requested: u64) -> GengarError {
 /// service time, staging setup, durable-watermark queries) land in the
 /// originating client op's trace — including the RPCs a reconnect issues,
 /// which is what keeps a trace causally whole across connection loss.
+/// The call id follows it on the wire (see [`Request::encode`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceCtx {
     /// Trace id of the issuing op (0 = untraced).
@@ -266,8 +267,9 @@ impl TraceCtx {
     }
 }
 
-/// Encoded size of [`TraceCtx`] on the wire.
-const TRACE_CTX_BYTES: usize = 16;
+/// Encoded size of the request header after the opcode: [`TraceCtx`] and
+/// the call id.
+const REQ_HEADER_BYTES: usize = 24;
 
 const REQ_MOUNT: u8 = 1;
 const REQ_ALLOC: u8 = 2;
@@ -309,14 +311,17 @@ impl Request {
         }
     }
 
-    /// Encodes into `buf` as `[tag][trace ctx][fields]`, capturing the
-    /// calling thread's trace context — encode happens on the issuing
-    /// client thread, so the op's trace id rides the request for free.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
+    /// Encodes into `buf` as `[tag][trace ctx][call u64][fields]`,
+    /// capturing the calling thread's trace context — encode happens on the
+    /// issuing client thread, so the op's trace id rides the request for
+    /// free. `call` is the connection's id for this call; the response
+    /// echoes it, so a late answer to an earlier call is recognisable.
+    pub fn encode(&self, call: u64, buf: &mut Vec<u8>) {
         let ctx = TraceCtx::current();
         buf.put_u8(self.tag());
         buf.put_u64_le(ctx.trace);
         buf.put_u64_le(ctx.parent);
+        buf.put_u64_le(call);
         match self {
             Request::OpenStaging => {}
             Request::Mount { tenant } => {
@@ -347,34 +352,35 @@ impl Request {
         }
     }
 
-    /// Decodes from `buf`, discarding the trace context.
+    /// Decodes from `buf`, discarding the header.
     ///
     /// # Errors
     ///
     /// [`GengarError::ProtocolViolation`] on truncated or unknown input.
     pub fn decode(buf: &[u8]) -> Result<Request, GengarError> {
-        Self::decode_traced(buf).map(|(req, _)| req)
+        Self::decode_traced(buf).map(|(req, ..)| req)
     }
 
-    /// Decodes from `buf`, returning the request and the trace context of
-    /// the client op that issued it.
+    /// Decodes from `buf`, returning the request, the trace context of the
+    /// client op that issued it and its call id.
     ///
     /// # Errors
     ///
     /// [`GengarError::ProtocolViolation`] on truncated or unknown input.
-    pub fn decode_traced(mut buf: &[u8]) -> Result<(Request, TraceCtx), GengarError> {
+    pub(crate) fn decode_traced(mut buf: &[u8]) -> Result<(Request, TraceCtx, u64), GengarError> {
         let malformed = GengarError::ProtocolViolation("malformed request");
         if buf.is_empty() {
             return Err(malformed);
         }
         let tag = buf.get_u8();
-        if buf.remaining() < TRACE_CTX_BYTES {
+        if buf.remaining() < REQ_HEADER_BYTES {
             return Err(malformed);
         }
         let ctx = TraceCtx {
             trace: buf.get_u64_le(),
             parent: buf.get_u64_le(),
         };
+        let call = buf.get_u64_le();
         let req = match tag {
             REQ_MOUNT => {
                 if buf.remaining() < 2 {
@@ -462,16 +468,33 @@ impl Request {
             REQ_INSPECT => Request::Inspect,
             _ => return Err(GengarError::ProtocolViolation("unknown request opcode")),
         };
-        Ok((req, ctx))
+        Ok((req, ctx, call))
     }
 }
 
 impl Response {
-    /// Encodes into `buf`.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
+    fn tag(&self) -> u8 {
+        match self {
+            Response::Mount(_) => RESP_MOUNT,
+            Response::Alloc { .. } => RESP_ALLOC,
+            Response::Staging { .. } => RESP_STAGING,
+            Response::Report { .. } => RESP_REPORT,
+            Response::Durable { .. } => RESP_DURABLE,
+            Response::Ok => RESP_OK,
+            Response::Replica { .. } => RESP_REPLICA,
+            Response::Promoted { .. } => RESP_PROMOTED,
+            Response::Inspect { .. } => RESP_INSPECT,
+            Response::Err { .. } => RESP_ERR,
+        }
+    }
+
+    /// Encodes into `buf` as `[tag][call u64][fields]`, echoing the call
+    /// id of the request it answers.
+    pub fn encode(&self, call: u64, buf: &mut Vec<u8>) {
+        buf.put_u8(self.tag());
+        buf.put_u64_le(call);
         match self {
             Response::Mount(m) => {
-                buf.put_u8(RESP_MOUNT);
                 buf.put_u8(m.server_id);
                 buf.put_u32_le(m.nvm_rkey);
                 buf.put_u32_le(m.cache_rkey);
@@ -485,41 +508,26 @@ impl Response {
                 buf.put_u32_le(m.shadow_rkey);
                 buf.put_u8(m.backup);
             }
-            Response::Alloc { addr } => {
-                buf.put_u8(RESP_ALLOC);
-                buf.put_u64_le(*addr);
-            }
+            Response::Alloc { addr } => buf.put_u64_le(*addr),
             Response::Staging {
                 client_id,
                 ring_offset,
             } => {
-                buf.put_u8(RESP_STAGING);
                 buf.put_u32_le(*client_id);
                 buf.put_u64_le(*ring_offset);
             }
             Response::Report { remaps } => {
-                buf.put_u8(RESP_REPORT);
                 buf.put_u16_le(remaps.len().min(MAX_REPORT) as u16);
                 for r in remaps.iter().take(MAX_REPORT) {
                     buf.put_u64_le(r.addr);
                     buf.put_u64_le(r.cache_addr);
                 }
             }
-            Response::Durable { seq } => {
-                buf.put_u8(RESP_DURABLE);
-                buf.put_u64_le(*seq);
-            }
-            Response::Ok => buf.put_u8(RESP_OK),
-            Response::Replica { backup } => {
-                buf.put_u8(RESP_REPLICA);
-                buf.put_u8(*backup);
-            }
-            Response::Promoted { replayed } => {
-                buf.put_u8(RESP_PROMOTED);
-                buf.put_u64_le(*replayed);
-            }
+            Response::Durable { seq } => buf.put_u64_le(*seq),
+            Response::Ok => {}
+            Response::Replica { backup } => buf.put_u8(*backup),
+            Response::Promoted { replayed } => buf.put_u64_le(*replayed),
             Response::Inspect { json } => {
-                buf.put_u8(RESP_INSPECT);
                 // Backstop: truncate on a char boundary so an oversized
                 // document yields a short-but-valid UTF-8 payload instead
                 // of overflowing the RPC slot.
@@ -530,24 +538,23 @@ impl Response {
                 buf.put_u32_le(n as u32);
                 buf.put_slice(&json.as_bytes()[..n]);
             }
-            Response::Err { code } => {
-                buf.put_u8(RESP_ERR);
-                buf.put_u16_le(*code);
-            }
+            Response::Err { code } => buf.put_u16_le(*code),
         }
     }
 
-    /// Decodes from `buf`.
+    /// Decodes from `buf`, returning the response and the call id it
+    /// answers.
     ///
     /// # Errors
     ///
     /// [`GengarError::ProtocolViolation`] on truncated or unknown input.
-    pub fn decode(mut buf: &[u8]) -> Result<Response, GengarError> {
+    pub fn decode(mut buf: &[u8]) -> Result<(Response, u64), GengarError> {
         let malformed = GengarError::ProtocolViolation("malformed response");
-        if buf.is_empty() {
+        if buf.remaining() < 9 {
             return Err(malformed);
         }
         let tag = buf.get_u8();
+        let call = buf.get_u64_le();
         let resp = match tag {
             RESP_MOUNT => {
                 if buf.remaining() < 1 + 16 + 8 + 2 + 12 + 5 {
@@ -651,7 +658,7 @@ impl Response {
             }
             _ => return Err(GengarError::ProtocolViolation("unknown response opcode")),
         };
-        Ok(resp)
+        Ok((resp, call))
     }
 }
 
@@ -661,16 +668,17 @@ mod tests {
 
     fn roundtrip_req(r: Request) {
         let mut buf = Vec::new();
-        r.encode(&mut buf);
+        r.encode(7, &mut buf);
         assert!(buf.len() <= MAX_MSG);
-        assert_eq!(Request::decode(&buf).unwrap(), r);
+        let (req, _, call) = Request::decode_traced(&buf).unwrap();
+        assert_eq!((req, call), (r, 7));
     }
 
     fn roundtrip_resp(r: Response) {
         let mut buf = Vec::new();
-        r.encode(&mut buf);
+        r.encode(7, &mut buf);
         assert!(buf.len() <= MAX_MSG);
-        assert_eq!(Response::decode(&buf).unwrap(), r);
+        assert_eq!(Response::decode(&buf).unwrap(), (r, 7));
     }
 
     #[test]
@@ -760,9 +768,12 @@ mod tests {
         // Exactly at the budget: round-trips whole.
         let json = "x".repeat(MAX_INSPECT_JSON);
         let mut buf = Vec::new();
-        Response::Inspect { json: json.clone() }.encode(&mut buf);
+        Response::Inspect { json: json.clone() }.encode(1, &mut buf);
         assert_eq!(buf.len(), MAX_MSG);
-        assert_eq!(Response::decode(&buf).unwrap(), Response::Inspect { json });
+        assert_eq!(
+            Response::decode(&buf).unwrap().0,
+            Response::Inspect { json }
+        );
 
         // Over budget with a multi-byte char straddling the cut: the
         // encoder truncates back to a char boundary, so the payload stays
@@ -771,9 +782,9 @@ mod tests {
         json.push('é'); // 2 bytes: one past the budget
         json.push_str("tail");
         let mut buf = Vec::new();
-        Response::Inspect { json }.encode(&mut buf);
+        Response::Inspect { json }.encode(1, &mut buf);
         assert!(buf.len() <= MAX_MSG);
-        match Response::decode(&buf).unwrap() {
+        match Response::decode(&buf).unwrap().0 {
             Response::Inspect { json } => {
                 assert_eq!(json.len(), MAX_INSPECT_JSON - 1);
                 assert!(json.chars().all(|c| c == 'x'));
@@ -788,16 +799,16 @@ mod tests {
         Response::Inspect {
             json: "{\"v\":1}".to_owned(),
         }
-        .encode(&mut buf);
+        .encode(1, &mut buf);
         assert!(Response::decode(&buf[..buf.len() - 2]).is_err());
-        assert!(Response::decode(&[RESP_INSPECT, 1, 0]).is_err());
+        assert!(Response::decode(&buf[..11]).is_err());
         // A length prefix past the budget is rejected even if bytes follow.
-        let mut bad = vec![RESP_INSPECT];
+        let mut bad = buf[..9].to_vec();
         bad.extend_from_slice(&(MAX_INSPECT_JSON as u32 + 1).to_le_bytes());
         bad.extend(std::iter::repeat_n(b'x', MAX_INSPECT_JSON + 1));
         assert!(Response::decode(&bad).is_err());
         // Non-UTF-8 payload is rejected.
-        let mut bad = vec![RESP_INSPECT];
+        let mut bad = buf[..9].to_vec();
         bad.extend_from_slice(&2u32.to_le_bytes());
         bad.extend_from_slice(&[0xFF, 0xFE]);
         assert!(Response::decode(&bad).is_err());
@@ -814,7 +825,7 @@ mod tests {
             MAX_REPORT
         ];
         let mut buf = Vec::new();
-        Request::Report { entries }.encode(&mut buf);
+        Request::Report { entries }.encode(u64::MAX, &mut buf);
         assert!(buf.len() <= MAX_MSG);
         let remaps = vec![
             RemapUpdate {
@@ -824,7 +835,7 @@ mod tests {
             MAX_REPORT
         ];
         let mut buf = Vec::new();
-        Response::Report { remaps }.encode(&mut buf);
+        Response::Report { remaps }.encode(u64::MAX, &mut buf);
         assert!(buf.len() <= MAX_MSG);
     }
 
@@ -833,6 +844,10 @@ mod tests {
         assert!(Request::decode(&[]).is_err());
         assert!(Request::decode(&[REQ_ALLOC, 1, 2]).is_err());
         assert!(Response::decode(&[RESP_ALLOC]).is_err());
+        assert!(
+            Response::decode(&[RESP_OK, 1, 2]).is_err(),
+            "truncated call id"
+        );
         assert!(Request::decode(&[250]).is_err());
         assert!(Response::decode(&[250]).is_err());
     }
@@ -843,9 +858,10 @@ mod tests {
         {
             let _g =
                 gengar_telemetry::adopt(gengar_telemetry::TraceId(42), gengar_telemetry::SpanId(7));
-            Request::Alloc { size: 1 }.encode(&mut buf);
+            Request::Alloc { size: 1 }.encode(3, &mut buf);
         }
-        let (req, ctx) = Request::decode_traced(&buf).unwrap();
+        let (req, ctx, call) = Request::decode_traced(&buf).unwrap();
+        assert_eq!(call, 3);
         assert_eq!(req, Request::Alloc { size: 1 });
         assert_eq!(
             ctx,
@@ -856,8 +872,8 @@ mod tests {
         );
         // An untraced caller encodes the zero context.
         let mut buf = Vec::new();
-        Request::OpenStaging.encode(&mut buf);
-        let (_, ctx) = Request::decode_traced(&buf).unwrap();
+        Request::OpenStaging.encode(0, &mut buf);
+        let (_, ctx, _) = Request::decode_traced(&buf).unwrap();
         assert_eq!(ctx, TraceCtx::default());
     }
 
@@ -867,7 +883,7 @@ mod tests {
         Request::Mount {
             tenant: "t".repeat(MAX_TENANT + 30),
         }
-        .encode(&mut buf);
+        .encode(0, &mut buf);
         match Request::decode(&buf).unwrap() {
             Request::Mount { tenant } => assert_eq!(tenant.len(), MAX_TENANT),
             other => panic!("unexpected {other:?}"),

@@ -9,7 +9,7 @@
 //! 1. **Client issue gate** (primary): before a group posts a doorbell,
 //!    the reactor charges the tenant's rate and bandwidth buckets. A
 //!    denied charge *parks the group* with a wake instant from
-//!    [`TokenBucket::next_admit`] — a throttled tenant queues without
+//!    `TokenBucket::next_admit` — a throttled tenant queues without
 //!    blocking the event loop, and healthy tenants keep flowing. Charges
 //!    are scaled inversely by the tenant's weight, so co-throttled tenants
 //!    share capacity weighted-fair.
@@ -26,7 +26,7 @@
 //!    shared FIFO port cursors into the future and tax every bystander.
 //!
 //! Staged writes get a fourth control: a per-tenant cap on staged bytes
-//! in flight ([`TenantState::try_reserve_staged`]). The client reserves
+//! in flight (`TenantState::try_reserve_staged`). The client reserves
 //! before posting a staged window and releases when the flight settles;
 //! a full budget backpressures (parks) and a batch that alone exceeds
 //! the cap sheds to the direct-write path before the drain collapses.
@@ -60,7 +60,7 @@ const ENFORCE_BURST: f64 = 4.0;
 /// [`gengar_hybridmem::time_scale`], so budgets hold their meaning in
 /// experiments that stretch modelled delays.
 #[derive(Debug)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     state: Mutex<BucketState>,
 }
 
@@ -89,7 +89,7 @@ impl TokenBucket {
     /// A bucket admitting `limit` tokens per simulated second with a
     /// burst allowance of `limit * burst_ratio` (at least one token, so a
     /// tiny limit still admits single ops). `limit == 0` is unlimited.
-    pub fn new(limit: u64, burst_ratio: f64) -> TokenBucket {
+    pub(crate) fn new(limit: u64, burst_ratio: f64) -> TokenBucket {
         let limit = limit as f64;
         let burst = (limit * burst_ratio.max(0.0)).max(1.0);
         TokenBucket {
@@ -104,7 +104,7 @@ impl TokenBucket {
 
     /// Charges `cost` tokens if the balance covers it. Unlimited buckets
     /// always admit.
-    pub fn try_take(&self, cost: f64) -> bool {
+    pub(crate) fn try_take(&self, cost: f64) -> bool {
         let mut s = self.state.lock().unwrap();
         if s.limit == 0.0 {
             return true;
@@ -120,7 +120,7 @@ impl TokenBucket {
 
     /// Returns `cost` tokens to the bucket (capped at the burst), undoing
     /// a charge whose sibling bucket then denied.
-    pub fn give(&self, cost: f64) {
+    pub(crate) fn give(&self, cost: f64) {
         let mut s = self.state.lock().unwrap();
         if s.limit == 0.0 {
             return;
@@ -133,7 +133,7 @@ impl TokenBucket {
     /// otherwise now plus the deficit's refill time (scaled back to wall
     /// clock). A cost above the burst is clamped to it so the caller's
     /// park always wakes.
-    pub fn next_admit(&self, cost: f64) -> Instant {
+    pub(crate) fn next_admit(&self, cost: f64) -> Instant {
         let mut s = self.state.lock().unwrap();
         let now = Instant::now();
         if s.limit == 0.0 {
@@ -146,31 +146,6 @@ impl TokenBucket {
         }
         let wall_secs = deficit / s.limit * gengar_hybridmem::time_scale();
         now + Duration::from_secs_f64(wall_secs)
-    }
-
-    /// Replaces the limit and burst ratio, clamping the balance to the
-    /// new burst.
-    pub fn reset(&self, limit: u64, burst_ratio: f64) {
-        let mut s = self.state.lock().unwrap();
-        s.refill(Instant::now());
-        s.limit = limit as f64;
-        s.burst = (s.limit * burst_ratio.max(0.0)).max(1.0);
-        s.tokens = s.tokens.min(s.burst);
-    }
-
-    /// The configured limit (tokens per simulated second; 0 = unlimited).
-    pub fn limit(&self) -> u64 {
-        self.state.lock().unwrap().limit as u64
-    }
-
-    /// The current balance after a refill (tests and introspection).
-    pub fn balance(&self) -> f64 {
-        let mut s = self.state.lock().unwrap();
-        if s.limit == 0.0 {
-            return f64::INFINITY;
-        }
-        s.refill(Instant::now());
-        s.tokens
     }
 }
 
@@ -244,7 +219,7 @@ impl Default for QosConfig {
 
 impl QosConfig {
     /// The budget spec for `name`: the configured entry, or unlimited.
-    pub fn spec_for(&self, name: &str) -> TenantSpec {
+    pub(crate) fn spec_for(&self, name: &str) -> TenantSpec {
         self.tenants
             .iter()
             .find(|t| t.name == name)
@@ -312,12 +287,12 @@ impl TenantState {
     }
 
     /// The tenant's budget spec.
-    pub fn spec(&self) -> &TenantSpec {
+    pub(crate) fn spec(&self) -> &TenantSpec {
         &self.spec
     }
 
     /// The compact tag carried in staged record headers.
-    pub fn tag(&self) -> u32 {
+    pub(crate) fn tag(&self) -> u32 {
         self.tag
     }
 
@@ -330,7 +305,7 @@ impl TenantState {
     /// payload bytes against the tenant's budgets. `Ok(())` admits;
     /// `Err(wake)` means the caller should park until `wake` and try
     /// again (the charge is fully refunded — tokens are conserved).
-    pub fn issue_admit(&self, ops: u64, bytes: u64) -> Result<(), Instant> {
+    pub(crate) fn issue_admit(&self, ops: u64, bytes: u64) -> Result<(), Instant> {
         let op_cost = self.charge(ops as f64);
         let byte_cost = self.charge(bytes as f64);
         if !self.rate.try_take(op_cost) {
@@ -350,7 +325,7 @@ impl TenantState {
 
     /// The server RPC-path check: one request against the
     /// enforcement-margin ops bucket. `false` means THROTTLED.
-    pub fn rpc_admit(&self) -> bool {
+    pub(crate) fn rpc_admit(&self) -> bool {
         let ok = self.rate_enforce.try_take(self.charge(1.0));
         if !ok {
             self.m_rpc_throttled.inc();
@@ -360,7 +335,7 @@ impl TenantState {
 
     /// Reserves `bytes` of staged-write budget; `false` when the tenant's
     /// in-flight cap is exhausted (caller backpressures or sheds).
-    pub fn try_reserve_staged(&self, bytes: u64) -> bool {
+    pub(crate) fn try_reserve_staged(&self, bytes: u64) -> bool {
         let cap = self.spec.staged_bytes_cap;
         if cap == 0 {
             return true;
@@ -384,12 +359,12 @@ impl TenantState {
 
     /// Whether a single batch of `bytes` could *ever* fit the staged
     /// cap — if not, waiting is pointless and the caller must shed.
-    pub fn staged_fits(&self, bytes: u64) -> bool {
+    pub(crate) fn staged_fits(&self, bytes: u64) -> bool {
         self.spec.staged_bytes_cap == 0 || bytes <= self.spec.staged_bytes_cap
     }
 
     /// Releases a staged reservation once the flight settles (or fails).
-    pub fn release_staged(&self, bytes: u64) {
+    pub(crate) fn release_staged(&self, bytes: u64) {
         if self.spec.staged_bytes_cap == 0 {
             return;
         }
@@ -397,18 +372,13 @@ impl TenantState {
         debug_assert!(prev >= bytes, "staged release exceeds reservation");
     }
 
-    /// Staged bytes currently reserved.
-    pub fn staged_in_flight(&self) -> u64 {
-        self.staged_bytes.load(Ordering::Relaxed)
-    }
-
     /// Counts a staged batch shed to the direct path.
-    pub fn note_staged_shed(&self) {
+    pub(crate) fn note_staged_shed(&self) {
         self.m_staged_shed.inc();
     }
 
     /// Counts `bytes` drained to NVM for this tenant (server drain path).
-    pub fn note_drained(&self, bytes: u64) {
+    pub(crate) fn note_drained(&self, bytes: u64) {
         self.m_drained_bytes.add(bytes);
     }
 
@@ -454,18 +424,13 @@ struct PlaneInner {
 
 impl QosPlane {
     /// Builds a plane from the cluster's QoS config.
-    pub fn new(config: QosConfig, telemetry: TelemetryConfig) -> Arc<QosPlane> {
+    pub(crate) fn new(config: QosConfig, telemetry: TelemetryConfig) -> Arc<QosPlane> {
         Arc::new(QosPlane {
             config,
             telemetry,
             next_tag: AtomicU32::new(1),
             inner: RwLock::new(PlaneInner::default()),
         })
-    }
-
-    /// The plane's configuration.
-    pub fn config(&self) -> &QosConfig {
-        &self.config
     }
 
     fn tenant_entry(inner: &mut PlaneInner, plane: &QosPlane, name: &str) -> Arc<TenantState> {
@@ -486,7 +451,7 @@ impl QosPlane {
 
     /// Records an accepted connection before Mount names its tenant, so a
     /// handshake that dies pre-Mount still has a session to release.
-    pub fn connect(&self, server: u8, cid: u32, node: NodeId) {
+    pub(crate) fn connect(&self, server: u8, cid: u32, node: NodeId) {
         self.inner
             .write()
             .unwrap()
@@ -497,7 +462,7 @@ impl QosPlane {
     /// Binds the session to `tenant` (the Mount request named it): takes
     /// a registry reference and maps the client's node for fabric
     /// admission. Returns the tenant's record-header tag.
-    pub fn bind(&self, server: u8, cid: u32, tenant: &str) -> u32 {
+    pub(crate) fn bind(&self, server: u8, cid: u32, tenant: &str) -> u32 {
         let mut inner = self.inner.write().unwrap();
         let state = Self::tenant_entry(&mut inner, self, tenant);
         let tag = state.tag;
@@ -533,7 +498,7 @@ impl QosPlane {
     /// Releases a session on teardown or failed handshake: unmaps the
     /// client node and drops the tenant reference. The last reference
     /// frees the tenant's buckets (no leak across reconnect storms).
-    pub fn release(&self, server: u8, cid: u32) {
+    pub(crate) fn release(&self, server: u8, cid: u32) {
         let mut inner = self.inner.write().unwrap();
         if let Some(sess) = inner.sessions.remove(&(server, cid)) {
             inner.nodes.remove(&sess.node);
@@ -544,7 +509,7 @@ impl QosPlane {
     }
 
     /// The tenant bound to a live session, if Mount has named one.
-    pub fn tenant_of(&self, server: u8, cid: u32) -> Option<Arc<TenantState>> {
+    pub(crate) fn tenant_of(&self, server: u8, cid: u32) -> Option<Arc<TenantState>> {
         self.inner
             .read()
             .unwrap()
@@ -554,7 +519,7 @@ impl QosPlane {
     }
 
     /// The tenant for a record-header tag (server drain accounting).
-    pub fn tenant_by_tag(&self, tag: u32) -> Option<Arc<TenantState>> {
+    pub(crate) fn tenant_by_tag(&self, tag: u32) -> Option<Arc<TenantState>> {
         self.inner.read().unwrap().by_tag.get(&tag).cloned()
     }
 
@@ -598,6 +563,11 @@ mod tests {
 
     fn bucket(limit: u64, ratio: f64) -> TokenBucket {
         TokenBucket::new(limit, ratio)
+    }
+
+    /// The bucket's balance, as of its last refill.
+    fn tokens(b: &TokenBucket) -> f64 {
+        b.state.lock().unwrap().tokens
     }
 
     #[test]
@@ -696,17 +666,7 @@ mod tests {
         assert!(b.try_take(500.0));
         b.give(500.0);
         b.give(1e9);
-        assert!(b.balance() <= 1_000.0 + 1.0);
-    }
-
-    #[test]
-    fn reset_rescales_limits() {
-        let b = bucket(10, 1.0);
-        while b.try_take(1.0) {}
-        b.reset(1_000_000, 2.0);
-        assert_eq!(b.limit(), 1_000_000);
-        // The balance was clamped, not refilled: still near empty.
-        assert!(b.balance() < 1_000.0);
+        assert!(tokens(&b) <= 1_000.0);
     }
 
     fn plane_with(tenants: Vec<TenantSpec>) -> Arc<QosPlane> {
@@ -807,9 +767,9 @@ mod tests {
             weight: 1,
         }]);
         let t = plane.handle("t");
-        let before = t.rate.balance();
+        let before = tokens(&t.rate);
         assert!(t.issue_admit(1, 1 << 20).is_err());
-        let after = t.rate.balance();
+        let after = tokens(&t.rate);
         assert!(
             after >= before - 0.001,
             "rate tokens lost on denied admit: {before} -> {after}"
@@ -860,9 +820,9 @@ mod tests {
         assert!(t.staged_fits(10_000));
         t.release_staged(6_000);
         assert!(t.try_reserve_staged(10_000));
-        assert_eq!(t.staged_in_flight(), 10_000);
+        assert_eq!(t.staged_bytes.load(Ordering::Relaxed), 10_000);
         t.release_staged(10_000);
-        assert_eq!(t.staged_in_flight(), 0);
+        assert_eq!(t.staged_bytes.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -30,12 +30,12 @@
 //!   violations, allocation failures, contention limits. Surface
 //!   immediately.
 //!
-//! Pacing is governed by [`RetryPolicy`] (built from [`ClientConfig`]) and
-//! tracked per operation by [`RetryState`]: exponential backoff from
-//! `retry_backoff` to `retry_backoff_max`, ±50% deterministic jitter to
-//! decorrelate clients, a `max_retries` attempt cap, and an `op_deadline`
-//! wall-clock budget that bounds the whole loop — an operation never hangs
-//! past its deadline, it returns the last underlying error.
+//! Pacing is tracked per operation by [`RetryState`]: exponential backoff
+//! from [`BASE_BACKOFF`] to [`MAX_BACKOFF`], ±50% deterministic jitter to
+//! decorrelate clients, the [`ClientConfig::max_retries`] attempt cap, and
+//! the [`ClientConfig::op_deadline`] wall-clock budget that bounds the whole
+//! loop — an operation never hangs past its deadline, it returns the last
+//! underlying error.
 
 use std::time::{Duration, Instant};
 
@@ -44,9 +44,29 @@ use gengar_rdma::RdmaError;
 use crate::config::ClientConfig;
 use crate::error::GengarError;
 
+/// First backoff sleep after a retryable fault; doubles per retry. Ten
+/// times a healthy verb round trip (a few µs on the emulated fabric), so a
+/// transient has cleared before the retry; the whole doubling schedule of
+/// the default 64 retries sums to about 0.3 s, inside the 2 s deadline.
+const BASE_BACKOFF: Duration = Duration::from_micros(50);
+
+/// Ceiling of the doubling, reached at the eighth retry: a longer sleep
+/// would only delay noticing a healed link, and the op deadline, not the
+/// backoff, is what bounds a retry storm.
+const MAX_BACKOFF: Duration = Duration::from_millis(5);
+
+/// Patience for a single posted verb or RPC receive wait: a twentieth of
+/// the operation deadline (100 ms at the default 2 s), so several lost
+/// completions plus a reconnect fit inside one operation budget, clamped
+/// so healthy completions are never misread as losses (5 ms) and a dead
+/// connection is found in a fraction of a long budget (500 ms).
+pub(crate) fn attempt_timeout(op_deadline: Duration) -> Duration {
+    (op_deadline / 20).clamp(Duration::from_millis(5), Duration::from_millis(500))
+}
+
 /// What a failed attempt means for the retry loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Disposition {
+pub(crate) enum Disposition {
     /// Transient loss; retry the attempt on the same connection.
     Retry,
     /// The connection is dead (or the server refused us); re-run the mount
@@ -61,7 +81,7 @@ pub enum Disposition {
 
 /// Classifies an operation failure for the recovery loop.
 #[must_use]
-pub fn classify(err: &GengarError) -> Disposition {
+pub(crate) fn classify(err: &GengarError) -> Disposition {
     match err {
         GengarError::Rdma(RdmaError::Timeout) => Disposition::Retry,
         // Over-budget tenants should back off and retry on the same
@@ -84,73 +104,38 @@ pub fn classify(err: &GengarError) -> Disposition {
     }
 }
 
-/// Immutable pacing knobs for the per-operation retry loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Attempt cap (number of *recoveries*, not counting the first try).
-    pub max_retries: u32,
-    /// First backoff sleep; doubles each retry.
-    pub base_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-    /// Wall-clock budget for the whole operation.
-    pub op_deadline: Duration,
-}
-
-impl RetryPolicy {
-    /// Derives the policy from the client configuration.
-    #[must_use]
-    pub fn from_config(cfg: &ClientConfig) -> RetryPolicy {
-        RetryPolicy {
-            max_retries: cfg.max_retries,
-            base_backoff: cfg.retry_backoff,
-            max_backoff: cfg.retry_backoff_max.max(cfg.retry_backoff),
-            op_deadline: cfg.op_deadline,
-        }
-    }
-
-    /// Patience for a single posted verb or RPC receive wait. Much shorter
-    /// than the operation deadline so several attempts (plus a reconnect)
-    /// fit inside one operation budget, but never so short that healthy
-    /// completions get misread as losses.
-    #[must_use]
-    pub fn attempt_timeout(&self) -> Duration {
-        (self.op_deadline / 20).clamp(Duration::from_millis(5), Duration::from_millis(500))
-    }
-
-    /// Starts the per-operation retry state. `salt` seeds the jitter
-    /// stream; pass something client-unique so concurrent clients
-    /// desynchronise.
-    #[must_use]
-    pub fn start(&self, salt: u64) -> RetryState {
-        RetryState {
-            deadline: Instant::now() + self.op_deadline,
-            attempt: 0,
-            rng: salt | 1,
-            escalated: false,
-        }
-    }
-}
-
 /// Mutable state of one operation's recovery loop.
 #[derive(Debug)]
-pub struct RetryState {
+pub(crate) struct RetryState {
     deadline: Instant,
+    /// Attempt cap (number of *recoveries*, not counting the first try).
+    max_retries: u32,
     attempt: u32,
     rng: u64,
     escalated: bool,
 }
 
 impl RetryState {
+    /// Starts one operation's recovery loop under `cfg`'s deadline and
+    /// retry cap. `salt` seeds the jitter stream; pass something
+    /// client-unique so concurrent clients desynchronise.
+    pub(crate) fn start(cfg: &ClientConfig, salt: u64) -> RetryState {
+        RetryState {
+            deadline: Instant::now() + cfg.op_deadline,
+            max_retries: cfg.max_retries,
+            attempt: 0,
+            rng: salt | 1,
+            escalated: false,
+        }
+    }
+
     /// Recoveries performed so far.
-    #[must_use]
-    pub fn attempts(&self) -> u32 {
+    pub(crate) fn attempts(&self) -> u32 {
         self.attempt
     }
 
     /// Time left in the operation budget (zero once expired).
-    #[must_use]
-    pub fn remaining(&self) -> Duration {
+    fn remaining(&self) -> Duration {
         self.deadline.saturating_duration_since(Instant::now())
     }
 
@@ -164,11 +149,10 @@ impl RetryState {
     }
 
     /// The backoff that charging attempt `n` would sleep, before jitter.
-    fn raw_backoff(policy: &RetryPolicy, attempt: u32) -> Duration {
-        let doubled = policy
-            .base_backoff
-            .saturating_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX));
-        doubled.min(policy.max_backoff)
+    fn raw_backoff(attempt: u32) -> Duration {
+        BASE_BACKOFF
+            .saturating_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX))
+            .min(MAX_BACKOFF)
     }
 
     /// Charges one failed attempt: checks the attempt cap and deadline and
@@ -181,15 +165,11 @@ impl RetryState {
     ///
     /// Returns `err` unchanged when the budget is exhausted — the caller's
     /// loop simply propagates it.
-    pub fn charge_deferred(
-        &mut self,
-        policy: &RetryPolicy,
-        err: GengarError,
-    ) -> Result<Instant, GengarError> {
-        if self.attempt >= policy.max_retries {
+    pub(crate) fn charge_deferred(&mut self, err: GengarError) -> Result<Instant, GengarError> {
+        if self.attempt >= self.max_retries {
             return Err(err);
         }
-        let backoff = Self::raw_backoff(policy, self.attempt);
+        let backoff = Self::raw_backoff(self.attempt);
         // ±50% jitter, deterministic per (salt, attempt).
         let jittered =
             backoff / 2 + backoff.mul_f64((self.next_u64() >> 11) as f64 / (1u64 << 53) as f64);
@@ -209,8 +189,8 @@ impl RetryState {
     ///
     /// Returns `err` unchanged when the budget is exhausted, exactly like
     /// [`RetryState::charge_deferred`].
-    pub fn charge(&mut self, policy: &RetryPolicy, err: GengarError) -> Result<(), GengarError> {
-        let resume_at = self.charge_deferred(policy, err)?;
+    pub(crate) fn charge(&mut self, err: GengarError) -> Result<(), GengarError> {
+        let resume_at = self.charge_deferred(err)?;
         std::thread::sleep(resume_at.saturating_duration_since(Instant::now()));
         Ok(())
     }
@@ -220,7 +200,7 @@ impl RetryState {
     /// dead server to its replica at most once per operation — a second
     /// machine loss inside one op surfaces the error instead of chasing
     /// replicas forever.
-    pub fn escalate(&mut self) -> bool {
+    pub(crate) fn escalate(&mut self) -> bool {
         !std::mem::replace(&mut self.escalated, true)
     }
 }
@@ -360,26 +340,29 @@ mod tests {
         }
     }
 
+    /// A client configuration with the given retry cap and deadline.
+    fn budget(max_retries: u32, op_deadline: Duration) -> ClientConfig {
+        ClientConfig {
+            max_retries,
+            op_deadline,
+            ..ClientConfig::default()
+        }
+    }
+
     /// Failover on a *Reconnect*-class failure only happens after the
     /// reconnect budget is exhausted: while `charge` keeps granting
     /// attempts, the client re-dials; the escalation point is exactly the
     /// first `Err` return.
     #[test]
     fn failover_waits_for_reconnect_budget_exhaustion() {
-        let policy = RetryPolicy {
-            max_retries: 3,
-            base_backoff: Duration::from_nanos(1),
-            max_backoff: Duration::from_nanos(2),
-            op_deadline: Duration::from_secs(10),
-        };
-        let mut state = policy.start(11);
+        let mut state = RetryState::start(&budget(3, Duration::from_secs(10)), 11);
         let broken = || GengarError::Rdma(RdmaError::QpError(WcStatus::TransportError));
         assert_eq!(classify(&broken()), Disposition::Reconnect);
         let mut granted = 0;
-        while state.charge(&policy, broken()).is_ok() {
+        while state.charge(broken()).is_ok() {
             granted += 1;
         }
-        assert_eq!(granted, policy.max_retries, "budget grants every retry");
+        assert_eq!(granted, 3, "budget grants every retry");
         // Only now — with the budget gone — may the client escalate a
         // Reconnect disposition to failover. A NodeNotFound certificate
         // skips the wait entirely.
@@ -393,38 +376,22 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_saturates() {
-        let policy = RetryPolicy {
-            max_retries: 100,
-            base_backoff: Duration::from_micros(10),
-            max_backoff: Duration::from_micros(160),
-            op_deadline: Duration::from_secs(5),
-        };
-        let seq: Vec<Duration> = (0..8)
-            .map(|n| RetryState::raw_backoff(&policy, n))
-            .collect();
-        assert_eq!(seq[0], Duration::from_micros(10));
-        assert_eq!(seq[1], Duration::from_micros(20));
-        assert_eq!(seq[4], Duration::from_micros(160));
-        assert_eq!(seq[7], Duration::from_micros(160), "saturates at the cap");
+        let seq: Vec<Duration> = (0..10).map(RetryState::raw_backoff).collect();
+        assert_eq!(seq[0], BASE_BACKOFF);
+        assert_eq!(seq[1], BASE_BACKOFF * 2);
+        assert_eq!(seq[6], BASE_BACKOFF * 64);
+        assert_eq!(seq[7], MAX_BACKOFF, "saturates at the cap");
+        assert_eq!(seq[9], MAX_BACKOFF);
+        assert_eq!(RetryState::raw_backoff(u32::MAX), MAX_BACKOFF);
     }
 
     #[test]
     fn attempt_cap_is_enforced() {
-        let policy = RetryPolicy {
-            max_retries: 2,
-            base_backoff: Duration::from_nanos(1),
-            max_backoff: Duration::from_nanos(2),
-            op_deadline: Duration::from_secs(10),
-        };
-        let mut state = policy.start(7);
-        assert!(state
-            .charge(&policy, GengarError::Rdma(RdmaError::Timeout))
-            .is_ok());
-        assert!(state
-            .charge(&policy, GengarError::Rdma(RdmaError::Timeout))
-            .is_ok());
+        let mut state = RetryState::start(&budget(2, Duration::from_secs(10)), 7);
+        assert!(state.charge(GengarError::Rdma(RdmaError::Timeout)).is_ok());
+        assert!(state.charge(GengarError::Rdma(RdmaError::Timeout)).is_ok());
         let err = state
-            .charge(&policy, GengarError::Rdma(RdmaError::Timeout))
+            .charge(GengarError::Rdma(RdmaError::Timeout))
             .unwrap_err();
         assert!(matches!(err, GengarError::Rdma(RdmaError::Timeout)));
         assert_eq!(state.attempts(), 2);
@@ -432,19 +399,10 @@ mod tests {
 
     #[test]
     fn deadline_bounds_the_loop() {
-        let policy = RetryPolicy {
-            max_retries: u32::MAX,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(1),
-            op_deadline: Duration::from_millis(20),
-        };
-        let mut state = policy.start(99);
+        let mut state = RetryState::start(&budget(u32::MAX, Duration::from_millis(20)), 99);
         let start = Instant::now();
         let mut charges = 0u32;
-        while state
-            .charge(&policy, GengarError::Rdma(RdmaError::Timeout))
-            .is_ok()
-        {
+        while state.charge(GengarError::Rdma(RdmaError::Timeout)).is_ok() {
             charges += 1;
             assert!(charges < 10_000, "deadline never tripped");
         }
@@ -457,23 +415,26 @@ mod tests {
 
     #[test]
     fn jitter_is_deterministic_per_salt() {
-        let policy = RetryPolicy::from_config(&ClientConfig::default());
-        let mut a = policy.start(42);
-        let mut b = policy.start(42);
+        let cfg = ClientConfig::default();
+        let mut a = RetryState::start(&cfg, 42);
+        let mut b = RetryState::start(&cfg, 42);
         let (x, y) = (a.next_u64(), b.next_u64());
         assert_eq!(x, y);
-        let mut c = policy.start(43);
+        let mut c = RetryState::start(&cfg, 43);
         assert_ne!(a.next_u64(), c.next_u64());
     }
 
     #[test]
     fn attempt_timeout_is_a_fraction_of_the_deadline() {
-        let policy = RetryPolicy::from_config(&ClientConfig::default());
-        assert!(policy.attempt_timeout() < policy.op_deadline);
-        let tight = RetryPolicy {
-            op_deadline: Duration::from_millis(10),
-            ..policy
-        };
-        assert_eq!(tight.attempt_timeout(), Duration::from_millis(5));
+        let deadline = ClientConfig::default().op_deadline;
+        assert_eq!(attempt_timeout(deadline), deadline / 20);
+        assert_eq!(
+            attempt_timeout(Duration::from_millis(10)),
+            Duration::from_millis(5)
+        );
+        assert_eq!(
+            attempt_timeout(Duration::from_secs(60)),
+            Duration::from_millis(500)
+        );
     }
 }

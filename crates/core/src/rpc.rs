@@ -6,9 +6,15 @@
 //! outstanding request per connection), which matches how Gengar uses the
 //! control plane: the data plane is entirely one-sided. A caller holding
 //! several connections may overlap one call on each
-//! ([`RpcClient::begin`] / [`RpcClient::finish`]).
+//! (`RpcClient::begin` / `RpcClient::finish`).
+//!
+//! Every request carries a per-connection call id that its response
+//! echoes. A request is re-sent when its response is late, so one call can
+//! be answered more than once; the client keeps exactly one receive posted
+//! and drops any response whose id is not the current call's, so a late
+//! answer is never taken for the next call's.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -16,6 +22,7 @@ use gengar_rdma::{Endpoint, MemoryRegion, Payload, RdmaError, Sge};
 
 use crate::error::GengarError;
 use crate::proto::{Request, Response, MAX_MSG};
+use crate::retry::attempt_timeout;
 
 /// Offset of the outgoing slot within an RPC message buffer.
 const OUT_SLOT: u64 = 0;
@@ -25,10 +32,10 @@ const IN_SLOT: u64 = MAX_MSG as u64;
 /// Bytes an RPC message buffer MR must cover.
 pub const RPC_BUF_BYTES: u64 = 2 * MAX_MSG as u64;
 
-/// Default overall deadline for one RPC call, retries included.
-/// [`crate::GengarClient::connect`] overrides it with
-/// [`crate::ClientConfig::op_deadline`].
-pub const DEFAULT_RPC_DEADLINE: Duration = Duration::from_secs(2);
+/// Per-call deadline, re-sends included, of a client made by
+/// [`RpcClient::new`]: the default [`crate::ClientConfig::op_deadline`]
+/// (a [`crate::GengarClient`] passes its configured one).
+const DEFAULT_RPC_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Client half of an RPC connection.
 #[derive(Debug)]
@@ -36,11 +43,17 @@ pub struct RpcClient {
     ep: Endpoint,
     buf: Arc<MemoryRegion>,
     timeout: Duration,
+    /// Id of the last call begun on this connection. Calls on one
+    /// connection are serial, so this and `armed` publish nothing to
+    /// another thread: `Relaxed` suffices.
+    last_call: AtomicU64,
+    /// Whether the connection's one receive is posted.
+    armed: AtomicBool,
 }
 
 impl RpcClient {
     /// Wraps a connected endpoint and a message buffer of at least
-    /// [`RPC_BUF_BYTES`], with the [`DEFAULT_RPC_DEADLINE`].
+    /// [`RPC_BUF_BYTES`], with a 2 s per-call deadline.
     ///
     /// # Panics
     ///
@@ -50,11 +63,7 @@ impl RpcClient {
     }
 
     /// Like [`RpcClient::new`] with an explicit per-call deadline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` is smaller than [`RPC_BUF_BYTES`].
-    pub fn with_deadline(ep: Endpoint, buf: Arc<MemoryRegion>, deadline: Duration) -> Self {
+    pub(crate) fn with_deadline(ep: Endpoint, buf: Arc<MemoryRegion>, deadline: Duration) -> Self {
         assert!(
             buf.len() >= RPC_BUF_BYTES,
             "rpc buffer needs {RPC_BUF_BYTES} bytes, got {}",
@@ -64,30 +73,22 @@ impl RpcClient {
             ep,
             buf,
             timeout: deadline,
+            last_call: AtomicU64::new(0),
+            armed: AtomicBool::new(false),
         }
-    }
-
-    /// Adjusts the per-call deadline.
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = timeout;
-    }
-
-    /// The underlying endpoint (for timeout tuning at connect time).
-    pub fn endpoint_mut(&mut self) -> &mut Endpoint {
-        &mut self.ep
     }
 
     /// Issues one request and waits for the response.
     ///
     /// A request lost to a transport fault is re-sent: the wait for the
-    /// response uses an attempt-scale patience (a twentieth of the
-    /// deadline — a response not back by then is lost, not slow), and
-    /// timeouts are retried until the call deadline expires. The queue pair stays
-    /// healthy across such losses, so re-posting is safe; requests that
-    /// reached the server are answered exactly once (a retried request that
-    /// *was* processed is re-processed, which is idempotent for every
-    /// request in the protocol except `Alloc`, where it can at worst leak
-    /// one allocation per fault).
+    /// response uses the attempt-scale patience of `retry::attempt_timeout`
+    /// (a response not back by then is lost, not slow), and timeouts are
+    /// retried until the call deadline expires. The queue pair stays healthy across such
+    /// losses, so re-posting is safe. A re-sent request that *was*
+    /// processed is processed again, which is idempotent for every request
+    /// in the protocol except `Alloc`, where it can at worst leak one
+    /// allocation per fault; whichever copy's answer arrives first is the
+    /// call's response, and the others are dropped by call id.
     ///
     /// # Errors
     ///
@@ -108,33 +109,28 @@ impl RpcClient {
     /// connection; a send failure is reported by [`RpcClient::finish`].
     /// The `rpc.call` span covers the send alone: spans close in the order
     /// they open, and the calls finish in any order.
-    pub fn begin(&self, req: &Request) -> PendingCall {
+    pub(crate) fn begin(&self, req: &Request) -> PendingCall {
         let _call_span = gengar_telemetry::Tracer::global().span("rpc.call");
         self.start(req)
     }
 
-    /// Encodes and sends `req`. The caller opens the `rpc.call` span before
-    /// this so the request wire bytes carry it as the server-side parent.
+    /// Encodes and sends `req` under the connection's next call id. The
+    /// caller opens the `rpc.call` span before this so the request wire
+    /// bytes carry it as the server-side parent.
     fn start(&self, req: &Request) -> PendingCall {
+        let id = self.last_call.fetch_add(1, Ordering::Relaxed) + 1;
         let mut out = Vec::with_capacity(256);
-        req.encode(&mut out);
+        req.encode(id, &mut out);
         debug_assert!(out.len() <= MAX_MSG);
         let now = Instant::now();
         let sent = self.post(&out);
         PendingCall {
+            id,
             out,
             deadline: now + self.timeout,
-            resend_at: now + self.patience(),
+            resend_at: now + attempt_timeout(self.timeout),
             sent,
         }
-    }
-
-    /// Attempt-scale patience, mirroring RetryPolicy::attempt_timeout:
-    /// several lost responses (each costing one patience) plus the
-    /// re-sends must fit inside one deadline, and a connection that died
-    /// mid-call should be discovered in a fraction of the budget.
-    fn patience(&self) -> Duration {
-        (self.timeout / 20).clamp(Duration::from_millis(5), Duration::from_millis(500))
     }
 
     /// Second half of [`RpcClient::call`]: waits for the response,
@@ -143,9 +139,9 @@ impl RpcClient {
     /// # Errors
     ///
     /// As [`RpcClient::call`].
-    pub fn finish(&self, mut call: PendingCall) -> Result<Response, GengarError> {
+    pub(crate) fn finish(&self, mut call: PendingCall) -> Result<Response, GengarError> {
         loop {
-            if let Some(resp) = self.poll(&mut call, self.patience())? {
+            if let Some(resp) = self.poll(&mut call, attempt_timeout(self.timeout))? {
                 return Ok(resp);
             }
         }
@@ -154,7 +150,8 @@ impl RpcClient {
     /// One bounded wait for `call`'s response, for the reactor: parks on
     /// the response CQ for at most `wait` (zero = a non-blocking look);
     /// `None` while the response is outstanding, re-sending the request
-    /// once its patience has run out.
+    /// once its patience has run out. A response to another call (a late
+    /// answer to an earlier call's re-sent copy) is dropped.
     pub(crate) fn poll(
         &self,
         call: &mut PendingCall,
@@ -169,12 +166,22 @@ impl RpcClient {
             Ok(wc) => {
                 let mut resp_bytes = vec![0u8; wc.byte_len as usize];
                 self.buf.region().read(IN_SLOT, &mut resp_bytes)?;
-                Response::decode(&resp_bytes).map(Some)
+                // The slot is copied out: post the receive again at once,
+                // so a response arriving between calls has somewhere to
+                // land. A failed re-arm is retried by the next post.
+                self.armed.store(false, Ordering::Relaxed);
+                let rearmed = self.arm();
+                let (resp, id) = Response::decode(&resp_bytes)?;
+                if id == call.id {
+                    return Ok(Some(resp));
+                }
+                call.sent = rearmed;
+                Ok(None)
             }
             Err(RdmaError::Timeout) if Instant::now() < call.deadline => {
                 if call.sent.is_err() || Instant::now() >= call.resend_at {
                     call.sent = self.post(&call.out);
-                    call.resend_at = Instant::now() + self.patience();
+                    call.resend_at = Instant::now() + attempt_timeout(self.timeout);
                 }
                 Ok(None)
             }
@@ -182,17 +189,20 @@ impl RpcClient {
         }
     }
 
+    /// Posts the connection's one receive unless it is already posted.
+    fn arm(&self) -> Result<(), RdmaError> {
+        if self.armed.swap(true, Ordering::Relaxed) {
+            return Ok(());
+        }
+        self.ep
+            .post_recv(Sge::new(self.buf.lkey(), IN_SLOT, MAX_MSG as u64))
+            .map(|_| ())
+            .inspect_err(|_| self.armed.store(false, Ordering::Relaxed))
+    }
+
     /// Arms the response buffer, stages the request bytes and sends them.
     fn post(&self, out: &[u8]) -> Result<(), RdmaError> {
-        // Drop completions of responses that arrived after an earlier
-        // attempt gave up on them — they belong to a stale request.
-        while !self.ep.qp().recv_cq().poll(16).is_empty() {}
-
-        // Arm the response buffer before sending the request.
-        self.ep
-            .post_recv(Sge::new(self.buf.lkey(), IN_SLOT, MAX_MSG as u64))?;
-
-        // Stage the request bytes in the outgoing slot and send.
+        self.arm()?;
         self.buf.region().write(OUT_SLOT, out)?;
         self.ep
             .send(
@@ -206,7 +216,9 @@ impl RpcClient {
 /// A request sent by [`RpcClient::begin`] whose response has not been
 /// awaited yet.
 #[derive(Debug)]
-pub struct PendingCall {
+pub(crate) struct PendingCall {
+    /// The call id its response must echo.
+    id: u64,
     out: Vec<u8>,
     deadline: Instant,
     /// When an unanswered request is next re-sent.
@@ -217,7 +229,7 @@ pub struct PendingCall {
 /// Server half of an RPC connection: a loop that decodes requests, invokes
 /// the handler and sends responses until shutdown or transport failure.
 #[derive(Debug)]
-pub struct RpcServerConn {
+pub(crate) struct RpcServerConn {
     ep: Endpoint,
     buf: Arc<MemoryRegion>,
 }
@@ -228,7 +240,7 @@ impl RpcServerConn {
     /// # Panics
     ///
     /// Panics if `buf` is smaller than [`RPC_BUF_BYTES`].
-    pub fn new(ep: Endpoint, buf: Arc<MemoryRegion>) -> Self {
+    pub(crate) fn new(ep: Endpoint, buf: Arc<MemoryRegion>) -> Self {
         assert!(
             buf.len() >= RPC_BUF_BYTES,
             "rpc buffer needs {RPC_BUF_BYTES} bytes, got {}",
@@ -237,12 +249,13 @@ impl RpcServerConn {
         RpcServerConn { ep, buf }
     }
 
-    /// Serves requests until `shutdown` is set or the connection dies.
+    /// Serves requests until `shutdown` is set or the connection dies,
+    /// echoing each request's call id in its response.
     ///
     /// Malformed requests are answered with
-    /// [`Response::Err`]`{ code: BAD_REQUEST }` rather than killing the
-    /// connection.
-    pub fn serve<H>(&self, shutdown: &AtomicBool, mut handler: H)
+    /// [`Response::Err`]`{ code: BAD_REQUEST }` under call id 0 (no call
+    /// uses it) rather than killing the connection.
+    pub(crate) fn serve<H>(&self, shutdown: &AtomicBool, mut handler: H)
     where
         H: FnMut(Request) -> Response,
     {
@@ -270,21 +283,22 @@ impl RpcServerConn {
             if self.buf.region().read(IN_SLOT, &mut req_bytes).is_err() {
                 return;
             }
-            let resp = match Request::decode_traced(&req_bytes) {
-                Ok((req, ctx)) => {
+            let (resp, call) = match Request::decode_traced(&req_bytes) {
+                Ok((req, ctx, call)) => {
                     // Serve under the issuing client op's trace context so
                     // server-side spans land in the same causal trace.
                     let _ctx = ctx.adopt();
                     let mut serve_span = gengar_telemetry::Tracer::global().span("rpc.serve");
                     serve_span.set_detail(req_bytes.first().copied().unwrap_or(0) as u64);
-                    handler(req)
+                    (handler(req), call)
                 }
-                Err(_) => Response::Err {
-                    code: crate::proto::err_code::BAD_REQUEST,
-                },
+                Err(_) => {
+                    let code = crate::proto::err_code::BAD_REQUEST;
+                    (Response::Err { code }, 0)
+                }
             };
             let mut out = Vec::with_capacity(256);
-            resp.encode(&mut out);
+            resp.encode(call, &mut out);
             if self.buf.region().write(OUT_SLOT, &out).is_err() {
                 return;
             }
@@ -322,7 +336,7 @@ mod tests {
     use gengar_hybridmem::{DeviceProfile, MemDevice, MemKind, MemRegion};
     use gengar_rdma::{Access, Fabric, FabricConfig, QpOptions};
 
-    fn rpc_pair() -> (Arc<Fabric>, RpcClient, RpcServerConn) {
+    fn rpc_pair(deadline: Duration) -> (Arc<Fabric>, RpcClient, RpcServerConn) {
         let fabric = Fabric::new(FabricConfig::instant());
         let c_node = fabric.add_node();
         let s_node = fabric.add_node();
@@ -338,14 +352,14 @@ mod tests {
         let s_buf = s_pd.reg_mr(MemRegion::whole(s_dev), Access::all()).unwrap();
         let (ce, se) =
             Endpoint::pair((&c_node, &c_pd), (&s_node, &s_pd), QpOptions::default()).unwrap();
-        let client = RpcClient::new(ce, c_buf);
+        let client = RpcClient::with_deadline(ce, c_buf, deadline);
         let server = RpcServerConn::new(se, s_buf);
         (fabric, client, server)
     }
 
     #[test]
     fn call_roundtrips_through_handler() {
-        let (_fabric, client, server) = rpc_pair();
+        let (_fabric, client, server) = rpc_pair(DEFAULT_RPC_DEADLINE);
         let shutdown = Arc::new(AtomicBool::new(false));
         let shutdown2 = Arc::clone(&shutdown);
         let t = std::thread::spawn(move || {
@@ -364,7 +378,7 @@ mod tests {
 
     #[test]
     fn many_sequential_calls() {
-        let (_fabric, client, server) = rpc_pair();
+        let (_fabric, client, server) = rpc_pair(DEFAULT_RPC_DEADLINE);
         let shutdown = Arc::new(AtomicBool::new(false));
         let shutdown2 = Arc::clone(&shutdown);
         let t = std::thread::spawn(move || {
@@ -390,7 +404,7 @@ mod tests {
         let mut clients = Vec::new();
         let mut servers = Vec::new();
         for id in [10u64, 20] {
-            let (fabric, client, server) = rpc_pair();
+            let (fabric, client, server) = rpc_pair(DEFAULT_RPC_DEADLINE);
             let shutdown = Arc::clone(&shutdown);
             servers.push(std::thread::spawn(move || {
                 server.serve(&shutdown, |req| match req {
@@ -421,7 +435,7 @@ mod tests {
 
     #[test]
     fn server_shutdown_stops_loop() {
-        let (_fabric, _client, server) = rpc_pair();
+        let (_fabric, _client, server) = rpc_pair(DEFAULT_RPC_DEADLINE);
         let shutdown = Arc::new(AtomicBool::new(true));
         // Already-set shutdown returns promptly.
         server.serve(&shutdown, |_req| Response::Ok);
@@ -468,6 +482,37 @@ mod tests {
         });
         let resp = client.call(&Request::Alloc { size: 9 }).unwrap();
         assert_eq!(resp, Response::Alloc { addr: 10 });
+        shutdown.store(true, Ordering::Relaxed);
+        t.join().unwrap();
+    }
+
+    /// A handler slower than the call's patience gets the request re-sent,
+    /// and the re-sent copy is answered too. That late answer must not be
+    /// taken by the next call: every call gets the response to its own
+    /// request.
+    #[test]
+    fn late_response_is_not_handed_to_the_next_call() {
+        let (_fabric, client, server) = rpc_pair(Duration::from_millis(200));
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let shutdown2 = Arc::clone(&shutdown);
+        let t = std::thread::spawn(move || {
+            server.serve(&shutdown2, |req| match req {
+                Request::Alloc { size } => {
+                    if size == 1 {
+                        // Longer than the 10 ms patience of a 200 ms deadline.
+                        std::thread::sleep(Duration::from_millis(25));
+                    }
+                    Response::Alloc { addr: size }
+                }
+                _ => Response::Ok,
+            });
+        });
+        for size in 1..=3 {
+            let resp = client.call(&Request::Alloc { size }).unwrap();
+            assert_eq!(resp, Response::Alloc { addr: size }, "call {size}");
+        }
+        // Exactly one receive stays posted, however many copies were sent.
+        assert_eq!(client.ep.qp().posted_recvs(), 1);
         shutdown.store(true, Ordering::Relaxed);
         t.join().unwrap();
     }

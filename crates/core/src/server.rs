@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use gengar_hybridmem::{MemDevice, MemRegion};
+use gengar_hybridmem::{DeviceProfile, MemDevice, MemRegion};
 use gengar_rdma::{
     Access, CompletionQueue, Endpoint, Fabric, MemoryRegion, ProtectionDomain, QpOptions, Qpn,
     QueuePair, RdmaNode, Sge, WcOpcode,
@@ -292,9 +292,12 @@ impl MemoryServer {
             "dram_cache",
             config.telemetry,
         )?);
+        // Staging rings are ADR-protected DRAM: a staged record is durable
+        // once its WRITE lands — the premise of the proxy write protocol —
+        // at DRAM speed.
         let staging_dev = Arc::new(MemDevice::with_telemetry(
             2,
-            config.staging_profile.clone(),
+            DeviceProfile::adr_dram(),
             ring.ring_bytes() * config.max_clients as u64,
             "staging",
             config.telemetry,

@@ -127,7 +127,7 @@ proptest! {
         ];
         for req in reqs {
             let mut buf = Vec::new();
-            req.encode(&mut buf);
+            req.encode(addr, &mut buf);
             prop_assert_eq!(Request::decode(&buf).unwrap(), req);
         }
     }

@@ -32,22 +32,17 @@ impl BandwidthLimiter {
         }
     }
 
-    /// Returns the configured rate in bytes per second.
-    pub fn bytes_per_sec(&self) -> u64 {
-        self.bytes_per_sec
-    }
-
     /// Occupies the channel for `bytes` worth of transfer time and returns
     /// the instant this transfer's slot completes, without waiting. Returns
     /// `None` when no wait is needed (unlimited rate, zero bytes, or time
     /// scale 0). Use this to model one transfer flowing through several
     /// channels concurrently: reserve all of them, then wait for the latest
     /// deadline.
-    pub fn reserve(&self, bytes: u64) -> Option<Instant> {
+    pub(crate) fn reserve(&self, bytes: u64) -> Option<Instant> {
         self.reserve_at(bytes, Instant::now())
     }
 
-    /// Like [`BandwidthLimiter::reserve`], but the transfer cannot begin
+    /// Like `BandwidthLimiter::reserve`, but the transfer cannot begin
     /// before `start` (a virtual-time cursor possibly in the future). The
     /// deferred-completion engine uses this so a transfer modelled as
     /// arriving later does not steal channel time it could not yet occupy.
@@ -69,7 +64,7 @@ impl BandwidthLimiter {
     /// Occupies the channel for `bytes` worth of transfer time and
     /// busy-waits until this transfer's slot completes. Scaled by the
     /// global time scale; at scale 0 this returns immediately.
-    pub fn acquire(&self, bytes: u64) {
+    pub(crate) fn acquire(&self, bytes: u64) {
         if let Some(deadline) = self.reserve(bytes) {
             spin_until(deadline);
         }
@@ -155,10 +150,5 @@ mod tests {
         }
         // 4 x 5 ms serialized ~ 20 ms.
         assert!(t0.elapsed() >= Duration::from_millis(18));
-    }
-
-    #[test]
-    fn reports_rate() {
-        assert_eq!(BandwidthLimiter::new(42).bytes_per_sec(), 42);
     }
 }

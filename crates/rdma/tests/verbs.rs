@@ -1,7 +1,13 @@
 //! End-to-end tests of the verbs substrate: two (or more) nodes on an
 //! instant fabric exercising every opcode and every failure path.
+//!
+//! Every verb posted here counts into the process-global metrics registry,
+//! from which `batch_posts_one_doorbell` asserts exact deltas, so every
+//! test builds its fabric through [`locked_fabric`] and holds
+//! [`REGISTRY_LOCK`] throughout (other test binaries are separate
+//! processes).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use gengar_hybridmem::{DeviceProfile, MemDevice, MemKind, MemRegion};
@@ -9,6 +15,14 @@ use gengar_rdma::{
     Access, Endpoint, Fabric, FabricConfig, Payload, ProtectionDomain, QpOptions, QpState,
     RdmaError, RdmaNode, RemoteAddr, Sge, WcOpcode, WcStatus,
 };
+
+static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
+
+/// A fabric built under [`REGISTRY_LOCK`]; keep the guard for the test.
+fn locked_fabric(config: FabricConfig) -> (MutexGuard<'static, ()>, Arc<Fabric>) {
+    let guard = REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    (guard, Fabric::new(config))
+}
 
 struct TestNode {
     node: Arc<RdmaNode>,
@@ -34,7 +48,7 @@ fn pair(fabric: &Arc<Fabric>) -> (TestNode, TestNode, Endpoint, Endpoint) {
 
 #[test]
 fn write_then_read_roundtrip() {
-    let fabric = Fabric::new(FabricConfig::instant());
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let (a, b, ea, _eb) = pair(&fabric);
     ea.write(
         Payload::Inline(b"hello nvm".to_vec()),
@@ -56,7 +70,7 @@ fn write_then_read_roundtrip() {
 
 #[test]
 fn write_from_registered_buffer() {
-    let fabric = Fabric::new(FabricConfig::instant());
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let (a, b, ea, _eb) = pair(&fabric);
     a.mr.region().write(256, b"from-sge").unwrap();
     ea.write(
@@ -71,7 +85,7 @@ fn write_from_registered_buffer() {
 
 #[test]
 fn send_recv_delivers_payload_and_imm() {
-    let fabric = Fabric::new(FabricConfig::instant());
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let (_a, b, ea, eb) = pair(&fabric);
     eb.post_recv(Sge::new(b.mr.lkey(), 512, 64)).unwrap();
     ea.send(Payload::Inline(b"ping".to_vec()), Some(0xBEEF))
@@ -87,7 +101,7 @@ fn send_recv_delivers_payload_and_imm() {
 
 #[test]
 fn send_without_posted_recv_hits_rnr() {
-    let fabric = Fabric::new(FabricConfig::instant());
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let a = make_node(&fabric, MemKind::Dram, 4096, Access::all());
     let b = make_node(&fabric, MemKind::Dram, 4096, Access::all());
     let opts = QpOptions {
@@ -102,7 +116,7 @@ fn send_without_posted_recv_hits_rnr() {
 
 #[test]
 fn write_with_imm_consumes_recv() {
-    let fabric = Fabric::new(FabricConfig::instant());
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let (_a, b, ea, eb) = pair(&fabric);
     eb.post_recv(Sge::new(b.mr.lkey(), 0, 0)).unwrap();
     ea.write_with_imm(
@@ -123,7 +137,7 @@ fn write_with_imm_consumes_recv() {
 
 #[test]
 fn cas_and_faa_operate_remotely() {
-    let fabric = Fabric::new(FabricConfig::instant());
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let (a, b, ea, _eb) = pair(&fabric);
     b.mr.region().store_u64(64, 100).unwrap();
 
@@ -166,7 +180,7 @@ fn cas_and_faa_operate_remotely() {
 
 #[test]
 fn remote_access_checks_rkey_bounds_and_permissions() {
-    let fabric = Fabric::new(FabricConfig::instant());
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let a = make_node(&fabric, MemKind::Dram, 4096, Access::all());
     // Server MR allows only REMOTE_READ.
     let b = make_node(&fabric, MemKind::Nvm, 4096, Access::REMOTE_READ);
@@ -191,7 +205,7 @@ fn remote_access_checks_rkey_bounds_and_permissions() {
 
 #[test]
 fn out_of_bounds_remote_read_fails() {
-    let fabric = Fabric::new(FabricConfig::instant());
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let (a, b, ea, _eb) = pair(&fabric);
     let err = ea
         .read(
@@ -204,7 +218,7 @@ fn out_of_bounds_remote_read_fails() {
 
 #[test]
 fn bogus_rkey_fails() {
-    let fabric = Fabric::new(FabricConfig::instant());
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let (a, _b, ea, _eb) = pair(&fabric);
     let err = ea
         .read(
@@ -217,7 +231,7 @@ fn bogus_rkey_fails() {
 
 #[test]
 fn unknown_lkey_fails_fast() {
-    let fabric = Fabric::new(FabricConfig::instant());
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let (_a, b, ea, _eb) = pair(&fabric);
     let err = ea
         .read(
@@ -232,7 +246,7 @@ fn unknown_lkey_fails_fast() {
 
 #[test]
 fn inline_limit_enforced() {
-    let fabric = Fabric::new(FabricConfig::instant());
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let (_a, b, ea, _eb) = pair(&fabric);
     let max = ea.qp().options().max_inline;
     let err = ea
@@ -246,7 +260,7 @@ fn inline_limit_enforced() {
 
 #[test]
 fn partition_causes_transport_error() {
-    let fabric = Fabric::new(FabricConfig::instant());
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let (a, b, ea, _eb) = pair(&fabric);
     fabric.partition(a.node.id(), b.node.id(), true);
     let err = ea
@@ -265,7 +279,7 @@ fn partition_causes_transport_error() {
 
 #[test]
 fn removed_node_causes_transport_error() {
-    let fabric = Fabric::new(FabricConfig::instant());
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let (a, b, ea, _eb) = pair(&fabric);
     fabric.remove_node(b.node.id());
     let err = ea
@@ -276,7 +290,7 @@ fn removed_node_causes_transport_error() {
 
 #[test]
 fn pd_mismatch_is_rejected_remotely() {
-    let fabric = Fabric::new(FabricConfig::instant());
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let a = make_node(&fabric, MemKind::Dram, 4096, Access::all());
     // Register the server MR in a *different* PD than the server QP uses.
     let b_node = fabric.add_node();
@@ -299,7 +313,7 @@ fn pd_mismatch_is_rejected_remotely() {
 
 #[test]
 fn concurrent_remote_faa_is_linearizable() {
-    let fabric = Fabric::new(FabricConfig::instant());
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let server = make_node(&fabric, MemKind::Nvm, 4096, Access::all());
     let mut handles = Vec::new();
     for _ in 0..4 {
@@ -327,7 +341,7 @@ fn concurrent_remote_faa_is_linearizable() {
 
 #[test]
 fn unsignaled_writes_produce_no_completion() {
-    let fabric = Fabric::new(FabricConfig::instant());
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let (_a, b, ea, _eb) = pair(&fabric);
     use gengar_rdma::{SendOp, SendWr};
     ea.qp()
@@ -349,7 +363,7 @@ fn unsignaled_writes_produce_no_completion() {
 #[test]
 fn extra_link_delay_slows_ops() {
     gengar_hybridmem::set_time_scale(1.0);
-    let fabric = Fabric::new(FabricConfig::instant());
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let (a, b, ea, _eb) = pair(&fabric);
     fabric.set_extra_delay_ns(a.node.id(), b.node.id(), 2_000_000); // 2 ms each way
     let t0 = std::time::Instant::now();
@@ -364,13 +378,13 @@ fn telemetry_counts_verbs_on_global_registry() {
 
     // Other tests in this binary share the global registry, so assert on
     // deltas of monotone counters rather than absolute values.
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let reg = Registry::global();
     let read_ops = reg.counter("rdma", "read_ops");
     let write_bytes = reg.counter("rdma", "write_bytes");
     let read_lat = reg.histogram("rdma", "read_ns");
     let (ops0, bytes0, lat0) = (read_ops.get(), write_bytes.get(), read_lat.snapshot().count);
 
-    let fabric = Fabric::new(FabricConfig::instant());
     let (a, b, ea, _eb) = pair(&fabric);
     ea.write(
         Payload::Inline(vec![7u8; 100]),
@@ -394,7 +408,7 @@ fn telemetry_counts_verbs_on_global_registry() {
 fn disabled_telemetry_fabric_still_works() {
     let mut config = FabricConfig::instant();
     config.telemetry = gengar_rdma::TelemetryConfig::disabled();
-    let fabric = Fabric::new(config);
+    let (_registry, fabric) = locked_fabric(config);
     let (a, b, ea, _eb) = pair(&fabric);
     ea.write(
         Payload::Inline(vec![1u8; 32]),
@@ -416,7 +430,7 @@ fn fault_plane_drop_times_out_and_qp_survives() {
     plane.add_rule(gengar_rdma::FaultRule::drop_op().at_ops(vec![1]));
     let mut config = FabricConfig::instant();
     config.faults = Some(Arc::clone(&plane));
-    let fabric = Fabric::new(config);
+    let (_registry, fabric) = locked_fabric(config);
     let (a, b, mut ea, _eb) = pair(&fabric);
     ea.set_op_timeout(Duration::from_millis(20));
     // First write is dropped on the wire: no completion, QP stays healthy.
@@ -448,7 +462,7 @@ fn fault_plane_error_kills_qp_with_cause() {
     plane.add_rule(gengar_rdma::FaultRule::error(WcStatus::TransportError).at_ops(vec![1]));
     let mut config = FabricConfig::instant();
     config.faults = Some(plane);
-    let fabric = Fabric::new(config);
+    let (_registry, fabric) = locked_fabric(config);
     let (a, b, ea, _eb) = pair(&fabric);
     let err = ea
         .read(Sge::new(a.mr.lkey(), 0, 8), RemoteAddr::new(b.mr.rkey(), 0))
@@ -467,7 +481,7 @@ fn fault_plane_disarm_restores_clean_fabric() {
     );
     let mut config = FabricConfig::instant();
     config.faults = Some(Arc::clone(&plane));
-    let fabric = Fabric::new(config);
+    let (_registry, fabric) = locked_fabric(config);
     let (a, b, mut ea, _eb) = pair(&fabric);
     ea.set_op_timeout(Duration::from_millis(10));
     assert!(ea
@@ -481,7 +495,7 @@ fn fault_plane_disarm_restores_clean_fabric() {
 #[test]
 fn batched_reads_complete_per_op() {
     use gengar_rdma::SendOp;
-    let fabric = Fabric::new(FabricConfig::instant());
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let (a, b, ea, _eb) = pair(&fabric);
     for i in 0..8u8 {
         b.mr.region().write(i as u64 * 64, &[i + 1; 16]).unwrap();
@@ -510,12 +524,12 @@ fn batched_reads_complete_per_op() {
 fn batch_posts_one_doorbell() {
     use gengar_rdma::SendOp;
     use gengar_telemetry::Registry;
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let reg = Registry::global();
     let doorbells = reg.counter("rdma", "doorbells");
     let saved = reg.counter("rdma", "doorbells_saved");
     let (db0, saved0) = (doorbells.get(), saved.get());
 
-    let fabric = Fabric::new(FabricConfig::instant());
     let (a, b, ea, _eb) = pair(&fabric);
     let ops: Vec<SendOp> = (0..5u64)
         .map(|i| SendOp::Read {
@@ -540,7 +554,7 @@ fn batch_posts_one_doorbell() {
 #[test]
 fn batch_failure_flushes_later_wrs_in_order() {
     use gengar_rdma::SendOp;
-    let fabric = Fabric::new(FabricConfig::instant());
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let (a, b, ea, _eb) = pair(&fabric);
     b.mr.region().write(0, &[0xAB; 8]).unwrap();
     let good = |off: u64| SendOp::Read {
@@ -571,7 +585,7 @@ fn batch_failure_flushes_later_wrs_in_order() {
 #[test]
 fn batch_with_invalid_wr_executes_nothing() {
     use gengar_rdma::SendOp;
-    let fabric = Fabric::new(FabricConfig::instant());
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let (a, b, ea, _eb) = pair(&fabric);
     let good = SendOp::Write {
         payload: Payload::Inline(b"never".to_vec()),
@@ -601,7 +615,7 @@ fn batch_drop_times_out_only_that_slot() {
     plane.add_rule(gengar_rdma::FaultRule::drop_op().at_ops(vec![2]));
     let mut config = FabricConfig::instant();
     config.faults = Some(plane);
-    let fabric = Fabric::new(config);
+    let (_registry, fabric) = locked_fabric(config);
     let (a, b, mut ea, _eb) = pair(&fabric);
     ea.set_op_timeout(Duration::from_millis(20));
     b.mr.region().write(0, &[7; 8]).unwrap();
@@ -621,7 +635,7 @@ fn batch_drop_times_out_only_that_slot() {
 
 #[test]
 fn empty_batch_is_a_no_op() {
-    let fabric = Fabric::new(FabricConfig::instant());
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let (_a, _b, ea, _eb) = pair(&fabric);
     assert!(ea.execute_many(Vec::new()).unwrap().is_empty());
     assert!(ea.qp().send_cq().is_empty());
@@ -631,7 +645,7 @@ fn empty_batch_is_a_no_op() {
 fn qp_error_reported_for_flushed_waiters() {
     // An op whose completion never arrives on a dead QP must surface
     // QpError (reconnect required), not Timeout (retryable).
-    let fabric = Fabric::new(FabricConfig::instant());
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let (a, b, mut ea, _eb) = pair(&fabric);
     ea.set_op_timeout(Duration::from_millis(50));
     ea.qp().fail(WcStatus::RnrRetryExceeded);
