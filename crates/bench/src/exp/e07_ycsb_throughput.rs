@@ -5,6 +5,9 @@
 //! state-of-the-art DSHM systems on YCSB; the comparable number here is
 //! the gengar : nvm-direct ratio on the read-heavy skewed workloads (B, C,
 //! D), where hot values are served from server DRAM.
+//!
+//! Returns `<workload>.{gengar,direct,clientcache,dram}_kops` per YCSB
+//! workload (`a`…`f`).
 
 use gengar_workloads::ycsb::{load, run as ycsb_run, WorkloadSpec};
 
@@ -28,6 +31,7 @@ pub fn run(rc: &RunConfig) -> Metrics {
             "client-cache",
             "dram-only",
             "gengar/direct",
+            "gengar/client-cache",
         ],
     );
 
@@ -52,8 +56,13 @@ pub fn run(rc: &RunConfig) -> Metrics {
             results[i].push(best);
         }
     }
+    let mut metrics = Metrics::new();
     for (i, spec) in WorkloadSpec::all().into_iter().enumerate() {
         let r = &results[i];
+        let workload = spec.name.to_lowercase();
+        for (slug, kops) in ["gengar", "direct", "clientcache", "dram"].iter().zip(r) {
+            metrics.push((format!("{workload}.{slug}_kops"), *kops));
+        }
         table.row(vec![
             spec.name.to_owned(),
             format!("{:.1}", r[0]),
@@ -61,8 +70,9 @@ pub fn run(rc: &RunConfig) -> Metrics {
             format!("{:.1}", r[2]),
             format!("{:.1}", r[3]),
             format!("{:.2}x", r[0] / r[1].max(1e-9)),
+            format!("{:.2}x", r[0] / r[2].max(1e-9)),
         ]);
     }
     table.print();
-    Metrics::new()
+    metrics
 }

@@ -3,6 +3,9 @@
 //! Per-workload read and update latency (median and p99) for Gengar vs the
 //! direct baseline. The paper's shape: Gengar cuts read latency on skewed
 //! read-heavy workloads (cache) and write latency everywhere (proxy).
+//!
+//! Returns `<workload>.<system>.{read,write}_{p50,p99}_ns` for workloads
+//! `a`, `b`, `f` and systems `gengar`, `direct`.
 
 use gengar_workloads::ycsb::{load, run as ycsb_run, WorkloadSpec};
 
@@ -29,7 +32,11 @@ pub fn run(rc: &RunConfig) -> Metrics {
         ],
     );
 
-    for kind in [SystemKind::Gengar, SystemKind::NvmDirect] {
+    let mut metrics = Metrics::new();
+    for (kind, slug) in [
+        (SystemKind::Gengar, "gengar"),
+        (SystemKind::NvmDirect, "direct"),
+    ] {
         let system = System::launch(kind, 2, rc.base_config(), rc);
         let mut pool = system.client();
         let kv = load(&mut pool, RECORDS, VALUE_SIZE, 1).expect("load");
@@ -37,6 +44,15 @@ pub fn run(rc: &RunConfig) -> Metrics {
         std::thread::sleep(std::time::Duration::from_millis(50));
         for spec in [WorkloadSpec::a(), WorkloadSpec::b(), WorkloadSpec::f()] {
             let r = ycsb_run(&mut pool, &kv, spec, RECORDS, ops, 9).expect("run");
+            let prefix = format!("{}.{slug}", spec.name.to_lowercase());
+            for (name, ns) in [
+                ("read_p50", r.read_latency.p50_ns),
+                ("read_p99", r.read_latency.p99_ns),
+                ("write_p50", r.write_latency.p50_ns),
+                ("write_p99", r.write_latency.p99_ns),
+            ] {
+                metrics.push((format!("{prefix}.{name}_ns"), ns as f64));
+            }
             table.row(vec![
                 spec.name.to_owned(),
                 system.name().to_owned(),
@@ -48,5 +64,5 @@ pub fn run(rc: &RunConfig) -> Metrics {
         }
     }
     table.print();
-    Metrics::new()
+    metrics
 }

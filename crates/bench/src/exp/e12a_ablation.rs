@@ -16,6 +16,7 @@
 //! `<config>.kops`: proxy-only and full must clearly beat the
 //! no-mechanism baseline.
 
+use gengar_core::config::ServerConfig;
 use gengar_workloads::ycsb::{load, run as ycsb_run, WorkloadSpec};
 
 use crate::exp::{System, SystemKind};
@@ -27,6 +28,18 @@ const VALUE_SIZE: u64 = 4096;
 /// Delay stretch: modelled NVM/wire time dominates client CPU cost, so
 /// the ablation measures the mechanisms rather than the host.
 pub const TIME_SCALE: f64 = 8.0;
+
+/// The server configuration of one arm: the run's base with the DRAM cache
+/// and the proxy each on or off. With both off it is nvm-direct's server
+/// shape, and the arm's client is nvm-direct's too (a test pins both).
+fn arm_config(rc: &RunConfig, cache: bool, proxy: bool) -> ServerConfig {
+    let mut config = rc.base_config();
+    if !cache {
+        config.cache = gengar_core::CachePolicy::disabled();
+    }
+    config.enable_proxy = proxy;
+    config
+}
 
 /// Runs E12A.
 pub fn run(rc: &RunConfig) -> Metrics {
@@ -44,12 +57,7 @@ pub fn run(rc: &RunConfig) -> Metrics {
         ("proxy only", "proxy_only", false, true),
         ("full gengar", "full", true, true),
     ] {
-        let mut config = rc.base_config();
-        if !cache {
-            config.cache = gengar_core::CachePolicy::disabled();
-        }
-        config.enable_proxy = proxy;
-        let system = System::launch(SystemKind::Gengar, 1, config, rc);
+        let system = System::launch(SystemKind::Gengar, 1, arm_config(rc, cache, proxy), rc);
         let mut client = system.gengar_client(rc.base_client_config());
         let kv = load(&mut client, RECORDS, VALUE_SIZE, 1).expect("load");
         ycsb_run(&mut client, &kv, WorkloadSpec::c(), RECORDS, ops / 4, 5).expect("warm");
@@ -77,4 +85,27 @@ pub fn run(rc: &RunConfig) -> Metrics {
     }
     table.print();
     metrics
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn neither_arm_is_nvm_direct() {
+        let rc = RunConfig {
+            replicas: 1,
+            window: 4,
+            ..RunConfig::default()
+        };
+        assert_eq!(
+            arm_config(&rc, false, false),
+            SystemKind::NvmDirect.server_config(rc.base_config())
+        );
+        assert_eq!(
+            rc.base_client_config(),
+            SystemKind::NvmDirect.client_config(&rc)
+        );
+        assert_eq!(arm_config(&rc, true, true), rc.base_config());
+    }
 }

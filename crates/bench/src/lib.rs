@@ -12,6 +12,7 @@
 //! Quick mode (CI-sized): `... --bin harness -- all --quick`.
 //! Evaluate the numeric gates: `... --bin harness -- gate`.
 
+pub mod client_cache;
 pub mod exp;
 pub mod gate;
 pub mod table;
@@ -133,9 +134,8 @@ impl RunConfig {
     }
 
     /// The fabric a system of `kind` launches on. The `--faults` schedule
-    /// arms Gengar fabrics only: the baselines have no retry/reconnect
-    /// machinery, so a single injected fault would abort their run instead
-    /// of measuring anything.
+    /// arms Gengar fabrics only: the comparator columns are fault-free
+    /// references for the faulted Gengar column beside them.
     pub fn fabric_config(&self, kind: SystemKind) -> FabricConfig {
         let mut fabric = FabricConfig::infiniband_100g();
         fabric.telemetry = self.telemetry_config();

@@ -23,11 +23,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// The accumulated data rows.
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-
     /// Renders the table to a string.
     pub fn render(&self) -> String {
         let cols = self
@@ -92,7 +87,7 @@ mod tests {
         assert!(s.contains("much-longer-name"));
         let lines: Vec<&str> = s.lines().filter(|l| l.contains("1")).collect();
         assert!(!lines.is_empty());
-        assert_eq!(t.rows().len(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

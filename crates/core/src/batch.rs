@@ -64,11 +64,14 @@ use crate::error::GengarError;
 /// batch are unrepresentable (see the [module docs](self)).
 #[derive(Debug)]
 pub(crate) enum BatchOp<'b> {
-    /// Read `buf.len()` bytes from `ptr.addr + offset` into `buf`.
+    /// Read `buf.len()` bytes from `ptr.addr + offset` into `buf`. With a
+    /// `word` slot ([`GengarClient::read_versioned`]) the read is always
+    /// the NVM triple, and the lock word it validated lands in the slot.
     Read {
         ptr: GlobalPtr,
         offset: u64,
         buf: &'b mut [u8],
+        word: Option<&'b mut u64>,
     },
     /// Write `data` at `ptr.addr + offset`.
     Write {
@@ -120,7 +123,12 @@ impl<'c, 'b> OpBatch<'c, 'b> {
     /// Queues a read of `buf.len()` bytes from `ptr.addr + offset`.
     #[must_use]
     pub fn read(mut self, ptr: GlobalPtr, offset: u64, buf: &'b mut [u8]) -> Self {
-        self.ops.push(BatchOp::Read { ptr, offset, buf });
+        self.ops.push(BatchOp::Read {
+            ptr,
+            offset,
+            buf,
+            word: None,
+        });
         self
     }
 

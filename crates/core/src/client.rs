@@ -1332,8 +1332,13 @@ impl GengarClient {
     /// losing to writers.
     pub fn read(&mut self, ptr: GlobalPtr, offset: u64, buf: &mut [u8]) -> Result<(), GengarError> {
         // A scalar read is a batch of one: same planner, same reactor.
-        self.run_batch(vec![BatchOp::Read { ptr, offset, buf }])?
-            .into_single()
+        self.run_batch(vec![BatchOp::Read {
+            ptr,
+            offset,
+            buf,
+            word: None,
+        }])?
+        .into_single()
     }
 
     /// Step 1 of every read: the local store buffer, which serves
@@ -1498,7 +1503,12 @@ impl GengarClient {
     ) -> Result<BatchResult, GengarError> {
         self.run_batch(
             ops.into_iter()
-                .map(|(ptr, offset, buf)| BatchOp::Read { ptr, offset, buf })
+                .map(|(ptr, offset, buf)| BatchOp::Read {
+                    ptr,
+                    offset,
+                    buf,
+                    word: None,
+                })
                 .collect(),
         )
     }
@@ -1546,7 +1556,9 @@ impl GengarClient {
         let mut results: Vec<Option<Result<(), GengarError>>> = (0..n).map(|_| None).collect();
         for (i, op) in ops.iter().enumerate() {
             let (ptr, offset, len, is_read) = match op {
-                BatchOp::Read { ptr, offset, buf } => (*ptr, *offset, buf.len() as u64, true),
+                BatchOp::Read {
+                    ptr, offset, buf, ..
+                } => (*ptr, *offset, buf.len() as u64, true),
                 BatchOp::Write { ptr, offset, data } => (*ptr, *offset, data.len() as u64, false),
             };
             match Self::check_access(ptr, offset, len) {
@@ -2571,10 +2583,13 @@ impl GengarClient {
         let mut cursor = cursor;
         while cursor < run.indices.len() {
             let i = run.indices[cursor];
-            let (ptr, offset, buf) = match &mut ops[i] {
-                BatchOp::Read { ptr, offset, buf } if results[i].is_none() => {
-                    (*ptr, *offset, &mut **buf)
-                }
+            let (ptr, offset, buf, versioned) = match &mut ops[i] {
+                BatchOp::Read {
+                    ptr,
+                    offset,
+                    buf,
+                    word,
+                } if results[i].is_none() => (*ptr, *offset, &mut **buf, word.is_some()),
                 _ => {
                     cursor += 1;
                     continue;
@@ -2582,7 +2597,7 @@ impl GengarClient {
             };
             let buf_len = buf.len() as u64;
             let base = ptr.addr.raw();
-            if self.serve_from_store_buffer(ptr, offset, buf)? {
+            if !versioned && self.serve_from_store_buffer(ptr, offset, buf)? {
                 results[i] = Some(Ok(()));
                 self.record(run.server, base, false);
                 cursor += 1;
@@ -2591,10 +2606,15 @@ impl GengarClient {
             // Slot frames validate as a whole, so a cached read fetches
             // the full object; engage the cache only when the request
             // covers most of it (small probes into large objects — e.g.
-            // index buckets — are cheaper straight from NVM).
+            // index buckets — are cheaper straight from NVM). A versioned
+            // read is always the NVM triple.
             let frame = SLOT_HEADER + ptr.size + SLOT_TAIL;
-            let mut kind = self.nvm_read_kind(base);
-            if buf_len * 2 >= ptr.size {
+            let mut kind = if versioned {
+                ReadKind::Versioned
+            } else {
+                self.nvm_read_kind(base)
+            };
+            if !versioned && buf_len * 2 >= ptr.size {
                 if let Some(&slot_raw) = self.remap.get(&base) {
                     match GlobalAddr::from_raw(slot_raw) {
                         Some(s) if s.class() == MemClass::DramCache && frame <= op_buf_len => {
@@ -2734,8 +2754,8 @@ impl GengarClient {
                 first_err.get_or_insert(GengarError::Rdma(e));
                 continue;
             }
-            let buf = match &mut ops[p.idx] {
-                BatchOp::Read { buf, .. } => &mut **buf,
+            let (buf, word_out) = match &mut ops[p.idx] {
+                BatchOp::Read { buf, word, .. } => (&mut **buf, word),
                 _ => unreachable!("planned from a read"),
             };
             let base = p.ptr.addr.raw();
@@ -2778,6 +2798,9 @@ impl GengarClient {
                     if p.done < p.len {
                         again.push(p);
                         continue;
+                    }
+                    if let Some(word) = word_out {
+                        **word = p.word;
                     }
                     self.metrics.nvm_reads.inc();
                 }
@@ -2982,6 +3005,35 @@ impl GengarClient {
             RemoteAddr::new(conn.nvm_rkey(), ptr.addr.offset() - OBJ_HEADER),
         )?;
         self.scratch_word(self.op_hdr)
+    }
+
+    /// Reads `buf.len()` bytes at `ptr.addr + offset` as one versioned
+    /// triple from NVM (lock word, payload, lock word under one doorbell)
+    /// and returns the unlocked word the payload was validated against —
+    /// what a client-side cache needs to fill an entry. It never reads a
+    /// cache frame or this client's store buffer, so flush staged writes to
+    /// `ptr` first, and do not hold `ptr`'s lock (the triple would never
+    /// validate).
+    ///
+    /// # Errors
+    ///
+    /// As [`GengarClient::read`], including [`GengarError::ReadContended`]
+    /// after `read_retries` lost validations.
+    pub fn read_versioned(
+        &mut self,
+        ptr: GlobalPtr,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> Result<u64, GengarError> {
+        let mut word = 0;
+        self.run_batch(vec![BatchOp::Read {
+            ptr,
+            offset,
+            buf,
+            word: Some(&mut word),
+        }])?
+        .into_single()?;
+        Ok(word)
     }
 
     /// Records one access for the piggybacked hotness report.

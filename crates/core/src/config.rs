@@ -167,16 +167,6 @@ impl ServerConfig {
             ..Default::default()
         }
     }
-
-    /// The paper's baseline comparator shape: no DRAM cache, no proxy
-    /// (direct one-sided access to NVM, Octopus-like).
-    pub fn nvm_direct() -> Self {
-        ServerConfig {
-            cache: CachePolicy::disabled(),
-            enable_proxy: false,
-            ..Default::default()
-        }
-    }
 }
 
 /// Client-side configuration.
@@ -269,13 +259,6 @@ mod tests {
         assert!(!s.health.enabled, "health plane must be opt-in");
         assert!(s.health.tick > Duration::ZERO);
         assert!(HealthConfig::enabled().enabled);
-    }
-
-    #[test]
-    fn nvm_direct_disables_gengar_mechanisms() {
-        let s = ServerConfig::nvm_direct();
-        assert!(!s.cache.enabled);
-        assert!(!s.enable_proxy);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The `DshmPool` abstraction: the API surface shared by Gengar and the
-//! baseline systems it is evaluated against.
+//! comparator systems it is evaluated against.
 
 use crate::addr::GlobalPtr;
 use crate::client::GengarClient;
@@ -7,9 +7,10 @@ use crate::error::GengarError;
 
 /// A distributed shared (hybrid) memory pool, from a client's perspective.
 ///
-/// [`GengarClient`] implements this, as do the comparators in the
-/// `gengar-baselines` crate, so workloads (YCSB, MapReduce, microbenchmarks)
-/// run unchanged against every design point.
+/// [`GengarClient`] implements this — on a comparator-shaped cluster it *is*
+/// that comparator's client — as does the bench crate's client-side cache,
+/// so workloads (YCSB, MapReduce, microbenchmarks) run unchanged against
+/// every design point.
 pub trait DshmPool {
     /// Allocates `size` payload bytes on `server`.
     ///

@@ -211,3 +211,51 @@ fn seqlock_nvm_read_is_three_reads_under_one_doorbell() {
     let stats = client.stats();
     assert_eq!((stats.nvm_reads, stats.read_retries), (1, 0), "{stats:?}");
 }
+
+/// `read_versioned` is that same triple under `Consistency::None` too, and
+/// returns the word it validated against; a client holding a remap entry
+/// for the object still reads NVM, not the frame.
+#[test]
+fn read_versioned_is_three_reads_under_one_doorbell() {
+    let _guard = registry_guard();
+    let mut config = ServerConfig::small();
+    config.cache = config.cache.hot_threshold(1);
+    let cluster = Cluster::launch(1, config, FabricConfig::instant()).unwrap();
+    let mut client = cluster
+        .client(ClientConfig {
+            report_every: u32::MAX,
+            ..Default::default()
+        })
+        .unwrap();
+    let ptr = client.alloc(0, 64).unwrap();
+    client.write(ptr, 0, &[5u8; 64]).unwrap();
+    client.drain_all().unwrap();
+
+    let word = client.read_lock_word(ptr).unwrap();
+    let before = ["rdma.doorbells", "rdma.read_ops", "rdma.batched_ops"].map(counter);
+    let mut buf = [0u8; 64];
+    assert_eq!(client.read_versioned(ptr, 0, &mut buf).unwrap(), word);
+    let after = ["rdma.doorbells", "rdma.read_ops", "rdma.batched_ops"].map(counter);
+    assert!(buf.iter().all(|&b| b == 5));
+    let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+    assert_eq!(delta, [1, 3, 3], "doorbells, READ verbs, WRs posted");
+
+    // A reporting client learns the promoted frame, then reads past it.
+    let mut hot = cluster
+        .client(ClientConfig {
+            report_every: 1,
+            ..Default::default()
+        })
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while hot.stats().cache_hits == 0 {
+        hot.read(ptr, 0, &mut buf).unwrap();
+        assert!(Instant::now() < deadline, "never promoted");
+    }
+    let before = hot.stats();
+    assert_eq!(hot.read_versioned(ptr, 0, &mut buf).unwrap(), word);
+    let after = hot.stats();
+    assert!(hot.remap_entries() > 0 && buf.iter().all(|&b| b == 5));
+    assert_eq!(after.cache_hits, before.cache_hits, "{after:?}");
+    assert_eq!(after.nvm_reads, before.nvm_reads + 1, "{after:?}");
+}

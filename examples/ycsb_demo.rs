@@ -1,5 +1,5 @@
 //! YCSB demo: run workloads A–F over Gengar and the direct-to-NVM
-//! baseline, printing a side-by-side throughput comparison.
+//! comparator, printing a side-by-side throughput comparison.
 //!
 //! Run with:
 //!
@@ -7,7 +7,6 @@
 //! cargo run --release --example ycsb_demo
 //! ```
 
-use gengar::baselines::NvmDirect;
 use gengar::prelude::*;
 use gengar::workloads::ycsb::{load, run, WorkloadSpec};
 
@@ -27,10 +26,11 @@ fn main() -> Result<(), GengarError> {
     // Gengar: cache + proxy on.
     let gengar_cluster =
         Cluster::launch(2, server_config.clone(), FabricConfig::infiniband_100g())?;
-    let mut gengar_client = gengar_cluster.client(ClientConfig {
+    let client_config = ClientConfig {
         report_every: 128,
         ..Default::default()
-    })?;
+    };
+    let mut gengar_client = gengar_cluster.client(client_config.clone())?;
     let gengar_kv = load(&mut gengar_client, RECORDS, VALUE_SIZE, 1)?;
     // Warm pass: let the hotness monitor promote the skewed working set.
     run(
@@ -43,9 +43,15 @@ fn main() -> Result<(), GengarError> {
     )?;
     std::thread::sleep(std::time::Duration::from_millis(50));
 
-    // Baseline: one-sided access to NVM, nothing else.
-    let base_cluster = NvmDirect::launch(2, server_config, FabricConfig::infiniband_100g())?;
-    let mut base_client = NvmDirect::client(&base_cluster)?;
+    // Comparator: the same servers with no cache and no proxy — one-sided
+    // access to NVM, nothing else.
+    let direct_config = ServerConfig {
+        cache: CachePolicy::disabled(),
+        enable_proxy: false,
+        ..server_config
+    };
+    let base_cluster = Cluster::launch(2, direct_config, FabricConfig::infiniband_100g())?;
+    let mut base_client = base_cluster.client(client_config)?;
     let base_kv = load(&mut base_client, RECORDS, VALUE_SIZE, 1)?;
 
     println!(

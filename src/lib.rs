@@ -9,8 +9,6 @@
 //!   one-sided READ/WRITE/CAS/FAA, SEND/RECV) over a modelled fabric.
 //! * [`core`] — the Gengar system itself: memory servers, the client
 //!   library, hot-data DRAM caching, proxy writes and consistency.
-//! * [`baselines`] — the comparator designs (direct-to-NVM, client-side
-//!   caching, DRAM-only upper bound).
 //! * [`workloads`] — YCSB, a pool-resident KV store, MapReduce-lite and
 //!   microbenchmark drivers.
 //!
@@ -36,9 +34,10 @@
 //!
 //! See `examples/` for runnable scenarios (YCSB, MapReduce WordCount,
 //! multi-user shared counters) and `crates/bench` for the harness that
-//! regenerates every figure/table of the paper's evaluation.
+//! regenerates every figure/table of the paper's evaluation, including the
+//! comparator designs (direct-to-NVM, client-side caching, DRAM-only upper
+//! bound) it measures Gengar against.
 
-pub use gengar_baselines as baselines;
 pub use gengar_core as core;
 pub use gengar_hybridmem as hybridmem;
 pub use gengar_rdma as rdma;

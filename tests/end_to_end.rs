@@ -1,17 +1,30 @@
 //! Cross-crate integration tests: the full stack (hybridmem -> rdma ->
-//! core -> workloads/baselines) exercised through the facade crate, on a
-//! zero-latency fabric so everything is functional, not timing-dependent.
+//! core -> workloads, and the bench crate's comparators) exercised through
+//! the facade crate, on a zero-latency fabric so everything is functional,
+//! not timing-dependent.
 
 use std::sync::Arc;
 
-use gengar::baselines::{ClientCache, DramOnly, NvmDirect};
 use gengar::prelude::*;
 use gengar::workloads::corpus;
 use gengar::workloads::mapreduce::{sort, wordcount};
 use gengar::workloads::ycsb::{load, run, WorkloadSpec};
+use gengar_bench::client_cache::ClientCache;
+use gengar_bench::exp::SystemKind;
+use gengar_bench::RunConfig;
 
 fn instant_cluster(n: usize) -> Cluster {
     Cluster::launch(n, ServerConfig::small(), FabricConfig::instant()).unwrap()
+}
+
+/// A two-server `kind` cluster on the zero-latency fabric.
+fn comparator_cluster(kind: SystemKind) -> Cluster {
+    let config = kind.server_config(ServerConfig::small());
+    Cluster::launch(2, config, FabricConfig::instant()).unwrap()
+}
+
+fn comparator_client(cluster: &Cluster, kind: SystemKind) -> Result<GengarClient, GengarError> {
+    cluster.client(kind.client_config(&RunConfig::default()))
 }
 
 #[test]
@@ -27,23 +40,24 @@ fn ycsb_runs_on_gengar_and_every_baseline() {
     assert_eq!(r.ops, ops);
 
     // NvmDirect.
-    let cluster = NvmDirect::launch(2, ServerConfig::small(), FabricConfig::instant()).unwrap();
-    let mut base = NvmDirect::client(&cluster).unwrap();
+    let cluster = comparator_cluster(SystemKind::NvmDirect);
+    let mut base = comparator_client(&cluster, SystemKind::NvmDirect).unwrap();
     let kv = load(&mut base, records, 64, 1).unwrap();
     let r = run(&mut base, &kv, WorkloadSpec::b(), records, ops, 2).unwrap();
     assert_eq!(r.ops, ops);
 
     // ClientCache.
-    let cluster = ClientCache::launch(2, ServerConfig::small(), FabricConfig::instant()).unwrap();
-    let mut cc = ClientCache::client(&cluster, CachePolicy::new().capacity(1 << 20)).unwrap();
+    let cluster = comparator_cluster(SystemKind::ClientCache);
+    let client = comparator_client(&cluster, SystemKind::ClientCache).unwrap();
+    let mut cc = ClientCache::new(client, 1 << 20);
     let kv = load(&mut cc, records, 64, 1).unwrap();
     let r = run(&mut cc, &kv, WorkloadSpec::c(), records, ops, 2).unwrap();
     assert_eq!(r.ops, ops);
     assert!(cc.cache_stats().hits > 0, "client cache never hit");
 
     // DramOnly.
-    let cluster = DramOnly::launch(2, ServerConfig::small(), FabricConfig::instant()).unwrap();
-    let mut dram = DramOnly::client(&cluster).unwrap();
+    let cluster = comparator_cluster(SystemKind::DramOnly);
+    let mut dram = comparator_client(&cluster, SystemKind::DramOnly).unwrap();
     let kv = load(&mut dram, records, 64, 1).unwrap();
     let r = run(&mut dram, &kv, WorkloadSpec::f(), records, ops, 2).unwrap();
     assert_eq!(r.ops, ops);
@@ -59,9 +73,8 @@ fn mapreduce_agrees_across_systems() {
     let (gengar_counts, _) = wordcount(&factory, &input, 3, 2).unwrap();
     assert_eq!(gengar_counts, reference);
 
-    let base_cluster =
-        NvmDirect::launch(2, ServerConfig::small(), FabricConfig::instant()).unwrap();
-    let base_factory = || NvmDirect::client(&base_cluster);
+    let base_cluster = comparator_cluster(SystemKind::NvmDirect);
+    let base_factory = || comparator_client(&base_cluster, SystemKind::NvmDirect);
     let (base_counts, _) = wordcount(&base_factory, &input, 3, 2).unwrap();
     assert_eq!(base_counts, reference);
 }

@@ -5,10 +5,11 @@
 
 use std::time::Instant;
 
-use gengar::baselines::{DramOnly, NvmDirect};
 use gengar::prelude::*;
 use gengar::workloads::micro::{closed_loop, setup_objects, OpMix};
 use gengar::workloads::Distribution;
+use gengar_bench::exp::SystemKind;
+use gengar_bench::RunConfig;
 
 fn calibrated() -> ServerConfig {
     ServerConfig {
@@ -17,6 +18,16 @@ fn calibrated() -> ServerConfig {
         epoch: std::time::Duration::from_millis(5),
         ..Default::default()
     }
+}
+
+/// A one-server `kind` cluster on the calibrated fabric, and a client of it.
+fn comparator(kind: SystemKind) -> (Cluster, GengarClient) {
+    let config = kind.server_config(calibrated());
+    let cluster = Cluster::launch(1, config, FabricConfig::infiniband_100g()).unwrap();
+    let client = cluster
+        .client(kind.client_config(&RunConfig::default()))
+        .unwrap();
+    (cluster, client)
 }
 
 /// Median of per-op latencies: robust against the preemption outliers a
@@ -41,10 +52,8 @@ fn median_ns(f: impl FnMut()) -> u64 {
 fn remote_nvm_reads_are_slower_than_remote_dram_reads() {
     gengar::hybridmem::set_time_scale(1.0);
     // Compare raw device models through the verbs layer.
-    let nvm_cluster = NvmDirect::launch(1, calibrated(), FabricConfig::infiniband_100g()).unwrap();
-    let mut nvm = NvmDirect::client(&nvm_cluster).unwrap();
-    let dram_cluster = DramOnly::launch(1, calibrated(), FabricConfig::infiniband_100g()).unwrap();
-    let mut dram = DramOnly::client(&dram_cluster).unwrap();
+    let (_nvm_cluster, mut nvm) = comparator(SystemKind::NvmDirect);
+    let (_dram_cluster, mut dram) = comparator(SystemKind::DramOnly);
 
     let nvm_ptr = nvm.alloc(0, 65536).unwrap();
     let dram_ptr = dram.alloc(0, 65536).unwrap();
@@ -66,9 +75,7 @@ fn proxy_writes_beat_direct_nvm_writes() {
     // Gengar with proxy vs the same pool with direct writes only.
     let proxy_cluster = Cluster::launch(1, calibrated(), FabricConfig::infiniband_100g()).unwrap();
     let mut proxy = proxy_cluster.client(ClientConfig::default()).unwrap();
-    let direct_cluster =
-        NvmDirect::launch(1, calibrated(), FabricConfig::infiniband_100g()).unwrap();
-    let mut direct = NvmDirect::client(&direct_cluster).unwrap();
+    let (_direct_cluster, mut direct) = comparator(SystemKind::NvmDirect);
 
     let p = proxy.alloc(0, 1024).unwrap();
     let d = direct.alloc(0, 1024).unwrap();
@@ -90,7 +97,7 @@ fn proxy_writes_beat_direct_nvm_writes() {
         "direct NVM write {directed} ns should be well above proxied {proxied} ns"
     );
     assert!(proxy.stats().staged_writes > 0);
-    assert!(direct.inner().stats().direct_writes > 0);
+    assert!(direct.stats().direct_writes > 0);
 }
 
 #[test]
