@@ -21,7 +21,7 @@
 //!   resizes the protected vs. probationary split of the cache, ARC-style.
 //! * **Demotion** — evicted-but-warm frames are copied into a server-local
 //!   NVM demote area so re-promotion is one local NVM→DRAM copy instead of a
-//!   full client miss. Demotion runs on the epoch thread only, never on the
+//!   full client miss. Demotion runs in the epoch only, never on the
 //!   foreground proxy drain.
 
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -249,9 +249,10 @@ fn frame_need(payload_len: u64) -> u64 {
 
 /// Manages the DRAM cache region of one memory server.
 ///
-/// All methods run server-locally (promotion/eviction on the epoch thread,
-/// updates on the proxy thread, invalidation on RPC threads) under the
-/// server's cache mutex; remote clients only ever *read* the region.
+/// All methods run server-locally (promotion/eviction at each epoch and
+/// invalidation for RPCs, both on the server's control loop; updates on the
+/// proxy drain threads) under the server's cache mutex; remote clients only
+/// ever *read* the region.
 #[derive(Debug)]
 pub struct CacheManager {
     server_id: u8,

@@ -108,7 +108,7 @@ pub struct AccessEntry {
 /// The server-side hotness monitor.
 ///
 /// `record` is called from RPC handlers as reports arrive; `fold_epoch` is
-/// called by the epoch thread and returns the current promotion candidates
+/// called at each epoch and returns the current promotion candidates
 /// (estimated score per address seen since the previous fold).
 #[derive(Debug)]
 pub struct HotnessMonitor {

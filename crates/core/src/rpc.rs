@@ -6,7 +6,8 @@
 //! outstanding request per connection), which matches how Gengar uses the
 //! control plane: the data plane is entirely one-sided. A caller holding
 //! several connections may overlap one call on each
-//! (`RpcClient::begin` / `RpcClient::finish`).
+//! (`RpcClient::begin` / `RpcClient::finish`). A server answers all its
+//! connections from one loop over a shared receive CQ.
 //!
 //! Every request carries a per-connection call id that its response
 //! echoes. A request is re-sent when its response is late, so one call can
@@ -18,7 +19,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gengar_rdma::{Endpoint, MemoryRegion, Payload, RdmaError, Sge};
+use gengar_rdma::{Endpoint, MemoryRegion, Payload, RdmaError, Sge, Wc};
 
 use crate::error::GengarError;
 use crate::proto::{Request, Response, MAX_MSG};
@@ -226,8 +227,9 @@ pub(crate) struct PendingCall {
     sent: Result<(), RdmaError>,
 }
 
-/// Server half of an RPC connection: a loop that decodes requests, invokes
-/// the handler and sends responses until shutdown or transport failure.
+/// Server half of an RPC connection. It owns no thread: whoever polls the
+/// receive CQ it shares with other connections passes it each of its
+/// completions (`answer`).
 #[derive(Debug)]
 pub(crate) struct RpcServerConn {
     ep: Endpoint,
@@ -235,255 +237,296 @@ pub(crate) struct RpcServerConn {
 }
 
 impl RpcServerConn {
-    /// Wraps the server-side endpoint and message buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` is smaller than [`RPC_BUF_BYTES`].
-    pub(crate) fn new(ep: Endpoint, buf: Arc<MemoryRegion>) -> Self {
-        assert!(
-            buf.len() >= RPC_BUF_BYTES,
-            "rpc buffer needs {RPC_BUF_BYTES} bytes, got {}",
-            buf.len()
-        );
-        RpcServerConn { ep, buf }
+    /// Wraps the server-side endpoint and its [`RPC_BUF_BYTES`] message
+    /// buffer, and posts the connection's one receive.
+    pub(crate) fn new(ep: Endpoint, buf: Arc<MemoryRegion>) -> Result<Self, RdmaError> {
+        let conn = RpcServerConn { ep, buf };
+        conn.arm()?;
+        Ok(conn)
     }
 
-    /// Serves requests until `shutdown` is set or the connection dies,
-    /// echoing each request's call id in its response.
+    /// Answers the request whose receive completed as `wc`, echoing its
+    /// call id, then posts the receive again.
     ///
     /// Malformed requests are answered with
     /// [`Response::Err`]`{ code: BAD_REQUEST }` under call id 0 (no call
     /// uses it) rather than killing the connection.
-    pub(crate) fn serve<H>(&self, shutdown: &AtomicBool, mut handler: H)
-    where
-        H: FnMut(Request) -> Response,
-    {
-        while !shutdown.load(Ordering::Relaxed) {
-            if self
-                .ep
-                .post_recv(Sge::new(self.buf.lkey(), IN_SLOT, MAX_MSG as u64))
-                .is_err()
-            {
-                return;
-            }
-            // Poll with a short patience so shutdown is honoured promptly.
-            let wc = loop {
-                match classify_recv(&self.ep, Duration::from_millis(50)) {
-                    Ok(wc) => break wc,
-                    Err(RecvFailure::WouldBlock) => {
-                        if shutdown.load(Ordering::Relaxed) {
-                            return;
-                        }
-                    }
-                    Err(RecvFailure::Dead) => return,
-                }
-            };
-            let mut req_bytes = vec![0u8; wc.byte_len as usize];
-            if self.buf.region().read(IN_SLOT, &mut req_bytes).is_err() {
-                return;
-            }
-            let (resp, call) = match Request::decode_traced(&req_bytes) {
-                Ok((req, ctx, call)) => {
-                    // Serve under the issuing client op's trace context so
-                    // server-side spans land in the same causal trace.
-                    let _ctx = ctx.adopt();
-                    let mut serve_span = gengar_telemetry::Tracer::global().span("rpc.serve");
-                    serve_span.set_detail(req_bytes.first().copied().unwrap_or(0) as u64);
-                    (handler(req), call)
-                }
-                Err(_) => {
-                    let code = crate::proto::err_code::BAD_REQUEST;
-                    (Response::Err { code }, 0)
-                }
-            };
-            let mut out = Vec::with_capacity(256);
-            resp.encode(call, &mut out);
-            if self.buf.region().write(OUT_SLOT, &out).is_err() {
-                return;
-            }
-            if self
-                .ep
-                .send(
-                    Payload::Sge(Sge::new(self.buf.lkey(), OUT_SLOT, out.len() as u64)),
-                    None,
-                )
-                .is_err()
-            {
-                return;
-            }
+    ///
+    /// # Errors
+    ///
+    /// A failed receive, response or re-post: the connection is dead.
+    pub(crate) fn answer(
+        &self,
+        wc: &Wc,
+        handler: impl FnOnce(Request) -> Response,
+    ) -> Result<(), GengarError> {
+        if !wc.status.is_ok() {
+            return Err(RdmaError::CompletionError(wc.status).into());
         }
+        let mut req_bytes = vec![0u8; wc.byte_len as usize];
+        self.buf.region().read(IN_SLOT, &mut req_bytes)?;
+        let (resp, call) = match Request::decode_traced(&req_bytes) {
+            Ok((req, ctx, call)) => {
+                // Serve under the issuing client op's trace context so
+                // server-side spans land in the same causal trace.
+                let _ctx = ctx.adopt();
+                let mut serve_span = gengar_telemetry::Tracer::global().span("rpc.serve");
+                serve_span.set_detail(req_bytes.first().copied().unwrap_or(0) as u64);
+                (handler(req), call)
+            }
+            Err(_) => {
+                let code = crate::proto::err_code::BAD_REQUEST;
+                (Response::Err { code }, 0)
+            }
+        };
+        let mut out = Vec::with_capacity(256);
+        resp.encode(call, &mut out);
+        self.buf.region().write(OUT_SLOT, &out)?;
+        let sge = Sge::new(self.buf.lkey(), OUT_SLOT, out.len() as u64);
+        self.ep.send(Payload::Sge(sge), None)?;
+        self.arm()?;
+        Ok(())
     }
-}
 
-/// Internal distinction between "no request yet" and "connection dead".
-enum RecvFailure {
-    WouldBlock,
-    Dead,
-}
-
-fn classify_recv(ep: &Endpoint, timeout: Duration) -> Result<gengar_rdma::Wc, RecvFailure> {
-    match ep.recv(timeout) {
-        Ok(wc) => Ok(wc),
-        Err(RdmaError::Timeout) => Err(RecvFailure::WouldBlock),
-        Err(_) => Err(RecvFailure::Dead),
+    /// Posts the connection's one receive into the incoming slot.
+    fn arm(&self) -> Result<u64, RdmaError> {
+        let sge = Sge::new(self.buf.lkey(), IN_SLOT, MAX_MSG as u64);
+        self.ep.post_recv(sge)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gengar_hybridmem::{DeviceProfile, MemDevice, MemKind, MemRegion};
-    use gengar_rdma::{Access, Fabric, FabricConfig, QpOptions};
+    use std::thread::JoinHandle;
 
-    fn rpc_pair(deadline: Duration) -> (Arc<Fabric>, RpcClient, RpcServerConn) {
-        let fabric = Fabric::new(FabricConfig::instant());
-        let c_node = fabric.add_node();
-        let s_node = fabric.add_node();
-        let c_pd = c_node.alloc_pd();
-        let s_pd = s_node.alloc_pd();
-        let c_dev = Arc::new(
-            MemDevice::new(0, DeviceProfile::instant(MemKind::Dram), RPC_BUF_BYTES).unwrap(),
-        );
-        let s_dev = Arc::new(
-            MemDevice::new(1, DeviceProfile::instant(MemKind::Dram), RPC_BUF_BYTES).unwrap(),
-        );
-        let c_buf = c_pd.reg_mr(MemRegion::whole(c_dev), Access::all()).unwrap();
-        let s_buf = s_pd.reg_mr(MemRegion::whole(s_dev), Access::all()).unwrap();
-        let (ce, se) =
-            Endpoint::pair((&c_node, &c_pd), (&s_node, &s_pd), QpOptions::default()).unwrap();
-        let client = RpcClient::with_deadline(ce, c_buf, deadline);
-        let server = RpcServerConn::new(se, s_buf);
-        (fabric, client, server)
+    use gengar_hybridmem::{DeviceProfile, MemDevice, MemKind, MemRegion};
+    use gengar_rdma::{
+        Access, CompletionQueue, Fabric, FabricConfig, FaultPlane, ProtectionDomain, QpOptions,
+        RdmaNode, TelemetryConfig,
+    };
+
+    use crate::proto::err_code;
+
+    /// `n` RPC connections from one client node to one server node whose
+    /// server ends all receive on the returned CQ, as a server's do.
+    fn rpc_conns(
+        config: FabricConfig,
+        n: usize,
+        deadline: Duration,
+    ) -> (
+        Arc<Fabric>,
+        Vec<RpcClient>,
+        Vec<RpcServerConn>,
+        Arc<CompletionQueue>,
+    ) {
+        let fabric = Fabric::new(config);
+        let (c_node, s_node) = (fabric.add_node(), fabric.add_node());
+        let (c_pd, s_pd) = (c_node.alloc_pd(), s_node.alloc_pd());
+        let shared = s_node.create_cq(64);
+        let buf = |pd: &ProtectionDomain| {
+            let dev = MemDevice::new(0, DeviceProfile::instant(MemKind::Dram), RPC_BUF_BYTES);
+            let region = MemRegion::whole(Arc::new(dev.unwrap()));
+            pd.reg_mr(region, Access::all()).unwrap()
+        };
+        let qp = |node: &Arc<RdmaNode>, pd, recv_cq| {
+            node.create_qp(pd, node.create_cq(64), recv_cq, QpOptions::default())
+        };
+        let (mut clients, mut servers) = (Vec::new(), Vec::new());
+        for _ in 0..n {
+            let c_qp = qp(&c_node, &c_pd, c_node.create_cq(64));
+            let s_qp = qp(&s_node, &s_pd, Arc::clone(&shared));
+            c_qp.connect(s_node.id(), s_qp.qpn()).unwrap();
+            s_qp.connect(c_node.id(), c_qp.qpn()).unwrap();
+            // Per-verb patience as a `GengarClient` sets it.
+            let mut ep = Endpoint::from_qp(Arc::clone(&c_node), c_qp);
+            ep.set_op_timeout(attempt_timeout(deadline));
+            clients.push(RpcClient::with_deadline(ep, buf(&c_pd), deadline));
+            let ep = Endpoint::from_qp(Arc::clone(&s_node), s_qp);
+            servers.push(RpcServerConn::new(ep, buf(&s_pd)).unwrap());
+        }
+        (fabric, clients, servers, shared)
+    }
+
+    /// One loop answering every connection off their shared CQ, as a
+    /// server's control loop does, until dropped.
+    struct ServeLoop {
+        stop: Arc<AtomicBool>,
+        thread: Option<JoinHandle<()>>,
+    }
+
+    impl Drop for ServeLoop {
+        fn drop(&mut self) {
+            self.stop.store(true, Ordering::Relaxed);
+            if let Some(thread) = self.thread.take() {
+                let _ = thread.join();
+            }
+        }
+    }
+
+    /// Starts the loop; `handler` is told which connection a request came
+    /// in on.
+    fn serve(
+        conns: Vec<RpcServerConn>,
+        cq: Arc<CompletionQueue>,
+        mut handler: impl FnMut(usize, Request) -> Response + Send + 'static,
+    ) -> ServeLoop {
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = Arc::clone(&stop);
+        let thread = std::thread::spawn(move || {
+            while !stopped.load(Ordering::Relaxed) {
+                for wc in cq.wait(16, Duration::from_millis(5)) {
+                    let i = conns.iter().position(|c| c.ep.qp().qpn() == wc.qpn);
+                    let i = i.unwrap();
+                    let _ = conns[i].answer(&wc, |req| handler(i, req));
+                }
+            }
+        });
+        ServeLoop {
+            stop,
+            thread: Some(thread),
+        }
     }
 
     #[test]
     fn call_roundtrips_through_handler() {
-        let (_fabric, client, server) = rpc_pair(DEFAULT_RPC_DEADLINE);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let shutdown2 = Arc::clone(&shutdown);
-        let t = std::thread::spawn(move || {
-            server.serve(&shutdown2, |req| match req {
-                Request::Alloc { size } => Response::Alloc { addr: size * 2 },
-                _ => Response::Ok,
-            });
+        let (_fabric, clients, servers, cq) =
+            rpc_conns(FabricConfig::instant(), 1, DEFAULT_RPC_DEADLINE);
+        let _loop = serve(servers, cq, |_, req| match req {
+            Request::Alloc { size } => Response::Alloc { addr: size * 2 },
+            _ => Response::Ok,
         });
-        let resp = client.call(&Request::Alloc { size: 21 }).unwrap();
+        let resp = clients[0].call(&Request::Alloc { size: 21 }).unwrap();
         assert_eq!(resp, Response::Alloc { addr: 42 });
-        let resp = client.call(&Request::OpenStaging).unwrap();
+        let resp = clients[0].call(&Request::OpenStaging).unwrap();
         assert_eq!(resp, Response::Ok);
-        shutdown.store(true, Ordering::Relaxed);
-        t.join().unwrap();
     }
 
     #[test]
     fn many_sequential_calls() {
-        let (_fabric, client, server) = rpc_pair(DEFAULT_RPC_DEADLINE);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let shutdown2 = Arc::clone(&shutdown);
-        let t = std::thread::spawn(move || {
-            let mut count = 0u64;
-            server.serve(&shutdown2, |_req| {
-                count += 1;
-                Response::Durable { seq: count }
-            });
+        let (_fabric, clients, servers, cq) =
+            rpc_conns(FabricConfig::instant(), 1, DEFAULT_RPC_DEADLINE);
+        let mut count = 0u64;
+        let _loop = serve(servers, cq, move |_, _| {
+            count += 1;
+            Response::Durable { seq: count }
         });
         for i in 1..=100u64 {
-            let resp = client.call(&Request::OpenStaging).unwrap();
+            let resp = clients[0].call(&Request::OpenStaging).unwrap();
             assert_eq!(resp, Response::Durable { seq: i });
         }
-        shutdown.store(true, Ordering::Relaxed);
-        t.join().unwrap();
     }
 
     /// Calls begun on two connections overlap: both requests are out
     /// before either response is awaited, and they finish in any order.
     #[test]
     fn begun_calls_on_two_connections_finish_in_any_order() {
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let mut clients = Vec::new();
-        let mut servers = Vec::new();
-        for id in [10u64, 20] {
-            let (fabric, client, server) = rpc_pair(DEFAULT_RPC_DEADLINE);
-            let shutdown = Arc::clone(&shutdown);
-            servers.push(std::thread::spawn(move || {
-                server.serve(&shutdown, |req| match req {
-                    Request::Alloc { size } => Response::Alloc { addr: size + id },
-                    _ => Response::Ok,
-                });
-            }));
-            clients.push((fabric, client));
-        }
+        let (_fabric, clients, servers, cq) =
+            rpc_conns(FabricConfig::instant(), 2, DEFAULT_RPC_DEADLINE);
+        let _loop = serve(servers, cq, |i, req| match req {
+            Request::Alloc { size } => Response::Alloc {
+                addr: size + 10 * (i as u64 + 1),
+            },
+            _ => Response::Ok,
+        });
         let calls: Vec<PendingCall> = clients
             .iter()
-            .map(|(_, c)| c.begin(&Request::Alloc { size: 1 }))
+            .map(|c| c.begin(&Request::Alloc { size: 1 }))
             .collect();
-        for ((_, client), (call, id)) in clients.iter().zip(calls.into_iter().zip([10, 20])).rev() {
+        for ((client, call), id) in clients.iter().zip(calls).zip([10, 20]).rev() {
             let resp = client.finish(call).unwrap();
             assert_eq!(resp, Response::Alloc { addr: 1 + id });
         }
         // The connection is free again: a plain call follows a begun one.
         assert_eq!(
-            clients[0].1.call(&Request::OpenStaging).unwrap(),
+            clients[0].call(&Request::OpenStaging).unwrap(),
             Response::Ok
         );
-        shutdown.store(true, Ordering::Relaxed);
-        for t in servers {
-            t.join().unwrap();
-        }
     }
 
+    /// One loop serves two connections whose calls interleave, with call
+    /// ids that never coincide: each call gets the answer to its own
+    /// request, under its own id.
     #[test]
-    fn server_shutdown_stops_loop() {
-        let (_fabric, _client, server) = rpc_pair(DEFAULT_RPC_DEADLINE);
-        let shutdown = Arc::new(AtomicBool::new(true));
-        // Already-set shutdown returns promptly.
-        server.serve(&shutdown, |_req| Response::Ok);
+    fn interleaved_calls_on_one_loop_each_get_their_own_call_id() {
+        let (_fabric, clients, servers, cq) =
+            rpc_conns(FabricConfig::instant(), 2, DEFAULT_RPC_DEADLINE);
+        let _loop = serve(servers, cq, |i, req| match req {
+            Request::Alloc { size } => Response::Alloc {
+                addr: size * 10 + i as u64,
+            },
+            _ => Response::Ok,
+        });
+        // Connection 0 runs one call ahead of connection 1.
+        let resp = clients[0].call(&Request::Alloc { size: 0 }).unwrap();
+        assert_eq!(resp, Response::Alloc { addr: 0 });
+        for size in 1..=20u64 {
+            let a = clients[0].begin(&Request::Alloc { size });
+            let b = clients[1].begin(&Request::Alloc { size: size + 100 });
+            let resp = clients[1].finish(b).unwrap();
+            assert_eq!(
+                resp,
+                Response::Alloc {
+                    addr: size * 10 + 1001
+                }
+            );
+            assert_eq!(
+                clients[0].finish(a).unwrap(),
+                Response::Alloc { addr: size * 10 }
+            );
+        }
+        assert_eq!(clients[0].last_call.load(Ordering::Relaxed), 21);
+        assert_eq!(clients[1].last_call.load(Ordering::Relaxed), 20);
+    }
+
+    /// A request that does not decode is answered `BAD_REQUEST` under call
+    /// id 0, and neither its connection nor the loop's other connection
+    /// stops being served.
+    #[test]
+    fn malformed_request_does_not_stall_the_other_connection() {
+        let (_fabric, clients, servers, cq) =
+            rpc_conns(FabricConfig::instant(), 2, DEFAULT_RPC_DEADLINE);
+        let _loop = serve(servers, cq, |_, req| match req {
+            Request::Alloc { size } => Response::Alloc { addr: size },
+            _ => Response::Ok,
+        });
+        // A lone tag byte, without the header every request carries.
+        let garbage = vec![0xFF];
+        let now = Instant::now();
+        let malformed = PendingCall {
+            id: 0,
+            sent: clients[0].post(&garbage),
+            out: garbage,
+            deadline: now + DEFAULT_RPC_DEADLINE,
+            resend_at: now + attempt_timeout(DEFAULT_RPC_DEADLINE),
+        };
+        let resp = clients[1].call(&Request::Alloc { size: 7 }).unwrap();
+        assert_eq!(resp, Response::Alloc { addr: 7 });
+        let code = err_code::BAD_REQUEST;
+        assert_eq!(
+            clients[0].finish(malformed).unwrap(),
+            Response::Err { code }
+        );
+        let resp = clients[0].call(&Request::Alloc { size: 8 }).unwrap();
+        assert_eq!(resp, Response::Alloc { addr: 8 });
     }
 
     #[test]
     fn call_retries_through_a_dropped_request() {
-        use gengar_rdma::{FaultPlane, TelemetryConfig};
         // Drop the very first SEND on the fabric: the first request
         // vanishes in flight and the call must transparently re-send.
-        let plane = Arc::new(
-            FaultPlane::from_spec("drop:verb=send,at=1", 7, TelemetryConfig::disabled()).unwrap(),
-        );
-        let mut cfg = FabricConfig::instant();
-        cfg.faults = Some(Arc::clone(&plane));
-        let fabric = Fabric::new(cfg);
-        let c_node = fabric.add_node();
-        let s_node = fabric.add_node();
-        let c_pd = c_node.alloc_pd();
-        let s_pd = s_node.alloc_pd();
-        let c_dev = Arc::new(
-            MemDevice::new(0, DeviceProfile::instant(MemKind::Dram), RPC_BUF_BYTES).unwrap(),
-        );
-        let s_dev = Arc::new(
-            MemDevice::new(1, DeviceProfile::instant(MemKind::Dram), RPC_BUF_BYTES).unwrap(),
-        );
-        let c_buf = c_pd.reg_mr(MemRegion::whole(c_dev), Access::all()).unwrap();
-        let s_buf = s_pd.reg_mr(MemRegion::whole(s_dev), Access::all()).unwrap();
-        let (mut ce, se) =
-            Endpoint::pair((&c_node, &c_pd), (&s_node, &s_pd), QpOptions::default()).unwrap();
-        // Keep the dropped SEND's own spin-wait short so the retry happens
-        // well inside the call deadline.
-        ce.set_op_timeout(Duration::from_millis(25));
-        let client = RpcClient::with_deadline(ce, c_buf, Duration::from_millis(500));
-        let server = RpcServerConn::new(se, s_buf);
-
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let shutdown2 = Arc::clone(&shutdown);
-        let t = std::thread::spawn(move || {
-            server.serve(&shutdown2, |req| match req {
-                Request::Alloc { size } => Response::Alloc { addr: size + 1 },
-                _ => Response::Ok,
-            });
+        let plane = FaultPlane::from_spec("drop:verb=send,at=1", 7, TelemetryConfig::disabled());
+        let mut config = FabricConfig::instant();
+        config.faults = Some(Arc::new(plane.unwrap()));
+        // A 500 ms deadline keeps the dropped SEND's own wait at 25 ms, so
+        // the retry happens well inside the call deadline.
+        let (_fabric, clients, servers, cq) = rpc_conns(config, 1, Duration::from_millis(500));
+        let _loop = serve(servers, cq, |_, req| match req {
+            Request::Alloc { size } => Response::Alloc { addr: size + 1 },
+            _ => Response::Ok,
         });
-        let resp = client.call(&Request::Alloc { size: 9 }).unwrap();
+        let resp = clients[0].call(&Request::Alloc { size: 9 }).unwrap();
         assert_eq!(resp, Response::Alloc { addr: 10 });
-        shutdown.store(true, Ordering::Relaxed);
-        t.join().unwrap();
     }
 
     /// A handler slower than the call's patience gets the request re-sent,
@@ -492,28 +535,23 @@ mod tests {
     /// request.
     #[test]
     fn late_response_is_not_handed_to_the_next_call() {
-        let (_fabric, client, server) = rpc_pair(Duration::from_millis(200));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let shutdown2 = Arc::clone(&shutdown);
-        let t = std::thread::spawn(move || {
-            server.serve(&shutdown2, |req| match req {
-                Request::Alloc { size } => {
-                    if size == 1 {
-                        // Longer than the 10 ms patience of a 200 ms deadline.
-                        std::thread::sleep(Duration::from_millis(25));
-                    }
-                    Response::Alloc { addr: size }
+        let (_fabric, clients, servers, cq) =
+            rpc_conns(FabricConfig::instant(), 1, Duration::from_millis(200));
+        let _loop = serve(servers, cq, |_, req| match req {
+            Request::Alloc { size } => {
+                if size == 1 {
+                    // Longer than the 10 ms patience of a 200 ms deadline.
+                    std::thread::sleep(Duration::from_millis(25));
                 }
-                _ => Response::Ok,
-            });
+                Response::Alloc { addr: size }
+            }
+            _ => Response::Ok,
         });
         for size in 1..=3 {
-            let resp = client.call(&Request::Alloc { size }).unwrap();
+            let resp = clients[0].call(&Request::Alloc { size }).unwrap();
             assert_eq!(resp, Response::Alloc { addr: size }, "call {size}");
         }
         // Exactly one receive stays posted, however many copies were sent.
-        assert_eq!(client.ep.qp().posted_recvs(), 1);
-        shutdown.store(true, Ordering::Relaxed);
-        t.join().unwrap();
+        assert_eq!(clients[0].ep.qp().posted_recvs(), 1);
     }
 }

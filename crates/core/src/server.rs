@@ -2,15 +2,15 @@
 //!
 //! Each server contributes NVM and DRAM to the pool. It exports four RDMA
 //! regions (NVM data, DRAM cache, ADR staging rings, control words), plus a
-//! shadow NVM image when replication is on, and runs three kinds of
-//! background work:
+//! shadow NVM image when replication is on, and runs `1 + proxy_threads`
+//! threads, however many clients connect:
 //!
-//! * **RPC threads** (one per connection) serve the control plane: mount,
-//!   allocation, hotness reports, flush/invalidate, staging setup, and
-//!   `Promote` (failover replay of the mirror rings).
-//! * The **epoch thread** folds hotness reports and promotes hot objects
-//!   into the DRAM cache.
-//! * The **proxy drain threads** finish staged writes and advance durable
+//! * The **control loop** serves every connection's control plane off one
+//!   shared receive CQ — mount, allocation, hotness reports,
+//!   flush/invalidate, staging setup, and `Promote` (failover replay of the
+//!   mirror rings) — and at each epoch deadline folds hotness reports and
+//!   promotes hot objects into the DRAM cache.
+//! * The **proxy drain loops** finish staged writes and advance durable
 //!   watermarks. A *primary lane* (a client's own ring) applies records to
 //!   local NVM and keeps cached copies fresh; a *mirror lane* applies them
 //!   to the shadow image of the primary it wards. The live drains,
@@ -101,7 +101,7 @@ struct ServerMetrics {
     promotions: CounterHandle,
     /// Milliseconds since this server's shadow image last advanced (mirror
     /// drain, promotion replay or image install). -1 = shadow never
-    /// written; refreshed by the epoch thread.
+    /// written; refreshed every epoch.
     shadow_staleness_ms: GaugeHandle,
 }
 
@@ -127,6 +127,16 @@ struct MirrorRing {
     epoch: u32,
 }
 
+/// The server end of one client lane.
+#[derive(Clone)]
+enum Lane {
+    /// A proxy ring's QP (re-posts receives) and `None` for a primary lane
+    /// (drained into local NVM), the ward and epoch for a *mirror* lane
+    /// (drained into the shadow image of the warded primary).
+    Ring(Arc<QueuePair>, Option<MirrorRing>),
+    Rpc(Arc<RpcServerConn>),
+}
+
 struct ClientTable {
     next_id: u32,
     /// Ids handed back by [`MemoryServer::release_client`] after a failed
@@ -134,12 +144,9 @@ struct ClientTable {
     /// storms (e.g. re-dialling through a partition) from exhausting
     /// `max_clients`.
     free_ids: Vec<u32>,
-    /// Open rings by server-side proxy QPN (routes drain completions):
-    /// client id, QP (for re-posting receives) and lane kind — `None` for a
-    /// primary lane (a client's own ring, drained into local NVM), the
-    /// ward and epoch for a *mirror* lane (drained into the shadow image
-    /// of the warded primary).
-    rings: HashMap<Qpn, (u32, Arc<QueuePair>, Option<MirrorRing>)>,
+    /// Open lanes and their client ids by server-side QPN (routes receive
+    /// completions).
+    lanes: HashMap<Qpn, (u32, Lane)>,
 }
 
 pub(crate) struct ServerInner {
@@ -181,12 +188,12 @@ pub(crate) struct ServerInner {
     /// while the old ward is promoted.
     shadow_ward: RwLock<Option<u8>>,
     /// Held for read by the primary drain while it applies a record to NVM
-    /// (payload, cache refresh, watermark) and by `handle_flush` while it
-    /// invalidates; for write by [`MemoryServer::nvm_image`] while it
-    /// copies the region — so a rebalance snapshot can never capture a
-    /// half-applied record — and by the epoch thread while it copies and
-    /// publishes one object, so a promotion never publishes bytes an apply
-    /// or invalidate already superseded. Lock order: before `cache`.
+    /// (payload, cache refresh, watermark); for write by
+    /// [`MemoryServer::nvm_image`] while it copies the region — so a
+    /// rebalance snapshot can never capture a half-applied record — and by
+    /// the epoch while it copies and publishes one object, so a promotion
+    /// never publishes bytes an apply already superseded (an invalidate
+    /// runs on the epoch's own loop). Lock order: before `cache`.
     nvm_quiesce: RwLock<()>,
     /// Replica-epoch source for mirror tenures (starts at 1; epoch 0 in a
     /// record header means "unreplicated").
@@ -201,6 +208,8 @@ pub(crate) struct ServerInner {
     /// One receive CQ per proxy drain thread; rings are pinned to threads
     /// by client id so each ring's records drain in order.
     proxy_recv_cqs: Vec<Arc<CompletionQueue>>,
+    /// The receive CQ of every RPC connection, polled by the control loop.
+    rpc_recv_cq: Arc<CompletionQueue>,
     metrics: ServerMetrics,
     /// The cluster's QoS plane (shared across servers); `None` = QoS off.
     qos: Option<Arc<QosPlane>>,
@@ -350,7 +359,7 @@ impl MemoryServer {
 
         // The NVM demote area is server-local (never registered as an MR):
         // evicted-but-warm frames park here so re-promotion is one local
-        // NVM→DRAM copy. Written only by the epoch thread, so the foreground
+        // NVM→DRAM copy. Written only by the epoch, so the foreground
         // proxy drain never contends with demotion traffic.
         let demote_region = if config.cache.enabled && config.cache.demotion {
             let demote_dev = Arc::new(MemDevice::with_telemetry(
@@ -382,11 +391,12 @@ impl MemoryServer {
             clients: Mutex::new(ClientTable {
                 next_id: 0,
                 free_ids: Vec::new(),
-                rings: HashMap::new(),
+                lanes: HashMap::new(),
             }),
             proxy_recv_cqs: (0..config.proxy_threads.max(1))
                 .map(|_| Arc::new(CompletionQueue::new(65_536)))
                 .collect(),
+            rpc_recv_cq: Arc::new(CompletionQueue::new(65_536)),
             metrics: ServerMetrics::new(config.telemetry),
             qos,
             health,
@@ -422,17 +432,12 @@ impl MemoryServer {
         Ok(server)
     }
 
-    /// Starts the epoch thread (hotness folding + promotion) and the proxy
-    /// drain threads (rings pinned by client id).
+    /// Starts the control loop (RPCs and epochs) and the proxy drain
+    /// threads (rings pinned by client id).
     fn spawn_workers(&self) {
         let mut threads = self.threads.lock();
         let inner = Arc::clone(&self.inner);
-        threads.push(std::thread::spawn(move || {
-            while !inner.shutdown.load(Ordering::Relaxed) {
-                std::thread::sleep(inner.config.epoch);
-                inner.run_epoch();
-            }
-        }));
+        threads.push(std::thread::spawn(move || inner.control_loop()));
         for t in 0..self.inner.proxy_recv_cqs.len() {
             let inner = Arc::clone(&self.inner);
             threads.push(std::thread::spawn(move || inner.drain_loop(t)));
@@ -464,11 +469,6 @@ impl MemoryServer {
         self.inner.cache.lock().len()
     }
 
-    /// Snapshot of allocator statistics.
-    pub fn alloc_stats(&self) -> crate::alloc::AllocStats {
-        self.inner.alloc.lock().stats()
-    }
-
     /// Completed hotness epochs.
     pub fn epochs(&self) -> u64 {
         self.inner.hotness.lock().epoch()
@@ -481,7 +481,8 @@ impl MemoryServer {
     }
 
     /// Accepts a new client: builds the three QP pairs, assigns a client
-    /// id, spawns the connection's RPC thread and arms the proxy ring.
+    /// id, hands the RPC connection to the control loop and arms the proxy
+    /// ring. No thread is started.
     ///
     /// # Errors
     ///
@@ -502,22 +503,18 @@ impl MemoryServer {
             }
 
             // Control-plane pair + its message buffer.
-            let (rpc, mut s_rpc) = Endpoint::pair(
-                (client_node, client_pd),
-                (&inner.node, &inner.pd),
-                QpOptions::default(),
-            )?;
-            // Bound the serve loop's response-send patience: if a response
-            // is lost to an injected fault the thread must not spin for the
-            // default 10 s — it gives up, the connection dies, and the
-            // client reconnects.
-            s_rpc.set_op_timeout(std::time::Duration::from_millis(250));
-            let msg_region = MemRegion::new(
-                Arc::clone(&inner.msg_dev),
-                cid as u64 * RPC_BUF_BYTES,
-                RPC_BUF_BYTES,
-            )?;
+            let (rpc, s_rpc) = inner.connect(client_node, client_pd, &inner.rpc_recv_cq)?;
+            let s_qpn = s_rpc.qpn();
+            let mut s_rpc = Endpoint::from_qp(Arc::clone(&inner.node), s_rpc);
+            // Bound the response-send patience: a response lost to an
+            // injected fault must not hold the control loop for the default
+            // 10 s — the connection dies and the client reconnects.
+            s_rpc.set_op_timeout(Duration::from_millis(250));
+            let msg_off = cid as u64 * RPC_BUF_BYTES;
+            let msg_region = MemRegion::new(Arc::clone(&inner.msg_dev), msg_off, RPC_BUF_BYTES)?;
             let msg_mr = inner.pd.reg_mr(msg_region, Access::LOCAL_WRITE)?;
+            let conn = Lane::Rpc(Arc::new(RpcServerConn::new(s_rpc, msg_mr)?));
+            inner.clients.lock().lanes.insert(s_qpn, (cid, conn));
 
             // Data-plane pair (client drives it; the server side just exists).
             let (data, _s_data) = Endpoint::pair(
@@ -526,17 +523,6 @@ impl MemoryServer {
                 QpOptions::default(),
             )?;
             let proxy = inner.open_lane(cid, client_node, client_pd, None)?;
-
-            // The serving thread starts last, once nothing can fail: a
-            // refused accept leaves no thread behind.
-            let conn = RpcServerConn::new(s_rpc, msg_mr);
-            let handler_inner = Arc::clone(inner);
-            let loop_inner = Arc::clone(inner);
-            self.threads.lock().push(std::thread::spawn(move || {
-                conn.serve(&loop_inner.shutdown, move |req| {
-                    handler_inner.handle(cid, req)
-                });
-            }));
             Ok(ClientChannel {
                 cid,
                 rpc,
@@ -578,9 +564,9 @@ impl MemoryServer {
                 "shadow already dedicated to another ward",
             ));
         }
-        // Mirror lanes carry only the proxy plane: no RPC thread, no data
-        // QP — the client already holds a full connection to this server
-        // for its *own* objects.
+        // Mirror lanes carry only the proxy plane: no RPC connection, no
+        // data QP — the client already holds a full connection to this
+        // server for its *own* objects.
         self.with_client_id(|cid| {
             let epoch = inner.mirror_epoch.fetch_add(1, Ordering::Relaxed);
             let ring = MirrorRing { ward, epoch };
@@ -608,9 +594,9 @@ impl MemoryServer {
         open: impl FnOnce(u32) -> Result<T, GengarError>,
     ) -> Result<T, GengarError> {
         let inner = &self.inner;
-        // A stopped server accepts nobody: its RPC threads would exit
-        // immediately and the client would stall on a dead connection.
-        // Refusing here lets clients back off and re-dial after restart().
+        // A stopped server accepts nobody: no control loop would answer
+        // and the client would stall on a dead connection. Refusing here
+        // lets clients back off and re-dial after restart().
         if !self.is_running() {
             return Err(GengarError::ServerUnavailable(inner.id));
         }
@@ -738,6 +724,8 @@ impl MemoryServer {
     /// call this for ids that never staged any data: a released id's ring
     /// and watermark slots are handed verbatim to the next client, which is
     /// safe exactly because nothing was ever written under the old tenure.
+    /// Every lane opened under the id goes with it, the RPC connection
+    /// included: the control loop stops answering it.
     pub fn release_client(&self, cid: u32) {
         // Drop the QoS session first: the tenant's limiter buckets are
         // refcounted by live sessions, so a reconnect storm of failed
@@ -746,7 +734,7 @@ impl MemoryServer {
             plane.release(self.inner.id, cid);
         }
         let mut clients = self.inner.clients.lock();
-        clients.rings.retain(|_, ring| ring.0 != cid);
+        clients.lanes.retain(|_, lane| lane.0 != cid);
         if !clients.free_ids.contains(&cid) {
             clients.free_ids.push(cid);
         }
@@ -771,18 +759,21 @@ impl MemoryServer {
         !self.inner.shutdown.load(Ordering::Relaxed)
     }
 
-    /// Stops background threads and joins them.
+    /// Stops background threads and joins them, and drops every RPC
+    /// connection: nothing answers them again, even after a restart.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::Relaxed);
         for t in self.threads.lock().drain(..) {
             let _ = t.join();
         }
+        let mut clients = self.inner.clients.lock();
+        clients.lanes.retain(|_, l| matches!(l.1, Lane::Ring(..)));
     }
 
-    /// Restarts the epoch and proxy threads after a [`shutdown`] +
-    /// [`recover`] cycle. Existing client connections stay dead (their RPC
-    /// threads exited); new clients connect normally via
-    /// [`MemoryServer::accept`].
+    /// Restarts the control loop and the drain threads after a
+    /// [`shutdown`] + [`recover`] cycle. Existing client connections stay
+    /// dead (shutdown dropped them; their clients reconnect); new clients
+    /// connect normally via [`MemoryServer::accept`].
     ///
     /// [`shutdown`]: MemoryServer::shutdown
     /// [`recover`]: MemoryServer::recover
@@ -848,6 +839,30 @@ impl Drop for MemoryServer {
 }
 
 impl ServerInner {
+    /// Body of the control loop: answers each RPC as its receive completes
+    /// on the shared CQ, and runs an epoch whenever the deadline passes —
+    /// the next one is due an `epoch` after that run ends. A connection
+    /// that fails to answer is dropped; its client reconnects.
+    fn control_loop(&self) {
+        let mut next_epoch = Instant::now() + self.config.epoch;
+        while !self.shutdown.load(Ordering::Relaxed) {
+            let wait = next_epoch.saturating_duration_since(Instant::now());
+            for wc in self.rpc_recv_cq.wait(64, wait) {
+                let lane = self.clients.lock().lanes.get(&wc.qpn).cloned();
+                let Some((cid, Lane::Rpc(conn))) = lane else {
+                    continue;
+                };
+                if conn.answer(&wc, |req| self.handle(cid, req)).is_err() {
+                    self.clients.lock().lanes.remove(&wc.qpn);
+                }
+            }
+            if Instant::now() >= next_epoch {
+                self.run_epoch();
+                next_epoch = Instant::now() + self.config.epoch;
+            }
+        }
+    }
+
     /// Body of one proxy drain thread: harvest WRITE_WITH_IMM completions
     /// from the thread's recv CQ and drain the named slots. The backlog
     /// gauge tracks how many staged records are waiting across harvest and
@@ -870,7 +885,8 @@ impl ServerInner {
     /// Drains one staged record (proxy thread).
     fn drain(&self, qpn: Qpn, slot: u32) -> Result<(), GengarError> {
         let _t = self.metrics.drain_ns.span();
-        let Some((cid, qp, mirror)) = self.clients.lock().rings.get(&qpn).cloned() else {
+        let lane = self.clients.lock().lanes.get(&qpn).cloned();
+        let Some((cid, Lane::Ring(qp, mirror))) = lane else {
             return Ok(());
         };
         // Re-arm the consumed receive first, whatever becomes of the record:
@@ -936,10 +952,11 @@ impl ServerInner {
     /// The open mirror rings: ring id -> ward and epoch.
     fn mirror_rings(&self) -> HashMap<u32, MirrorRing> {
         let clients = self.clients.lock();
-        let rings = clients.rings.values();
-        rings
-            .filter_map(|(cid, _, m)| Some((*cid, (*m)?)))
-            .collect()
+        let rings = clients.lanes.values().filter_map(|lane| match lane {
+            (cid, Lane::Ring(_, Some(ring))) => Some((*cid, *ring)),
+            _ => None,
+        });
+        rings.collect()
     }
 
     /// The image a mirror lane applies to: the shadow, unless it is not (or
@@ -1056,20 +1073,7 @@ impl ServerInner {
         // The server side uses the recv CQ of the drain thread this ring
         // is pinned to.
         let drain_cq = &self.proxy_recv_cqs[cid as usize % self.proxy_recv_cqs.len()];
-        let s_proxy = self.node.create_qp(
-            &self.pd,
-            self.node.create_cq(1024),
-            Arc::clone(drain_cq),
-            QpOptions::default(),
-        );
-        let c_proxy = client_node.create_qp(
-            client_pd,
-            client_node.create_cq(1024),
-            client_node.create_cq(1024),
-            QpOptions::default(),
-        );
-        c_proxy.connect(self.node.id(), s_proxy.qpn())?;
-        s_proxy.connect(client_node.id(), c_proxy.qpn())?;
+        let (c_proxy, s_proxy) = self.connect(client_node, client_pd, drain_cq)?;
         for _ in 0..self.ring.slots {
             self.arm_recv(&s_proxy)?;
         }
@@ -1085,9 +1089,37 @@ impl ServerInner {
                 ));
             }
         }
-        let mut clients = self.clients.lock();
-        clients.rings.insert(s_proxy.qpn(), (cid, s_proxy, mirror));
-        Ok(Endpoint::from_qp(Arc::clone(client_node), c_proxy))
+        let qpn = s_proxy.qpn();
+        self.clients
+            .lock()
+            .lanes
+            .insert(qpn, (cid, Lane::Ring(s_proxy, mirror)));
+        Ok(c_proxy)
+    }
+
+    /// Connects a QP pair between a client and this server whose server
+    /// end receives on `recv_cq`. Returns the client's end and the server's.
+    fn connect(
+        &self,
+        client_node: &Arc<RdmaNode>,
+        client_pd: &ProtectionDomain,
+        recv_cq: &Arc<CompletionQueue>,
+    ) -> Result<(Endpoint, Arc<QueuePair>), GengarError> {
+        let s_qp = self.node.create_qp(
+            &self.pd,
+            self.node.create_cq(1024),
+            Arc::clone(recv_cq),
+            QpOptions::default(),
+        );
+        let c_qp = client_node.create_qp(
+            client_pd,
+            client_node.create_cq(1024),
+            client_node.create_cq(1024),
+            QpOptions::default(),
+        );
+        c_qp.connect(self.node.id(), s_qp.qpn())?;
+        s_qp.connect(client_node.id(), c_qp.qpn())?;
+        Ok((Endpoint::from_qp(Arc::clone(client_node), c_qp), s_qp))
     }
 
     /// Posts one proxy-ring receive (zero-length: WRITE_WITH_IMM never
@@ -1109,10 +1141,10 @@ impl ServerInner {
     }
 
     /// One hotness epoch: fold reports, refresh/decay cache scores,
-    /// promote hot objects. Runs on the epoch thread, which also owns all
+    /// promote hot objects. Runs on the control loop, which also owns all
     /// demote-area traffic — the foreground drain never pays for tiering.
     fn run_epoch(&self) {
-        // Refresh shadow staleness while we are on a periodic thread
+        // Refresh shadow staleness while we are on a periodic path
         // anyway: replication health wants "how long since the standby
         // image advanced", which no event-driven path can age on its own.
         if self.shadow_mr.is_some() {
@@ -1164,10 +1196,10 @@ impl ServerInner {
             let mut payload = vec![0u8; len as usize];
             let nvm = self.nvm_mr.region();
             let word_off = addr.offset() - OBJ_HEADER;
-            // Copy and publish as one step w.r.t. everything that changes
-            // the object: a drain apply or a flush-RPC invalidate landing
-            // between the two finds nothing cached to refresh or drop, and
-            // the old bytes would be published after it. One-sided writers
+            // Copy and publish as one step w.r.t. a drain apply (a flush-RPC
+            // invalidate runs on this loop): one landing between the two
+            // finds nothing cached to refresh, and the old bytes would be
+            // published after it. One-sided writers
             // cannot be held off, but under `Seqlock` they hold the lock
             // word across WRITE → flush RPC → unlock: a copy bracketed by
             // two equal, unlocked loads of it raced no such write. Anything
@@ -1184,7 +1216,7 @@ impl ServerInner {
         }
     }
 
-    /// Control-plane request dispatch (RPC threads).
+    /// Control-plane request dispatch (control loop).
     fn handle(&self, cid: u32, req: Request) -> Response {
         self.metrics.rpc_requests.inc();
         // QoS enforcement on the RPC path: every post-handshake request
@@ -1421,13 +1453,40 @@ impl ServerInner {
         if addr.server() == self.id {
             if let Some((base, _)) = self.containing_object(off) {
                 let base_raw = GlobalAddr::new(self.id, MemClass::Nvm, base).raw();
-                // A promotion that copied the object before this write
-                // holds this for write until it has published: invalidate
-                // after it, not in the middle.
-                let _quiesce = self.nvm_quiesce.read();
                 let _ = self.cache.lock().invalidate(base_raw);
             }
         }
         Response::Ok
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use gengar_rdma::FabricConfig;
+
+    use super::*;
+    use crate::cluster::Cluster;
+
+    /// A server runs its control loop and its drain loops, whatever its
+    /// connection history: accepts handed back and clients that come and
+    /// go leave no thread (and no lane) behind.
+    #[test]
+    fn thread_count_does_not_depend_on_connections() {
+        let cluster = Cluster::launch(1, ServerConfig::small(), FabricConfig::instant()).unwrap();
+        let server = cluster.server(0).unwrap();
+        let threads = 1 + server.config().proxy_threads as usize;
+        assert_eq!(server.threads.lock().len(), threads);
+        let node = cluster.fabric().add_node();
+        let pd = node.alloc_pd();
+        for _ in 0..6 {
+            let channel = server.accept(&node, &pd).unwrap();
+            server.release_client(channel.cid);
+            assert_eq!(server.threads.lock().len(), threads);
+            assert!(server.inner.clients.lock().lanes.is_empty());
+        }
+        for _ in 0..6 {
+            drop(cluster.default_client().unwrap());
+            assert_eq!(server.threads.lock().len(), threads);
+        }
     }
 }

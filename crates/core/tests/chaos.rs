@@ -169,7 +169,7 @@ fn chaos_micro_random_faults() {
     arm_flight_recorder();
     for seed in seeds() {
         let (cluster, plane) = chaos_cluster(
-            "drop:p=0.02 + err:p=0.01,status=transport + rnr:p=0.005 + delay:ns=20000,p=0.05",
+            "drop:p=0.02 + err:p=0.01 + rnr:p=0.005 + delay:ns=20000,p=0.05",
             seed,
         );
         let mut client = cluster.client(chaos_client_config()).unwrap();
@@ -300,8 +300,9 @@ fn chaos_server_crash_mid_run_reconnects() {
             }
             if op % 10 == 9 {
                 // Atomics anchor durability over RPC — the path that
-                // actually dies with the old serve threads, forcing the
-                // reconnect (staged writes and reads are one-sided).
+                // actually dies with the connections shutdown dropped,
+                // forcing the reconnect (staged writes and reads are
+                // one-sided).
                 tried_adds += 1;
                 if client.faa_u64(counter, 0, 1).is_ok() {
                     acked_adds += 1;
@@ -349,7 +350,7 @@ fn chaos_windowed_batches_settle() {
     arm_flight_recorder();
     for seed in seeds() {
         let (cluster, plane) = chaos_cluster(
-            "drop:p=0.02 + err:p=0.01,status=transport + rnr:p=0.005 + delay:ns=20000,p=0.05",
+            "drop:p=0.02 + err:p=0.01 + rnr:p=0.005 + delay:ns=20000,p=0.05",
             seed,
         );
         let config = ClientConfig {

@@ -163,7 +163,7 @@ fn hot_objects_get_cached_and_served_from_dram() {
     client.write(ptr, 0, &[7u8; 512]).unwrap();
     client.drain_all().unwrap();
 
-    // Hammer the object until the epoch thread promotes it and the client
+    // Hammer the object until an epoch promotes it and the client
     // learns the remap through a report response.
     let mut buf = [0u8; 512];
     let deadline = Instant::now() + Duration::from_secs(10);

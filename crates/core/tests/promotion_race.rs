@@ -1,4 +1,4 @@
-//! Regression tests for the cache-promotion race: the epoch thread copies
+//! Regression tests for the cache-promotion race: the epoch copies
 //! an object out of NVM and later publishes the copy as a cache frame, and
 //! nothing used to stop the object from changing in between. The device
 //! profiles below stretch the windows in which the two sides must not
@@ -35,14 +35,14 @@ fn read_until_cache_hit(client: &mut GengarClient, ptr: GlobalPtr, expect: u8, w
 /// promotion then publishes the bytes the write replaced — a stale frame
 /// that serves every remapped reader until the next write or eviction.
 ///
-/// Forcing the interleaving: NVM reads are slow, so the epoch thread sits
+/// Forcing the interleaving: NVM reads are slow, so the epoch sits
 /// in its object read for `nvm read latency` after it has checked that the
 /// object is not cached; bulk DRAM writes are slow, so the one drain thread
 /// holds the cache lock for a comparable time while it refreshes a big,
 /// already cached object. Each round starts that refresh while the epoch
-/// thread is reading, and queues the racing write right behind it: the
+/// is reading, and queues the racing write right behind it: the
 /// copy completes under the refresh, and the racing write is applied by the
-/// thread that releases the cache lock, ahead of the epoch thread it wakes.
+/// thread that releases the cache lock, ahead of the control loop it wakes.
 #[test]
 fn promotion_never_publishes_bytes_a_drained_write_replaced() {
     gengar_hybridmem::set_time_scale(1.0);

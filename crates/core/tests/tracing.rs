@@ -89,12 +89,7 @@ fn trace_id_survives_retry_and_reconnect() {
     // reconnect path. Probabilities are low enough that ops succeed within
     // their budget, high enough that both paths certainly fire.
     let plane = Arc::new(
-        FaultPlane::from_spec(
-            "drop:p=0.08 + err:p=0.03,status=transport",
-            11,
-            TelemetryConfig::disabled(),
-        )
-        .unwrap(),
+        FaultPlane::from_spec("drop:p=0.08 + err:p=0.03", 11, TelemetryConfig::disabled()).unwrap(),
     );
     let mut fabric = FabricConfig::instant();
     fabric.faults = Some(Arc::clone(&plane));

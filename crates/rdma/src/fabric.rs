@@ -37,6 +37,9 @@ fn occupy_ports_at(
     da.max(db).unwrap_or(start)
 }
 
+/// Largest inline payload a WQE carries.
+const MAX_INLINE: usize = 220;
+
 /// Admission verdict from a [`QosPolicy`] for one work request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QosVerdict {
@@ -91,31 +94,6 @@ pub struct FabricConfig {
     /// default) costs a single branch on the hot path.
     pub qos: Option<Arc<dyn QosPolicy>>,
 }
-
-// Manual impl because two configs sharing a plane means sharing the *same*
-// plane instance (seeded RNG state and all), not an equal-looking one.
-impl PartialEq for FabricConfig {
-    fn eq(&self, other: &Self) -> bool {
-        self.one_way_ns == other.one_way_ns
-            && self.nic_tx_ns == other.nic_tx_ns
-            && self.nic_rx_ns == other.nic_rx_ns
-            && self.nic_bw_bytes_per_sec == other.nic_bw_bytes_per_sec
-            && self.atomic_extra_ns == other.atomic_extra_ns
-            && self.telemetry == other.telemetry
-            && match (&self.faults, &other.faults) {
-                (None, None) => true,
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                _ => false,
-            }
-            && match (&self.qos, &other.qos) {
-                (None, None) => true,
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                _ => false,
-            }
-    }
-}
-
-impl Eq for FabricConfig {}
 
 impl FabricConfig {
     /// 100 Gb/s InfiniBand-class fabric: small one-sided READ completes in
@@ -352,11 +330,10 @@ impl Fabric {
     ) -> Result<Gathered, RdmaError> {
         match payload {
             Payload::Inline(bytes) => {
-                let max = qp.options().max_inline;
-                if bytes.len() > max {
+                if bytes.len() > MAX_INLINE {
                     return Err(RdmaError::InlineTooLarge {
                         len: bytes.len(),
-                        max,
+                        max: MAX_INLINE,
                     });
                 }
                 Ok(Gathered::Bytes(bytes.clone()))

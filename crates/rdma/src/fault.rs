@@ -55,8 +55,6 @@ pub enum Trigger {
     /// At these (1-based) per-rule matched-operation counts — scripted
     /// faults at exact points in a run.
     AtOps(Vec<u64>),
-    /// Every `n`-th matching operation (1-based: fires at n, 2n, ...).
-    EveryNth(u64),
 }
 
 /// One injection rule: filters narrowing which operations it applies to,
@@ -73,7 +71,7 @@ pub struct FaultRule {
     /// carry an immediate (the staging-ring path), `Some(false)` only
     /// writes that don't.
     with_imm: Option<bool>,
-    /// Matched operations seen so far (drives `AtOps` / `EveryNth`).
+    /// Matched operations seen so far (drives `AtOps`).
     seen: AtomicU64,
 }
 
@@ -157,13 +155,6 @@ impl FaultRule {
     #[must_use]
     pub fn at_ops(mut self, ops: Vec<u64>) -> Self {
         self.trigger = Trigger::AtOps(ops);
-        self
-    }
-
-    /// Fires every `n`-th matching operation.
-    #[must_use]
-    pub fn every_nth(mut self, n: u64) -> Self {
-        self.trigger = Trigger::EveryNth(n.max(1));
         self
     }
 
@@ -332,18 +323,16 @@ impl FaultPlane {
     /// `kind:key=val,key=val,...`:
     ///
     /// - `drop:p=0.01[,verb=read]` — drop ops with probability `p`
-    /// - `err:p=0.01[,status=transport|access|rnr|flush][,verb=...]` —
-    ///   force error completions (default status `transport`)
-    /// - `rnr:p=0.02` — RNR exhaustion (shorthand for `err` with
-    ///   status `rnr`)
+    /// - `err:p=0.01[,verb=...]` — force transport-error completions
+    /// - `rnr:p=0.02` — RNR exhaustion (an RNR-retry-exceeded completion)
     /// - `delay:ns=50000[,p=0.1]` — add `ns` of delay
     /// - `flap:period=2000,blocked=200` — partition all links for the
     ///   first `blocked` ops of every `period` ops
     ///
     /// Shared keys: `verb=read|write|send|cas|faa`, `imm=0|1` (filter on
-    /// WRITE_WITH_IMM), `nth=N` (every N-th), `at=100/200/300` (scripted
-    /// op counts, `/`-separated). Without `p`, `nth` or `at` a rule fires
-    /// on every matching op.
+    /// WRITE_WITH_IMM), `at=100/200/300` (scripted op counts,
+    /// `/`-separated). Without `p` or `at` a rule fires on every matching
+    /// op.
     ///
     /// # Errors
     ///
@@ -352,11 +341,9 @@ impl FaultPlane {
         for term in spec.split('+').map(str::trim).filter(|t| !t.is_empty()) {
             let (kind, params) = term.split_once(':').unwrap_or((term, ""));
             let mut p: Option<f64> = None;
-            let mut nth: Option<u64> = None;
             let mut at: Option<Vec<u64>> = None;
             let mut verb: Option<WcOpcode> = None;
             let mut imm: Option<bool> = None;
-            let mut status = WcStatus::TransportError;
             let mut ns: Option<u64> = None;
             let mut period: Option<u64> = None;
             let mut blocked: Option<u64> = None;
@@ -367,7 +354,6 @@ impl FaultPlane {
                 let bad = |what: &str| format!("fault spec: bad {what} `{val}` in `{term}`");
                 match key {
                     "p" => p = Some(val.parse::<f64>().map_err(|_| bad("probability"))?),
-                    "nth" => nth = Some(val.parse::<u64>().map_err(|_| bad("nth"))?),
                     "at" => {
                         let ops = val
                             .split('/')
@@ -392,15 +378,6 @@ impl FaultPlane {
                             _ => return Err(bad("imm flag")),
                         });
                     }
-                    "status" => {
-                        status = match val {
-                            "transport" => WcStatus::TransportError,
-                            "access" => WcStatus::RemoteAccessError,
-                            "rnr" => WcStatus::RnrRetryExceeded,
-                            "flush" => WcStatus::WrFlushed,
-                            _ => return Err(bad("status")),
-                        };
-                    }
                     "ns" => ns = Some(val.parse::<u64>().map_err(|_| bad("delay"))?),
                     "period" => period = Some(val.parse::<u64>().map_err(|_| bad("period"))?),
                     "blocked" => blocked = Some(val.parse::<u64>().map_err(|_| bad("blocked"))?),
@@ -417,7 +394,7 @@ impl FaultPlane {
             }
             let mut rule = match kind {
                 "drop" => FaultRule::drop_op(),
-                "err" => FaultRule::error(status),
+                "err" => FaultRule::error(WcStatus::TransportError),
                 "rnr" => FaultRule::rnr(),
                 "delay" => FaultRule::delay_ns(
                     ns.ok_or_else(|| format!("fault spec: `{term}` needs ns=N"))?,
@@ -428,8 +405,6 @@ impl FaultPlane {
             rule.with_imm = imm;
             if let Some(p) = p {
                 rule = rule.probability(p);
-            } else if let Some(n) = nth {
-                rule = rule.every_nth(n);
             } else if let Some(ops) = at {
                 rule = rule.at_ops(ops);
             }
@@ -522,7 +497,6 @@ impl FaultPlane {
                 Trigger::Always => true,
                 Trigger::Probability(p) => self.next_f64() < *p,
                 Trigger::AtOps(ops) => ops.contains(&seen),
-                Trigger::EveryNth(n) => seen % n == 0,
             };
             if !fires {
                 continue;
@@ -652,20 +626,6 @@ mod tests {
     }
 
     #[test]
-    fn every_nth_fires_periodically() {
-        let plane = FaultPlane::new(1);
-        plane.add_rule(FaultRule::delay_ns(10).every_nth(3));
-        let decisions = decide_n(&plane, 9);
-        let delayed: Vec<usize> = decisions
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| **d == FaultDecision::Delay(10))
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(delayed, vec![2, 5, 8]);
-    }
-
-    #[test]
     fn verb_and_imm_filters_narrow_matches() {
         let plane = FaultPlane::new(1);
         plane.add_rule(
@@ -745,7 +705,7 @@ mod tests {
     #[test]
     fn spec_parses_all_kinds() {
         let plane = FaultPlane::from_spec(
-            "drop:p=0.01,verb=read + err:p=0.02,status=access + rnr:nth=100 \
+            "drop:p=0.01,verb=read + err:p=0.02 + rnr:p=0.01 \
              + delay:ns=500,p=0.5 + flap:period=2000,blocked=200 + err:at=3/7,imm=1",
             9,
             TelemetryConfig::disabled(),
@@ -761,7 +721,8 @@ mod tests {
         for bad in [
             "unknown:p=0.1",
             "drop:p=zero",
-            "err:status=bogus",
+            "err:status=access",
+            "rnr:nth=100",
             "drop:verb=scan",
             "delay:p=0.1",
             "flap:period=10",

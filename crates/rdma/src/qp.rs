@@ -38,8 +38,6 @@ impl QpState {
 /// Tunable queue-pair attributes.
 #[derive(Debug, Clone)]
 pub struct QpOptions {
-    /// Maximum inline payload carried in the WQE itself.
-    pub max_inline: usize,
     /// Maximum number of posted, unconsumed receives.
     pub max_recv: usize,
     /// How long an incoming SEND waits for a receive to be posted before
@@ -50,7 +48,6 @@ pub struct QpOptions {
 impl Default for QpOptions {
     fn default() -> Self {
         QpOptions {
-            max_inline: 220,
             max_recv: 4096,
             rnr_timeout: Duration::from_millis(500),
         }

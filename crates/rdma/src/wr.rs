@@ -25,8 +25,7 @@ impl Sge {
 pub enum Payload {
     /// Gather from a registered local MR.
     Sge(Sge),
-    /// Inline bytes carried in the WQE (no lkey needed); limited by the
-    /// QP's `max_inline` setting.
+    /// Inline bytes carried in the WQE (no lkey needed); at most 220.
     Inline(Vec<u8>),
 }
 

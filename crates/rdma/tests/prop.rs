@@ -122,7 +122,8 @@ proptest! {
     }
 }
 
-/// Helper so inline payloads larger than `max_inline` fall back to an SGE.
+/// Helper so inline payloads over the 220-byte inline limit fall back to an
+/// SGE.
 trait IntoSized {
     fn into_sized(self, bed: &Bed, data: &[u8]) -> Payload;
 }

@@ -248,14 +248,13 @@ fn unknown_lkey_fails_fast() {
 fn inline_limit_enforced() {
     let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let (_a, b, ea, _eb) = pair(&fabric);
-    let max = ea.qp().options().max_inline;
     let err = ea
         .write(
-            Payload::Inline(vec![0u8; max + 1]),
+            Payload::Inline(vec![0u8; 221]),
             RemoteAddr::new(b.mr.rkey(), 0),
         )
         .unwrap_err();
-    assert!(matches!(err, RdmaError::InlineTooLarge { .. }));
+    assert_eq!(err, RdmaError::InlineTooLarge { len: 221, max: 220 });
 }
 
 #[test]

@@ -20,7 +20,7 @@ fn main() -> Result<(), GengarError> {
 
     let mut client = cluster.client(ClientConfig::default())?;
     // A validation reader that never needs the control plane (it must
-    // outlive the crash; RPC threads die with the server).
+    // outlive the crash; shutdown drops every RPC connection).
     let mut reader = cluster.client(ClientConfig {
         report_every: u32::MAX,
         ..Default::default()
