@@ -397,6 +397,14 @@ impl CacheManager {
         hit
     }
 
+    /// The raw global address of `addr`'s slot frame, if it is cached.
+    /// Unlike [`CacheManager::lookup`] it leaves the frame's recency and
+    /// the hit counters alone.
+    pub(crate) fn location(&self, addr_raw: u64) -> Option<u64> {
+        let e = self.entries.get(&addr_raw)?;
+        Some(GlobalAddr::new(self.server_id, MemClass::DramCache, e.slot_off).raw())
+    }
+
     /// Returns whether `addr` is cached.
     pub fn contains(&self, addr_raw: u64) -> bool {
         self.entries.contains_key(&addr_raw)

@@ -30,9 +30,12 @@ use crate::batch::{BatchOp, BatchResult, OpBatch};
 use crate::config::{ClientConfig, Consistency};
 use crate::consistency::Backoff;
 use crate::error::GengarError;
-use crate::hotness::AccessEntry;
+use crate::hotness::{
+    decode_remaps, encode_report, mailbox_announced, AccessEntry, ReportArea, MAILBOX_HEADER,
+    MAX_REPORT, REPORT_SLOTS, REPORT_SLOT_BYTES,
+};
 use crate::layout::{decode_slot_header, lockword, OBJ_HEADER, SLOT_HEADER, SLOT_TAIL};
-use crate::proto::{error_for_code, MountInfo, Request, Response, MAX_REPORT, NO_BACKUP};
+use crate::proto::{error_for_code, MountInfo, Request, Response, NO_BACKUP};
 use crate::proxy::{MirrorLane, StagedFlight, StagingWriter};
 use crate::qos::TenantState;
 use crate::retry::{attempt_timeout, classify, Disposition, RetryState};
@@ -63,7 +66,7 @@ pub struct ClientStats {
     pub lock_retries: u64,
     /// Consistent-read retries.
     pub read_retries: u64,
-    /// Access reports sent.
+    /// Report slots written into the servers' report rings.
     pub reports: u64,
     /// Fault-recovery retries (backoff rounds after a transient failure).
     pub retries: u64,
@@ -306,6 +309,8 @@ enum GroupPhase {
         sleep_us: u64,
         last_seen: u64,
         stall_deadline: Instant,
+        /// Whether a re-read already found no room (the wait is counted).
+        counted: bool,
     },
     /// A staged-write doorbell flight is on the wire.
     StagedWait {
@@ -373,9 +378,46 @@ struct GroupRun {
     attempt_ctx: (TraceId, SpanId),
 }
 
+/// This client's report ring on one server ([`ReportArea`]): the seq the
+/// next slot is written with, the server's consumed cursor as last read,
+/// and the seq of the last mailbox applied. Every tenure (connect,
+/// reconnect) starts over, as the server zeroes the id's area on accept.
+#[derive(Debug, Clone, Copy)]
+struct ReportLane {
+    area: ReportArea,
+    next: u64,
+    consumed: u64,
+    mailbox: u64,
+}
+
+impl ReportLane {
+    fn new(cid: u32) -> Self {
+        ReportLane {
+            area: ReportArea::of(cid),
+            next: 1,
+            consumed: 0,
+            mailbox: 0,
+        }
+    }
+
+    /// Free slots by the last cursor read.
+    fn room(&self) -> u64 {
+        REPORT_SLOTS.saturating_sub((self.next - 1).saturating_sub(self.consumed))
+    }
+}
+
+/// One server's report doorbell in flight ([`GengarClient::flush_reports`]).
+struct ReportFlight {
+    idx: usize,
+    ops: PendingOps,
+    /// The entries of each slot WRITE, in seq order from the lane's `next`.
+    slots: Vec<Vec<AccessEntry>>,
+}
+
 #[derive(Debug)]
 struct ServerConn {
     mount: MountInfo,
+    reports: ReportLane,
     rpc: RpcClient,
     data: gengar_rdma::Endpoint,
     staging: Option<StagingWriter>,
@@ -552,6 +594,7 @@ impl GengarClient {
             server_index.insert(hs.mount.server_id, conns.len());
             conns.push(ServerConn {
                 mount: hs.mount,
+                reports: ReportLane::new(hs.cid),
                 rpc: hs.rpc,
                 data: hs.data,
                 staging: hs.staging,
@@ -982,8 +1025,8 @@ impl GengarClient {
 
         // Stale views of this server die with the old connection: cached
         // remap entries point at cache frames the restarted server may
-        // have re-assigned, and store-buffer entries the old ring made
-        // durable are retired.
+        // have re-assigned, the report ring and mailbox are the new id's,
+        // and store-buffer entries the old ring made durable are retired.
         self.remap
             .retain(|addr, _| GlobalAddr::from_raw(*addr).map(|a| a.server()) != Some(server));
         self.write_back.retain(|addr, wb| {
@@ -992,6 +1035,7 @@ impl GengarClient {
 
         let conn = &mut self.conns[idx];
         conn.mount = hs.mount;
+        conn.reports = ReportLane::new(hs.cid);
         conn.rpc = hs.rpc;
         conn.data = hs.data;
         conn.staging = hs.staging;
@@ -1769,6 +1813,7 @@ impl GengarClient {
                     sleep_us,
                     last_seen,
                     stall_deadline,
+                    counted,
                 } => {
                     let now = Instant::now();
                     if now < next_poll {
@@ -1779,6 +1824,7 @@ impl GengarClient {
                             sleep_us,
                             last_seen,
                             stall_deadline,
+                            counted,
                         };
                         return (progressed, Some(next_poll));
                     }
@@ -1787,7 +1833,14 @@ impl GengarClient {
                         match self.conn_mut(run.server) {
                             Ok(conn) => {
                                 let st = conn.staging.as_mut().expect("planned on a staging ring");
-                                st.refresh_drained().map(|d| (d, st.ring_room()))
+                                st.refresh_drained().map(|d| {
+                                    // Only a re-read that still finds no room
+                                    // is a wait; count it once.
+                                    if st.ring_room() < plans.len() && !counted {
+                                        st.note_ring_full();
+                                    }
+                                    (d, st.ring_room())
+                                })
                             }
                             Err(e) => Err(e),
                         }
@@ -1830,6 +1883,7 @@ impl GengarClient {
                                     sleep_us: (sleep_us * 2).min(200),
                                     last_seen,
                                     stall_deadline,
+                                    counted: true,
                                 };
                                 return (progressed, Some(next_poll));
                             }
@@ -2362,8 +2416,9 @@ impl GengarClient {
     }
 
     /// Routes a planned staged-write window: posts it if the ring has
-    /// room, otherwise parks the group in `RingWait` to poll the drained
-    /// watermark (the blocking `stage_write` sleeps here instead).
+    /// room by the writer's local view, otherwise parks the group in
+    /// `RingWait`, whose first poll re-reads the drained watermark at once
+    /// (the blocking `stage_write` sleeps here instead).
     fn post_staged(
         &mut self,
         run: &mut GroupRun,
@@ -2406,12 +2461,7 @@ impl GengarClient {
         let full = {
             let conn = self.conn(run.server)?;
             let st = conn.staging.as_ref().expect("planned on a staging ring");
-            if st.ring_room() < plans.len() {
-                st.note_ring_full();
-                Some(st.known_drained())
-            } else {
-                None
-            }
+            (st.ring_room() < plans.len()).then(|| st.known_drained())
         };
         if let Some(drained) = full {
             let now = Instant::now();
@@ -2422,6 +2472,7 @@ impl GengarClient {
                 sleep_us: 5,
                 last_seen: drained,
                 stall_deadline: now + attempt_timeout(self.config.op_deadline),
+                counted: false,
             };
             return Ok(());
         }
@@ -3036,7 +3087,7 @@ impl GengarClient {
         Ok(word)
     }
 
-    /// Records one access for the piggybacked hotness report.
+    /// Records one access for the next hotness report.
     fn record(&mut self, server: u8, base_raw: u64, wrote: bool) {
         // A promoted ward serves from the replica's shadow region, which
         // has no cache plane of its own: reporting would make the replica
@@ -3044,91 +3095,263 @@ impl GengarClient {
         if self.redirects.contains_key(&server) {
             return;
         }
-        let entry = self
-            .pending
-            .entry(server)
-            .or_default()
-            .entry(base_raw)
-            .or_insert((0, false));
-        entry.0 += 1;
-        entry.1 |= wrote;
+        self.pend(
+            server,
+            AccessEntry {
+                addr: base_raw,
+                count: 1,
+                wrote,
+            },
+        );
         self.ops_since_report += 1;
     }
 
-    /// Sends the hotness reports once `report_every` accesses are pending:
-    /// behind a batch, never inside it (a group may hold a begun flush RPC
-    /// on the connection a report would use), and best-effort (the ops it
-    /// follows have settled; a dead connection is the next op's to recover).
+    /// Merges `e` into `server`'s pending entries. At most one full report
+    /// ring's worth of distinct addresses waits: past that a new address
+    /// is dropped (hotness is a statistic), while the counts of pending
+    /// addresses keep merging.
+    fn pend(&mut self, server: u8, e: AccessEntry) {
+        const PENDING_ENTRIES: usize = REPORT_SLOTS as usize * MAX_REPORT;
+        let pending = self.pending.entry(server).or_default();
+        if pending.len() >= PENDING_ENTRIES && !pending.contains_key(&e.addr) {
+            return;
+        }
+        let entry = pending.entry(e.addr).or_insert((0, false));
+        entry.0 = entry.0.saturating_add(e.count);
+        entry.1 |= e.wrote;
+    }
+
+    /// Writes the hotness reports once `report_every` accesses are pending:
+    /// behind a batch, never inside it (its groups own the op areas a
+    /// report gathers in and the completion queues it polls), and
+    /// best-effort (the ops it follows have settled; a dead connection is
+    /// the next op's to recover).
     fn report_if_due(&mut self) {
         if self.ops_since_report >= self.config.report_every {
             let _ = self.flush_reports();
         }
     }
 
-    /// Sends pending hotness reports now and applies the piggybacked remap
-    /// updates. Called automatically every `report_every` accesses.
+    /// Writes the pending hotness reports now and applies the remaps that
+    /// came back. Per server it rings one doorbell: a WRITE of each slot
+    /// the report ring has room for by the last cursor read, then one READ
+    /// of the consumed cursor and the remap mailbox's header. A header
+    /// announcing a new mailbox costs one more READ, of exactly that
+    /// mailbox. Each round posts every server before it awaits any. What
+    /// does not fit the ring, or what a throttled tenant may not send yet,
+    /// stays pending for the next call; nothing waits for the ring. Called
+    /// automatically every `report_every` accesses.
     ///
     /// # Errors
     ///
     /// Transport failures as [`GengarError::Rdma`].
     pub fn flush_reports(&mut self) -> Result<(), GengarError> {
+        self.ops_since_report = 0;
+        let mut first_err = None;
+        let mut flights = Vec::new();
+        for idx in 0..self.conns.len() {
+            match self.post_report(idx) {
+                Ok(flight) => flights.extend(flight),
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        let mut announced = Vec::new();
+        for flight in flights {
+            match self.settle_report(flight) {
+                Ok(mailbox) => announced.extend(mailbox),
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        let mut fetches = Vec::new();
+        for (idx, len) in announced {
+            // A throttled tenant fetches it on a later flush: its seq stays new.
+            if self
+                .tenant
+                .as_ref()
+                .is_some_and(|t| t.issue_admit(1, len).is_err())
+            {
+                continue;
+            }
+            let conn = &self.conns[idx];
+            let read = SendOp::Read {
+                local: Sge::new(self.mr.lkey(), conn.op_buf, len),
+                remote: RemoteAddr::new(RKey(conn.mount.report_rkey), conn.reports.area.mailbox()),
+            };
+            match conn.data.post_many(vec![read]) {
+                Ok(ops) => fetches.push((idx, ops, len)),
+                Err(e) => {
+                    first_err.get_or_insert(e.into());
+                }
+            }
+        }
+        for (idx, ops, len) in fetches {
+            if let Err(e) = self.apply_mailbox(idx, ops, len) {
+                first_err.get_or_insert(e);
+            }
+        }
+        first_err.map_or(Ok(()), Err)
+    }
+
+    /// Bytes the cursor READ lands at the start of the op area: the cursor,
+    /// then the mailbox header when the server caches.
+    fn report_landing(conn: &ServerConn) -> u64 {
+        8 + if conn.mount.enable_cache {
+            MAILBOX_HEADER
+        } else {
+            0
+        }
+    }
+
+    /// Posts connection `idx`'s report doorbell, if anything is pending for
+    /// its server and the tenant's issue gate admits it. The op area is
+    /// free between batches: the READ lands at its start and the slots are
+    /// gathered behind it.
+    fn post_report(&mut self, idx: usize) -> Result<Option<ReportFlight>, GengarError> {
+        let conn = &self.conns[idx];
+        let Some(pending) = self
+            .pending
+            .get_mut(&conn.mount.server_id)
+            .filter(|p| !p.is_empty())
+        else {
+            return Ok(None);
+        };
+        let lane = conn.reports;
+        let landing = Self::report_landing(conn);
+        let gather = conn.op_buf + 8 + MAILBOX_HEADER;
+        let fit = (conn.op_buf_len - 8 - MAILBOX_HEADER) / REPORT_SLOT_BYTES;
+        let wanted = pending.len().div_ceil(MAX_REPORT) as u64;
+        let n = lane.room().min(fit).min(wanted);
+        if let Some(tenant) = &self.tenant {
+            if tenant
+                .issue_admit(n + 1, n * REPORT_SLOT_BYTES + landing)
+                .is_err()
+            {
+                return Ok(None);
+            }
+        }
+        let take = (n as usize * MAX_REPORT).min(pending.len());
+        let addrs: Vec<u64> = pending.keys().take(take).copied().collect();
+        let entries: Vec<AccessEntry> = addrs
+            .into_iter()
+            .map(|addr| {
+                let (count, wrote) = pending.remove(&addr).expect("key just listed");
+                AccessEntry { addr, count, wrote }
+            })
+            .collect();
+        let slots: Vec<Vec<AccessEntry>> = entries.chunks(MAX_REPORT).map(<[_]>::to_vec).collect();
+        let rkey = RKey(conn.mount.report_rkey);
+        let (lkey, region) = (self.mr.lkey(), self.mr.region());
+        let posted = (|| {
+            let mut ops = Vec::with_capacity(slots.len() + 1);
+            for (i, slot) in slots.iter().enumerate() {
+                let seq = lane.next + i as u64;
+                let bytes = encode_report(seq, slot);
+                let at = gather + i as u64 * REPORT_SLOT_BYTES;
+                region.write(at, &bytes)?;
+                ops.push(SendOp::Write {
+                    payload: Payload::Sge(Sge::new(lkey, at, bytes.len() as u64)),
+                    remote: RemoteAddr::new(rkey, lane.area.slot(seq)),
+                    imm: None,
+                });
+            }
+            ops.push(SendOp::Read {
+                local: Sge::new(lkey, conn.op_buf, landing),
+                remote: RemoteAddr::new(rkey, lane.area.cursor()),
+            });
+            Ok::<_, GengarError>(conn.data.post_many(ops)?)
+        })();
+        match posted {
+            Ok(ops) => Ok(Some(ReportFlight { idx, ops, slots })),
+            Err(e) => {
+                // Nothing went out: the entries wait for the next flush.
+                let server = conn.mount.server_id;
+                for e in slots.into_iter().flatten() {
+                    self.pend(server, e);
+                }
+                Err(e)
+            }
+        }
+    }
+
+    /// Waits until every operation of a doorbell on connection `idx`'s data
+    /// QP has its result.
+    fn await_doorbell(&self, idx: usize, mut ops: PendingOps) -> Vec<Result<Wc, RdmaError>> {
+        let data = &self.conns[idx].data;
+        while !data.poll_pending(&mut ops) {
+            if let Some(wake) = data.pending_done_wake(&ops) {
+                spin_until(wake);
+            }
+        }
+        ops.into_results()
+    }
+
+    /// Waits out a report doorbell and settles it: the slots that landed
+    /// advance the lane's seq (the WRITEs behind the first failed one go
+    /// back to pending, to be rewritten under the same seqs) and the READ
+    /// moves the lane's consumed cursor. Returns the connection and length
+    /// of a mailbox whose header announces a new seq.
+    fn settle_report(&mut self, flight: ReportFlight) -> Result<Option<(usize, u64)>, GengarError> {
+        let idx = flight.idx;
+        let mut results = self.await_doorbell(idx, flight.ops);
+        let read = results.pop().expect("the doorbell ends in the cursor READ");
+        let landed = results.iter().take_while(|r| r.is_ok()).count();
+        let server = self.conns[idx].mount.server_id;
+        for e in flight.slots.into_iter().skip(landed).flatten() {
+            self.pend(server, e);
+        }
+        self.conns[idx].reports.next += landed as u64;
+        for _ in 0..landed {
+            self.metrics.reports.inc();
+        }
+        if let Some(e) = results.into_iter().find_map(Result::err) {
+            return Err(e.into());
+        }
+        read?;
+        let conn = &mut self.conns[idx];
+        let mut landing = vec![0u8; Self::report_landing(conn) as usize];
+        self.mr.region().read(conn.op_buf, &mut landing)?;
+        conn.reports.consumed = u64::from_le_bytes(landing[..8].try_into().expect("8 bytes"));
+        if landing.len() == 8 {
+            return Ok(None);
+        }
+        let (seq, len) = mailbox_announced(&landing[8..]);
+        Ok((seq > conn.reports.mailbox).then_some((idx, len)))
+    }
+
+    /// Settles the READ of connection `idx`'s mailbox (`len` bytes): a
+    /// mailbox whose seq is new sets the remap of every address it names,
+    /// a zero location dropping it. A torn one is fetched again on the next
+    /// flush, its seq still new.
+    fn apply_mailbox(&mut self, idx: usize, ops: PendingOps, len: u64) -> Result<(), GengarError> {
         /// Remap entries kept at most: a frame for every 512 bytes of one
         /// server's default 32 MiB cache. The cap only bounds the map's
         /// growth; past it, new remaps are skipped, not evicted.
         const REMAP_ENTRIES: usize = 65_536;
-        self.ops_since_report = 0;
-        let mut queues: Vec<(u8, Vec<AccessEntry>)> = std::mem::take(&mut self.pending)
-            .into_iter()
-            .map(|(server, entries)| {
-                let entries = entries.into_iter();
-                let entry = |(addr, (count, wrote))| AccessEntry { addr, count, wrote };
-                (server, entries.map(entry).collect())
-            })
-            .collect();
-        // One chunk per server per round, all sent before any response is
-        // awaited: the servers' handler wake-ups overlap instead of queueing
-        // behind each other inside whichever call crossed the threshold (on
-        // a busy host each is a scheduling delay). Every begun call is
-        // finished, so no response is left to be taken for a later request's.
-        let mut first_err = None;
-        while first_err.is_none() && !queues.is_empty() {
-            let calls: Vec<_> = queues
-                .iter_mut()
-                .map(|(server, batch)| {
-                    let entries = batch.drain(..batch.len().min(MAX_REPORT)).collect();
-                    Ok(self.conn(*server)?.rpc.begin(&Request::Report { entries }))
-                })
-                .collect();
-            for ((server, _), call) in queues.iter().zip(calls) {
-                match call.and_then(|c| self.conn(*server)?.rpc.finish(c)) {
-                    Ok(Response::Report { remaps }) => {
-                        for r in remaps {
-                            if r.cache_addr == 0 {
-                                self.remap.remove(&r.addr);
-                            } else {
-                                if self.remap.len() >= REMAP_ENTRIES
-                                    && !self.remap.contains_key(&r.addr)
-                                {
-                                    continue;
-                                }
-                                self.remap.insert(r.addr, r.cache_addr);
-                            }
-                        }
-                        self.metrics.reports.inc();
-                    }
-                    Ok(Response::Err { .. }) => self.metrics.reports.inc(),
-                    Ok(_) => {
-                        let bad = GengarError::ProtocolViolation("bad report response");
-                        first_err.get_or_insert(bad);
-                    }
-                    Err(e) => {
-                        first_err.get_or_insert(e);
-                    }
-                }
+        self.await_doorbell(idx, ops)
+            .pop()
+            .expect("one READ posted")?;
+        let mut mailbox = vec![0u8; len as usize];
+        self.mr
+            .region()
+            .read(self.conns[idx].op_buf, &mut mailbox)?;
+        let lane = &mut self.conns[idx].reports;
+        let Some((seq, remaps)) = decode_remaps(&mailbox).filter(|(seq, _)| *seq > lane.mailbox)
+        else {
+            return Ok(());
+        };
+        lane.mailbox = seq;
+        for (addr, cache_addr) in remaps {
+            if cache_addr == 0 {
+                self.remap.remove(&addr);
+            } else if self.remap.len() < REMAP_ENTRIES || self.remap.contains_key(&addr) {
+                self.remap.insert(addr, cache_addr);
             }
-            queues.retain(|(_, batch)| !batch.is_empty());
         }
-        first_err.map_or(Ok(()), Err)
+        Ok(())
     }
 
     /// Blocks until every staged write this client issued has been drained

@@ -176,7 +176,8 @@ pub struct ClientConfig {
     pub consistency: Consistency,
     /// Local scratch buffer registered for RDMA (per client).
     pub scratch_capacity: u64,
-    /// Send an access report to each server after this many accesses.
+    /// Write the pending access reports into each server's report ring
+    /// after this many accesses.
     pub report_every: u32,
     /// Retries for a consistent read before giving up.
     pub read_retries: u32,

@@ -7,9 +7,10 @@
 //! APIs. Three mechanisms define the system:
 //!
 //! * **Hot-data caching in distributed DRAM** ([`hotness`], [`cache`]):
-//!   clients piggyback access summaries derived from their verbs' semantics;
-//!   servers promote frequently-accessed objects into DRAM cache slots that
-//!   clients read with validated one-sided READs.
+//!   clients WRITE access summaries derived from their verbs' semantics
+//!   into per-client report rings in server DRAM; servers promote
+//!   frequently-accessed objects into DRAM cache slots that clients read
+//!   with validated one-sided READs.
 //! * **Proxy-based writes** ([`proxy`]): clients land write records in
 //!   per-client ADR-protected staging rings with a single WRITE_WITH_IMM;
 //!   a server proxy thread drains them to NVM off the critical path.

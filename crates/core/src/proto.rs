@@ -7,13 +7,9 @@
 use bytes::{Buf, BufMut};
 
 use crate::error::GengarError;
-use crate::hotness::AccessEntry;
 
 /// Maximum encoded message size (fits one RPC buffer slot).
 pub const MAX_MSG: usize = 4096;
-
-/// Maximum access-report entries per message.
-pub const MAX_REPORT: usize = 128;
 
 /// Maximum tenant-name bytes carried in a `Mount` request. Longer names
 /// are truncated on encode (a config error, not a wire hazard).
@@ -46,12 +42,6 @@ pub enum Request {
     },
     /// Open a proxy staging ring; the server assigns a client id.
     OpenStaging,
-    /// Piggybacked hotness report. The response carries remap updates for
-    /// the reported addresses.
-    Report {
-        /// Batched access entries.
-        entries: Vec<AccessEntry>,
-    },
     /// Make `[addr, addr+len)` durable and invalidate any cached copy
     /// (direct-write path).
     FlushRange {
@@ -102,6 +92,9 @@ pub struct MountInfo {
     pub staging_rkey: u32,
     /// rkey of the control region.
     pub ctl_rkey: u32,
+    /// rkey of the report region: this client's report ring, remap
+    /// mailbox and consumed cursor ([`crate::hotness`]).
+    pub report_rkey: u32,
     /// NVM bytes exported.
     pub nvm_capacity: u64,
     /// Whether server-side hot-data caching is enabled.
@@ -135,16 +128,6 @@ impl MountInfo {
     }
 }
 
-/// One remap update piggybacked on a `Report` response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RemapUpdate {
-    /// Raw global address of the object's payload base.
-    pub addr: u64,
-    /// Raw global address of the cached copy's slot frame, or 0 if the
-    /// object is not (or no longer) cached.
-    pub cache_addr: u64,
-}
-
 /// Server-to-client responses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
@@ -161,11 +144,6 @@ pub enum Response {
         client_id: u32,
         /// Ring base offset within the staging region.
         ring_offset: u64,
-    },
-    /// Report folded; remap updates for the reported addresses.
-    Report {
-        /// Current cache locations for reported addresses.
-        remaps: Vec<RemapUpdate>,
     },
     /// Drained watermark of the queried ring.
     Durable {
@@ -275,7 +253,6 @@ const REQ_MOUNT: u8 = 1;
 const REQ_ALLOC: u8 = 2;
 const REQ_FREE: u8 = 3;
 const REQ_OPEN_STAGING: u8 = 4;
-const REQ_REPORT: u8 = 5;
 const REQ_FLUSH_RANGE: u8 = 6;
 const REQ_INVALIDATE: u8 = 7;
 const REQ_QUERY_DURABLE: u8 = 8;
@@ -286,7 +263,6 @@ const REQ_INSPECT: u8 = 11;
 const RESP_MOUNT: u8 = 129;
 const RESP_ALLOC: u8 = 130;
 const RESP_STAGING: u8 = 131;
-const RESP_REPORT: u8 = 132;
 const RESP_DURABLE: u8 = 133;
 const RESP_OK: u8 = 134;
 const RESP_ERR: u8 = 135;
@@ -301,7 +277,6 @@ impl Request {
             Request::Alloc { .. } => REQ_ALLOC,
             Request::Free { .. } => REQ_FREE,
             Request::OpenStaging => REQ_OPEN_STAGING,
-            Request::Report { .. } => REQ_REPORT,
             Request::FlushRange { .. } => REQ_FLUSH_RANGE,
             Request::Invalidate { .. } => REQ_INVALIDATE,
             Request::QueryDurable { .. } => REQ_QUERY_DURABLE,
@@ -332,14 +307,6 @@ impl Request {
             }
             Request::Alloc { size } => buf.put_u64_le(*size),
             Request::Free { addr } => buf.put_u64_le(*addr),
-            Request::Report { entries } => {
-                buf.put_u16_le(entries.len().min(MAX_REPORT) as u16);
-                for e in entries.iter().take(MAX_REPORT) {
-                    buf.put_u64_le(e.addr);
-                    buf.put_u32_le(e.count);
-                    buf.put_u8(e.wrote as u8);
-                }
-            }
             Request::FlushRange { addr, len } => {
                 buf.put_u64_le(*addr);
                 buf.put_u64_le(*len);
@@ -413,24 +380,6 @@ impl Request {
                 }
             }
             REQ_OPEN_STAGING => Request::OpenStaging,
-            REQ_REPORT => {
-                if buf.remaining() < 2 {
-                    return Err(malformed);
-                }
-                let n = buf.get_u16_le() as usize;
-                if n > MAX_REPORT || buf.remaining() < n * 13 {
-                    return Err(malformed);
-                }
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    entries.push(AccessEntry {
-                        addr: buf.get_u64_le(),
-                        count: buf.get_u32_le(),
-                        wrote: buf.get_u8() != 0,
-                    });
-                }
-                Request::Report { entries }
-            }
             REQ_FLUSH_RANGE => {
                 if buf.remaining() < 16 {
                     return Err(malformed);
@@ -478,7 +427,6 @@ impl Response {
             Response::Mount(_) => RESP_MOUNT,
             Response::Alloc { .. } => RESP_ALLOC,
             Response::Staging { .. } => RESP_STAGING,
-            Response::Report { .. } => RESP_REPORT,
             Response::Durable { .. } => RESP_DURABLE,
             Response::Ok => RESP_OK,
             Response::Replica { .. } => RESP_REPLICA,
@@ -500,6 +448,7 @@ impl Response {
                 buf.put_u32_le(m.cache_rkey);
                 buf.put_u32_le(m.staging_rkey);
                 buf.put_u32_le(m.ctl_rkey);
+                buf.put_u32_le(m.report_rkey);
                 buf.put_u64_le(m.nvm_capacity);
                 buf.put_u8(m.enable_cache as u8);
                 buf.put_u8(m.enable_proxy as u8);
@@ -515,13 +464,6 @@ impl Response {
             } => {
                 buf.put_u32_le(*client_id);
                 buf.put_u64_le(*ring_offset);
-            }
-            Response::Report { remaps } => {
-                buf.put_u16_le(remaps.len().min(MAX_REPORT) as u16);
-                for r in remaps.iter().take(MAX_REPORT) {
-                    buf.put_u64_le(r.addr);
-                    buf.put_u64_le(r.cache_addr);
-                }
             }
             Response::Durable { seq } => buf.put_u64_le(*seq),
             Response::Ok => {}
@@ -557,7 +499,7 @@ impl Response {
         let call = buf.get_u64_le();
         let resp = match tag {
             RESP_MOUNT => {
-                if buf.remaining() < 1 + 16 + 8 + 2 + 12 + 5 {
+                if buf.remaining() < 1 + 20 + 8 + 2 + 12 + 5 {
                     return Err(malformed);
                 }
                 Response::Mount(MountInfo {
@@ -566,6 +508,7 @@ impl Response {
                     cache_rkey: buf.get_u32_le(),
                     staging_rkey: buf.get_u32_le(),
                     ctl_rkey: buf.get_u32_le(),
+                    report_rkey: buf.get_u32_le(),
                     nvm_capacity: buf.get_u64_le(),
                     enable_cache: buf.get_u8() != 0,
                     enable_proxy: buf.get_u8() != 0,
@@ -591,23 +534,6 @@ impl Response {
                     client_id: buf.get_u32_le(),
                     ring_offset: buf.get_u64_le(),
                 }
-            }
-            RESP_REPORT => {
-                if buf.remaining() < 2 {
-                    return Err(malformed);
-                }
-                let n = buf.get_u16_le() as usize;
-                if n > MAX_REPORT || buf.remaining() < n * 16 {
-                    return Err(malformed);
-                }
-                let mut remaps = Vec::with_capacity(n);
-                for _ in 0..n {
-                    remaps.push(RemapUpdate {
-                        addr: buf.get_u64_le(),
-                        cache_addr: buf.get_u64_le(),
-                    });
-                }
-                Response::Report { remaps }
             }
             RESP_DURABLE => {
                 if buf.remaining() < 8 {
@@ -692,20 +618,6 @@ mod tests {
         roundtrip_req(Request::Alloc { size: 12345 });
         roundtrip_req(Request::Free { addr: u64::MAX / 3 });
         roundtrip_req(Request::OpenStaging);
-        roundtrip_req(Request::Report {
-            entries: vec![
-                AccessEntry {
-                    addr: 7,
-                    count: 3,
-                    wrote: true,
-                },
-                AccessEntry {
-                    addr: 9,
-                    count: 1,
-                    wrote: false,
-                },
-            ],
-        });
         roundtrip_req(Request::FlushRange { addr: 64, len: 128 });
         roundtrip_req(Request::Invalidate { addr: 99 });
         roundtrip_req(Request::QueryDurable { client_id: 4 });
@@ -722,6 +634,7 @@ mod tests {
             cache_rkey: 11,
             staging_rkey: 12,
             ctl_rkey: 13,
+            report_rkey: 15,
             nvm_capacity: 1 << 30,
             enable_cache: true,
             enable_proxy: false,
@@ -734,18 +647,6 @@ mod tests {
         roundtrip_resp(Response::Staging {
             client_id: 3,
             ring_offset: 1 << 20,
-        });
-        roundtrip_resp(Response::Report {
-            remaps: vec![
-                RemapUpdate {
-                    addr: 1,
-                    cache_addr: 2,
-                },
-                RemapUpdate {
-                    addr: 3,
-                    cache_addr: 0,
-                },
-            ],
         });
         roundtrip_resp(Response::Durable { seq: 77 });
         roundtrip_resp(Response::Ok);
@@ -812,31 +713,6 @@ mod tests {
         bad.extend_from_slice(&2u32.to_le_bytes());
         bad.extend_from_slice(&[0xFF, 0xFE]);
         assert!(Response::decode(&bad).is_err());
-    }
-
-    #[test]
-    fn full_report_fits_in_max_msg() {
-        let entries = vec![
-            AccessEntry {
-                addr: u64::MAX,
-                count: u32::MAX,
-                wrote: true,
-            };
-            MAX_REPORT
-        ];
-        let mut buf = Vec::new();
-        Request::Report { entries }.encode(u64::MAX, &mut buf);
-        assert!(buf.len() <= MAX_MSG);
-        let remaps = vec![
-            RemapUpdate {
-                addr: u64::MAX,
-                cache_addr: u64::MAX,
-            };
-            MAX_REPORT
-        ];
-        let mut buf = Vec::new();
-        Response::Report { remaps }.encode(u64::MAX, &mut buf);
-        assert!(buf.len() <= MAX_MSG);
     }
 
     #[test]

@@ -380,7 +380,11 @@ impl StagingWriter {
     /// transport failures as [`GengarError::Rdma`].
     pub fn stage_write(&mut self, addr_raw: u64, data: &[u8]) -> Result<u64, GengarError> {
         let _t = self.stage_ns.span();
-        // Ring full: wait for the proxy to drain the oldest slot.
+        // A full local view may only be stale: re-read the watermark before
+        // counting a wait, then wait for the proxy to drain the oldest slot.
+        if self.ring_room() == 0 {
+            self.refresh_drained()?;
+        }
         while self.ring_room() == 0 {
             let _wait = Tracer::global().span("proxy.ring_full_wait");
             self.ring_full_waits.inc();
@@ -407,8 +411,9 @@ impl StagingWriter {
 
     /// Counts one ring-full stall (`proxy.ring_full_waits`). The blocking
     /// [`StagingWriter::stage_write`] counts its own waits; the concurrent
-    /// issue engine, which parks instead of blocking, calls this when it
-    /// first finds the ring too full for a flight.
+    /// issue engine, which parks instead of blocking, calls this when its
+    /// first re-read of the watermark still leaves the ring too full for a
+    /// flight. A full *local* view that the re-read clears is not a wait.
     pub fn note_ring_full(&self) {
         self.ring_full_waits.inc();
     }
@@ -901,6 +906,7 @@ mod tests {
             cache_rkey: 0,
             staging_rkey: 0,
             ctl_rkey: 0,
+            report_rkey: 0,
             nvm_capacity: 0,
             enable_cache: true,
             enable_proxy: true,

@@ -1,15 +1,17 @@
 //! The Gengar memory server.
 //!
-//! Each server contributes NVM and DRAM to the pool. It exports four RDMA
-//! regions (NVM data, DRAM cache, ADR staging rings, control words), plus a
-//! shadow NVM image when replication is on, and runs `1 + proxy_threads`
-//! threads, however many clients connect:
+//! Each server contributes NVM and DRAM to the pool. It exports five RDMA
+//! regions (NVM data, DRAM cache, ADR staging rings, control words, hotness
+//! reports), plus a shadow NVM image when replication is on, and runs
+//! `1 + proxy_threads` threads, however many clients connect:
 //!
 //! * The **control loop** serves every connection's control plane off one
-//!   shared receive CQ — mount, allocation, hotness reports,
-//!   flush/invalidate, staging setup, and `Promote` (failover replay of the
-//!   mirror rings) — and at each epoch deadline folds hotness reports and
-//!   promotes hot objects into the DRAM cache.
+//!   shared receive CQ — mount, allocation, flush/invalidate, staging
+//!   setup, and `Promote` (failover replay of the mirror rings). At each
+//!   epoch deadline it folds the report rings clients WRITE their accesses
+//!   into, promotes hot objects into the DRAM cache and leaves each client
+//!   the cache locations of what it reported in its remap mailbox.
+//!   Reporting costs it no RPC.
 //! * The **proxy drain loops** finish staged writes and advance durable
 //!   watermarks. A *primary lane* (a client's own ring) applies records to
 //!   local NVM and keeps cached copies fresh; a *mirror lane* applies them
@@ -17,7 +19,7 @@
 //!   [`MemoryServer::recover`] and `Promote` share one record applier
 //!   (`apply_record`) and one watermark step (`publish_watermark`).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -37,13 +39,13 @@ use crate::cache::{CacheManager, CacheStats};
 use crate::config::ServerConfig;
 use crate::error::GengarError;
 use crate::health::HealthPlane;
-use crate::hotness::HotnessMonitor;
+use crate::hotness::{
+    decode_report, encode_remaps, HotnessMonitor, ReportArea, REPORT_SLOTS, REPORT_SLOT_BYTES,
+};
 use crate::layout::{
     checksum, decode_record_header, lockword, RecordHeader, OBJ_HEADER, RECORD_HEADER,
 };
-use crate::proto::{
-    err_code, MountInfo, RemapUpdate, Request, Response, MAX_INSPECT_JSON, NO_BACKUP,
-};
+use crate::proto::{err_code, MountInfo, Request, Response, MAX_INSPECT_JSON, NO_BACKUP};
 use crate::proxy::RingLayout;
 use crate::qos::QosPlane;
 use crate::rpc::{RpcServerConn, RPC_BUF_BYTES};
@@ -166,6 +168,10 @@ pub(crate) struct ServerInner {
     cache_mr: Arc<MemoryRegion>,
     staging_mr: Arc<MemoryRegion>,
     ctl_mr: Arc<MemoryRegion>,
+    /// One [`ReportArea`] per client id: report ring, remap mailbox and
+    /// consumed cursor. Clients WRITE the ring and READ the rest; the epoch
+    /// reads the ring and writes the rest.
+    report_mr: Arc<MemoryRegion>,
     /// Shadow NVM (same geometry as `nvm_dev`): a standby image of the
     /// server this one backs up. `None` when replication is off — no
     /// memory is allocated and no path pays for it.
@@ -317,6 +323,11 @@ impl MemoryServer {
             config.dram_profile.clone(),
             config.max_clients as u64 * RPC_BUF_BYTES,
         )?);
+        let report_dev = Arc::new(MemDevice::new(
+            7,
+            config.dram_profile.clone(),
+            config.max_clients as u64 * ReportArea::BYTES,
+        )?);
         // The shadow image of the server this one backs up: NVM-profile and
         // NVM-shaped (watermark area + pool), so a promoted backup can
         // serve the dead primary's addresses at unchanged offsets.
@@ -351,6 +362,10 @@ impl MemoryServer {
         let ctl_mr = pd.reg_mr(
             MemRegion::whole(Arc::clone(&ctl_dev)),
             Access::LOCAL_WRITE | Access::REMOTE_READ,
+        )?;
+        let report_mr = pd.reg_mr(
+            MemRegion::whole(report_dev),
+            Access::LOCAL_WRITE | Access::REMOTE_WRITE | Access::REMOTE_READ,
         )?;
         let shadow_mr = match &shadow_dev {
             Some(dev) => Some(pd.reg_mr(MemRegion::whole(Arc::clone(dev)), Access::all())?),
@@ -414,6 +429,7 @@ impl MemoryServer {
             cache_mr,
             staging_mr,
             ctl_mr,
+            report_mr,
             shadow_dev,
             shadow_mr,
             backup: Mutex::new(NO_BACKUP),
@@ -481,8 +497,9 @@ impl MemoryServer {
     }
 
     /// Accepts a new client: builds the three QP pairs, assigns a client
-    /// id, hands the RPC connection to the control loop and arms the proxy
-    /// ring. No thread is started.
+    /// id, clears the id's report area (a reused id never folds a previous
+    /// tenure's slots), hands the RPC connection to the control loop and
+    /// arms the proxy ring. No thread is started.
     ///
     /// # Errors
     ///
@@ -501,6 +518,7 @@ impl MemoryServer {
             if let Some(plane) = &inner.qos {
                 plane.connect(inner.id, cid, client_node.id());
             }
+            inner.reset_reports(cid)?;
 
             // Control-plane pair + its message buffer.
             let (rpc, s_rpc) = inner.connect(client_node, client_pd, &inner.rpc_recv_cq)?;
@@ -783,7 +801,10 @@ impl MemoryServer {
     }
 
     /// Simulates a power failure of this server's machine: NVM reverts to
-    /// its last flushed state, staging survives (ADR), DRAM is lost.
+    /// its last flushed state, staging survives (ADR), DRAM is lost — all
+    /// but the report region, which is left as it was: hotness is advisory
+    /// (`recover` resets the monitor), and a client still on its old
+    /// connection keeps a report seq that agrees with its ring's cursor.
     ///
     /// # Errors
     ///
@@ -1140,9 +1161,104 @@ impl ServerInner {
         }
     }
 
-    /// One hotness epoch: fold reports, refresh/decay cache scores,
-    /// promote hot objects. Runs on the control loop, which also owns all
-    /// demote-area traffic — the foreground drain never pays for tiering.
+    /// Zeroes client `cid`'s report area — ring, mailbox and consumed
+    /// cursor — for a new tenure of the id. Serialised with the epoch's fold
+    /// by the monitor's lock, so a fold never publishes an old tenure's
+    /// cursor over the reset.
+    fn reset_reports(&self, cid: u32) -> Result<(), GengarError> {
+        let _fold = self.hotness.lock();
+        let area = ReportArea::of(cid).cursor();
+        self.report_mr
+            .region()
+            .write(area, &vec![0u8; ReportArea::BYTES as usize])?;
+        Ok(())
+    }
+
+    /// Folds every connected client's report ring in seq order, up to the
+    /// first slot that is unwritten or torn: each slot goes to the monitor
+    /// and each of its addresses through `cache.lookup` (a hit refreshes
+    /// the frame's LRU stamp and upgrades it into protected), then the
+    /// consumed cursor is published. Returns, per client that reported,
+    /// the cursor and its addresses, hottest first.
+    fn fold_reports(&self) -> Vec<(ReportArea, u64, Vec<u64>)> {
+        let cids: BTreeSet<u32> = self
+            .clients
+            .lock()
+            .lanes
+            .values()
+            .filter(|(_, lane)| matches!(lane, Lane::Rpc(_)))
+            .map(|&(cid, _)| cid)
+            .collect();
+        let region = self.report_mr.region();
+        let mut slot = vec![0u8; REPORT_SLOT_BYTES as usize];
+        let mut reported = Vec::new();
+        for cid in cids {
+            let area = ReportArea::of(cid);
+            let mut entries = Vec::new();
+            let seq = {
+                let mut monitor = self.hotness.lock();
+                let Ok(consumed) = region.load_u64(area.cursor()) else {
+                    continue;
+                };
+                let mut seq = consumed;
+                while seq - consumed < REPORT_SLOTS
+                    && region.read(area.slot(seq + 1), &mut slot).is_ok()
+                {
+                    match decode_report(&slot) {
+                        Some((s, slot_entries)) if s == seq + 1 => {
+                            monitor.record(&slot_entries);
+                            entries.extend(slot_entries);
+                            seq = s;
+                        }
+                        _ => break,
+                    }
+                }
+                if seq == consumed || region.store_u64(area.cursor(), seq).is_err() {
+                    continue;
+                }
+                seq
+            };
+            let mut heat: HashMap<u64, u64> = HashMap::new();
+            let mut cache = self.cache.lock();
+            for e in entries {
+                cache.lookup(e.addr);
+                *heat.entry(e.addr).or_default() += u64::from(e.count);
+            }
+            drop(cache);
+            let mut hottest: Vec<(u64, u64)> = heat.into_iter().collect();
+            hottest.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            reported.push((
+                area,
+                seq,
+                hottest.into_iter().map(|(addr, _)| addr).collect(),
+            ));
+        }
+        reported
+    }
+
+    /// Writes each reporting client's mailbox: the current cache location
+    /// (0 = not cached) of every address it reported, hottest first, sealed
+    /// with the cursor its fold published — unless the id was reset since.
+    fn post_remaps(&self, reported: Vec<(ReportArea, u64, Vec<u64>)>) {
+        let region = self.report_mr.region();
+        for (area, seq, addrs) in reported {
+            let remaps: Vec<(u64, u64)> = {
+                let cache = self.cache.lock();
+                let at = |addr| cache.location(addr).unwrap_or(0);
+                addrs.into_iter().map(|addr| (addr, at(addr))).collect()
+            };
+            let mailbox = encode_remaps(seq, &remaps);
+            let _fold = self.hotness.lock();
+            if region.load_u64(area.cursor()).ok() == Some(seq) {
+                let _ = region.write(area.mailbox(), &mailbox);
+            }
+        }
+    }
+
+    /// One hotness epoch: fold the report rings, refresh/decay cache
+    /// scores, promote hot objects, then post each reporter's remaps. Runs
+    /// on the control loop, which also owns all demote-area traffic — the
+    /// foreground drain never pays for tiering.
     fn run_epoch(&self) {
         // Refresh shadow staleness while we are on a periodic path
         // anyway: replication health wants "how long since the standby
@@ -1154,6 +1270,7 @@ impl ServerInner {
             };
             self.metrics.shadow_staleness_ms.set(staleness);
         }
+        let reported = self.fold_reports();
         let folded = self.hotness.lock().fold_epoch();
         let policy = &self.config.cache;
         if !policy.enabled {
@@ -1214,6 +1331,7 @@ impl ServerInner {
             }
             let _ = self.cache.lock().promote(addr, &payload, score);
         }
+        self.post_remaps(reported);
     }
 
     /// Control-plane request dispatch (control loop).
@@ -1258,6 +1376,7 @@ impl ServerInner {
                     cache_rkey: self.cache_mr.rkey().0,
                     staging_rkey: self.staging_mr.rkey().0,
                     ctl_rkey: self.ctl_mr.rkey().0,
+                    report_rkey: self.report_mr.rkey().0,
                     nvm_capacity: self.config.nvm_capacity,
                     enable_cache: self.config.cache.enabled,
                     enable_proxy: self.config.enable_proxy,
@@ -1273,20 +1392,6 @@ impl ServerInner {
                 client_id: cid,
                 ring_offset: cid as u64 * self.ring.ring_bytes(),
             },
-            Request::Report { entries } => {
-                self.hotness.lock().record(&entries);
-                // Lookups mutate segment state: a remap hit refreshes the
-                // frame's LRU stamp and upgrades it into protected.
-                let mut cache = self.cache.lock();
-                let remaps = entries
-                    .iter()
-                    .map(|e| RemapUpdate {
-                        addr: e.addr,
-                        cache_addr: cache.lookup(e.addr).unwrap_or(0),
-                    })
-                    .collect();
-                Response::Report { remaps }
-            }
             Request::FlushRange { addr, len } => self.handle_flush(addr, len, true),
             Request::Invalidate { addr } => self.handle_flush(addr, 0, false),
             Request::QueryDurable { client_id } => {

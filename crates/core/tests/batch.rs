@@ -311,9 +311,10 @@ fn seqlock_batches_overlap_their_locks_across_servers() {
     assert_eq!(stats.lock_retries + stats.read_retries, 0, "{stats:?}");
 }
 
-/// Hotness reports are RPCs on the connections whose groups may be
-/// awaiting a flush RPC: they must ride behind the batch, not inside it,
-/// or a report's response and a flush's are taken for one another.
+/// Hotness reports ride behind a batch, never inside it: their doorbells
+/// gather in the op areas and poll the send CQs the batch's groups own.
+/// Interleaved with seqlock batches that hold flush RPCs open, they must
+/// neither stall a flush nor stop being written.
 #[test]
 fn reports_never_cross_a_flush_in_flight() {
     const SERVERS: u8 = 4;

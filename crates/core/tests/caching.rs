@@ -1,11 +1,13 @@
 //! End-to-end tests of the hot-data caching machinery: promotion,
-//! eviction under pressure, invalidation, stale-remap self-healing and
-//! re-promotion.
+//! eviction under pressure, invalidation, stale-remap self-healing,
+//! re-promotion, and the report rings that feed the hotness monitor.
 
 use std::time::{Duration, Instant};
 
 use gengar_core::cluster::Cluster;
 use gengar_core::config::{ClientConfig, ServerConfig};
+use gengar_core::hotness::REPORT_SLOTS;
+use gengar_core::server::MemoryServer;
 use gengar_rdma::FabricConfig;
 
 fn cache_cluster() -> Cluster {
@@ -182,8 +184,8 @@ fn second_client_benefits_from_first_clients_heat() {
     hotter.drain_all().unwrap();
     wait_for_hit(&mut hotter, ptr);
 
-    // The second client learns the remap on its very first report round
-    // and then hits the same server-side copy.
+    // The second client learns the remap from its mailbox once its first
+    // reports are folded, and then hits the same server-side copy.
     let mut cold = reporting_client(&cluster);
     let mut buf = [0u8; 64];
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -191,5 +193,121 @@ fn second_client_benefits_from_first_clients_heat() {
         cold.read(ptr, 0, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 7));
         assert!(Instant::now() < deadline, "second client never hit");
+    }
+}
+
+/// One server whose epoch folds once a second and promotes every reported
+/// address, so a test can act between two folds.
+fn slow_epoch_cluster() -> Cluster {
+    let mut config = ServerConfig::small();
+    config.cache = config.cache.hot_threshold(1);
+    config.epoch = Duration::from_secs(1);
+    Cluster::launch(1, config, FabricConfig::instant()).unwrap()
+}
+
+/// Blocks until `server` completes its next epoch.
+fn wait_for_fold(server: &MemoryServer) {
+    let epoch = server.epochs();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.epochs() == epoch {
+        assert!(Instant::now() < deadline, "no epoch folded");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// A full report ring never holds a client up. With `report_every` 1 and a
+/// 1 s epoch, the ring is full after `REPORT_SLOTS` reads; later accesses
+/// stay pending without a wait, and once folds have freed the ring every
+/// distinct address reaches the monitor (each one is promoted).
+#[test]
+fn full_report_ring_keeps_accesses_pending_without_a_wait() {
+    const OBJECTS: usize = 100;
+    let cluster = slow_epoch_cluster();
+    let server = cluster.server(0).unwrap();
+    let mut loader = cluster
+        .client(ClientConfig {
+            report_every: u32::MAX,
+            ..Default::default()
+        })
+        .unwrap();
+    let ptrs: Vec<_> = (0..OBJECTS).map(|_| loader.alloc(0, 64).unwrap()).collect();
+    let mut client = cluster
+        .client(ClientConfig {
+            report_every: 1,
+            ..Default::default()
+        })
+        .unwrap();
+
+    // Start right after a fold: the whole loop runs inside one epoch.
+    wait_for_fold(server);
+    let epoch = server.epochs();
+    let started = Instant::now();
+    let mut buf = [0u8; 64];
+    for p in &ptrs {
+        client.read(*p, 0, &mut buf).unwrap();
+    }
+    let took = started.elapsed();
+    assert_eq!(
+        server.epochs(),
+        epoch,
+        "the loop outlasted an epoch: {took:?}"
+    );
+    assert!(
+        took < Duration::from_millis(500),
+        "a report waited: {took:?}"
+    );
+    assert_eq!(
+        client.stats().reports,
+        REPORT_SLOTS,
+        "one slot per read until full"
+    );
+
+    // The fold frees the ring: the next flush learns so from the cursor,
+    // and the one after it writes every address that waited, in one slot.
+    wait_for_fold(server);
+    client.flush_reports().unwrap();
+    client.flush_reports().unwrap();
+    assert_eq!(client.stats().reports, REPORT_SLOTS + 1);
+    wait_for_fold(server);
+    assert_eq!(server.cached_objects(), OBJECTS);
+}
+
+/// A reused client id starts from a clean report area: after
+/// `release_client`, the next accept on the same id folds the new tenure's
+/// first report and none of the old tenure's slots.
+#[test]
+fn reused_client_id_folds_only_the_new_tenures_reports() {
+    let cluster = slow_epoch_cluster();
+    let server = cluster.server(0).unwrap();
+    let reporting = ClientConfig {
+        report_every: 1,
+        ..Default::default()
+    };
+    // The first client of a fresh single-server cluster holds id 0.
+    let mut old = cluster.client(reporting.clone()).unwrap();
+    let (a, b) = (old.alloc(0, 64).unwrap(), old.alloc(0, 64).unwrap());
+    let mut buf = [0u8; 64];
+
+    wait_for_fold(server);
+    let epoch = server.epochs();
+    old.read(a, 0, &mut buf).unwrap();
+    old.read(a, 0, &mut buf).unwrap();
+    assert_eq!(old.stats().reports, 2, "the old tenure leaves two slots");
+    server.release_client(0);
+    let mut new = cluster.client(reporting).unwrap();
+    new.read(b, 0, &mut buf).unwrap();
+    assert_eq!(server.epochs(), epoch, "an epoch folded mid-test");
+
+    wait_for_fold(server);
+    assert_eq!(
+        server.cached_objects(),
+        1,
+        "the old tenure's slots were folded"
+    );
+    // The promoted object is the new tenure's: its mailbox hands it over.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while new.stats().cache_hits == 0 {
+        new.read(b, 0, &mut buf).unwrap();
+        assert!(Instant::now() < deadline, "{:?}", new.stats());
     }
 }

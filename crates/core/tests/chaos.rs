@@ -811,7 +811,7 @@ fn chaos_kill_primary_cached_reads_stay_coherent() {
             Cluster::launch(2, replicated_server_config(), FabricConfig::instant()).unwrap();
         let config = ClientConfig {
             // Reports ON (unlike the rest of the suite): the cache plane
-            // is the subject, and remaps only arrive on report responses.
+            // is the subject, and remaps only arrive in report mailboxes.
             report_every: 8,
             max_retries: 6,
             op_deadline: std::time::Duration::from_secs(1),

@@ -1,17 +1,19 @@
 //! End-to-end tests of what rides the reactor's windows: same-object
 //! writes under the one-write-per-object window rule, cache-frame reads
-//! and the one-doorbell NVM triple under `Consistency::Seqlock`, and reads
-//! whose store-buffer entry has drained.
+//! and the one-doorbell NVM triple under `Consistency::Seqlock`, reads
+//! whose store-buffer entry has drained, the one-sided hotness reports
+//! that follow a batch, and the ring-full waits a staged window counts.
 //!
-//! Doorbell accounting comes from the process-global metrics registry, so
-//! every test here serialises on [`REGISTRY_LOCK`] and asserts exact
-//! deltas (other test binaries are separate processes).
+//! Doorbell, RPC and wait accounting comes from the process-global metrics
+//! registry, so every test here serialises on [`REGISTRY_LOCK`] and asserts
+//! exact deltas (other test binaries are separate processes).
 
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use gengar_core::cluster::Cluster;
 use gengar_core::config::{ClientConfig, Consistency, ServerConfig};
+use gengar_core::proxy::SLOTS_PER_RING;
 use gengar_core::{ClientStats, GengarClient, GlobalPtr};
 use gengar_rdma::{FabricConfig, FaultPlane};
 use gengar_telemetry::{Registry, TelemetryConfig};
@@ -52,6 +54,7 @@ fn read_all(
         nvm_reads: after.nvm_reads - before.nvm_reads,
         writeback_hits: after.writeback_hits - before.writeback_hits,
         read_retries: after.read_retries - before.read_retries,
+        reports: after.reports - before.reports,
         ..ClientStats::default()
     };
     (delta, doorbells_saved() - saved)
@@ -123,7 +126,10 @@ fn seqlock_batches_read_cached_frames_through_the_window() {
             let (delta, saved) = read_all(&mut reader, &ptrs, &mut bufs);
             if delta.cache_hits == N as u64 {
                 assert_eq!(delta.nvm_reads + delta.read_retries, 0, "{delta:?}");
-                assert_eq!(saved, N as u64 - 1, "N frames, one doorbell");
+                // A report behind the batch saves one doorbell per slot:
+                // its WRITEs ride the cursor READ's.
+                let frames = saved - delta.reports;
+                assert_eq!(frames, N as u64 - 1, "N frames, one doorbell");
                 break;
             }
             assert!(Instant::now() < deadline, "never hit: {:?}", reader.stats());
@@ -258,4 +264,122 @@ fn read_versioned_is_three_reads_under_one_doorbell() {
     assert!(hot.remap_entries() > 0 && buf.iter().all(|&b| b == 5));
     assert_eq!(after.cache_hits, before.cache_hits, "{after:?}");
     assert_eq!(after.nvm_reads, before.nvm_reads + 1, "{after:?}");
+}
+
+/// Hotness reports are one-sided: a read loop that crosses `report_every`
+/// forty times over two servers costs the servers no RPC, while both
+/// monitors fold the report slots the client counts as written.
+#[test]
+fn hotness_reports_cost_the_servers_no_rpc() {
+    const ROUNDS: usize = 40;
+    let _guard = registry_guard();
+    let cluster = Cluster::launch(2, ServerConfig::small(), FabricConfig::instant()).unwrap();
+    let mut client = cluster
+        .client(ClientConfig {
+            report_every: 8,
+            ..Default::default()
+        })
+        .unwrap();
+    let ptrs: Vec<GlobalPtr> = (0..8).map(|i| client.alloc(i % 2, 64).unwrap()).collect();
+    for p in &ptrs {
+        client.write(*p, 0, &[4u8; 64]).unwrap();
+    }
+    client.drain_all().unwrap();
+
+    let (rpcs, folded, reports) = (
+        counter("server.rpc_requests"),
+        counter("hotness.reports"),
+        client.stats().reports,
+    );
+    let mut buf = [0u8; 64];
+    for _ in 0..ROUNDS {
+        for p in &ptrs {
+            client.read(*p, 0, &mut buf).unwrap();
+            assert!(buf.iter().all(|&b| b == 4));
+        }
+    }
+    assert!(client.stats().reports > reports, "{:?}", client.stats());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while counter("hotness.reports") < folded + 2
+        || cluster.servers().iter().any(|s| s.cached_objects() == 0)
+    {
+        assert!(
+            Instant::now() < deadline,
+            "the epochs never folded both rings"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(counter("server.rpc_requests"), rpcs, "a report was an RPC");
+}
+
+/// A heated object's remap comes back through the report mailbox: reads
+/// go on to hit the promoted frame, and no RPC was answered on the way.
+#[test]
+fn remaps_come_back_through_the_mailbox() {
+    let _guard = registry_guard();
+    let cluster = Cluster::launch(1, ServerConfig::small(), FabricConfig::instant()).unwrap();
+    let mut client = cluster
+        .client(ClientConfig {
+            report_every: 4,
+            ..Default::default()
+        })
+        .unwrap();
+    let ptr = client.alloc(0, 64).unwrap();
+    client.write(ptr, 0, &[3u8; 64]).unwrap();
+    client.drain_all().unwrap();
+
+    let rpcs = counter("server.rpc_requests");
+    let mut buf = [0u8; 64];
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while client.stats().cache_hits == 0 {
+        client.read(ptr, 0, &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 3), "{buf:?}");
+        assert!(Instant::now() < deadline, "never hit: {:?}", client.stats());
+    }
+    assert_eq!(client.remap_entries(), 1);
+    assert_eq!(
+        counter("server.rpc_requests"),
+        rpcs,
+        "the remap came by RPC"
+    );
+}
+
+/// `proxy.ring_full_waits` counts real waits only: a write that finds the
+/// writer's local view of its ring full, but whose re-read of the drained
+/// watermark finds room, waits for nothing and counts nothing.
+#[test]
+fn a_stale_full_ring_view_is_not_a_ring_full_wait() {
+    let _guard = registry_guard();
+    let cluster = Cluster::launch(1, ServerConfig::small(), FabricConfig::instant()).unwrap();
+    let quiet = ClientConfig {
+        report_every: u32::MAX,
+        ..Default::default()
+    };
+    let mut client = cluster.client(quiet.clone()).unwrap();
+    let mut observer = cluster.client(quiet).unwrap();
+    let ptr = client.alloc(0, 64).unwrap();
+    // One slot per write, and nothing re-reads the watermark in between:
+    // the writer's view of its ring ends full.
+    let slots = SLOTS_PER_RING as u8;
+    for fill in 1..=slots {
+        client.write(ptr, 0, &[fill; 64]).unwrap();
+    }
+    let mut probe = [0u8; 64];
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while probe[0] != slots {
+        observer.read(ptr, 0, &mut probe).unwrap();
+        assert!(Instant::now() < deadline, "the ring never drained");
+    }
+
+    let waits = counter("proxy.ring_full_waits");
+    client.write(ptr, 0, &[0xEE; 64]).unwrap();
+    assert_eq!(
+        counter("proxy.ring_full_waits"),
+        waits,
+        "a drained ring was counted full"
+    );
+    assert_eq!(client.stats().staged_writes, u64::from(slots) + 1);
+    client.drain_all().unwrap();
+    observer.read(ptr, 0, &mut probe).unwrap();
+    assert!(probe.iter().all(|&b| b == 0xEE));
 }

@@ -164,7 +164,7 @@ fn hot_objects_get_cached_and_served_from_dram() {
     client.drain_all().unwrap();
 
     // Hammer the object until an epoch promotes it and the client
-    // learns the remap through a report response.
+    // learns the remap from its report mailbox.
     let mut buf = [0u8; 512];
     let deadline = Instant::now() + Duration::from_secs(10);
     while client.stats().cache_hits == 0 {

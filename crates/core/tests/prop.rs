@@ -2,7 +2,9 @@
 
 use gengar_core::addr::{GlobalAddr, MemClass};
 use gengar_core::alloc::{SlabAllocator, MAX_CLASS};
-use gengar_core::hotness::{AccessEntry, CountMinSketch, HotnessMonitor};
+use gengar_core::hotness::{
+    decode_report, encode_report, AccessEntry, CountMinSketch, HotnessMonitor, MAX_REPORT,
+};
 use gengar_core::layout::{
     checksum, decode_record_header, decode_slot_header, encode_record_header, encode_slot_header,
     lockword,
@@ -107,21 +109,11 @@ proptest! {
 
     /// Protocol requests survive an encode/decode roundtrip.
     #[test]
-    fn proto_request_roundtrips(
-        size in any::<u64>(),
-        addr in any::<u64>(),
-        entries in proptest::collection::vec((any::<u64>(), any::<u32>(), any::<bool>()), 0..64),
-    ) {
+    fn proto_request_roundtrips(size in any::<u64>(), addr in any::<u64>()) {
         let reqs = vec![
             Request::Mount { tenant: "prop-tenant".to_owned() },
             Request::Alloc { size },
             Request::Free { addr },
-            Request::Report {
-                entries: entries
-                    .iter()
-                    .map(|&(addr, count, wrote)| AccessEntry { addr, count, wrote })
-                    .collect(),
-            },
             Request::FlushRange { addr, len: size },
             Request::Invalidate { addr },
         ];
@@ -132,11 +124,34 @@ proptest! {
         }
     }
 
+    /// A report slot round-trips its seq and entries; a slot cut short or
+    /// with any byte flipped (a torn one-sided WRITE) does not decode.
+    #[test]
+    fn report_slot_roundtrips_and_rejects_torn_or_short(
+        seq in any::<u64>(),
+        entries in proptest::collection::vec((any::<u64>(), any::<u32>(), any::<bool>()), 0..=MAX_REPORT),
+        pos in any::<prop::sample::Index>(),
+        flip in 1u8..=255,
+    ) {
+        let entries: Vec<AccessEntry> = entries
+            .iter()
+            .map(|&(addr, count, wrote)| AccessEntry { addr, count, wrote })
+            .collect();
+        let slot = encode_report(seq, &entries);
+        prop_assert_eq!(decode_report(&slot), Some((seq, entries)));
+        let cut = pos.index(slot.len());
+        prop_assert_eq!(decode_report(&slot[..cut]), None);
+        let mut torn = slot.clone();
+        torn[cut] ^= flip;
+        prop_assert_eq!(decode_report(&torn), None);
+    }
+
     /// Arbitrary bytes never panic the decoders (they error or parse).
     #[test]
     fn proto_decode_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
         let _ = Request::decode(&bytes);
         let _ = Response::decode(&bytes);
+        let _ = decode_report(&bytes);
     }
 
     /// Lock word: lock/release cycles preserve the version arithmetic.

@@ -60,7 +60,7 @@ fn main() -> Result<(), GengarError> {
     println!("batched 2 writes + 2 reads, {} ops ok", outcome.completed());
 
     // Hammer one object so the hotness monitor promotes it into the
-    // server's DRAM cache; reports piggyback the remap to this client.
+    // server's DRAM cache; the remap comes back in this client's mailbox.
     for _ in 0..2_000 {
         client.read(a, 0, &mut buf)?;
     }

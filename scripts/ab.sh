@@ -11,12 +11,15 @@
 # alternates. For every end-to-end metric it prints both medians, how much
 # worse the change's is, both quartile spreads (first-to-third-quartile
 # distance over the median), the pairs the change won (ties count for
-# neither) and the metric's bound. AB_PARENT_DIR=<dir> uses an existing
-# checkout of the parent instead of a worktree. VERBOSE=1 also prints every
-# run's value. Reads BENCHMARK.json; writes nothing under the repository.
+# neither) and the metric's bound. Then, to show which layer moved, it runs
+# one traced (`--trace 1`) run per side per workload and prints every
+# per-layer metric whose value moved by more than 20 %, better or worse by
+# the metric's own direction. AB_PARENT_DIR=<dir> uses an existing checkout
+# of the parent instead of a worktree. VERBOSE=1 also prints every run's
+# value. Reads BENCHMARK.json; writes nothing under the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-[[ $# -ge 1 ]] || { sed -n '2,17p' "$0" >&2; exit 2; }
+[[ $# -ge 1 ]] || { sed -n '2,21p' "$0" >&2; exit 2; }
 parent_rev=$1
 shift
 
@@ -48,9 +51,9 @@ workloads = sys.argv[2:] or [w["name"] for w in manifest["workloads"]]
 metrics = manifest["end_to_end"]
 dirs = {"parent": os.environ["AB_PARENT"], "change": os.getcwd()}
 
-def run(side, workload, seed):
+def run(side, workload, seed, trace=0):
     cmd = manifest["command"] + ["--workload", workload, "--seed", str(seed),
-                                 "--seconds", str(manifest["run_seconds"]), "--trace", "0"]
+                                 "--seconds", str(manifest["run_seconds"]), "--trace", str(trace)]
     env = dict(os.environ, CARGO_TARGET_DIR=f"{os.environ['AB_WORK']}/target-{side}")
     done = subprocess.run(cmd, capture_output=True, text=True, cwd=dirs[side], env=env)
     lines = done.stdout.strip().splitlines()
@@ -87,4 +90,18 @@ for workload in workloads:
         if os.environ.get("VERBOSE"):
             print("    parent:", " ".join(f"{v:.4g}" for v in p),
                   "\n    change:", " ".join(f"{v:.4g}" for v in c))
+
+# Which layer moved: one traced run per side per workload, same seed.
+print("\nper-layer moves over 20 % (one --trace 1 run per side, seed 1)")
+print(f"{'workload':13}{'metric':45}{'parent':>14}{'change':>14}{'moved':>10}")
+for workload in workloads:
+    p, c = (run(side, workload, 1, trace=1) for side in ("parent", "change"))
+    for m in manifest["per_layer"]:
+        a, b = p.get(m["name"]), c.get(m["name"])
+        if a is None or b is None or a == b or (a and abs(b - a) / abs(a) <= 0.2):
+            continue
+        worse = (b - a) * (1 if m["better"] == "lower" else -1) > 0
+        moved = f"{(b - a) / abs(a):+.0%}" if a else "from 0"
+        print(f"{workload:13}{m['name']:45}{a:14.4g}{b:14.4g}{moved:>10} "
+              f"{'worse' if worse else 'better'}", flush=True)
 EOF
