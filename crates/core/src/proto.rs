@@ -55,7 +55,9 @@ pub enum Request {
         /// Raw global address of the payload base.
         addr: u64,
     },
-    /// Read the drained watermark of ring `client_id`.
+    /// Retire ring `client_id` — a reconnecting client's old ring, which
+    /// drains nothing more once this is answered — and read its durable
+    /// watermark.
     QueryDurable {
         /// Ring owner.
         client_id: u32,

@@ -15,9 +15,12 @@
 //! * The **proxy drain loops** finish staged writes and advance durable
 //!   watermarks. A *primary lane* (a client's own ring) applies records to
 //!   local NVM and keeps cached copies fresh; a *mirror lane* applies them
-//!   to the shadow image of the primary it wards. The live drains,
-//!   [`MemoryServer::recover`] and `Promote` share one record applier
-//!   (`apply_record`) and one watermark step (`publish_watermark`).
+//!   to the shadow image of the primary it wards. A drain works on *runs*:
+//!   everything a ring has ready per harvest is applied on the devices'
+//!   virtual-time cursor, with one flush for the run's payloads, one
+//!   watermark and one wait. The live drains, [`MemoryServer::recover`]
+//!   and `Promote` share one run applier (`apply_run`) and one watermark
+//!   step (`publish_watermark`).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -25,6 +28,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use gengar_hybridmem::latency::{spin_until, SLEEP_THRESHOLD_NS};
 use gengar_hybridmem::{DeviceProfile, MemDevice, MemRegion};
 use gengar_rdma::{
     Access, CompletionQueue, Endpoint, Fabric, MemoryRegion, ProtectionDomain, QpOptions, Qpn,
@@ -49,6 +53,11 @@ use crate::proto::{err_code, MountInfo, Request, Response, MAX_INSPECT_JSON, NO_
 use crate::proxy::RingLayout;
 use crate::qos::QosPlane;
 use crate::rpc::{RpcServerConn, RPC_BUF_BYTES};
+
+/// Set in a ring's watermark word in the NVM image once a reconnecting
+/// client's `QueryDurable` has been answered from it; `recover` replays
+/// nothing on that ring. Sequence numbers never reach this bit.
+const RETIRED: u64 = 1 << 63;
 
 /// Everything a client needs after [`MemoryServer::accept`]: three
 /// endpoints (control RPC, one-sided data, proxy ring) on the client side.
@@ -193,13 +202,14 @@ pub(crate) struct ServerInner {
     /// retargeted by [`MemoryServer::install_shadow_image`], which refuses
     /// while the old ward is promoted.
     shadow_ward: RwLock<Option<u8>>,
-    /// Held for read by the primary drain while it applies a record to NVM
-    /// (payload, cache refresh, watermark); for write by
+    /// Held for read by each drain thread across a harvest (lane lookups,
+    /// payloads, cache refresh, watermarks); for write by
     /// [`MemoryServer::nvm_image`] while it copies the region — so a
-    /// rebalance snapshot can never capture a half-applied record — and by
+    /// rebalance snapshot can never capture a half-applied record — by
     /// the epoch while it copies and publishes one object, so a promotion
     /// never publishes bytes an apply already superseded (an invalidate
-    /// runs on the epoch's own loop). Lock order: before `cache`.
+    /// runs on the epoch's own loop), and by `QueryDurable` to wait out the
+    /// runs of a ring it retired. Lock order: before `cache`.
     nvm_quiesce: RwLock<()>,
     /// Replica-epoch source for mirror tenures (starts at 1; epoch 0 in a
     /// record header means "unreplicated").
@@ -449,14 +459,24 @@ impl MemoryServer {
     }
 
     /// Starts the control loop (RPCs and epochs) and the proxy drain
-    /// threads (rings pinned by client id).
+    /// threads (rings pinned by client id), named `s<id>-ctl` and
+    /// `s<id>-drain<t>` so per-thread CPU can be told apart.
     fn spawn_workers(&self) {
+        fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+            std::thread::Builder::new()
+                .name(name)
+                .spawn(body)
+                .expect("spawn server thread")
+        }
         let mut threads = self.threads.lock();
+        let id = self.inner.id;
         let inner = Arc::clone(&self.inner);
-        threads.push(std::thread::spawn(move || inner.control_loop()));
+        threads.push(spawn(format!("s{id}-ctl"), move || inner.control_loop()));
         for t in 0..self.inner.proxy_recv_cqs.len() {
             let inner = Arc::clone(&self.inner);
-            threads.push(std::thread::spawn(move || inner.drain_loop(t)));
+            threads.push(spawn(format!("s{id}-drain{t}"), move || {
+                inner.drain_loop(t)
+            }));
         }
     }
 
@@ -884,88 +904,172 @@ impl ServerInner {
         }
     }
 
-    /// Body of one proxy drain thread: harvest WRITE_WITH_IMM completions
-    /// from the thread's recv CQ and drain the named slots. The backlog
-    /// gauge tracks how many staged records are waiting across harvest and
+    /// Body of one proxy drain thread: harvest the WRITE_WITH_IMM
+    /// completions ready on the thread's recv CQ, group the slots they name
+    /// by ring in arrival order, and drain the harvest. The backlog gauge
+    /// tracks how many staged records are waiting across harvest and
     /// drain, so a proxy that falls behind is visible in telemetry.
+    ///
+    /// Between harvests the thread spins for the next one as long as the
+    /// last gap between harvests, when that gap is one the emulator would
+    /// spin through rather than sleep (`SLEEP_THRESHOLD_NS`); otherwise,
+    /// and once the spin runs out, it parks on the CQ. A drain parked
+    /// between closely spaced records makes every post wake it, and on a
+    /// host with few cores the woken drain preempts the posting client.
     fn drain_loop(&self, t: usize) {
         let cq = &self.proxy_recv_cqs[t];
+        let spin_max = Duration::from_nanos(SLEEP_THRESHOLD_NS);
+        let mut payload = Vec::new();
+        let (mut arrived, mut idle_since, mut gap) =
+            (Instant::now(), Instant::now(), Duration::MAX);
         while !self.shutdown.load(Ordering::Relaxed) {
-            let wcs = cq.wait(64, Duration::from_millis(20));
+            let linger = if gap <= spin_max { gap } else { Duration::ZERO };
+            let mut wcs = Vec::new();
+            while wcs.is_empty() && idle_since.elapsed() < linger {
+                std::hint::spin_loop();
+                wcs = cq.poll(64);
+            }
+            if wcs.is_empty() {
+                wcs = cq.wait(64, Duration::from_millis(20));
+            }
+            if !wcs.is_empty() {
+                let now = Instant::now();
+                (gap, arrived) = (now - arrived, now);
+            }
             self.metrics
                 .drain_backlog
                 .set((wcs.len() + cq.len()) as i64);
+            let mut runs: Vec<(Qpn, Vec<u32>)> = Vec::new();
             for wc in wcs {
-                if wc.opcode == WcOpcode::RecvRdmaWithImm && wc.status.is_ok() {
-                    let _ = self.drain(wc.qpn, wc.imm.unwrap_or(0));
+                if wc.opcode != WcOpcode::RecvRdmaWithImm || !wc.status.is_ok() {
+                    continue;
+                }
+                let slot = wc.imm.unwrap_or(0);
+                match runs.iter_mut().find(|(qpn, _)| *qpn == wc.qpn) {
+                    Some((_, slots)) => slots.push(slot),
+                    None => runs.push((wc.qpn, vec![slot])),
                 }
             }
+            if runs.is_empty() {
+                continue;
+            }
+            // Held shared across the harvest, lane lookups included: an
+            // exclusive take (rebalance snapshot, cache promotion, a
+            // reconnect retiring a ring) waits out every run in flight and
+            // then sees the lane table without a ring it removed.
+            let _quiesce = self.nvm_quiesce.read();
+            for (qpn, slots) in &runs {
+                let _ = self.drain(*qpn, slots, arrived, &mut payload);
+            }
+            idle_since = Instant::now();
         }
     }
 
-    /// Drains one staged record (proxy thread).
-    fn drain(&self, qpn: Qpn, slot: u32) -> Result<(), GengarError> {
-        let _t = self.metrics.drain_ns.span();
+    /// Drains one ring's run: the staged records in `slots`, in order,
+    /// applied as one group commit ([`ServerInner::apply_run`] then
+    /// [`ServerInner::publish_watermark`]). Caller holds `nvm_quiesce`
+    /// shared, so payload, cache refresh and watermark land atomically
+    /// w.r.t. a rebalance snapshot and a cache promotion (both hold it for
+    /// write): the seeded shadow never carries a torn record, and a
+    /// promotion never publishes the bytes a record replaces.
+    /// `proxy.drain_ns` samples each drained record from `harvest`, the
+    /// instant its harvest arrived, so a ring drained after others in the
+    /// same harvest counts the time they took.
+    fn drain(
+        &self,
+        qpn: Qpn,
+        slots: &[u32],
+        harvest: Instant,
+        payload: &mut Vec<u8>,
+    ) -> Result<(), GengarError> {
         let lane = self.clients.lock().lanes.get(&qpn).cloned();
         let Some((cid, Lane::Ring(qp, mirror))) = lane else {
             return Ok(());
         };
-        // Re-arm the consumed receive first, whatever becomes of the record:
-        // the client reuses a slot only once the watermark passes it, so
-        // the ring never has more writes in flight than receives posted.
-        let _ = self.arm_recv(&qp);
-        let (rec, slot_off) = self.read_slot(cid, slot)?;
-        // Join the originating client op's trace: the record header carries
-        // its trace id, so the asynchronous NVM drain shows up in the same
-        // causal trace even though it runs after the client saw completion.
-        let mut drain_span = gengar_telemetry::Tracer::global()
-            .root_span_in("server.drain", gengar_telemetry::TraceId(rec.trace));
-        drain_span.set_detail(rec.seq);
-        if mirror.is_some() {
-            // Mirror lane: no cache to refresh, no tenant to bill (the
-            // primary's drain did both). The shadow holds exactly one
-            // ward's image: a stale lane that outlived a retarget (its
-            // ward died unpromoted and the shadow was re-dedicated) must
-            // not scribble over the new ward's bytes. The read guard keeps
-            // an image install or promotion replay from interleaving with
-            // this apply.
-            let claim = self.shadow_ward.read();
-            if let Some(shadow) = self.shadow_of(mirror, *claim) {
-                if self.apply_record(shadow, mirror, &rec, slot_off)?.is_some() {
-                    self.publish_watermark(shadow, cid, rec.seq)?;
-                    self.metrics.drained_records.inc();
-                    *self.last_shadow_update.lock() = Some(Instant::now());
-                }
-            }
-            return Ok(());
+        // Re-arm the consumed receives first, whatever becomes of the
+        // records: the client reuses a slot only once the watermark passes
+        // it, so the ring never has more writes in flight than receives
+        // posted.
+        for _ in slots {
+            let _ = self.arm_recv(&qp);
         }
-        // Payload, cache refresh and watermark land atomically w.r.t. a
-        // rebalance snapshot and a cache promotion (both hold this for
-        // write): the seeded shadow never carries a torn record, and a
-        // promotion never publishes the bytes this record replaces.
-        let _quiesce = self.nvm_quiesce.read();
-        let nvm = self.nvm_mr.region();
-        let Some((off, payload)) = self.apply_record(nvm, None, &rec, slot_off)? else {
+        let staging = self.staging_mr.region();
+        let mut hdr = [0u8; RECORD_HEADER as usize];
+        let mut cursor = Instant::now();
+        let mut records = Vec::with_capacity(slots.len());
+        for &slot in slots {
+            let slot_off = self.slot_off(cid, slot);
+            cursor = staging.read_at(slot_off, &mut hdr, cursor)?;
+            records.push((decode_record_header(&hdr), slot_off));
+        }
+        // Join each record's originating client op trace: the header
+        // carries its trace id, so the asynchronous NVM drain shows up in
+        // the same causal trace even though it runs after the client saw
+        // completion.
+        let span = |rec: &RecordHeader| {
+            let mut span = gengar_telemetry::Tracer::global()
+                .root_span_in("server.drain", gengar_telemetry::TraceId(rec.trace));
+            span.set_detail(rec.seq);
+            span
+        };
+        // A mirror lane applies to the shadow, which holds exactly one
+        // ward's image: a stale lane that outlived a retarget (its ward
+        // died unpromoted and the shadow was re-dedicated) must not
+        // scribble over the new ward's bytes. The read guard keeps an
+        // image install or promotion replay from interleaving with this
+        // run.
+        let claim = mirror.map(|_| self.shadow_ward.read());
+        let target = match &claim {
+            None => self.nvm_mr.region(),
+            Some(claim) => match self.shadow_of(mirror, **claim) {
+                Some(shadow) => shadow,
+                None => return Ok(()),
+            },
+        };
+        let mut applied = 0u64;
+        let run = self.apply_run(
+            target,
+            mirror,
+            &records,
+            cursor,
+            payload,
+            |rec, off, bytes| {
+                let _span = span(rec);
+                applied += 1;
+                // A mirror lane has no cache to refresh and no tenant to bill:
+                // the primary's drain does both.
+                if mirror.is_some() {
+                    return;
+                }
+                // Keep the cached copy fresh.
+                if self.config.cache.enabled {
+                    if let Some((base, _len)) = self.containing_object(off) {
+                        let base_raw = GlobalAddr::new(self.id, MemClass::Nvm, base).raw();
+                        let _ = self.cache.lock().update_range(base_raw, off - base, bytes);
+                    }
+                }
+                // Per-tenant durable-byte accounting: the record header carries
+                // the tenant tag across the client→drain handoff (0 = QoS off).
+                if rec.tenant != 0 {
+                    if let Some(plane) = &self.qos {
+                        if let Some(t) = plane.tenant_by_tag(rec.tenant) {
+                            t.note_drained(rec.len);
+                        }
+                    }
+                }
+            },
+        )?;
+        let (Some(last), cursor) = run else {
             return Ok(());
         };
-        // Keep the cached copy fresh.
-        if self.config.cache.enabled {
-            if let Some((base, _len)) = self.containing_object(off) {
-                let base_raw = GlobalAddr::new(self.id, MemClass::Nvm, base).raw();
-                let rel = off - base;
-                let _ = self.cache.lock().update_range(base_raw, rel, &payload);
-            }
+        self.publish_watermark(target, cid, last, cursor)?;
+        if mirror.is_some() {
+            *self.last_shadow_update.lock() = Some(Instant::now());
         }
-        self.publish_watermark(nvm, cid, rec.seq)?;
-        self.metrics.drained_records.inc();
-        // Per-tenant durable-byte accounting: the record header carries the
-        // tenant tag across the client→drain handoff (0 = QoS off).
-        if rec.tenant != 0 {
-            if let Some(plane) = &self.qos {
-                if let Some(t) = plane.tenant_by_tag(rec.tenant) {
-                    t.note_drained(rec.len);
-                }
-            }
+        self.metrics.drained_records.add(applied);
+        let drained = harvest.elapsed();
+        for _ in 0..applied {
+            self.metrics.drain_ns.record(drained);
         }
         Ok(())
     }
@@ -989,71 +1093,93 @@ impl ServerInner {
             .then_some(shadow)
     }
 
-    /// The record header staged in `slot` of ring `cid`, and the slot's staging offset.
-    fn read_slot(&self, cid: u32, slot: u32) -> Result<(RecordHeader, u64), GengarError> {
-        let slot_off = cid as u64 * self.ring.ring_bytes() + self.ring.slot_offset(slot);
-        let mut hdr = [0u8; RECORD_HEADER as usize];
-        self.staging_mr.region().read(slot_off, &mut hdr)?;
-        Ok((decode_record_header(&hdr), slot_off))
+    /// Staging offset of `slot` in ring `cid`.
+    fn slot_off(&self, cid: u32, slot: u32) -> u64 {
+        cid as u64 * self.ring.ring_bytes() + self.ring.slot_offset(slot)
     }
 
-    /// The one judge of a staged record, shared by the live drains and the
-    /// replays. A record applies to `target` (local NVM for a primary lane,
-    /// the ward's shadow for a mirror lane) only if its length fits a slot,
-    /// it carries the mirror tenure's epoch (a reused mirror ring may hold
-    /// a stale tenure's leftovers), its address names NVM on the lane's
-    /// home server — this one, or the ward — inside the target image, and
-    /// — read only once all of that holds — its payload matches its
-    /// checksum (a torn record from a mid-crash staging write does not).
-    /// Applying is payload write, then flush of that range; the caller
-    /// publishes the watermark afterwards.
+    /// The one judge and applier of a run of staged records, shared by the
+    /// live drains and the replays. A record applies to `target` (local NVM
+    /// for a primary lane, the ward's shadow for a mirror lane) only if its
+    /// length fits a slot, it carries the mirror tenure's epoch (a reused
+    /// mirror ring may hold a stale tenure's leftovers), its address names
+    /// NVM on the lane's home server — this one, or the ward — inside the
+    /// target image, and — read only once all of that holds — its payload
+    /// matches its checksum (a torn record from a mid-crash staging write
+    /// does not).
     ///
-    /// Returns the target offset and payload of an applied record, `None`
-    /// for a rejected one.
-    fn apply_record(
+    /// Every device op is charged on the virtual-time `cursor` instead of
+    /// waited out: payload read from staging into the reused `payload`
+    /// buffer, write into `target`, and — once the run is applied — one
+    /// flush covering every applied range (one fence). `applied` sees each
+    /// applied record with its target offset and payload. Returns the seq
+    /// of the last applied record (`None` if the run applied nothing) and
+    /// the cursor; the caller publishes the watermark from there, which
+    /// persists it only after every range it covers.
+    fn apply_run(
         &self,
         target: &MemRegion,
         mirror: Option<MirrorRing>,
-        rec: &RecordHeader,
-        slot_off: u64,
-    ) -> Result<Option<(u64, Vec<u8>)>, GengarError> {
-        let addr = GlobalAddr::from_raw(rec.addr).filter(|a| {
-            rec.len <= self.ring.slot_payload
-                && mirror.is_none_or(|ring| ring.epoch == rec.epoch)
-                && a.class() == MemClass::Nvm
-                && a.server() == mirror.map_or(self.id, |ring| ring.ward)
-                && a.offset() + rec.len <= target.len()
-        });
-        let Some(off) = addr.map(GlobalAddr::offset) else {
-            return Ok(None);
-        };
-        let mut payload = vec![0u8; rec.len as usize];
+        records: &[(RecordHeader, u64)],
+        mut cursor: Instant,
+        payload: &mut Vec<u8>,
+        mut applied: impl FnMut(&RecordHeader, u64, &[u8]),
+    ) -> Result<(Option<u64>, Instant), GengarError> {
         let staging = self.staging_mr.region();
-        staging.read(slot_off + RECORD_HEADER, &mut payload)?;
-        if checksum(&payload) != rec.checksum {
-            return Ok(None);
+        let mut ranges = Vec::with_capacity(records.len());
+        let mut last = None;
+        for (rec, slot_off) in records {
+            let addr = GlobalAddr::from_raw(rec.addr).filter(|a| {
+                rec.len <= self.ring.slot_payload
+                    && mirror.is_none_or(|ring| ring.epoch == rec.epoch)
+                    && a.class() == MemClass::Nvm
+                    && a.server() == mirror.map_or(self.id, |ring| ring.ward)
+                    && a.offset() + rec.len <= target.len()
+            });
+            let Some(off) = addr.map(GlobalAddr::offset) else {
+                continue;
+            };
+            payload.resize(rec.len as usize, 0);
+            cursor = staging.read_at(slot_off + RECORD_HEADER, payload, cursor)?;
+            if checksum(payload) != rec.checksum {
+                continue;
+            }
+            cursor = target.write_at(off, payload, cursor)?;
+            ranges.push((off, rec.len));
+            last = Some(rec.seq);
+            applied(rec, off, payload);
         }
-        target.write(off, &payload)?;
-        target.flush(off, rec.len)?;
-        Ok(Some((off, payload)))
+        if !ranges.is_empty() {
+            cursor = target.flush_at(&ranges, cursor)?;
+        }
+        Ok((last, cursor))
     }
 
-    /// Advances ring `cid`'s durable watermark to `seq`: the word in the
-    /// lane's image first (crash consistency: every record up to `seq` is
-    /// already flushed), then the client-visible ctl word that the client
-    /// retires slots off.
-    fn publish_watermark(&self, target: &MemRegion, cid: u32, seq: u64) -> Result<(), GengarError> {
+    /// Advances ring `cid`'s durable watermark to `seq`, continuing the
+    /// run's `cursor`: the word in the lane's image is stored and flushed
+    /// first (crash consistency: every record up to `seq` is already
+    /// flushed), then the run's modelled end is waited out — the one wait
+    /// of the run — and only then the client-visible ctl word that the
+    /// client retires slots off is stored.
+    fn publish_watermark(
+        &self,
+        target: &MemRegion,
+        cid: u32,
+        seq: u64,
+        cursor: Instant,
+    ) -> Result<(), GengarError> {
         let wm_off = cid as u64 * 8;
-        target.store_u64(wm_off, seq)?;
-        target.flush(wm_off, 8)?;
+        let cursor = target.store_u64_at(wm_off, seq, cursor)?;
+        let cursor = target.flush_at(&[(wm_off, 8)], cursor)?;
+        spin_until(cursor);
         self.ctl_mr.region().store_u64(wm_off, seq)?;
         Ok(())
     }
 
     /// Replays ring `cid` into its lane's image: every staged record past
-    /// the ring's durable watermark that `apply_record` accepts, in
-    /// sequence order, then the watermark — which makes a second replay
-    /// find nothing. Returns how many records were applied.
+    /// the ring's durable watermark, in sequence order, as one run of
+    /// [`ServerInner::apply_run`], then the watermark — which makes a
+    /// second replay find nothing. Returns how many records were applied.
     fn replay_ring(
         &self,
         cid: u32,
@@ -1061,22 +1187,31 @@ impl ServerInner {
         mirror: Option<MirrorRing>,
     ) -> Result<u64, GengarError> {
         let watermark = target.load_u64(cid as u64 * 8)?;
+        if watermark & RETIRED != 0 {
+            return Ok(0);
+        }
+        let staging = self.staging_mr.region();
+        let mut hdr = [0u8; RECORD_HEADER as usize];
         let mut records = Vec::new();
         for slot in 0..self.ring.slots {
-            let staged = self.read_slot(cid, slot)?;
-            if staged.0.seq > watermark {
-                records.push(staged);
+            let slot_off = self.slot_off(cid, slot);
+            staging.read(slot_off, &mut hdr)?;
+            let rec = decode_record_header(&hdr);
+            if rec.seq > watermark {
+                records.push((rec, slot_off));
             }
         }
         records.sort_by_key(|(rec, _)| rec.seq);
-        let (mut max_seq, mut replayed) = (watermark, 0);
-        for (rec, slot_off) in records {
-            if self.apply_record(target, mirror, &rec, slot_off)?.is_some() {
-                max_seq = rec.seq;
-                replayed += 1;
-            }
-        }
-        self.publish_watermark(target, cid, max_seq)?;
+        let mut replayed = 0;
+        let (last, cursor) = self.apply_run(
+            target,
+            mirror,
+            &records,
+            Instant::now(),
+            &mut Vec::new(),
+            |_, _, _| replayed += 1,
+        )?;
+        self.publish_watermark(target, cid, last.unwrap_or(watermark), cursor)?;
         Ok(replayed)
     }
 
@@ -1394,14 +1529,7 @@ impl ServerInner {
             },
             Request::FlushRange { addr, len } => self.handle_flush(addr, len, true),
             Request::Invalidate { addr } => self.handle_flush(addr, 0, false),
-            Request::QueryDurable { client_id } => {
-                match self.ctl_mr.region().load_u64(client_id as u64 * 8) {
-                    Ok(seq) => Response::Durable { seq },
-                    Err(_) => Response::Err {
-                        code: err_code::BAD_REQUEST,
-                    },
-                }
-            }
+            Request::QueryDurable { client_id } => self.retire_ring(client_id),
             Request::Promote { primary } => self.handle_promote(primary),
             Request::QueryReplica => Response::Replica {
                 backup: *self.backup.lock(),
@@ -1412,6 +1540,60 @@ impl ServerInner {
                     None => HealthPlane::disabled_json(self.id),
                 },
             },
+        }
+    }
+
+    /// Answers a reconnecting client's `QueryDurable` for its old ring
+    /// `cid`: the ring stops draining first — its lane leaves the table,
+    /// and one exclusive take of `nvm_quiesce` waits out a run already in
+    /// flight on it — so the answer is final. The client replays every
+    /// record above it through its new ring; an old-ring record drained
+    /// after the answer could overwrite a newer replayed value.
+    ///
+    /// The retirement is durable: the image watermark gains [`RETIRED`],
+    /// flushed, and `recover` replays no retired ring. Records still in its
+    /// staging slots — the ones the client replays through its new ring,
+    /// and WRITE_WITH_IMMs landing late on the old QP — would otherwise
+    /// revert newer values at the next crash. The bit leaves the answer
+    /// intact, so a reconnect that dies after asking and asks again gets
+    /// the same one.
+    fn retire_ring(&self, cid: u32) -> Response {
+        let refuse = Response::Err {
+            code: err_code::BAD_REQUEST,
+        };
+        let wm_off = cid as u64 * 8;
+        {
+            // Only a primary ring the server has handed out retires: an id
+            // not yet issued, on the free list or naming a mirror ring may
+            // become (or be) another client's primary ring, which the
+            // fence would keep out of recovery.
+            let mut clients = self.clients.lock();
+            let mirror =
+                |(id, lane): &(u32, Lane)| *id == cid && matches!(lane, Lane::Ring(_, Some(_)));
+            if wm_off >= self.wm_area
+                || cid >= clients.next_id
+                || clients.free_ids.contains(&cid)
+                || clients.lanes.values().any(mirror)
+            {
+                return refuse;
+            }
+            clients
+                .lanes
+                .retain(|_, (id, lane)| *id != cid || !matches!(lane, Lane::Ring(..)));
+        }
+        let _quiesce = self.nvm_quiesce.write();
+        let nvm = self.nvm_mr.region();
+        let retire = || -> Result<u64, GengarError> {
+            let word = nvm.load_u64(wm_off)?;
+            if word & RETIRED == 0 {
+                nvm.store_u64(wm_off, word | RETIRED)?;
+                nvm.flush(wm_off, 8)?;
+            }
+            Ok(word & !RETIRED)
+        };
+        match retire() {
+            Ok(seq) => Response::Durable { seq },
+            Err(_) => refuse,
         }
     }
 

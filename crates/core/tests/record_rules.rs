@@ -3,7 +3,9 @@
 //! primary drain, the live mirror drain, `recover` (either lane kind) or
 //! `Promote`. Records are forged straight into the staging region
 //! (`MemoryServer::staging_region`), so the test controls every header
-//! field a real client would never get wrong.
+//! field a real client would never get wrong. The live drains see the
+//! table one doorbell per record and as one doorbell (one run); the run
+//! tests pin what a run costs and that a retired ring drains no more.
 
 use std::sync::Arc;
 
@@ -18,7 +20,7 @@ use gengar_core::MemoryServer;
 use gengar_hybridmem::{DeviceProfile, MemDevice, MemKind, MemRegion};
 use gengar_rdma::{
     Access, Endpoint, FabricConfig, MemoryRegion, Payload, ProtectionDomain, RKey, RdmaNode,
-    RemoteAddr,
+    RemoteAddr, SendOp,
 };
 
 const LEN: u64 = 64;
@@ -224,18 +226,41 @@ fn assert_only_valid_applied(entry: &str, lane: &Lane, rows: &[Row], applied: u6
     }
 }
 
-/// Live drains: ring the ring's doorbell once per record, the valid one
-/// first so any wrongly applied record after it would move the watermark
-/// past it. `fence` must not return before the drain thread has judged
-/// everything posted so far.
-fn drive_live(entry: &str, lane: &Lane, proxy: &Endpoint, fence: &mut dyn FnMut()) {
+/// The WRITE_WITH_IMM that stages `row` into `slot` of the lane's ring.
+fn stage_op(lane: &Lane, slot: u32, row: &Row) -> SendOp {
+    SendOp::Write {
+        payload: Payload::Inline(row.bytes()),
+        remote: RemoteAddr::new(lane.staging_rkey, lane.slot_off(slot)),
+        imm: Some(slot),
+    }
+}
+
+/// Live drains: ring the ring's doorbell once per record, or once for the
+/// whole table (`one_doorbell`: the drain sees it as one run), the valid
+/// record first so any wrongly applied record after it would move the
+/// watermark past it. `fence` must not return before the drain thread has
+/// judged everything posted so far.
+fn drive_live(
+    entry: &str,
+    lane: &Lane,
+    proxy: &Endpoint,
+    fence: &mut dyn FnMut(),
+    one_doorbell: bool,
+) {
     let mut rows = vec![valid(lane, 10, TARGETS)];
     rows.extend(bad_rows(lane, 20));
-    for (slot, row) in rows.iter().enumerate() {
-        let at = RemoteAddr::new(lane.staging_rkey, lane.slot_off(slot as u32));
-        proxy
-            .write_with_imm(Payload::Inline(row.bytes()), at, slot as u32)
-            .unwrap();
+    let ops = rows
+        .iter()
+        .enumerate()
+        .map(|(slot, row)| stage_op(lane, slot as u32, row));
+    if one_doorbell {
+        for done in proxy.execute_many(ops.collect()).unwrap() {
+            done.unwrap();
+        }
+    } else {
+        for op in ops {
+            proxy.execute(op).unwrap();
+        }
     }
     fence();
     assert_only_valid_applied(entry, lane, &rows, 10);
@@ -286,7 +311,17 @@ fn live_primary_drain_applies_the_rule_table() {
     let raw = raw_client(&cluster, server);
     let lane = Lane::new(server, &raw.mount, raw.cid, 0, 0);
     let mut fence = fence_on(&cluster, 0);
-    drive_live("live primary drain", &lane, &raw.proxy, &mut fence);
+    drive_live("live primary drain", &lane, &raw.proxy, &mut fence, false);
+}
+
+#[test]
+fn live_primary_drain_applies_the_rule_table_as_one_run() {
+    let cluster = cluster();
+    let server = cluster.server(0).unwrap();
+    let raw = raw_client(&cluster, server);
+    let lane = Lane::new(server, &raw.mount, raw.cid, 0, 0);
+    let mut fence = fence_on(&cluster, 0);
+    drive_live("live primary run", &lane, &raw.proxy, &mut fence, true);
 }
 
 #[test]
@@ -297,7 +332,18 @@ fn live_mirror_drain_applies_the_rule_table() {
     let mirror = backup.accept_mirror(&raw.node, &raw.pd, 0).unwrap();
     let lane = Lane::new(backup, &raw.mount, mirror.cid, 0, mirror.epoch);
     let mut fence = fence_on(&cluster, 1);
-    drive_live("live mirror drain", &lane, &mirror.proxy, &mut fence);
+    drive_live("live mirror drain", &lane, &mirror.proxy, &mut fence, false);
+}
+
+#[test]
+fn live_mirror_drain_applies_the_rule_table_as_one_run() {
+    let cluster = cluster();
+    let backup = cluster.server(1).unwrap();
+    let raw = raw_client(&cluster, backup);
+    let mirror = backup.accept_mirror(&raw.node, &raw.pd, 0).unwrap();
+    let lane = Lane::new(backup, &raw.mount, mirror.cid, 0, mirror.epoch);
+    let mut fence = fence_on(&cluster, 1);
+    drive_live("live mirror run", &lane, &mirror.proxy, &mut fence, true);
 }
 
 #[test]
@@ -369,4 +415,131 @@ fn recover_never_replays_a_stale_lane_into_a_retargeted_shadow() {
     assert_eq!(backup.recover().unwrap(), 0, "stale lane replayed");
     assert_eq!(lane.image_bytes(TARGETS), [0xC3u8; LEN as usize]);
     assert_eq!(lane.watermarks().0, 0, "stale lane moved a watermark");
+}
+
+/// A run is one group commit: four staged records under one doorbell
+/// reach the drain as one harvest (staged while the drain threads are
+/// stopped) and cost the NVM device two flushes — one covering the four
+/// payload ranges, one for the watermark — instead of two per record.
+/// The watermark covers the whole run, so recovery replays nothing.
+#[test]
+fn one_run_costs_one_payload_flush_and_one_watermark_flush() {
+    const K: u64 = 4;
+    let cluster = cluster();
+    let server = cluster.server(0).unwrap();
+    let raw = raw_client(&cluster, server);
+    let lane = Lane::new(server, &raw.mount, raw.cid, 0, 0);
+    let flushes = || lane.image.region().device().stats().snapshot().flushes;
+
+    server.shutdown();
+    let rows: Vec<Row> = (0..K)
+        .map(|i| valid(&lane, i + 1, TARGETS + 256 * i))
+        .collect();
+    let ops = rows
+        .iter()
+        .enumerate()
+        .map(|(slot, row)| stage_op(&lane, slot as u32, row));
+    for done in raw.proxy.execute_many(ops.collect()).unwrap() {
+        done.unwrap();
+    }
+    let before = flushes();
+    server.restart();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while lane.watermarks() != (K, K) {
+        assert!(std::time::Instant::now() < deadline, "run never drained");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    assert_eq!(
+        flushes() - before,
+        2,
+        "one payload flush + one watermark flush"
+    );
+
+    server.shutdown();
+    server.crash().unwrap();
+    assert_eq!(server.recover().unwrap(), 0, "the watermark covers the run");
+    assert_eq!(lane.watermarks(), (K, K));
+    for i in 0..K {
+        assert_eq!(lane.image_bytes(TARGETS + 256 * i), [FILL; LEN as usize]);
+    }
+}
+
+/// A reconnecting client asks for its old ring's durable watermark over a
+/// new connection and replays everything above it through its new ring.
+/// The old ring must drain nothing after that answer: a record still in
+/// it, drained later, would overwrite a newer replayed value.
+#[test]
+fn query_durable_retires_the_old_ring() {
+    let cluster = cluster();
+    let server = cluster.server(0).unwrap();
+    let raw = raw_client(&cluster, server);
+    let lane = Lane::new(server, &raw.mount, raw.cid, 0, 0);
+    let mut fence = fence_on(&cluster, 0);
+    raw.proxy
+        .execute(stage_op(&lane, 0, &valid(&lane, 1, TARGETS)))
+        .unwrap();
+    fence();
+    assert_eq!(lane.watermarks(), (1, 1));
+
+    let other = raw_client(&cluster, server);
+    let query = || {
+        other
+            .rpc
+            .call(&Request::QueryDurable { client_id: raw.cid })
+    };
+    let answer = query();
+    assert!(
+        matches!(answer, Ok(Response::Durable { seq: 1 })),
+        "{answer:?}"
+    );
+
+    let late = valid(&lane, 2, TARGETS + 256);
+    raw.proxy.execute(stage_op(&lane, 1, &late)).unwrap();
+    fence();
+    assert_eq!(
+        lane.image_bytes(TARGETS + 256),
+        [0u8; LEN as usize],
+        "the retired ring drained a record"
+    );
+    assert_eq!(lane.watermarks().1, 1);
+    // A reconnect that dies after asking asks again: same answer.
+    let again = query();
+    assert!(
+        matches!(again, Ok(Response::Durable { seq: 1 })),
+        "{again:?}"
+    );
+
+    // The retirement outlives a crash: recovery replays nothing from the
+    // old ring, neither the late record nor anything else above the answer.
+    server.shutdown();
+    server.crash().unwrap();
+    assert_eq!(
+        server.recover().unwrap(),
+        0,
+        "recovery replayed a retired ring"
+    );
+    assert_eq!(
+        lane.image_bytes(TARGETS + 256),
+        [0u8; LEN as usize],
+        "recovery applied the retired ring's late record"
+    );
+    assert_eq!(lane.image_bytes(TARGETS), [FILL; LEN as usize]);
+}
+
+/// Only a ring the server handed out as a primary ring retires: an id not
+/// yet issued may become another client's ring, and a mirror ring's
+/// watermark lives in the shadow.
+#[test]
+fn query_durable_refuses_ids_that_are_no_primary_ring() {
+    let cluster = cluster();
+    let backup = cluster.server(1).unwrap();
+    let raw = raw_client(&cluster, backup);
+    let mirror = backup.accept_mirror(&raw.node, &raw.pd, 0).unwrap();
+    for client_id in [mirror.cid, mirror.cid + 1] {
+        let answer = raw.rpc.call(&Request::QueryDurable { client_id });
+        assert!(
+            matches!(answer, Ok(Response::Err { .. })),
+            "id {client_id}: {answer:?}"
+        );
+    }
 }

@@ -12,7 +12,7 @@
 use parking_lot::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::latency::{spin_until, time_scale};
+use crate::latency::time_scale;
 
 /// A thread-safe serial-channel rate limiter measured in bytes per second.
 #[derive(Debug)]
@@ -32,20 +32,14 @@ impl BandwidthLimiter {
         }
     }
 
-    /// Occupies the channel for `bytes` worth of transfer time and returns
-    /// the instant this transfer's slot completes, without waiting. Returns
-    /// `None` when no wait is needed (unlimited rate, zero bytes, or time
-    /// scale 0). Use this to model one transfer flowing through several
-    /// channels concurrently: reserve all of them, then wait for the latest
-    /// deadline.
-    pub(crate) fn reserve(&self, bytes: u64) -> Option<Instant> {
-        self.reserve_at(bytes, Instant::now())
-    }
-
-    /// Like `BandwidthLimiter::reserve`, but the transfer cannot begin
-    /// before `start` (a virtual-time cursor possibly in the future). The
-    /// deferred-completion engine uses this so a transfer modelled as
-    /// arriving later does not steal channel time it could not yet occupy.
+    /// Occupies the channel for `bytes` worth of transfer time, beginning
+    /// no earlier than `start` (a virtual-time cursor possibly in the
+    /// future), and returns the instant this transfer's slot completes,
+    /// without waiting. Returns `None` when no wait is needed (unlimited
+    /// rate, zero bytes, or time scale 0). A transfer modelled as arriving
+    /// later does not steal channel time it could not yet occupy; one
+    /// flowing through several channels concurrently reserves all of them
+    /// and waits for the latest deadline.
     pub fn reserve_at(&self, bytes: u64, start: Instant) -> Option<Instant> {
         if self.bytes_per_sec == u64::MAX || bytes == 0 {
             return None;
@@ -61,20 +55,26 @@ impl BandwidthLimiter {
         Some(*next_free)
     }
 
-    /// Occupies the channel for `bytes` worth of transfer time and
-    /// busy-waits until this transfer's slot completes. Scaled by the
-    /// global time scale; at scale 0 this returns immediately.
-    pub(crate) fn acquire(&self, bytes: u64) {
-        if let Some(deadline) = self.reserve(bytes) {
-            spin_until(deadline);
-        }
+    /// When the channel next becomes free.
+    #[cfg(test)]
+    pub(crate) fn next_free(&self) -> Instant {
+        *self.next_free.lock()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::latency::{set_time_scale, SCALE_LOCK};
+    use crate::latency::{set_time_scale, spin_until, SCALE_LOCK};
+
+    impl BandwidthLimiter {
+        /// Reserves from now and busy-waits the slot out.
+        fn acquire(&self, bytes: u64) {
+            if let Some(deadline) = self.reserve_at(bytes, Instant::now()) {
+                spin_until(deadline);
+            }
+        }
+    }
 
     #[test]
     fn unlimited_never_blocks() {

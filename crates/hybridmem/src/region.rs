@@ -108,6 +108,19 @@ impl MemRegion {
         self.device.read(abs, dst)
     }
 
+    /// Deferred-timing read (see [`MemDevice::read_at`]): bytes are copied
+    /// now, the modelled cost is charged from `start`, and the completion
+    /// instant is returned.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HybridMemError::OutOfBounds`] if the access leaves the
+    /// window.
+    pub fn read_at(&self, offset: u64, dst: &mut [u8], start: Instant) -> Result<Instant> {
+        let abs = self.translate(offset, dst.len() as u64)?;
+        self.device.read_at(abs, dst, start)
+    }
+
     /// Writes `src` at region-relative `offset`.
     ///
     /// # Errors
@@ -196,6 +209,20 @@ impl MemRegion {
         self.device.flush(abs, len)
     }
 
+    /// Deferred-timing flush of region-relative `(offset, len)` ranges as
+    /// one fenced batch (see [`MemDevice::flush_at`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HybridMemError::OutOfBounds`] if any range leaves the
+    /// window; nothing is flushed then.
+    pub fn flush_at(&self, ranges: &[(u64, u64)], start: Instant) -> Result<Instant> {
+        for &(offset, len) in ranges {
+            self.translate(offset, len)?;
+        }
+        self.device.flush_ranges_at(self.base, ranges, start)
+    }
+
     /// Atomically loads the u64 at region-relative `offset`.
     ///
     /// # Errors
@@ -214,6 +241,17 @@ impl MemRegion {
     pub fn store_u64(&self, offset: u64, value: u64) -> Result<()> {
         let abs = self.translate(offset, 8)?;
         self.device.store_u64(abs, value)
+    }
+
+    /// Deferred-timing store at region-relative `offset` (see
+    /// [`MemDevice::store_u64_at`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates device bounds/alignment errors.
+    pub fn store_u64_at(&self, offset: u64, value: u64, start: Instant) -> Result<Instant> {
+        let abs = self.translate(offset, 8)?;
+        self.device.store_u64_at(abs, value, start)
     }
 
     /// Atomic compare-and-swap at region-relative `offset`.
