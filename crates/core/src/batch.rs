@@ -5,11 +5,12 @@
 //! one pipelined unit: the client routes every element through the same
 //! hotness/cache/proxy/degraded-mode machinery as the scalar calls, but
 //! overlaps their network time through the per-connection
-//! [`crate::window::OpWindow`]. Scalar [`crate::GengarClient::read`] and
-//! [`crate::GengarClient::write`] are implemented as single-op batches,
-//! so both enter through one planner and one reactor, and no op shape
-//! runs a round trip to completion inside it (`DESIGN.md`, "Concurrent
-//! issue reactor").
+//! [`crate::window::OpWindow`]. Every scalar data-plane call — `read`,
+//! `write`, `read_versioned`, the atomics, `lock`, `unlock`,
+//! `read_lock_word` and `drain_all` — is a batch of one (crate-private
+//! `BatchOp`), so all of them enter through one planner and one reactor,
+//! and no op shape runs a round trip to completion inside it
+//! (`DESIGN.md`, "Concurrent issue reactor").
 //!
 //! # Partial completion
 //!
@@ -43,13 +44,16 @@
 //!
 //! # Atomics
 //!
-//! `lock` / `unlock` / `cas_u64` / `faa_u64` are ordering-sensitive and
-//! bypass batching. The builder offers no way to queue them — atomics in
-//! a batch are unrepresentable at the type level, so a misport from the
-//! scalar API fails at compile time instead of silently reordering. Use
-//! the scalar [`crate::GengarClient::cas_u64`] /
+//! `lock` / `unlock` / `cas_u64` / `faa_u64` are ordering-sensitive, and
+//! the builder offers no way to queue them — a misport from the scalar
+//! API fails at compile time instead of silently reordering. Use the
+//! scalar [`crate::GengarClient::cas_u64`] /
 //! [`crate::GengarClient::faa_u64`] / [`crate::GengarClient::lock`] /
-//! [`crate::GengarClient::unlock`] calls. ([`GengarError::AtomicInBatch`]
+//! [`crate::GengarClient::unlock`] calls. Each runs alone in a batch of
+//! one on the same reactor, under the same retry, reconnect and failover
+//! handling as a read or write; an atomic whose verb completed keeps its
+//! prior value across a failed attempt, so a retry only re-sends the
+//! flush and never applies the verb twice. ([`GengarError::AtomicInBatch`]
 //! survives solely as a wire-path error code a server can return for a
 //! malformed remote batch.)
 
@@ -60,8 +64,9 @@ use crate::addr::GlobalPtr;
 use crate::client::GengarClient;
 use crate::error::GengarError;
 
-/// One queued batch element. Only reads and writes exist: atomics in a
-/// batch are unrepresentable (see the [module docs](self)).
+/// One batch element. [`OpBatch`] queues reads and writes only; the other
+/// kinds are built by the scalar calls, each alone in its batch (see the
+/// [module docs](self)).
 #[derive(Debug)]
 pub(crate) enum BatchOp<'b> {
     /// Read `buf.len()` bytes from `ptr.addr + offset` into `buf`. With a
@@ -79,6 +84,73 @@ pub(crate) enum BatchOp<'b> {
         offset: u64,
         data: &'b [u8],
     },
+    /// Apply `verb` to the word at `ptr.addr + offset`, then flush it. The
+    /// word's prior value lands in `prev` when the verb completes.
+    Atomic {
+        ptr: GlobalPtr,
+        offset: u64,
+        verb: AtomicVerb,
+        prev: &'b mut Option<u64>,
+    },
+    /// Take the object's writer lock for the caller.
+    Lock { ptr: GlobalPtr },
+    /// Release the writer lock the caller holds.
+    Unlock { ptr: GlobalPtr },
+    /// Read the object's lock word into `word`.
+    LockWord { ptr: GlobalPtr, word: &'b mut u64 },
+    /// Wait until every record staged on `server` has drained.
+    Drain { server: u8 },
+}
+
+/// The remote atomic a [`BatchOp::Atomic`] applies.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum AtomicVerb {
+    Cas { expected: u64, new: u64 },
+    Faa { add: u64 },
+}
+
+impl BatchOp<'_> {
+    /// The server whose group runs the op.
+    pub(crate) fn server(&self) -> u8 {
+        match self {
+            BatchOp::Drain { server } => *server,
+            BatchOp::Read { ptr, .. }
+            | BatchOp::Write { ptr, .. }
+            | BatchOp::Atomic { ptr, .. }
+            | BatchOp::Lock { ptr }
+            | BatchOp::Unlock { ptr }
+            | BatchOp::LockWord { ptr, .. } => ptr.addr.server(),
+        }
+    }
+
+    /// The object range `(ptr, offset, len)` the op touches, bounds-checked
+    /// before it runs (`None` for a drain, which touches no object).
+    pub(crate) fn range(&self) -> Option<(GlobalPtr, u64, u64)> {
+        match self {
+            BatchOp::Read {
+                ptr, offset, buf, ..
+            } => Some((*ptr, *offset, buf.len() as u64)),
+            BatchOp::Write { ptr, offset, data } => Some((*ptr, *offset, data.len() as u64)),
+            BatchOp::Atomic { ptr, offset, .. } => Some((*ptr, *offset, 8)),
+            BatchOp::Lock { ptr } | BatchOp::Unlock { ptr } | BatchOp::LockWord { ptr, .. } => {
+                Some((*ptr, 0, 0))
+            }
+            BatchOp::Drain { .. } => None,
+        }
+    }
+
+    /// The root span a batch of just this op runs under.
+    pub(crate) fn span_name(&self) -> &'static str {
+        match self {
+            BatchOp::Read { .. } => "client.read",
+            BatchOp::Write { .. } => "client.write",
+            BatchOp::Atomic { .. } => "client.atomic",
+            BatchOp::Lock { .. } => "client.lock",
+            BatchOp::Unlock { .. } => "client.unlock",
+            BatchOp::LockWord { .. } => "client.lock_word",
+            BatchOp::Drain { .. } => "client.drain",
+        }
+    }
 }
 
 /// Builder for a vectored operation batch. Created by
@@ -244,7 +316,7 @@ impl BatchResult {
         }
     }
 
-    /// Unwraps a single-op batch (the scalar `read`/`write` wrappers).
+    /// Unwraps a single-op batch (the scalar wrappers).
     pub(crate) fn into_single(mut self) -> Result<(), GengarError> {
         debug_assert_eq!(self.results.len(), 1);
         self.results.pop().expect("single-op batch")

@@ -731,7 +731,7 @@ impl CacheManager {
         }
     }
 
-    /// Invalidates the cached copy of `addr`, if any — including any parked
+    /// Drops the cached copy of `addr`, if any — including any parked
     /// demote copy, which is stale the moment the object changes. Returns
     /// whether a DRAM copy existed.
     ///

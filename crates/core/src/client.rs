@@ -26,9 +26,9 @@ use gengar_telemetry::{
 };
 
 use crate::addr::{GlobalAddr, GlobalPtr, MemClass};
-use crate::batch::{BatchOp, BatchResult, OpBatch};
+use crate::batch::{AtomicVerb, BatchOp, BatchResult, OpBatch};
 use crate::config::{ClientConfig, Consistency};
-use crate::consistency::Backoff;
+use crate::consistency::park_after;
 use crate::error::GengarError;
 use crate::hotness::{
     decode_remaps, encode_report, mailbox_announced, AccessEntry, ReportArea, MAILBOX_HEADER,
@@ -252,30 +252,34 @@ impl ReadPlan {
     }
 }
 
-/// The verb a [`DirectWrite`] has on the wire or, with no flight open,
-/// posts next (past the last `Write` chunk: the flush RPC).
+/// The verb a [`DirectOp`] has on the wire or, with no flight open,
+/// posts next (past the last `Write` chunk: the flush RPC; an atomic
+/// writes no chunk, so its `Write` step is the flush alone).
 #[derive(Debug, Clone, Copy, Default)]
 enum DirectStep {
     ReadWord,
     Cas,
+    Atomic,
     #[default]
     Write,
     Unlock,
 }
 
-/// What a [`DirectWrite`] waits for.
+/// What a [`DirectOp`] waits for.
 #[derive(Debug)]
 enum Flight {
     Verb(PendingOps),
     Rpc(PendingCall),
 }
 
-/// A write the staging planner declined, part-way down the direct chain:
-/// lock-word READ → lock CAS → WRITE per op-area chunk → flush RPC →
-/// unlock WRITE, each a wait other servers' groups overlap. Unlocked
-/// writes (`Consistency::None`, caller's lock) run WRITE → flush only.
+/// An op part-way down the direct chain, each step a wait other servers'
+/// groups overlap. A write the staging planner declined runs lock-word
+/// READ → lock CAS → WRITE per op-area chunk → flush RPC → unlock WRITE
+/// (unlocked writes — `Consistency::None`, caller's lock — run WRITE →
+/// flush only); `lock` runs READ → CAS, `unlock` the unlock WRITE, an
+/// atomic its CAS/FAA → flush RPC, and `read_lock_word` the READ.
 #[derive(Debug, Default)]
-struct DirectWrite {
+struct DirectOp {
     /// Position of the op in the group's indices (the walk resumes behind it).
     cursor: usize,
     step: DirectStep,
@@ -286,7 +290,7 @@ struct DirectWrite {
     tries: u32,
     /// Payload bytes already written.
     done: u64,
-    /// Why the op fails (lock never won, flush refused); a lock the write
+    /// Why the op fails (lock never won, flush refused); a lock a write
     /// took is released all the same.
     refused: Option<GengarError>,
 }
@@ -300,17 +304,22 @@ struct DirectWrite {
 enum GroupPhase {
     /// Planning/issuing writes from `indices[cursor]` onward.
     Writes { cursor: usize },
-    /// A staged-write window is planned but the ring lacks room; poll the
-    /// drained watermark until it frees up (or stalls past the deadline).
-    RingWait {
-        resume: usize,
-        plans: Vec<StagedPlan>,
+    /// Polling the ring's drained watermark until it reaches `target`,
+    /// then entering `then`: for ring room for a planned window, for a
+    /// staged record that a direct write or a partly overlapping read must
+    /// not race, and for a drain barrier. The first poll re-reads at once,
+    /// later ones back off 5 → 200 µs; a watermark frozen past
+    /// `stall_deadline` ends the attempt as a timeout.
+    AwaitDrained {
+        target: u64,
+        then: Box<GroupPhase>,
         next_poll: Instant,
         sleep_us: u64,
         last_seen: u64,
         stall_deadline: Instant,
-        /// Whether a re-read already found no room (the wait is counted).
-        counted: bool,
+        /// A ring-room wait not counted yet: it counts as a ring-full wait
+        /// if the first re-read still finds no room.
+        ring_full: bool,
     },
     /// A staged-write doorbell flight is on the wire.
     StagedWait {
@@ -318,8 +327,8 @@ enum GroupPhase {
         plans: Vec<StagedPlan>,
         flight: StagedFlight,
     },
-    /// A write the staging planner declined is walking the direct chain.
-    Direct(Box<DirectWrite>),
+    /// An op is walking the direct chain.
+    Direct(Box<DirectOp>),
     /// Planning/issuing reads from `indices[cursor]` onward.
     Reads { cursor: usize },
     /// A read doorbell flight is on the wire.
@@ -342,8 +351,8 @@ enum GroupPhase {
         next: Box<GroupPhase>,
     },
     /// A planned staged-write window waiting to re-enter
-    /// [`GengarClient::post_staged`]: the throttle park carries the plan
-    /// across the wait so the gate is re-charged on wake.
+    /// [`GengarClient::post_staged`]: a throttle park or a ring-room wait
+    /// carries the plan across, so the gates are charged on wake.
     PostWrites {
         resume: usize,
         plans: Vec<StagedPlan>,
@@ -506,11 +515,6 @@ pub struct GengarClient {
     /// Pending hotness entries per server id.
     pending: HashMap<u8, HashMap<u64, (u32, bool)>>,
     ops_since_report: u32,
-    /// Shared scratch control words of the blocking atomics: CAS result
-    /// word, header word. The reactor never touches them — its lock words
-    /// land in the group's own op lanes ([`ServerConn::op_buf`]).
-    op_cas: u64,
-    op_hdr: u64,
     /// Counter that amortises drained-watermark refreshes on the
     /// store-buffer read path.
     wb_checks: u32,
@@ -610,12 +614,10 @@ impl GengarClient {
             });
         }
 
-        // Remaining scratch: two shared control words, then the op area
-        // split evenly across the connections so concurrent per-server
-        // flights gather and land in disjoint lanes.
-        let op_cas = bump;
-        let op_hdr = bump + 8;
-        let op_area = bump + 64;
+        // Remaining scratch: the op area, split evenly across the
+        // connections so concurrent per-server flights gather and land in
+        // disjoint lanes.
+        let op_area = bump;
         let per_conn = config
             .scratch_capacity
             .checked_sub(op_area)
@@ -659,8 +661,6 @@ impl GengarClient {
             held: HashMap::new(),
             pending: HashMap::new(),
             ops_since_report: 0,
-            op_cas,
-            op_hdr,
             wb_checks: 0,
             tenant,
             metrics: ClientMetrics::new(config.telemetry),
@@ -718,7 +718,7 @@ impl GengarClient {
         Ok(())
     }
 
-    /// Runs the accept + Mount (+ OpenStaging) handshake against `server`.
+    /// Runs the accept + Mount handshake against `server`.
     ///
     /// `alloc_scratch` reserves scratch bytes for the staging writer when
     /// the server mounts with the proxy enabled: `connect` passes a bump
@@ -744,8 +744,9 @@ impl GengarClient {
             .inspect_err(|_| server.release_client(cid))
     }
 
-    /// The post-accept half of [`GengarClient::handshake`]: Mount, optional
-    /// OpenStaging, endpoint timeout setup.
+    /// The post-accept half of [`GengarClient::handshake`]: Mount, endpoint
+    /// timeout setup, and the staging writer over the ring the accept
+    /// assigned when the server mounts the proxy.
     fn finish_handshake(
         mut channel: crate::server::ClientChannel,
         scratch_mr: &Arc<MemoryRegion>,
@@ -770,31 +771,21 @@ impl GengarClient {
             _ => return Err(GengarError::ProtocolViolation("bad mount response")),
         };
         let staging = if mount.enable_proxy {
-            let (client_id, ring_offset) = match rpc.call(&Request::OpenStaging)? {
-                Response::Staging {
-                    client_id,
-                    ring_offset,
-                } => (client_id, ring_offset),
-                Response::Err { code } => return Err(error_for_code(code, 0)),
-                _ => return Err(GengarError::ProtocolViolation("bad staging response")),
-            };
             let layout = mount.ring_layout();
             // Slot gather area plus two watermark landing pads (primary
             // and mirror drained words).
             let scratch_off = alloc_scratch(layout.slot_bytes() + 16);
-            let mut st = StagingWriter::new(
+            Some(StagingWriter::new(
                 channel.proxy,
                 RKey(mount.staging_rkey),
                 RKey(mount.ctl_rkey),
-                ring_offset,
+                channel.ring_offset,
                 layout,
-                client_id,
+                cid,
                 Arc::clone(scratch_mr),
                 scratch_off,
                 config.telemetry,
-            );
-            st.set_drain_deadline(attempt);
-            Some(st)
+            ))
         } else {
             None
         };
@@ -879,8 +870,8 @@ impl GengarClient {
     /// another attempt at `resume_at` (re-dialling the connection first if
     /// `reconnect`); `Err` is the error the operation fails with. The
     /// reactor parks the failed group until `resume_at`
-    /// ([`GengarClient::end_attempt`]); blocking callers wait it out
-    /// ([`GengarClient::recover`]).
+    /// ([`GengarClient::end_attempt`]); `alloc`, the one blocking caller,
+    /// waits it out ([`GengarClient::recover`]).
     fn recovery(
         &mut self,
         server: u8,
@@ -936,9 +927,9 @@ impl GengarClient {
         }
     }
 
-    /// [`GengarClient::recovery`] for the blocking callers (alloc,
-    /// atomics, `drain_all`): waits the backoff out and re-dials before
-    /// returning for another attempt.
+    /// [`GengarClient::recovery`] for `alloc`, a control-plane call that
+    /// blocks: waits the backoff out and re-dials before returning for
+    /// another attempt.
     fn recover(
         &mut self,
         server: u8,
@@ -1070,20 +1061,17 @@ impl GengarClient {
             .collect();
         survivors.sort_unstable();
         for (_, base) in survivors {
-            let wb = &self.write_back[&base];
+            // `enable_proxy` is fixed for a server's life, so the new
+            // mount has a ring for what the old one staged.
+            let staging = self.conns[idx]
+                .staging
+                .as_mut()
+                .ok_or(GengarError::ProtocolViolation("staged writes but no proxy"))?;
+            let wb = self.write_back.get_mut(&base).expect("listed above");
             let target = GlobalAddr::from_raw(base)
                 .ok_or(GengarError::ProtocolViolation("bad store-buffer address"))?
                 .add(wb.off);
-            let data = wb.data.clone();
-            if let Some(staging) = self.conns[idx].staging.as_mut() {
-                let new_seq = staging.stage_write(target.raw(), &data)?;
-                self.write_back.get_mut(&base).expect("present").seq = new_seq;
-            } else {
-                // The server no longer mounts the proxy: anchor the write
-                // durably through the direct path instead.
-                self.write_through(target, &data)?;
-                self.write_back.remove(&base);
-            }
+            wb.seq = staging.stage_write(target.raw(), &wb.data)?;
         }
         Ok(())
     }
@@ -1333,24 +1321,6 @@ impl GengarClient {
         }
     }
 
-    /// One-sided chunked WRITE of `data` to NVM offset `nvm_off` on `server`.
-    fn write_remote(&self, server: u8, nvm_off: u64, data: &[u8]) -> Result<(), GengarError> {
-        let conn = self.conn(server)?;
-        let mut done = 0usize;
-        while done < data.len() {
-            let chunk = (data.len() - done).min(conn.op_buf_len as usize);
-            self.mr
-                .region()
-                .write(conn.op_buf, &data[done..done + chunk])?;
-            conn.data.write(
-                Payload::Sge(Sge::new(self.mr.lkey(), conn.op_buf, chunk as u64)),
-                RemoteAddr::new(conn.nvm_rkey(), nvm_off + done as u64),
-            )?;
-            done += chunk;
-        }
-        Ok(())
-    }
-
     /// The word a READ or an atomic's prior value landed at scratch `off`.
     fn scratch_word(&self, off: u64) -> Result<u64, GengarError> {
         let mut w = [0u8; 8];
@@ -1387,22 +1357,24 @@ impl GengarClient {
 
     /// Step 1 of every read: the local store buffer, which serves
     /// read-your-writes while the staged write may still be in flight.
-    /// Returns `true` when it served the read into `buf`; `false` means no
-    /// entry covers `ptr` any more (none existed, or it was retired here)
-    /// and the read is planned like any other. The drained watermark is
-    /// refreshed lazily (one extra 8-byte READ every 16 queries) so
-    /// entries retire shortly after the proxy drains them without taxing
-    /// every read. Idempotent, so a replayed attempt can re-run it.
+    /// `Continue(true)`: it served the read into `buf`; `Continue(false)`:
+    /// no entry covers `ptr` any more (none existed, or it was retired
+    /// here) and the read is planned like any other; `Break(seq)`: the read
+    /// partly overlaps staged record `seq`, which must drain first. The
+    /// drained watermark is refreshed lazily (one extra 8-byte READ every
+    /// 16 queries) so entries retire shortly after the proxy drains them
+    /// without taxing every read. Idempotent, so a replayed attempt can
+    /// re-run it.
     fn serve_from_store_buffer(
         &mut self,
         ptr: GlobalPtr,
         offset: u64,
         buf: &mut [u8],
-    ) -> Result<bool, GengarError> {
+    ) -> Result<ControlFlow<u64, bool>, GengarError> {
         let base = ptr.addr.raw();
         let server = ptr.addr.server();
         let Some(wb) = self.write_back.get(&base) else {
-            return Ok(false);
+            return Ok(ControlFlow::Continue(false));
         };
         let seq = wb.seq;
         let covers = offset >= wb.off && offset + buf.len() as u64 <= wb.off + wb.data.len() as u64;
@@ -1422,16 +1394,14 @@ impl GengarClient {
             let start = (offset - wb.off) as usize;
             buf.copy_from_slice(&wb.data[start..start + buf.len()]);
             self.metrics.writeback_hits.inc();
-            return Ok(true);
+            return Ok(ControlFlow::Continue(true));
         }
         if !drained {
             // Partial overlap with an in-flight write: wait it out.
-            if let Some(st) = self.conn_mut(server)?.staging.as_mut() {
-                st.wait_drained(seq)?;
-            }
+            return Ok(ControlFlow::Break(seq));
         }
         self.write_back.remove(&base);
-        Ok(false)
+        Ok(ControlFlow::Continue(false))
     }
 
     /// FaRM-style validation of the whole cache frame of `ptr` that a READ
@@ -1483,21 +1453,6 @@ impl GengarClient {
         // A scalar write is a batch of one: same planner, same reactor.
         self.run_batch(vec![BatchOp::Write { ptr, offset, data }])?
             .into_single()
-    }
-
-    /// Write-through: RDMA WRITE of `data` to its NVM home at `target`,
-    /// then the flush RPC that anchors it durably.
-    fn write_through(&mut self, target: GlobalAddr, data: &[u8]) -> Result<(), GengarError> {
-        self.write_remote(target.server(), target.offset(), data)?;
-        self.flush_range(target, data.len() as u64)
-    }
-
-    /// The flush+invalidate RPC: persists `len` bytes at `target` on the
-    /// home server and drops any cached copy of the object there.
-    fn flush_range(&mut self, target: GlobalAddr, len: u64) -> Result<(), GengarError> {
-        let conn = self.conn(target.server())?;
-        let addr = target.raw();
-        Self::flush_ack(conn.rpc.call(&Request::FlushRange { addr, len })?, len)
     }
 
     /// Decodes the answer to a `FlushRange` of `len` bytes.
@@ -1578,8 +1533,8 @@ impl GengarClient {
     }
 
     /// The issue path: runs a batch of operations to completion under the
-    /// per-server recovery loops. Scalar `read`/`write` pass a batch of
-    /// one through here.
+    /// per-server recovery loops. Every scalar data-plane call passes a
+    /// batch of one through here (`drain_all`: one drain per server).
     pub(crate) fn run_batch(
         &mut self,
         mut ops: Vec<BatchOp<'_>>,
@@ -1588,32 +1543,25 @@ impl GengarClient {
         // root's context is installed on this thread, so every layer below
         // (window, staging, fabric, RPC encode) files under the same trace.
         let tracer = gengar_telemetry::Tracer::global();
-        let mut root = match ops.as_slice() {
-            [BatchOp::Read { .. }] => tracer.root_span("client.read"),
-            [BatchOp::Write { .. }] => tracer.root_span("client.write"),
-            _ => tracer.root_span("client.batch"),
-        };
+        let mut root = tracer.root_span(match ops.as_slice() {
+            [op] => op.span_name(),
+            [BatchOp::Drain { .. }, ..] => "client.drain",
+            _ => "client.batch",
+        });
         root.set_detail(ops.len() as u64);
         let trace = root.trace_id().unwrap_or(gengar_telemetry::TraceId::NONE);
         let started = Instant::now();
         let n = ops.len();
         let mut results: Vec<Option<Result<(), GengarError>>> = (0..n).map(|_| None).collect();
         for (i, op) in ops.iter().enumerate() {
-            let (ptr, offset, len, is_read) = match op {
-                BatchOp::Read {
-                    ptr, offset, buf, ..
-                } => (*ptr, *offset, buf.len() as u64, true),
-                BatchOp::Write { ptr, offset, data } => (*ptr, *offset, data.len() as u64, false),
-            };
-            match Self::check_access(ptr, offset, len) {
-                Ok(()) => {
-                    if is_read {
-                        self.metrics.reads.inc();
-                    } else {
-                        self.metrics.writes.inc();
-                    }
-                }
-                Err(e) => results[i] = Some(Err(e)),
+            let checked = op.range().map_or(Ok(()), |(ptr, offset, len)| {
+                Self::check_access(ptr, offset, len)
+            });
+            match (checked, op) {
+                (Err(e), _) => results[i] = Some(Err(e)),
+                (Ok(()), BatchOp::Read { .. }) => self.metrics.reads.inc(),
+                (Ok(()), BatchOp::Write { .. }) => self.metrics.writes.inc(),
+                (Ok(()), _) => {}
             }
         }
         let validated: Vec<bool> = results.iter().map(|r| r.is_none()).collect();
@@ -1629,9 +1577,7 @@ impl GengarClient {
             if results[i].is_some() {
                 continue;
             }
-            let server = match op {
-                BatchOp::Read { ptr, .. } | BatchOp::Write { ptr, .. } => ptr.addr.server(),
-            };
+            let server = op.server();
             let gi = *group_of.entry(server).or_insert_with(|| {
                 groups.push((server, Vec::new()));
                 groups.len() - 1
@@ -1722,6 +1668,7 @@ impl GengarClient {
             match op {
                 BatchOp::Read { .. } => self.metrics.read_ns.record_ns(elapsed),
                 BatchOp::Write { .. } => self.metrics.write_ns.record_ns(elapsed),
+                _ => {}
             }
         }
         Ok(BatchResult::new(
@@ -1806,87 +1753,72 @@ impl GengarClient {
                         self.end_attempt(run, e, results);
                     }
                 }
-                GroupPhase::RingWait {
-                    resume,
-                    plans,
+                GroupPhase::AwaitDrained {
+                    target,
+                    then,
                     next_poll,
                     sleep_us,
                     last_seen,
                     stall_deadline,
-                    counted,
+                    ring_full,
                 } => {
                     let now = Instant::now();
                     if now < next_poll {
-                        run.phase = GroupPhase::RingWait {
-                            resume,
-                            plans,
+                        run.phase = GroupPhase::AwaitDrained {
+                            target,
+                            then,
                             next_poll,
                             sleep_us,
                             last_seen,
                             stall_deadline,
-                            counted,
+                            ring_full,
                         };
                         return (progressed, Some(next_poll));
                     }
                     let refreshed = {
                         let _ctx = adopt(run.attempt_ctx.0, run.attempt_ctx.1);
-                        match self.conn_mut(run.server) {
-                            Ok(conn) => {
-                                let st = conn.staging.as_mut().expect("planned on a staging ring");
-                                st.refresh_drained().map(|d| {
-                                    // Only a re-read that still finds no room
-                                    // is a wait; count it once.
-                                    if st.ring_room() < plans.len() && !counted {
+                        self.conn_mut(run.server)
+                            .and_then(|conn| match conn.staging.as_mut() {
+                                Some(st) => st.refresh_drained().inspect(|&drained| {
+                                    if ring_full && drained < target {
                                         st.note_ring_full();
                                     }
-                                    (d, st.ring_room())
-                                })
-                            }
-                            Err(e) => Err(e),
-                        }
+                                }),
+                                // No ring left (failed over to the direct
+                                // path): nothing is left to drain either.
+                                None => Ok(u64::MAX),
+                            })
                     };
                     match refreshed {
                         Err(e) => self.end_attempt(run, e, results),
-                        Ok((_, room)) if room >= plans.len() => {
+                        Ok(drained) if drained >= target => {
                             progressed = true;
-                            let outcome = {
-                                let _ctx = adopt(run.attempt_ctx.0, run.attempt_ctx.1);
-                                self.begin_staged(run, resume, plans, ops)
-                            };
-                            if let Err(e) = outcome {
-                                self.end_attempt(run, e, results);
-                            }
+                            run.phase = *then;
                         }
-                        Ok((drained, _)) => {
-                            // No room yet. Watermark movement resets the
-                            // stall clock; a watermark frozen past the
-                            // attempt timeout means the drain thread is
-                            // stuck and the attempt times out like any
-                            // other lost round trip.
-                            if drained <= last_seen && now >= stall_deadline {
-                                self.end_attempt(
-                                    run,
-                                    GengarError::Rdma(RdmaError::Timeout),
-                                    results,
-                                );
+                        // A watermark frozen past the attempt timeout means
+                        // the drain is stuck: the attempt times out like any
+                        // other lost round trip.
+                        Ok(drained) if drained <= last_seen && now >= stall_deadline => {
+                            self.end_attempt(run, GengarError::Rdma(RdmaError::Timeout), results)
+                        }
+                        Ok(drained) => {
+                            // Watermark movement resets the stall clock.
+                            let (last_seen, stall_deadline) = if drained > last_seen {
+                                (drained, now + attempt_timeout(self.config.op_deadline))
                             } else {
-                                let (last_seen, stall_deadline) = if drained > last_seen {
-                                    (drained, now + attempt_timeout(self.config.op_deadline))
-                                } else {
-                                    (last_seen, stall_deadline)
-                                };
-                                let next_poll = now + Duration::from_micros(sleep_us);
-                                run.phase = GroupPhase::RingWait {
-                                    resume,
-                                    plans,
-                                    next_poll,
-                                    sleep_us: (sleep_us * 2).min(200),
-                                    last_seen,
-                                    stall_deadline,
-                                    counted: true,
-                                };
-                                return (progressed, Some(next_poll));
-                            }
+                                (last_seen, stall_deadline)
+                            };
+                            let next_poll = now + Duration::from_micros(sleep_us);
+                            run.phase = GroupPhase::AwaitDrained {
+                                target,
+                                then,
+                                next_poll,
+                                sleep_us: (sleep_us * 2).min(200),
+                                last_seen,
+                                stall_deadline,
+                                ring_full: false,
+                            };
+                            return (progressed, Some(next_poll));
                         }
                     }
                 }
@@ -2110,9 +2042,11 @@ impl GengarClient {
     /// anything later is planned). What the planner cannot stage (seqlock
     /// writes, oversize payloads, degraded connections) walks the direct
     /// chain ([`GengarClient::step_direct`]) one write at a time, with any
-    /// planned window posted first as an ordering barrier. Posting parks
-    /// the group instead of blocking; the walk resumes at `resume` once
-    /// the flight settles.
+    /// planned window posted first as an ordering barrier. The scalar
+    /// calls' atomics and lock ops walk the same chain, and a drain
+    /// barrier waits out the ring ([`GengarClient::step_drain`]); each of
+    /// those sits alone in its batch. Posting parks the group instead of
+    /// blocking; the walk resumes at `resume` once the flight settles.
     fn step_writes(
         &mut self,
         run: &mut GroupRun,
@@ -2161,14 +2095,16 @@ impl GengarClient {
                 continue;
             }
             let (ptr, offset, data_len) = match &ops[i] {
-                BatchOp::Write { ptr, offset, data } => (*ptr, *offset, data.len() as u64),
-                _ => {
+                BatchOp::Read { .. } => {
                     cursor += 1;
                     continue;
                 }
+                BatchOp::Drain { .. } => return self.step_drain(run, cursor, results),
+                op => op.range().expect("only a drain touches no object"),
             };
             let base = ptr.addr.raw();
-            if stage_cap > 0
+            if matches!(ops[i], BatchOp::Write { .. })
+                && stage_cap > 0
                 && data_len <= max_payload
                 && tenant_cap.is_none_or(|cap| data_len <= cap)
             {
@@ -2209,7 +2145,7 @@ impl GengarClient {
                         return Ok(());
                     }
                 }
-                return self.begin_direct(run, cursor, ptr, data_len);
+                return self.begin_direct(run, cursor, ops, results);
             }
         }
         if staged.is_empty() {
@@ -2222,77 +2158,174 @@ impl GengarClient {
         }
     }
 
-    /// Opens the direct chain for the write at `cursor`, taking the lock
-    /// first unless this client already holds it. Safe to re-run after a
-    /// failed attempt: the chain rewrites the same bytes, and a lock that
-    /// attempt took is still in `held`.
+    /// Settles the op at `cursor` of the write walk and moves past it.
+    fn settle_op(
+        run: &mut GroupRun,
+        cursor: usize,
+        results: &mut [Option<Result<(), GengarError>>],
+        outcome: Result<(), GengarError>,
+    ) {
+        results[run.indices[cursor]] = Some(outcome);
+        run.phase = GroupPhase::Writes { cursor: cursor + 1 };
+    }
+
+    /// Parks the group in [`GroupPhase::AwaitDrained`] until its ring's
+    /// drained watermark reaches `target`, then enters `then`. `ring_full`
+    /// marks a wait for ring room.
+    fn await_drained(&self, run: &mut GroupRun, target: u64, then: GroupPhase, ring_full: bool) {
+        let now = Instant::now();
+        let last_seen = self
+            .conn(run.server)
+            .ok()
+            .and_then(|conn| conn.staging.as_ref())
+            .map_or(0, StagingWriter::known_drained);
+        run.phase = GroupPhase::AwaitDrained {
+            target,
+            then: Box::new(then),
+            next_poll: now,
+            sleep_us: 5,
+            last_seen,
+            stall_deadline: now + attempt_timeout(self.config.op_deadline),
+            ring_full,
+        };
+    }
+
+    /// A drain barrier: waits until the server's ring has drained every
+    /// record staged on it, then retires the server's store-buffer entries.
+    fn step_drain(
+        &mut self,
+        run: &mut GroupRun,
+        cursor: usize,
+        results: &mut [Option<Result<(), GengarError>>],
+    ) -> Result<(), GengarError> {
+        let server = run.server;
+        let undrained = self.conn(server)?.staging.as_ref().and_then(|st| {
+            let last = st.next_seq() - 1;
+            (st.known_drained() < last).then_some(last)
+        });
+        match undrained {
+            // The wait re-enters the walk here, to find the ring drained.
+            Some(last) => self.await_drained(run, last, GroupPhase::Writes { cursor }, false),
+            None => {
+                self.write_back.retain(|addr, _| {
+                    GlobalAddr::from_raw(*addr).map(|a| a.server()) != Some(server)
+                });
+                Self::settle_op(run, cursor, results, Ok(()));
+            }
+        }
+        Ok(())
+    }
+
+    /// Opens the direct chain for the op at `cursor`, at the step its kind
+    /// starts from: a write locks first under `Seqlock` unless this client
+    /// holds the lock, `lock` reads the word (or adopts a lock a failed
+    /// write left behind), `unlock` releases, an atomic posts its verb —
+    /// or only its flush, when an earlier attempt's verb completed — and
+    /// `read_lock_word` reads the word. Safe to re-run after a failed
+    /// attempt: the chain rewrites the same bytes, and a lock that attempt
+    /// took is still in `held`.
     fn begin_direct(
         &mut self,
         run: &mut GroupRun,
         cursor: usize,
-        ptr: GlobalPtr,
-        need: u64,
+        ops: &[BatchOp<'_>],
+        results: &mut [Option<Result<(), GengarError>>],
     ) -> Result<(), GengarError> {
+        let op = &ops[run.indices[cursor]];
+        let (ptr, _, need) = op.range().expect("a chain runs on an object");
         let base = ptr.addr.raw();
-        let mut step = DirectStep::Write;
-        if self.config.consistency == Consistency::Seqlock {
-            if !self.held.contains_key(&base) {
-                step = DirectStep::ReadWord;
-            }
-        } else {
-            let conn = self.conn(run.server)?;
-            let fits_slot = conn
-                .staging
-                .as_ref()
-                .is_some_and(|st| need <= st.max_payload());
-            if conn.degraded {
-                self.metrics.degraded_ops.inc();
-            } else if fits_slot {
-                // A payload that could never fit the tenant's in-flight
-                // cap sheds to the direct path (slower, but it does not
-                // wedge waiting on a reservation that cannot succeed).
-                if let Some(tenant) = self.tenant.as_ref().filter(|t| !t.staged_fits(need)) {
-                    tenant.note_staged_shed();
+        let step = match op {
+            BatchOp::Write { .. } if self.config.consistency == Consistency::Seqlock => {
+                if self.held.contains_key(&base) {
+                    DirectStep::Write
+                } else {
+                    DirectStep::ReadWord
                 }
             }
-        }
-        // An older staged record for this object may still sit un-drained
-        // in the server ring (e.g. the connection degraded between the two
-        // writes). Let it land first: the drain thread would otherwise
-        // replay the *older* value over this newer direct write.
-        if let Some(seq) = self.write_back.get(&base).map(|wb| wb.seq) {
-            if let Some(st) = self.conn_mut(run.server)?.staging.as_mut() {
-                if st.known_drained() < seq {
-                    st.wait_drained(seq)?;
+            BatchOp::Write { .. } => {
+                let conn = self.conn(run.server)?;
+                let fits_slot = conn
+                    .staging
+                    .as_ref()
+                    .is_some_and(|st| need <= st.max_payload());
+                if conn.degraded {
+                    self.metrics.degraded_ops.inc();
+                } else if fits_slot {
+                    // A payload that could never fit the tenant's in-flight
+                    // cap sheds to the direct path (slower, but it does not
+                    // wedge waiting on a reservation that cannot succeed).
+                    if let Some(tenant) = self.tenant.as_ref().filter(|t| !t.staged_fits(need)) {
+                        tenant.note_staged_shed();
+                    }
                 }
+                DirectStep::Write
             }
-        }
-        run.phase = GroupPhase::Direct(Box::new(DirectWrite {
+            BatchOp::Atomic { prev, .. } if prev.is_some() => DirectStep::Write,
+            BatchOp::Atomic { .. } => DirectStep::Atomic,
+            BatchOp::Lock { .. } => match self.held.get_mut(&base) {
+                // A lock a failed write left behind becomes the caller's.
+                Some((_, own)) => {
+                    *own = false;
+                    Self::settle_op(run, cursor, results, Ok(()));
+                    return Ok(());
+                }
+                None => DirectStep::ReadWord,
+            },
+            BatchOp::Unlock { .. } if !self.held.contains_key(&base) => {
+                let refused = GengarError::ProtocolViolation("unlock without lock");
+                Self::settle_op(run, cursor, results, Err(refused));
+                return Ok(());
+            }
+            BatchOp::Unlock { .. } => DirectStep::Unlock,
+            BatchOp::LockWord { .. } => DirectStep::ReadWord,
+            BatchOp::Read { .. } | BatchOp::Drain { .. } => unreachable!("not a chain op"),
+        };
+        let chain = GroupPhase::Direct(Box::new(DirectOp {
             cursor,
             step,
             ..Default::default()
         }));
+        // An older staged record for this object may still sit un-drained
+        // in the server ring (e.g. the connection degraded between the two
+        // writes). Let it land first: the drain thread would otherwise
+        // replay the *older* value over this newer direct write.
+        let staged = match op {
+            BatchOp::Write { .. } => self.write_back.get(&base).map(|wb| wb.seq),
+            _ => None,
+        };
+        let undrained = staged.filter(|&seq| {
+            self.conn(run.server)
+                .ok()
+                .and_then(|conn| conn.staging.as_ref())
+                .is_some_and(|st| st.known_drained() < seq)
+        });
+        match undrained {
+            Some(seq) => self.await_drained(run, seq, chain, false),
+            None => run.phase = chain,
+        }
         Ok(())
     }
 
-    /// Advances a direct write: harvests the step on the wire, applies its
-    /// outcome, posts the next. The lock word, the CAS's prior value and
-    /// the release word use the first 8 bytes of the group's op area, the
-    /// payload chunks the rest (the group has no other flight open).
+    /// Advances a direct-chain op: harvests the step on the wire, applies
+    /// its outcome, posts the next. The lock word, an atomic's prior value
+    /// and the release word use the first 8 bytes of the group's op area,
+    /// the payload chunks the rest (the group has no other flight open).
     /// `Break` parks the group (`None`: on the RPC response); `Continue`
     /// leaves the next phase in `run.phase`.
     fn step_direct(
         &mut self,
         run: &mut GroupRun,
-        mut w: Box<DirectWrite>,
-        ops: &[BatchOp<'_>],
+        mut w: Box<DirectOp>,
+        ops: &mut [BatchOp<'_>],
         results: &mut [Option<Result<(), GengarError>>],
         park: Duration,
     ) -> Result<ControlFlow<Option<Instant>>, GengarError> {
         let i = run.indices[w.cursor];
-        let (ptr, offset, data): (GlobalPtr, u64, &[u8]) = match &ops[i] {
-            BatchOp::Write { ptr, offset, data } => (*ptr, *offset, data),
-            _ => unreachable!("the write walk opened this chain"),
+        // An atomic flushes its word and writes no chunk.
+        let (ptr, offset, len) = ops[i].range().expect("a chain runs on an object");
+        let (data, is_write): (&[u8], bool) = match &ops[i] {
+            BatchOp::Write { data, .. } => (*data, true),
+            _ => (&[], false),
         };
         let base = ptr.addr.raw();
         let word_at = ptr.addr.offset() - OBJ_HEADER;
@@ -2321,9 +2354,31 @@ impl GengarClient {
                             expected: w.expected,
                             swap: lockword::locked(w.expected),
                         },
+                        DirectStep::Atomic => {
+                            let remote = nvm(ptr.addr.offset() + offset);
+                            match &ops[i] {
+                                BatchOp::Atomic {
+                                    verb: AtomicVerb::Cas { expected, new },
+                                    ..
+                                } => SendOp::CompareSwap {
+                                    local: word_sge,
+                                    remote,
+                                    expected: *expected,
+                                    swap: *new,
+                                },
+                                BatchOp::Atomic {
+                                    verb: AtomicVerb::Faa { add },
+                                    ..
+                                } => SendOp::FetchAdd {
+                                    local: word_sge,
+                                    remote,
+                                    add: *add,
+                                },
+                                _ => unreachable!("only an atomic posts its verb"),
+                            }
+                        }
                         DirectStep::Write if chunk == 0 => {
                             let addr = ptr.addr.add(offset).raw();
-                            let len = data.len() as u64;
                             let call = conn.rpc.begin(&Request::FlushRange { addr, len });
                             w.flight = Some(Flight::Rpc(call));
                             continue;
@@ -2352,13 +2407,23 @@ impl GengarClient {
                     pending.into_results().pop().expect("one op posted")?;
                     match w.step {
                         DirectStep::ReadWord => {
-                            w.expected = lockword::next_unlocked(self.scratch_word(word_lane)?);
+                            let word = self.scratch_word(word_lane)?;
+                            if let BatchOp::LockWord { word: out, .. } = &mut ops[i] {
+                                **out = word;
+                                break;
+                            }
+                            w.expected = lockword::next_unlocked(word);
                             w.step = DirectStep::Cas;
                         }
                         DirectStep::Cas => {
                             let prev = self.scratch_word(word_lane)?;
                             if prev == w.expected {
-                                self.held.insert(base, (lockword::locked(prev), true));
+                                // A write's lock is its own, released at the
+                                // end of its chain; `lock`'s is the caller's.
+                                self.held.insert(base, (lockword::locked(prev), is_write));
+                                if !is_write {
+                                    break;
+                                }
                                 w.step = DirectStep::Write;
                                 continue;
                             }
@@ -2372,10 +2437,18 @@ impl GengarClient {
                                 break;
                             }
                             run.phase = GroupPhase::Throttle {
-                                resume_at: Instant::now() + Backoff::park_after(w.tries),
+                                resume_at: Instant::now() + park_after(w.tries),
                                 next: Box::new(GroupPhase::Direct(w)),
                             };
                             return Ok(ControlFlow::Continue(()));
+                        }
+                        DirectStep::Atomic => {
+                            // Kept in the op: a later attempt only flushes.
+                            let prev = self.scratch_word(word_lane)?;
+                            if let BatchOp::Atomic { prev: out, .. } = &mut ops[i] {
+                                **out = Some(prev);
+                            }
+                            w.step = DirectStep::Write;
                         }
                         DirectStep::Write => w.done += chunk,
                         DirectStep::Unlock => {
@@ -2390,35 +2463,34 @@ impl GengarClient {
                         run.phase = GroupPhase::Direct(w);
                         return Ok(ControlFlow::Break(None));
                     };
-                    w.refused = Self::flush_ack(resp, data.len() as u64).err();
+                    w.refused = Self::flush_ack(resp, len).err();
                     // Release only a lock a write took for itself (this
                     // attempt or a failed earlier one), never the caller's.
                     match self.held.get(&base) {
-                        Some((_, true)) => w.step = DirectStep::Unlock,
+                        Some((_, true)) if is_write => w.step = DirectStep::Unlock,
                         _ => break,
                     }
                 }
             }
         }
-        run.phase = GroupPhase::Writes {
-            cursor: w.cursor + 1,
-        };
-        if let Some(e) = w.refused {
-            results[i] = Some(Err(e));
-            return Ok(ControlFlow::Continue(()));
+        let outcome = w.refused.map_or(Ok(()), Err);
+        if outcome.is_ok() && matches!(ops[i], BatchOp::Write { .. } | BatchOp::Atomic { .. }) {
+            // The object changed under any cached frame and staged copy.
+            self.remap.remove(&base);
+            self.write_back.remove(&base);
+            self.record(run.server, base, true);
+            if is_write {
+                self.metrics.direct_writes.inc();
+            }
         }
-        results[i] = Some(Ok(()));
-        self.remap.remove(&base);
-        self.write_back.remove(&base);
-        self.metrics.direct_writes.inc();
-        self.record(run.server, base, true);
+        Self::settle_op(run, w.cursor, results, outcome);
         Ok(ControlFlow::Continue(()))
     }
 
-    /// Routes a planned staged-write window: posts it if the ring has
-    /// room by the writer's local view, otherwise parks the group in
-    /// `RingWait`, whose first poll re-reads the drained watermark at once
-    /// (the blocking `stage_write` sleeps here instead).
+    /// Routes a planned staged-write window: a ring without room for it by
+    /// the writer's local view parks the group in `AwaitDrained` (whose
+    /// first poll re-reads the watermark at once) and re-enters here; then
+    /// the tenant's gates are charged and the window posts.
     fn post_staged(
         &mut self,
         run: &mut GroupRun,
@@ -2426,6 +2498,16 @@ impl GengarClient {
         plans: Vec<StagedPlan>,
         ops: &[BatchOp<'_>],
     ) -> Result<(), GengarError> {
+        let room_at = self
+            .conn(run.server)?
+            .staging
+            .as_ref()
+            .expect("planned on a staging ring")
+            .drained_for_room(plans.len());
+        if let Some(target) = room_at {
+            self.await_drained(run, target, GroupPhase::PostWrites { resume, plans }, true);
+            return Ok(());
+        }
         if let Some(tenant) = &self.tenant {
             let bytes: u64 = plans
                 .iter()
@@ -2457,24 +2539,6 @@ impl GengarClient {
                 return Ok(());
             }
             run.staged_reserved += bytes;
-        }
-        let full = {
-            let conn = self.conn(run.server)?;
-            let st = conn.staging.as_ref().expect("planned on a staging ring");
-            (st.ring_room() < plans.len()).then(|| st.known_drained())
-        };
-        if let Some(drained) = full {
-            let now = Instant::now();
-            run.phase = GroupPhase::RingWait {
-                resume,
-                plans,
-                next_poll: now,
-                sleep_us: 5,
-                last_seen: drained,
-                stall_deadline: now + attempt_timeout(self.config.op_deadline),
-                counted: false,
-            };
-            return Ok(());
         }
         self.begin_staged(run, resume, plans, ops)
     }
@@ -2648,11 +2712,24 @@ impl GengarClient {
             };
             let buf_len = buf.len() as u64;
             let base = ptr.addr.raw();
-            if !versioned && self.serve_from_store_buffer(ptr, offset, buf)? {
-                results[i] = Some(Ok(()));
-                self.record(run.server, base, false);
-                cursor += 1;
-                continue;
+            if !versioned {
+                match self.serve_from_store_buffer(ptr, offset, buf)? {
+                    ControlFlow::Continue(true) => {
+                        results[i] = Some(Ok(()));
+                        self.record(run.server, base, false);
+                        cursor += 1;
+                        continue;
+                    }
+                    ControlFlow::Continue(false) => {}
+                    // The planned reads go first; the walk comes back here.
+                    ControlFlow::Break(_) if !plans.is_empty() => {
+                        return self.post_reads(run, cursor, plans)
+                    }
+                    ControlFlow::Break(seq) => {
+                        self.await_drained(run, seq, GroupPhase::Reads { cursor }, false);
+                        return Ok(());
+                    }
+                }
             }
             // Slot frames validate as a whole, so a cached read fetches
             // the full object; engage the cache only when the request
@@ -2836,7 +2913,7 @@ impl GengarClient {
                             if p.tries >= self.config.read_retries {
                                 results[p.idx] = Some(Err(GengarError::ReadContended(p.ptr.addr)));
                             } else {
-                                park = park.max(Backoff::park_after(p.tries));
+                                park = park.max(park_after(p.tries));
                                 again.push(p);
                             }
                             continue;
@@ -2898,57 +2975,7 @@ impl GengarClient {
         expected: u64,
         new: u64,
     ) -> Result<u64, GengarError> {
-        Self::check_access(ptr, offset, 8)?;
-        let server = ptr.addr.server();
-        let mut state = self.retry_state();
-        // The verb is only ever re-posted after a failure that provably
-        // preceded execution (the fabric injects faults before the remote
-        // word is touched), so a retried CAS cannot double-apply.
-        let prev = loop {
-            match self.cas_attempt(server, ptr.addr.offset() + offset, expected, new) {
-                Ok(v) => break v,
-                Err(e) => self.recover(server, e, &mut state)?,
-            }
-        };
-        // The durability anchor is idempotent and retried independently so
-        // a flush failure never re-executes the atomic.
-        loop {
-            match self.finish_atomic(ptr, offset) {
-                Ok(()) => return Ok(prev),
-                Err(e) => self.recover(server, e, &mut state)?,
-            }
-        }
-    }
-
-    /// CASes the NVM word at `word_off` on `server`; returns the prior value.
-    fn cas_attempt(
-        &mut self,
-        server: u8,
-        word_off: u64,
-        expected: u64,
-        new: u64,
-    ) -> Result<u64, GengarError> {
-        let conn = self.conn(server)?;
-        conn.data.compare_swap(
-            Sge::new(self.mr.lkey(), self.op_cas, 8),
-            RemoteAddr::new(conn.nvm_rkey(), word_off),
-            expected,
-            new,
-        )?;
-        self.scratch_word(self.op_cas)
-    }
-
-    /// Remote atomics mutate NVM without persistence; anchor durability
-    /// with the flush RPC (which also invalidates any cached copy), then
-    /// drop stale local views.
-    fn finish_atomic(&mut self, ptr: GlobalPtr, offset: u64) -> Result<(), GengarError> {
-        let server = ptr.addr.server();
-        self.flush_range(ptr.addr.add(offset), 8)?;
-        self.remap.remove(&ptr.addr.raw());
-        self.write_back.remove(&ptr.addr.raw());
-        self.record(server, ptr.addr.raw(), true);
-        self.report_if_due();
-        Ok(())
+        self.atomic(ptr, offset, AtomicVerb::Cas { expected, new })
     }
 
     /// Remote atomic fetch-and-add, returning the prior value.
@@ -2958,34 +2985,30 @@ impl GengarClient {
     /// Bounds/alignment violations, transport failures that outlive the
     /// operation deadline.
     pub fn faa_u64(&mut self, ptr: GlobalPtr, offset: u64, add: u64) -> Result<u64, GengarError> {
-        Self::check_access(ptr, offset, 8)?;
-        let server = ptr.addr.server();
-        let mut state = self.retry_state();
-        // Same re-execution discipline as [`GengarClient::cas_u64`]: only
-        // provably unexecuted FAAs are re-posted, so the add never lands
-        // twice.
-        let prev = loop {
-            match self.faa_attempt(ptr, offset, add) {
-                Ok(v) => break v,
-                Err(e) => self.recover(server, e, &mut state)?,
-            }
-        };
-        loop {
-            match self.finish_atomic(ptr, offset) {
-                Ok(()) => return Ok(prev),
-                Err(e) => self.recover(server, e, &mut state)?,
-            }
-        }
+        self.atomic(ptr, offset, AtomicVerb::Faa { add })
     }
 
-    fn faa_attempt(&mut self, ptr: GlobalPtr, offset: u64, add: u64) -> Result<u64, GengarError> {
-        let conn = self.conn(ptr.addr.server())?;
-        conn.data.fetch_add(
-            Sge::new(self.mr.lkey(), self.op_cas, 8),
-            RemoteAddr::new(conn.nvm_rkey(), ptr.addr.offset() + offset),
-            add,
-        )?;
-        self.scratch_word(self.op_cas)
+    /// A remote atomic as a batch of one: the verb, then the flush RPC that
+    /// anchors it durably (remote atomics mutate NVM without persistence)
+    /// and drops any cached copy. The verb is only re-posted after a
+    /// failure that provably preceded its execution (the fabric injects
+    /// faults before the remote word is touched); once it completed, a
+    /// retry re-sends the idempotent flush alone, so it never applies twice.
+    fn atomic(
+        &mut self,
+        ptr: GlobalPtr,
+        offset: u64,
+        verb: AtomicVerb,
+    ) -> Result<u64, GengarError> {
+        let mut prev = None;
+        self.run_batch(vec![BatchOp::Atomic {
+            ptr,
+            offset,
+            verb,
+            prev: &mut prev,
+        }])?
+        .into_single()?;
+        Ok(prev.expect("a settled atomic has its prior value"))
     }
 
     /// Acquires the object's writer lock via remote CAS, by a write's own
@@ -2995,50 +3018,19 @@ impl GengarClient {
     ///
     /// [`GengarError::LockContended`] after `lock_retries` failed attempts.
     pub fn lock(&mut self, ptr: GlobalPtr) -> Result<(), GengarError> {
-        Self::check_access(ptr, 0, 0)?;
-        let base = ptr.addr.raw();
-        if let Some((_, own)) = self.held.get_mut(&base) {
-            // A lock a failed write left behind becomes the caller's.
-            *own = false;
-            return Ok(());
-        }
-        let word_off = ptr.addr.offset() - OBJ_HEADER;
-        let mut expected = lockword::next_unlocked(self.read_lock_word(ptr)?);
-        let mut backoff = Backoff::default();
-        for _ in 0..self.config.lock_retries {
-            let locked = lockword::locked(expected);
-            let prev = self.cas_attempt(ptr.addr.server(), word_off, expected, locked)?;
-            if prev == expected {
-                self.held.insert(base, (locked, false));
-                return Ok(());
-            }
-            self.metrics.lock_retries.inc();
-            expected = lockword::next_unlocked(prev);
-            backoff.wait();
-        }
-        Err(GengarError::LockContended(ptr.addr))
+        self.run_batch(vec![BatchOp::Lock { ptr }])?.into_single()
     }
 
     /// Releases a lock held by this client, bumping the object version.
+    /// The lock is forgotten only once the release landed, so a failed
+    /// unlock can be retried.
     ///
     /// # Errors
     ///
     /// [`GengarError::ProtocolViolation`] if this client does not hold the
     /// lock.
     pub fn unlock(&mut self, ptr: GlobalPtr) -> Result<(), GengarError> {
-        let base = ptr.addr.raw();
-        let (locked_word, _) = *self
-            .held
-            .get(&base)
-            .ok_or(GengarError::ProtocolViolation("unlock without lock"))?;
-        let release = lockword::release(locked_word);
-        let word_off = ptr.addr.offset() - OBJ_HEADER;
-        // Forget the lock only once the release write landed; a failed
-        // release leaves it in `held` so a retried unlock can release it
-        // instead of deadlocking on a lock word nobody remembers owning.
-        self.write_remote(ptr.addr.server(), word_off, &release.to_le_bytes())?;
-        self.held.remove(&base);
-        Ok(())
+        self.run_batch(vec![BatchOp::Unlock { ptr }])?.into_single()
     }
 
     /// Reads the object's raw lock/version word (one 8-byte READ). Exposed
@@ -3049,13 +3041,13 @@ impl GengarClient {
     ///
     /// Transport failures as [`GengarError::Rdma`].
     pub fn read_lock_word(&mut self, ptr: GlobalPtr) -> Result<u64, GengarError> {
-        Self::check_access(ptr, 0, 0)?;
-        let conn = self.conn(ptr.addr.server())?;
-        conn.data.read(
-            Sge::new(self.mr.lkey(), self.op_hdr, 8),
-            RemoteAddr::new(conn.nvm_rkey(), ptr.addr.offset() - OBJ_HEADER),
-        )?;
-        self.scratch_word(self.op_hdr)
+        let mut word = 0;
+        self.run_batch(vec![BatchOp::LockWord {
+            ptr,
+            word: &mut word,
+        }])?
+        .into_single()?;
+        Ok(word)
     }
 
     /// Reads `buf.len()` bytes at `ptr.addr + offset` as one versioned
@@ -3354,8 +3346,9 @@ impl GengarClient {
         Ok(())
     }
 
-    /// Blocks until every staged write this client issued has been drained
-    /// to NVM (used by tests and durability-sensitive applications).
+    /// Waits until every staged write this client issued has been drained
+    /// to NVM (used by tests and durability-sensitive applications): one
+    /// drain barrier per server, all of them in flight at once.
     ///
     /// Runs under the same recovery loop as the data operations: a stalled
     /// drain (dead server) is bounded by the per-operation deadline, and a
@@ -3363,30 +3356,15 @@ impl GengarClient {
     ///
     /// # Errors
     ///
-    /// Transport failures that outlive the operation deadline, as
-    /// [`GengarError::Rdma`].
+    /// The first server's failure: transport failures that outlive the
+    /// operation deadline, as [`GengarError::Rdma`].
     pub fn drain_all(&mut self) -> Result<(), GengarError> {
-        for server in self.server_ids() {
-            let mut state = self.retry_state();
-            loop {
-                let result = (|| {
-                    let conn = self.conn_mut(server)?;
-                    if let Some(st) = conn.staging.as_mut() {
-                        let last = st.next_seq().saturating_sub(1);
-                        if last > 0 {
-                            st.wait_drained(last)?;
-                        }
-                    }
-                    Ok(())
-                })();
-                match result {
-                    Ok(()) => break,
-                    Err(e) => self.recover(server, e, &mut state)?,
-                }
-            }
-        }
-        self.write_back.clear();
-        Ok(())
+        let drains = self
+            .server_ids()
+            .into_iter()
+            .map(|server| BatchOp::Drain { server })
+            .collect();
+        self.run_batch(drains)?.into_results().into_iter().collect()
     }
 
     /// Number of remap entries currently cached locally.

@@ -16,75 +16,24 @@
 //!    holder reads the committed value. (The proxy fast path remains for
 //!    `Consistency::None`, where objects are private to one user.)
 //!
-//! The lock and read phases live in [`crate::client::GengarClient`]'s
-//! reactor; this module provides the retry policy.
+//! Every phase — the lock-word READ and CAS, the write-through, the
+//! unlock WRITE, the seqlock triple — runs on
+//! [`crate::client::GengarClient`]'s reactor, the public `lock` / `unlock`
+//! included; this module provides the contention schedule they park on.
 
 use std::time::Duration;
 
-/// Bounded exponential backoff for contended CAS/read loops.
-///
-/// Spin a few times, then yield with exponentially growing (capped) sleeps.
-/// Deterministic (no RNG) so tests are reproducible.
-#[derive(Debug, Clone)]
-pub struct Backoff {
-    attempt: u32,
-    spin_limit: u32,
-    max_sleep: Duration,
-}
-
-impl Default for Backoff {
-    fn default() -> Self {
-        Backoff::new(6, Duration::from_micros(500))
-    }
-}
-
-impl Backoff {
-    /// Creates a policy that spins `spin_limit` times before sleeping, with
-    /// sleeps capped at `max_sleep`.
-    pub fn new(spin_limit: u32, max_sleep: Duration) -> Self {
-        Backoff {
-            attempt: 0,
-            spin_limit,
-            max_sleep,
-        }
-    }
-
-    /// Number of waits performed so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
-
-    /// Waits once (spin or sleep) and records the attempt.
-    pub fn wait(&mut self) {
-        match self.sleep(self.attempt) {
-            Duration::ZERO => {
-                for _ in 0..(1 << self.attempt.min(10)) {
-                    std::hint::spin_loop();
-                }
-            }
-            sleep => std::thread::sleep(sleep),
-        }
-        self.attempt += 1;
-    }
-
-    /// How long wait number `attempt` sleeps: zero while the policy spins.
-    fn sleep(&self, attempt: u32) -> Duration {
-        match attempt.checked_sub(self.spin_limit) {
-            Some(over) => Duration::from_micros(1u64 << over.min(10)).min(self.max_sleep),
-            None => Duration::ZERO,
-        }
-    }
-
-    /// The default policy's schedule for a caller that parks instead of
-    /// blocking (the client reactor): how long to stay away after the
-    /// `tries`-th lost lock CAS or rejected seqlock read.
-    pub(crate) fn park_after(tries: u32) -> Duration {
-        Backoff::default().sleep(tries.saturating_sub(1))
-    }
-
-    /// Resets the policy after a success.
-    pub fn reset(&mut self) {
-        self.attempt = 0;
+/// How long the reactor parks a group after its `tries`-th lost lock CAS
+/// or rejected seqlock read: nothing for the first six (the holder is
+/// likely about to release), then 1 µs doubling per try, capped at
+/// 500 µs. Deterministic (no RNG) so tests are reproducible; no retry
+/// budget is charged, because nothing failed.
+pub(crate) fn park_after(tries: u32) -> Duration {
+    const FREE_TRIES: u32 = 6;
+    const MAX_PARK: Duration = Duration::from_micros(500);
+    match tries.saturating_sub(1).checked_sub(FREE_TRIES) {
+        Some(over) => Duration::from_micros(1 << over.min(10)).min(MAX_PARK),
+        None => Duration::ZERO,
     }
 }
 
@@ -93,25 +42,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backoff_counts_attempts() {
-        let mut b = Backoff::new(2, Duration::from_micros(10));
-        assert_eq!(b.attempts(), 0);
-        for _ in 0..5 {
-            b.wait();
+    fn park_schedule_is_free_then_doubles_to_a_cap() {
+        for tries in 0..=6 {
+            assert_eq!(park_after(tries), Duration::ZERO, "try {tries}");
         }
-        assert_eq!(b.attempts(), 5);
-        b.reset();
-        assert_eq!(b.attempts(), 0);
-    }
-
-    #[test]
-    fn sleeps_are_capped() {
-        let mut b = Backoff::new(0, Duration::from_micros(50));
-        // Drive it far past the cap; total time must stay small.
-        let t0 = std::time::Instant::now();
-        for _ in 0..20 {
-            b.wait();
-        }
-        assert!(t0.elapsed() < Duration::from_millis(100));
+        assert_eq!(park_after(7), Duration::from_micros(1));
+        assert_eq!(park_after(8), Duration::from_micros(2));
+        assert_eq!(park_after(15), Duration::from_micros(256));
+        assert_eq!(park_after(16), Duration::from_micros(500));
+        assert_eq!(park_after(u32::MAX), Duration::from_micros(500));
     }
 }

@@ -40,8 +40,6 @@ pub enum Request {
         /// Raw global address of the payload base.
         addr: u64,
     },
-    /// Open a proxy staging ring; the server assigns a client id.
-    OpenStaging,
     /// Make `[addr, addr+len)` durable and invalidate any cached copy
     /// (direct-write path).
     FlushRange {
@@ -49,11 +47,6 @@ pub enum Request {
         addr: u64,
         /// Length of the written range.
         len: u64,
-    },
-    /// Invalidate any cached copy of `addr` without flushing.
-    Invalidate {
-        /// Raw global address of the payload base.
-        addr: u64,
     },
     /// Retire ring `client_id` — a reconnecting client's old ring, which
     /// drains nothing more once this is answered — and read its durable
@@ -139,13 +132,6 @@ pub enum Response {
     Alloc {
         /// Raw global address of the payload base.
         addr: u64,
-    },
-    /// Staging ring opened.
-    Staging {
-        /// Assigned client id (selects the ring).
-        client_id: u32,
-        /// Ring base offset within the staging region.
-        ring_offset: u64,
     },
     /// Drained watermark of the queried ring.
     Durable {
@@ -254,9 +240,7 @@ const REQ_HEADER_BYTES: usize = 24;
 const REQ_MOUNT: u8 = 1;
 const REQ_ALLOC: u8 = 2;
 const REQ_FREE: u8 = 3;
-const REQ_OPEN_STAGING: u8 = 4;
 const REQ_FLUSH_RANGE: u8 = 6;
-const REQ_INVALIDATE: u8 = 7;
 const REQ_QUERY_DURABLE: u8 = 8;
 const REQ_PROMOTE: u8 = 9;
 const REQ_QUERY_REPLICA: u8 = 10;
@@ -264,7 +248,6 @@ const REQ_INSPECT: u8 = 11;
 
 const RESP_MOUNT: u8 = 129;
 const RESP_ALLOC: u8 = 130;
-const RESP_STAGING: u8 = 131;
 const RESP_DURABLE: u8 = 133;
 const RESP_OK: u8 = 134;
 const RESP_ERR: u8 = 135;
@@ -278,9 +261,7 @@ impl Request {
             Request::Mount { .. } => REQ_MOUNT,
             Request::Alloc { .. } => REQ_ALLOC,
             Request::Free { .. } => REQ_FREE,
-            Request::OpenStaging => REQ_OPEN_STAGING,
             Request::FlushRange { .. } => REQ_FLUSH_RANGE,
-            Request::Invalidate { .. } => REQ_INVALIDATE,
             Request::QueryDurable { .. } => REQ_QUERY_DURABLE,
             Request::Promote { .. } => REQ_PROMOTE,
             Request::QueryReplica => REQ_QUERY_REPLICA,
@@ -300,7 +281,6 @@ impl Request {
         buf.put_u64_le(ctx.parent);
         buf.put_u64_le(call);
         match self {
-            Request::OpenStaging => {}
             Request::Mount { tenant } => {
                 let name = tenant.as_bytes();
                 let n = name.len().min(MAX_TENANT);
@@ -313,7 +293,6 @@ impl Request {
                 buf.put_u64_le(*addr);
                 buf.put_u64_le(*len);
             }
-            Request::Invalidate { addr } => buf.put_u64_le(*addr),
             Request::QueryDurable { client_id } => buf.put_u32_le(*client_id),
             Request::Promote { primary } => buf.put_u8(*primary),
             Request::QueryReplica => {}
@@ -381,7 +360,6 @@ impl Request {
                     addr: buf.get_u64_le(),
                 }
             }
-            REQ_OPEN_STAGING => Request::OpenStaging,
             REQ_FLUSH_RANGE => {
                 if buf.remaining() < 16 {
                     return Err(malformed);
@@ -389,14 +367,6 @@ impl Request {
                 Request::FlushRange {
                     addr: buf.get_u64_le(),
                     len: buf.get_u64_le(),
-                }
-            }
-            REQ_INVALIDATE => {
-                if buf.remaining() < 8 {
-                    return Err(malformed);
-                }
-                Request::Invalidate {
-                    addr: buf.get_u64_le(),
                 }
             }
             REQ_QUERY_DURABLE => {
@@ -428,7 +398,6 @@ impl Response {
         match self {
             Response::Mount(_) => RESP_MOUNT,
             Response::Alloc { .. } => RESP_ALLOC,
-            Response::Staging { .. } => RESP_STAGING,
             Response::Durable { .. } => RESP_DURABLE,
             Response::Ok => RESP_OK,
             Response::Replica { .. } => RESP_REPLICA,
@@ -460,13 +429,6 @@ impl Response {
                 buf.put_u8(m.backup);
             }
             Response::Alloc { addr } => buf.put_u64_le(*addr),
-            Response::Staging {
-                client_id,
-                ring_offset,
-            } => {
-                buf.put_u32_le(*client_id);
-                buf.put_u64_le(*ring_offset);
-            }
             Response::Durable { seq } => buf.put_u64_le(*seq),
             Response::Ok => {}
             Response::Replica { backup } => buf.put_u8(*backup),
@@ -526,15 +488,6 @@ impl Response {
                 }
                 Response::Alloc {
                     addr: buf.get_u64_le(),
-                }
-            }
-            RESP_STAGING => {
-                if buf.remaining() < 12 {
-                    return Err(malformed);
-                }
-                Response::Staging {
-                    client_id: buf.get_u32_le(),
-                    ring_offset: buf.get_u64_le(),
                 }
             }
             RESP_DURABLE => {
@@ -619,9 +572,7 @@ mod tests {
         });
         roundtrip_req(Request::Alloc { size: 12345 });
         roundtrip_req(Request::Free { addr: u64::MAX / 3 });
-        roundtrip_req(Request::OpenStaging);
         roundtrip_req(Request::FlushRange { addr: 64, len: 128 });
-        roundtrip_req(Request::Invalidate { addr: 99 });
         roundtrip_req(Request::QueryDurable { client_id: 4 });
         roundtrip_req(Request::Promote { primary: 3 });
         roundtrip_req(Request::QueryReplica);
@@ -646,10 +597,6 @@ mod tests {
             backup: 1,
         }));
         roundtrip_resp(Response::Alloc { addr: 42 });
-        roundtrip_resp(Response::Staging {
-            client_id: 3,
-            ring_offset: 1 << 20,
-        });
         roundtrip_resp(Response::Durable { seq: 77 });
         roundtrip_resp(Response::Ok);
         roundtrip_resp(Response::Replica { backup: NO_BACKUP });
@@ -750,7 +697,7 @@ mod tests {
         );
         // An untraced caller encodes the zero context.
         let mut buf = Vec::new();
-        Request::OpenStaging.encode(0, &mut buf);
+        Request::QueryReplica.encode(0, &mut buf);
         let (_, ctx, _) = Request::decode_traced(&buf).unwrap();
         assert_eq!(ctx, TraceCtx::default());
     }

@@ -30,22 +30,16 @@
 //! failover the lane roles invert: the mirror becomes the only target.
 
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use gengar_rdma::{Endpoint, MemoryRegion, Payload, PendingOps, RKey, RemoteAddr, SendOp, Sge};
-use gengar_telemetry::{CounterHandle, GaugeHandle, HistogramHandle, TelemetryConfig, Tracer};
+use gengar_telemetry::{CounterHandle, GaugeHandle, TelemetryConfig, Tracer};
 
 use crate::error::GengarError;
 use crate::layout::{checksum, encode_record_header, RECORD_HEADER};
 
 /// Slots per staging ring.
 pub const SLOTS_PER_RING: u32 = 16;
-
-/// Default patience of [`StagingWriter::wait_drained`]. A healthy proxy
-/// drains a slot in microseconds; a watermark that has not moved for this
-/// long means the server is gone or the drain threads are stopped, and the
-/// wait reports [`gengar_rdma::RdmaError::Timeout`] instead of hanging.
-pub const DEFAULT_DRAIN_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Ring geometry shared between client and server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,18 +163,14 @@ pub struct StagingWriter {
     /// Set when a mirror WR failed and the lane was dropped; the client
     /// harvests it to trigger background re-mirroring.
     mirror_lost: bool,
-    /// Patience of [`StagingWriter::wait_drained`] before it reports the
-    /// drain as stalled.
-    drain_deadline: Duration,
     /// Compact QoS tenant tag stamped into every record header so the
     /// server drain can account durable bytes per tenant (0 = QoS off).
     tenant_tag: u32,
-    /// `proxy.*` handles: in-flight ring occupancy, staged-record count,
-    /// ring-full stalls and staging latency.
+    /// `proxy.*` handles: in-flight ring occupancy, staged-record count
+    /// and ring-full stalls.
     occupancy: GaugeHandle,
     staged: CounterHandle,
     ring_full_waits: CounterHandle,
-    stage_ns: HistogramHandle,
     /// `replica.*` handles: records staged but not yet drained by the
     /// mirror lane, and mirror lanes dropped after a failed WR or
     /// watermark read. Both feed the replication health component.
@@ -221,12 +211,10 @@ impl StagingWriter {
             mirror_drained: 0,
             primary_down: false,
             mirror_lost: false,
-            drain_deadline: DEFAULT_DRAIN_DEADLINE,
             tenant_tag: 0,
             occupancy: tel.gauge("proxy", "ring_occupancy"),
             staged: tel.counter("proxy", "staged_records"),
             ring_full_waits: tel.counter("proxy", "ring_full_waits"),
-            stage_ns: tel.histogram("proxy", "stage_ns"),
             mirror_lag: tel.gauge("replica", "mirror_lag"),
             mirror_losses: tel.counter("replica", "mirror_losses"),
         }
@@ -250,11 +238,6 @@ impl StagingWriter {
     /// Sequence numbers staged but not yet observed drained, oldest first.
     pub fn in_flight(&self) -> impl Iterator<Item = u64> + '_ {
         self.in_flight.iter().copied()
-    }
-
-    /// Adjusts the patience of [`StagingWriter::wait_drained`].
-    pub fn set_drain_deadline(&mut self, deadline: Duration) {
-        self.drain_deadline = deadline;
     }
 
     /// Sets the QoS tenant tag stamped into subsequent record headers.
@@ -373,24 +356,15 @@ impl StagingWriter {
     /// Stages a durable write of `data` to raw global address `addr_raw`:
     /// a blocking flight of one, gathered in the writer's own scratch lane.
     /// Returns the record's sequence number. Durable when this returns.
+    /// It never waits for ring room: a reconnecting client replays at most
+    /// a ring's worth of records into a fresh ring with it.
     ///
     /// # Errors
     ///
     /// [`GengarError::ObjectTooLarge`] if `data` exceeds the slot payload;
-    /// transport failures as [`GengarError::Rdma`].
+    /// [`GengarError::ProtocolViolation`] if the ring is full; transport
+    /// failures as [`GengarError::Rdma`].
     pub fn stage_write(&mut self, addr_raw: u64, data: &[u8]) -> Result<u64, GengarError> {
-        let _t = self.stage_ns.span();
-        // A full local view may only be stale: re-read the watermark before
-        // counting a wait, then wait for the proxy to drain the oldest slot.
-        if self.ring_room() == 0 {
-            self.refresh_drained()?;
-        }
-        while self.ring_room() == 0 {
-            let _wait = Tracer::global().span("proxy.ring_full_wait");
-            self.ring_full_waits.inc();
-            let oldest = *self.in_flight.front().expect("nonempty");
-            self.wait_drained(oldest)?;
-        }
         let mut flight = self.stage_batch_begin(&[(addr_raw, data, self.scratch_off)])?;
         while !self.poll_flight(&mut flight) {
             if let Some(wake) = self.flight_done_wake(&flight) {
@@ -409,11 +383,17 @@ impl StagingWriter {
         self.layout.slots as usize - self.in_flight.len()
     }
 
-    /// Counts one ring-full stall (`proxy.ring_full_waits`). The blocking
-    /// [`StagingWriter::stage_write`] counts its own waits; the concurrent
-    /// issue engine, which parks instead of blocking, calls this when its
-    /// first re-read of the watermark still leaves the ring too full for a
-    /// flight. A full *local* view that the re-read clears is not a wait.
+    /// The sequence number that must drain before `n` more records fit the
+    /// ring; `None` when they fit by the last watermark read.
+    pub fn drained_for_room(&self, n: usize) -> Option<u64> {
+        let short = (self.in_flight.len() + n).saturating_sub(self.layout.slots as usize);
+        short.checked_sub(1).map(|i| self.in_flight[i])
+    }
+
+    /// Counts one ring-full stall (`proxy.ring_full_waits`). The issue
+    /// engine calls this when its first re-read of the watermark still
+    /// leaves the ring too full for a flight; a full *local* view that the
+    /// re-read clears is not a wait.
     pub fn note_ring_full(&self) {
         self.ring_full_waits.inc();
     }
@@ -702,40 +682,6 @@ impl StagingWriter {
         self.occupancy.set(self.in_flight.len() as i64);
         self.publish_mirror_lag();
         Ok(effective)
-    }
-
-    /// Blocks until the record with sequence `seq` has been drained to NVM.
-    ///
-    /// Waits *politely*: after each unsuccessful watermark check the thread
-    /// sleeps with growing backoff. Flow-control stalls mean the proxy is
-    /// behind; burning the CPU here would only starve it further (clients
-    /// and servers share cores in the emulation).
-    ///
-    /// # Errors
-    ///
-    /// Transport failures as [`GengarError::Rdma`];
-    /// [`gengar_rdma::RdmaError::Timeout`] if the watermark makes no
-    /// progress for the drain deadline (stalled or dead proxy) — the wait
-    /// never hangs forever.
-    pub fn wait_drained(&mut self, seq: u64) -> Result<(), GengarError> {
-        let mut sleep_us = 5u64;
-        let mut last_progress = Instant::now();
-        let mut last_seen = self.effective_drained();
-        while self.effective_drained() < seq {
-            let drained = self.refresh_drained()?;
-            if drained > last_seen {
-                last_seen = drained;
-                last_progress = Instant::now();
-            }
-            if drained < seq {
-                if last_progress.elapsed() >= self.drain_deadline {
-                    return Err(GengarError::Rdma(gengar_rdma::RdmaError::Timeout));
-                }
-                std::thread::sleep(Duration::from_micros(sleep_us));
-                sleep_us = (sleep_us * 2).min(200);
-            }
-        }
-        Ok(())
     }
 }
 

@@ -398,7 +398,7 @@ mod tests {
         });
         let resp = clients[0].call(&Request::Alloc { size: 21 }).unwrap();
         assert_eq!(resp, Response::Alloc { addr: 42 });
-        let resp = clients[0].call(&Request::OpenStaging).unwrap();
+        let resp = clients[0].call(&Request::QueryReplica).unwrap();
         assert_eq!(resp, Response::Ok);
     }
 
@@ -412,7 +412,7 @@ mod tests {
             Response::Durable { seq: count }
         });
         for i in 1..=100u64 {
-            let resp = clients[0].call(&Request::OpenStaging).unwrap();
+            let resp = clients[0].call(&Request::QueryReplica).unwrap();
             assert_eq!(resp, Response::Durable { seq: i });
         }
     }
@@ -439,7 +439,7 @@ mod tests {
         }
         // The connection is free again: a plain call follows a begun one.
         assert_eq!(
-            clients[0].call(&Request::OpenStaging).unwrap(),
+            clients[0].call(&Request::QueryReplica).unwrap(),
             Response::Ok
         );
     }

@@ -60,7 +60,8 @@ use crate::rpc::{RpcServerConn, RPC_BUF_BYTES};
 const RETIRED: u64 = 1 << 63;
 
 /// Everything a client needs after [`MemoryServer::accept`]: three
-/// endpoints (control RPC, one-sided data, proxy ring) on the client side.
+/// endpoints (control RPC, one-sided data, proxy ring) on the client side,
+/// and where its staging ring sits.
 #[derive(Debug)]
 pub struct ClientChannel {
     /// The client id the server assigned to this mount. Hand it back via
@@ -71,6 +72,8 @@ pub struct ClientChannel {
     pub rpc: Endpoint,
     /// Data-plane endpoint for one-sided READ/WRITE/CAS.
     pub data: Endpoint,
+    /// Byte offset of this client's ring within the staging region.
+    pub ring_offset: u64,
     /// Proxy endpoint for staged writes.
     pub proxy: Endpoint,
 }
@@ -565,6 +568,7 @@ impl MemoryServer {
                 cid,
                 rpc,
                 data,
+                ring_offset: cid as u64 * inner.ring.ring_bytes(),
                 proxy,
             })
         })
@@ -1474,7 +1478,7 @@ impl ServerInner {
         self.metrics.rpc_requests.inc();
         // QoS enforcement on the RPC path: every post-handshake request
         // charges the tenant's enforcement-margin ops bucket. Handshake
-        // requests (Mount, OpenStaging) pass free so throttling never
+        // requests (Mount) pass free so throttling never
         // starves reconnects. Over-budget tenants get THROTTLED, which the
         // client classifies as retryable and backs off.
         // Promote and QueryReplica also pass free: they run exactly when a
@@ -1486,7 +1490,6 @@ impl ServerInner {
             if !matches!(
                 req,
                 Request::Mount { .. }
-                    | Request::OpenStaging
                     | Request::Promote { .. }
                     | Request::QueryReplica
                     | Request::Inspect
@@ -1523,12 +1526,7 @@ impl ServerInner {
             }
             Request::Alloc { size } => self.handle_alloc(size),
             Request::Free { addr } => self.handle_free(addr),
-            Request::OpenStaging => Response::Staging {
-                client_id: cid,
-                ring_offset: cid as u64 * self.ring.ring_bytes(),
-            },
-            Request::FlushRange { addr, len } => self.handle_flush(addr, len, true),
-            Request::Invalidate { addr } => self.handle_flush(addr, 0, false),
+            Request::FlushRange { addr, len } => self.handle_flush(addr, len),
             Request::QueryDurable { client_id } => self.retire_ring(client_id),
             Request::Promote { primary } => self.handle_promote(primary),
             Request::QueryReplica => Response::Replica {
@@ -1693,10 +1691,10 @@ impl ServerInner {
         }
     }
 
-    /// Flush (and/or invalidate the cached copy of) a written range. After
+    /// Flushes a written range and invalidates its object's cached copy. After
     /// a promotion this server also accepts addresses of the primaries it
     /// promoted for, flushing their ranges in the shadow image instead.
-    fn handle_flush(&self, addr_raw: u64, len: u64, flush: bool) -> Response {
+    fn handle_flush(&self, addr_raw: u64, len: u64) -> Response {
         let addr = match GlobalAddr::from_raw(addr_raw) {
             Some(a)
                 if a.class() == MemClass::Nvm
@@ -1723,17 +1721,10 @@ impl ServerInner {
             }
         };
         let off = addr.offset();
-        if flush {
-            if off + len > region.len() {
-                return Response::Err {
-                    code: err_code::INVALID_ADDR,
-                };
-            }
-            if region.flush(off, len.max(1)).is_err() {
-                return Response::Err {
-                    code: err_code::INVALID_ADDR,
-                };
-            }
+        if off + len > region.len() || region.flush(off, len.max(1)).is_err() {
+            return Response::Err {
+                code: err_code::INVALID_ADDR,
+            };
         }
         // The shadow image is never DRAM-cached, so only local addresses
         // have a cached copy to invalidate.

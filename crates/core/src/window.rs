@@ -9,7 +9,7 @@
 //! results returned here let it replay only the slots that did not
 //! complete (see DESIGN.md "Pipelining & batching").
 
-use gengar_rdma::{Endpoint, PendingOps, RdmaError, SendOp, Wc};
+use gengar_rdma::{Endpoint, PendingOps, SendOp};
 use gengar_telemetry::{GaugeHandle, HistogramHandle, TelemetryConfig};
 
 use crate::error::GengarError;
@@ -17,7 +17,7 @@ use crate::error::GengarError;
 /// A fixed-depth issue window over one connection's data endpoint.
 ///
 /// The window itself is stateless across submissions (no slots survive a
-/// `submit`), which is what makes reconnects trivial: a new endpoint can
+/// `post`), which is what makes reconnects trivial: a new endpoint can
 /// be swapped in under the same window.
 #[derive(Debug)]
 pub struct OpWindow {
@@ -45,45 +45,6 @@ impl OpWindow {
     /// Configured window depth.
     pub fn depth(&self) -> u32 {
         self.depth
-    }
-
-    /// Posts `ops` through `ep` in doorbell batches of at most `depth`,
-    /// returning one result per operation in submission order.
-    ///
-    /// Per-operation transport failures land in the inner results so the
-    /// caller can retry exactly the slots that did not complete; slots
-    /// behind a fatal completion come back as flushed
-    /// ([`RdmaError::CompletionError`] with `WrFlushed`), slots lost on
-    /// the wire as [`RdmaError::Timeout`].
-    ///
-    /// # Errors
-    ///
-    /// The outer `Err` is reserved for failures of the post itself
-    /// (programming errors, dead QP): nothing in the affected batch
-    /// executed.
-    pub fn submit(
-        &self,
-        ep: &Endpoint,
-        ops: Vec<SendOp>,
-    ) -> Result<Vec<Result<Wc, RdmaError>>, GengarError> {
-        let mut out = Vec::with_capacity(ops.len());
-        let mut rest = ops;
-        while !rest.is_empty() {
-            let take = rest.len().min(self.depth as usize);
-            let tail = rest.split_off(take);
-            let chunk = std::mem::replace(&mut rest, tail);
-            let mut pending = self.post(ep, chunk)?;
-            while !ep.poll_pending(&mut pending) {
-                // The chunk settles as a unit, so sleep until the whole
-                // doorbell is expected done, not until its next staggered
-                // completion.
-                if let Some(wake) = ep.pending_done_wake(&pending) {
-                    gengar_hybridmem::latency::spin_until(wake);
-                }
-            }
-            out.extend(pending.into_results());
-        }
-        Ok(out)
     }
 
     /// Posts one doorbell batch of at most `depth` operations through `ep`

@@ -7,7 +7,7 @@ use std::time::Duration;
 use gengar_core::cluster::Cluster;
 use gengar_core::config::{ClientConfig, Consistency, ServerConfig};
 use gengar_core::layout::{encode_record_header, RECORD_HEADER};
-use gengar_core::GengarError;
+use gengar_core::{GengarError, GlobalPtr};
 use gengar_rdma::{FabricConfig, FaultPlane};
 
 fn crash_cluster() -> Cluster {
@@ -292,6 +292,103 @@ fn retried_seqlock_write_releases_the_lock_it_took() {
     first.write(ptr, 0, &[3u8; 64]).unwrap();
     second.read(ptr, 0, &mut buf).unwrap();
     assert!(buf.iter().all(|&b| b == 3));
+}
+
+/// A cluster of one server whose fabric carries `plane`, and a client of
+/// it holding one 64-byte object that reads 0.
+fn faulted_object(plane: &Arc<FaultPlane>) -> (Cluster, gengar_core::GengarClient, GlobalPtr) {
+    let mut fabric = FabricConfig::instant();
+    fabric.faults = Some(Arc::clone(plane));
+    let cluster = Cluster::launch(1, ServerConfig::small(), fabric).unwrap();
+    let mut client = cluster.default_client().unwrap();
+    let ptr = client.alloc(0, 64).unwrap();
+    client.write(ptr, 0, &[0u8; 64]).unwrap();
+    client.drain_all().unwrap();
+    (cluster, client, ptr)
+}
+
+/// The lock CAS dies with its queue pair. `lock` runs on the issue path
+/// like a locked write's CAS does, so it reconnects and takes the lock
+/// instead of failing.
+#[test]
+fn lock_survives_a_failed_cas_through_a_reconnect() {
+    let plane = Arc::new(FaultPlane::new(13));
+    let (cluster, mut client, ptr) = faulted_object(&plane);
+    let mut rival = cluster
+        .client(ClientConfig {
+            lock_retries: 3,
+            ..Default::default()
+        })
+        .unwrap();
+
+    plane.parse("err:verb=cas,at=1").unwrap();
+    client
+        .lock(ptr)
+        .expect("the lock must survive one failed CAS");
+    assert_eq!(client.stats().reconnects, 1, "the CAS must have failed");
+    assert!(matches!(
+        rival.lock(ptr),
+        Err(GengarError::LockContended(_))
+    ));
+    client.unlock(ptr).unwrap();
+    rival.lock(ptr).unwrap();
+    rival.unlock(ptr).unwrap();
+}
+
+/// The flush RPC behind an atomic is lost: dropped on the wire (the RPC
+/// re-sends it) or failed with its queue pair (the op reconnects and
+/// retries). Either way only the flush goes out again; the atomic applies
+/// once.
+#[test]
+fn atomics_apply_once_when_their_flush_is_lost() {
+    for spec in ["drop:verb=send,at=1", "err:verb=send,at=1"] {
+        for cas in [false, true] {
+            let plane = Arc::new(FaultPlane::new(17));
+            let (_cluster, mut client, ptr) = faulted_object(&plane);
+            plane.parse(spec).unwrap();
+            let prev = if cas {
+                client.cas_u64(ptr, 0, 0, 1).unwrap()
+            } else {
+                client.faa_u64(ptr, 0, 1).unwrap()
+            };
+            assert_eq!(prev, 0, "{spec} cas={cas}");
+            if spec.starts_with("err") {
+                let stats = client.stats();
+                assert!(
+                    stats.retries >= 1 && stats.reconnects == 1,
+                    "{spec}: {stats:?}"
+                );
+            }
+            let mut buf = [0u8; 8];
+            client.read(ptr, 0, &mut buf).unwrap();
+            assert_eq!(
+                u64::from_le_bytes(buf),
+                1,
+                "{spec} cas={cas}: applied twice"
+            );
+        }
+    }
+}
+
+/// A barrier against a server whose drain threads are gone cannot wait
+/// forever: the stalled watermark fails it within the operation deadline.
+#[test]
+fn drain_all_fails_within_its_deadline_on_a_stopped_server() {
+    let cluster = Cluster::launch(1, ServerConfig::small(), FabricConfig::instant()).unwrap();
+    let config = fast_fail_config();
+    let deadline = config.op_deadline;
+    let mut client = cluster.client(config).unwrap();
+    let ptr = client.alloc(0, 64).unwrap();
+    cluster.server(0).unwrap().shutdown();
+    client.write(ptr, 0, &[5u8; 64]).unwrap();
+    let t0 = std::time::Instant::now();
+    let err = client.drain_all().unwrap_err();
+    assert!(matches!(err, GengarError::Rdma(_)), "got {err:?}");
+    assert!(
+        t0.elapsed() < deadline + Duration::from_secs(1),
+        "took {:?}",
+        t0.elapsed()
+    );
 }
 
 #[test]

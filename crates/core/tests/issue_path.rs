@@ -2,7 +2,8 @@
 //! writes under the one-write-per-object window rule, cache-frame reads
 //! and the one-doorbell NVM triple under `Consistency::Seqlock`, reads
 //! whose store-buffer entry has drained, the one-sided hotness reports
-//! that follow a batch, and the ring-full waits a staged window counts.
+//! that follow a batch, the ring-full waits a staged window counts, and
+//! what connecting and the scalar lock and atomic calls cost.
 //!
 //! Doorbell, RPC and wait accounting comes from the process-global metrics
 //! registry, so every test here serialises on [`REGISTRY_LOCK`] and asserts
@@ -382,4 +383,42 @@ fn a_stale_full_ring_view_is_not_a_ring_full_wait() {
     client.drain_all().unwrap();
     observer.read(ptr, 0, &mut probe).unwrap();
     assert!(probe.iter().all(|&b| b == 0xEE));
+}
+
+/// Connecting costs each server one RPC, the Mount: the staging ring is
+/// the one the accept assigned, so no second round trip asks for it.
+#[test]
+fn connecting_costs_each_server_one_rpc() {
+    const SERVERS: usize = 3;
+    let _guard = registry_guard();
+    let cluster = Cluster::launch(SERVERS, ServerConfig::small(), FabricConfig::instant()).unwrap();
+    let rpcs = counter("server.rpc_requests");
+    let _client = cluster.default_client().unwrap();
+    assert_eq!(counter("server.rpc_requests"), rpcs + SERVERS as u64);
+}
+
+/// The atomics, the lock calls and the lock-word read record no sample in
+/// the clients' read and write latency histograms.
+#[test]
+fn atomics_and_lock_calls_record_no_read_or_write_latency() {
+    let _guard = registry_guard();
+    let samples = |name: &str| {
+        Registry::global()
+            .snapshot()
+            .histogram(name)
+            .map_or(0, |h| h.count)
+    };
+    let cluster = Cluster::launch(1, ServerConfig::small(), FabricConfig::instant()).unwrap();
+    let mut client = cluster.default_client().unwrap();
+    let ptr = client.alloc(0, 64).unwrap();
+    let before = (samples("client.read_ns"), samples("client.write_ns"));
+    client.cas_u64(ptr, 0, 0, 1).unwrap();
+    client.faa_u64(ptr, 0, 1).unwrap();
+    client.lock(ptr).unwrap();
+    client.read_lock_word(ptr).unwrap();
+    client.unlock(ptr).unwrap();
+    assert_eq!(
+        (samples("client.read_ns"), samples("client.write_ns")),
+        before
+    );
 }

@@ -247,6 +247,24 @@ fn cas_and_faa_work_on_pool_objects() {
     assert_eq!(u64::from_le_bytes(buf), 8);
 }
 
+/// The atomics, the lock calls and the lock-word read run as batches of
+/// their own kinds: none of them counts as a read or a write.
+#[test]
+fn atomics_and_lock_calls_are_neither_reads_nor_writes() {
+    let cluster = small_cluster(1);
+    let mut client = cluster.default_client().unwrap();
+    let ptr = client.alloc(0, 64).unwrap();
+    let before = client.stats();
+    assert_eq!(client.cas_u64(ptr, 0, 0, 2).unwrap(), 0);
+    assert_eq!(client.faa_u64(ptr, 0, 3).unwrap(), 2);
+    client.lock(ptr).unwrap();
+    let word = client.read_lock_word(ptr).unwrap();
+    assert!(gengar_core::layout::lockword::is_locked(word));
+    client.unlock(ptr).unwrap();
+    let after = client.stats();
+    assert_eq!((after.reads, after.writes), (before.reads, before.writes));
+}
+
 #[test]
 fn locks_serialize_read_modify_write_across_clients() {
     let cluster = Arc::new(small_cluster(1));

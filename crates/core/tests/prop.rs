@@ -115,7 +115,6 @@ proptest! {
             Request::Alloc { size },
             Request::Free { addr },
             Request::FlushRange { addr, len: size },
-            Request::Invalidate { addr },
         ];
         for req in reqs {
             let mut buf = Vec::new();

@@ -9,9 +9,11 @@ use crate::bandwidth::BandwidthLimiter;
 use crate::error::HybridMemError;
 use crate::latency::{scaled_duration, spin_for_ns, spin_until, time_scale};
 use crate::profile::{DeviceProfile, PersistenceMode};
-use crate::registry::DeviceId;
 use crate::stats::DeviceStats;
 use crate::Result;
+
+/// Identifier of a device within a simulated deployment.
+pub type DeviceId = u32;
 
 /// Cache-line size assumed by the flush cost model.
 pub const CACHE_LINE: u64 = 64;
@@ -554,12 +556,12 @@ impl MemDevice {
     /// Returns [`HybridMemError::OutOfBounds`] if any range exceeds
     /// capacity; nothing is flushed then.
     pub fn flush_at(&self, ranges: &[(u64, u64)], start: Instant) -> Result<Instant> {
-        self.flush_ranges_at(0, ranges, start)
+        self.flush_shifted_at(0, ranges, start)
     }
 
     /// [`MemDevice::flush_at`] of `ranges` shifted by `base` (a region's
     /// window), so a region flushes without translating into a copy.
-    pub(crate) fn flush_ranges_at(
+    pub(crate) fn flush_shifted_at(
         &self,
         base: u64,
         ranges: &[(u64, u64)],

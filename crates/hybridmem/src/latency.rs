@@ -92,49 +92,6 @@ pub fn spin_until(deadline: Instant) {
     }
 }
 
-/// A timer that accumulates a latency budget and spins it away in one shot.
-///
-/// Composite operations (e.g. an RDMA read: NIC processing + fabric
-/// propagation + device access) accumulate their per-stage delays into a
-/// single `SpinTimer` and pay the total once, which avoids the fixed cost of
-/// repeated `Instant::now` calls dominating sub-microsecond stages.
-///
-/// ```
-/// use gengar_hybridmem::SpinTimer;
-///
-/// let mut t = SpinTimer::new();
-/// t.add_ns(250); // NIC
-/// t.add_ns(300); // device read
-/// t.wait();      // one busy-wait of ~550 ns (times the global scale)
-/// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SpinTimer {
-    budget_ns: u64,
-}
-
-impl SpinTimer {
-    /// Creates an empty timer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `ns` nanoseconds to the pending budget.
-    pub fn add_ns(&mut self, ns: u64) {
-        self.budget_ns = self.budget_ns.saturating_add(ns);
-    }
-
-    /// Returns the accumulated (unscaled) budget in nanoseconds.
-    pub fn budget_ns(&self) -> u64 {
-        self.budget_ns
-    }
-
-    /// Spins away the accumulated budget and resets it to zero.
-    pub fn wait(&mut self) {
-        let ns = std::mem::take(&mut self.budget_ns);
-        spin_for_ns(ns);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,27 +132,5 @@ mod tests {
         let el = t0.elapsed();
         assert!(el >= Duration::from_millis(2), "spun only {el:?}");
         set_time_scale(old);
-    }
-
-    #[test]
-    fn timer_accumulates_and_resets() {
-        let _g = SCALE_LOCK.lock().unwrap();
-        let mut t = SpinTimer::new();
-        t.add_ns(100);
-        t.add_ns(200);
-        assert_eq!(t.budget_ns(), 300);
-        let old = time_scale();
-        set_time_scale(0.0);
-        t.wait();
-        set_time_scale(old);
-        assert_eq!(t.budget_ns(), 0);
-    }
-
-    #[test]
-    fn timer_budget_saturates() {
-        let mut t = SpinTimer::new();
-        t.add_ns(u64::MAX);
-        t.add_ns(1);
-        assert_eq!(t.budget_ns(), u64::MAX);
     }
 }

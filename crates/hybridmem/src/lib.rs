@@ -41,16 +41,14 @@ pub mod error;
 pub mod latency;
 pub mod profile;
 pub mod region;
-pub mod registry;
 pub mod stats;
 
 pub use bandwidth::BandwidthLimiter;
-pub use device::MemDevice;
+pub use device::{DeviceId, MemDevice};
 pub use error::HybridMemError;
-pub use latency::{set_time_scale, time_scale, SpinTimer};
+pub use latency::{set_time_scale, time_scale};
 pub use profile::{DeviceProfile, MemKind, PersistenceMode};
 pub use region::MemRegion;
-pub use registry::{DeviceId, DeviceRegistry};
 pub use stats::DeviceStats;
 
 /// Crate-wide result alias.

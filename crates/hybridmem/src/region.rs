@@ -220,7 +220,7 @@ impl MemRegion {
         for &(offset, len) in ranges {
             self.translate(offset, len)?;
         }
-        self.device.flush_ranges_at(self.base, ranges, start)
+        self.device.flush_shifted_at(self.base, ranges, start)
     }
 
     /// Atomically loads the u64 at region-relative `offset`.

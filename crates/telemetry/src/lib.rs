@@ -45,7 +45,7 @@ pub use trace::{
     adopt, current_context, ContextGuard, FlightRecorder, SpanId, SpanRecord, TraceId, TraceMode,
     TraceSpan, Tracer,
 };
-pub use window::{SamplerThread, Window, WindowEntry, WindowRing, WindowSampler};
+pub use window::{Window, WindowEntry, WindowRing, WindowSampler};
 
 use std::sync::Arc;
 

@@ -10,7 +10,7 @@
 //!
 //! The hot metric-recording path is untouched: samples still land in the
 //! same lock-free counters and histograms, and all window arithmetic runs on
-//! the sampler's thread against owned snapshots. Readers clone `Arc`s out of
+//! the sampling caller's thread against owned snapshots. Readers clone `Arc`s out of
 //! the ring (the ring lock is held only for the O(1) clone), so a window
 //! handed out is immutable and safe to inspect at leisure.
 //!
@@ -21,9 +21,7 @@
 //! burn-rate math relies on.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::metrics::{HistogramSnapshot, LatencyHistogram};
@@ -274,15 +272,13 @@ impl WindowRing {
 ///
 /// Each [`WindowSampler::sample`] call closes one window: it snapshots the
 /// registry, subtracts the snapshot taken at the previous call, and pushes
-/// the delta into the ring. Call it from a dedicated thread
-/// ([`WindowSampler::start`]) for wall-clock windows, or manually from a
-/// health-plane tick for sampling in lockstep with evaluation.
+/// the delta into the ring. The health plane calls it from its tick, so
+/// windows are sampled in lockstep with evaluation.
 #[derive(Debug)]
 pub struct WindowSampler {
     registry: Arc<Registry>,
     ring: WindowRing,
     state: Mutex<SamplerState>,
-    stop: AtomicBool,
 }
 
 #[derive(Debug)]
@@ -306,7 +302,6 @@ impl WindowSampler {
                 opened: Instant::now(),
                 seq: 0,
             }),
-            stop: AtomicBool::new(false),
         })
     }
 
@@ -343,59 +338,6 @@ impl WindowSampler {
         state.opened = Instant::now();
         drop(state);
         self.ring.ring.write().expect("window ring lock").clear();
-    }
-
-    /// Spawns the sampling thread, closing one window every `interval`
-    /// until [`SamplerThread::stop`] (or drop).
-    pub fn start(self: &Arc<Self>, interval: Duration) -> SamplerThread {
-        let sampler = Arc::clone(self);
-        sampler.stop.store(false, Ordering::Relaxed);
-        let join = std::thread::Builder::new()
-            .name("gengar-window-sampler".into())
-            .spawn({
-                let sampler = Arc::clone(&sampler);
-                move || {
-                    while !sampler.stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(interval);
-                        if sampler.stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        sampler.sample();
-                    }
-                }
-            })
-            .expect("spawn window sampler");
-        SamplerThread {
-            sampler,
-            join: Some(join),
-        }
-    }
-}
-
-/// Owner of a running sampler thread; stops and joins it on drop.
-#[derive(Debug)]
-pub struct SamplerThread {
-    sampler: Arc<WindowSampler>,
-    join: Option<JoinHandle<()>>,
-}
-
-impl SamplerThread {
-    /// Stops the thread and waits for it to exit.
-    pub fn stop(mut self) {
-        self.halt();
-    }
-
-    fn halt(&mut self) {
-        self.sampler.stop.store(true, Ordering::Relaxed);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
-impl Drop for SamplerThread {
-    fn drop(&mut self) {
-        self.halt();
     }
 }
 
@@ -568,23 +510,5 @@ mod tests {
         assert_eq!(merged_hist.sum_ns, cum_hist.sum_ns);
         assert_eq!(merged_hist.buckets, cum_hist.buckets);
         assert_eq!(merged_hist.p99_ns(), cum_hist.p99_ns());
-    }
-
-    #[test]
-    fn sampler_thread_samples_until_stopped() {
-        let r = Arc::new(Registry::new());
-        let c = r.counter("c", "ops");
-        let sampler = WindowSampler::new(Arc::clone(&r), 64);
-        let thread = sampler.start(Duration::from_millis(1));
-        c.add(3);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while sampler.ring().is_empty() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        thread.stop();
-        let n = sampler.ring().len();
-        assert!(n >= 1, "sampler thread never sampled");
-        std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(sampler.ring().len(), n, "sampled after stop");
     }
 }
