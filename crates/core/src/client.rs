@@ -3269,18 +3269,6 @@ impl GengarClient {
         }
     }
 
-    /// Waits until every operation of a doorbell on connection `idx`'s data
-    /// QP has its result.
-    fn await_doorbell(&self, idx: usize, mut ops: PendingOps) -> Vec<Result<Wc, RdmaError>> {
-        let data = &self.conns[idx].data;
-        while !data.poll_pending(&mut ops) {
-            if let Some(wake) = data.pending_done_wake(&ops) {
-                spin_until(wake);
-            }
-        }
-        ops.into_results()
-    }
-
     /// Waits out a report doorbell and settles it: the slots that landed
     /// advance the lane's seq (the WRITEs behind the first failed one go
     /// back to pending, to be rewritten under the same seqs) and the READ
@@ -3288,7 +3276,7 @@ impl GengarClient {
     /// of a mailbox whose header announces a new seq.
     fn settle_report(&mut self, flight: ReportFlight) -> Result<Option<(usize, u64)>, GengarError> {
         let idx = flight.idx;
-        let mut results = self.await_doorbell(idx, flight.ops);
+        let mut results = self.conns[idx].data.wait(flight.ops);
         let read = results.pop().expect("the doorbell ends in the cursor READ");
         let landed = results.iter().take_while(|r| r.is_ok()).count();
         let server = self.conns[idx].mount.server_id;
@@ -3323,7 +3311,9 @@ impl GengarClient {
         /// server's default 32 MiB cache. The cap only bounds the map's
         /// growth; past it, new remaps are skipped, not evicted.
         const REMAP_ENTRIES: usize = 65_536;
-        self.await_doorbell(idx, ops)
+        self.conns[idx]
+            .data
+            .wait(ops)
             .pop()
             .expect("one READ posted")?;
         let mut mailbox = vec![0u8; len as usize];

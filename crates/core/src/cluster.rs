@@ -37,7 +37,6 @@ use crate::server::MemoryServer;
 pub struct Cluster {
     fabric: Arc<Fabric>,
     servers: Vec<Arc<MemoryServer>>,
-    client_config: ClientConfig,
     /// The cluster-shared health plane (one sampler + tick thread serves
     /// every server's `Inspect`); `None` = health layer off.
     health: Option<Arc<HealthPlane>>,
@@ -129,7 +128,6 @@ impl Cluster {
         Ok(Cluster {
             fabric,
             servers,
-            client_config: ClientConfig::default(),
             health,
             rebalance_stop,
             rebalance,
@@ -221,11 +219,6 @@ impl Cluster {
         self.health.as_ref()
     }
 
-    /// Changes the default configuration handed to new clients.
-    pub fn set_client_config(&mut self, config: ClientConfig) {
-        self.client_config = config;
-    }
-
     /// The fabric (for fault injection or extra nodes).
     pub fn fabric(&self) -> &Arc<Fabric> {
         &self.fabric
@@ -250,13 +243,13 @@ impl Cluster {
         GengarClient::connect(&self.fabric, &self.servers, config)
     }
 
-    /// Connects a client with the cluster's default client configuration.
+    /// Connects a client with the default client configuration.
     ///
     /// # Errors
     ///
     /// Propagates connection failures.
     pub fn default_client(&self) -> Result<GengarClient, GengarError> {
-        self.client(self.client_config.clone())
+        self.client(ClientConfig::default())
     }
 
     /// Shuts every server down (also happens on drop).

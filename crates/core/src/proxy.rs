@@ -288,11 +288,6 @@ impl StagingWriter {
         Ok(())
     }
 
-    /// Whether the writer is in failover mode (mirror lane only).
-    pub fn is_primary_down(&self) -> bool {
-        self.primary_down
-    }
-
     /// Harvests (and clears) the mirror-lost flag. Set when a mirror WR
     /// failed and the lane was dropped mid-stream; the client uses it to
     /// re-establish a mirror in the background.

@@ -2,6 +2,7 @@
 //! the handshake, issue-gate pacing against a live cluster, and session
 //! bookkeeping through failed-handshake storms.
 
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 use gengar_core::cluster::Cluster;
@@ -118,6 +119,76 @@ fn bandwidth_budget_paces_large_writes() {
     let mut buf = vec![0u8; 256 << 10];
     client.read(ptr, 0, &mut buf).unwrap();
     assert!(buf.iter().all(|&b| b == 0xAB));
+}
+
+/// Runs `f` on its own thread and returns its result, failing the test if
+/// it is still blocked after 10 s instead of hanging the suite.
+fn within_10s<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    match rx.recv_timeout(Duration::from_secs(10)) {
+        Ok(out) => out,
+        Err(RecvTimeoutError::Timeout) => panic!("{what}: still blocked after 10 s"),
+        Err(RecvTimeoutError::Disconnected) => panic!("{what}: panicked"),
+    }
+}
+
+/// A charge larger than the tenant's whole burst is admitted once the
+/// budget is full and pays for itself by delaying what follows, instead of
+/// parking forever: a 512 KiB write against a 256 KiB byte burst, and a
+/// 16-write window against an 8-op burst.
+#[test]
+fn charges_larger_than_the_burst_are_admitted_and_paid_for() {
+    gengar_hybridmem::set_time_scale(1.0);
+    let second_write = within_10s("512 KiB write against a 256 KiB burst", || {
+        let spec = TenantSpec {
+            name: "bulk".to_owned(),
+            ops_per_sec: 0,
+            bytes_per_sec: 1 << 20,
+            staged_bytes_cap: 0,
+            weight: 1,
+        };
+        let cluster = Cluster::launch(
+            1,
+            qos_server_config(vec![spec], 0.25),
+            FabricConfig::instant(),
+        )
+        .expect("launch");
+        let mut client = cluster.client(tenant_client_config("bulk")).unwrap();
+        let ptr = client.alloc(0, 512 << 10).unwrap();
+        let payload = vec![0x5Au8; 512 << 10];
+        client.write(ptr, 0, &payload).unwrap();
+        let t0 = Instant::now();
+        client.write(ptr, 0, &payload).unwrap();
+        t0.elapsed()
+    });
+    // The first write overdrew the budget by 256 KiB at 1 MiB/s: the
+    // second waits out ~250 ms of debt before its own charge admits.
+    assert!(
+        second_write >= Duration::from_millis(200),
+        "second 512 KiB write took {second_write:?}: the overdraft was never paid"
+    );
+
+    within_10s("16-write window against an 8-op burst", || {
+        let spec = TenantSpec {
+            name: "chatty".to_owned(),
+            ops_per_sec: 4,
+            bytes_per_sec: 0,
+            staged_bytes_cap: 0,
+            weight: 1,
+        };
+        let cluster = Cluster::launch(
+            1,
+            qos_server_config(vec![spec], 2.0),
+            FabricConfig::instant(),
+        )
+        .expect("launch");
+        let mut client = cluster.client(tenant_client_config("chatty")).unwrap();
+        let ptrs: Vec<_> = (0..16).map(|_| client.alloc(0, 64).unwrap()).collect();
+        let payload = [0xC3u8; 64];
+        let items = ptrs.iter().map(|&p| (p, 0u64, &payload[..])).collect();
+        assert!(client.write_batch(items).unwrap().all_ok());
+    });
 }
 
 /// A weight-4 tenant pays a quarter of the charge: at identical limits it

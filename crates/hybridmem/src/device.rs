@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::bandwidth::BandwidthLimiter;
+use crate::bandwidth::Limiter;
 use crate::error::HybridMemError;
 use crate::latency::{scaled_duration, spin_for_ns, spin_until, time_scale};
 use crate::profile::{DeviceProfile, PersistenceMode};
@@ -60,8 +60,8 @@ pub struct MemDevice {
     id: DeviceId,
     profile: DeviceProfile,
     backing: Backing,
-    read_bw: BandwidthLimiter,
-    write_bw: BandwidthLimiter,
+    read_bw: Limiter,
+    write_bw: Limiter,
     stats: DeviceStats,
     /// Durable image for crash simulation; `None` until enabled.
     durable: Mutex<Option<Box<[u8]>>>,
@@ -105,8 +105,8 @@ impl MemDevice {
             id,
             free,
             created: Instant::now(),
-            read_bw: BandwidthLimiter::new(profile.read_bw_bytes_per_sec),
-            write_bw: BandwidthLimiter::new(profile.write_bw_bytes_per_sec),
+            read_bw: Limiter::new(profile.read_bw_bytes_per_sec),
+            write_bw: Limiter::new(profile.write_bw_bytes_per_sec),
             profile,
             backing: Backing::new(capacity),
             stats: DeviceStats::new(),
@@ -615,11 +615,6 @@ impl MemDevice {
             }
             *durable = Some(image);
         }
-    }
-
-    /// Returns whether crash simulation is enabled.
-    pub fn crash_sim_enabled(&self) -> bool {
-        self.durable.lock().is_some()
     }
 
     /// Simulates a power failure.

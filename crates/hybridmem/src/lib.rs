@@ -12,7 +12,7 @@
 //! # Timing model
 //!
 //! Accesses inject *calibrated busy-wait delays* ([`latency`]) and pass
-//! through a token-bucket bandwidth limiter ([`bandwidth`]). The result is a
+//! through a virtual-time rate limiter ([`bandwidth`]). The result is a
 //! real-time emulation: the code under test is ordinary multi-threaded Rust,
 //! and wall-clock measurements reproduce the *shape* of the modelled
 //! hardware (NVM reads ~4x slower than DRAM, NVM write bandwidth ~3x lower,
@@ -43,7 +43,7 @@ pub mod profile;
 pub mod region;
 pub mod stats;
 
-pub use bandwidth::BandwidthLimiter;
+pub use bandwidth::Limiter;
 pub use device::{DeviceId, MemDevice};
 pub use error::HybridMemError;
 pub use latency::{set_time_scale, time_scale};

@@ -297,13 +297,20 @@ impl Endpoint {
     /// a connection death, [`RdmaError::Timeout`] for operations whose
     /// completion never arrived (e.g. dropped on the wire).
     pub fn execute_many(&self, ops: Vec<SendOp>) -> Result<Vec<Result<Wc, RdmaError>>, RdmaError> {
-        let mut pending = self.post_many(ops)?;
+        Ok(self.wait(self.post_many(ops)?))
+    }
+
+    /// Waits until every operation of a posted batch has its result and
+    /// returns them in posting order (see [`Endpoint::execute_many`] for
+    /// what each result can be). The wait sleeps until the batch's
+    /// [`Endpoint::pending_done_wake`] between harvest passes.
+    pub fn wait(&self, mut pending: PendingOps) -> Vec<Result<Wc, RdmaError>> {
         while !self.poll_pending(&mut pending) {
             if let Some(wake) = self.pending_done_wake(&pending) {
                 spin_until(wake);
             }
         }
-        Ok(pending.into_results())
+        pending.into_results()
     }
 
     /// One-sided READ of `local.len` bytes from `remote` into `local`.

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gengar_hybridmem::latency::scaled_duration;
-use gengar_hybridmem::BandwidthLimiter;
+use gengar_hybridmem::Limiter;
 use gengar_telemetry::{TelemetryConfig, Tracer};
 use parking_lot::RwLock;
 
@@ -26,12 +26,7 @@ use crate::wr::{Payload, SendOp, SendWr, Sge};
 /// so the transfer's latency is the slower channel, not the sum — while
 /// each port still stays busy for the full transfer time, so saturation
 /// effects are preserved per node.
-fn occupy_ports_at(
-    a: &BandwidthLimiter,
-    b: &BandwidthLimiter,
-    bytes: u64,
-    start: Instant,
-) -> Instant {
+fn occupy_ports_at(a: &Limiter, b: &Limiter, bytes: u64, start: Instant) -> Instant {
     let da = a.reserve_at(bytes, start);
     let db = b.reserve_at(bytes, start);
     da.max(db).unwrap_or(start)
@@ -56,7 +51,7 @@ pub enum QosVerdict {
 /// Per-source admission control consulted by the fabric for every WR that
 /// survives fault injection. Implementations key on the posting node
 /// (`src`): one client is exactly one fabric node, so a tenant registry
-/// can map node ids to token buckets without the fabric knowing about
+/// can map node ids to budgets without the fabric knowing about
 /// tenants. Nodes the policy does not know (servers, unregistered
 /// clients) must be admitted.
 ///
@@ -245,11 +240,6 @@ impl Fabric {
         self.nodes.write().remove(&id)
     }
 
-    /// Number of attached nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.read().len()
-    }
-
     /// Partitions (or heals) the link between `a` and `b`.
     pub fn partition(&self, a: NodeId, b: NodeId, partitioned: bool) {
         self.faults
@@ -419,7 +409,7 @@ impl Fabric {
     /// `nic_tx_ns` per WR but propagation and responder processing
     /// (`one_way_ns + nic_rx_ns`) only once per doorbell. Each WR then
     /// runs its own occupancy chain *from the arrival instant*: the NIC
-    /// ports and devices it crosses are FIFO token buckets, so WRs
+    /// ports and devices it crosses are FIFO serial channels, so WRs
     /// sharing a channel queue behind each other there while different
     /// stages overlap — WR `i+1`'s wire transfer proceeds while WR `i`
     /// is in the device, exactly the pipelining a deep doorbell buys on
@@ -554,7 +544,7 @@ impl Fabric {
             }
             // QoS admission runs *after* the fault draw so the seeded
             // fault RNG stream stays identical whether or not a tenant
-            // policy is installed (token-bucket state is wall-clock
+            // policy is installed (budget state is wall-clock
             // dependent and would otherwise perturb chaos schedules).
             if let Some(qos) = cfg.qos.as_ref() {
                 let bytes = match (&wr.op, &payload) {
@@ -602,7 +592,7 @@ impl Fabric {
     /// responder-side errors) ready one `resp_delay` after the op's
     /// chain end. The chain starts at `start` (the doorbell's arrival
     /// instant) — shared-channel serialisation comes from the FIFO
-    /// token buckets, not from chaining WRs end-to-end, so a doorbell's
+    /// serial channels, not from chaining WRs end-to-end, so a doorbell's
     /// WRs pipeline. Returns the instant this WR's occupancy ends.
     #[allow(clippy::too_many_arguments)]
     fn execute_one_at(

@@ -11,7 +11,7 @@
 //!
 //! Timing follows the crate-level model of [`gengar_hybridmem`]: each verb
 //! busy-waits the configured NIC/fabric latencies and draws payload bytes
-//! from the port bandwidth token buckets, so measured wall-clock behaviour
+//! through the port bandwidth limiters, so measured wall-clock behaviour
 //! reproduces the shape of a 100 Gb/s RDMA network.
 //!
 //! # Example

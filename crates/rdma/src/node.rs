@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Weak};
 
-use gengar_hybridmem::BandwidthLimiter;
+use gengar_hybridmem::Limiter;
 use parking_lot::RwLock;
 
 use crate::cq::CompletionQueue;
@@ -27,7 +27,7 @@ pub struct RdmaNode {
     next_pd: AtomicU32,
     mrs: RwLock<HashMap<u32, Arc<MemoryRegion>>>,
     qps: RwLock<HashMap<Qpn, Arc<QueuePair>>>,
-    nic_bw: BandwidthLimiter,
+    nic_bw: Limiter,
     metrics: FabricMetrics,
     self_ref: RwLock<Weak<RdmaNode>>,
 }
@@ -57,7 +57,7 @@ impl RdmaNode {
             next_pd: AtomicU32::new(0),
             mrs: RwLock::new(HashMap::new()),
             qps: RwLock::new(HashMap::new()),
-            nic_bw: BandwidthLimiter::new(nic_bw_bytes_per_sec),
+            nic_bw: Limiter::new(nic_bw_bytes_per_sec),
             metrics,
             self_ref: RwLock::new(Weak::new()),
         });
@@ -76,7 +76,7 @@ impl RdmaNode {
     }
 
     /// NIC port bandwidth limiter (shared by all QPs on the node).
-    pub(crate) fn nic_bw(&self) -> &BandwidthLimiter {
+    pub(crate) fn nic_bw(&self) -> &Limiter {
         &self.nic_bw
     }
 

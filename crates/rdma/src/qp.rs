@@ -142,11 +142,6 @@ impl QueuePair {
         &self.recv_cq
     }
 
-    /// QP attributes.
-    pub fn options(&self) -> &QpOptions {
-        &self.opts
-    }
-
     /// Connects this QP to a remote peer (folds INIT→RTR→RTS).
     ///
     /// # Errors

@@ -259,13 +259,6 @@ impl Tracer {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Allocates a fresh trace id without opening a span (for callers that
-    /// hand the id to [`Tracer::root_span_in`] later, e.g. a batch
-    /// builder that wants the id before submission).
-    pub fn new_trace(&self) -> TraceId {
-        TraceId(self.next_id())
-    }
-
     /// Opens a root span: a fresh trace whose context is installed on this
     /// thread until the span drops.
     pub fn root_span(self: &Arc<Self>, name: &'static str) -> TraceSpan {

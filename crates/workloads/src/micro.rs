@@ -25,11 +25,6 @@ impl OpMix {
         OpMix { read_fraction: 1.0 }
     }
 
-    /// All writes.
-    pub fn write_only() -> Self {
-        OpMix { read_fraction: 0.0 }
-    }
-
     /// 95 % reads.
     pub fn read_heavy() -> Self {
         OpMix {
