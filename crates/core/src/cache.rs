@@ -2,11 +2,14 @@
 //!
 //! Promoted objects get a *slot* in the server's DRAM cache region. A slot
 //! holds a [`crate::layout::SlotHeader`] (tag = the object's global address,
-//! a seqlock version, a diagnostic checksum, the length), the payload copy,
-//! and a trailing tail version. Clients read slots with a single one-sided
-//! READ and validate tag + even head version + head==tail (FaRM-style) — a
-//! stale, torn or mid-update frame fails validation and the client falls
-//! back to NVM, so remap staleness is always safe.
+//! a seqlock version, the stamp — the object's lock word the copy was taken
+//! at — and the length), the payload copy, and a trailing tail version.
+//! Clients read slots with one-sided READs and validate tag + even head
+//! version + head==tail (FaRM-style), and a non-zero stamp against the
+//! object's lock word — a stale, torn or mid-update frame fails validation
+//! and the client falls back to NVM, so remap staleness is always safe.
+//! A `Seqlock` write leaves the frame in place with an outdated stamp; the
+//! epoch re-copies it into the same slot ([`CacheManager::refresh`]).
 //!
 //! # Policy
 //!
@@ -33,7 +36,7 @@ use serde::{Deserialize, Serialize};
 use crate::addr::{GlobalAddr, MemClass};
 use crate::alloc::FrameAllocator;
 use crate::error::GengarError;
-use crate::layout::{checksum, decode_slot_header, encode_slot_header, SLOT_HEADER, SLOT_TAIL};
+use crate::layout::{decode_slot_header, encode_slot_header, lockword, SLOT_HEADER, SLOT_TAIL};
 
 /// How the cache decides whether a candidate may evict a resident frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -167,12 +170,14 @@ impl CachePolicy {
 struct CacheEntry {
     slot_off: u64,
     payload_len: u64,
+    /// The lock word the frame's copy was taken at (the header's stamp).
+    stamp: u64,
     score: u32,
     /// `true` once the frame has proven itself (remap hit or warm re-entry);
     /// protected frames are evicted only when probation is empty.
     protected: bool,
-    /// Logical-clock stamp of the last remap hit (LRU within a segment).
-    stamp: u64,
+    /// Logical-clock time of the last remap hit (LRU within a segment).
+    hit_at: u64,
 }
 
 /// One frame parked in the NVM demote area.
@@ -180,6 +185,8 @@ struct CacheEntry {
 struct DemoteEntry {
     off: u64,
     len: u64,
+    /// The stamp of the frame the copy was parked from.
+    stamp: u64,
     score: u32,
 }
 
@@ -194,6 +201,9 @@ pub struct CacheStats {
     pub invalidations: u64,
     /// In-place updates applied by the proxy drain path.
     pub updates: u64,
+    /// Frames re-copied in place by the epoch after a `Seqlock` write
+    /// outdated their stamp.
+    pub refreshes: u64,
     /// Candidates accepted by the admission filter (== promotions).
     pub admitted: u64,
     /// Candidates turned away by the admission filter.
@@ -217,6 +227,7 @@ struct CacheMetrics {
     evictions: CounterHandle,
     invalidations: CounterHandle,
     updates: CounterHandle,
+    refreshes: CounterHandle,
     admitted: CounterHandle,
     rejected: CounterHandle,
     ghost_hits: CounterHandle,
@@ -234,6 +245,7 @@ impl CacheMetrics {
             evictions: tel.counter("cache", "evictions"),
             invalidations: tel.counter("cache", "invalidations"),
             updates: tel.counter("cache", "updates"),
+            refreshes: tel.counter("cache", "refreshes"),
             admitted: tel.counter("cache", "admitted"),
             rejected: tel.counter("cache", "rejected"),
             ghost_hits: tel.counter("cache", "ghost_hits"),
@@ -260,7 +272,7 @@ pub struct CacheManager {
     alloc: FrameAllocator,
     entries: HashMap<u64, CacheEntry>,
     policy: CachePolicy,
-    /// Logical clock for segment-LRU stamps.
+    /// Logical clock for segment-LRU hit times.
     clock: u64,
     /// Bytes currently in the protected segment.
     protected_bytes: u64,
@@ -369,14 +381,14 @@ impl CacheManager {
 
     /// Looks up the cached copy of `addr` (raw payload-base address),
     /// returning the raw global address of its slot frame. A hit refreshes
-    /// the frame's LRU stamp and upgrades it into the protected segment.
+    /// the frame's LRU time and upgrades it into the protected segment.
     pub fn lookup(&mut self, addr_raw: u64) -> Option<u64> {
         self.clock += 1;
         let clock = self.clock;
         let mut upgrade = None;
         let hit = match self.entries.get_mut(&addr_raw) {
             Some(e) => {
-                e.stamp = clock;
+                e.hit_at = clock;
                 if !e.protected {
                     e.protected = true;
                     upgrade = Some(frame_need(e.payload_len));
@@ -410,9 +422,13 @@ impl CacheManager {
         self.entries.contains_key(&addr_raw)
     }
 
-    /// Promotes an object: copies `payload` into a fresh slot and publishes
-    /// it under `addr`. The admission filter decides whether it may evict
-    /// resident frames. Returns `false` when rejected or it can never fit.
+    /// The stamp of `addr`'s frame, if it is cached.
+    pub(crate) fn stamp(&self, addr_raw: u64) -> Option<u64> {
+        self.entries.get(&addr_raw).map(|e| e.stamp)
+    }
+
+    /// Promotes a version-0 object: `promote_stamped` with
+    /// the initial lock word as the stamp.
     ///
     /// # Errors
     ///
@@ -423,19 +439,32 @@ impl CacheManager {
         payload: &[u8],
         score: u32,
     ) -> Result<bool, GengarError> {
+        self.promote_stamped(addr, payload, lockword::INIT, score)
+    }
+
+    /// Promotes an object: copies `payload`, taken while the object's lock
+    /// word read `stamp`, into a fresh slot and publishes it under `addr`.
+    /// The admission filter decides whether it may evict resident frames.
+    /// Returns `false` when rejected or it can never fit.
+    ///
+    /// # Errors
+    ///
+    /// Propagates device errors from slot writes.
+    pub(crate) fn promote_stamped(
+        &mut self,
+        addr: GlobalAddr,
+        payload: &[u8],
+        stamp: u64,
+        score: u32,
+    ) -> Result<bool, GengarError> {
         let addr_raw = addr.raw();
         if self.entries.contains_key(&addr_raw) {
             return Ok(true);
         }
         let ghost_hit = self.ghost_take(addr_raw, payload.len() as u64);
         let was_demoted = self.has_demoted(addr_raw);
-        let admitted = self.insert_frame(
-            addr_raw,
-            payload,
-            score,
-            ghost_hit || was_demoted,
-            ghost_hit || was_demoted,
-        )?;
+        let admitted =
+            self.insert_frame(addr_raw, payload, stamp, score, ghost_hit || was_demoted)?;
         if admitted {
             // The caller hands us a fresh payload; any parked demote copy is
             // now redundant (and possibly stale).
@@ -445,13 +474,15 @@ impl CacheManager {
     }
 
     /// Re-promotes `addr` from the demote area: one local NVM→DRAM copy, no
-    /// NVM object read. Returns `false` when no demote copy exists (or the
-    /// insert failed); the caller then takes the normal promote path.
+    /// NVM object read — if the copy was taken at the object's current lock
+    /// `word`; an older copy is dropped. Returns `false` when no current
+    /// demote copy exists (or the insert failed); the caller then takes the
+    /// normal promote path.
     ///
     /// # Errors
     ///
     /// Propagates device errors.
-    pub fn repromote(&mut self, addr_raw: u64, score: u32) -> Result<bool, GengarError> {
+    pub fn repromote(&mut self, addr_raw: u64, word: u64, score: u32) -> Result<bool, GengarError> {
         let Some(d) = self
             .demote
             .as_ref()
@@ -459,6 +490,10 @@ impl CacheManager {
         else {
             return Ok(false);
         };
+        if d.stamp != word {
+            self.demote_drop(addr_raw);
+            return Ok(false);
+        }
         if self.entries.contains_key(&addr_raw) {
             self.demote_drop(addr_raw);
             return Ok(true);
@@ -471,7 +506,7 @@ impl CacheManager {
             .read(d.off, &mut payload)?;
         let ghost_hit = self.ghost_take(addr_raw, d.len);
         let _ = ghost_hit;
-        if self.insert_frame(addr_raw, &payload, score.max(d.score), true, true)? {
+        if self.insert_frame(addr_raw, &payload, d.stamp, score.max(d.score), true)? {
             self.demote_drop(addr_raw);
             self.stats.repromotions += 1;
             self.metrics.repromotions.inc();
@@ -482,14 +517,15 @@ impl CacheManager {
     }
 
     /// Allocates a slot (evicting per the admission filter) and publishes
-    /// the frame. `bypass_admission` is set for proven-warm re-entries.
+    /// the frame. Proven-warm re-entries (`warm`) bypass the filter and
+    /// enter the protected segment.
     fn insert_frame(
         &mut self,
         addr_raw: u64,
         payload: &[u8],
+        stamp: u64,
         score: u32,
-        protected: bool,
-        bypass_admission: bool,
+        warm: bool,
     ) -> Result<bool, GengarError> {
         let need = frame_need(payload.len() as u64);
         if FrameAllocator::block_size(need).is_none_or(|b| b > self.alloc.capacity()) {
@@ -502,7 +538,7 @@ impl CacheManager {
                     let Some((victim, victim_score)) = self.victim() else {
                         return Ok(false);
                     };
-                    if !bypass_admission && !self.admission_allows(addr_raw, score, victim_score) {
+                    if !warm && !self.admission_allows(addr_raw, score, victim_score) {
                         self.stats.rejected += 1;
                         self.metrics.rejected.inc();
                         return Ok(false);
@@ -513,13 +549,7 @@ impl CacheManager {
         };
         let mut header = [0u8; SLOT_HEADER as usize];
         // Publish with an even version so readers accept it immediately.
-        encode_slot_header(
-            &mut header,
-            addr_raw,
-            2,
-            checksum(payload),
-            payload.len() as u64,
-        );
+        encode_slot_header(&mut header, addr_raw, 2, stamp, payload.len() as u64);
         // Payload and tail version first, header (with the tag) last: a
         // concurrent reader of a recycled slot sees the old tag or the new
         // one, never a mix that passes tag + head/tail validation.
@@ -535,12 +565,13 @@ impl CacheManager {
             CacheEntry {
                 slot_off,
                 payload_len: payload.len() as u64,
+                stamp,
                 score,
-                protected,
-                stamp: self.clock,
+                protected: warm,
+                hit_at: self.clock,
             },
         );
-        if protected {
+        if warm {
             self.protected_bytes += need;
             self.enforce_protected_target();
         }
@@ -580,7 +611,7 @@ impl CacheManager {
             self.entries
                 .iter()
                 .filter(|(_, e)| e.protected == protected)
-                .min_by_key(|(_, e)| (e.score, e.stamp))
+                .min_by_key(|(_, e)| (e.score, e.hit_at))
                 .map(|(&a, e)| (a, e.score))
         };
         pick(false).or_else(|| pick(true))
@@ -644,7 +675,7 @@ impl CacheManager {
                 .entries
                 .iter()
                 .filter(|(_, e)| e.protected)
-                .min_by_key(|(_, e)| e.stamp)
+                .min_by_key(|(_, e)| e.hit_at)
                 .map(|(&a, _)| a);
             let Some(a) = victim else { break };
             let e = self.entries.get_mut(&a).expect("victim exists");
@@ -689,6 +720,7 @@ impl CacheManager {
             DemoteEntry {
                 off,
                 len: e.payload_len,
+                stamp: e.stamp,
                 score: e.score,
             },
         );
@@ -744,9 +776,9 @@ impl CacheManager {
     }
 
     /// Applies a write of `data` at byte `rel_off` of the cached object
-    /// `addr`, seqlock-style (odd version while mutating, checksum
-    /// recomputed, even version after). Used by the proxy drain path to
-    /// keep cached copies fresh. Returns whether the object was cached.
+    /// `addr` in place, keeping the frame's stamp (the proxy drain path
+    /// keeps cached copies fresh this way; the write leaves the lock word
+    /// alone). Returns whether the object was cached.
     ///
     /// # Errors
     ///
@@ -772,26 +804,69 @@ impl CacheManager {
             self.remove(addr_raw, false)?;
             return Ok(false);
         }
-        let slot = entry.slot_off;
-        let mut hdr_buf = [0u8; SLOT_HEADER as usize];
-        self.region.read(slot, &mut hdr_buf)?;
-        let hdr = decode_slot_header(&hdr_buf);
-        // Seqlock update: head version odd, mutate, tail then head to the
-        // new even version. The diagnostic checksum is cleared rather than
-        // recomputed (readers validate via head/tail versions).
-        self.region
-            .write(slot + 8, &(hdr.version + 1).to_le_bytes())?;
-        self.region.write(slot + SLOT_HEADER + rel_off, data)?;
-        self.region.write(slot + 16, &0u64.to_le_bytes())?;
-        self.region.write(
-            slot + SLOT_HEADER + entry.payload_len,
-            &(hdr.version + 2).to_le_bytes(),
-        )?;
-        self.region
-            .write(slot + 8, &(hdr.version + 2).to_le_bytes())?;
+        self.rewrite(entry, rel_off, data, None)?;
         self.stats.updates += 1;
         self.metrics.updates.inc();
         Ok(true)
+    }
+
+    /// Re-copies the whole cached object `addr` in place from `payload`,
+    /// taken while its lock word read `stamp`: the frame keeps its slot, so
+    /// every remap that points at it stays valid. Returns whether `addr` was
+    /// cached at `payload`'s length.
+    ///
+    /// # Errors
+    ///
+    /// Propagates device errors.
+    pub fn refresh(
+        &mut self,
+        addr_raw: u64,
+        payload: &[u8],
+        stamp: u64,
+    ) -> Result<bool, GengarError> {
+        let Some(mut entry) = self
+            .entries
+            .get(&addr_raw)
+            .copied()
+            .filter(|e| e.payload_len == payload.len() as u64)
+        else {
+            return Ok(false);
+        };
+        self.rewrite(entry, 0, payload, Some(stamp))?;
+        entry.stamp = stamp;
+        self.entries.insert(addr_raw, entry);
+        self.stats.refreshes += 1;
+        self.metrics.refreshes.inc();
+        Ok(true)
+    }
+
+    /// Rewrites `data` at byte `rel_off` of `entry`'s frame seqlock-style:
+    /// head version odd, payload, tail then head to the new even version,
+    /// and a new `stamp` last. A reader that fetched the new stamp fetched
+    /// the header after every other byte was written, so it sees the new
+    /// tail too; one that fetched the old stamp rejects the frame as stale.
+    fn rewrite(
+        &self,
+        entry: CacheEntry,
+        rel_off: u64,
+        data: &[u8],
+        stamp: Option<u64>,
+    ) -> Result<(), GengarError> {
+        let slot = entry.slot_off;
+        let mut hdr_buf = [0u8; SLOT_HEADER as usize];
+        self.region.read(slot, &mut hdr_buf)?;
+        let version = decode_slot_header(&hdr_buf).version;
+        self.region.write(slot + 8, &(version + 1).to_le_bytes())?;
+        self.region.write(slot + SLOT_HEADER + rel_off, data)?;
+        self.region.write(
+            slot + SLOT_HEADER + entry.payload_len,
+            &(version + 2).to_le_bytes(),
+        )?;
+        self.region.write(slot + 8, &(version + 2).to_le_bytes())?;
+        if let Some(stamp) = stamp {
+            self.region.write(slot + 16, &stamp.to_le_bytes())?;
+        }
+        Ok(())
     }
 
     /// Refreshes entry scores from an epoch fold.
@@ -896,7 +971,7 @@ mod tests {
         assert_eq!(h.tag, addr(64).raw());
         assert_eq!(h.version % 2, 0);
         assert_eq!(h.len, 8);
-        assert_eq!(h.checksum, checksum(b"hot-data"));
+        assert_eq!(h.stamp, lockword::INIT);
         assert_eq!(
             &frame[SLOT_HEADER as usize..(SLOT_HEADER + 8) as usize],
             b"hot-data"
@@ -977,6 +1052,40 @@ mod tests {
         let tail = u64::from_le_bytes(frame[(SLOT_HEADER + 12) as usize..].try_into().unwrap());
         assert_eq!(tail, 4);
         assert_eq!(c.stats().updates, 1);
+    }
+
+    #[test]
+    fn refresh_rewrites_in_place_and_updates_keep_the_stamp() {
+        let mut c = mgr(1 << 16);
+        let word = lockword::with_version(3);
+        assert!(c.promote_stamped(addr(0), b"version3", word, 1).unwrap());
+        let slot = c.lookup(addr(0).raw()).unwrap();
+        let frame = |c: &CacheManager| {
+            let mut frame = vec![0u8; (SLOT_HEADER + 8 + SLOT_TAIL) as usize];
+            let off = GlobalAddr::from_raw(slot).unwrap().offset();
+            c.region.read(off, &mut frame).unwrap();
+            frame
+        };
+        assert!(c.update_range(addr(0).raw(), 0, b"Version3").unwrap());
+        assert_eq!(decode_slot_header(&frame(&c)).stamp, word);
+        let next = lockword::with_version(4);
+        assert!(c.refresh(addr(0).raw(), b"version4", next).unwrap());
+        // Same slot, new bytes and stamp, a valid head/tail pair.
+        assert_eq!(c.lookup(addr(0).raw()), Some(slot));
+        assert_eq!(c.stamp(addr(0).raw()), Some(next));
+        let f = frame(&c);
+        let h = decode_slot_header(&f);
+        assert_eq!((h.stamp, h.version), (next, 6));
+        assert_eq!(
+            &f[SLOT_HEADER as usize..(SLOT_HEADER + 8) as usize],
+            b"version4"
+        );
+        let tail = u64::from_le_bytes(f[(SLOT_HEADER + 8) as usize..].try_into().unwrap());
+        assert_eq!(tail, h.version);
+        assert_eq!((c.stats().refreshes, c.stats().promotions), (1, 1));
+        // A payload of another length, or an uncached object, is no refresh.
+        assert!(!c.refresh(addr(0).raw(), b"short", next).unwrap());
+        assert!(!c.refresh(addr(64).raw(), b"version4", next).unwrap());
     }
 
     #[test]
@@ -1094,7 +1203,7 @@ mod tests {
         assert!(c.has_demoted(addr(0).raw()));
         assert_eq!(c.stats().demotions, 1);
         // Re-promotion is a local demote→DRAM copy: no payload needed.
-        assert!(c.repromote(addr(0).raw(), 4).unwrap());
+        assert!(c.repromote(addr(0).raw(), lockword::INIT, 4).unwrap());
         assert!(!c.has_demoted(addr(0).raw()));
         assert_eq!(c.stats().repromotions, 1);
         let slot = GlobalAddr::from_raw(c.lookup(addr(0).raw()).unwrap()).unwrap();
@@ -1117,7 +1226,22 @@ mod tests {
         // copy — repromote must refuse rather than resurrect stale bytes.
         assert!(!c.update_range(addr(0).raw(), 0, b"new!").unwrap());
         assert!(!c.has_demoted(addr(0).raw()));
-        assert!(!c.repromote(addr(0).raw(), 9).unwrap());
+        assert!(!c.repromote(addr(0).raw(), lockword::INIT, 9).unwrap());
+    }
+
+    #[test]
+    fn repromote_drops_a_copy_taken_at_an_older_word() {
+        let mut c = adaptive_mgr(128, 64, true);
+        assert!(c.promote(addr(0), b"warm", 3).unwrap());
+        assert!(c.promote(addr(64), b"bbbb", 3).unwrap());
+        assert!(!c.promote(addr(128), b"cccc", 9).unwrap());
+        assert!(c.promote(addr(128), b"cccc", 9).unwrap());
+        assert!(c.has_demoted(addr(0).raw()));
+        // A one-sided write moved the word past the parked copy's stamp.
+        assert!(!c
+            .repromote(addr(0).raw(), lockword::with_version(1), 9)
+            .unwrap());
+        assert!(!c.has_demoted(addr(0).raw()));
     }
 
     #[test]

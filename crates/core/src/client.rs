@@ -9,7 +9,7 @@
 //! connection state per thread), mirroring how RDMA applications shard
 //! queue pairs across threads.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -60,7 +60,7 @@ pub struct ClientStats {
     pub writeback_hits: u64,
     /// Writes that took the proxy fast path.
     pub staged_writes: u64,
-    /// Writes that went directly to NVM (+ flush RPC).
+    /// Writes that went directly to NVM (+ FLUSH or flush RPC).
     pub direct_writes: u64,
     /// Lock acquisition retries.
     pub lock_retries: u64,
@@ -203,8 +203,13 @@ struct StagedPlan {
 /// What a planned read fetches into its lane.
 #[derive(Debug, Clone, Copy)]
 enum ReadKind {
-    /// The whole cache frame at this slot (FaRM-validated after the fact).
-    Cached(GlobalAddr),
+    /// The whole cache frame at `slot`, and with `word` the object's lock
+    /// word behind it under the same doorbell (`Seqlock`); validated after
+    /// the fact ([`GengarClient::check_frame`]).
+    Cached { slot: GlobalAddr, word: bool },
+    /// The lock word alone, behind a frame already in the lane whose stamp
+    /// is not zero: a `None` reader's second READ.
+    Stamp,
     /// Payload bytes straight from NVM.
     Plain,
     /// The seqlock triple `[lock word][payload][lock word]`, three READs
@@ -217,9 +222,24 @@ impl ReadKind {
     fn wrs(self) -> usize {
         match self {
             ReadKind::Versioned => 3,
+            ReadKind::Cached { word: true, .. } => 2,
             _ => 1,
         }
     }
+}
+
+/// What [`GengarClient::check_frame`] made of a fetched cache frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FrameVerdict {
+    /// Holds the object's bytes.
+    Fresh,
+    /// Whole, but a write moved the lock word past its stamp: the slot
+    /// stays the object's until the epoch re-copies it.
+    Stale,
+    /// Whole, with a stamp still to compare against the lock word.
+    Unchecked,
+    /// Torn, recycled or mid-update.
+    Invalid,
 }
 
 /// One read of the current batch attempt, re-posted until it resolves:
@@ -247,14 +267,26 @@ struct ReadPlan {
 impl ReadPlan {
     /// Payload bytes the next posting fetches.
     fn chunk(&self) -> u64 {
-        let words = 8 * (self.kind.wrs() as u64 - 1); // the triple's two lock words
+        let words = match self.kind {
+            ReadKind::Versioned => 16, // the triple's two lock words
+            _ => 0,
+        };
         (self.len - self.done).min(self.lane_len - words)
+    }
+
+    /// Bytes of the cache frame a cached read fetches; the lock word lands
+    /// right behind it.
+    fn frame_len(&self) -> u64 {
+        SLOT_HEADER + self.ptr.size + SLOT_TAIL
     }
 }
 
 /// The verb a [`DirectOp`] has on the wire or, with no flight open,
-/// posts next (past the last `Write` chunk: the flush RPC; an atomic
-/// writes no chunk, so its `Write` step is the flush alone).
+/// posts next. Past the last `Write` chunk comes the flush RPC, unless the
+/// write persists one-sided ([`GengarClient::flushes_one_sided`]): then the
+/// last chunk's doorbell carries a FLUSH of the written range. An atomic
+/// writes no chunk, so its `Write` step is the flush RPC alone, and so is
+/// a `lock` that takes its object off version 0.
 #[derive(Debug, Clone, Copy, Default)]
 enum DirectStep {
     ReadWord,
@@ -273,11 +305,17 @@ enum Flight {
 }
 
 /// An op part-way down the direct chain, each step a wait other servers'
-/// groups overlap. A write the staging planner declined runs lock-word
-/// READ → lock CAS → WRITE per op-area chunk → flush RPC → unlock WRITE
-/// (unlocked writes — `Consistency::None`, caller's lock — run WRITE →
-/// flush only); `lock` runs READ → CAS, `unlock` the unlock WRITE, an
-/// atomic its CAS/FAA → flush RPC, and `read_lock_word` the READ.
+/// groups overlap. A `Seqlock` write runs lock-word READ → lock CAS →
+/// WRITE per op-area chunk, the last one with a FLUSH under the same
+/// doorbell → unlock WRITE; the first lock of an object (version 0) puts
+/// the flush+invalidate RPC before the unlock instead of the FLUSH. The
+/// unlock stays a doorbell of its own: a WR dropped on the wire does not
+/// stop the WRs behind it, so an unlock behind a lost WRITE would publish
+/// a write that never landed. Writes that take no lock of their own —
+/// `Consistency::None`, the caller's lock — skip the READ, CAS and unlock
+/// (a `None` write always flushes by RPC); `lock` runs READ → CAS (→ RPC
+/// at version 0), `unlock` the unlock WRITE, an atomic its CAS/FAA →
+/// flush RPC, and `read_lock_word` the READ.
 #[derive(Debug, Default)]
 struct DirectOp {
     /// Position of the op in the group's indices (the walk resumes behind it).
@@ -501,6 +539,10 @@ pub struct GengarClient {
     server_index: HashMap<u8, usize>,
     /// NVM payload-base raw address -> cache-slot raw address.
     remap: HashMap<u64, u64>,
+    /// Remapped objects whose frame a read or this client's own write found
+    /// outdated: reads skip the frame until the server's next mailbox, as
+    /// the epoch behind it re-copies the frames of reported writes.
+    stale_frames: HashSet<u64>,
     /// Local store buffer for in-flight proxied writes (read-your-writes).
     write_back: HashMap<u64, WriteBack>,
     /// Locks this client holds: base raw -> (locked word, whether a write
@@ -657,6 +699,7 @@ impl GengarClient {
             server_index,
             redirects: HashMap::new(),
             remap: HashMap::new(),
+            stale_frames: HashSet::new(),
             write_back: HashMap::new(),
             held: HashMap::new(),
             pending: HashMap::new(),
@@ -1332,7 +1375,8 @@ impl GengarClient {
     ///
     /// With caching enabled the read is served from the server's DRAM
     /// cache when a validated copy exists; stale or torn cached frames are
-    /// detected (tag / seqlock version / checksum) and fall back to NVM.
+    /// detected (tag / head and tail version / stamp against the lock word)
+    /// and fall back to NVM.
     ///
     /// Transient transport faults are absorbed: lost requests are retried
     /// with backoff, dead connections are re-established (including a
@@ -1404,21 +1448,32 @@ impl GengarClient {
         Ok(ControlFlow::Continue(false))
     }
 
-    /// FaRM-style validation of the whole cache frame of `ptr` that a READ
-    /// landed at scratch offset `lane`: correct tag and length, even head
-    /// version, tail version matching head (rejects torn, stale and
-    /// mid-update frames). A valid frame is self-validating under either
-    /// consistency mode.
-    fn frame_is_valid(region: &MemRegion, lane: u64, ptr: GlobalPtr) -> Result<bool, GengarError> {
+    /// Validates the cache frame that read plan `p` landed in its lane.
+    /// FaRM-style first: correct tag and length, even head version, tail
+    /// version matching head (rejects torn, recycled and mid-update
+    /// frames). Then the frame's stamp, the lock word its copy was taken at:
+    /// lock words only grow, so a stamp equal to the word a READ fetched
+    /// after the frame (into the lane right behind it) means no write
+    /// landed since the copy. A zero stamp — a version-0 object — passes
+    /// without the word: the lock CAS that first moves an object's word
+    /// has the server invalidate its frames by RPC before the unlock.
+    fn check_frame(&self, p: &ReadPlan) -> Result<FrameVerdict, GengarError> {
         let mut hdr_bytes = [0u8; SLOT_HEADER as usize];
-        region.read(lane, &mut hdr_bytes)?;
+        self.mr.region().read(p.lane, &mut hdr_bytes)?;
         let hdr = decode_slot_header(&hdr_bytes);
-        let mut tail_bytes = [0u8; 8];
-        region.read(lane + SLOT_HEADER + ptr.size, &mut tail_bytes)?;
-        Ok(hdr.tag == ptr.addr.raw()
+        let whole = hdr.tag == p.ptr.addr.raw()
             && hdr.version.is_multiple_of(2)
-            && hdr.len == ptr.size
-            && u64::from_le_bytes(tail_bytes) == hdr.version)
+            && hdr.len == p.ptr.size
+            && self.scratch_word(p.lane + SLOT_HEADER + p.ptr.size)? == hdr.version;
+        Ok(match p.kind {
+            _ if !whole => FrameVerdict::Invalid,
+            ReadKind::Cached { word: false, .. } if hdr.stamp == lockword::INIT => {
+                FrameVerdict::Fresh
+            }
+            ReadKind::Cached { word: false, .. } => FrameVerdict::Unchecked,
+            _ if self.scratch_word(p.lane + p.frame_len())? == hdr.stamp => FrameVerdict::Fresh,
+            _ => FrameVerdict::Stale,
+        })
     }
 
     /// How the object at `base` is read from NVM. The holder of its writer
@@ -1435,9 +1490,12 @@ impl GengarClient {
     /// Writes `data` at `ptr.addr + offset`.
     ///
     /// Routing: under `Consistency::Seqlock` the write locks the object
-    /// (unless already held), goes straight to NVM with a flush+invalidate
-    /// RPC, and unlocks. Under `Consistency::None` it takes the proxy fast
-    /// path when enabled and the payload fits a staging slot.
+    /// (unless already held), goes straight to NVM with an RDMA FLUSH of
+    /// the range under its last WRITE's doorbell, and unlocks — one-sided
+    /// end to end, except that the first lock of an object also has the
+    /// server invalidate its cached frames by RPC. Under
+    /// `Consistency::None` it takes the proxy fast path when enabled and
+    /// the payload fits a staging slot, else WRITEs and flushes by RPC.
     ///
     /// Transient transport faults are absorbed like in
     /// [`GengarClient::read`]. A connection whose staging ring keeps
@@ -2263,11 +2321,17 @@ impl GengarClient {
             BatchOp::Atomic { prev, .. } if prev.is_some() => DirectStep::Write,
             BatchOp::Atomic { .. } => DirectStep::Atomic,
             BatchOp::Lock { .. } => match self.held.get_mut(&base) {
-                // A lock a failed write left behind becomes the caller's.
-                Some((_, own)) => {
+                // A lock a failed write left behind becomes the caller's,
+                // after the flush RPC if it is the object's first: that
+                // write may have failed before its own.
+                Some((word, own)) => {
                     *own = false;
-                    Self::settle_op(run, cursor, results, Ok(()));
-                    return Ok(());
+                    if lockword::version(*word) == 0 {
+                        DirectStep::Write
+                    } else {
+                        Self::settle_op(run, cursor, results, Ok(()));
+                        return Ok(());
+                    }
                 }
                 None => DirectStep::ReadWord,
             },
@@ -2306,6 +2370,21 @@ impl GengarClient {
         Ok(())
     }
 
+    /// Whether a write to the object at `base` persists one-sided, with a
+    /// FLUSH under its last chunk's doorbell, rather than by the flush RPC:
+    /// under `Seqlock`, once the lock word the write holds has left version
+    /// 0. A frame of a version-0 object carries stamp 0, which `None`
+    /// readers accept unchecked, so the first lock of an object has the
+    /// server invalidate its frames by RPC; after that, every frame is
+    /// stamped and readers see the moved lock word instead.
+    fn flushes_one_sided(&self, base: u64) -> bool {
+        self.config.consistency == Consistency::Seqlock
+            && self
+                .held
+                .get(&base)
+                .is_some_and(|&(word, _)| lockword::version(word) != 0)
+    }
+
     /// Advances a direct-chain op: harvests the step on the wire, applies
     /// its outcome, posts the next. The lock word, an atomic's prior value
     /// and the release word use the first 8 bytes of the group's op area,
@@ -2331,9 +2410,12 @@ impl GengarClient {
         let word_at = ptr.addr.offset() - OBJ_HEADER;
         let (mr_lkey, region) = (self.mr.lkey(), self.mr.region().clone());
         loop {
+            let one_sided = is_write && self.flushes_one_sided(base);
             let conn = self.conn(run.server)?;
             let (word_lane, data_lane) = (conn.op_buf, conn.op_buf + 8);
             let chunk = (data.len() as u64 - w.done).min(conn.op_buf_len - 8);
+            // This step's doorbell finishes the payload and carries the FLUSH.
+            let flushes = one_sided && w.done + chunk == data.len() as u64;
             let nvm = |off: u64| RemoteAddr::new(conn.nvm_rkey(), off);
             let word_sge = Sge::new(mr_lkey, word_lane, 8);
             let write = |from: Sge, to: u64| SendOp::Write {
@@ -2377,17 +2459,26 @@ impl GengarClient {
                                 _ => unreachable!("only an atomic posts its verb"),
                             }
                         }
-                        DirectStep::Write if chunk == 0 => {
+                        DirectStep::Write if chunk == 0 && !one_sided => {
                             let addr = ptr.addr.add(offset).raw();
                             let call = conn.rpc.begin(&Request::FlushRange { addr, len });
                             w.flight = Some(Flight::Rpc(call));
                             continue;
                         }
                         DirectStep::Write => {
-                            let from = w.done as usize;
-                            region.write(data_lane, &data[from..from + chunk as usize])?;
-                            let to = ptr.addr.offset() + offset + w.done;
-                            write(Sge::new(mr_lkey, data_lane, chunk), to)
+                            let mut ops = Vec::with_capacity(2);
+                            if chunk > 0 {
+                                let from = w.done as usize;
+                                region.write(data_lane, &data[from..from + chunk as usize])?;
+                                let to = ptr.addr.offset() + offset + w.done;
+                                ops.push(write(Sge::new(mr_lkey, data_lane, chunk), to));
+                            }
+                            if flushes {
+                                let remote = nvm(ptr.addr.offset() + offset);
+                                ops.push(SendOp::Flush { remote, len });
+                            }
+                            w.flight = Some(Flight::Verb(conn.data.post_many(ops)?));
+                            continue;
                         }
                         DirectStep::Unlock => {
                             let (locked, _) = self.held[&base];
@@ -2404,7 +2495,9 @@ impl GengarClient {
                         run.phase = GroupPhase::Direct(w);
                         return Ok(ControlFlow::Break(wake));
                     }
-                    pending.into_results().pop().expect("one op posted")?;
+                    for result in pending.into_results() {
+                        result?;
+                    }
                     match w.step {
                         DirectStep::ReadWord => {
                             let word = self.scratch_word(word_lane)?;
@@ -2421,7 +2514,9 @@ impl GengarClient {
                                 // A write's lock is its own, released at the
                                 // end of its chain; `lock`'s is the caller's.
                                 self.held.insert(base, (lockword::locked(prev), is_write));
-                                if !is_write {
+                                // A `lock` is done, unless it is the object's
+                                // first: then it flushes (invalidates) by RPC.
+                                if !is_write && lockword::version(prev) != 0 {
                                     break;
                                 }
                                 w.step = DirectStep::Write;
@@ -2450,7 +2545,12 @@ impl GengarClient {
                             }
                             w.step = DirectStep::Write;
                         }
-                        DirectStep::Write => w.done += chunk,
+                        DirectStep::Write => {
+                            w.done += chunk;
+                            if flushes && self.releases_after_flush(base, is_write, &mut w) {
+                                break;
+                            }
+                        }
                         DirectStep::Unlock => {
                             self.held.remove(&base);
                             break;
@@ -2464,19 +2564,22 @@ impl GengarClient {
                         return Ok(ControlFlow::Break(None));
                     };
                     w.refused = Self::flush_ack(resp, len).err();
-                    // Release only a lock a write took for itself (this
-                    // attempt or a failed earlier one), never the caller's.
-                    match self.held.get(&base) {
-                        Some((_, true)) if is_write => w.step = DirectStep::Unlock,
-                        _ => break,
+                    // The server dropped the object's frame.
+                    self.remap.remove(&base);
+                    if self.releases_after_flush(base, is_write, &mut w) {
+                        break;
                     }
                 }
             }
         }
         let outcome = w.refused.map_or(Ok(()), Err);
         if outcome.is_ok() && matches!(ops[i], BatchOp::Write { .. } | BatchOp::Atomic { .. }) {
-            // The object changed under any cached frame and staged copy.
-            self.remap.remove(&base);
+            // The object changed under any staged copy, and under a cached
+            // frame a one-sided write left in place (a flush RPC dropped it):
+            // outdated until the epoch re-copies it.
+            if self.remap.contains_key(&base) {
+                self.stale_frames.insert(base);
+            }
             self.write_back.remove(&base);
             self.record(run.server, base, true);
             if is_write {
@@ -2485,6 +2588,20 @@ impl GengarClient {
         }
         Self::settle_op(run, w.cursor, results, outcome);
         Ok(ControlFlow::Continue(()))
+    }
+
+    /// The chain's step past a write's flush (FLUSH or RPC): the unlock of
+    /// a lock the write took for itself — this attempt or a failed earlier
+    /// one — or, returning `true`, the end of the chain: the caller's lock
+    /// stays held, and a `lock` or atomic has nothing to release.
+    fn releases_after_flush(&self, base: u64, is_write: bool, w: &mut DirectOp) -> bool {
+        match self.held.get(&base) {
+            Some((_, true)) if is_write => {
+                w.step = DirectStep::Unlock;
+                false
+            }
+            _ => true,
+        }
     }
 
     /// Routes a planned staged-write window: a ring without room for it by
@@ -2734,29 +2851,33 @@ impl GengarClient {
             // Slot frames validate as a whole, so a cached read fetches
             // the full object; engage the cache only when the request
             // covers most of it (small probes into large objects — e.g.
-            // index buckets — are cheaper straight from NVM). A versioned
-            // read is always the NVM triple.
-            let frame = SLOT_HEADER + ptr.size + SLOT_TAIL;
+            // index buckets — are cheaper straight from NVM), and skip a
+            // frame a write outdated until the server's next mailbox. A
+            // versioned read is always the NVM triple. The lane holds the
+            // frame and the lock word behind it.
+            let frame = SLOT_HEADER + ptr.size + SLOT_TAIL + 8;
             let mut kind = if versioned {
                 ReadKind::Versioned
             } else {
                 self.nvm_read_kind(base)
             };
-            if !versioned && buf_len * 2 >= ptr.size {
-                if let Some(&slot_raw) = self.remap.get(&base) {
-                    match GlobalAddr::from_raw(slot_raw) {
-                        Some(s) if s.class() == MemClass::DramCache && frame <= op_buf_len => {
-                            kind = ReadKind::Cached(s)
-                        }
-                        _ => {
-                            self.remap.remove(&base);
-                            self.metrics.cache_rejects.inc();
-                        }
+            let remapped = self.remap.get(&base).filter(|_| {
+                !versioned && buf_len * 2 >= ptr.size && !self.stale_frames.contains(&base)
+            });
+            if let Some(&slot_raw) = remapped {
+                match GlobalAddr::from_raw(slot_raw) {
+                    Some(slot) if slot.class() == MemClass::DramCache && frame <= op_buf_len => {
+                        let word = self.config.consistency == Consistency::Seqlock;
+                        kind = ReadKind::Cached { slot, word }
+                    }
+                    _ => {
+                        self.remap.remove(&base);
+                        self.metrics.cache_rejects.inc();
                     }
                 }
             }
             let need = match kind {
-                ReadKind::Cached(_) => frame,
+                ReadKind::Cached { .. } | ReadKind::Stamp => frame,
                 ReadKind::Plain => buf_len,
                 ReadKind::Versioned => buf_len + 16,
             }
@@ -2816,7 +2937,14 @@ impl GengarClient {
             let word_at = p.ptr.addr.offset() - OBJ_HEADER;
             let data_at = p.ptr.addr.offset() + p.offset + p.done;
             match p.kind {
-                ReadKind::Cached(slot) => read(0, p.lane_len, cache_rkey, slot.offset()),
+                // The word READ behind the frame's executes after it.
+                ReadKind::Cached { slot, word } => {
+                    read(0, p.frame_len(), cache_rkey, slot.offset());
+                    if word {
+                        read(p.frame_len(), 8, nvm_rkey, word_at);
+                    }
+                }
+                ReadKind::Stamp => read(p.frame_len(), 8, nvm_rkey, word_at),
                 ReadKind::Plain => read(0, len, nvm_rkey, data_at),
                 // An RC queue pair executes a doorbell's READs in posting
                 // order, so the payload is bracketed by the two words.
@@ -2889,17 +3017,28 @@ impl GengarClient {
             let base = p.ptr.addr.raw();
             let len = p.chunk();
             match p.kind {
-                ReadKind::Cached(_) if Self::frame_is_valid(&region, p.lane, p.ptr)? => {
-                    region.read(p.lane + SLOT_HEADER + p.offset, buf)?;
-                    self.metrics.cache_hits.inc();
-                }
-                ReadKind::Cached(_) => {
-                    self.remap.remove(&base);
-                    self.metrics.cache_rejects.inc();
-                    p.kind = self.nvm_read_kind(base);
-                    again.push(p);
-                    continue;
-                }
+                ReadKind::Cached { .. } | ReadKind::Stamp => match self.check_frame(&p)? {
+                    FrameVerdict::Fresh => {
+                        region.read(p.lane + SLOT_HEADER + p.offset, buf)?;
+                        self.metrics.cache_hits.inc();
+                    }
+                    FrameVerdict::Unchecked => {
+                        p.kind = ReadKind::Stamp;
+                        again.push(p);
+                        continue;
+                    }
+                    verdict => {
+                        if verdict == FrameVerdict::Stale {
+                            self.stale_frames.insert(base);
+                        } else {
+                            self.remap.remove(&base);
+                        }
+                        self.metrics.cache_rejects.inc();
+                        p.kind = self.nvm_read_kind(base);
+                        again.push(p);
+                        continue;
+                    }
+                },
                 ReadKind::Plain | ReadKind::Versioned => {
                     let mut data_at = p.lane;
                     if let ReadKind::Versioned = p.kind {
@@ -3326,6 +3465,11 @@ impl GengarClient {
             return Ok(());
         };
         lane.mailbox = seq;
+        // A new mailbox follows an epoch, which re-copied the frames its
+        // folded reports marked written: try this server's frames again.
+        let server = self.conns[idx].mount.server_id;
+        self.stale_frames
+            .retain(|addr| GlobalAddr::from_raw(*addr).map(|a| a.server()) != Some(server));
         for (addr, cache_addr) in remaps {
             if cache_addr == 0 {
                 self.remap.remove(&addr);

@@ -1,6 +1,6 @@
 //! On-media layouts: object headers in NVM, cache-slot frames in DRAM,
 //! staged-write records in the proxy rings — plus the checksum that guards
-//! them against torn RDMA reads.
+//! the records against torn RDMA writes.
 
 /// Size of the per-object header preceding every payload in NVM:
 /// `[lock/version word u64][payload_len u64]`.
@@ -10,12 +10,17 @@ pub const OBJ_HEADER: u64 = 16;
 pub const OBJ_WORD_OFF: u64 = 16; // subtract from payload base
 
 /// Cache-slot frame preceding the cached payload in server DRAM:
-/// `[tag u64][version u64][checksum u64][len u64]`. The payload is followed
+/// `[tag u64][version u64][stamp u64][len u64]`. The payload is followed
 /// by an 8-byte *tail version* ([`SLOT_TAIL`]): readers accept a frame only
 /// when the head and tail versions match and are even (FaRM-style), which
 /// detects torn one-sided reads without a read-side checksum pass. The
-/// checksum word is written at promotion for diagnostics; in-place updates
-/// clear it.
+/// stamp is the object's NVM lock word the copy was taken at (always
+/// unlocked): promotion and the epoch's refresh write it, the drain's
+/// in-place updates keep it. Lock words only grow, so a frame whose stamp
+/// equals the word a reader fetches after it still holds the object's
+/// bytes; a `Seqlock` write changes the word without touching the frame.
+/// A zero stamp (a version-0 object) is never compared by `None` readers:
+/// the first lock of an object invalidates its frames by RPC instead.
 pub const SLOT_HEADER: u64 = 32;
 
 /// Size of the cache-slot tail version trailing the payload.
@@ -40,8 +45,9 @@ pub const RECORD_HEADER: u64 = 48;
 ///
 /// RDMA reads larger than 8 bytes are not atomic with respect to concurrent
 /// writes; real systems (FaRM, Pilaf) guard against torn data with per-line
-/// versions or checksums. Gengar's cache slots and staged records embed this
-/// checksum so readers/recovery can reject partially-updated frames.
+/// versions or checksums. Gengar's cache slots use head/tail versions; its
+/// staged records embed this checksum so recovery and the drain can reject
+/// partially-written records.
 ///
 /// Each 32-byte block feeds its four 8-byte words to four independent
 /// FNV-1a lanes, so the multiplies of consecutive words do not wait on one
@@ -117,10 +123,10 @@ pub mod lockword {
 }
 
 /// Encodes a cache-slot frame header into `out[0..32]`.
-pub fn encode_slot_header(out: &mut [u8], tag: u64, version: u64, cksum: u64, len: u64) {
+pub fn encode_slot_header(out: &mut [u8], tag: u64, version: u64, stamp: u64, len: u64) {
     out[0..8].copy_from_slice(&tag.to_le_bytes());
     out[8..16].copy_from_slice(&version.to_le_bytes());
-    out[16..24].copy_from_slice(&cksum.to_le_bytes());
+    out[16..24].copy_from_slice(&stamp.to_le_bytes());
     out[24..32].copy_from_slice(&len.to_le_bytes());
 }
 
@@ -131,8 +137,8 @@ pub struct SlotHeader {
     pub tag: u64,
     /// Seqlock version (even = stable).
     pub version: u64,
-    /// Checksum of the payload bytes.
-    pub checksum: u64,
+    /// The object's lock word the copy was taken at ([`SLOT_HEADER`]).
+    pub stamp: u64,
     /// Payload length.
     pub len: u64,
 }
@@ -142,7 +148,7 @@ pub fn decode_slot_header(buf: &[u8]) -> SlotHeader {
     SlotHeader {
         tag: u64::from_le_bytes(buf[0..8].try_into().expect("32-byte header")),
         version: u64::from_le_bytes(buf[8..16].try_into().expect("32-byte header")),
-        checksum: u64::from_le_bytes(buf[16..24].try_into().expect("32-byte header")),
+        stamp: u64::from_le_bytes(buf[16..24].try_into().expect("32-byte header")),
         len: u64::from_le_bytes(buf[24..32].try_into().expect("32-byte header")),
     }
 }
@@ -253,7 +259,7 @@ mod tests {
             SlotHeader {
                 tag: 0xAABB,
                 version: 42,
-                checksum: 0xDEAD_BEEF,
+                stamp: 0xDEAD_BEEF,
                 len: 4096
             }
         );

@@ -54,6 +54,10 @@ use crate::proxy::RingLayout;
 use crate::qos::QosPlane;
 use crate::rpc::{RpcServerConn, RPC_BUF_BYTES};
 
+/// One client's folded report ring: its area, the consumed cursor the fold
+/// published, and the addresses it reported, hottest first.
+type Reported = (ReportArea, u64, Vec<u64>);
+
 /// Set in a ring's watermark word in the NVM image once a reconnecting
 /// client's `QueryDurable` has been answered from it; `recover` replays
 /// nothing on that ring. Sequence numbers never reach this bit.
@@ -209,9 +213,9 @@ pub(crate) struct ServerInner {
     /// payloads, cache refresh, watermarks); for write by
     /// [`MemoryServer::nvm_image`] while it copies the region — so a
     /// rebalance snapshot can never capture a half-applied record — by
-    /// the epoch while it copies and publishes one object, so a promotion
-    /// never publishes bytes an apply already superseded (an invalidate
-    /// runs on the epoch's own loop), and by `QueryDurable` to wait out the
+    /// the epoch while it copies one object and publishes (or re-copies)
+    /// its frame, so a frame never holds bytes an apply already superseded
+    /// (an invalidate runs on the epoch's own loop), and by `QueryDurable` to wait out the
     /// runs of a ring it retired. Lock order: before `cache`.
     nvm_quiesce: RwLock<()>,
     /// Replica-epoch source for mirror tenures (starts at 1; epoch 0 in a
@@ -1316,10 +1320,11 @@ impl ServerInner {
     /// Folds every connected client's report ring in seq order, up to the
     /// first slot that is unwritten or torn: each slot goes to the monitor
     /// and each of its addresses through `cache.lookup` (a hit refreshes
-    /// the frame's LRU stamp and upgrades it into protected), then the
+    /// the frame's LRU time and upgrades it into protected), then the
     /// consumed cursor is published. Returns, per client that reported,
-    /// the cursor and its addresses, hottest first.
-    fn fold_reports(&self) -> Vec<(ReportArea, u64, Vec<u64>)> {
+    /// the cursor and its addresses, hottest first, and every cached
+    /// address a report marked written.
+    fn fold_reports(&self) -> (Vec<Reported>, BTreeSet<u64>) {
         let cids: BTreeSet<u32> = self
             .clients
             .lock()
@@ -1331,6 +1336,7 @@ impl ServerInner {
         let region = self.report_mr.region();
         let mut slot = vec![0u8; REPORT_SLOT_BYTES as usize];
         let mut reported = Vec::new();
+        let mut written = BTreeSet::new();
         for cid in cids {
             let area = ReportArea::of(cid);
             let mut entries = Vec::new();
@@ -1360,7 +1366,9 @@ impl ServerInner {
             let mut heat: HashMap<u64, u64> = HashMap::new();
             let mut cache = self.cache.lock();
             for e in entries {
-                cache.lookup(e.addr);
+                if cache.lookup(e.addr).is_some() && e.wrote {
+                    written.insert(e.addr);
+                }
                 *heat.entry(e.addr).or_default() += u64::from(e.count);
             }
             drop(cache);
@@ -1372,13 +1380,13 @@ impl ServerInner {
                 hottest.into_iter().map(|(addr, _)| addr).collect(),
             ));
         }
-        reported
+        (reported, written)
     }
 
     /// Writes each reporting client's mailbox: the current cache location
     /// (0 = not cached) of every address it reported, hottest first, sealed
     /// with the cursor its fold published — unless the id was reset since.
-    fn post_remaps(&self, reported: Vec<(ReportArea, u64, Vec<u64>)>) {
+    fn post_remaps(&self, reported: Vec<Reported>) {
         let region = self.report_mr.region();
         for (area, seq, addrs) in reported {
             let remaps: Vec<(u64, u64)> = {
@@ -1395,9 +1403,10 @@ impl ServerInner {
     }
 
     /// One hotness epoch: fold the report rings, refresh/decay cache
-    /// scores, promote hot objects, then post each reporter's remaps. Runs
-    /// on the control loop, which also owns all demote-area traffic — the
-    /// foreground drain never pays for tiering.
+    /// scores, promote hot objects, re-copy the frames of reported writes,
+    /// then post each reporter's remaps. Runs on the control loop, which
+    /// also owns all demote-area traffic — the foreground drain never pays
+    /// for tiering.
     fn run_epoch(&self) {
         // Refresh shadow staleness while we are on a periodic path
         // anyway: replication health wants "how long since the standby
@@ -1409,7 +1418,7 @@ impl ServerInner {
             };
             self.metrics.shadow_staleness_ms.set(staleness);
         }
-        let reported = self.fold_reports();
+        let (reported, written) = self.fold_reports();
         let folded = self.hotness.lock().fold_epoch();
         let policy = &self.config.cache;
         if !policy.enabled {
@@ -1430,47 +1439,86 @@ impl ServerInner {
             if score < policy.hot_threshold && !self.cache.lock().remembers(addr_raw) {
                 continue;
             }
-            let addr = match GlobalAddr::from_raw(addr_raw) {
-                Some(a) if a.class() == MemClass::Nvm && a.server() == self.id => a,
-                _ => continue,
+            let Some((addr, len)) = self.cacheable(addr_raw) else {
+                continue;
             };
-            let len = match self.objects.read().get(&addr.offset()) {
-                Some(&len) if len <= policy.cacheable_max => len,
-                _ => continue,
-            };
-            {
-                let mut cache = self.cache.lock();
-                if cache.contains(addr_raw) {
-                    continue;
-                }
-                // Demote-tier fast path: one local NVM→DRAM copy, skipping
-                // the object read below entirely.
-                if cache.repromote(addr_raw, score).unwrap_or(false) {
-                    continue;
-                }
-            }
-            let mut payload = vec![0u8; len as usize];
-            let nvm = self.nvm_mr.region();
-            let word_off = addr.offset() - OBJ_HEADER;
-            // Copy and publish as one step w.r.t. a drain apply (a flush-RPC
-            // invalidate runs on this loop): one landing between the two
-            // finds nothing cached to refresh, and the old bytes would be
-            // published after it. One-sided writers
-            // cannot be held off, but under `Seqlock` they hold the lock
-            // word across WRITE → flush RPC → unlock: a copy bracketed by
-            // two equal, unlocked loads of it raced no such write. Anything
-            // else skips the promotion for this epoch.
-            let _still = self.nvm_quiesce.write();
-            let word = nvm.load_u64(word_off).ok();
-            if word.is_none_or(lockword::is_locked)
-                || nvm.read(addr.offset(), &mut payload).is_err()
-                || nvm.load_u64(word_off).ok() != word
-            {
+            if self.cache.lock().contains(addr_raw) {
                 continue;
             }
-            let _ = self.cache.lock().promote(addr, &payload, score);
+            let _still = self.nvm_quiesce.write();
+            // Demote-tier fast path: one local NVM→DRAM copy, skipping the
+            // object read, if the parked copy was taken at the current word.
+            if self.cache.lock().has_demoted(addr_raw) {
+                let word = self.nvm_mr.region().load_u64(addr.offset() - OBJ_HEADER);
+                let mut cache = self.cache.lock();
+                if word.is_ok_and(|w| cache.repromote(addr_raw, w, score).unwrap_or(false)) {
+                    continue;
+                }
+            }
+            if let Some((payload, word)) = self.bracketed_copy(addr, len) {
+                let _ = self
+                    .cache
+                    .lock()
+                    .promote_stamped(addr, &payload, word, score);
+            }
+        }
+        // A `Seqlock` write outdates its object's frame without telling the
+        // server, and its writer reports it written: re-copy every such
+        // frame into its own slot, so the remaps that point at it stay good.
+        // A stamp-0 frame is never outdated (the first lock drops it), and
+        // a current one needs no copy: neither takes `nvm_quiesce` from the
+        // drains.
+        for addr_raw in written {
+            let stamp = self.cache.lock().stamp(addr_raw);
+            let Some((addr, len)) = stamp
+                .filter(|&stamp| stamp != lockword::INIT)
+                .and_then(|_| self.cacheable(addr_raw))
+            else {
+                continue;
+            };
+            let word_off = addr.offset() - OBJ_HEADER;
+            if self.nvm_mr.region().load_u64(word_off).ok() == stamp {
+                continue;
+            }
+            let _still = self.nvm_quiesce.write();
+            if let Some((payload, word)) = self.bracketed_copy(addr, len) {
+                let _ = self.cache.lock().refresh(addr_raw, &payload, word);
+            }
         }
         self.post_remaps(reported);
+    }
+
+    /// The address and length of the live local object at `addr_raw`, if
+    /// the cache may hold it.
+    fn cacheable(&self, addr_raw: u64) -> Option<(GlobalAddr, u64)> {
+        let addr = GlobalAddr::from_raw(addr_raw)
+            .filter(|a| a.class() == MemClass::Nvm && a.server() == self.id)?;
+        let len = *self.objects.read().get(&addr.offset())?;
+        (len <= self.config.cache.cacheable_max).then_some((addr, len))
+    }
+
+    /// Copies object `addr` out of NVM for the cache, with the lock word
+    /// the copy was taken at. The caller holds `nvm_quiesce` for write
+    /// across the copy and its publication, so a drain apply lands wholly
+    /// before (and the copy has it) or wholly after (and refreshes the
+    /// published frame in place); a flush-RPC invalidate runs on this loop.
+    /// One-sided writers cannot be held off, but under `Seqlock` they hold
+    /// the lock word across their payload WRITE and its FLUSH and bump its
+    /// version on unlock: a copy bracketed by two equal, unlocked loads of
+    /// the word raced no such write, and the frame is stamped with it.
+    /// Anything else returns `None`, to be tried next epoch.
+    fn bracketed_copy(&self, addr: GlobalAddr, len: u64) -> Option<(Vec<u8>, u64)> {
+        let nvm = self.nvm_mr.region();
+        let word_off = addr.offset() - OBJ_HEADER;
+        let mut payload = vec![0u8; len as usize];
+        let word = nvm.load_u64(word_off).ok()?;
+        if lockword::is_locked(word)
+            || nvm.read(addr.offset(), &mut payload).is_err()
+            || nvm.load_u64(word_off).ok() != Some(word)
+        {
+            return None;
+        }
+        Some((payload, word))
     }
 
     /// Control-plane request dispatch (control loop).

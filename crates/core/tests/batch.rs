@@ -282,10 +282,13 @@ fn seqlock_batches_overlap_their_locks_across_servers() {
             ..Default::default()
         })
         .unwrap();
-    let ptrs: Vec<GlobalPtr> = (0..SERVERS).map(|s| client.alloc(s, 64).unwrap()).collect();
-    // 300 us each way makes every step of the locked write-through (lock
-    // READ, CAS, WRITE, flush RPC, unlock) a round trip the host cannot
-    // hide: a server's write + read is about seven of them.
+    // Each arm writes objects still at version 0, whose first lock takes
+    // the flush RPC: 300 us each way makes every step of the locked
+    // write-through (lock READ, CAS, WRITE, flush RPC, unlock) a round trip
+    // the host cannot hide: a server's write + read is about seven of them.
+    let mut fresh =
+        || -> Vec<GlobalPtr> { (0..SERVERS).map(|s| client.alloc(s, 64).unwrap()).collect() };
+    let (ptrs, together_ptrs) = (fresh(), fresh());
     for s in 0..SERVERS {
         cluster.fabric().set_extra_delay_ns(
             client.node().id(),
@@ -297,7 +300,7 @@ fn seqlock_batches_overlap_their_locks_across_servers() {
         .iter()
         .map(|ptr| seqlock_round(&mut client, std::slice::from_ref(ptr), 1))
         .sum();
-    let together = seqlock_round(&mut client, &ptrs, 2);
+    let together = seqlock_round(&mut client, &together_ptrs, 2);
     // Run back to back the four groups cost the sum; overlapped, about one
     // server's share of it.
     assert!(
@@ -313,8 +316,9 @@ fn seqlock_batches_overlap_their_locks_across_servers() {
 
 /// Hotness reports ride behind a batch, never inside it: their doorbells
 /// gather in the op areas and poll the send CQs the batch's groups own.
-/// Interleaved with seqlock batches that hold flush RPCs open, they must
-/// neither stall a flush nor stop being written.
+/// Interleaved with seqlock batches that hold flush RPCs open (each round
+/// writes objects still at version 0, whose first lock takes the RPC),
+/// they must neither stall a flush nor stop being written.
 #[test]
 fn reports_never_cross_a_flush_in_flight() {
     const SERVERS: u8 = 4;
@@ -331,10 +335,12 @@ fn reports_never_cross_a_flush_in_flight() {
             ..Default::default()
         })
         .unwrap();
-    let ptrs: Vec<GlobalPtr> = (0..SERVERS).map(|s| client.alloc(s, 64).unwrap()).collect();
+    let rounds: Vec<Vec<GlobalPtr>> = (0..200)
+        .map(|_| (0..SERVERS).map(|s| client.alloc(s, 64).unwrap()).collect())
+        .collect();
     let started = Instant::now();
-    for round in 0..200u8 {
-        seqlock_round(&mut client, &ptrs, round);
+    for (round, ptrs) in rounds.iter().enumerate() {
+        seqlock_round(&mut client, ptrs, round as u8);
     }
     // A response dropped as stale costs the flush its 100 ms patience.
     assert!(

@@ -1,11 +1,12 @@
 //! End-to-end tests of the hot-data caching machinery: promotion,
 //! eviction under pressure, invalidation, stale-remap self-healing,
-//! re-promotion, and the report rings that feed the hotness monitor.
+//! re-promotion, frames that one-sided writes outdate and the epoch
+//! re-copies, and the report rings that feed the hotness monitor.
 
 use std::time::{Duration, Instant};
 
 use gengar_core::cluster::Cluster;
-use gengar_core::config::{ClientConfig, ServerConfig};
+use gengar_core::config::{ClientConfig, Consistency, ServerConfig};
 use gengar_core::hotness::REPORT_SLOTS;
 use gengar_core::server::MemoryServer;
 use gengar_rdma::FabricConfig;
@@ -152,6 +153,94 @@ fn repromotion_after_invalidation() {
         }
         assert!(Instant::now() < deadline, "never re-promoted");
     }
+}
+
+/// Frames of a version-0 object carry stamp 0, which a `None` reader
+/// accepts without fetching the lock word, so the first lock of an object
+/// has the server invalidate them by RPC — a `lock` that no write follows
+/// included. After `lock` + `unlock` moved the word, a one-sided `Seqlock`
+/// write (no RPC) must not leave a `None` reader holding the remap on the
+/// old bytes.
+#[test]
+fn first_lock_invalidates_frames_a_none_reader_trusts_unchecked() {
+    let cluster = cache_cluster();
+    let mut reader = reporting_client(&cluster);
+    let ptr = reader.alloc(0, 64).unwrap();
+    reader.write(ptr, 0, &[1u8; 64]).unwrap();
+    reader.drain_all().unwrap();
+    wait_for_hit(&mut reader, ptr);
+    // A silent writer: no report marks its write, so no epoch re-copies
+    // the frame behind it.
+    let mut writer = cluster
+        .client(ClientConfig {
+            consistency: Consistency::Seqlock,
+            report_every: u32::MAX,
+            ..Default::default()
+        })
+        .unwrap();
+    writer.lock(ptr).unwrap();
+    writer.unlock(ptr).unwrap();
+    assert_eq!(cluster.server(0).unwrap().cache_stats().invalidations, 1);
+    writer.write(ptr, 0, &[2u8; 64]).unwrap();
+    let mut buf = [0u8; 64];
+    for _ in 0..200 {
+        reader.read(ptr, 0, &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 2), "stale frame served: {buf:?}");
+    }
+    assert_eq!(
+        writer.read_lock_word(ptr).unwrap(),
+        4,
+        "lock, then one write"
+    );
+}
+
+/// A one-sided `Seqlock` write outdates the object's frame without an RPC;
+/// the writer's report marks it written, and the next epoch re-copies the
+/// frame into the same slot. The reader keeps its remap entry throughout,
+/// never reads the old bytes, and hits again once the frame is current.
+#[test]
+fn one_sided_writes_are_re_copied_in_place_by_the_next_epoch() {
+    let cluster = cache_cluster();
+    let server = cluster.server(0).unwrap();
+    let seqlock = |report_every| ClientConfig {
+        consistency: Consistency::Seqlock,
+        report_every,
+        ..Default::default()
+    };
+    let mut reader = cluster.client(seqlock(8)).unwrap();
+    let mut writer = cluster.client(seqlock(1)).unwrap();
+    let ptr = writer.alloc(0, 64).unwrap();
+    writer.write(ptr, 0, &[1u8; 64]).unwrap();
+    wait_for_hit(&mut reader, ptr);
+    let (cached, remaps) = (server.cache_stats(), reader.remap_entries());
+
+    writer.write(ptr, 0, &[2u8; 64]).unwrap();
+    assert_eq!(
+        server.cache_stats().invalidations,
+        cached.invalidations,
+        "a one-sided write invalidates nothing"
+    );
+    let mut buf = [0u8; 64];
+    let hits = reader.stats().cache_hits;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while reader.stats().cache_hits < hits + 5 {
+        reader.read(ptr, 0, &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 2), "stale data: {buf:?}");
+        assert!(
+            Instant::now() < deadline,
+            "never re-copied: {:?}",
+            reader.stats()
+        );
+    }
+    let now = server.cache_stats();
+    assert!(now.refreshes > cached.refreshes, "{now:?}");
+    // Same frame, same slot: nothing was dropped or promoted again.
+    assert_eq!(
+        (now.promotions, now.invalidations, now.evictions),
+        (cached.promotions, cached.invalidations, cached.evictions),
+        "{now:?}"
+    );
+    assert_eq!(reader.remap_entries(), remaps);
 }
 
 #[test]

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use gengar_core::client::GengarClient;
 use gengar_core::cluster::Cluster;
-use gengar_core::config::{ClientConfig, ServerConfig};
+use gengar_core::config::{ClientConfig, Consistency, ServerConfig};
 use gengar_core::GengarError;
 use gengar_rdma::{FabricConfig, FaultPlane};
 use gengar_telemetry::{FlightRecorder, TelemetryConfig, TraceMode, Tracer};
@@ -337,6 +337,112 @@ fn chaos_server_crash_mid_run_reconnects() {
             stats.reconnects > 0,
             "seed {seed}: client never reconnected across the crash"
         );
+    }
+}
+
+/// `Seqlock` sharing under faults: a writer and a reader client, driven in
+/// turn from one thread, share cached objects while drops and error
+/// completions hit every verb of the one-sided write — lock-word READ, lock
+/// CAS, payload WRITE, FLUSH, unlock WRITE — and of the validated reads.
+/// Each object is written an increasing sequence of values. A read may fail
+/// mid-chaos, but one that succeeds returns an acknowledged value no older
+/// than the object's last acknowledged write or the reader's last read of
+/// it. Once the plane disarms, the writer finishes the objects its failed
+/// writes left locked, and a third client must lock and unlock every one.
+#[test]
+fn chaos_seqlock_writer_and_reader_stay_coherent() {
+    const OBJECTS: usize = 8;
+    arm_flight_recorder();
+    for seed in seeds() {
+        let spec = ["read", "write", "cas", "flush"]
+            .map(|verb| format!("drop:p=0.01,verb={verb} + err:p=0.01,verb={verb}"))
+            .join(" + ");
+        let (cluster, plane) = {
+            let plane = Arc::new(
+                FaultPlane::from_spec(&spec, seed, TelemetryConfig::disabled())
+                    .expect("chaos suite fault spec must parse"),
+            );
+            let mut fabric = FabricConfig::instant();
+            fabric.faults = Some(Arc::clone(&plane));
+            let mut config = chaos_server_config();
+            config.cache = config.cache.hot_threshold(1);
+            (Cluster::launch(1, config, fabric).unwrap(), plane)
+        };
+        let seqlock = ClientConfig {
+            consistency: Consistency::Seqlock,
+            report_every: 8,
+            op_deadline: std::time::Duration::from_millis(500),
+            ..Default::default()
+        };
+        let mut writer = cluster.client(seqlock.clone()).unwrap();
+        let mut reader = cluster.client(seqlock.clone()).unwrap();
+        let ptrs: Vec<_> = (0..OBJECTS).map(|_| writer.alloc(0, 64).unwrap()).collect();
+        let mut written = [0u8; OBJECTS];
+        let mut acked: Vec<HashSet<u8>> = vec![HashSet::from([0]); OBJECTS];
+        // What a read of each object may no longer return anything older than.
+        let mut floor = [0u8; OBJECTS];
+        let mut unfinished = [false; OBJECTS];
+
+        let mut rng = seed ^ 0x5E9_10C;
+        for op in 0..400u32 {
+            let i = (splitmix64(&mut rng) % OBJECTS as u64) as usize;
+            if splitmix64(&mut rng).is_multiple_of(4) {
+                written[i] += 1;
+                let val = written[i];
+                match writer.write(ptrs[i], 0, &[val; 64]) {
+                    Ok(()) => {
+                        acked[i].insert(val);
+                        floor[i] = val;
+                        unfinished[i] = false;
+                    }
+                    Err(e) => {
+                        assert!(
+                            !matches!(
+                                e,
+                                GengarError::ProtocolViolation(_) | GengarError::InvalidAddress(_)
+                            ),
+                            "seed {seed} op {op}: fault surfaced as a protocol bug: {e:?}"
+                        );
+                        unfinished[i] = true;
+                    }
+                }
+            } else if let Ok(got) = read_fill_byte(&mut reader, ptrs[i]) {
+                assert!(
+                    acked[i].contains(&got),
+                    "seed {seed} op {op}: object {i} read {got}, never acknowledged"
+                );
+                assert!(
+                    got >= floor[i],
+                    "seed {seed} op {op}: object {i} went back from {} to {got}",
+                    floor[i]
+                );
+                floor[i] = got;
+            }
+        }
+
+        plane.disarm();
+        for (i, ptr) in ptrs.iter().enumerate().filter(|&(i, _)| unfinished[i]) {
+            written[i] += 1;
+            writer
+                .write(*ptr, 0, &[written[i]; 64])
+                .unwrap_or_else(|e| {
+                    panic!("seed {seed}: object {i} stays unwritable after the faults: {e:?}")
+                });
+        }
+        let mut third = cluster.client(seqlock).unwrap();
+        for (i, ptr) in ptrs.iter().enumerate() {
+            third
+                .lock(*ptr)
+                .and_then(|()| third.unlock(*ptr))
+                .unwrap_or_else(|e| panic!("seed {seed}: object {i} stays locked: {e:?}"));
+            let got = read_fill_byte(&mut reader, *ptr)
+                .unwrap_or_else(|e| panic!("seed {seed}: final read of object {i} failed: {e:?}"));
+            assert_eq!(
+                got, written[i],
+                "seed {seed}: object {i} lost its last write"
+            );
+        }
+        assert!(plane.ops_seen() > 0, "seed {seed}: plane saw no traffic");
     }
 }
 

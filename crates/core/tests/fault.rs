@@ -123,6 +123,33 @@ fn crash_under_concurrent_writers_loses_no_acked_write() {
     }
 }
 
+/// A `Seqlock` write to an object past version 0 sends no flush RPC: the
+/// RDMA FLUSH under its last WRITE's doorbell persists the range before the
+/// write is acknowledged, so the write survives a power failure.
+#[test]
+fn acknowledged_one_sided_seqlock_write_survives_a_crash() {
+    let cluster = crash_cluster();
+    let seqlock = ClientConfig {
+        consistency: Consistency::Seqlock,
+        report_every: u32::MAX,
+        ..Default::default()
+    };
+    let mut writer = cluster.client(seqlock.clone()).unwrap();
+    let mut reader = cluster.client(seqlock).unwrap();
+    let ptr = writer.alloc(0, 64).unwrap();
+    // The first write takes the object off version 0 (and the flush RPC).
+    writer.write(ptr, 0, &[1u8; 64]).unwrap();
+    writer.write(ptr, 0, &[2u8; 64]).unwrap();
+
+    let server = cluster.server(0).unwrap();
+    server.shutdown();
+    server.crash().unwrap();
+    server.recover().unwrap();
+    let mut buf = [0u8; 64];
+    reader.read(ptr, 0, &mut buf).unwrap();
+    assert!(buf.iter().all(|&b| b == 2), "acked write lost: {buf:?}");
+}
+
 #[test]
 fn recovery_skips_corrupt_staging_records() {
     let cluster = crash_cluster();

@@ -95,9 +95,10 @@ fn same_object_writes_keep_their_order_across_a_failed_window() {
     }
 }
 
-/// Cache frames are self-validating, so a `Consistency::Seqlock` batch of
-/// promoted objects rides one read window; a frame another client's write
-/// invalidated falls back to the seqlock NVM read, accounted once.
+/// A `Consistency::Seqlock` cached read is the frame and the object's lock
+/// word, so a batch of promoted objects rides one read window; a frame
+/// another client's write outdated falls back to the seqlock NVM read,
+/// accounted once.
 #[test]
 fn seqlock_batches_read_cached_frames_through_the_window() {
     const N: usize = 4;
@@ -129,14 +130,14 @@ fn seqlock_batches_read_cached_frames_through_the_window() {
                 assert_eq!(delta.nvm_reads + delta.read_retries, 0, "{delta:?}");
                 // A report behind the batch saves one doorbell per slot:
                 // its WRITEs ride the cursor READ's.
-                let frames = saved - delta.reports;
-                assert_eq!(frames, N as u64 - 1, "N frames, one doorbell");
+                let reads = saved - delta.reports;
+                assert_eq!(reads, 2 * N as u64 - 1, "N frames and words, one doorbell");
                 break;
             }
             assert!(Instant::now() < deadline, "never hit: {:?}", reader.stats());
         }
-        // Another client's write-through invalidates object 0's frame
-        // while the reader still holds its remap entry.
+        // Another client's write-through outdates object 0's frame while
+        // the reader still holds its remap entry.
         first = first.wrapping_add(10);
         writer.write(ptrs[0], 0, &[first; 64]).unwrap();
         let (delta, _) = read_all(&mut reader, &ptrs, &mut bufs);
@@ -150,8 +151,8 @@ fn seqlock_batches_read_cached_frames_through_the_window() {
         if delta.cache_rejects == 1 {
             break;
         }
-        // The server re-promoted the object between the write and the
-        // read (an epoch fold raced in): heat it up and go again.
+        // The server re-copied the object between the write and the read
+        // (an epoch fold raced in): heat it up and go again.
         assert!(Instant::now() < deadline, "never saw the fallback");
     }
 }

@@ -97,11 +97,13 @@ fn promotion_never_publishes_bytes_a_drained_write_replaced() {
     }
 }
 
-/// `Consistency::Seqlock`: a writer loops lock → one-sided WRITE → flush
-/// RPC → unlock on one hot object, alternating two fill bytes, while a
-/// reader hammers it. Every write invalidates the cached copy and the heat
-/// re-promotes it, so promotions keep copying a payload that a WRITE may be
-/// half way through. A frame the reader validates must hold one fill byte.
+/// `Consistency::Seqlock`: a writer loops lock → one-sided WRITE + FLUSH →
+/// unlock on one hot object, alternating two fill bytes, while a reader
+/// hammers it. The first write invalidates the cached copy and the heat
+/// re-promotes it; every later one outdates the frame's stamp and the next
+/// epoch re-copies it in place. Either way the epoch keeps copying a
+/// payload that a WRITE may be half way through. A frame the reader
+/// validates must hold one fill byte.
 #[test]
 fn seqlock_promotion_never_publishes_a_torn_payload() {
     gengar_hybridmem::set_time_scale(1.0);

@@ -181,7 +181,7 @@ proptest! {
         let mut buf = [0u8; 32];
         encode_slot_header(&mut buf, a, b, c, d);
         let h = decode_slot_header(&buf);
-        prop_assert_eq!((h.tag, h.version, h.checksum, h.len), (a, b, c, d));
+        prop_assert_eq!((h.tag, h.version, h.stamp, h.len), (a, b, c, d));
         let mut buf = [0u8; 48];
         encode_record_header(&mut buf, a, b, c, d, t, tenant, epoch);
         let r = decode_record_header(&buf);

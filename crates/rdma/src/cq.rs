@@ -53,6 +53,8 @@ pub enum WcOpcode {
     CompSwap,
     /// Atomic fetch-and-add completed (sender side).
     FetchAdd,
+    /// RDMA FLUSH completed (sender side).
+    Flush,
     /// Incoming SEND consumed a receive (receiver side).
     Recv,
     /// Incoming WRITE_WITH_IMM consumed a receive (receiver side).

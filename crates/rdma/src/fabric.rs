@@ -451,6 +451,7 @@ impl Fabric {
                 SendOp::Read { .. } => WcOpcode::RdmaRead,
                 SendOp::CompareSwap { .. } => WcOpcode::CompSwap,
                 SendOp::FetchAdd { .. } => WcOpcode::FetchAdd,
+                SendOp::Flush { .. } => WcOpcode::Flush,
             };
             let payload: Option<Gathered> = match &wr.op {
                 SendOp::Send { payload, .. } | SendOp::Write { payload, .. } => {
@@ -463,6 +464,7 @@ impl Fabric {
                     Self::local_mr(src, qp.pd_id(), *local)?;
                     None
                 }
+                SendOp::Flush { .. } => None,
             };
             prepared.push((wr, sender_opcode, payload));
         }
@@ -549,6 +551,7 @@ impl Fabric {
             if let Some(qos) = cfg.qos.as_ref() {
                 let bytes = match (&wr.op, &payload) {
                     (SendOp::Read { local, .. }, _) => local.len,
+                    (SendOp::Flush { .. }, _) => 0,
                     (_, Some(p)) => p.len(),
                     _ => 8, // atomics move one word
                 };
@@ -894,6 +897,27 @@ impl Fabric {
                     8,
                     *cursor + resp_delay,
                 );
+                Ok(*cursor)
+            }
+            SendOp::Flush { remote, len } => {
+                let (remote, len) = (*remote, *len);
+                // The responder persists the range behind the MR: one fenced
+                // flush on the target device, no bytes on the wire.
+                let flushed =
+                    Self::remote_mr(dst, dst_qp.pd_id(), remote, len, Access::REMOTE_WRITE)
+                        .and_then(|mr| {
+                            mr.region()
+                                .flush_at(&[(remote.offset, len)], *cursor)
+                                .map_err(|_| WcStatus::RemoteAccessError)
+                        });
+                let status = match flushed {
+                    Ok(end) => {
+                        *cursor = end;
+                        WcStatus::Success
+                    }
+                    Err(status) => status,
+                };
+                self.complete_at(qp, wr, status, sender_opcode, 0, *cursor + resp_delay);
                 Ok(*cursor)
             }
         }

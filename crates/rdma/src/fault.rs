@@ -329,7 +329,7 @@ impl FaultPlane {
     /// - `flap:period=2000,blocked=200` — partition all links for the
     ///   first `blocked` ops of every `period` ops
     ///
-    /// Shared keys: `verb=read|write|send|cas|faa`, `imm=0|1` (filter on
+    /// Shared keys: `verb=read|write|send|cas|faa|flush`, `imm=0|1` (filter on
     /// WRITE_WITH_IMM), `at=100/200/300` (scripted op counts,
     /// `/`-separated). Without `p` or `at` a rule fires on every matching
     /// op.
@@ -368,6 +368,7 @@ impl FaultPlane {
                             "send" => WcOpcode::Send,
                             "cas" => WcOpcode::CompSwap,
                             "faa" => WcOpcode::FetchAdd,
+                            "flush" => WcOpcode::Flush,
                             _ => return Err(bad("verb")),
                         });
                     }
@@ -645,6 +646,21 @@ mod tests {
             plane.decide(A, B, WcOpcode::RdmaWrite, true),
             FaultDecision::Error(WcStatus::TransportError)
         );
+    }
+
+    #[test]
+    fn flush_verb_parses_and_injects() {
+        let plane =
+            FaultPlane::from_spec("err:verb=flush", 1, TelemetryConfig::disabled()).unwrap();
+        assert_eq!(
+            plane.decide(A, B, WcOpcode::RdmaWrite, false),
+            FaultDecision::Proceed
+        );
+        assert_eq!(
+            plane.decide(A, B, WcOpcode::Flush, false),
+            FaultDecision::Error(WcStatus::TransportError)
+        );
+        assert!(FaultPlane::from_spec("drop:verb=fsync", 1, TelemetryConfig::disabled()).is_err());
     }
 
     #[test]

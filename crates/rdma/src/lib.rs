@@ -4,7 +4,7 @@
 //! crate reimplements the verbs *interface semantics* in software: nodes on
 //! a [`Fabric`] register memory ([`MemoryRegion`]) inside protection
 //! domains, connect reliable queue pairs ([`QueuePair`]) and post one-sided
-//! READ/WRITE/CAS/FAA and two-sided SEND/RECV work requests whose
+//! READ/WRITE/CAS/FAA/FLUSH and two-sided SEND/RECV work requests whose
 //! completions appear on [`CompletionQueue`]s. Remote accesses are validated
 //! against rkeys, bounds, access flags and protection domains — the checks a
 //! real HCA performs.

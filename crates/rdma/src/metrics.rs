@@ -27,6 +27,7 @@ pub(crate) struct FabricMetrics {
     pub read: VerbMetrics,
     pub cas: VerbMetrics,
     pub faa: VerbMetrics,
+    pub flush: VerbMetrics,
     /// Completions with a non-success status.
     pub error_completions: CounterHandle,
     /// Work completions pushed onto any CQ.
@@ -65,6 +66,7 @@ impl FabricMetrics {
             read: verb("read"),
             cas: verb("cas"),
             faa: verb("faa"),
+            flush: verb("flush"),
             error_completions: tel.counter("rdma", "error_completions"),
             cq_completions: tel.counter("rdma", "cq_completions"),
             cq_overflows: tel.counter("rdma", "cq_overflows"),
@@ -86,6 +88,7 @@ impl FabricMetrics {
             WcOpcode::RdmaRead => &self.read,
             WcOpcode::CompSwap => &self.cas,
             WcOpcode::FetchAdd => &self.faa,
+            WcOpcode::Flush => &self.flush,
             // Receive-side opcodes never originate a send-side WR; count
             // them against the send bundle rather than panicking.
             WcOpcode::Recv | WcOpcode::RecvRdmaWithImm => &self.send,
@@ -116,6 +119,7 @@ mod tests {
             WcOpcode::RdmaRead,
             WcOpcode::CompSwap,
             WcOpcode::FetchAdd,
+            WcOpcode::Flush,
             WcOpcode::Recv,
             WcOpcode::RecvRdmaWithImm,
         ] {

@@ -93,6 +93,17 @@ pub enum SendOp {
         /// Addend.
         add: u64,
     },
+    /// RDMA FLUSH: makes `len` bytes at `remote` durable at the responder
+    /// (the persistence-domain flush of the memory behind the MR). Moves no
+    /// payload; needs `REMOTE_WRITE` on the target MR. A doorbell's FLUSH
+    /// behind a WRITE persists that WRITE's bytes, since an RC queue pair
+    /// executes a doorbell's WRs in posting order.
+    Flush {
+        /// Start of the range to persist.
+        remote: RemoteAddr,
+        /// Length of the range in bytes.
+        len: u64,
+    },
 }
 
 impl SendOp {
@@ -104,6 +115,7 @@ impl SendOp {
             SendOp::Read { .. } => "READ",
             SendOp::CompareSwap { .. } => "CAS",
             SendOp::FetchAdd { .. } => "FAA",
+            SendOp::Flush { .. } => "FLUSH",
         }
     }
 }

@@ -13,7 +13,7 @@ use std::time::Duration;
 use gengar_hybridmem::{DeviceProfile, MemDevice, MemKind, MemRegion};
 use gengar_rdma::{
     Access, Endpoint, Fabric, FabricConfig, Payload, ProtectionDomain, QpOptions, QpState,
-    RdmaError, RdmaNode, RemoteAddr, Sge, WcOpcode, WcStatus,
+    RdmaError, RdmaNode, RemoteAddr, SendOp, Sge, WcOpcode, WcStatus,
 };
 
 static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
@@ -201,6 +201,92 @@ fn remote_access_checks_rkey_bounds_and_permissions() {
     // Posting on the errored QP is a programming error now.
     let again = ea.read(Sge::new(a.mr.lkey(), 0, 8), RemoteAddr::new(b.mr.rkey(), 0));
     assert!(matches!(again, Err(RdmaError::InvalidQpState { .. })));
+}
+
+#[test]
+fn flush_persists_a_written_range_across_a_crash() {
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
+    let (_a, b, ea, _eb) = pair(&fabric);
+    let nvm = b.mr.region().device().clone();
+    nvm.enable_crash_sim();
+    let remote = |off: u64| RemoteAddr::new(b.mr.rkey(), off);
+    let write = |off: u64, bytes: &[u8]| SendOp::Write {
+        payload: Payload::Inline(bytes.to_vec()),
+        remote: remote(off),
+        imm: None,
+    };
+    // WRITE + FLUSH under one doorbell, then a WRITE with no FLUSH.
+    let results = ea
+        .execute_many(vec![
+            write(0, b"durable!"),
+            SendOp::Flush {
+                remote: remote(0),
+                len: 8,
+            },
+        ])
+        .unwrap();
+    assert_eq!(results[1].as_ref().unwrap().opcode, WcOpcode::Flush);
+    ea.execute(write(64, b"volatile")).unwrap();
+    nvm.crash().unwrap();
+    let mut buf = [0u8; 8];
+    b.mr.region().read(0, &mut buf).unwrap();
+    assert_eq!(&buf, b"durable!");
+    b.mr.region().read(64, &mut buf).unwrap();
+    assert_eq!(buf, [0u8; 8], "an unflushed WRITE is lost in the crash");
+}
+
+#[test]
+fn flush_needs_remote_write_and_failure_flushes_later_wrs() {
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
+    let a = make_node(&fabric, MemKind::Dram, 4096, Access::all());
+    let b = make_node(&fabric, MemKind::Nvm, 4096, Access::REMOTE_READ);
+    let (ea, _eb) =
+        Endpoint::pair((&a.node, &a.pd), (&b.node, &b.pd), QpOptions::default()).unwrap();
+    let results = ea
+        .execute_many(vec![
+            SendOp::Flush {
+                remote: RemoteAddr::new(b.mr.rkey(), 0),
+                len: 64,
+            },
+            SendOp::Read {
+                local: Sge::new(a.mr.lkey(), 0, 8),
+                remote: RemoteAddr::new(b.mr.rkey(), 0),
+            },
+        ])
+        .unwrap();
+    assert_eq!(
+        results[0],
+        Err(RdmaError::CompletionError(WcStatus::RemoteAccessError))
+    );
+    assert_eq!(
+        results[1],
+        Err(RdmaError::CompletionError(WcStatus::WrFlushed))
+    );
+    assert_eq!(ea.qp().state(), QpState::Error);
+}
+
+#[test]
+fn flush_counts_in_its_own_verb_metrics() {
+    use gengar_telemetry::Registry;
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
+    let reg = Registry::global();
+    let (flush_ops, flush_lat, write_ops) = (
+        reg.counter("rdma", "flush_ops"),
+        reg.histogram("rdma", "flush_ns"),
+        reg.counter("rdma", "write_ops"),
+    );
+    let (ops0, lat0, writes0) = (flush_ops.get(), flush_lat.snapshot().count, write_ops.get());
+    let (_a, b, ea, _eb) = pair(&fabric);
+    for _ in 0..3 {
+        ea.execute(SendOp::Flush {
+            remote: RemoteAddr::new(b.mr.rkey(), 0),
+            len: 128,
+        })
+        .unwrap();
+    }
+    assert_eq!(flush_ops.get(), ops0 + 3);
+    assert_eq!(flush_lat.snapshot().count, lat0 + 3);
+    assert_eq!(write_ops.get(), writes0, "a FLUSH is not a WRITE");
 }
 
 #[test]
@@ -493,7 +579,6 @@ fn fault_plane_disarm_restores_clean_fabric() {
 
 #[test]
 fn batched_reads_complete_per_op() {
-    use gengar_rdma::SendOp;
     let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let (a, b, ea, _eb) = pair(&fabric);
     for i in 0..8u8 {
@@ -521,7 +606,6 @@ fn batched_reads_complete_per_op() {
 
 #[test]
 fn batch_posts_one_doorbell() {
-    use gengar_rdma::SendOp;
     use gengar_telemetry::Registry;
     let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let reg = Registry::global();
@@ -552,7 +636,6 @@ fn batch_posts_one_doorbell() {
 
 #[test]
 fn batch_failure_flushes_later_wrs_in_order() {
-    use gengar_rdma::SendOp;
     let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let (a, b, ea, _eb) = pair(&fabric);
     b.mr.region().write(0, &[0xAB; 8]).unwrap();
@@ -583,7 +666,6 @@ fn batch_failure_flushes_later_wrs_in_order() {
 
 #[test]
 fn batch_with_invalid_wr_executes_nothing() {
-    use gengar_rdma::SendOp;
     let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let (a, b, ea, _eb) = pair(&fabric);
     let good = SendOp::Write {
@@ -608,7 +690,6 @@ fn batch_with_invalid_wr_executes_nothing() {
 
 #[test]
 fn batch_drop_times_out_only_that_slot() {
-    use gengar_rdma::SendOp;
     let plane = Arc::new(gengar_rdma::FaultPlane::new(1));
     // Drop the second WR of the batch on the wire.
     plane.add_rule(gengar_rdma::FaultRule::drop_op().at_ops(vec![2]));

@@ -163,10 +163,13 @@ pub struct Tracer {
     mode: AtomicU8,
     epoch: Instant,
     next_id: AtomicU64,
-    /// Pre-allocated span storage. Slots are claimed by a lock-free
-    /// `fetch_add` on `cursor`; the per-slot mutex only serialises the
-    /// single writer of a claimed slot against snapshot readers.
-    slots: Box<[Mutex<Option<SpanRecord>>]>,
+    /// Span storage of `capacity` slots, allocated when the first span
+    /// commits: a tracer that stays off (every untraced run) never holds
+    /// it. Slots are claimed by a lock-free `fetch_add` on `cursor`; the
+    /// per-slot mutex only serialises the single writer of a claimed slot
+    /// against snapshot readers.
+    slots: OnceLock<Box<[Mutex<Option<SpanRecord>>]>>,
+    capacity: usize,
     cursor: AtomicUsize,
     sample_ctr: AtomicU64,
     /// Root spans that arrived after the main buffer filled (newest win).
@@ -181,7 +184,7 @@ impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
             .field("mode", &self.mode())
-            .field("capacity", &self.slots.len())
+            .field("capacity", &self.capacity)
             .field("used", &self.cursor.load(Ordering::Relaxed))
             .finish()
     }
@@ -190,15 +193,12 @@ impl std::fmt::Debug for Tracer {
 impl Tracer {
     /// A tracer with a `capacity`-span main buffer, mode [`TraceMode::Off`].
     pub fn with_capacity(capacity: usize) -> Arc<Tracer> {
-        let slots = (0..capacity.max(1))
-            .map(|_| Mutex::new(None))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         Arc::new(Tracer {
             mode: AtomicU8::new(0),
             epoch: Instant::now(),
             next_id: AtomicU64::new(1),
-            slots,
+            slots: OnceLock::new(),
+            capacity: capacity.max(1),
             cursor: AtomicUsize::new(0),
             sample_ctr: AtomicU64::new(0),
             root_reserve: Mutex::new(VecDeque::new()),
@@ -301,7 +301,7 @@ impl Tracer {
         match self.mode() {
             TraceMode::Off => false,
             TraceMode::Full => true,
-            TraceMode::Sampled => self.cursor.load(Ordering::Relaxed) < self.slots.len() / 2,
+            TraceMode::Sampled => self.cursor.load(Ordering::Relaxed) < self.capacity / 2,
         }
     }
 
@@ -386,7 +386,7 @@ impl Tracer {
         if let Some(r) = self.recorder.get() {
             r.observe(&rec);
         }
-        let cap = self.slots.len();
+        let cap = self.capacity;
         if !root
             && self.mode() == TraceMode::Sampled
             && self.cursor.load(Ordering::Relaxed) >= cap / 2
@@ -400,7 +400,13 @@ impl Tracer {
         }
         let idx = self.cursor.fetch_add(1, Ordering::Relaxed);
         if idx < cap {
-            *self.slots[idx].lock().unwrap() = Some(rec);
+            let slots = self.slots.get_or_init(|| {
+                (0..cap)
+                    .map(|_| Mutex::new(None))
+                    .collect::<Vec<_>>()
+                    .into_boxed_slice()
+            });
+            *slots[idx].lock().unwrap() = Some(rec);
             self.ended.fetch_add(1, Ordering::Relaxed);
         } else if root {
             // The op-level skeleton must survive buffer exhaustion: roots
@@ -416,12 +422,18 @@ impl Tracer {
         }
     }
 
+    /// The main buffer: empty until a span first commits.
+    fn stored(&self) -> &[Mutex<Option<SpanRecord>>] {
+        self.slots.get().map_or(&[], |slots| slots)
+    }
+
     /// Copies out every stored span (main buffer order, then preserved
     /// roots). Open spans are absent until they drop.
     pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let used = self.cursor.load(Ordering::Relaxed).min(self.slots.len());
+        let slots = self.stored();
+        let used = self.cursor.load(Ordering::Relaxed).min(slots.len());
         let mut out = Vec::with_capacity(used);
-        for slot in &self.slots[..used] {
+        for slot in &slots[..used] {
             if let Some(rec) = slot.lock().unwrap().as_ref() {
                 out.push(rec.clone());
             }
@@ -444,8 +456,9 @@ impl Tracer {
     /// Empties the buffer and zeroes the lifecycle counters. Spans still
     /// open keep working; they commit into the cleared buffer.
     pub fn clear(&self) {
-        let used = self.cursor.load(Ordering::Relaxed).min(self.slots.len());
-        for slot in &self.slots[..used] {
+        let slots = self.stored();
+        let used = self.cursor.load(Ordering::Relaxed).min(slots.len());
+        for slot in &slots[..used] {
             *slot.lock().unwrap() = None;
         }
         self.root_reserve.lock().unwrap().clear();
