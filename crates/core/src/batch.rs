@@ -63,6 +63,7 @@ use std::fmt;
 use crate::addr::GlobalPtr;
 use crate::client::GengarClient;
 use crate::error::GengarError;
+use crate::plan::Op;
 
 /// One batch element. [`OpBatch`] queues reads and writes only; the other
 /// kinds are built by the scalar calls, each alone in its batch (see the
@@ -136,6 +137,21 @@ impl BatchOp<'_> {
                 Some((*ptr, 0, 0))
             }
             BatchOp::Drain { .. } => None,
+        }
+    }
+
+    /// The op's kind, as [`crate::plan`] sees it.
+    pub(crate) fn kind(&self) -> Op {
+        match self {
+            BatchOp::Read { .. } => Op::Read,
+            BatchOp::Write { .. } => Op::Write,
+            BatchOp::Atomic { prev, .. } => Op::Atomic {
+                applied: prev.is_some(),
+            },
+            BatchOp::Lock { .. } => Op::Lock,
+            BatchOp::Unlock { .. } => Op::Unlock,
+            BatchOp::LockWord { .. } => Op::LockWord,
+            BatchOp::Drain { .. } => Op::Drain,
         }
     }
 

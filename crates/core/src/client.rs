@@ -27,7 +27,7 @@ use gengar_telemetry::{
 
 use crate::addr::{GlobalAddr, GlobalPtr, MemClass};
 use crate::batch::{AtomicVerb, BatchOp, BatchResult, OpBatch};
-use crate::config::{ClientConfig, Consistency};
+use crate::config::ClientConfig;
 use crate::consistency::park_after;
 use crate::error::GengarError;
 use crate::hotness::{
@@ -35,6 +35,9 @@ use crate::hotness::{
     MAX_REPORT, REPORT_SLOTS, REPORT_SLOT_BYTES,
 };
 use crate::layout::{decode_slot_header, lockword, OBJ_HEADER, SLOT_HEADER, SLOT_TAIL};
+use crate::plan::{
+    self, DirectStep, FrameVerdict, Hold, Known, Op, Persist, ReadKind, Ring, Route, Start, Why,
+};
 use crate::proto::{error_for_code, MountInfo, Request, Response, NO_BACKUP};
 use crate::proxy::{MirrorLane, StagedFlight, StagingWriter};
 use crate::qos::TenantState;
@@ -200,48 +203,6 @@ struct StagedPlan {
     lane: u64,
 }
 
-/// What a planned read fetches into its lane.
-#[derive(Debug, Clone, Copy)]
-enum ReadKind {
-    /// The whole cache frame at `slot`, and with `word` the object's lock
-    /// word behind it under the same doorbell (`Seqlock`); validated after
-    /// the fact ([`GengarClient::check_frame`]).
-    Cached { slot: GlobalAddr, word: bool },
-    /// The lock word alone, behind a frame already in the lane whose stamp
-    /// is not zero: a `None` reader's second READ.
-    Stamp,
-    /// Payload bytes straight from NVM.
-    Plain,
-    /// The seqlock triple `[lock word][payload][lock word]`, three READs
-    /// under one doorbell: valid if the words are equal and unlocked.
-    Versioned,
-}
-
-impl ReadKind {
-    /// Work requests one posting of this read costs against the window.
-    fn wrs(self) -> usize {
-        match self {
-            ReadKind::Versioned => 3,
-            ReadKind::Cached { word: true, .. } => 2,
-            _ => 1,
-        }
-    }
-}
-
-/// What [`GengarClient::check_frame`] made of a fetched cache frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FrameVerdict {
-    /// Holds the object's bytes.
-    Fresh,
-    /// Whole, but a write moved the lock word past its stamp: the slot
-    /// stays the object's until the epoch re-copies it.
-    Stale,
-    /// Whole, with a stamp still to compare against the lock word.
-    Unchecked,
-    /// Torn, recycled or mid-update.
-    Invalid,
-}
-
 /// One read of the current batch attempt, re-posted until it resolves:
 /// against NVM after a rejected cache frame, from the start after a lost
 /// seqlock validation, chunk by chunk when larger than the op area.
@@ -281,22 +242,6 @@ impl ReadPlan {
     }
 }
 
-/// The verb a [`DirectOp`] has on the wire or, with no flight open,
-/// posts next. Past the last `Write` chunk comes the flush RPC, unless the
-/// write persists one-sided ([`GengarClient::flushes_one_sided`]): then the
-/// last chunk's doorbell carries a FLUSH of the written range. An atomic
-/// writes no chunk, so its `Write` step is the flush RPC alone, and so is
-/// a `lock` that takes its object off version 0.
-#[derive(Debug, Clone, Copy, Default)]
-enum DirectStep {
-    ReadWord,
-    Cas,
-    Atomic,
-    #[default]
-    Write,
-    Unlock,
-}
-
 /// What a [`DirectOp`] waits for.
 #[derive(Debug)]
 enum Flight {
@@ -306,16 +251,11 @@ enum Flight {
 
 /// An op part-way down the direct chain, each step a wait other servers'
 /// groups overlap. A `Seqlock` write runs lock-word READ → lock CAS →
-/// WRITE per op-area chunk, the last one with a FLUSH under the same
-/// doorbell → unlock WRITE; the first lock of an object (version 0) puts
-/// the flush+invalidate RPC before the unlock instead of the FLUSH. The
-/// unlock stays a doorbell of its own: a WR dropped on the wire does not
-/// stop the WRs behind it, so an unlock behind a lost WRITE would publish
-/// a write that never landed. Writes that take no lock of their own —
-/// `Consistency::None`, the caller's lock — skip the READ, CAS and unlock
-/// (a `None` write always flushes by RPC); `lock` runs READ → CAS (→ RPC
-/// at version 0), `unlock` the unlock WRITE, an atomic its CAS/FAA →
-/// flush RPC, and `read_lock_word` the READ.
+/// WRITE per op-area chunk → its persist ([`plan::persist`]) → unlock
+/// WRITE. The unlock stays a doorbell of its own: a WR dropped on the wire
+/// does not stop the WRs behind it, so an unlock behind a lost WRITE would
+/// publish a write that never landed. Where other ops start is
+/// [`plan::chain_start`]'s.
 #[derive(Debug, Default)]
 struct DirectOp {
     /// Position of the op in the group's indices (the walk resumes behind it).
@@ -545,9 +485,8 @@ pub struct GengarClient {
     stale_frames: HashSet<u64>,
     /// Local store buffer for in-flight proxied writes (read-your-writes).
     write_back: HashMap<u64, WriteBack>,
-    /// Locks this client holds: base raw -> (locked word, whether a write
-    /// took it for itself — the attempt that finishes the write releases it).
-    held: HashMap<u64, (u64, bool)>,
+    /// Locks this client holds, by object base raw.
+    held: HashMap<u64, Hold>,
     /// Failed-over wards: dead primary id -> the replica now serving its
     /// objects (through the shadow region at unchanged offsets). The
     /// connection slot for the primary is rewired in place, so this map
@@ -620,7 +559,7 @@ impl GengarClient {
                     &pd,
                     &mr,
                     Arc::clone(&rpc_mr),
-                    &mut |need| match staging_scratch_off {
+                    Some(&mut |need| match staging_scratch_off {
                         Some(off) => off,
                         None => {
                             let off = bump;
@@ -628,7 +567,7 @@ impl GengarClient {
                             staging_scratch_off = Some(off);
                             off
                         }
-                    },
+                    }),
                     &config,
                 );
                 match result {
@@ -761,42 +700,26 @@ impl GengarClient {
         Ok(())
     }
 
-    /// Runs the accept + Mount handshake against `server`.
+    /// Runs the accept + Mount handshake against `server`: the attempt
+    /// timeouts on every endpoint, the RPC client over `rpc_mr`, and the
+    /// staging writer over the ring the accept assigned when the server
+    /// mounts the proxy.
     ///
-    /// `alloc_scratch` reserves scratch bytes for the staging writer when
-    /// the server mounts with the proxy enabled: `connect` passes a bump
-    /// allocator, `reconnect` returns the connection's existing
-    /// reservation (the ring geometry is a server-config constant, so the
-    /// size never changes across reconnects).
+    /// `alloc_scratch` reserves scratch bytes for that writer: `connect`
+    /// passes a bump allocator, `reconnect` returns the connection's
+    /// existing reservation (the ring geometry is a server-config
+    /// constant, so the size never changes across reconnects), and
+    /// `failover`, which keeps its mirror-lane writer, passes `None`.
     fn handshake(
         server: &Arc<MemoryServer>,
         node: &Arc<RdmaNode>,
         pd: &ProtectionDomain,
         scratch_mr: &Arc<MemoryRegion>,
         rpc_mr: Arc<MemoryRegion>,
-        alloc_scratch: &mut dyn FnMut(u64) -> u64,
+        alloc_scratch: Option<&mut dyn FnMut(u64) -> u64>,
         config: &ClientConfig,
     ) -> Result<Handshake, GengarError> {
-        let channel = server.accept(node, pd)?;
-        let cid = channel.cid;
-        // A handshake that dies after accept (e.g. its Mount RPC is lost to
-        // a fault) never staged anything under this id, so hand it straight
-        // back — otherwise every failed re-dial through a partition would
-        // burn a slot of `max_clients` forever.
-        Self::finish_handshake(channel, scratch_mr, rpc_mr, alloc_scratch, config)
-            .inspect_err(|_| server.release_client(cid))
-    }
-
-    /// The post-accept half of [`GengarClient::handshake`]: Mount, endpoint
-    /// timeout setup, and the staging writer over the ring the accept
-    /// assigned when the server mounts the proxy.
-    fn finish_handshake(
-        mut channel: crate::server::ClientChannel,
-        scratch_mr: &Arc<MemoryRegion>,
-        rpc_mr: Arc<MemoryRegion>,
-        alloc_scratch: &mut dyn FnMut(u64) -> u64,
-        config: &ClientConfig,
-    ) -> Result<Handshake, GengarError> {
+        let mut channel = server.accept(node, pd)?;
         let cid = channel.cid;
         // Verbs must give up well inside the operation deadline so the
         // retry loop gets several attempts (and a reconnect) per budget.
@@ -805,20 +728,26 @@ impl GengarClient {
         channel.data.set_op_timeout(attempt);
         channel.proxy.set_op_timeout(attempt);
         let rpc = RpcClient::with_deadline(channel.rpc, rpc_mr, config.op_deadline);
-
-        let mount = match rpc.call(&Request::Mount {
-            tenant: config.tenant.clone(),
-        })? {
-            Response::Mount(m) => m,
-            Response::Err { code } => return Err(error_for_code(code, 0)),
-            _ => return Err(GengarError::ProtocolViolation("bad mount response")),
-        };
-        let staging = if mount.enable_proxy {
+        let mount = rpc
+            .call(&Request::Mount {
+                tenant: config.tenant.clone(),
+            })
+            .and_then(|resp| match resp {
+                Response::Mount(m) => Ok(m),
+                Response::Err { code } => Err(error_for_code(code, 0)),
+                _ => Err(GengarError::ProtocolViolation("bad mount response")),
+            })
+            // A handshake that dies after accept (e.g. its Mount RPC is
+            // lost to a fault) never staged anything under this id, so hand
+            // it straight back — otherwise every failed re-dial through a
+            // partition would burn a slot of `max_clients` forever.
+            .inspect_err(|_| server.release_client(cid))?;
+        let staging = alloc_scratch.filter(|_| mount.enable_proxy).map(|alloc| {
             let layout = mount.ring_layout();
             // Slot gather area plus two watermark landing pads (primary
             // and mirror drained words).
-            let scratch_off = alloc_scratch(layout.slot_bytes() + 16);
-            Some(StagingWriter::new(
+            let scratch_off = alloc(layout.slot_bytes() + 16);
+            StagingWriter::new(
                 channel.proxy,
                 RKey(mount.staging_rkey),
                 RKey(mount.ctl_rkey),
@@ -828,10 +757,8 @@ impl GengarClient {
                 Arc::clone(scratch_mr),
                 scratch_off,
                 config.telemetry,
-            ))
-        } else {
-            None
-        };
+            )
+        });
         Ok(Handshake {
             cid,
             mount,
@@ -1027,7 +954,7 @@ impl GengarClient {
             rpc_mr,
             // Ring geometry is a server-config constant, so the original
             // scratch reservation fits the new ring exactly.
-            &mut |_need| scratch_off.expect("proxy mount implies a scratch reservation"),
+            Some(&mut |_need| scratch_off.expect("proxy mount implies a scratch reservation")),
             &self.config,
         )?;
 
@@ -1164,33 +1091,15 @@ impl GengarClient {
         // Fresh control/data plane to the replica for this ward's traffic
         // (the old endpoints died with the primary's machine).
         let srv = Arc::clone(&self.servers[bidx]);
-        let mut channel = srv.accept(&self.node, &self.pd)?;
-        let cid = channel.cid;
-        let attempt = attempt_timeout(self.config.op_deadline);
-        channel.rpc.set_op_timeout(attempt);
-        channel.data.set_op_timeout(attempt);
-        let rpc = RpcClient::with_deadline(
-            channel.rpc,
+        let hs = Self::handshake(
+            &srv,
+            &self.node,
+            &self.pd,
+            &self.mr,
             Arc::clone(&self.conns[idx].rpc_mr),
-            self.config.op_deadline,
-        );
-        let mount = match rpc.call(&Request::Mount {
-            tenant: self.config.tenant.clone(),
-        }) {
-            Ok(Response::Mount(m)) => m,
-            Ok(Response::Err { code }) => {
-                srv.release_client(channel.cid);
-                return Err(error_for_code(code, 0));
-            }
-            Ok(_) => {
-                srv.release_client(channel.cid);
-                return Err(GengarError::ProtocolViolation("bad mount response"));
-            }
-            Err(e) => {
-                srv.release_client(channel.cid);
-                return Err(e);
-            }
-        };
+            None,
+            &self.config,
+        )?;
         // The previous redirected tenure's control/data id (if any) is
         // dead weight on the replica — nothing is ever staged under it, so
         // it is safe to hand back — and repeated hiccups of a promoted
@@ -1198,7 +1107,7 @@ impl GengarClient {
         if let Some(old) = self.conns[idx].redirect_cid.take() {
             srv.release_client(old);
         }
-        self.conns[idx].redirect_cid = Some(cid);
+        self.conns[idx].redirect_cid = Some(hs.cid);
         let conn = &mut self.conns[idx];
         // The ward's addresses resolve through the replica's shadow
         // region from here on: same offsets, different rkey. The slot
@@ -1207,12 +1116,12 @@ impl GengarClient {
         // by the servers' rebalance plane, not by this client).
         conn.mount = MountInfo {
             server_id: server,
-            nvm_rkey: mount.shadow_rkey,
+            nvm_rkey: hs.mount.shadow_rkey,
             backup: NO_BACKUP,
-            ..mount
+            ..hs.mount
         };
-        conn.rpc = rpc;
-        conn.data = channel.data;
+        conn.rpc = hs.rpc;
+        conn.data = hs.data;
         conn.staging_faults = 0;
         conn.degraded = false;
         match conn.staging.as_mut() {
@@ -1448,60 +1357,32 @@ impl GengarClient {
         Ok(ControlFlow::Continue(false))
     }
 
-    /// Validates the cache frame that read plan `p` landed in its lane.
-    /// FaRM-style first: correct tag and length, even head version, tail
-    /// version matching head (rejects torn, recycled and mid-update
-    /// frames). Then the frame's stamp, the lock word its copy was taken at:
-    /// lock words only grow, so a stamp equal to the word a READ fetched
-    /// after the frame (into the lane right behind it) means no write
-    /// landed since the copy. A zero stamp — a version-0 object — passes
-    /// without the word: the lock CAS that first moves an object's word
-    /// has the server invalidate its frames by RPC before the unlock.
+    /// Judges the cache frame that read plan `p` landed in its lane, with
+    /// the lock word behind it if the plan fetched one
+    /// ([`plan::frame_verdict`]).
     fn check_frame(&self, p: &ReadPlan) -> Result<FrameVerdict, GengarError> {
-        let mut hdr_bytes = [0u8; SLOT_HEADER as usize];
-        self.mr.region().read(p.lane, &mut hdr_bytes)?;
-        let hdr = decode_slot_header(&hdr_bytes);
-        let whole = hdr.tag == p.ptr.addr.raw()
-            && hdr.version.is_multiple_of(2)
-            && hdr.len == p.ptr.size
-            && self.scratch_word(p.lane + SLOT_HEADER + p.ptr.size)? == hdr.version;
-        Ok(match p.kind {
-            _ if !whole => FrameVerdict::Invalid,
-            ReadKind::Cached { word: false, .. } if hdr.stamp == lockword::INIT => {
-                FrameVerdict::Fresh
-            }
-            ReadKind::Cached { word: false, .. } => FrameVerdict::Unchecked,
-            _ if self.scratch_word(p.lane + p.frame_len())? == hdr.stamp => FrameVerdict::Fresh,
-            _ => FrameVerdict::Stale,
-        })
-    }
-
-    /// How the object at `base` is read from NVM. The holder of its writer
-    /// lock reads plainly even under `Seqlock`: no other writer can be
-    /// active, and the lock bit it set itself would otherwise never clear.
-    fn nvm_read_kind(&self, base: u64) -> ReadKind {
-        if self.config.consistency == Consistency::None || self.held.contains_key(&base) {
-            ReadKind::Plain
-        } else {
-            ReadKind::Versioned
-        }
+        let mut hdr = [0u8; SLOT_HEADER as usize];
+        self.mr.region().read(p.lane, &mut hdr)?;
+        let tail = self.scratch_word(p.lane + SLOT_HEADER + p.ptr.size)?;
+        let word = match p.kind.word() {
+            true => Some(self.scratch_word(p.lane + p.frame_len())?),
+            false => None,
+        };
+        let hdr = decode_slot_header(&hdr);
+        Ok(plan::frame_verdict(&hdr, p.ptr, tail, word))
     }
 
     /// Writes `data` at `ptr.addr + offset`.
     ///
-    /// Routing: under `Consistency::Seqlock` the write locks the object
-    /// (unless already held), goes straight to NVM with an RDMA FLUSH of
-    /// the range under its last WRITE's doorbell, and unlocks — one-sided
-    /// end to end, except that the first lock of an object also has the
-    /// server invalidate its cached frames by RPC. Under
-    /// `Consistency::None` it takes the proxy fast path when enabled and
-    /// the payload fits a staging slot, else WRITEs and flushes by RPC.
-    ///
-    /// Transient transport faults are absorbed like in
-    /// [`GengarClient::read`]. A connection whose staging ring keeps
-    /// faulting is *degraded*: after `staging_fault_threshold` consecutive
-    /// staged-write failures the client routes writes through the direct
-    /// NVM path (correct, just slower) until a reconnect heals the ring.
+    /// Under `Consistency::Seqlock` the write locks the object (unless
+    /// already held), WRITEs NVM with an RDMA FLUSH under its last doorbell
+    /// (the object's first lock flushes by RPC instead, invalidating its
+    /// cached frames) and unlocks. Under `Consistency::None` it takes the
+    /// proxy fast path when the payload fits a staging slot, else WRITEs
+    /// and flushes by RPC. Faults are absorbed like in
+    /// [`GengarClient::read`]; after `staging_fault_threshold` consecutive
+    /// staged-write failures a connection is *degraded* and writes go
+    /// direct until a reconnect heals the ring.
     ///
     /// # Errors
     ///
@@ -2087,24 +1968,15 @@ impl GengarClient {
         self.start_attempt(run, results);
     }
 
-    /// The write half of an attempt pass, resumable at any op index.
-    ///
-    /// Under `Consistency::None` on a healthy staging ring every write
-    /// that fits a slot is window-eligible — its record is gathered into
-    /// a scratch lane and posted with up to `window_depth` others under
-    /// one doorbell ([`GengarClient::post_staged`]). A window never holds
-    /// two writes to one object: meeting a second one posts the window
-    /// and resumes at that op, and a window must settle before the next
-    /// posts, so same-object writes land in submission order (and a
-    /// failed window replays its unresolved ops, still in order, before
-    /// anything later is planned). What the planner cannot stage (seqlock
-    /// writes, oversize payloads, degraded connections) walks the direct
-    /// chain ([`GengarClient::step_direct`]) one write at a time, with any
-    /// planned window posted first as an ordering barrier. The scalar
-    /// calls' atomics and lock ops walk the same chain, and a drain
-    /// barrier waits out the ring ([`GengarClient::step_drain`]); each of
-    /// those sits alone in its batch. Posting parks the group instead of
-    /// blocking; the walk resumes at `resume` once the flight settles.
+    /// The write half of an attempt pass, resumable at any op index. Each
+    /// op goes where [`plan::route`] sends it: staged ops gather into a
+    /// window posted under one doorbell ([`GengarClient::post_staged`]),
+    /// which must settle before the next posts, so same-object writes land
+    /// in submission order; the rest walk the direct chain
+    /// ([`GengarClient::step_direct`]) one at a time, any planned window
+    /// posted first as an ordering barrier. A drain barrier waits out the
+    /// ring ([`GengarClient::step_drain`]). Posting parks the group; the
+    /// walk resumes at `resume` once the flight settles.
     fn step_writes(
         &mut self,
         run: &mut GroupRun,
@@ -2112,37 +1984,29 @@ impl GengarClient {
         ops: &mut [BatchOp<'_>],
         results: &mut [Option<Result<(), GengarError>>],
     ) -> Result<(), GengarError> {
-        let (stage_cap, slot_bytes, max_payload, lanes) = {
+        let (ring, window, slot_bytes, lanes) = {
             let conn = self.conn(run.server)?;
-            match (conn.staging.as_ref(), conn.staging_scratch_off) {
-                (Some(st), Some(own_lane))
-                    if self.config.consistency == Consistency::None && !conn.degraded =>
-                {
-                    let layout = st.layout();
-                    let fit = (conn.op_buf_len / layout.slot_bytes()) as usize;
-                    if fit == 0 {
-                        // An op area smaller than one slot still stages: a
-                        // window of one gathers in the writer's own lane.
-                        (1, layout.slot_bytes(), st.max_payload(), own_lane)
-                    } else {
-                        let cap = (conn.window.depth() as usize)
-                            .min(layout.slots as usize)
-                            .min(fit);
-                        (cap, layout.slot_bytes(), st.max_payload(), conn.op_buf)
-                    }
-                }
-                _ => (0, 0, 0, conn.op_buf),
-            }
+            let ring = conn.staging.as_ref().zip(conn.staging_scratch_off);
+            let (window, slot_bytes, lanes) = ring.map_or((0, 0, conn.op_buf), |(st, own_lane)| {
+                let (depth, slots) = (conn.window.depth() as usize, st.layout().slots as usize);
+                let slot_bytes = st.layout().slot_bytes();
+                let (cap, own) = plan::stage_window(depth, slots, conn.op_buf_len, slot_bytes);
+                (cap, slot_bytes, if own { own_lane } else { conn.op_buf })
+            });
+            let ring = match ring {
+                _ if conn.degraded => Ring::Degraded,
+                Some((st, _)) => Ring::Healthy {
+                    slot: st.max_payload(),
+                },
+                None => Ring::Absent,
+            };
+            (ring, window, slot_bytes, lanes)
         };
-        // A tenant with a staged-occupancy cap never plans a window larger
-        // than the cap: an oversize window could never reserve, so it
-        // would park forever. Oversize single payloads shed to the direct
-        // chain.
         let tenant_cap = self
             .tenant
             .as_ref()
-            .map(|t| t.spec().staged_bytes_cap)
-            .filter(|&cap| cap > 0);
+            .map_or(0, |t| t.spec().staged_bytes_cap);
+        let consistency = self.config.consistency;
         let mut staged: Vec<StagedPlan> = Vec::new();
         let mut staged_bytes: u64 = 0;
         let mut cursor = cursor;
@@ -2161,49 +2025,47 @@ impl GengarClient {
                 op => op.range().expect("only a drain touches no object"),
             };
             let base = ptr.addr.raw();
-            if matches!(ops[i], BatchOp::Write { .. })
-                && stage_cap > 0
-                && data_len <= max_payload
-                && tenant_cap.is_none_or(|cap| data_len <= cap)
-            {
-                if staged.iter().any(|p| p.base_raw == base)
-                    || tenant_cap.is_some_and(|cap| staged_bytes + data_len > cap)
-                {
-                    // One write per object and at most the occupancy cap
-                    // per window; post what is planned and resume here,
-                    // unadvanced.
-                    return self.post_staged(run, cursor, staged, ops);
+            let fits_cap = self.tenant.as_ref().is_none_or(|t| t.staged_fits(data_len));
+            match plan::route(ops[i].kind(), consistency, ring, data_len, fits_cap) {
+                Route::Stage => {
+                    let same_object = staged.iter().any(|p| p.base_raw == base);
+                    if !plan::joins_staged(same_object, staged_bytes, data_len, tenant_cap) {
+                        // Post what is planned and resume here, unadvanced.
+                        return self.post_staged(run, cursor, staged, ops);
+                    }
+                    staged_bytes += data_len;
+                    staged.push(StagedPlan {
+                        idx: i,
+                        target_raw: ptr.addr.add(offset).raw(),
+                        base_raw: base,
+                        off: offset,
+                        lane: lanes + staged.len() as u64 * slot_bytes,
+                    });
+                    cursor += 1;
+                    if staged.len() == window {
+                        return self.post_staged(run, cursor, staged, ops);
+                    }
                 }
-                staged_bytes += data_len;
-                staged.push(StagedPlan {
-                    idx: i,
-                    target_raw: ptr.addr.add(offset).raw(),
-                    base_raw: base,
-                    off: offset,
-                    lane: lanes + staged.len() as u64 * slot_bytes,
-                });
-                cursor += 1;
-                if staged.len() == stage_cap {
-                    return self.post_staged(run, cursor, staged, ops);
-                }
-            } else if !staged.is_empty() {
                 // Ordering barrier: planned records must land before this
                 // direct write (same-object order; the chain also reuses
                 // the scratch lanes). Resume here, unadvanced.
-                return self.post_staged(run, cursor, staged, ops);
-            } else {
-                // Issue gate: a dry tenant bucket parks the group (no
-                // retry budget charged) and the walk resumes right here.
-                if let Some(tenant) = &self.tenant {
-                    if let Err(wake) = tenant.issue_admit(1, data_len) {
-                        run.phase = GroupPhase::Throttle {
-                            resume_at: wake,
-                            next: Box::new(GroupPhase::Writes { cursor }),
-                        };
-                        return Ok(());
-                    }
+                Route::Direct(_) if !staged.is_empty() => {
+                    return self.post_staged(run, cursor, staged, ops)
                 }
-                return self.begin_direct(run, cursor, ops, results);
+                Route::Direct(why) => {
+                    // Issue gate: a dry tenant bucket parks the group (no
+                    // retry budget charged) and the walk resumes right here.
+                    if let Some(tenant) = &self.tenant {
+                        if let Err(wake) = tenant.issue_admit(1, data_len) {
+                            run.phase = GroupPhase::Throttle {
+                                resume_at: wake,
+                                next: Box::new(GroupPhase::Writes { cursor }),
+                            };
+                            return Ok(());
+                        }
+                    }
+                    return self.begin_direct(run, cursor, ops, results, why);
+                }
             }
         }
         if staged.is_empty() {
@@ -2274,75 +2136,36 @@ impl GengarClient {
         Ok(())
     }
 
-    /// Opens the direct chain for the op at `cursor`, at the step its kind
-    /// starts from: a write locks first under `Seqlock` unless this client
-    /// holds the lock, `lock` reads the word (or adopts a lock a failed
-    /// write left behind), `unlock` releases, an atomic posts its verb —
-    /// or only its flush, when an earlier attempt's verb completed — and
-    /// `read_lock_word` reads the word. Safe to re-run after a failed
-    /// attempt: the chain rewrites the same bytes, and a lock that attempt
-    /// took is still in `held`.
+    /// Opens the direct chain for the op at `cursor`, routed there for
+    /// `why`, at the step [`plan::chain_start`] picks. Safe to re-run after
+    /// a failed attempt: the chain rewrites the same bytes, and a lock that
+    /// attempt took is still in `held`.
     fn begin_direct(
         &mut self,
         run: &mut GroupRun,
         cursor: usize,
         ops: &[BatchOp<'_>],
         results: &mut [Option<Result<(), GengarError>>],
+        why: Why,
     ) -> Result<(), GengarError> {
         let op = &ops[run.indices[cursor]];
-        let (ptr, _, need) = op.range().expect("a chain runs on an object");
-        let base = ptr.addr.raw();
-        let step = match op {
-            BatchOp::Write { .. } if self.config.consistency == Consistency::Seqlock => {
-                if self.held.contains_key(&base) {
-                    DirectStep::Write
-                } else {
-                    DirectStep::ReadWord
-                }
-            }
-            BatchOp::Write { .. } => {
-                let conn = self.conn(run.server)?;
-                let fits_slot = conn
-                    .staging
-                    .as_ref()
-                    .is_some_and(|st| need <= st.max_payload());
-                if conn.degraded {
-                    self.metrics.degraded_ops.inc();
-                } else if fits_slot {
-                    // A payload that could never fit the tenant's in-flight
-                    // cap sheds to the direct path (slower, but it does not
-                    // wedge waiting on a reservation that cannot succeed).
-                    if let Some(tenant) = self.tenant.as_ref().filter(|t| !t.staged_fits(need)) {
-                        tenant.note_staged_shed();
-                    }
-                }
-                DirectStep::Write
-            }
-            BatchOp::Atomic { prev, .. } if prev.is_some() => DirectStep::Write,
-            BatchOp::Atomic { .. } => DirectStep::Atomic,
-            BatchOp::Lock { .. } => match self.held.get_mut(&base) {
-                // A lock a failed write left behind becomes the caller's,
-                // after the flush RPC if it is the object's first: that
-                // write may have failed before its own.
-                Some((word, own)) => {
-                    *own = false;
-                    if lockword::version(*word) == 0 {
-                        DirectStep::Write
-                    } else {
-                        Self::settle_op(run, cursor, results, Ok(()));
-                        return Ok(());
-                    }
-                }
-                None => DirectStep::ReadWord,
-            },
-            BatchOp::Unlock { .. } if !self.held.contains_key(&base) => {
-                let refused = GengarError::ProtocolViolation("unlock without lock");
-                Self::settle_op(run, cursor, results, Err(refused));
+        let base = op.range().expect("a chain runs on an object").0.addr.raw();
+        match (why, &self.tenant) {
+            (Why::Degraded, _) => self.metrics.degraded_ops.inc(),
+            (Why::OverTenantCap, Some(tenant)) => tenant.note_staged_shed(),
+            _ => {}
+        }
+        let held = self.held.get(&base).copied();
+        let (start, hold) = plan::chain_start(op.kind(), self.config.consistency, held);
+        if let Some(hold) = hold {
+            self.held.insert(base, hold);
+        }
+        let step = match start {
+            Start::Step(step) => step,
+            Start::Settle(outcome) => {
+                Self::settle_op(run, cursor, results, outcome);
                 return Ok(());
             }
-            BatchOp::Unlock { .. } => DirectStep::Unlock,
-            BatchOp::LockWord { .. } => DirectStep::ReadWord,
-            BatchOp::Read { .. } | BatchOp::Drain { .. } => unreachable!("not a chain op"),
         };
         let chain = GroupPhase::Direct(Box::new(DirectOp {
             cursor,
@@ -2370,21 +2193,6 @@ impl GengarClient {
         Ok(())
     }
 
-    /// Whether a write to the object at `base` persists one-sided, with a
-    /// FLUSH under its last chunk's doorbell, rather than by the flush RPC:
-    /// under `Seqlock`, once the lock word the write holds has left version
-    /// 0. A frame of a version-0 object carries stamp 0, which `None`
-    /// readers accept unchecked, so the first lock of an object has the
-    /// server invalidate its frames by RPC; after that, every frame is
-    /// stamped and readers see the moved lock word instead.
-    fn flushes_one_sided(&self, base: u64) -> bool {
-        self.config.consistency == Consistency::Seqlock
-            && self
-                .held
-                .get(&base)
-                .is_some_and(|&(word, _)| lockword::version(word) != 0)
-    }
-
     /// Advances a direct-chain op: harvests the step on the wire, applies
     /// its outcome, posts the next. The lock word, an atomic's prior value
     /// and the release word use the first 8 bytes of the group's op area,
@@ -2400,17 +2208,19 @@ impl GengarClient {
         park: Duration,
     ) -> Result<ControlFlow<Option<Instant>>, GengarError> {
         let i = run.indices[w.cursor];
+        let (kind, consistency) = (ops[i].kind(), self.config.consistency);
         // An atomic flushes its word and writes no chunk.
         let (ptr, offset, len) = ops[i].range().expect("a chain runs on an object");
-        let (data, is_write): (&[u8], bool) = match &ops[i] {
-            BatchOp::Write { data, .. } => (*data, true),
-            _ => (&[], false),
+        let data: &[u8] = match &ops[i] {
+            BatchOp::Write { data, .. } => data,
+            _ => &[],
         };
         let base = ptr.addr.raw();
         let word_at = ptr.addr.offset() - OBJ_HEADER;
         let (mr_lkey, region) = (self.mr.lkey(), self.mr.region().clone());
         loop {
-            let one_sided = is_write && self.flushes_one_sided(base);
+            let held = self.held.get(&base).copied();
+            let one_sided = plan::persist(kind, consistency, held) == Persist::Flush;
             let conn = self.conn(run.server)?;
             let (word_lane, data_lane) = (conn.op_buf, conn.op_buf + 8);
             let chunk = (data.len() as u64 - w.done).min(conn.op_buf_len - 8);
@@ -2481,7 +2291,7 @@ impl GengarClient {
                             continue;
                         }
                         DirectStep::Unlock => {
-                            let (locked, _) = self.held[&base];
+                            let locked = self.held[&base].word;
                             region.write(word_lane, &lockword::release(locked).to_le_bytes())?;
                             write(word_sge, word_at)
                         }
@@ -2513,10 +2323,15 @@ impl GengarClient {
                             if prev == w.expected {
                                 // A write's lock is its own, released at the
                                 // end of its chain; `lock`'s is the caller's.
-                                self.held.insert(base, (lockword::locked(prev), is_write));
-                                // A `lock` is done, unless it is the object's
-                                // first: then it flushes (invalidates) by RPC.
-                                if !is_write && lockword::version(prev) != 0 {
+                                let own = kind == Op::Write;
+                                let hold = Hold {
+                                    word: lockword::locked(prev),
+                                    own,
+                                };
+                                self.held.insert(base, hold);
+                                // Done, unless the op persists: a write, or
+                                // the object's first lock (by RPC).
+                                if plan::persist(kind, consistency, Some(hold)) == Persist::None {
                                     break;
                                 }
                                 w.step = DirectStep::Write;
@@ -2547,8 +2362,11 @@ impl GengarClient {
                         }
                         DirectStep::Write => {
                             w.done += chunk;
-                            if flushes && self.releases_after_flush(base, is_write, &mut w) {
-                                break;
+                            if flushes {
+                                if !plan::releases(kind, held) {
+                                    break;
+                                }
+                                w.step = DirectStep::Unlock;
                             }
                         }
                         DirectStep::Unlock => {
@@ -2566,9 +2384,10 @@ impl GengarClient {
                     w.refused = Self::flush_ack(resp, len).err();
                     // The server dropped the object's frame.
                     self.remap.remove(&base);
-                    if self.releases_after_flush(base, is_write, &mut w) {
+                    if !plan::releases(kind, held) {
                         break;
                     }
+                    w.step = DirectStep::Unlock;
                 }
             }
         }
@@ -2582,26 +2401,12 @@ impl GengarClient {
             }
             self.write_back.remove(&base);
             self.record(run.server, base, true);
-            if is_write {
+            if kind == Op::Write {
                 self.metrics.direct_writes.inc();
             }
         }
         Self::settle_op(run, w.cursor, results, outcome);
         Ok(ControlFlow::Continue(()))
-    }
-
-    /// The chain's step past a write's flush (FLUSH or RPC): the unlock of
-    /// a lock the write took for itself — this attempt or a failed earlier
-    /// one — or, returning `true`, the end of the chain: the caller's lock
-    /// stays held, and a `lock` or atomic has nothing to release.
-    fn releases_after_flush(&self, base: u64, is_write: bool, w: &mut DirectOp) -> bool {
-        match self.held.get(&base) {
-            Some((_, true)) if is_write => {
-                w.step = DirectStep::Unlock;
-                false
-            }
-            _ => true,
-        }
     }
 
     /// Routes a planned staged-write window: a ring without room for it by
@@ -2788,17 +2593,11 @@ impl GengarClient {
         }
     }
 
-    /// The read half of an attempt pass, resumable at any op index.
-    ///
-    /// The store buffer is a step, not a path: it either serves the read
-    /// locally or retires its entry, and everything it does not serve is
-    /// planned — a cache-frame fetch (self-validating, so under either
-    /// consistency mode), a plain NVM read, or under
-    /// `Consistency::Seqlock` the versioned triple. Plans are packed into
-    /// scratch lanes and posted in windows ([`GengarClient::post_reads`]),
-    /// parking the group on the flight instead of blocking. A read larger
-    /// than the op area takes all of it, alone in its window, and arrives
-    /// in chunks. A pass that plans nothing further closes the attempt.
+    /// The read half of an attempt pass, resumable at any op index. The
+    /// store buffer serves a read or retires its entry; the rest take the
+    /// shape [`plan::read_shape`] picks, packed into scratch lanes and
+    /// posted in windows ([`GengarClient::post_reads`]) that park the
+    /// group. A pass that plans nothing further closes the attempt.
     fn step_reads(
         &mut self,
         run: &mut GroupRun,
@@ -2848,41 +2647,21 @@ impl GengarClient {
                     }
                 }
             }
-            // Slot frames validate as a whole, so a cached read fetches
-            // the full object; engage the cache only when the request
-            // covers most of it (small probes into large objects — e.g.
-            // index buckets — are cheaper straight from NVM), and skip a
-            // frame a write outdated until the server's next mailbox. A
-            // versioned read is always the NVM triple. The lane holds the
-            // frame and the lock word behind it.
-            let frame = SLOT_HEADER + ptr.size + SLOT_TAIL + 8;
-            let mut kind = if versioned {
-                ReadKind::Versioned
-            } else {
-                self.nvm_read_kind(base)
+            let known = Known {
+                versioned,
+                len: buf_len,
+                held: self.held.contains_key(&base),
+                frame: self.remap.get(&base).copied(),
+                stale: self.stale_frames.contains(&base),
             };
-            let remapped = self.remap.get(&base).filter(|_| {
-                !versioned && buf_len * 2 >= ptr.size && !self.stale_frames.contains(&base)
-            });
-            if let Some(&slot_raw) = remapped {
-                match GlobalAddr::from_raw(slot_raw) {
-                    Some(slot) if slot.class() == MemClass::DramCache && frame <= op_buf_len => {
-                        let word = self.config.consistency == Consistency::Seqlock;
-                        kind = ReadKind::Cached { slot, word }
-                    }
-                    _ => {
-                        self.remap.remove(&base);
-                        self.metrics.cache_rejects.inc();
-                    }
-                }
+            let c = self.config.consistency;
+            let (kind, reject) = plan::read_shape(c, ptr, op_buf_len, known);
+            if reject {
+                self.remap.remove(&base);
+                self.metrics.cache_rejects.inc();
             }
-            let need = match kind {
-                ReadKind::Cached { .. } | ReadKind::Stamp => frame,
-                ReadKind::Plain => buf_len,
-                ReadKind::Versioned => buf_len + 16,
-            }
-            .min(op_buf_len);
-            if !plans.is_empty() && (wrs + kind.wrs() > depth || lane_off + need > op_buf_len) {
+            let need = kind.lane(ptr.size, buf_len, op_buf_len);
+            if !plan::joins_reads(wrs, kind.wrs(), depth, lane_off, need, op_buf_len) {
                 return self.post_reads(run, cursor, plans);
             }
             plans.push(ReadPlan {
@@ -2922,8 +2701,10 @@ impl GengarClient {
         let (nvm_rkey, cache_rkey) = (conn.nvm_rkey(), conn.cache_rkey());
         let mut sends: Vec<SendOp> = Vec::with_capacity(plans.len());
         let (mut posted, mut bytes) = (0u64, 0u64);
+        let depth = conn.window.depth() as usize;
         for p in &plans {
-            if !sends.is_empty() && sends.len() + p.kind.wrs() > conn.window.depth() as usize {
+            // The lanes were packed when the reads were planned.
+            if !plan::joins_reads(sends.len(), p.kind.wrs(), depth, 0, 0, 0) {
                 break;
             }
             let mut read = |lane_off: u64, len: u64, rkey: RKey, remote_off: u64| {
@@ -2978,12 +2759,11 @@ impl GengarClient {
     }
 
     /// Settles a completed read flight: copies every validated lane out
-    /// and resolves per-op outcomes. A rejected cache frame
-    /// ([`GengarClient::frame_is_valid`]) re-plans against NVM in the same
-    /// lane; a versioned read whose words are locked, differ, or differ
-    /// from an earlier chunk's starts over, up to `read_retries` times.
-    /// Those, further chunks and unposted plans go round again
-    /// ([`GengarClient::post_reads`]); then the walk resumes at `resume`.
+    /// and resolves per-op outcomes. A frame that did not serve re-plans
+    /// in the same lane ([`plan::reread`]); a versioned read that did not
+    /// validate starts over, up to `read_retries` times. Those, further
+    /// chunks and unposted plans go round again; then the walk resumes at
+    /// `resume`.
     fn settle_reads(
         &mut self,
         run: &mut GroupRun,
@@ -3017,36 +2797,39 @@ impl GengarClient {
             let base = p.ptr.addr.raw();
             let len = p.chunk();
             match p.kind {
-                ReadKind::Cached { .. } | ReadKind::Stamp => match self.check_frame(&p)? {
-                    FrameVerdict::Fresh => {
-                        region.read(p.lane + SLOT_HEADER + p.offset, buf)?;
-                        self.metrics.cache_hits.inc();
-                    }
-                    FrameVerdict::Unchecked => {
-                        p.kind = ReadKind::Stamp;
-                        again.push(p);
-                        continue;
-                    }
-                    verdict => {
-                        if verdict == FrameVerdict::Stale {
+                ReadKind::Cached { .. } | ReadKind::Stamp => {
+                    let verdict = self.check_frame(&p)?;
+                    match verdict {
+                        FrameVerdict::Stale => {
                             self.stale_frames.insert(base);
-                        } else {
-                            self.remap.remove(&base);
+                            self.metrics.cache_rejects.inc();
                         }
-                        self.metrics.cache_rejects.inc();
-                        p.kind = self.nvm_read_kind(base);
-                        again.push(p);
-                        continue;
+                        FrameVerdict::Invalid => {
+                            self.remap.remove(&base);
+                            self.metrics.cache_rejects.inc();
+                        }
+                        FrameVerdict::Fresh | FrameVerdict::Unchecked => {}
                     }
-                },
+                    let held = self.held.contains_key(&base);
+                    match plan::reread(verdict, self.config.consistency, held) {
+                        None => {
+                            region.read(p.lane + SLOT_HEADER + p.offset, buf)?;
+                            self.metrics.cache_hits.inc();
+                        }
+                        Some(kind) => {
+                            p.kind = kind;
+                            again.push(p);
+                            continue;
+                        }
+                    }
+                }
                 ReadKind::Plain | ReadKind::Versioned => {
                     let mut data_at = p.lane;
                     if let ReadKind::Versioned = p.kind {
                         let before = self.scratch_word(p.lane)?;
-                        let stable = !lockword::is_locked(before)
-                            && before == self.scratch_word(p.lane + 8 + len)?
-                            && (p.done == 0 || before == p.word);
-                        if !stable {
+                        let after = self.scratch_word(p.lane + 8 + len)?;
+                        let first = (p.done > 0).then_some(p.word);
+                        if !plan::triple_stable(before, after, first) {
                             self.metrics.read_retries.inc();
                             (p.tries, p.done) = (p.tries + 1, 0);
                             if p.tries >= self.config.read_retries {

@@ -6,9 +6,6 @@
 /// `[lock/version word u64][payload_len u64]`.
 pub const OBJ_HEADER: u64 = 16;
 
-/// Offset of the lock/version word within the header.
-pub const OBJ_WORD_OFF: u64 = 16; // subtract from payload base
-
 /// Cache-slot frame preceding the cached payload in server DRAM:
 /// `[tag u64][version u64][stamp u64][len u64]`. The payload is followed
 /// by an 8-byte *tail version* ([`SLOT_TAIL`]): readers accept a frame only

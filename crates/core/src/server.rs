@@ -1769,7 +1769,8 @@ impl ServerInner {
             }
         };
         let off = addr.offset();
-        if off + len > region.len() || region.flush(off, len.max(1)).is_err() {
+        let past_end = off.checked_add(len).is_none_or(|end| end > region.len());
+        if past_end || region.flush(off, len.max(1)).is_err() {
             return Response::Err {
                 code: err_code::INVALID_ADDR,
             };

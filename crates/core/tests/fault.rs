@@ -321,6 +321,56 @@ fn retried_seqlock_write_releases_the_lock_it_took() {
     assert!(buf.iter().all(|&b| b == 3));
 }
 
+/// A `Seqlock` write fails for good while it holds the lock it took:
+/// every plain WRITE errors, so its payload never lands and its retry
+/// budget runs out. The lock stays with the client, and `lock()` adopts
+/// it as the caller's: on an object still at version 0 with exactly one
+/// flush RPC (a request and a response SEND), since the failed write may
+/// have died before its own; past version 0 with no verb at all. `unlock`
+/// then frees the object for another client.
+#[test]
+fn lock_adopts_the_lock_a_failed_write_left_behind() {
+    for past_v0 in [false, true] {
+        let plane = Arc::new(FaultPlane::new(19));
+        let mut fabric = FabricConfig::instant();
+        fabric.faults = Some(Arc::clone(&plane));
+        let cluster = Cluster::launch(1, ServerConfig::small(), fabric).unwrap();
+        // Two attempts: each failed one re-dials, and a re-dial takes one
+        // of the small server's eight client ids for good.
+        let seqlock = ClientConfig {
+            consistency: Consistency::Seqlock,
+            lock_retries: 3,
+            max_retries: 2,
+            ..fast_fail_config()
+        };
+        let mut client = cluster.client(seqlock.clone()).unwrap();
+        let mut rival = cluster.client(seqlock).unwrap();
+        let ptr = client.alloc(0, 64).unwrap();
+        if past_v0 {
+            client.write(ptr, 0, &[1u8; 64]).unwrap();
+        }
+
+        plane.parse("err:verb=write,imm=0").unwrap();
+        assert!(
+            client.write(ptr, 0, &[2u8; 64]).is_err(),
+            "past_v0={past_v0}"
+        );
+        plane.clear();
+
+        let before = plane.ops_seen();
+        client.lock(ptr).unwrap();
+        let sent = plane.ops_seen() - before;
+        assert_eq!(sent, if past_v0 { 0 } else { 2 }, "past_v0={past_v0}");
+        assert!(
+            matches!(rival.lock(ptr), Err(GengarError::LockContended(_))),
+            "past_v0={past_v0}: the adopted lock must be held"
+        );
+        client.unlock(ptr).unwrap();
+        rival.lock(ptr).unwrap();
+        rival.unlock(ptr).unwrap();
+    }
+}
+
 /// A cluster of one server whose fabric carries `plane`, and a client of
 /// it holding one 64-byte object that reads 0.
 fn faulted_object(plane: &Arc<FaultPlane>) -> (Cluster, gengar_core::GengarClient, GlobalPtr) {

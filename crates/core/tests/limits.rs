@@ -1,10 +1,15 @@
 //! Boundary and resource-limit tests: client capacity, scratch sizing,
 //! configuration extremes, allocation exhaustion at the pool level.
 
+use std::sync::Arc;
+
 use gengar_core::cluster::Cluster;
 use gengar_core::config::{ClientConfig, ServerConfig};
-use gengar_core::GengarError;
-use gengar_rdma::FabricConfig;
+use gengar_core::proto::{err_code, Request, Response};
+use gengar_core::rpc::{RpcClient, RPC_BUF_BYTES};
+use gengar_core::{GengarError, GlobalAddr, MemClass};
+use gengar_hybridmem::{DeviceProfile, MemDevice, MemKind, MemRegion};
+use gengar_rdma::{Access, FabricConfig};
 
 #[test]
 fn server_rejects_clients_beyond_capacity() {
@@ -15,6 +20,38 @@ fn server_rejects_clients_beyond_capacity() {
     let _b = cluster.default_client().unwrap();
     let err = cluster.default_client().unwrap_err();
     assert!(matches!(err, GengarError::ServerUnavailable(0)));
+}
+
+/// A `FlushRange` whose length runs past the end of the address space is
+/// refused like any other range past the region, and the server's control
+/// loop keeps answering the same connection.
+#[test]
+fn flush_range_length_overflow_is_refused() {
+    let cluster = Cluster::launch(1, ServerConfig::small(), FabricConfig::instant()).unwrap();
+    let node = cluster.fabric().add_node();
+    let pd = node.alloc_pd();
+    let channel = cluster.servers()[0].accept(&node, &pd).unwrap();
+    let buf = MemDevice::new(9, DeviceProfile::instant(MemKind::Dram), RPC_BUF_BYTES).unwrap();
+    let buf = pd
+        .reg_mr(MemRegion::whole(Arc::new(buf)), Access::all())
+        .unwrap();
+    let rpc = RpcClient::new(channel.rpc, buf);
+    let addr = GlobalAddr::new(0, MemClass::Nvm, 64).raw();
+    let resp = rpc.call(&Request::FlushRange {
+        addr,
+        len: u64::MAX - 8,
+    });
+    assert!(
+        matches!(
+            resp,
+            Ok(Response::Err {
+                code: err_code::INVALID_ADDR
+            })
+        ),
+        "{resp:?}"
+    );
+    let resp = rpc.call(&Request::FlushRange { addr, len: 8 });
+    assert!(matches!(resp, Ok(Response::Ok)), "{resp:?}");
 }
 
 #[test]

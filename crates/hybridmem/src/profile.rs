@@ -124,12 +124,6 @@ impl DeviceProfile {
             },
         }
     }
-
-    /// Returns whether stores on this device survive a crash without an
-    /// explicit flush.
-    pub fn durable_on_write(&self) -> bool {
-        self.persistence == PersistenceMode::Adr
-    }
 }
 
 #[cfg(test)]
@@ -143,13 +137,6 @@ mod tests {
         assert!(nvm.read_latency_ns > dram.read_latency_ns);
         assert!(nvm.write_bw_bytes_per_sec < dram.write_bw_bytes_per_sec);
         assert!(nvm.read_bw_bytes_per_sec > nvm.write_bw_bytes_per_sec);
-    }
-
-    #[test]
-    fn adr_dram_is_durable_on_write() {
-        assert!(DeviceProfile::adr_dram().durable_on_write());
-        assert!(!DeviceProfile::dram().durable_on_write());
-        assert!(!DeviceProfile::optane().durable_on_write());
     }
 
     #[test]

@@ -80,23 +80,6 @@ impl MemRegion {
         Ok(self.base + offset)
     }
 
-    /// Carves a sub-window out of this region.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HybridMemError::InvalidRegion`] if the sub-window does not
-    /// fit.
-    pub fn subregion(&self, offset: u64, len: u64) -> Result<MemRegion> {
-        if len == 0 || offset.checked_add(len).is_none_or(|end| end > self.len) {
-            return Err(HybridMemError::InvalidRegion { offset, len });
-        }
-        Ok(MemRegion {
-            device: Arc::clone(&self.device),
-            base: self.base + offset,
-            len,
-        })
-    }
-
     /// Reads `dst.len()` bytes at region-relative `offset`.
     ///
     /// # Errors
@@ -339,16 +322,6 @@ mod tests {
         assert_eq!(r.base(), 0);
         assert_eq!(r.len(), 4096);
         assert!(!r.is_empty());
-    }
-
-    #[test]
-    fn subregion_nests() {
-        let r = MemRegion::new(device(), 1000, 1000).unwrap();
-        let s = r.subregion(100, 200).unwrap();
-        assert_eq!(s.base(), 1100);
-        assert_eq!(s.len(), 200);
-        assert!(r.subregion(900, 200).is_err());
-        assert!(r.subregion(0, 0).is_err());
     }
 
     #[test]

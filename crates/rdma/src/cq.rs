@@ -147,12 +147,6 @@ impl CompletionQueue {
         self.inner.lock().overflowed
     }
 
-    /// The ready instant of the earliest entry (ready or not), if any.
-    /// Issue engines sleep until this instead of spinning on `poll`.
-    pub fn next_ready_at(&self) -> Option<Instant> {
-        self.inner.lock().queue.front().map(|(at, _)| *at)
-    }
-
     /// The ready instant of the *latest* entry (ready or not), if any.
     /// A waiter that can only act once a whole doorbell batch has
     /// completed sleeps until this: one long, sleepable wait instead of
@@ -294,7 +288,6 @@ mod tests {
         assert_eq!(cq.len(), 1);
         assert!(!cq.is_empty());
         assert!(cq.poll(4).is_empty());
-        assert_eq!(cq.next_ready_at(), Some(ready));
         // wait() sleeps through the ready instant and releases it.
         let got = cq.wait(4, Duration::from_secs(2));
         assert_eq!(got.len(), 1);

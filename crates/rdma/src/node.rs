@@ -12,7 +12,7 @@ use crate::fabric::Fabric;
 use crate::metrics::FabricMetrics;
 use crate::mr::{MemoryRegion, ProtectionDomain};
 use crate::qp::{QpOptions, QueuePair};
-use crate::types::{LKey, NodeId, Qpn};
+use crate::types::{NodeId, Qpn};
 
 /// One node on the fabric: a machine with an RDMA NIC, registered memory
 /// regions and queue pairs.
@@ -126,24 +126,12 @@ impl RdmaNode {
     pub fn mr_by_key(&self, key: u32) -> Option<Arc<MemoryRegion>> {
         self.mrs.read().get(&key).cloned()
     }
-
-    /// Deregisters a memory region. Returns whether it existed.
-    pub fn dereg_mr(&self, lkey: LKey) -> bool {
-        self.mrs.write().remove(&lkey.0).is_some()
-    }
-
-    /// Number of registered MRs.
-    pub fn mr_count(&self) -> usize {
-        self.mrs.read().len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fabric::FabricConfig;
-    use crate::types::Access;
-    use gengar_hybridmem::{DeviceProfile, MemDevice, MemKind, MemRegion};
 
     #[test]
     fn node_ids_increment() {
@@ -152,19 +140,6 @@ mod tests {
         let b = fabric.add_node();
         assert_ne!(a.id(), b.id());
         assert!(fabric.node(a.id()).is_some());
-    }
-
-    #[test]
-    fn dereg_mr_removes() {
-        let fabric = Fabric::new(FabricConfig::instant());
-        let node = fabric.add_node();
-        let pd = node.alloc_pd();
-        let dev = Arc::new(MemDevice::new(0, DeviceProfile::instant(MemKind::Dram), 64).unwrap());
-        let mr = pd.reg_mr(MemRegion::whole(dev), Access::all()).unwrap();
-        assert_eq!(node.mr_count(), 1);
-        assert!(node.dereg_mr(mr.lkey()));
-        assert!(!node.dereg_mr(mr.lkey()));
-        assert_eq!(node.mr_count(), 0);
     }
 
     #[test]

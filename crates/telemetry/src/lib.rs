@@ -9,8 +9,6 @@
 //! - [`Registry`] names metrics by `(component, metric)` and hands out
 //!   shared handles; [`Registry::global`] is the process-wide instance the
 //!   bench harness snapshots.
-//! - [`Span`] is an RAII guard that records wall-time into a histogram on
-//!   drop.
 //! - [`TelemetryConfig`] / [`Telemetry`] thread an on/off switch through
 //!   `ServerConfig`/`ClientConfig`/`FabricConfig`; when disabled every
 //!   handle is a `None` and instrumentation short-circuits to no-ops.
@@ -28,7 +26,6 @@
 pub mod export;
 pub mod metrics;
 pub mod registry;
-pub mod span;
 pub mod trace;
 pub mod window;
 
@@ -40,7 +37,6 @@ pub use metrics::{Counter, Gauge, HistogramSnapshot, LatencyHistogram};
 pub use registry::{
     CounterHandle, GaugeHandle, HistogramHandle, MetricSnapshot, Registry, RegistrySnapshot,
 };
-pub use span::Span;
 pub use trace::{
     adopt, current_context, ContextGuard, FlightRecorder, SpanId, SpanRecord, TraceId, TraceMode,
     TraceSpan, Tracer,
@@ -141,16 +137,6 @@ impl Telemetry {
                 .map(|r| r.histogram(component, metric)),
         )
     }
-
-    /// Starts a span recording wall-time into `component.{op}_ns` on drop.
-    /// Prefer caching a [`HistogramHandle`] plus [`HistogramHandle::span`]
-    /// on hot paths; this form resolves the metric by name each call.
-    pub fn span(&self, component: &str, op: &str) -> Span {
-        match &self.registry {
-            Some(r) => Span::recording(r.histogram(component, &format!("{op}_ns"))),
-            None => Span::disabled(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -175,7 +161,6 @@ mod tests {
         g.set(5);
         let h = t.histogram("x", "lat_ns");
         h.record_ns(100);
-        drop(t.span("x", "op"));
         // Nothing should have reached any registry; the handle has none.
         assert!(t.registry().is_none());
     }
@@ -187,11 +172,9 @@ mod tests {
         t.counter("unit", "ops").add(3);
         t.gauge("unit", "depth").set(-2);
         t.histogram("unit", "lat_ns").record_ns(1000);
-        drop(t.span("unit", "op"));
         let snap = reg.snapshot();
         assert_eq!(snap.counter("unit.ops"), Some(3));
         assert_eq!(snap.gauge("unit.depth"), Some(-2));
         assert_eq!(snap.histogram("unit.lat_ns").unwrap().count, 1);
-        assert_eq!(snap.histogram("unit.op_ns").unwrap().count, 1);
     }
 }

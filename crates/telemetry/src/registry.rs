@@ -5,7 +5,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::metrics::{Counter, Gauge, HistogramSnapshot, LatencyHistogram};
-use crate::span::Span;
 
 /// One registered metric.
 #[derive(Debug, Clone)]
@@ -144,11 +143,6 @@ impl Registry {
                 Metric::Histogram(h) => h.reset(),
             }
         }
-    }
-
-    /// Starts a span recording into the histogram `component.{op}_ns`.
-    pub fn span(&self, component: &str, op: &str) -> Span {
-        Span::recording(self.histogram(component, &format!("{op}_ns")))
     }
 
     /// Captures an ordered point-in-time copy of every metric.
@@ -333,16 +327,6 @@ impl HistogramHandle {
         }
     }
 
-    /// Starts a span recording into this histogram on drop. No clock is
-    /// read when the handle is disabled.
-    #[inline]
-    pub fn span(&self) -> Span {
-        match &self.0 {
-            Some(h) => Span::recording(Arc::clone(h)),
-            None => Span::disabled(),
-        }
-    }
-
     /// Snapshot of the underlying histogram (empty when disabled).
     pub fn snapshot(&self) -> HistogramSnapshot {
         self.0
@@ -398,13 +382,6 @@ mod tests {
         assert_eq!(snap.counter("b.depth"), None);
         assert_eq!(snap.gauge("a.ops"), None);
         assert!(snap.histogram("a.ops").is_none());
-    }
-
-    #[test]
-    fn registry_span_records() {
-        let r = Registry::new();
-        drop(r.span("client", "read"));
-        assert_eq!(r.snapshot().histogram("client.read_ns").unwrap().count, 1);
     }
 
     #[test]

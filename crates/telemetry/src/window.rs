@@ -328,17 +328,6 @@ impl WindowSampler {
         self.ring.push(Arc::clone(&window));
         window
     }
-
-    /// Forgets the previous snapshot and every retained window, re-basing
-    /// on the registry's current state (after a harness `Registry::reset`).
-    pub fn rebase(&self) {
-        let cur = self.registry.snapshot();
-        let mut state = self.state.lock().expect("sampler lock");
-        state.prev = cur;
-        state.opened = Instant::now();
-        drop(state);
-        self.ring.ring.write().expect("window ring lock").clear();
-    }
 }
 
 #[cfg(test)]
@@ -451,20 +440,6 @@ mod tests {
         let all = sampler.ring().merged(usize::MAX).unwrap();
         assert_eq!(all.counter("c.ops"), Some(40));
         assert!(sampler.ring().merged(0).is_none());
-    }
-
-    #[test]
-    fn rebase_clears_ring_and_baseline() {
-        let r = Arc::new(Registry::new());
-        let c = r.counter("c", "ops");
-        let sampler = WindowSampler::new(Arc::clone(&r), 8);
-        c.add(5);
-        sampler.sample();
-        c.add(9);
-        sampler.rebase();
-        assert!(sampler.ring().is_empty());
-        c.add(2);
-        assert_eq!(sampler.sample().counter("c.ops"), Some(2));
     }
 
     /// The satellite-mandated conservation test: windows sampled while 8

@@ -14,12 +14,14 @@
 # neither) and the metric's bound. Then, to show which layer moved, it runs
 # one traced (`--trace 1`) run per side per workload and prints every
 # per-layer metric whose value moved by more than 20 %, better or worse by
-# the metric's own direction. AB_PARENT_DIR=<dir> uses an existing checkout
+# the metric's own direction, then the same-work set (the verbs, RPCs,
+# CASes and NVM flushes per op, and the cache hit ratio) for every workload
+# and both sides, moved or not. AB_PARENT_DIR=<dir> uses an existing checkout
 # of the parent instead of a worktree. VERBOSE=1 also prints every run's
 # value. Reads BENCHMARK.json; writes nothing under the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-[[ $# -ge 1 ]] || { sed -n '2,21p' "$0" >&2; exit 2; }
+[[ $# -ge 1 ]] || { sed -n '2,23p' "$0" >&2; exit 2; }
 parent_rev=$1
 shift
 
@@ -94,8 +96,9 @@ for workload in workloads:
 # Which layer moved: one traced run per side per workload, same seed.
 print("\nper-layer moves over 20 % (one --trace 1 run per side, seed 1)")
 print(f"{'workload':13}{'metric':45}{'parent':>14}{'change':>14}{'moved':>10}")
+traced = {}
 for workload in workloads:
-    p, c = (run(side, workload, 1, trace=1) for side in ("parent", "change"))
+    p, c = traced[workload] = [run(side, workload, 1, trace=1) for side in ("parent", "change")]
     for m in manifest["per_layer"]:
         a, b = p.get(m["name"]), c.get(m["name"])
         if a is None or b is None or a == b or (a and abs(b - a) / abs(a) <= 0.2):
@@ -104,4 +107,15 @@ for workload in workloads:
         moved = f"{(b - a) / abs(a):+.0%}" if a else "from 0"
         print(f"{workload:13}{m['name']:45}{a:14.4g}{b:14.4g}{moved:>10} "
               f"{'worse' if worse else 'better'}", flush=True)
+
+# Same work: what a pure refactor must leave alone, printed moved or not.
+same_work = ["rdma.round_trips_per_op", "rdma.doorbells_per_op", "core.server.rpc_requests_per_kop",
+             "core.consistency.cas_per_write", "hybridmem.nvm_flushes_per_write",
+             "core.client.cache_hit_ratio"]
+print("\nsame-work set (the traced runs above)")
+print(f"{'workload':13}{'metric':45}{'parent':>14}{'change':>14}")
+for workload, (p, c) in traced.items():
+    for name in same_work:
+        a, b = (f"{side[name]:14.4g}" if name in side else f"{'-':>14}" for side in (p, c))
+        print(f"{workload:13}{name:45}{a}{b}", flush=True)
 EOF
