@@ -247,8 +247,8 @@ impl<'c, 'b> OpBatch<'c, 'b> {
     /// every queued operation is representable and runs. Per-operation
     /// failures (bounds violations, exhausted retry budgets) land in the
     /// [`BatchResult`].
-    pub fn submit(self) -> Result<BatchResult, GengarError> {
-        self.client.run_batch(self.ops)
+    pub fn submit(mut self) -> Result<BatchResult, GengarError> {
+        self.client.run_batch(&mut self.ops)
     }
 }
 

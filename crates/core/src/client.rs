@@ -9,7 +9,7 @@
 //! connection state per thread), mirroring how RDMA applications shard
 //! queue pairs across threads.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 use gengar_hybridmem::latency::{spin_until, SLEEP_THRESHOLD_NS};
 use gengar_hybridmem::{DeviceProfile, MemDevice, MemRegion};
 use gengar_rdma::{
-    Access, Fabric, MemoryRegion, Payload, PendingOps, ProtectionDomain, RKey, RdmaError, RdmaNode,
-    RemoteAddr, SendOp, Sge, Wc,
+    Access, Fabric, FastMap, FastSet, MemoryRegion, Payload, PendingOps, ProtectionDomain, RKey,
+    RdmaError, RdmaNode, RemoteAddr, SendOp, Sge, Wc,
 };
 use gengar_telemetry::{
     adopt, Counter, CounterHandle, HistogramHandle, SpanId, Telemetry, TelemetryConfig, TraceId,
@@ -206,7 +206,7 @@ struct StagedPlan {
 /// One read of the current batch attempt, re-posted until it resolves:
 /// against NVM after a rejected cache frame, from the start after a lost
 /// seqlock validation, chunk by chunk when larger than the op area.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct ReadPlan {
     /// Index of the op in the batch.
     idx: usize,
@@ -348,9 +348,15 @@ enum GroupPhase {
 /// write/read issue walk. The trace spans keep the group's work filed
 /// under its own `client.group` branch even though the event loop
 /// interleaves steps of many groups on one thread.
+#[derive(Debug)]
 struct GroupRun {
     server: u8,
     indices: Vec<usize>,
+    /// Emptied plan lists and the send list the walk refills: what a
+    /// settled flight hands back, the next planning pass reuses.
+    spare_reads: Vec<ReadPlan>,
+    spare_staged: Vec<StagedPlan>,
+    sends: Vec<SendOp>,
     state: RetryState,
     /// Unresolved ops when the current attempt started (progress check).
     pending_at_start: usize,
@@ -363,6 +369,52 @@ struct GroupRun {
     group_ctx: (TraceId, SpanId),
     attempt_span: TraceSpan,
     attempt_ctx: (TraceId, SpanId),
+}
+
+/// A finished group's buffers, emptied, kept for the next call's groups
+/// so the issue path allocates none of them once warm.
+#[derive(Debug, Default)]
+struct GroupBufs {
+    indices: Vec<usize>,
+    reads: Vec<ReadPlan>,
+    staged: Vec<StagedPlan>,
+    sends: Vec<SendOp>,
+}
+
+impl GroupRun {
+    /// A group for `server` over recycled buffers, its spans still off.
+    fn new(server: u8, state: RetryState, bufs: GroupBufs) -> Self {
+        GroupRun {
+            server,
+            indices: bufs.indices,
+            spare_reads: bufs.reads,
+            spare_staged: bufs.staged,
+            sends: bufs.sends,
+            state,
+            pending_at_start: 0,
+            phase: GroupPhase::Done,
+            staged_reserved: 0,
+            group_span: TraceSpan::disabled(),
+            group_ctx: (TraceId::NONE, SpanId(0)),
+            attempt_span: TraceSpan::disabled(),
+            attempt_ctx: (TraceId::NONE, SpanId(0)),
+        }
+    }
+
+    /// The group's buffers, emptied for the next call.
+    fn into_bufs(self) -> GroupBufs {
+        let mut bufs = GroupBufs {
+            indices: self.indices,
+            reads: self.spare_reads,
+            staged: self.spare_staged,
+            sends: self.sends,
+        };
+        bufs.indices.clear();
+        bufs.reads.clear();
+        bufs.staged.clear();
+        bufs.sends.clear();
+        bufs
+    }
 }
 
 /// This client's report ring on one server ([`ReportArea`]): the seq the
@@ -403,6 +455,8 @@ struct ReportFlight {
 
 #[derive(Debug)]
 struct ServerConn {
+    /// The server-assigned client id of this tenure (see [`Handshake`]).
+    cid: u32,
     mount: MountInfo,
     reports: ReportLane,
     rpc: RpcClient,
@@ -476,31 +530,33 @@ pub struct GengarClient {
     conns: Vec<ServerConn>,
     /// Server handles in connection order, kept for reconnects.
     servers: Vec<Arc<MemoryServer>>,
-    server_index: HashMap<u8, usize>,
+    server_index: FastMap<u8, usize>,
     /// NVM payload-base raw address -> cache-slot raw address.
-    remap: HashMap<u64, u64>,
+    remap: FastMap<u64, u64>,
     /// Remapped objects whose frame a read or this client's own write found
     /// outdated: reads skip the frame until the server's next mailbox, as
     /// the epoch behind it re-copies the frames of reported writes.
-    stale_frames: HashSet<u64>,
+    stale_frames: FastSet<u64>,
     /// Local store buffer for in-flight proxied writes (read-your-writes).
-    write_back: HashMap<u64, WriteBack>,
+    write_back: FastMap<u64, WriteBack>,
     /// Locks this client holds, by object base raw.
-    held: HashMap<u64, Hold>,
+    held: FastMap<u64, Hold>,
     /// Failed-over wards: dead primary id -> the replica now serving its
     /// objects (through the shadow region at unchanged offsets). The
     /// connection slot for the primary is rewired in place, so this map
     /// only gates the paths that must not treat the slot as the original
     /// machine (hotness reports, reconnects, re-mirroring).
-    redirects: HashMap<u8, u8>,
+    redirects: FastMap<u8, u8>,
     /// Pending hotness entries per server id.
-    pending: HashMap<u8, HashMap<u64, (u32, bool)>>,
+    pending: FastMap<u8, FastMap<u64, (u32, bool)>>,
     ops_since_report: u32,
     /// Counter that amortises drained-watermark refreshes on the
     /// store-buffer read path.
     wb_checks: u32,
     /// Per-operation jitter salt (monotonic; deterministic per client).
     op_salt: u64,
+    /// Buffers of finished groups, handed to the next call's groups.
+    spare: Vec<GroupBufs>,
     /// The tenant's shared QoS state when the pool runs with a QoS plane:
     /// the issue gate charges it before every doorbell and staged windows
     /// reserve occupancy against it. `None` = QoS off, zero overhead.
@@ -535,7 +591,7 @@ impl GengarClient {
 
         let mut bump: u64 = 0;
         let mut conns = Vec::new();
-        let mut server_index = HashMap::new();
+        let mut server_index = FastMap::default();
         for server in servers {
             // Dedicated RPC buffer (its own MR: the RPC slots are
             // MR-relative).
@@ -550,8 +606,8 @@ impl GengarClient {
             // is retried until the deadline, not surfaced on first loss.
             // The scratch reservation sticks across attempts (the closure
             // is idempotent), so retries don't leak bump space.
-            let mut state =
-                RetryState::start(&config, u64::from(node.id().0) << 32 | conns.len() as u64);
+            let salt = u64::from(node.id().0) << 32 | conns.len() as u64;
+            let mut state = RetryState::start(&config, salt, Instant::now());
             let hs = loop {
                 let result = Self::handshake(
                     server,
@@ -578,6 +634,7 @@ impl GengarClient {
             };
             server_index.insert(hs.mount.server_id, conns.len());
             conns.push(ServerConn {
+                cid: hs.cid,
                 mount: hs.mount,
                 reports: ReportLane::new(hs.cid),
                 rpc: hs.rpc,
@@ -636,12 +693,13 @@ impl GengarClient {
             conns,
             servers: servers.to_vec(),
             server_index,
-            redirects: HashMap::new(),
-            remap: HashMap::new(),
-            stale_frames: HashSet::new(),
-            write_back: HashMap::new(),
-            held: HashMap::new(),
-            pending: HashMap::new(),
+            redirects: FastMap::default(),
+            remap: FastMap::default(),
+            stale_frames: FastSet::default(),
+            write_back: FastMap::default(),
+            held: FastMap::default(),
+            pending: FastMap::default(),
+            spare: Vec::new(),
             ops_since_report: 0,
             wb_checks: 0,
             tenant,
@@ -829,10 +887,10 @@ impl GengarClient {
         Ok(&mut self.conns[idx])
     }
 
-    /// Starts the recovery state for one operation.
-    fn retry_state(&mut self) -> RetryState {
+    /// Starts the recovery state for one operation, begun at `now`.
+    fn retry_state(&mut self, now: Instant) -> RetryState {
         self.op_salt = self.op_salt.wrapping_add(1);
-        RetryState::start(&self.config, self.op_salt)
+        RetryState::start(&self.config, self.op_salt, now)
     }
 
     /// The recovery policy, in exactly one place: decides what one failed
@@ -940,7 +998,15 @@ impl GengarClient {
         let srv = Arc::clone(&self.servers[idx]);
         let rpc_mr = Arc::clone(&self.conns[idx].rpc_mr);
         let scratch_off = self.conns[idx].staging_scratch_off;
-        let old_cid = self.conns[idx].staging.as_ref().map(|st| st.client_id());
+        let old_cid = self.conns[idx].cid;
+        // A ring that ever saw a record retires durably (`QueryDurable`);
+        // a tenure without one holds nothing, and its id goes back to the
+        // server's free list once the new tenure is up.
+        let old_ring = self.conns[idx]
+            .staging
+            .as_ref()
+            .filter(|st| st.has_posted())
+            .map(|st| st.client_id());
         let old_mirror = self.conns[idx]
             .staging
             .as_ref()
@@ -963,7 +1029,7 @@ impl GengarClient {
         // been staged under the new id yet, so if the query dies the fresh
         // id goes back on the server's free list with the handshake's work
         // abandoned.
-        let durable = match old_cid {
+        let durable = match old_ring {
             Some(cid) => {
                 let answer = hs
                     .rpc
@@ -994,7 +1060,11 @@ impl GengarClient {
             GlobalAddr::from_raw(*addr).map(|a| a.server()) != Some(server) || wb.seq > durable
         });
 
+        if old_ring.is_none() {
+            srv.release_client(old_cid);
+        }
         let conn = &mut self.conns[idx];
+        conn.cid = hs.cid;
         conn.mount = hs.mount;
         conn.reports = ReportLane::new(hs.cid);
         conn.rpc = hs.rpc;
@@ -1232,7 +1302,7 @@ impl GengarClient {
     /// the server; transport failures that outlive the operation deadline
     /// as [`GengarError::Rdma`].
     pub fn alloc(&mut self, server: u8, size: u64) -> Result<GlobalPtr, GengarError> {
-        let mut state = self.retry_state();
+        let mut state = self.retry_state(Instant::now());
         loop {
             match self.alloc_attempt(server, size) {
                 Ok(ptr) => return Ok(ptr),
@@ -1299,7 +1369,7 @@ impl GengarClient {
     /// losing to writers.
     pub fn read(&mut self, ptr: GlobalPtr, offset: u64, buf: &mut [u8]) -> Result<(), GengarError> {
         // A scalar read is a batch of one: same planner, same reactor.
-        self.run_batch(vec![BatchOp::Read {
+        self.run_batch(&mut [BatchOp::Read {
             ptr,
             offset,
             buf,
@@ -1390,7 +1460,7 @@ impl GengarClient {
     /// the operation deadline.
     pub fn write(&mut self, ptr: GlobalPtr, offset: u64, data: &[u8]) -> Result<(), GengarError> {
         // A scalar write is a batch of one: same planner, same reactor.
-        self.run_batch(vec![BatchOp::Write { ptr, offset, data }])?
+        self.run_batch(&mut [BatchOp::Write { ptr, offset, data }])?
             .into_single()
     }
 
@@ -1439,16 +1509,16 @@ impl GengarClient {
         &mut self,
         ops: Vec<(GlobalPtr, u64, &mut [u8])>,
     ) -> Result<BatchResult, GengarError> {
-        self.run_batch(
-            ops.into_iter()
-                .map(|(ptr, offset, buf)| BatchOp::Read {
-                    ptr,
-                    offset,
-                    buf,
-                    word: None,
-                })
-                .collect(),
-        )
+        let mut ops: Vec<_> = ops
+            .into_iter()
+            .map(|(ptr, offset, buf)| BatchOp::Read {
+                ptr,
+                offset,
+                buf,
+                word: None,
+            })
+            .collect();
+        self.run_batch(&mut ops)
     }
 
     /// Vectored write: issues every `(ptr, offset, data)` element as one
@@ -1464,11 +1534,11 @@ impl GengarClient {
         &mut self,
         ops: Vec<(GlobalPtr, u64, &[u8])>,
     ) -> Result<BatchResult, GengarError> {
-        self.run_batch(
-            ops.into_iter()
-                .map(|(ptr, offset, data)| BatchOp::Write { ptr, offset, data })
-                .collect(),
-        )
+        let mut ops: Vec<_> = ops
+            .into_iter()
+            .map(|(ptr, offset, data)| BatchOp::Write { ptr, offset, data })
+            .collect();
+        self.run_batch(&mut ops)
     }
 
     /// The issue path: runs a batch of operations to completion under the
@@ -1476,13 +1546,13 @@ impl GengarClient {
     /// batch of one through here (`drain_all`: one drain per server).
     pub(crate) fn run_batch(
         &mut self,
-        mut ops: Vec<BatchOp<'_>>,
+        ops: &mut [BatchOp<'_>],
     ) -> Result<BatchResult, GengarError> {
         // One trace per batch, rooted at the client-visible operation. The
         // root's context is installed on this thread, so every layer below
         // (window, staging, fabric, RPC encode) files under the same trace.
         let tracer = gengar_telemetry::Tracer::global();
-        let mut root = tracer.root_span(match ops.as_slice() {
+        let mut root = tracer.root_span(match &*ops {
             [op] => op.span_name(),
             [BatchOp::Drain { .. }, ..] => "client.drain",
             _ => "client.batch",
@@ -1490,38 +1560,50 @@ impl GengarClient {
         root.set_detail(ops.len() as u64);
         let trace = root.trace_id().unwrap_or(gengar_telemetry::TraceId::NONE);
         let started = Instant::now();
-        let n = ops.len();
-        let mut results: Vec<Option<Result<(), GengarError>>> = (0..n).map(|_| None).collect();
-        for (i, op) in ops.iter().enumerate() {
+        let mut results: Vec<Option<Result<(), GengarError>>> = Vec::with_capacity(ops.len());
+        let (mut reads, mut writes) = (0, 0);
+        for op in ops.iter() {
             let checked = op.range().map_or(Ok(()), |(ptr, offset, len)| {
                 Self::check_access(ptr, offset, len)
             });
-            match (checked, op) {
-                (Err(e), _) => results[i] = Some(Err(e)),
-                (Ok(()), BatchOp::Read { .. }) => self.metrics.reads.inc(),
-                (Ok(()), BatchOp::Write { .. }) => self.metrics.writes.inc(),
+            match (&checked, op) {
+                (Err(_), _) => {}
+                (Ok(()), BatchOp::Read { .. }) => {
+                    self.metrics.reads.inc();
+                    reads += 1;
+                }
+                (Ok(()), BatchOp::Write { .. }) => {
+                    self.metrics.writes.inc();
+                    writes += 1;
+                }
                 (Ok(()), _) => {}
             }
+            results.push(checked.err().map(Err));
         }
-        let validated: Vec<bool> = results.iter().map(|r| r.is_none()).collect();
 
         // Group the pending ops by server, preserving submission order
-        // within each group. The index map keeps grouping linear in the
-        // batch size however many servers the batch fans out across. Each
-        // group runs under its own recovery budget, so one dead server
-        // cannot starve the others.
-        let mut groups: Vec<(u8, Vec<usize>)> = Vec::new();
-        let mut group_of: HashMap<u8, usize> = HashMap::new();
+        // within each group: a linear scan of the few groups, over buffers
+        // earlier calls left behind. Each group runs under its own recovery
+        // budget, so one dead server cannot starve the others.
+        // Sized for the servers the batch can reach: a group is large, and
+        // a default first growth to four of them leaves the allocator's
+        // fast path.
+        let mut runs: Vec<GroupRun> = Vec::with_capacity(ops.len().min(self.conns.len()));
         for (i, op) in ops.iter().enumerate() {
             if results[i].is_some() {
                 continue;
             }
             let server = op.server();
-            let gi = *group_of.entry(server).or_insert_with(|| {
-                groups.push((server, Vec::new()));
-                groups.len() - 1
-            });
-            groups[gi].1.push(i);
+            let run = match runs.iter().position(|run| run.server == server) {
+                Some(gi) => &mut runs[gi],
+                None => {
+                    let state = self.retry_state(started);
+                    let bufs = self.spare.pop().unwrap_or_default();
+                    runs.push(GroupRun::new(server, state, bufs));
+                    runs.last_mut().expect("just pushed")
+                }
+            };
+            run.indices.push(i);
         }
 
         // The completion-driven issue engine: every group is put in flight
@@ -1531,37 +1613,22 @@ impl GengarClient {
         // waiting on a stalled ring parks on its own wake instant and
         // never holds the others up.
         let root_ctx = (trace, root.span_id().unwrap_or(gengar_telemetry::SpanId(0)));
-        let mut runs: Vec<GroupRun> = groups
-            .into_iter()
-            .map(|(server, indices)| {
-                let _root = adopt(root_ctx.0, root_ctx.1);
-                let group_span = tracer.span("client.group");
-                let group_ctx = (
-                    group_span.trace_id().unwrap_or(TraceId::NONE),
-                    group_span.span_id().unwrap_or(SpanId(0)),
-                );
-                let mut run = GroupRun {
-                    server,
-                    indices,
-                    state: self.retry_state(),
-                    pending_at_start: 0,
-                    phase: GroupPhase::Done,
-                    staged_reserved: 0,
-                    group_span,
-                    group_ctx,
-                    attempt_span: TraceSpan::disabled(),
-                    attempt_ctx: group_ctx,
-                };
-                self.start_attempt(&mut run, &results);
-                run
-            })
-            .collect();
+        for run in &mut runs {
+            let _root = adopt(root_ctx.0, root_ctx.1);
+            run.group_span = tracer.span("client.group");
+            run.group_ctx = (
+                run.group_span.trace_id().unwrap_or(TraceId::NONE),
+                run.group_span.span_id().unwrap_or(SpanId(0)),
+            );
+            run.attempt_ctx = run.group_ctx;
+            self.start_attempt(run, &results);
+        }
         loop {
             let mut progressed = false;
             let mut next_wake: Option<Instant> = None;
             let mut all_done = true;
             for run in &mut runs {
-                let (stepped, wake) = self.step_group(run, &mut ops, &mut results, Duration::ZERO);
+                let (stepped, wake) = self.step_group(run, ops, &mut results, Duration::ZERO);
                 progressed |= stepped;
                 if let Some(at) = wake {
                     next_wake = Some(next_wake.map_or(at, |w| w.min(at)));
@@ -1580,34 +1647,39 @@ impl GengarClient {
             // with none, its own patience: a short timed wait re-arms the
             // host timer going in and out, which doubled the wake-up latency
             // measured here. Never spin for it: the spinner sits on the core
-            // the woken server thread needs. Short parks are spun out.
-            let now = Instant::now();
-            let park = next_wake.map_or(Duration::MAX, |at| at.saturating_duration_since(now));
-            let sleepable = park > Duration::from_nanos(SLEEP_THRESHOLD_NS);
+            // the woken server thread needs. Short parks are spun out. The
+            // clock is read only where a park length is needed.
             let awaits_rpc = runs.iter_mut().find(|run| {
-                sleepable
-                    && matches!(&run.phase, GroupPhase::Direct(w) if matches!(w.flight, Some(Flight::Rpc(_))))
+                matches!(&run.phase, GroupPhase::Direct(w) if matches!(w.flight, Some(Flight::Rpc(_))))
             });
-            match awaits_rpc {
-                Some(run) => drop(self.step_group(run, &mut ops, &mut results, park)),
+            match (awaits_rpc, next_wake) {
                 // The earliest wake: a deferred completion, backoff expiry or ring poll.
-                None => spin_until(next_wake.unwrap_or(now + Duration::from_micros(10))),
+                (None, Some(at)) => spin_until(at),
+                (run, wake) => {
+                    let now = Instant::now();
+                    let park = wake.map_or(Duration::MAX, |at| at.saturating_duration_since(now));
+                    match run {
+                        Some(run) if park > Duration::from_nanos(SLEEP_THRESHOLD_NS) => {
+                            self.step_group(run, ops, &mut results, park);
+                        }
+                        _ => spin_until(wake.unwrap_or(now + Duration::from_micros(10))),
+                    }
+                }
             }
         }
-        drop(runs);
+        self.spare.extend(runs.into_iter().map(GroupRun::into_bufs));
         self.report_if_due();
 
         // Whole-batch latency recorded once per op, mirroring the scalar
         // histograms' sample counts (the span there also covered retries).
-        let elapsed = started.elapsed().as_nanos() as u64;
-        for (i, op) in ops.iter().enumerate() {
-            if !validated[i] {
-                continue;
+        // With telemetry off the clock is not read.
+        if self.metrics.read_ns.is_enabled() || self.metrics.write_ns.is_enabled() {
+            let elapsed = started.elapsed().as_nanos() as u64;
+            for _ in 0..reads {
+                self.metrics.read_ns.record_ns(elapsed);
             }
-            match op {
-                BatchOp::Read { .. } => self.metrics.read_ns.record_ns(elapsed),
-                BatchOp::Write { .. } => self.metrics.write_ns.record_ns(elapsed),
-                _ => {}
+            for _ in 0..writes {
+                self.metrics.write_ns.record_ns(elapsed);
             }
         }
         Ok(BatchResult::new(
@@ -1984,30 +2056,15 @@ impl GengarClient {
         ops: &mut [BatchOp<'_>],
         results: &mut [Option<Result<(), GengarError>>],
     ) -> Result<(), GengarError> {
-        let (ring, window, slot_bytes, lanes) = {
-            let conn = self.conn(run.server)?;
-            let ring = conn.staging.as_ref().zip(conn.staging_scratch_off);
-            let (window, slot_bytes, lanes) = ring.map_or((0, 0, conn.op_buf), |(st, own_lane)| {
-                let (depth, slots) = (conn.window.depth() as usize, st.layout().slots as usize);
-                let slot_bytes = st.layout().slot_bytes();
-                let (cap, own) = plan::stage_window(depth, slots, conn.op_buf_len, slot_bytes);
-                (cap, slot_bytes, if own { own_lane } else { conn.op_buf })
-            });
-            let ring = match ring {
-                _ if conn.degraded => Ring::Degraded,
-                Some((st, _)) => Ring::Healthy {
-                    slot: st.max_payload(),
-                },
-                None => Ring::Absent,
-            };
-            (ring, window, slot_bytes, lanes)
-        };
+        // Worked out at the first write: a group of reads walks straight
+        // through to the read pass.
+        let mut geometry = None;
         let tenant_cap = self
             .tenant
             .as_ref()
             .map_or(0, |t| t.spec().staged_bytes_cap);
         let consistency = self.config.consistency;
-        let mut staged: Vec<StagedPlan> = Vec::new();
+        let mut staged = std::mem::take(&mut run.spare_staged);
         let mut staged_bytes: u64 = 0;
         let mut cursor = cursor;
         while cursor < run.indices.len() {
@@ -2023,6 +2080,10 @@ impl GengarClient {
                 }
                 BatchOp::Drain { .. } => return self.step_drain(run, cursor, results),
                 op => op.range().expect("only a drain touches no object"),
+            };
+            let (ring, window, slot_bytes, lanes) = match geometry {
+                Some(g) => g,
+                None => *geometry.insert(self.write_geometry(run.server)?),
             };
             let base = ptr.addr.raw();
             let fits_cap = self.tenant.as_ref().is_none_or(|t| t.staged_fits(data_len));
@@ -2053,6 +2114,7 @@ impl GengarClient {
                     return self.post_staged(run, cursor, staged, ops)
                 }
                 Route::Direct(why) => {
+                    run.spare_staged = staged;
                     // Issue gate: a dry tenant bucket parks the group (no
                     // retry budget charged) and the walk resumes right here.
                     if let Some(tenant) = &self.tenant {
@@ -2069,6 +2131,7 @@ impl GengarClient {
             }
         }
         if staged.is_empty() {
+            run.spare_staged = staged;
             run.phase = GroupPhase::Reads { cursor: 0 };
             Ok(())
         } else {
@@ -2076,6 +2139,27 @@ impl GengarClient {
             // through to the read pass.
             self.post_staged(run, run.indices.len(), staged, ops)
         }
+    }
+
+    /// The write walk's view of `server`'s connection: the ring the router
+    /// sees, the staged window's cap, the slot stride and the first lane.
+    fn write_geometry(&self, server: u8) -> Result<(Ring, usize, u64, u64), GengarError> {
+        let conn = self.conn(server)?;
+        let ring = conn.staging.as_ref().zip(conn.staging_scratch_off);
+        let (window, slot_bytes, lanes) = ring.map_or((0, 0, conn.op_buf), |(st, own_lane)| {
+            let (depth, slots) = (conn.window.depth() as usize, st.layout().slots as usize);
+            let slot_bytes = st.layout().slot_bytes();
+            let (cap, own) = plan::stage_window(depth, slots, conn.op_buf_len, slot_bytes);
+            (cap, slot_bytes, if own { own_lane } else { conn.op_buf })
+        });
+        let ring = match ring {
+            _ if conn.degraded => Ring::Degraded,
+            Some((st, _)) => Ring::Healthy {
+                slot: st.max_payload(),
+            },
+            None => Ring::Absent,
+        };
+        Ok((ring, window, slot_bytes, lanes))
     }
 
     /// Settles the op at `cursor` of the write walk and moves past it.
@@ -2276,18 +2360,19 @@ impl GengarClient {
                             continue;
                         }
                         DirectStep::Write => {
-                            let mut ops = Vec::with_capacity(2);
                             if chunk > 0 {
                                 let from = w.done as usize;
                                 region.write(data_lane, &data[from..from + chunk as usize])?;
                                 let to = ptr.addr.offset() + offset + w.done;
-                                ops.push(write(Sge::new(mr_lkey, data_lane, chunk), to));
+                                run.sends
+                                    .push(write(Sge::new(mr_lkey, data_lane, chunk), to));
                             }
                             if flushes {
                                 let remote = nvm(ptr.addr.offset() + offset);
-                                ops.push(SendOp::Flush { remote, len });
+                                run.sends.push(SendOp::Flush { remote, len });
                             }
-                            w.flight = Some(Flight::Verb(conn.data.post_many(ops)?));
+                            let posted = conn.data.post_many(run.sends.drain(..))?;
+                            w.flight = Some(Flight::Verb(posted));
                             continue;
                         }
                         DirectStep::Unlock => {
@@ -2296,7 +2381,7 @@ impl GengarClient {
                             write(word_sge, word_at)
                         }
                     };
-                    w.flight = Some(Flight::Verb(conn.data.post_many(vec![op])?));
+                    w.flight = Some(Flight::Verb(conn.data.post_many([op])?));
                 }
                 Some(Flight::Verb(mut pending)) => {
                     if !conn.data.poll_pending(&mut pending) {
@@ -2551,14 +2636,22 @@ impl GengarClient {
                         BatchOp::Write { data, .. } => data,
                         _ => unreachable!("planned from a write"),
                     };
-                    self.write_back.insert(
-                        p.base_raw,
-                        WriteBack {
-                            seq,
-                            off: p.off,
-                            data: data.to_vec(),
-                        },
-                    );
+                    // A rewritten object refills its entry in place.
+                    match self.write_back.entry(p.base_raw) {
+                        Entry::Occupied(mut e) => {
+                            let wb = e.get_mut();
+                            (wb.seq, wb.off) = (seq, p.off);
+                            wb.data.clear();
+                            wb.data.extend_from_slice(data);
+                        }
+                        Entry::Vacant(e) => {
+                            e.insert(WriteBack {
+                                seq,
+                                off: p.off,
+                                data: data.to_vec(),
+                            });
+                        }
+                    }
                     self.metrics.staged_writes.inc();
                     results[p.idx] = Some(Ok(()));
                     self.record(run.server, p.base_raw, true);
@@ -2570,6 +2663,9 @@ impl GengarClient {
                 }
             }
         }
+        let mut plans = plans;
+        plans.clear();
+        run.spare_staged = plans;
         {
             let conn = self.conn_mut(run.server)?;
             if any_ok {
@@ -2609,7 +2705,7 @@ impl GengarClient {
             let conn = self.conn(run.server)?;
             (conn.window.depth() as usize, conn.op_buf, conn.op_buf_len)
         };
-        let mut plans: Vec<ReadPlan> = Vec::new();
+        let mut plans = std::mem::take(&mut run.spare_reads);
         let (mut lane_off, mut wrs) = (0u64, 0usize);
         let mut cursor = cursor;
         while cursor < run.indices.len() {
@@ -2642,6 +2738,7 @@ impl GengarClient {
                         return self.post_reads(run, cursor, plans)
                     }
                     ControlFlow::Break(seq) => {
+                        run.spare_reads = plans;
                         self.await_drained(run, seq, GroupPhase::Reads { cursor }, false);
                         return Ok(());
                     }
@@ -2681,6 +2778,7 @@ impl GengarClient {
             cursor += 1;
         }
         if plans.is_empty() {
+            run.spare_reads = plans;
             self.finish_attempt(run, results);
             Ok(())
         } else {
@@ -2699,7 +2797,7 @@ impl GengarClient {
         let mr_lkey = self.mr.lkey();
         let conn = self.conn(run.server)?;
         let (nvm_rkey, cache_rkey) = (conn.nvm_rkey(), conn.cache_rkey());
-        let mut sends: Vec<SendOp> = Vec::with_capacity(plans.len());
+        let sends = &mut run.sends;
         let (mut posted, mut bytes) = (0u64, 0u64);
         let depth = conn.window.depth() as usize;
         for p in &plans {
@@ -2742,6 +2840,7 @@ impl GengarClient {
         // re-enters here (`PostReads`) on wake.
         if let Some(tenant) = &self.tenant {
             if let Err(wake) = tenant.issue_admit(posted, bytes) {
+                sends.clear();
                 run.phase = GroupPhase::Throttle {
                     resume_at: wake,
                     next: Box::new(GroupPhase::PostReads { resume, plans }),
@@ -2749,7 +2848,7 @@ impl GengarClient {
                 return Ok(());
             }
         }
-        let pending = conn.window.post(&conn.data, sends)?;
+        let pending = conn.window.post(&conn.data, sends.drain(..))?;
         run.phase = GroupPhase::ReadWait {
             resume,
             plans,
@@ -2776,12 +2875,19 @@ impl GengarClient {
         let region = self.mr.region().clone();
         let mut completions = completions.into_iter();
         let mut first_err: Option<GengarError> = None;
-        let mut again: Vec<ReadPlan> = Vec::new();
+        // What goes round again is compacted to the front of `plans`.
+        let mut plans = plans;
+        let mut again = 0;
         let mut park = Duration::ZERO;
-        for mut p in plans {
+        for k in 0..plans.len() {
+            let mut p = plans[k];
+            let mut keep = |p: ReadPlan| {
+                plans[again] = p;
+                again += 1;
+            };
             let mut mine = completions.by_ref().take(p.kind.wrs());
             let Some(first) = mine.next() else {
-                again.push(p);
+                keep(p);
                 continue;
             };
             // Drain the plan's completions even past a failed one, so the
@@ -2818,7 +2924,7 @@ impl GengarClient {
                         }
                         Some(kind) => {
                             p.kind = kind;
-                            again.push(p);
+                            keep(p);
                             continue;
                         }
                     }
@@ -2836,7 +2942,7 @@ impl GengarClient {
                                 results[p.idx] = Some(Err(GengarError::ReadContended(p.ptr.addr)));
                             } else {
                                 park = park.max(park_after(p.tries));
-                                again.push(p);
+                                keep(p);
                             }
                             continue;
                         }
@@ -2846,7 +2952,7 @@ impl GengarClient {
                     region.read(data_at, &mut buf[from..from + len as usize])?;
                     p.done += len;
                     if p.done < p.len {
-                        again.push(p);
+                        keep(p);
                         continue;
                     }
                     if let Some(word) = word_out {
@@ -2869,15 +2975,14 @@ impl GengarClient {
         // What is unresolved goes round again — after the contention park,
         // if a validation was lost (nothing failed, a writer is at work:
         // no retry budget is charged).
-        run.phase = if again.is_empty() {
+        plans.truncate(again);
+        run.phase = if plans.is_empty() {
+            run.spare_reads = plans;
             GroupPhase::Reads { cursor: resume }
         } else {
             GroupPhase::Throttle {
                 resume_at: Instant::now() + park,
-                next: Box::new(GroupPhase::PostReads {
-                    resume,
-                    plans: again,
-                }),
+                next: Box::new(GroupPhase::PostReads { resume, plans }),
             }
         };
         Ok(())
@@ -2923,7 +3028,7 @@ impl GengarClient {
         verb: AtomicVerb,
     ) -> Result<u64, GengarError> {
         let mut prev = None;
-        self.run_batch(vec![BatchOp::Atomic {
+        self.run_batch(&mut [BatchOp::Atomic {
             ptr,
             offset,
             verb,
@@ -2940,7 +3045,7 @@ impl GengarClient {
     ///
     /// [`GengarError::LockContended`] after `lock_retries` failed attempts.
     pub fn lock(&mut self, ptr: GlobalPtr) -> Result<(), GengarError> {
-        self.run_batch(vec![BatchOp::Lock { ptr }])?.into_single()
+        self.run_batch(&mut [BatchOp::Lock { ptr }])?.into_single()
     }
 
     /// Releases a lock held by this client, bumping the object version.
@@ -2952,7 +3057,8 @@ impl GengarClient {
     /// [`GengarError::ProtocolViolation`] if this client does not hold the
     /// lock.
     pub fn unlock(&mut self, ptr: GlobalPtr) -> Result<(), GengarError> {
-        self.run_batch(vec![BatchOp::Unlock { ptr }])?.into_single()
+        self.run_batch(&mut [BatchOp::Unlock { ptr }])?
+            .into_single()
     }
 
     /// Reads the object's raw lock/version word (one 8-byte READ). Exposed
@@ -2964,7 +3070,7 @@ impl GengarClient {
     /// Transport failures as [`GengarError::Rdma`].
     pub fn read_lock_word(&mut self, ptr: GlobalPtr) -> Result<u64, GengarError> {
         let mut word = 0;
-        self.run_batch(vec![BatchOp::LockWord {
+        self.run_batch(&mut [BatchOp::LockWord {
             ptr,
             word: &mut word,
         }])?
@@ -2991,7 +3097,7 @@ impl GengarClient {
         buf: &mut [u8],
     ) -> Result<u64, GengarError> {
         let mut word = 0;
-        self.run_batch(vec![BatchOp::Read {
+        self.run_batch(&mut [BatchOp::Read {
             ptr,
             offset,
             buf,
@@ -3276,12 +3382,15 @@ impl GengarClient {
     /// The first server's failure: transport failures that outlive the
     /// operation deadline, as [`GengarError::Rdma`].
     pub fn drain_all(&mut self) -> Result<(), GengarError> {
-        let drains = self
+        let mut drains: Vec<_> = self
             .server_ids()
             .into_iter()
             .map(|server| BatchOp::Drain { server })
             .collect();
-        self.run_batch(drains)?.into_results().into_iter().collect()
+        self.run_batch(&mut drains)?
+            .into_results()
+            .into_iter()
+            .collect()
     }
 
     /// Number of remap entries currently cached locally.

@@ -151,6 +151,9 @@ pub struct StagingWriter {
     scratch_off: u64,
     next_slot: u32,
     next_seq: u64,
+    /// Whether a record was ever posted to the primary ring, landed or
+    /// not. Until one is, the ring holds nothing of this tenure.
+    posted: bool,
     in_flight: VecDeque<u64>, // sequence numbers, oldest first
     drained: u64,
     /// The replication fan-out target, when this writer is mirrored.
@@ -205,6 +208,7 @@ impl StagingWriter {
             scratch_off,
             next_slot: 0,
             next_seq: 1,
+            posted: false,
             in_flight: VecDeque::new(),
             drained: 0,
             mirror: None,
@@ -340,6 +344,13 @@ impl StagingWriter {
     /// Sequence number the next staged write will use.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
+    }
+
+    /// Whether this writer ever posted a record to its primary ring. A
+    /// ring that never saw one holds nothing to retire, so its id can go
+    /// straight back to the server's free list.
+    pub fn has_posted(&self) -> bool {
+        self.posted
     }
 
     /// Highest sequence number known drained by every active lane (from
@@ -488,6 +499,7 @@ impl StagingWriter {
         let pending = if self.primary_down {
             None
         } else {
+            self.posted = true;
             Some(self.ep.post_many(ops)?)
         };
         let mirror_pending = match &self.mirror {

@@ -116,12 +116,12 @@ pub(crate) struct RetryState {
 }
 
 impl RetryState {
-    /// Starts one operation's recovery loop under `cfg`'s deadline and
-    /// retry cap. `salt` seeds the jitter stream; pass something
-    /// client-unique so concurrent clients desynchronise.
-    pub(crate) fn start(cfg: &ClientConfig, salt: u64) -> RetryState {
+    /// Starts one operation's recovery loop, begun at `now`, under `cfg`'s
+    /// deadline and retry cap. `salt` seeds the jitter stream; pass
+    /// something client-unique so concurrent clients desynchronise.
+    pub(crate) fn start(cfg: &ClientConfig, salt: u64, now: Instant) -> RetryState {
         RetryState {
-            deadline: Instant::now() + cfg.op_deadline,
+            deadline: now + cfg.op_deadline,
             max_retries: cfg.max_retries,
             attempt: 0,
             rng: salt | 1,
@@ -355,7 +355,7 @@ mod tests {
     /// first `Err` return.
     #[test]
     fn failover_waits_for_reconnect_budget_exhaustion() {
-        let mut state = RetryState::start(&budget(3, Duration::from_secs(10)), 11);
+        let mut state = RetryState::start(&budget(3, Duration::from_secs(10)), 11, Instant::now());
         let broken = || GengarError::Rdma(RdmaError::QpError(WcStatus::TransportError));
         assert_eq!(classify(&broken()), Disposition::Reconnect);
         let mut granted = 0;
@@ -387,7 +387,7 @@ mod tests {
 
     #[test]
     fn attempt_cap_is_enforced() {
-        let mut state = RetryState::start(&budget(2, Duration::from_secs(10)), 7);
+        let mut state = RetryState::start(&budget(2, Duration::from_secs(10)), 7, Instant::now());
         assert!(state.charge(GengarError::Rdma(RdmaError::Timeout)).is_ok());
         assert!(state.charge(GengarError::Rdma(RdmaError::Timeout)).is_ok());
         let err = state
@@ -399,7 +399,11 @@ mod tests {
 
     #[test]
     fn deadline_bounds_the_loop() {
-        let mut state = RetryState::start(&budget(u32::MAX, Duration::from_millis(20)), 99);
+        let mut state = RetryState::start(
+            &budget(u32::MAX, Duration::from_millis(20)),
+            99,
+            Instant::now(),
+        );
         let start = Instant::now();
         let mut charges = 0u32;
         while state.charge(GengarError::Rdma(RdmaError::Timeout)).is_ok() {
@@ -416,11 +420,11 @@ mod tests {
     #[test]
     fn jitter_is_deterministic_per_salt() {
         let cfg = ClientConfig::default();
-        let mut a = RetryState::start(&cfg, 42);
-        let mut b = RetryState::start(&cfg, 42);
+        let mut a = RetryState::start(&cfg, 42, Instant::now());
+        let mut b = RetryState::start(&cfg, 42, Instant::now());
         let (x, y) = (a.next_u64(), b.next_u64());
         assert_eq!(x, y);
-        let mut c = RetryState::start(&cfg, 43);
+        let mut c = RetryState::start(&cfg, 43, Instant::now());
         assert_ne!(a.next_u64(), c.next_u64());
     }
 

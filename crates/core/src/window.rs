@@ -58,7 +58,12 @@ impl OpWindow {
     /// [`GengarError::ProtocolViolation`] if `ops` exceeds the window
     /// depth (callers chunk; one seqlock read's three READs always fit);
     /// otherwise failures of the post itself.
-    pub fn post(&self, ep: &Endpoint, ops: Vec<SendOp>) -> Result<PendingOps, GengarError> {
+    pub fn post<I>(&self, ep: &Endpoint, ops: I) -> Result<PendingOps, GengarError>
+    where
+        I: IntoIterator<Item = SendOp>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let ops = ops.into_iter();
         if ops.len() > self.depth.max(3) as usize {
             return Err(GengarError::ProtocolViolation(
                 "doorbell batch exceeds window depth",

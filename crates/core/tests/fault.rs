@@ -335,12 +335,9 @@ fn lock_adopts_the_lock_a_failed_write_left_behind() {
         let mut fabric = FabricConfig::instant();
         fabric.faults = Some(Arc::clone(&plane));
         let cluster = Cluster::launch(1, ServerConfig::small(), fabric).unwrap();
-        // Two attempts: each failed one re-dials, and a re-dial takes one
-        // of the small server's eight client ids for good.
         let seqlock = ClientConfig {
             consistency: Consistency::Seqlock,
             lock_retries: 3,
-            max_retries: 2,
             ..fast_fail_config()
         };
         let mut client = cluster.client(seqlock.clone()).unwrap();
@@ -369,6 +366,41 @@ fn lock_adopts_the_lock_a_failed_write_left_behind() {
         rival.lock(ptr).unwrap();
         rival.unlock(ptr).unwrap();
     }
+}
+
+/// Every failed attempt of a `Seqlock` write re-dials the server, and each
+/// re-dial takes a fresh client id. A `Seqlock` client stages nothing, so
+/// its tenures' rings hold no record and their ids go back to the server:
+/// the small server's eight ids outlast any number of reconnects, and the
+/// lock the failed writes left behind is released over a ninth.
+#[test]
+fn reconnects_hand_back_the_ids_of_empty_rings() {
+    let plane = Arc::new(FaultPlane::new(23));
+    let mut fabric = FabricConfig::instant();
+    fabric.faults = Some(Arc::clone(&plane));
+    let cluster = Cluster::launch(1, ServerConfig::small(), fabric).unwrap();
+    let seqlock = ClientConfig {
+        consistency: Consistency::Seqlock,
+        ..fast_fail_config()
+    };
+    let mut client = cluster.client(seqlock).unwrap();
+    let ptr = client.alloc(0, 64).unwrap();
+
+    plane.parse("err:verb=write,imm=0").unwrap();
+    for _ in 0..10 {
+        if client.stats().reconnects >= 10 {
+            break;
+        }
+        assert!(client.write(ptr, 0, &[2u8; 64]).is_err());
+    }
+    plane.clear();
+    let reconnects = client.stats().reconnects;
+    assert!(reconnects >= 10, "stuck at {reconnects} reconnects");
+    client.unlock(ptr).unwrap();
+    client.write(ptr, 0, &[3u8; 64]).unwrap();
+    let mut buf = [0u8; 64];
+    client.read(ptr, 0, &mut buf).unwrap();
+    assert_eq!(buf, [3u8; 64]);
 }
 
 /// A cluster of one server whose fabric carries `plane`, and a client of

@@ -170,29 +170,32 @@ impl Endpoint {
     ///
     /// Only programming errors that fail the post itself (nothing
     /// executed). Per-operation failures surface through the results.
-    pub fn post_many(&self, ops: Vec<SendOp>) -> Result<PendingOps, RdmaError> {
+    pub fn post_many<I>(&self, ops: I) -> Result<PendingOps, RdmaError>
+    where
+        I: IntoIterator<Item = SendOp>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let ops = ops.into_iter();
         let n = ops.len();
-        let deadline = Instant::now() + self.op_timeout;
         if n > 0 {
             let base = self.next_wr.fetch_add(n as u64, Ordering::Relaxed);
-            let wrs: Vec<SendWr> = ops
-                .into_iter()
+            let wrs = ops
                 .enumerate()
-                .map(|(i, op)| SendWr::new(base + i as u64, op))
-                .collect();
-            self.qp.post_send_list(wrs)?;
+                .map(|(i, op)| SendWr::new(base + i as u64, op));
+            // The patience runs from the doorbell.
+            let posted = self.qp.post_list(wrs)?;
             Ok(PendingOps {
                 base,
                 out: vec![None; n],
                 pending: n,
-                deadline,
+                deadline: posted + self.op_timeout,
             })
         } else {
             Ok(PendingOps {
                 base: 0,
                 out: Vec::new(),
                 pending: 0,
-                deadline,
+                deadline: Instant::now() + self.op_timeout,
             })
         }
     }
@@ -212,38 +215,34 @@ impl Endpoint {
         if p.pending == 0 {
             return true;
         }
+        // One clock read serves the harvest and the deadline check.
+        let now = Instant::now();
         let n = p.out.len();
-        loop {
-            let drained = self.qp.send_cq().poll(64);
-            if drained.is_empty() {
-                break;
+        self.qp.send_cq().harvest(usize::MAX, now, |wc| {
+            // Stale completions from earlier unmatched waits fall outside
+            // [base, base + n) and are dropped.
+            let slot = match wc.wr_id.checked_sub(p.base) {
+                Some(slot) if (slot as usize) < n => slot as usize,
+                _ => return,
+            };
+            if p.out[slot].is_some() {
+                return;
             }
-            for wc in drained {
-                // Stale completions from earlier unmatched waits fall
-                // outside [base, base + n) and are dropped.
-                let slot = match wc.wr_id.checked_sub(p.base) {
-                    Some(slot) if (slot as usize) < n => slot as usize,
-                    _ => continue,
-                };
-                if p.out[slot].is_some() {
-                    continue;
-                }
-                p.out[slot] = Some(if wc.status.is_ok() {
-                    Ok(wc)
-                } else {
-                    Err(RdmaError::CompletionError(wc.status))
-                });
-                p.pending -= 1;
-            }
-            if p.pending == 0 {
-                return true;
-            }
+            p.out[slot] = Some(if wc.status.is_ok() {
+                Ok(wc)
+            } else {
+                Err(RdmaError::CompletionError(wc.status))
+            });
+            p.pending -= 1;
+        });
+        if p.pending == 0 {
+            return true;
         }
         // The fabric queues every completion (even deferred ones) at post
         // time, so an empty send CQ with operations still pending means
         // those completions will never arrive: the op was dropped on the
         // wire, or was never matched before the QP died.
-        let timed_out = Instant::now() >= p.deadline;
+        let timed_out = now >= p.deadline;
         if self.qp.send_cq().is_empty() || timed_out {
             let err = if self.qp.state() == crate::qp::QpState::Error {
                 RdmaError::QpError(self.qp.error_status().unwrap_or(WcStatus::WrFlushed))

@@ -9,8 +9,15 @@
 //! many operations in flight — across several connections — and observe
 //! their completions in simulated-arrival order, exactly like draining a
 //! real CQ.
+//!
+//! A push wakes only a thread parked in [`CompletionQueue::wait`]: the
+//! waiter count lives under the queue's mutex, so a push that finds no
+//! waiter skips the wake-up syscall, and one that does always reaches it.
+//! A poll of an empty queue reads one atomic and takes no lock, so a
+//! harvester spinning on an idle queue never contends with its poster.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -84,6 +91,9 @@ struct CqInner {
     /// same-batch completions keep submission order).
     queue: VecDeque<(Instant, Wc)>,
     overflowed: bool,
+    /// Threads parked in [`CompletionQueue::wait`]; a push notifies only
+    /// while this is non-zero.
+    waiters: usize,
 }
 
 /// A completion queue.
@@ -96,6 +106,11 @@ struct CqInner {
 pub struct CompletionQueue {
     capacity: usize,
     inner: Mutex<CqInner>,
+    /// `inner.queue.len()`, stored (Release) under the mutex after every
+    /// change and loaded (Acquire) without it. A lock-free reader only
+    /// decides whether to take the lock: a stale zero defers a harvest to
+    /// the next poll and loses no entry.
+    len: AtomicUsize,
     available: Condvar,
 }
 
@@ -105,6 +120,7 @@ impl CompletionQueue {
         CompletionQueue {
             capacity: capacity.max(1),
             inner: Mutex::new(CqInner::default()),
+            len: AtomicUsize::new(0),
             available: Condvar::new(),
         }
     }
@@ -138,7 +154,10 @@ impl CompletionQueue {
             .rposition(|(at, _)| *at <= ready)
             .map_or(0, |p| p + 1);
         inner.queue.insert(pos, (ready, wc));
-        self.available.notify_all();
+        self.len.store(inner.queue.len(), Ordering::Release);
+        if inner.waiters > 0 {
+            self.available.notify_all();
+        }
         true
     }
 
@@ -158,15 +177,29 @@ impl CompletionQueue {
     /// Harvests up to `max` ready completions without blocking. Entries
     /// whose ready instant lies in the future stay queued.
     pub fn poll(&self, max: usize) -> Vec<Wc> {
-        let now = Instant::now();
+        let mut out = Vec::new();
+        if !self.is_empty() {
+            self.harvest(max, Instant::now(), |wc| out.push(wc));
+        }
+        out
+    }
+
+    /// Hands up to `max` completions ready at `now` to `f`, in ready
+    /// order, and returns how many. Allocates nothing; an empty queue
+    /// returns at once without taking the lock.
+    pub(crate) fn harvest(&self, max: usize, now: Instant, mut f: impl FnMut(Wc)) -> usize {
+        if self.is_empty() {
+            return 0;
+        }
         let mut inner = self.inner.lock();
-        let ready = inner
-            .queue
-            .iter()
-            .take_while(|(at, _)| *at <= now)
-            .count()
-            .min(max);
-        inner.queue.drain(..ready).map(|(_, wc)| wc).collect()
+        let mut taken = 0;
+        while taken < max && inner.queue.front().is_some_and(|(at, _)| *at <= now) {
+            let (_, wc) = inner.queue.pop_front().expect("front checked");
+            f(wc);
+            taken += 1;
+        }
+        self.len.store(inner.queue.len(), Ordering::Release);
+        taken
     }
 
     /// Blocks until at least one completion is ready (or `timeout`
@@ -189,7 +222,9 @@ impl CompletionQueue {
             // front entry becoming ready. A push of an earlier entry
             // notifies the condvar, re-evaluating the wake target.
             let until = front.map_or(deadline, |at| at.min(deadline));
+            inner.waiters += 1;
             self.available.wait_until(&mut inner, until);
+            inner.waiters -= 1;
         }
         let now = Instant::now();
         let ready = inner
@@ -198,19 +233,21 @@ impl CompletionQueue {
             .take_while(|(at, _)| *at <= now)
             .count()
             .min(max);
-        inner.queue.drain(..ready).map(|(_, wc)| wc).collect()
+        let out = inner.queue.drain(..ready).map(|(_, wc)| wc).collect();
+        self.len.store(inner.queue.len(), Ordering::Release);
+        out
     }
 
     /// Number of unharvested completions, including ones whose ready
     /// instant is still in the future.
     pub fn len(&self) -> usize {
-        self.inner.lock().queue.len()
+        self.len.load(Ordering::Acquire)
     }
 
     /// Returns `true` if no completions are pending at all (counting
     /// not-yet-ready entries; an empty CQ means nothing is in flight).
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().queue.is_empty()
+        self.len() == 0
     }
 }
 
@@ -271,6 +308,65 @@ mod tests {
         let got = t.join().unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].wr_id, 9);
+    }
+
+    /// The waiter count must never lose a wake-up. A consumer parked in
+    /// `wait` with a 5 s patience takes 10 000 completions pushed in
+    /// bursts with random sub-microsecond gaps; after each burst the
+    /// producer waits until the consumer has everything, so every burst
+    /// ends in a push the consumer may have parked before. A lost wake-up
+    /// sleeps out the 5 s patience and fails the consumer's assertion.
+    #[test]
+    fn wait_misses_no_push() {
+        const N: u64 = 10_000;
+        let cq = Arc::new(CompletionQueue::new(N as usize));
+        let taken = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let consumer = {
+            let (cq, taken) = (Arc::clone(&cq), Arc::clone(&taken));
+            std::thread::spawn(move || {
+                let mut next = 0;
+                while next < N {
+                    let got = cq.wait(64, Duration::from_secs(5));
+                    assert!(!got.is_empty(), "wait timed out after {next} completions");
+                    for wc in got {
+                        assert_eq!(wc.wr_id, next);
+                        next += 1;
+                    }
+                    taken.store(next, Ordering::Release);
+                }
+            })
+        };
+        let t0 = Instant::now();
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut pushed = 0;
+        while pushed < N {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let burst = (1 + rng % 8).min(N - pushed);
+            for _ in 0..burst {
+                let gap = Instant::now() + Duration::from_nanos(rng % 1000);
+                while Instant::now() < gap {
+                    std::hint::spin_loop();
+                }
+                assert!(cq.push_at(wc(pushed), Instant::now()));
+                pushed += 1;
+            }
+            while taken.load(Ordering::Acquire) < pushed {
+                assert!(
+                    t0.elapsed() < Duration::from_secs(10),
+                    "consumer stuck at {} of {pushed}",
+                    taken.load(Ordering::Acquire)
+                );
+                std::thread::yield_now();
+            }
+        }
+        consumer.join().unwrap();
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "took {:?}",
+            t0.elapsed()
+        );
     }
 
     #[test]

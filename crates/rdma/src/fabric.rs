@@ -1,7 +1,7 @@
 //! The fabric: node registry, link model and verb execution engine.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -13,6 +13,7 @@ use parking_lot::RwLock;
 use crate::cq::{CompletionQueue, Wc, WcOpcode, WcStatus};
 use crate::error::RdmaError;
 use crate::fault::{FaultDecision, FaultPlane};
+use crate::hash::FastMap;
 use crate::metrics::FabricMetrics;
 use crate::mr::MemoryRegion;
 use crate::node::RdmaNode;
@@ -127,11 +128,21 @@ struct LinkFault {
     extra_delay_ns: u64,
 }
 
-/// A resolved send-side payload: inline bytes, or a reference to the local
-/// MR that one-sided DMA copies from directly (no staging pass).
+/// A WR's resolved local side: the inline bytes or the local MR range a
+/// SEND or WRITE sends (one-sided DMA copies from the MR directly, with no
+/// staging pass), or the local MR range a READ or an atomic lands in.
 enum Gathered {
     Bytes(Vec<u8>),
     Mr(Arc<MemoryRegion>, u64, u64),
+}
+
+/// One validated WR of a doorbell, ready to execute.
+type Prepared = (SendWr, WcOpcode, Option<Gathered>);
+
+thread_local! {
+    /// The list a doorbell validates into, kept per posting thread so a
+    /// post allocates nothing once the thread has posted its widest list.
+    static PREPARED: Cell<Vec<Prepared>> = const { Cell::new(Vec::new()) };
 }
 
 impl Gathered {
@@ -139,6 +150,14 @@ impl Gathered {
         match self {
             Gathered::Bytes(b) => b.len() as u64,
             Gathered::Mr(_, _, len) => *len,
+        }
+    }
+
+    /// The local MR a READ or an atomic lands in, resolved at post time.
+    fn landing(&self) -> &MemoryRegion {
+        match self {
+            Gathered::Mr(mr, ..) => mr,
+            Gathered::Bytes(_) => unreachable!("a landing side is always an MR"),
         }
     }
 
@@ -176,8 +195,13 @@ impl Gathered {
 pub struct Fabric {
     config: FabricConfig,
     next_node: AtomicU32,
-    nodes: RwLock<HashMap<NodeId, Arc<RdmaNode>>>,
-    faults: RwLock<HashMap<(NodeId, NodeId), LinkFault>>,
+    nodes: RwLock<FastMap<NodeId, Arc<RdmaNode>>>,
+    faults: RwLock<FastMap<(NodeId, NodeId), LinkFault>>,
+    /// Set by the first partition or delay ever configured: until then a
+    /// post skips the fault table and its lock. Stored (Release) after the
+    /// table entry is written; a post that loads it set (Acquire) then
+    /// reads the table under its lock.
+    any_faults: AtomicBool,
     metrics: FabricMetrics,
 }
 
@@ -205,8 +229,9 @@ impl Fabric {
         Arc::new(Fabric {
             config,
             next_node: AtomicU32::new(0),
-            nodes: RwLock::new(HashMap::new()),
-            faults: RwLock::new(HashMap::new()),
+            nodes: RwLock::new(FastMap::default()),
+            faults: RwLock::new(FastMap::default()),
+            any_faults: AtomicBool::new(false),
             metrics,
         })
     }
@@ -242,23 +267,24 @@ impl Fabric {
 
     /// Partitions (or heals) the link between `a` and `b`.
     pub fn partition(&self, a: NodeId, b: NodeId, partitioned: bool) {
-        self.faults
-            .write()
-            .entry(link_key(a, b))
-            .or_default()
-            .partitioned = partitioned;
+        self.set_link_fault(a, b, |f| f.partitioned = partitioned);
     }
 
     /// Adds fixed extra one-way delay on the link between `a` and `b`.
     pub fn set_extra_delay_ns(&self, a: NodeId, b: NodeId, delay_ns: u64) {
-        self.faults
-            .write()
-            .entry(link_key(a, b))
-            .or_default()
-            .extra_delay_ns = delay_ns;
+        self.set_link_fault(a, b, |f| f.extra_delay_ns = delay_ns);
+    }
+
+    /// Edits the fault entry of the link between `a` and `b`.
+    fn set_link_fault(&self, a: NodeId, b: NodeId, edit: impl FnOnce(&mut LinkFault)) {
+        edit(self.faults.write().entry(link_key(a, b)).or_default());
+        self.any_faults.store(true, Ordering::Release);
     }
 
     fn fault(&self, a: NodeId, b: NodeId) -> LinkFault {
+        if !self.any_faults.load(Ordering::Acquire) {
+            return LinkFault::default();
+        }
         self.faults
             .read()
             .get(&link_key(a, b))
@@ -395,13 +421,14 @@ impl Fabric {
         qp: &Arc<QueuePair>,
         wr: SendWr,
     ) -> Result<(), RdmaError> {
-        self.execute_batch(src, qp, vec![wr])
+        self.execute_batch(src, qp, [wr]).map(drop)
     }
 
     /// Posts a list of send-side work requests as one doorbell batch.
-    /// Called from [`QueuePair::post_send_list`]. Returns without
-    /// blocking: completions are queued with their modelled ready
-    /// instants and harvested from the CQ as simulated time passes.
+    /// Called from [`QueuePair::post_send_list`]. Returns the doorbell
+    /// instant without blocking: completions are queued with their
+    /// modelled ready instants and harvested from the CQ as simulated time
+    /// passes.
     ///
     /// The whole list is validated before anything executes: an `Err`
     /// means no WR touched the wire (the post is atomic). Timing follows
@@ -423,14 +450,19 @@ impl Fabric {
     /// Data movement (and ADR durability) happens at post time, slightly
     /// *before* the modelled completion instant — never after — so no
     /// caller can harvest a completion whose bytes have not landed.
-    pub(crate) fn execute_batch(
+    pub(crate) fn execute_batch<I>(
         &self,
         src: &Arc<RdmaNode>,
         qp: &Arc<QueuePair>,
-        wrs: Vec<SendWr>,
-    ) -> Result<(), RdmaError> {
-        if wrs.is_empty() {
-            return Ok(());
+        wrs: I,
+    ) -> Result<Instant, RdmaError>
+    where
+        I: IntoIterator<Item = SendWr>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let wrs = wrs.into_iter();
+        if wrs.len() == 0 {
+            return Ok(Instant::now());
         }
         // One-sided verbs run on the initiating thread, so the client's
         // trace context is visible right here: the whole post→doorbell→
@@ -443,7 +475,8 @@ impl Fabric {
 
         // Programming errors on the local side fail the whole post before
         // anything is on the wire.
-        let mut prepared: Vec<(SendWr, WcOpcode, Option<Gathered>)> = Vec::with_capacity(wrs.len());
+        let mut prepared = PREPARED.take();
+        prepared.clear();
         for wr in wrs {
             let sender_opcode = match &wr.op {
                 SendOp::Send { .. } => WcOpcode::Send,
@@ -453,20 +486,20 @@ impl Fabric {
                 SendOp::FetchAdd { .. } => WcOpcode::FetchAdd,
                 SendOp::Flush { .. } => WcOpcode::Flush,
             };
-            let payload: Option<Gathered> = match &wr.op {
+            let local: Option<Gathered> = match &wr.op {
                 SendOp::Send { payload, .. } | SendOp::Write { payload, .. } => {
                     Some(Self::gather_payload(src, qp, payload)?)
                 }
                 SendOp::Read { local, .. }
                 | SendOp::CompareSwap { local, .. }
                 | SendOp::FetchAdd { local, .. } => {
-                    // Validate the local destination now; data lands later.
-                    Self::local_mr(src, qp.pd_id(), *local)?;
-                    None
+                    // Resolve the local landing MR now; data lands later.
+                    let mr = Self::local_mr(src, qp.pd_id(), *local)?;
+                    Some(Gathered::Mr(mr, local.offset, local.len))
                 }
                 SendOp::Flush { .. } => None,
             };
-            prepared.push((wr, sender_opcode, payload));
+            prepared.push((wr, sender_opcode, local));
         }
 
         // One doorbell for the whole list.
@@ -502,7 +535,7 @@ impl Fabric {
         // response hop later than the op finishes there.
         let resp_delay = scaled_duration(cfg.one_way_ns + fault.extra_delay_ns);
 
-        for (wr, sender_opcode, payload) in prepared {
+        for (wr, sender_opcode, local) in prepared.drain(..) {
             let mut wr_span = tracer.fine_span("rdma.wr");
             wr_span.set_detail(wr.wr_id);
             // Past the programming-error checks the verb is on the wire:
@@ -549,11 +582,12 @@ impl Fabric {
             // policy is installed (budget state is wall-clock
             // dependent and would otherwise perturb chaos schedules).
             if let Some(qos) = cfg.qos.as_ref() {
-                let bytes = match (&wr.op, &payload) {
+                let bytes = match (&wr.op, &local) {
                     (SendOp::Read { local, .. }, _) => local.len,
                     (SendOp::Flush { .. }, _) => 0,
+                    (SendOp::CompareSwap { .. } | SendOp::FetchAdd { .. }, _) => 8, // one word
                     (_, Some(p)) => p.len(),
-                    _ => 8, // atomics move one word
+                    _ => 0,
                 };
                 if qos.admit(src.id(), bytes) == QosVerdict::Drop {
                     tracer.event("qos.drop", wr.wr_id);
@@ -572,26 +606,20 @@ impl Fabric {
                     continue;
                 }
             };
-            let end = self.execute_one_at(
-                src,
-                qp,
-                &wr,
-                sender_opcode,
-                payload,
-                pair,
-                cursor,
-                resp_delay,
-            )?;
+            let end =
+                self.execute_one_at(src, qp, &wr, sender_opcode, local, pair, cursor, resp_delay)?;
             verb.lat_ns
                 .record_ns((end + resp_delay - posted).as_nanos() as u64);
         }
-        Ok(())
+        PREPARED.set(prepared);
+        Ok(posted)
     }
 
     /// The per-verb body of one WR within a doorbell batch: bandwidth
     /// occupancy, the data movement itself, receive-side delivery and the
     /// sender completion. Request propagation is paid by the caller once
-    /// per batch; outcomes the responder decides (success and
+    /// per batch; `local` is the WR's local side as resolved at post time.
+    /// Outcomes the responder decides (success and
     /// responder-side errors) ready one `resp_delay` after the op's
     /// chain end. The chain starts at `start` (the doorbell's arrival
     /// instant) — shared-channel serialisation comes from the FIFO
@@ -604,7 +632,7 @@ impl Fabric {
         qp: &Arc<QueuePair>,
         wr: &SendWr,
         sender_opcode: WcOpcode,
-        payload: Option<Gathered>,
+        local: Option<Gathered>,
         target: &(Arc<RdmaNode>, Arc<QueuePair>),
         start: Instant,
         resp_delay: std::time::Duration,
@@ -616,7 +644,7 @@ impl Fabric {
         match &wr.op {
             SendOp::Write { remote, imm, .. } => {
                 let (remote, imm) = (*remote, *imm);
-                let data = payload.expect("write has payload");
+                let data = local.expect("write has payload");
                 let len = data.len();
                 *cursor = occupy_ports_at(src.nic_bw(), dst.nic_bw(), len, *cursor);
                 let mr =
@@ -675,9 +703,9 @@ impl Fabric {
                 );
                 Ok(*cursor)
             }
-            SendOp::Read { local, remote } => {
-                let (local, remote) = (*local, *remote);
-                let len = local.len;
+            SendOp::Read { local: sge, remote } => {
+                let (sge, remote) = (*sge, *remote);
+                let len = sge.len;
                 let mr =
                     match Self::remote_mr(dst, dst_qp.pd_id(), remote, len, Access::REMOTE_READ) {
                         Ok(mr) => mr,
@@ -694,10 +722,10 @@ impl Fabric {
                         }
                     };
                 *cursor = occupy_ports_at(dst.nic_bw(), src.nic_bw(), len, *cursor);
-                let local_mr = Self::local_mr(src, qp.pd_id(), local)?;
                 // Response data DMAs straight into the local MR.
-                *cursor = local_mr.region().copy_from_at(
-                    local.offset,
+                let landing = local.as_ref().expect("a READ lands locally").landing();
+                *cursor = landing.region().copy_from_at(
+                    sge.offset,
                     mr.region(),
                     remote.offset,
                     len,
@@ -715,7 +743,7 @@ impl Fabric {
             }
             SendOp::Send { imm, .. } => {
                 let imm = *imm;
-                let data = payload.expect("send has payload");
+                let data = local.expect("send has payload");
                 let len = data.len();
                 *cursor = occupy_ports_at(src.nic_bw(), dst.nic_bw(), len, *cursor);
                 let recv = match dst_qp.take_recv() {
@@ -794,12 +822,12 @@ impl Fabric {
                 Ok(*cursor)
             }
             SendOp::CompareSwap {
-                local,
+                local: sge,
                 remote,
                 expected,
                 swap,
             } => {
-                let (local, remote, expected, swap) = (*local, *remote, *expected, *swap);
+                let (sge, remote, expected, swap) = (*sge, *remote, *expected, *swap);
                 *cursor += scaled_duration(cfg.atomic_extra_ns);
                 let mr =
                     match Self::remote_mr(dst, dst_qp.pd_id(), remote, 8, Access::REMOTE_ATOMIC) {
@@ -836,10 +864,10 @@ impl Fabric {
                         return Ok(*cursor);
                     }
                 };
-                let local_mr = Self::local_mr(src, qp.pd_id(), local)?;
-                *cursor = local_mr
+                let landing = local.as_ref().expect("a CAS lands locally").landing();
+                *cursor = landing
                     .region()
-                    .write_at(local.offset, &prev.to_le_bytes(), *cursor)?;
+                    .write_at(sge.offset, &prev.to_le_bytes(), *cursor)?;
                 self.complete_at(
                     qp,
                     wr,
@@ -850,8 +878,12 @@ impl Fabric {
                 );
                 Ok(*cursor)
             }
-            SendOp::FetchAdd { local, remote, add } => {
-                let (local, remote, add) = (*local, *remote, *add);
+            SendOp::FetchAdd {
+                local: sge,
+                remote,
+                add,
+            } => {
+                let (sge, remote, add) = (*sge, *remote, *add);
                 *cursor += scaled_duration(cfg.atomic_extra_ns);
                 let mr =
                     match Self::remote_mr(dst, dst_qp.pd_id(), remote, 8, Access::REMOTE_ATOMIC) {
@@ -885,10 +917,10 @@ impl Fabric {
                         return Ok(*cursor);
                     }
                 };
-                let local_mr = Self::local_mr(src, qp.pd_id(), local)?;
-                *cursor = local_mr
+                let landing = local.as_ref().expect("an FAA lands locally").landing();
+                *cursor = landing
                     .region()
-                    .write_at(local.offset, &prev.to_le_bytes(), *cursor)?;
+                    .write_at(sge.offset, &prev.to_le_bytes(), *cursor)?;
                 self.complete_at(
                     qp,
                     wr,

@@ -57,6 +57,7 @@ pub mod cq;
 pub mod error;
 pub mod fabric;
 pub mod fault;
+pub mod hash;
 pub(crate) mod metrics;
 pub mod mr;
 pub mod node;
@@ -69,6 +70,7 @@ pub use cq::{CompletionQueue, Wc, WcOpcode, WcStatus};
 pub use error::RdmaError;
 pub use fabric::{Fabric, FabricConfig, QosPolicy, QosVerdict};
 pub use fault::{FaultAction, FaultDecision, FaultPlane, FaultRule, PartitionFlap, Trigger};
+pub use hash::{FastBuild, FastHasher, FastMap, FastSet};
 pub use mr::{MemoryRegion, ProtectionDomain};
 pub use node::RdmaNode;
 pub use qp::{QpOptions, QpState, QueuePair};

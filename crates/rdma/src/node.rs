@@ -1,6 +1,5 @@
 //! Per-node RDMA context (one simulated machine with one NIC).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -9,6 +8,7 @@ use parking_lot::RwLock;
 
 use crate::cq::CompletionQueue;
 use crate::fabric::Fabric;
+use crate::hash::FastMap;
 use crate::metrics::FabricMetrics;
 use crate::mr::{MemoryRegion, ProtectionDomain};
 use crate::qp::{QpOptions, QueuePair};
@@ -25,8 +25,8 @@ pub struct RdmaNode {
     next_key: Arc<AtomicU32>,
     next_qpn: AtomicU32,
     next_pd: AtomicU32,
-    mrs: RwLock<HashMap<u32, Arc<MemoryRegion>>>,
-    qps: RwLock<HashMap<Qpn, Arc<QueuePair>>>,
+    mrs: RwLock<FastMap<u32, Arc<MemoryRegion>>>,
+    qps: RwLock<FastMap<Qpn, Arc<QueuePair>>>,
     nic_bw: Limiter,
     metrics: FabricMetrics,
     self_ref: RwLock<Weak<RdmaNode>>,
@@ -55,8 +55,8 @@ impl RdmaNode {
             next_key: Arc::new(AtomicU32::new(0)),
             next_qpn: AtomicU32::new(0),
             next_pd: AtomicU32::new(0),
-            mrs: RwLock::new(HashMap::new()),
-            qps: RwLock::new(HashMap::new()),
+            mrs: RwLock::new(FastMap::default()),
+            qps: RwLock::new(FastMap::default()),
             nic_bw: Limiter::new(nic_bw_bytes_per_sec),
             metrics,
             self_ref: RwLock::new(Weak::new()),

@@ -57,6 +57,9 @@ impl Default for QpOptions {
 #[derive(Debug, Default)]
 struct RecvQueue {
     queue: VecDeque<RecvWr>,
+    /// Threads parked in `take_recv`; a post notifies only while this is
+    /// non-zero (both sides read and write it under the queue's mutex).
+    waiters: usize,
 }
 
 /// A reliable-connected queue pair.
@@ -186,7 +189,10 @@ impl QueuePair {
             }
         }
         *self.state.lock() = QpState::Error;
-        // Wake anyone blocked waiting for receives so they observe the error.
+        // Wake anyone blocked waiting for receives so they observe the
+        // error. Passing through the queue's mutex first orders the wake
+        // after any waiter's state check, so none parks past it.
+        drop(self.recvs.lock());
         self.recv_posted.notify_all();
     }
 
@@ -224,9 +230,12 @@ impl QueuePair {
             return Err(RdmaError::RecvQueueFull);
         }
         recvs.queue.push_back(wr);
+        let parked = recvs.waiters > 0;
         drop(recvs);
         self.metrics.recv_posted.inc();
-        self.recv_posted.notify_all();
+        if parked {
+            self.recv_posted.notify_all();
+        }
         Ok(())
     }
 
@@ -247,11 +256,13 @@ impl QueuePair {
             if *self.state.lock() == QpState::Error {
                 return None;
             }
-            if self
+            recvs.waiters += 1;
+            let timed_out = self
                 .recv_posted
                 .wait_until(&mut recvs, deadline)
-                .timed_out()
-            {
+                .timed_out();
+            recvs.waiters -= 1;
+            if timed_out {
                 let wr = recvs.queue.pop_front();
                 if wr.is_none() {
                     self.metrics.rnr_timeouts.inc();
@@ -303,6 +314,16 @@ impl QueuePair {
     /// (unknown lkey, sge out of bounds, inline payload too large, QP not
     /// connected or errored); in that case no WR has executed.
     pub fn post_send_list(self: &Arc<Self>, wrs: Vec<SendWr>) -> Result<(), RdmaError> {
+        self.post_list(wrs).map(drop)
+    }
+
+    /// [`QueuePair::post_send_list`] over any list whose length is known,
+    /// returning the doorbell instant.
+    pub(crate) fn post_list<I>(self: &Arc<Self>, wrs: I) -> Result<Instant, RdmaError>
+    where
+        I: IntoIterator<Item = SendWr>,
+        I::IntoIter: ExactSizeIterator,
+    {
         {
             let state = *self.state.lock();
             if state != QpState::ReadyToSend {
@@ -424,6 +445,66 @@ mod tests {
         let t0 = Instant::now();
         assert!(qp.take_recv().is_none());
         assert!(t0.elapsed() >= Duration::from_millis(10));
+    }
+
+    /// `take_recv` against `post_recv` the way [`crate::cq`]'s
+    /// `wait_misses_no_push` runs the CQ: 10 000 receives posted in bursts
+    /// with random sub-microsecond gaps, each burst taken whole before the
+    /// next, under a 5 s RNR patience a lost wake-up would sleep out.
+    #[test]
+    fn take_recv_misses_no_post() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        const N: u64 = 10_000;
+        let (_f, node) = setup();
+        let pd = node.alloc_pd();
+        let opts = QpOptions {
+            max_recv: N as usize,
+            rnr_timeout: Duration::from_secs(5),
+        };
+        let qp = node.create_qp(&pd, node.create_cq(16), node.create_cq(16), opts);
+        let taken = Arc::new(AtomicU64::new(0));
+        let consumer = {
+            let (qp, taken) = (Arc::clone(&qp), Arc::clone(&taken));
+            std::thread::spawn(move || {
+                for next in 0..N {
+                    let wr = qp.take_recv();
+                    assert_eq!(wr.map(|wr| wr.wr_id), Some(next), "receive {next}");
+                    taken.store(next + 1, Ordering::Release);
+                }
+            })
+        };
+        let t0 = Instant::now();
+        let sge = Sge::new(LKey(1), 0, 8);
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut posted = 0;
+        while posted < N {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let burst = (1 + rng % 8).min(N - posted);
+            for _ in 0..burst {
+                let gap = Instant::now() + Duration::from_nanos(rng % 1000);
+                while Instant::now() < gap {
+                    std::hint::spin_loop();
+                }
+                qp.post_recv(RecvWr::new(posted, sge)).unwrap();
+                posted += 1;
+            }
+            while taken.load(Ordering::Acquire) < posted {
+                assert!(
+                    t0.elapsed() < Duration::from_secs(10),
+                    "consumer stuck at {} of {posted}",
+                    taken.load(Ordering::Acquire)
+                );
+                std::thread::yield_now();
+            }
+        }
+        consumer.join().unwrap();
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "took {:?}",
+            t0.elapsed()
+        );
     }
 
     #[test]

@@ -15,10 +15,12 @@
 # one traced (`--trace 1`) run per side per workload and prints every
 # per-layer metric whose value moved by more than 20 %, better or worse by
 # the metric's own direction, then the same-work set (the verbs, RPCs,
-# CASes and NVM flushes per op, and the cache hit ratio) for every workload
-# and both sides, moved or not. AB_PARENT_DIR=<dir> uses an existing checkout
-# of the parent instead of a worktree. VERBOSE=1 also prints every run's
-# value. Reads BENCHMARK.json; writes nothing under the repository.
+# CASes and NVM flushes per op, the cache hit ratio and the modelled READ
+# and WRITE verb latencies) and the host-cost set (the client's own µs per
+# op and the batch overlap ratio) for every workload and both sides, moved
+# or not. AB_PARENT_DIR=<dir> uses an existing checkout of the parent
+# instead of a worktree. VERBOSE=1 also prints every run's value. Reads
+# BENCHMARK.json; writes nothing under the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 [[ $# -ge 1 ]] || { sed -n '2,23p' "$0" >&2; exit 2; }
@@ -109,13 +111,17 @@ for workload in workloads:
               f"{'worse' if worse else 'better'}", flush=True)
 
 # Same work: what a pure refactor must leave alone, printed moved or not.
+# The verb latencies are modelled time: a change to host cost leaves them.
 same_work = ["rdma.round_trips_per_op", "rdma.doorbells_per_op", "core.server.rpc_requests_per_kop",
              "core.consistency.cas_per_write", "hybridmem.nvm_flushes_per_write",
-             "core.client.cache_hit_ratio"]
-print("\nsame-work set (the traced runs above)")
-print(f"{'workload':13}{'metric':45}{'parent':>14}{'change':>14}")
-for workload, (p, c) in traced.items():
-    for name in same_work:
-        a, b = (f"{side[name]:14.4g}" if name in side else f"{'-':>14}" for side in (p, c))
-        print(f"{workload:13}{name:45}{a}{b}", flush=True)
+             "core.client.cache_hit_ratio", "rdma.read_verb_p50_ns", "rdma.write_verb_p50_ns"]
+# Host cost: where a saving in host software shows, printed moved or not.
+host_cost = ["core.client.self_us_per_op", "core.batch.overlap_ratio"]
+for title, names in (("same-work", same_work), ("host-cost", host_cost)):
+    print(f"\n{title} set (the traced runs above)")
+    print(f"{'workload':13}{'metric':45}{'parent':>14}{'change':>14}")
+    for workload, (p, c) in traced.items():
+        for name in names:
+            a, b = (f"{side[name]:14.4g}" if name in side else f"{'-':>14}" for side in (p, c))
+            print(f"{workload:13}{name:45}{a}{b}", flush=True)
 EOF
