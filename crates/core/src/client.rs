@@ -36,7 +36,8 @@ use crate::hotness::{
 };
 use crate::layout::{decode_slot_header, lockword, OBJ_HEADER, SLOT_HEADER, SLOT_TAIL};
 use crate::plan::{
-    self, DirectStep, FrameVerdict, Hold, Known, Op, Persist, ReadKind, Ring, Route, Start, Why,
+    self, DirectStep, FrameVerdict, Hold, Known, LostCas, Op, Persist, ReadKind, Ring, Route,
+    Start, Why,
 };
 use crate::proto::{error_for_code, MountInfo, Request, Response, NO_BACKUP};
 use crate::proxy::{MirrorLane, StagedFlight, StagingWriter};
@@ -250,12 +251,12 @@ enum Flight {
 }
 
 /// An op part-way down the direct chain, each step a wait other servers'
-/// groups overlap. A `Seqlock` write runs lock-word READ → lock CAS →
-/// WRITE per op-area chunk → its persist ([`plan::persist`]) → unlock
-/// WRITE. The unlock stays a doorbell of its own: a WR dropped on the wire
-/// does not stop the WRs behind it, so an unlock behind a lost WRITE would
-/// publish a write that never landed. Where other ops start is
-/// [`plan::chain_start`]'s.
+/// groups overlap. A `Seqlock` write runs lock CAS (behind a lock-word READ
+/// when the client remembers no word of the object) → WRITE per op-area
+/// chunk → its persist ([`plan::persist`]) → unlock WRITE. The unlock
+/// stays a doorbell of its own: a WR dropped on the wire does not stop the
+/// WRs behind it, so an unlock behind a lost WRITE would publish a write
+/// that never landed. Where other ops start is [`plan::chain_start`]'s.
 #[derive(Debug, Default)]
 struct DirectOp {
     /// Position of the op in the group's indices (the walk resumes behind it).
@@ -264,6 +265,9 @@ struct DirectOp {
     flight: Option<Flight>,
     /// Unlocked word the next lock CAS expects.
     expected: u64,
+    /// `expected` is a remembered word, not one this attempt saw: a lost
+    /// CAS stands in for the READ it skipped ([`plan::lost_cas`]).
+    guess: bool,
     /// Lost lock CASes so far (bounded by `lock_retries`).
     tries: u32,
     /// Payload bytes already written.
@@ -520,6 +524,15 @@ struct Handshake {
     staging: Option<StagingWriter>,
 }
 
+/// Remap entries kept at most: a frame for every 512 bytes of one server's
+/// default 32 MiB cache. The cap only bounds the map's growth; past it, new
+/// remaps are skipped, not evicted.
+const REMAP_ENTRIES: usize = 65_536;
+
+/// Lock words remembered at most, bounded like the remap: past the cap a
+/// new object is not remembered, and its lock READs the word first.
+const LOCK_WORDS: usize = 65_536;
+
 /// A single-threaded handle onto the Gengar pool.
 #[derive(Debug)]
 pub struct GengarClient {
@@ -541,6 +554,10 @@ pub struct GengarClient {
     write_back: FastMap<u64, WriteBack>,
     /// Locks this client holds, by object base raw.
     held: FastMap<u64, Hold>,
+    /// The unlocked lock word this client last saw of an object, by base
+    /// raw: a lock CAS expects it instead of READing the word first
+    /// ([`plan::lock_step`]). Only a guess; nothing here is held.
+    lock_words: FastMap<u64, u64>,
     /// Failed-over wards: dead primary id -> the replica now serving its
     /// objects (through the shadow region at unchanged offsets). The
     /// connection slot for the primary is rewired in place, so this map
@@ -698,6 +715,7 @@ impl GengarClient {
             stale_frames: FastSet::default(),
             write_back: FastMap::default(),
             held: FastMap::default(),
+            lock_words: FastMap::default(),
             pending: FastMap::default(),
             spare: Vec::new(),
             ops_since_report: 0,
@@ -1335,11 +1353,26 @@ impl GengarClient {
         self.remap.remove(&base);
         self.write_back.remove(&base);
         self.held.remove(&base);
+        self.lock_words.remove(&base);
         let conn = self.conn(ptr.addr.server())?;
         match conn.rpc.call(&Request::Free { addr: base })? {
             Response::Ok => Ok(()),
             Response::Err { code } => Err(error_for_code(code, 0)),
             _ => Err(GengarError::ProtocolViolation("bad free response")),
+        }
+    }
+
+    /// Remembers `word`, seen of the object at `base`, if it is unlocked.
+    /// Only an `insert` makes a new entry: a read refreshes one, so a
+    /// client that never locks remembers nothing.
+    fn saw_word(&mut self, base: u64, word: u64, insert: bool) {
+        if lockword::is_locked(word) {
+            return;
+        }
+        if let Some(known) = self.lock_words.get_mut(&base) {
+            *known = word;
+        } else if insert && self.lock_words.len() < LOCK_WORDS {
+            self.lock_words.insert(base, word);
         }
     }
 
@@ -1430,7 +1463,7 @@ impl GengarClient {
     /// Judges the cache frame that read plan `p` landed in its lane, with
     /// the lock word behind it if the plan fetched one
     /// ([`plan::frame_verdict`]).
-    fn check_frame(&self, p: &ReadPlan) -> Result<FrameVerdict, GengarError> {
+    fn check_frame(&self, p: &ReadPlan) -> Result<(FrameVerdict, Option<u64>), GengarError> {
         let mut hdr = [0u8; SLOT_HEADER as usize];
         self.mr.region().read(p.lane, &mut hdr)?;
         let tail = self.scratch_word(p.lane + SLOT_HEADER + p.ptr.size)?;
@@ -1439,7 +1472,7 @@ impl GengarClient {
             false => None,
         };
         let hdr = decode_slot_header(&hdr);
-        Ok(plan::frame_verdict(&hdr, p.ptr, tail, word))
+        Ok((plan::frame_verdict(&hdr, p.ptr, tail, word), word))
     }
 
     /// Writes `data` at `ptr.addr + offset`.
@@ -2240,7 +2273,8 @@ impl GengarClient {
             _ => {}
         }
         let held = self.held.get(&base).copied();
-        let (start, hold) = plan::chain_start(op.kind(), self.config.consistency, held);
+        let known = self.lock_words.get(&base).copied();
+        let (start, hold) = plan::chain_start(op.kind(), self.config.consistency, held, known);
         if let Some(hold) = hold {
             self.held.insert(base, hold);
         }
@@ -2254,6 +2288,8 @@ impl GengarClient {
         let chain = GroupPhase::Direct(Box::new(DirectOp {
             cursor,
             step,
+            expected: known.unwrap_or(lockword::INIT),
+            guess: step == DirectStep::Cas,
             ..Default::default()
         }));
         // An older staged record for this object may still sit un-drained
@@ -2398,6 +2434,7 @@ impl GengarClient {
                             let word = self.scratch_word(word_lane)?;
                             if let BatchOp::LockWord { word: out, .. } = &mut ops[i] {
                                 **out = word;
+                                self.saw_word(base, word, true);
                                 break;
                             }
                             w.expected = lockword::next_unlocked(word);
@@ -2424,18 +2461,26 @@ impl GengarClient {
                             }
                             // Lost: the word the CAS returned is the next
                             // expectation, no second READ.
-                            self.metrics.lock_retries.inc();
-                            w.tries += 1;
+                            self.saw_word(base, prev, true);
                             w.expected = lockword::next_unlocked(prev);
-                            if w.tries >= self.config.lock_retries {
-                                w.refused = Some(GengarError::LockContended(ptr.addr));
-                                break;
+                            let limit = self.config.lock_retries;
+                            match plan::lost_cas(std::mem::take(&mut w.guess), w.tries, limit) {
+                                LostCas::Again => {}
+                                LostCas::Park { tries } => {
+                                    self.metrics.lock_retries.inc();
+                                    w.tries = tries;
+                                    run.phase = GroupPhase::Throttle {
+                                        resume_at: Instant::now() + park_after(tries),
+                                        next: Box::new(GroupPhase::Direct(w)),
+                                    };
+                                    return Ok(ControlFlow::Continue(()));
+                                }
+                                LostCas::GiveUp => {
+                                    self.metrics.lock_retries.inc();
+                                    w.refused = Some(GengarError::LockContended(ptr.addr));
+                                    break;
+                                }
                             }
-                            run.phase = GroupPhase::Throttle {
-                                resume_at: Instant::now() + park_after(w.tries),
-                                next: Box::new(GroupPhase::Direct(w)),
-                            };
-                            return Ok(ControlFlow::Continue(()));
                         }
                         DirectStep::Atomic => {
                             // Kept in the op: a later attempt only flushes.
@@ -2455,7 +2500,9 @@ impl GengarClient {
                             }
                         }
                         DirectStep::Unlock => {
-                            self.held.remove(&base);
+                            if let Some(hold) = self.held.remove(&base) {
+                                self.saw_word(base, lockword::release(hold.word), true);
+                            }
                             break;
                         }
                     }
@@ -2904,7 +2951,10 @@ impl GengarClient {
             let len = p.chunk();
             match p.kind {
                 ReadKind::Cached { .. } | ReadKind::Stamp => {
-                    let verdict = self.check_frame(&p)?;
+                    let (verdict, word) = self.check_frame(&p)?;
+                    if let Some(word) = word {
+                        self.saw_word(base, word, false);
+                    }
                     match verdict {
                         FrameVerdict::Stale => {
                             self.stale_frames.insert(base);
@@ -2947,6 +2997,7 @@ impl GengarClient {
                             continue;
                         }
                         (p.word, data_at) = (before, p.lane + 8);
+                        self.saw_word(base, before, false);
                     }
                     let from = p.done as usize;
                     region.read(data_at, &mut buf[from..from + len as usize])?;
@@ -3039,7 +3090,8 @@ impl GengarClient {
     }
 
     /// Acquires the object's writer lock via remote CAS, by a write's own
-    /// rule: READ the word once, then expect what each lost CAS returned.
+    /// rule: expect the word this client last saw of the object unlocked
+    /// (READ once when it saw none), then what each lost CAS returned.
     ///
     /// # Errors
     ///
@@ -3335,10 +3387,6 @@ impl GengarClient {
     /// a zero location dropping it. A torn one is fetched again on the next
     /// flush, its seq still new.
     fn apply_mailbox(&mut self, idx: usize, ops: PendingOps, len: u64) -> Result<(), GengarError> {
-        /// Remap entries kept at most: a frame for every 512 bytes of one
-        /// server's default 32 MiB cache. The cap only bounds the map's
-        /// growth; past it, new remaps are skipped, not evicted.
-        const REMAP_ENTRIES: usize = 65_536;
         self.conns[idx]
             .data
             .wait(ops)

@@ -124,19 +124,26 @@ pub enum Start {
 }
 
 /// Where the chain starts for `op` while this client holds `held` on the
-/// object, and the hold after the start. A `Seqlock` write locks first
-/// unless it holds the lock. `lock` reads the word, or adopts a lock it
-/// finds held (one a failed write left behind becomes the caller's), with
-/// the flush RPC if that lock is the object's first: the write may have
-/// failed before its own. `unlock` with nothing held is refused; an atomic
-/// posts its verb, or only its flush once the verb was applied.
+/// object and last saw it unlocked at `known`, and the hold after the
+/// start. A `Seqlock` write locks first unless it holds the lock; the lock
+/// CAS expects `known` if there is one, else the word is READ first
+/// ([`lock_step`]). `lock` locks the same way, or adopts a lock it finds
+/// held (one a failed write left behind becomes the caller's), with the
+/// flush RPC if that lock is the object's first: the write may have failed
+/// before its own. `unlock` with nothing held is refused; an atomic posts
+/// its verb, or only its flush once the verb was applied.
 ///
 /// # Panics
 ///
 /// On a read or a drain, which never walk the chain.
-pub fn chain_start(op: Op, c: Consistency, held: Option<Hold>) -> (Start, Option<Hold>) {
+pub fn chain_start(
+    op: Op,
+    c: Consistency,
+    held: Option<Hold>,
+    known: Option<u64>,
+) -> (Start, Option<Hold>) {
     let step = match (op, held) {
-        (Op::Write, None) if c == Consistency::Seqlock => DirectStep::ReadWord,
+        (Op::Write, None) if c == Consistency::Seqlock => lock_step(known),
         (Op::Write | Op::Atomic { applied: true }, _) => DirectStep::Write,
         (Op::Atomic { applied: false }, _) => DirectStep::Atomic,
         (Op::Lock, Some(hold)) => {
@@ -147,7 +154,8 @@ pub fn chain_start(op: Op, c: Consistency, held: Option<Hold>) -> (Start, Option
             };
             return (start, adopted);
         }
-        (Op::Lock | Op::LockWord, _) => DirectStep::ReadWord,
+        (Op::Lock, None) => lock_step(known),
+        (Op::LockWord, _) => DirectStep::ReadWord,
         (Op::Unlock, Some(_)) => DirectStep::Unlock,
         (Op::Unlock, None) => {
             let refused = GengarError::ProtocolViolation("unlock without lock");
@@ -156,6 +164,40 @@ pub fn chain_start(op: Op, c: Consistency, held: Option<Hold>) -> (Start, Option
         (Op::Read | Op::Drain, _) => unreachable!("not a chain op"),
     };
     (Start::Step(step), held)
+}
+
+/// A lock's first step: the CAS, expecting the unlocked word this client
+/// last saw of the object, or the READ that learns the word. The CAS is
+/// atomic, so a won guess leaves what READ-then-CAS leaves, and a lost one
+/// returns the word the READ would have ([`lost_cas`]).
+pub fn lock_step(known: Option<u64>) -> DirectStep {
+    match known {
+        Some(word) if !lockword::is_locked(word) => DirectStep::Cas,
+        _ => DirectStep::ReadWord,
+    }
+}
+
+/// What follows a lost lock CAS, every branch but `GiveUp` expecting the
+/// unlocked word after the one the CAS returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LostCas {
+    /// The lost CAS expected a remembered word: it stood in for the READ
+    /// it skipped, so the CAS goes again at once, with no retry counted.
+    Again,
+    /// A lock retry, the `tries`th: the group parks, then CASes again.
+    Park { tries: u32 },
+    /// The `limit`th lock retry: the op is refused as contended.
+    GiveUp,
+}
+
+/// The step after a lost lock CAS whose expectation was a remembered word
+/// (`guess`) or a READ's, after `tries` retries, with `limit` allowed.
+pub fn lost_cas(guess: bool, tries: u32, limit: u32) -> LostCas {
+    match tries + 1 {
+        _ if guess => LostCas::Again,
+        tries if tries >= limit => LostCas::GiveUp,
+        tries => LostCas::Park { tries },
+    }
 }
 
 /// How a chain op makes its change durable: not at all, by an RDMA FLUSH
@@ -468,7 +510,7 @@ mod tests {
         for (op, c, cells) in rows {
             for (held, (start, persists, frees)) in HOLDS.into_iter().zip(cells) {
                 let row = format!("{op:?} {c:?} {held:?}");
-                let (got, after) = chain_start(op, c, held);
+                let (got, after) = chain_start(op, c, held, None);
                 assert_eq!(start_name(&got), start, "{row}");
                 // `lock` adopts a held lock as the caller's; nothing else
                 // changes the hold.
@@ -480,6 +522,66 @@ mod tests {
                 assert_eq!(releases(op, after), frees, "{row}");
             }
         }
+    }
+
+    /// A remembered unlocked word moves only the lock's start: a `Seqlock`
+    /// write or a `lock` that holds nothing CASes at once. With a lock
+    /// held, or a word that is locked, every start is the table's.
+    #[test]
+    fn known_word_starts_the_lock_at_the_cas() {
+        let ops = [
+            Op::Write,
+            Op::Atomic { applied: false },
+            Op::Atomic { applied: true },
+            Op::Lock,
+            Op::Unlock,
+            Op::LockWord,
+        ];
+        let (unlocked, locked) = (lockword::with_version(3), lockword::locked(6));
+        for op in ops {
+            for c in [NONE, SEQ] {
+                for held in HOLDS {
+                    let row = format!("{op:?} {c:?} {held:?}");
+                    let (start, hold) = chain_start(op, c, held, None);
+                    let locks = held.is_none() && (op == Op::Lock || (op == Op::Write && c == SEQ));
+                    if locks {
+                        assert_eq!(start, Start::Step(DirectStep::ReadWord), "{row}");
+                    }
+                    let guessed = chain_start(op, c, held, Some(unlocked));
+                    let want = match locks {
+                        true => Start::Step(DirectStep::Cas),
+                        false => start.clone(),
+                    };
+                    assert_eq!(guessed, (want, hold), "{row}");
+                    let stale = chain_start(op, c, held, Some(locked));
+                    assert_eq!(stale, (start, hold), "{row}: a locked word");
+                }
+            }
+        }
+    }
+
+    /// A lost guess is the READ it skipped: it CASes again at once and
+    /// counts nothing. A lost CAS that expected a READ's word counts a
+    /// retry and parks, and the `limit`th refuses the op.
+    #[test]
+    fn lost_cas_table() {
+        use LostCas::{Again, GiveUp, Park};
+        for (guess, tries, limit, want) in [
+            (true, 0, 1, Again),
+            (true, 0, 8, Again),
+            (true, 7, 8, Again),
+            (false, 0, 8, Park { tries: 1 }),
+            (false, 6, 8, Park { tries: 7 }),
+            (false, 7, 8, GiveUp),
+            (false, 0, 1, GiveUp),
+        ] {
+            let row = format!("guess={guess} tries={tries} limit={limit}");
+            assert_eq!(lost_cas(guess, tries, limit), want, "{row}");
+        }
+        // The next CAS expects the returned word if it is unlocked, else
+        // the word its holder releases it to.
+        assert_eq!(lockword::next_unlocked(6), 6);
+        assert_eq!(lockword::next_unlocked(7), lockword::release(7));
     }
 
     /// The lock CAS's win: the hold it records decides the rest of the

@@ -3,12 +3,14 @@
 //! cached-read window path, multi-server fan-out, and the seqlock and
 //! chunk phases (lock overlap, torn-read freedom, contention, oversize).
 
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use gengar_core::cluster::Cluster;
 use gengar_core::config::{ClientConfig, Consistency, ServerConfig};
 use gengar_core::{GengarClient, GengarError, GlobalPtr};
 use gengar_rdma::FabricConfig;
+use gengar_telemetry::{SpanRecord, TraceId, TraceMode, Tracer};
 
 fn small_cluster() -> Cluster {
     Cluster::launch(1, ServerConfig::small(), FabricConfig::instant()).unwrap()
@@ -248,24 +250,67 @@ fn batched_reads_use_the_cache_once_hot() {
 }
 
 /// One `Consistency::Seqlock` write and one read per server, as one batch.
-/// Returns how long the batch took.
-fn seqlock_round(client: &mut GengarClient, ptrs: &[GlobalPtr], fill: u8) -> Duration {
+/// Returns the batch's trace id.
+fn seqlock_round(client: &mut GengarClient, ptrs: &[GlobalPtr], fill: u8) -> TraceId {
     let payload = [fill; 64];
     let mut bufs = vec![[0u8; 64]; ptrs.len()];
     let mut batch = client.batch();
     for (ptr, buf) in ptrs.iter().zip(bufs.iter_mut()) {
         batch = batch.write(*ptr, 0, &payload).read(*ptr, 0, buf);
     }
-    let started = Instant::now();
     let result = batch.submit().unwrap();
-    let took = started.elapsed();
     assert!(result.all_ok(), "{:?}", result.results());
     for buf in &bufs {
         assert!(buf.iter().all(|&x| x == fill), "read missed the write");
     }
-    took
+    result.trace_id()
 }
 
+/// The doorbells the batch `trace` rang on the issuing thread, by group in
+/// order of the groups' first doorbell: each as (start ns, WRs posted).
+fn doorbells_by_group(spans: &[SpanRecord], trace: TraceId) -> Vec<Vec<(u64, u64)>> {
+    let spans: Vec<&SpanRecord> = spans.iter().filter(|s| s.trace == trace.0).collect();
+    let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|s| (s.span, *s)).collect();
+    let root = spans
+        .iter()
+        .find(|s| s.parent == 0)
+        .expect("the batch's root span");
+    let group_of = |doorbell: &SpanRecord| {
+        let mut parent = doorbell.parent;
+        loop {
+            match by_id.get(&parent) {
+                Some(s) if s.name == "client.group" => return s.span,
+                Some(s) => parent = s.parent,
+                None => panic!("doorbell {doorbell:?} outside any group"),
+            }
+        }
+    };
+    let mut doorbells: Vec<&SpanRecord> = spans
+        .iter()
+        .copied()
+        .filter(|s| s.name == "rdma.doorbell" && s.tid == root.tid)
+        .collect();
+    doorbells.sort_by_key(|s| s.start_ns);
+    let mut groups: Vec<(u64, Vec<(u64, u64)>)> = Vec::new();
+    for s in doorbells {
+        let group = group_of(s);
+        match groups.iter_mut().find(|(g, _)| *g == group) {
+            Some((_, rung)) => rung.push((s.start_ns, s.detail)),
+            None => groups.push((group, vec![(s.start_ns, s.detail)])),
+        }
+    }
+    groups.into_iter().map(|(_, rung)| rung).collect()
+}
+
+/// The per-server groups of a `Seqlock` batch overlap their locks. Each
+/// object was written before, so every group's chain starts at the lock
+/// CAS with the word the client's own unlock published: CAS, WRITE with
+/// its FLUSH, unlock, then the read's triple. All four CASes are on the
+/// wire before any group harvests a completion — each group's second
+/// doorbell waits for its CAS's. The order is read from the trace, not
+/// timed: only a stall of the issuing thread for a whole 4 ms round trip,
+/// between a post and the next poll, could break it. Groups stepped one at
+/// a time ring a whole chain before the next group's CAS.
 #[test]
 fn seqlock_batches_overlap_their_locks_across_servers() {
     const SERVERS: u8 = 4;
@@ -282,30 +327,37 @@ fn seqlock_batches_overlap_their_locks_across_servers() {
             ..Default::default()
         })
         .unwrap();
-    // Each arm writes objects still at version 0, whose first lock takes
-    // the flush RPC: 300 us each way makes every step of the locked
-    // write-through (lock READ, CAS, WRITE, flush RPC, unlock) a round trip
-    // the host cannot hide: a server's write + read is about seven of them.
-    let mut fresh =
-        || -> Vec<GlobalPtr> { (0..SERVERS).map(|s| client.alloc(s, 64).unwrap()).collect() };
-    let (ptrs, together_ptrs) = (fresh(), fresh());
+    let ptrs: Vec<GlobalPtr> = (0..SERVERS).map(|s| client.alloc(s, 64).unwrap()).collect();
+    // The first round leaves each object's word known. It runs traced, as
+    // the tracer's first record allocates its buffer: a host stall inside
+    // the measured round.
+    let tracer = Tracer::global();
+    tracer.set_mode(TraceMode::Full);
+    seqlock_round(&mut client, &ptrs, 1);
+    // 2 ms each way keeps every completion out of reach of the pass that
+    // posted its verb, and the traced window short: other tests' spans
+    // share the tracer's buffer.
     for s in 0..SERVERS {
         cluster.fabric().set_extra_delay_ns(
             client.node().id(),
             cluster.server(s).unwrap().node().id(),
-            300_000,
+            2_000_000,
         );
     }
-    let alone: Duration = ptrs
-        .iter()
-        .map(|ptr| seqlock_round(&mut client, std::slice::from_ref(ptr), 1))
-        .sum();
-    let together = seqlock_round(&mut client, &together_ptrs, 2);
-    // Run back to back the four groups cost the sum; overlapped, about one
-    // server's share of it.
+    tracer.clear();
+    let trace = seqlock_round(&mut client, &ptrs, 2);
+    tracer.set_mode(TraceMode::Off);
+    let groups = doorbells_by_group(&tracer.snapshot(), trace);
+    assert_eq!(groups.len(), usize::from(SERVERS), "{groups:?}");
+    for rung in &groups {
+        let wrs: Vec<u64> = rung.iter().map(|&(_, n)| n).collect();
+        assert_eq!(wrs, [1, 2, 1, 3], "CAS, WRITE+FLUSH, unlock, triple");
+    }
+    let last_cas = groups.iter().map(|rung| rung[0].0).max().unwrap();
+    let first_harvested = groups.iter().map(|rung| rung[1].0).min().unwrap();
     assert!(
-        together < alone / 2,
-        "four servers took {together:?} together, {alone:?} one at a time"
+        last_cas < first_harvested,
+        "a group moved past its CAS before every CAS was on the wire: {groups:?}"
     );
     // Seqlock writes go through the direct (write-through) path.
     let stats = client.stats();

@@ -304,6 +304,20 @@ fn wait_for_fold(server: &MemoryServer) {
     }
 }
 
+/// Blocks until a fold that began after this call has finished. The
+/// monitor counts an epoch as it folds, before the epoch promotes, and a
+/// fold already under way may have taken the report ring before the
+/// caller's last report landed: the count can move twice before a fold
+/// that saw the report is over, and moves a third time only after it.
+fn wait_for_fold_after(server: &MemoryServer) {
+    let epoch = server.epochs();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.epochs() < epoch + 3 {
+        assert!(Instant::now() < deadline, "no epoch folded");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 /// A full report ring never holds a client up. With `report_every` 1 and a
 /// 1 s epoch, the ring is full after `REPORT_SLOTS` reads; later accesses
 /// stay pending without a wait, and once folds have freed the ring every
@@ -357,7 +371,7 @@ fn full_report_ring_keeps_accesses_pending_without_a_wait() {
     client.flush_reports().unwrap();
     client.flush_reports().unwrap();
     assert_eq!(client.stats().reports, REPORT_SLOTS + 1);
-    wait_for_fold(server);
+    wait_for_fold_after(server);
     assert_eq!(server.cached_objects(), OBJECTS);
 }
 
@@ -387,7 +401,7 @@ fn reused_client_id_folds_only_the_new_tenures_reports() {
     new.read(b, 0, &mut buf).unwrap();
     assert_eq!(server.epochs(), epoch, "an epoch folded mid-test");
 
-    wait_for_fold(server);
+    wait_for_fold_after(server);
     assert_eq!(
         server.cached_objects(),
         1,

@@ -340,15 +340,17 @@ fn chaos_server_crash_mid_run_reconnects() {
     }
 }
 
-/// `Seqlock` sharing under faults: a writer and a reader client, driven in
-/// turn from one thread, share cached objects while drops and error
+/// `Seqlock` sharing under faults: two writers and a reader client, driven
+/// in turn from one thread, share cached objects while drops and error
 /// completions hit every verb of the one-sided write — lock-word READ, lock
 /// CAS, payload WRITE, FLUSH, unlock WRITE — and of the validated reads.
-/// Each object is written an increasing sequence of values. A read may fail
-/// mid-chaos, but one that succeeds returns an acknowledged value no older
-/// than the object's last acknowledged write or the reader's last read of
-/// it. Once the plane disarms, the writer finishes the objects its failed
-/// writes left locked, and a third client must lock and unlock every one.
+/// The writers take turns at random, so the word each remembers of an
+/// object goes stale and its lock CAS starts from a lost guess. Each object
+/// is written an increasing sequence of values. A read may fail mid-chaos,
+/// but one that succeeds returns an acknowledged value no older than the
+/// object's last acknowledged write or the reader's last read of it. Once
+/// the plane disarms, the writers finish the objects their failed writes
+/// left locked, and a third client must lock and unlock every one.
 #[test]
 fn chaos_seqlock_writer_and_reader_stay_coherent() {
     const OBJECTS: usize = 8;
@@ -374,27 +376,43 @@ fn chaos_seqlock_writer_and_reader_stay_coherent() {
             op_deadline: std::time::Duration::from_millis(500),
             ..Default::default()
         };
-        let mut writer = cluster.client(seqlock.clone()).unwrap();
+        // A write meeting the lock the other writer's failed write left
+        // behind gives up after these lost CASes, not the default's
+        // seconds of parks.
+        let writing = ClientConfig {
+            lock_retries: 64,
+            ..seqlock.clone()
+        };
+        let mut writers = [
+            cluster.client(writing.clone()).unwrap(),
+            cluster.client(writing).unwrap(),
+        ];
         let mut reader = cluster.client(seqlock.clone()).unwrap();
-        let ptrs: Vec<_> = (0..OBJECTS).map(|_| writer.alloc(0, 64).unwrap()).collect();
+        let ptrs: Vec<_> = (0..OBJECTS)
+            .map(|_| writers[0].alloc(0, 64).unwrap())
+            .collect();
         let mut written = [0u8; OBJECTS];
         let mut acked: Vec<HashSet<u8>> = vec![HashSet::from([0]); OBJECTS];
         // What a read of each object may no longer return anything older than.
         let mut floor = [0u8; OBJECTS];
-        let mut unfinished = [false; OBJECTS];
+        // The writers whose failed write may have left each object locked.
+        let mut unfinished = [[false; 2]; OBJECTS];
 
         let mut rng = seed ^ 0x5E9_10C;
         for op in 0..400u32 {
             let i = (splitmix64(&mut rng) % OBJECTS as u64) as usize;
             if splitmix64(&mut rng).is_multiple_of(4) {
+                let w = (splitmix64(&mut rng) % 2) as usize;
                 written[i] += 1;
                 let val = written[i];
-                match writer.write(ptrs[i], 0, &[val; 64]) {
+                match writers[w].write(ptrs[i], 0, &[val; 64]) {
                     Ok(()) => {
                         acked[i].insert(val);
                         floor[i] = val;
-                        unfinished[i] = false;
+                        unfinished[i] = [false; 2];
                     }
+                    // The other writer holds the lock: this one took none.
+                    Err(GengarError::LockContended(_)) => {}
                     Err(e) => {
                         assert!(
                             !matches!(
@@ -403,7 +421,7 @@ fn chaos_seqlock_writer_and_reader_stay_coherent() {
                             ),
                             "seed {seed} op {op}: fault surfaced as a protocol bug: {e:?}"
                         );
-                        unfinished[i] = true;
+                        unfinished[i][w] = true;
                     }
                 }
             } else if let Ok(got) = read_fill_byte(&mut reader, ptrs[i]) {
@@ -421,13 +439,26 @@ fn chaos_seqlock_writer_and_reader_stay_coherent() {
         }
 
         plane.disarm();
-        for (i, ptr) in ptrs.iter().enumerate().filter(|&(i, _)| unfinished[i]) {
-            written[i] += 1;
-            writer
-                .write(*ptr, 0, &[written[i]; 64])
-                .unwrap_or_else(|e| {
-                    panic!("seed {seed}: object {i} stays unwritable after the faults: {e:?}")
-                });
+        // The writer holding an object's lock finishes it; another one
+        // contends until then, so each gets a second turn.
+        for (i, ptr) in ptrs.iter().enumerate() {
+            for w in [0, 1, 0, 1] {
+                if !unfinished[i][w] {
+                    continue;
+                }
+                written[i] += 1;
+                match writers[w].write(*ptr, 0, &[written[i]; 64]) {
+                    Ok(()) => unfinished[i][w] = false,
+                    Err(GengarError::LockContended(_)) => {}
+                    Err(e) => {
+                        panic!("seed {seed}: object {i} stays unwritable after the faults: {e:?}")
+                    }
+                }
+            }
+            assert_eq!(
+                unfinished[i], [false; 2],
+                "seed {seed}: object {i} stays unwritable after the faults"
+            );
         }
         let mut third = cluster.client(seqlock).unwrap();
         for (i, ptr) in ptrs.iter().enumerate() {

@@ -2,8 +2,9 @@
 //! writes under the one-write-per-object window rule, cache-frame reads
 //! and the one-doorbell NVM triple under `Consistency::Seqlock`, reads
 //! whose store-buffer entry has drained, the one-sided hotness reports
-//! that follow a batch, the ring-full waits a staged window counts, and
-//! what connecting and the scalar lock and atomic calls cost.
+//! that follow a batch, the ring-full waits a staged window counts, the
+//! `Seqlock` lock CAS that starts from a remembered word, and what
+//! connecting and the scalar lock and atomic calls cost.
 //!
 //! Doorbell, RPC and wait accounting comes from the process-global metrics
 //! registry, so every test here serialises on [`REGISTRY_LOCK`] and asserts
@@ -14,6 +15,7 @@ use std::time::{Duration, Instant};
 
 use gengar_core::cluster::Cluster;
 use gengar_core::config::{ClientConfig, Consistency, ServerConfig};
+use gengar_core::layout::lockword;
 use gengar_core::proxy::SLOTS_PER_RING;
 use gengar_core::{ClientStats, GengarClient, GlobalPtr};
 use gengar_rdma::{FabricConfig, FaultPlane};
@@ -218,6 +220,134 @@ fn seqlock_nvm_read_is_three_reads_under_one_doorbell() {
     assert_eq!(delta, [1, 3, 3], "doorbells, READ verbs, WRs posted");
     let stats = client.stats();
     assert_eq!((stats.nvm_reads, stats.read_retries), (1, 0), "{stats:?}");
+}
+
+/// A `Seqlock` write to an object this client wrote before starts at the
+/// lock CAS, expecting the word its own unlock published: CAS, WRITE with
+/// its FLUSH, unlock WRITE — three doorbells and no READ.
+#[test]
+fn seqlock_write_after_own_write_skips_the_lock_word_read() {
+    let _guard = registry_guard();
+    let cluster = Cluster::launch(1, ServerConfig::small(), FabricConfig::instant()).unwrap();
+    let mut client = cluster
+        .client(ClientConfig {
+            report_every: u32::MAX,
+            consistency: Consistency::Seqlock,
+            ..Default::default()
+        })
+        .unwrap();
+    let ptr = client.alloc(0, 64).unwrap();
+    // The first write READs the word and, at version 0, flushes by RPC.
+    client.write(ptr, 0, &[1u8; 64]).unwrap();
+
+    let names = ["rdma.doorbells", "rdma.read_ops", "rdma.cas_ops"];
+    let before = names.map(counter);
+    client.write(ptr, 0, &[2u8; 64]).unwrap();
+    let after = names.map(counter);
+    let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+    assert_eq!(delta, [3, 0, 1], "doorbells, READ verbs, CAS verbs");
+    let stats = client.stats();
+    assert_eq!(stats.lock_retries, 0, "{stats:?}");
+    assert_eq!(
+        client.read_lock_word(ptr).unwrap(),
+        lockword::with_version(2)
+    );
+}
+
+/// Two writers take turns on one object, so each one's remembered word is
+/// one write behind: the lost guess returns the current word and the CAS
+/// goes again at once. Every write lands, no lock retry is counted, and
+/// the word is at version n after n writes.
+#[test]
+fn alternating_writers_win_every_lock_without_a_retry() {
+    const WRITES: u64 = 40;
+    let _guard = registry_guard();
+    let cluster = Cluster::launch(1, ServerConfig::small(), FabricConfig::instant()).unwrap();
+    let config = ClientConfig {
+        report_every: u32::MAX,
+        consistency: Consistency::Seqlock,
+        ..Default::default()
+    };
+    let mut writers = [
+        cluster.client(config.clone()).unwrap(),
+        cluster.client(config).unwrap(),
+    ];
+    let ptr = writers[0].alloc(0, 64).unwrap();
+    for n in 0..WRITES {
+        let payload = [n as u8; 64];
+        writers[(n % 2) as usize].write(ptr, 0, &payload).unwrap();
+        let mut buf = [0u8; 64];
+        writers[((n + 1) % 2) as usize]
+            .read(ptr, 0, &mut buf)
+            .unwrap();
+        assert_eq!(buf, payload, "write {n}");
+    }
+    for writer in &writers {
+        let stats = writer.stats();
+        assert_eq!(stats.lock_retries, 0, "{stats:?}");
+        assert_eq!(stats.direct_writes, WRITES / 2, "{stats:?}");
+    }
+    let word = writers[0].read_lock_word(ptr).unwrap();
+    assert_eq!(word, lockword::with_version(WRITES));
+}
+
+/// An object freed and allocated again under a writer that remembers its
+/// old word is back at version 0: the writer's guess loses, the CAS takes
+/// the word the object really has, and the first lock still flushes by
+/// RPC — which drops the stamp-0 frame a `None` reader would otherwise
+/// serve unchecked.
+#[test]
+fn a_reallocated_object_takes_the_first_lock_flush_again() {
+    let _guard = registry_guard();
+    let mut config = ServerConfig::small();
+    config.cache = config.cache.hot_threshold(1);
+    let cluster = Cluster::launch(1, config, FabricConfig::instant()).unwrap();
+    let mut writer = cluster
+        .client(ClientConfig {
+            report_every: u32::MAX,
+            consistency: Consistency::Seqlock,
+            ..Default::default()
+        })
+        .unwrap();
+    let mut owner = cluster.default_client().unwrap();
+    let mut reader = cluster
+        .client(ClientConfig {
+            report_every: 1,
+            ..Default::default()
+        })
+        .unwrap();
+    let ptr = owner.alloc(0, 64).unwrap();
+    writer.write(ptr, 0, &[1u8; 64]).unwrap();
+    writer.write(ptr, 0, &[2u8; 64]).unwrap();
+    owner.free(ptr).unwrap();
+    let again = owner.alloc(0, 64).unwrap();
+    assert_eq!(again, ptr, "the allocator recycles the freed block");
+    owner.write(again, 0, &[3u8; 64]).unwrap();
+    owner.drain_all().unwrap();
+
+    // The reader has the version-0 object promoted, its frame stamped 0.
+    let mut buf = [0u8; 64];
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while reader.stats().cache_hits == 0 {
+        reader.read(again, 0, &mut buf).unwrap();
+        assert!(Instant::now() < deadline, "never promoted");
+    }
+    assert_eq!(buf, [3u8; 64]);
+
+    let rpcs = counter("server.rpc_requests");
+    writer.write(again, 0, &[4u8; 64]).unwrap();
+    assert_eq!(
+        counter("server.rpc_requests"),
+        rpcs + 1,
+        "the first-lock flush"
+    );
+    assert_eq!(writer.stats().lock_retries, 0, "{:?}", writer.stats());
+    reader.read(again, 0, &mut buf).unwrap();
+    assert_eq!(buf, [4u8; 64], "a frame of the old version served");
+    assert_eq!(
+        writer.read_lock_word(again).unwrap(),
+        lockword::with_version(1)
+    );
 }
 
 /// `read_versioned` is that same triple under `Consistency::None` too, and
