@@ -9,7 +9,6 @@
 //! connection state per thread), mirroring how RDMA applications shard
 //! queue pairs across threads.
 
-use std::collections::hash_map::Entry;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -17,8 +16,8 @@ use std::time::{Duration, Instant};
 use gengar_hybridmem::latency::{spin_until, SLEEP_THRESHOLD_NS};
 use gengar_hybridmem::{DeviceProfile, MemDevice, MemRegion};
 use gengar_rdma::{
-    Access, Fabric, FastMap, FastSet, MemoryRegion, Payload, PendingOps, ProtectionDomain, RKey,
-    RdmaError, RdmaNode, RemoteAddr, SendOp, Sge, Wc,
+    Access, Fabric, FastMap, MemoryRegion, Payload, PendingOps, ProtectionDomain, RKey, RdmaError,
+    RdmaNode, RemoteAddr, SendOp, Sge, Wc,
 };
 use gengar_telemetry::{
     adopt, Counter, CounterHandle, HistogramHandle, SpanId, Telemetry, TelemetryConfig, TraceId,
@@ -35,6 +34,7 @@ use crate::hotness::{
     MAX_REPORT, REPORT_SLOTS, REPORT_SLOT_BYTES,
 };
 use crate::layout::{decode_slot_header, lockword, OBJ_HEADER, SLOT_HEADER, SLOT_TAIL};
+use crate::objects::{Objects, WriteBack};
 use crate::plan::{
     self, DirectStep, FrameVerdict, Hold, Known, LostCas, Op, Persist, ReadKind, Ring, Route,
     Start, Why,
@@ -178,13 +178,6 @@ impl ClientMetrics {
             degraded_ops: self.degraded_ops.get(),
         }
     }
-}
-
-#[derive(Debug)]
-struct WriteBack {
-    seq: u64,
-    off: u64,
-    data: Vec<u8>,
 }
 
 /// One window-eligible staged write in the current batch attempt: its
@@ -422,15 +415,14 @@ impl GroupRun {
 }
 
 /// This client's report ring on one server ([`ReportArea`]): the seq the
-/// next slot is written with, the server's consumed cursor as last read,
-/// and the seq of the last mailbox applied. Every tenure (connect,
-/// reconnect) starts over, as the server zeroes the id's area on accept.
+/// next slot is written with, and the server's consumed cursor as last
+/// read. Every tenure (connect, reconnect) starts over, as the server
+/// zeroes the id's area on accept.
 #[derive(Debug, Clone, Copy)]
 struct ReportLane {
     area: ReportArea,
     next: u64,
     consumed: u64,
-    mailbox: u64,
 }
 
 impl ReportLane {
@@ -439,7 +431,6 @@ impl ReportLane {
             area: ReportArea::of(cid),
             next: 1,
             consumed: 0,
-            mailbox: 0,
         }
     }
 
@@ -463,6 +454,8 @@ struct ServerConn {
     cid: u32,
     mount: MountInfo,
     reports: ReportLane,
+    /// What this client knows of the server's objects, one entry each.
+    objects: Objects,
     rpc: RpcClient,
     data: gengar_rdma::Endpoint,
     staging: Option<StagingWriter>,
@@ -524,15 +517,6 @@ struct Handshake {
     staging: Option<StagingWriter>,
 }
 
-/// Remap entries kept at most: a frame for every 512 bytes of one server's
-/// default 32 MiB cache. The cap only bounds the map's growth; past it, new
-/// remaps are skipped, not evicted.
-const REMAP_ENTRIES: usize = 65_536;
-
-/// Lock words remembered at most, bounded like the remap: past the cap a
-/// new object is not remembered, and its lock READs the word first.
-const LOCK_WORDS: usize = 65_536;
-
 /// A single-threaded handle onto the Gengar pool.
 #[derive(Debug)]
 pub struct GengarClient {
@@ -544,20 +528,6 @@ pub struct GengarClient {
     /// Server handles in connection order, kept for reconnects.
     servers: Vec<Arc<MemoryServer>>,
     server_index: FastMap<u8, usize>,
-    /// NVM payload-base raw address -> cache-slot raw address.
-    remap: FastMap<u64, u64>,
-    /// Remapped objects whose frame a read or this client's own write found
-    /// outdated: reads skip the frame until the server's next mailbox, as
-    /// the epoch behind it re-copies the frames of reported writes.
-    stale_frames: FastSet<u64>,
-    /// Local store buffer for in-flight proxied writes (read-your-writes).
-    write_back: FastMap<u64, WriteBack>,
-    /// Locks this client holds, by object base raw.
-    held: FastMap<u64, Hold>,
-    /// The unlocked lock word this client last saw of an object, by base
-    /// raw: a lock CAS expects it instead of READing the word first
-    /// ([`plan::lock_step`]). Only a guess; nothing here is held.
-    lock_words: FastMap<u64, u64>,
     /// Failed-over wards: dead primary id -> the replica now serving its
     /// objects (through the shadow region at unchanged offsets). The
     /// connection slot for the primary is rewired in place, so this map
@@ -654,6 +624,7 @@ impl GengarClient {
                 cid: hs.cid,
                 mount: hs.mount,
                 reports: ReportLane::new(hs.cid),
+                objects: Objects::default(),
                 rpc: hs.rpc,
                 data: hs.data,
                 staging: hs.staging,
@@ -711,11 +682,6 @@ impl GengarClient {
             servers: servers.to_vec(),
             server_index,
             redirects: FastMap::default(),
-            remap: FastMap::default(),
-            stale_frames: FastSet::default(),
-            write_back: FastMap::default(),
-            held: FastMap::default(),
-            lock_words: FastMap::default(),
             pending: FastMap::default(),
             spare: Vec::new(),
             ops_since_report: 0,
@@ -739,10 +705,7 @@ impl GengarClient {
     /// the proxy, advertises no backup, or the backup is a server this
     /// client never mounted (fan-out needs its rkeys).
     fn establish_mirror(&mut self, primary: u8) -> Result<(), GengarError> {
-        let idx = *self
-            .server_index
-            .get(&primary)
-            .ok_or(GengarError::UnknownServer(primary))?;
+        let idx = self.idx(primary)?;
         if self.conns[idx].staging.is_none() {
             return Ok(());
         }
@@ -889,19 +852,18 @@ impl GengarClient {
         }
     }
 
+    /// The index of `server`'s connection.
+    fn idx(&self, server: u8) -> Result<usize, GengarError> {
+        let idx = self.server_index.get(&server);
+        idx.copied().ok_or(GengarError::UnknownServer(server))
+    }
+
     fn conn(&self, server: u8) -> Result<&ServerConn, GengarError> {
-        let idx = *self
-            .server_index
-            .get(&server)
-            .ok_or(GengarError::UnknownServer(server))?;
-        Ok(&self.conns[idx])
+        Ok(&self.conns[self.idx(server)?])
     }
 
     fn conn_mut(&mut self, server: u8) -> Result<&mut ServerConn, GengarError> {
-        let idx = *self
-            .server_index
-            .get(&server)
-            .ok_or(GengarError::UnknownServer(server))?;
+        let idx = self.idx(server)?;
         Ok(&mut self.conns[idx])
     }
 
@@ -1009,10 +971,7 @@ impl GengarClient {
             // re-dialing the replica's control/data plane.
             return self.failover(server);
         }
-        let idx = *self
-            .server_index
-            .get(&server)
-            .ok_or(GengarError::UnknownServer(server))?;
+        let idx = self.idx(server)?;
         let srv = Arc::clone(&self.servers[idx]);
         let rpc_mr = Arc::clone(&self.conns[idx].rpc_mr);
         let scratch_off = self.conns[idx].staging_scratch_off;
@@ -1068,16 +1027,6 @@ impl GengarClient {
             None => 0,
         };
 
-        // Stale views of this server die with the old connection: cached
-        // remap entries point at cache frames the restarted server may
-        // have re-assigned, the report ring and mailbox are the new id's,
-        // and store-buffer entries the old ring made durable are retired.
-        self.remap
-            .retain(|addr, _| GlobalAddr::from_raw(*addr).map(|a| a.server()) != Some(server));
-        self.write_back.retain(|addr, wb| {
-            GlobalAddr::from_raw(*addr).map(|a| a.server()) != Some(server) || wb.seq > durable
-        });
-
         if old_ring.is_none() {
             srv.release_client(old_cid);
         }
@@ -1106,32 +1055,25 @@ impl GengarClient {
         }
         let _ = self.establish_mirror(server);
 
-        // Replay the surviving staged writes through the new ring in their
-        // original order. Records carry whole values, so at-least-once
-        // replay converges to the acknowledged state (exactly-once
-        // effect); the store buffer keeps serving read-your-writes until
-        // the new ring drains them.
-        let mut survivors: Vec<(u64, u64)> = self
-            .write_back
-            .iter()
-            .filter(|(addr, _)| GlobalAddr::from_raw(**addr).map(|a| a.server()) == Some(server))
-            .map(|(addr, wb)| (wb.seq, *addr))
-            .collect();
-        survivors.sort_unstable();
-        for (_, base) in survivors {
+        // Stale views of this server die with the old connection: frames
+        // the restarted server may have re-assigned, the old id's mailbox
+        // and the records the old ring made durable. The rest replay
+        // through the new ring in their original order. Records carry
+        // whole values, so at-least-once replay converges to the
+        // acknowledged state (exactly-once effect); the store buffer keeps
+        // serving read-your-writes until the new ring drains them.
+        let conn = &mut self.conns[idx];
+        let mut staging = conn.staging.as_mut();
+        conn.objects.reconnected(durable, |base, off, data| {
             // `enable_proxy` is fixed for a server's life, so the new
             // mount has a ring for what the old one staged.
-            let staging = self.conns[idx]
-                .staging
+            let st = staging
                 .as_mut()
                 .ok_or(GengarError::ProtocolViolation("staged writes but no proxy"))?;
-            let wb = self.write_back.get_mut(&base).expect("listed above");
             let target = GlobalAddr::from_raw(base)
-                .ok_or(GengarError::ProtocolViolation("bad store-buffer address"))?
-                .add(wb.off);
-            wb.seq = staging.stage_write(target.raw(), &wb.data)?;
-        }
-        Ok(())
+                .ok_or(GengarError::ProtocolViolation("bad store-buffer address"))?;
+            st.stage_write(target.add(off).raw(), data)
+        })
     }
 
     /// Re-mounts a dead server's objects on its replica: asks the backup
@@ -1144,10 +1086,7 @@ impl GengarClient {
     /// write. Idempotent: a later call re-dials the replica (used when
     /// the promoted connection itself hiccups).
     fn failover(&mut self, server: u8) -> Result<(), GengarError> {
-        let idx = *self
-            .server_index
-            .get(&server)
-            .ok_or(GengarError::UnknownServer(server))?;
+        let idx = self.idx(server)?;
         let first = !self.redirects.contains_key(&server);
         let backup = match self.redirects.get(&server) {
             Some(&b) => b,
@@ -1159,10 +1098,7 @@ impl GengarClient {
                 b
             }
         };
-        let bidx = *self
-            .server_index
-            .get(&backup)
-            .ok_or(GengarError::UnknownServer(backup))?;
+        let bidx = self.idx(backup)?;
         if first {
             // The promotion RPC rides the healthy connection to the
             // backup: replay the mirror ring into the shadow image and
@@ -1221,8 +1157,7 @@ impl GengarClient {
         // Stale views of the dead primary die with it. The store buffer
         // stays: the mirror ring carries its un-drained records, and the
         // watermark it serves retires them as the replica drains.
-        self.remap
-            .retain(|addr, _| GlobalAddr::from_raw(*addr).map(|a| a.server()) != Some(server));
+        conn.objects.drop_frames();
         self.pending.remove(&server);
         if first {
             self.redirects.insert(server, backup);
@@ -1350,29 +1285,12 @@ impl GengarClient {
     /// failures.
     pub fn free(&mut self, ptr: GlobalPtr) -> Result<(), GengarError> {
         let base = ptr.addr.raw();
-        self.remap.remove(&base);
-        self.write_back.remove(&base);
-        self.held.remove(&base);
-        self.lock_words.remove(&base);
-        let conn = self.conn(ptr.addr.server())?;
+        let conn = self.conn_mut(ptr.addr.server())?;
+        conn.objects.remove(base);
         match conn.rpc.call(&Request::Free { addr: base })? {
             Response::Ok => Ok(()),
             Response::Err { code } => Err(error_for_code(code, 0)),
             _ => Err(GengarError::ProtocolViolation("bad free response")),
-        }
-    }
-
-    /// Remembers `word`, seen of the object at `base`, if it is unlocked.
-    /// Only an `insert` makes a new entry: a read refreshes one, so a
-    /// client that never locks remembers nothing.
-    fn saw_word(&mut self, base: u64, word: u64, insert: bool) {
-        if lockword::is_locked(word) {
-            return;
-        }
-        if let Some(known) = self.lock_words.get_mut(&base) {
-            *known = word;
-        } else if insert && self.lock_words.len() < LOCK_WORDS {
-            self.lock_words.insert(base, word);
         }
     }
 
@@ -1411,53 +1329,44 @@ impl GengarClient {
         .into_single()
     }
 
-    /// Step 1 of every read: the local store buffer, which serves
-    /// read-your-writes while the staged write may still be in flight.
-    /// `Continue(true)`: it served the read into `buf`; `Continue(false)`:
-    /// no entry covers `ptr` any more (none existed, or it was retired
-    /// here) and the read is planned like any other; `Break(seq)`: the read
-    /// partly overlaps staged record `seq`, which must drain first. The
-    /// drained watermark is refreshed lazily (one extra 8-byte READ every
-    /// 16 queries) so entries retire shortly after the proxy drains them
-    /// without taxing every read. Idempotent, so a replayed attempt can
-    /// re-run it.
-    fn serve_from_store_buffer(
-        &mut self,
-        ptr: GlobalPtr,
+    /// Step 1 of every read: the object's store-buffer record `wb`, which
+    /// serves read-your-writes while the staged write may still be in
+    /// flight. `Continue(true)`: it served the read into `buf`;
+    /// `Continue(false)`: the ring drained it, so it retires and the read is
+    /// planned like any other; `Break(seq)`: the read partly overlaps
+    /// record `seq`, which must drain first. The drained watermark is
+    /// refreshed lazily (one extra 8-byte READ every 16 queries) so records
+    /// retire shortly after the proxy drains them without taxing every
+    /// read. Idempotent, so a replayed attempt can re-run it.
+    fn store_buffer(
+        staging: Option<&mut StagingWriter>,
+        wb: &WriteBack,
+        checks: &mut u32,
         offset: u64,
         buf: &mut [u8],
     ) -> Result<ControlFlow<u64, bool>, GengarError> {
-        let base = ptr.addr.raw();
-        let server = ptr.addr.server();
-        let Some(wb) = self.write_back.get(&base) else {
-            return Ok(ControlFlow::Continue(false));
-        };
-        let seq = wb.seq;
         let covers = offset >= wb.off && offset + buf.len() as u64 <= wb.off + wb.data.len() as u64;
-        self.wb_checks = self.wb_checks.wrapping_add(1);
-        let refresh = self.wb_checks.is_multiple_of(16) || !covers;
-        let drained = match self.conn_mut(server)?.staging.as_mut() {
+        *checks = checks.wrapping_add(1);
+        let refresh = checks.is_multiple_of(16) || !covers;
+        let drained = match staging {
             Some(st) => {
-                if st.known_drained() < seq && refresh {
+                if st.known_drained() < wb.seq && refresh {
                     st.refresh_drained()?;
                 }
-                st.known_drained() >= seq
+                st.known_drained() >= wb.seq
             }
             None => true,
         };
-        if !drained && covers {
-            let wb = &self.write_back[&base];
-            let start = (offset - wb.off) as usize;
-            buf.copy_from_slice(&wb.data[start..start + buf.len()]);
-            self.metrics.writeback_hits.inc();
-            return Ok(ControlFlow::Continue(true));
-        }
-        if !drained {
+        Ok(match (drained, covers) {
+            (true, _) => ControlFlow::Continue(false),
+            (false, true) => {
+                let start = (offset - wb.off) as usize;
+                buf.copy_from_slice(&wb.data[start..start + buf.len()]);
+                ControlFlow::Continue(true)
+            }
             // Partial overlap with an in-flight write: wait it out.
-            return Ok(ControlFlow::Break(seq));
-        }
-        self.write_back.remove(&base);
-        Ok(ControlFlow::Continue(false))
+            (false, false) => ControlFlow::Break(wb.seq),
+        })
     }
 
     /// Judges the cache frame that read plan `p` landed in its lane, with
@@ -1506,18 +1415,16 @@ impl GengarClient {
         }
     }
 
-    /// Caps the write-back buffer by retiring drained entries.
+    /// Caps the store buffer: past 1024 records across the client,
+    /// `server`'s drained ones retire.
     fn purge_write_back(&mut self, server: u8) -> Result<(), GengarError> {
-        if self.write_back.len() < 1024 {
+        if self.conns.iter().map(|c| c.objects.staged()).sum::<usize>() < 1024 {
             return Ok(());
         }
-        let drained = match self.conn_mut(server)?.staging.as_mut() {
-            Some(st) => st.refresh_drained()?,
-            None => return Ok(()),
-        };
-        self.write_back.retain(|addr, wb| {
-            GlobalAddr::from_raw(*addr).map(|a| a.server()) != Some(server) || wb.seq > drained
-        });
+        let conn = self.conn_mut(server)?;
+        if let Some(st) = conn.staging.as_mut() {
+            conn.objects.retire_staged(st.refresh_drained()?);
+        }
         Ok(())
     }
 
@@ -2244,9 +2151,7 @@ impl GengarClient {
             // The wait re-enters the walk here, to find the ring drained.
             Some(last) => self.await_drained(run, last, GroupPhase::Writes { cursor }, false),
             None => {
-                self.write_back.retain(|addr, _| {
-                    GlobalAddr::from_raw(*addr).map(|a| a.server()) != Some(server)
-                });
+                self.conn_mut(server)?.objects.retire_staged(u64::MAX);
                 Self::settle_op(run, cursor, results, Ok(()));
             }
         }
@@ -2256,7 +2161,7 @@ impl GengarClient {
     /// Opens the direct chain for the op at `cursor`, routed there for
     /// `why`, at the step [`plan::chain_start`] picks. Safe to re-run after
     /// a failed attempt: the chain rewrites the same bytes, and a lock that
-    /// attempt took is still in `held`.
+    /// attempt took is still in the object's entry.
     fn begin_direct(
         &mut self,
         run: &mut GroupRun,
@@ -2272,11 +2177,28 @@ impl GengarClient {
             (Why::OverTenantCap, Some(tenant)) => tenant.note_staged_shed(),
             _ => {}
         }
-        let held = self.held.get(&base).copied();
-        let known = self.lock_words.get(&base).copied();
+        let idx = self.idx(run.server)?;
+        let conn = &mut self.conns[idx];
+        let entry = conn.objects.get(base);
+        let (held, known) = entry.map_or((None, None), |st| (st.hold, st.word));
+        // An older staged record for this object may still sit un-drained
+        // in the server ring (e.g. the connection degraded between the two
+        // writes). An op that changes bytes lets it land first: the drain
+        // thread would otherwise replay the *older* value over it.
+        let undrained = match op {
+            BatchOp::Write { .. } | BatchOp::Atomic { .. } => entry
+                .and_then(|st| st.staged.as_ref())
+                .map(|wb| wb.seq)
+                .filter(|&seq| {
+                    conn.staging
+                        .as_ref()
+                        .is_some_and(|st| st.known_drained() < seq)
+                }),
+            _ => None,
+        };
         let (start, hold) = plan::chain_start(op.kind(), self.config.consistency, held, known);
-        if let Some(hold) = hold {
-            self.held.insert(base, hold);
+        if let Some(adopted) = hold.filter(|_| hold != held) {
+            conn.objects.hold(base, adopted);
         }
         let step = match start {
             Start::Step(step) => step,
@@ -2292,20 +2214,6 @@ impl GengarClient {
             guess: step == DirectStep::Cas,
             ..Default::default()
         }));
-        // An older staged record for this object may still sit un-drained
-        // in the server ring (e.g. the connection degraded between the two
-        // writes). Let it land first: the drain thread would otherwise
-        // replay the *older* value over this newer direct write.
-        let staged = match op {
-            BatchOp::Write { .. } => self.write_back.get(&base).map(|wb| wb.seq),
-            _ => None,
-        };
-        let undrained = staged.filter(|&seq| {
-            self.conn(run.server)
-                .ok()
-                .and_then(|conn| conn.staging.as_ref())
-                .is_some_and(|st| st.known_drained() < seq)
-        });
         match undrained {
             Some(seq) => self.await_drained(run, seq, chain, false),
             None => run.phase = chain,
@@ -2338,10 +2246,11 @@ impl GengarClient {
         let base = ptr.addr.raw();
         let word_at = ptr.addr.offset() - OBJ_HEADER;
         let (mr_lkey, region) = (self.mr.lkey(), self.mr.region().clone());
+        let idx = self.idx(run.server)?;
+        let mut held = self.conns[idx].objects.get(base).and_then(|st| st.hold);
         loop {
-            let held = self.held.get(&base).copied();
             let one_sided = plan::persist(kind, consistency, held) == Persist::Flush;
-            let conn = self.conn(run.server)?;
+            let conn = &self.conns[idx];
             let (word_lane, data_lane) = (conn.op_buf, conn.op_buf + 8);
             let chunk = (data.len() as u64 - w.done).min(conn.op_buf_len - 8);
             // This step's doorbell finishes the payload and carries the FLUSH.
@@ -2412,7 +2321,7 @@ impl GengarClient {
                             continue;
                         }
                         DirectStep::Unlock => {
-                            let locked = self.held[&base].word;
+                            let locked = held.expect("an unlock runs under a hold").word;
                             region.write(word_lane, &lockword::release(locked).to_le_bytes())?;
                             write(word_sge, word_at)
                         }
@@ -2434,7 +2343,7 @@ impl GengarClient {
                             let word = self.scratch_word(word_lane)?;
                             if let BatchOp::LockWord { word: out, .. } = &mut ops[i] {
                                 **out = word;
-                                self.saw_word(base, word, true);
+                                self.conns[idx].objects.saw_word(base, word, true);
                                 break;
                             }
                             w.expected = lockword::next_unlocked(word);
@@ -2450,10 +2359,11 @@ impl GengarClient {
                                     word: lockword::locked(prev),
                                     own,
                                 };
-                                self.held.insert(base, hold);
+                                self.conns[idx].objects.hold(base, hold);
+                                held = Some(hold);
                                 // Done, unless the op persists: a write, or
                                 // the object's first lock (by RPC).
-                                if plan::persist(kind, consistency, Some(hold)) == Persist::None {
+                                if plan::persist(kind, consistency, held) == Persist::None {
                                     break;
                                 }
                                 w.step = DirectStep::Write;
@@ -2461,7 +2371,7 @@ impl GengarClient {
                             }
                             // Lost: the word the CAS returned is the next
                             // expectation, no second READ.
-                            self.saw_word(base, prev, true);
+                            self.conns[idx].objects.saw_word(base, prev, true);
                             w.expected = lockword::next_unlocked(prev);
                             let limit = self.config.lock_retries;
                             match plan::lost_cas(std::mem::take(&mut w.guess), w.tries, limit) {
@@ -2500,9 +2410,7 @@ impl GengarClient {
                             }
                         }
                         DirectStep::Unlock => {
-                            if let Some(hold) = self.held.remove(&base) {
-                                self.saw_word(base, lockword::release(hold.word), true);
-                            }
+                            self.conns[idx].objects.release(base);
                             break;
                         }
                     }
@@ -2515,7 +2423,7 @@ impl GengarClient {
                     };
                     w.refused = Self::flush_ack(resp, len).err();
                     // The server dropped the object's frame.
-                    self.remap.remove(&base);
+                    self.conns[idx].objects.drop_frame(base);
                     if !plan::releases(kind, held) {
                         break;
                     }
@@ -2528,10 +2436,7 @@ impl GengarClient {
             // The object changed under any staged copy, and under a cached
             // frame a one-sided write left in place (a flush RPC dropped it):
             // outdated until the epoch re-copies it.
-            if self.remap.contains_key(&base) {
-                self.stale_frames.insert(base);
-            }
-            self.write_back.remove(&base);
+            self.conns[idx].objects.wrote(base);
             self.record(run.server, base, true);
             if kind == Op::Write {
                 self.metrics.direct_writes.inc();
@@ -2673,6 +2578,7 @@ impl GengarClient {
                 .stage_batch_finish(flight)
         };
         let threshold = self.config.staging_fault_threshold;
+        let idx = self.idx(run.server)?;
         let mut first_err: Option<GengarError> = None;
         let mut any_ok = false;
         for (p, outcome) in plans.iter().zip(outcomes) {
@@ -2683,22 +2589,7 @@ impl GengarClient {
                         BatchOp::Write { data, .. } => data,
                         _ => unreachable!("planned from a write"),
                     };
-                    // A rewritten object refills its entry in place.
-                    match self.write_back.entry(p.base_raw) {
-                        Entry::Occupied(mut e) => {
-                            let wb = e.get_mut();
-                            (wb.seq, wb.off) = (seq, p.off);
-                            wb.data.clear();
-                            wb.data.extend_from_slice(data);
-                        }
-                        Entry::Vacant(e) => {
-                            e.insert(WriteBack {
-                                seq,
-                                off: p.off,
-                                data: data.to_vec(),
-                            });
-                        }
-                    }
+                    self.conns[idx].objects.stage(p.base_raw, seq, p.off, data);
                     self.metrics.staged_writes.inc();
                     results[p.idx] = Some(Ok(()));
                     self.record(run.server, p.base_raw, true);
@@ -2714,7 +2605,7 @@ impl GengarClient {
         plans.clear();
         run.spare_staged = plans;
         {
-            let conn = self.conn_mut(run.server)?;
+            let conn = &mut self.conns[idx];
             if any_ok {
                 conn.staging_faults = 0;
             }
@@ -2748,8 +2639,9 @@ impl GengarClient {
         ops: &mut [BatchOp<'_>],
         results: &mut [Option<Result<(), GengarError>>],
     ) -> Result<(), GengarError> {
+        let idx = self.idx(run.server)?;
         let (depth, op_buf, op_buf_len) = {
-            let conn = self.conn(run.server)?;
+            let conn = &self.conns[idx];
             (conn.window.depth() as usize, conn.op_buf, conn.op_buf_len)
         };
         let mut plans = std::mem::take(&mut run.spare_reads);
@@ -2771,37 +2663,46 @@ impl GengarClient {
             };
             let buf_len = buf.len() as u64;
             let base = ptr.addr.raw();
-            if !versioned {
-                match self.serve_from_store_buffer(ptr, offset, buf)? {
-                    ControlFlow::Continue(true) => {
-                        results[i] = Some(Ok(()));
-                        self.record(run.server, base, false);
-                        cursor += 1;
-                        continue;
-                    }
-                    ControlFlow::Continue(false) => {}
-                    // The planned reads go first; the walk comes back here.
-                    ControlFlow::Break(_) if !plans.is_empty() => {
-                        return self.post_reads(run, cursor, plans)
-                    }
-                    ControlFlow::Break(seq) => {
-                        run.spare_reads = plans;
-                        self.await_drained(run, seq, GroupPhase::Reads { cursor }, false);
-                        return Ok(());
-                    }
+            let conn = &mut self.conns[idx];
+            let entry = conn.objects.get(base);
+            let (frame, held) = entry.map_or((None, false), |st| (st.frame, st.hold.is_some()));
+            let staged = entry
+                .and_then(|st| st.staged.as_deref())
+                .filter(|_| !versioned);
+            let step = staged.map(|wb| {
+                Self::store_buffer(conn.staging.as_mut(), wb, &mut self.wb_checks, offset, buf)
+            });
+            match step.transpose()? {
+                None => {}
+                Some(ControlFlow::Continue(true)) => {
+                    results[i] = Some(Ok(()));
+                    self.metrics.writeback_hits.inc();
+                    self.record(run.server, base, false);
+                    cursor += 1;
+                    continue;
+                }
+                Some(ControlFlow::Continue(false)) => conn.objects.drained(base),
+                // The planned reads go first; the walk comes back here.
+                Some(ControlFlow::Break(_)) if !plans.is_empty() => {
+                    return self.post_reads(run, cursor, plans)
+                }
+                Some(ControlFlow::Break(seq)) => {
+                    run.spare_reads = plans;
+                    self.await_drained(run, seq, GroupPhase::Reads { cursor }, false);
+                    return Ok(());
                 }
             }
             let known = Known {
                 versioned,
                 len: buf_len,
-                held: self.held.contains_key(&base),
-                frame: self.remap.get(&base).copied(),
-                stale: self.stale_frames.contains(&base),
+                held,
+                frame: frame.map(|f| f.slot),
+                stale: frame.is_some_and(|f| conn.objects.outdated(f)),
             };
             let c = self.config.consistency;
             let (kind, reject) = plan::read_shape(c, ptr, op_buf_len, known);
             if reject {
-                self.remap.remove(&base);
+                conn.objects.drop_frame(base);
                 self.metrics.cache_rejects.inc();
             }
             let need = kind.lane(ptr.size, buf_len, op_buf_len);
@@ -2920,6 +2821,7 @@ impl GengarClient {
         results: &mut [Option<Result<(), GengarError>>],
     ) -> Result<(), GengarError> {
         let region = self.mr.region().clone();
+        let idx = self.idx(run.server)?;
         let mut completions = completions.into_iter();
         let mut first_err: Option<GengarError> = None;
         // What goes round again is compacted to the front of `plans`.
@@ -2952,21 +2854,15 @@ impl GengarClient {
             match p.kind {
                 ReadKind::Cached { .. } | ReadKind::Stamp => {
                     let (verdict, word) = self.check_frame(&p)?;
-                    if let Some(word) = word {
-                        self.saw_word(base, word, false);
+                    let rejected = matches!(verdict, FrameVerdict::Stale | FrameVerdict::Invalid);
+                    // Only a rejected frame or a fetched word changes the
+                    // entry, and only a rejected frame's re-read depends
+                    // on the hold: a frame that serves costs no lookup.
+                    let held = (rejected || word.is_some())
+                        && self.conns[idx].objects.judged(base, verdict, word);
+                    if rejected {
+                        self.metrics.cache_rejects.inc();
                     }
-                    match verdict {
-                        FrameVerdict::Stale => {
-                            self.stale_frames.insert(base);
-                            self.metrics.cache_rejects.inc();
-                        }
-                        FrameVerdict::Invalid => {
-                            self.remap.remove(&base);
-                            self.metrics.cache_rejects.inc();
-                        }
-                        FrameVerdict::Fresh | FrameVerdict::Unchecked => {}
-                    }
-                    let held = self.held.contains_key(&base);
                     match plan::reread(verdict, self.config.consistency, held) {
                         None => {
                             region.read(p.lane + SLOT_HEADER + p.offset, buf)?;
@@ -2997,7 +2893,7 @@ impl GengarClient {
                             continue;
                         }
                         (p.word, data_at) = (before, p.lane + 8);
-                        self.saw_word(base, before, false);
+                        self.conns[idx].objects.saw_word(base, before, false);
                     }
                     let from = p.done as usize;
                     region.read(data_at, &mut buf[from..from + len as usize])?;
@@ -3379,7 +3275,7 @@ impl GengarClient {
             return Ok(None);
         }
         let (seq, len) = mailbox_announced(&landing[8..]);
-        Ok((seq > conn.reports.mailbox).then_some((idx, len)))
+        Ok((seq > conn.objects.mailbox()).then_some((idx, len)))
     }
 
     /// Settles the READ of connection `idx`'s mailbox (`len` bytes): a
@@ -3396,23 +3292,12 @@ impl GengarClient {
         self.mr
             .region()
             .read(self.conns[idx].op_buf, &mut mailbox)?;
-        let lane = &mut self.conns[idx].reports;
-        let Some((seq, remaps)) = decode_remaps(&mailbox).filter(|(seq, _)| *seq > lane.mailbox)
-        else {
-            return Ok(());
-        };
-        lane.mailbox = seq;
+        let objects = &mut self.conns[idx].objects;
         // A new mailbox follows an epoch, which re-copied the frames its
-        // folded reports marked written: try this server's frames again.
-        let server = self.conns[idx].mount.server_id;
-        self.stale_frames
-            .retain(|addr| GlobalAddr::from_raw(*addr).map(|a| a.server()) != Some(server));
-        for (addr, cache_addr) in remaps {
-            if cache_addr == 0 {
-                self.remap.remove(&addr);
-            } else if self.remap.len() < REMAP_ENTRIES || self.remap.contains_key(&addr) {
-                self.remap.insert(addr, cache_addr);
-            }
+        // folded reports marked written: its seq lapses the outdated marks.
+        if let Some((seq, remaps)) = decode_remaps(&mailbox).filter(|(s, _)| *s > objects.mailbox())
+        {
+            objects.set_frames(seq, remaps);
         }
         Ok(())
     }
@@ -3441,9 +3326,9 @@ impl GengarClient {
             .collect()
     }
 
-    /// Number of remap entries currently cached locally.
+    /// Number of remap entries (cache frames) currently known locally.
     pub fn remap_entries(&self) -> usize {
-        self.remap.len()
+        self.conns.iter().map(|c| c.objects.frames()).sum()
     }
 }
 

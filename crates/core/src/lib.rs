@@ -51,6 +51,7 @@ pub mod error;
 pub mod health;
 pub mod hotness;
 pub mod layout;
+mod objects;
 mod plan;
 pub mod pool;
 pub mod proto;

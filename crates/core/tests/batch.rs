@@ -328,12 +328,10 @@ fn seqlock_batches_overlap_their_locks_across_servers() {
         })
         .unwrap();
     let ptrs: Vec<GlobalPtr> = (0..SERVERS).map(|s| client.alloc(s, 64).unwrap()).collect();
-    // The first round leaves each object's word known. It runs traced, as
-    // the tracer's first record allocates its buffer: a host stall inside
-    // the measured round.
+    // The first round leaves each object's word known.
+    seqlock_round(&mut client, &ptrs, 1);
     let tracer = Tracer::global();
     tracer.set_mode(TraceMode::Full);
-    seqlock_round(&mut client, &ptrs, 1);
     // 2 ms each way keeps every completion out of reach of the pass that
     // posted its verb, and the traced window short: other tests' spans
     // share the tracer's buffer.

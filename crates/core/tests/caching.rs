@@ -9,6 +9,7 @@ use gengar_core::cluster::Cluster;
 use gengar_core::config::{ClientConfig, Consistency, ServerConfig};
 use gengar_core::hotness::REPORT_SLOTS;
 use gengar_core::server::MemoryServer;
+use gengar_hybridmem::DeviceProfile;
 use gengar_rdma::FabricConfig;
 
 fn cache_cluster() -> Cluster {
@@ -413,4 +414,86 @@ fn reused_client_id_folds_only_the_new_tenures_reports() {
         new.read(b, 0, &mut buf).unwrap();
         assert!(Instant::now() < deadline, "{:?}", new.stats());
     }
+}
+
+/// A client's table for one connection records a frame or a remembered
+/// lock word for at most `objects::OBJECTS` (65 536) objects; past that a
+/// new object gets an entry only to carry a hold or a staged write. Filled
+/// past the bound with a cached frame and remembered words, the client
+/// still releases every lock it takes, serves and drains every staged
+/// write, and reads an object refused a frame from NVM.
+#[test]
+fn past_the_object_bound_no_hold_or_staged_write_is_forgotten() {
+    const OBJECTS: usize = 65_536;
+    // Optane-speed NVM and 4 KiB records ahead of each staged write keep
+    // it un-drained when it is read back.
+    let mut config = ServerConfig::small();
+    config.nvm_capacity = 32 << 20;
+    config.nvm_profile = DeviceProfile::optane();
+    config.staging_ring_capacity = 256 << 10;
+    let cluster = Cluster::launch(1, config, FabricConfig::instant()).unwrap();
+    let mut client = reporting_client(&cluster);
+    let hot = client.alloc(0, 64).unwrap();
+    client.write(hot, 0, &[1; 64]).unwrap();
+    client.drain_all().unwrap();
+    wait_for_hit(&mut client, hot);
+    assert_eq!(client.remap_entries(), 1);
+    for _ in 0..OBJECTS {
+        let filler = client.alloc(0, 8).unwrap();
+        client.read_lock_word(filler).unwrap();
+    }
+
+    let locked: Vec<_> = (0..64).map(|_| client.alloc(0, 64).unwrap()).collect();
+    let staged: Vec<_> = (0..64).map(|_| client.alloc(0, 64).unwrap()).collect();
+    let ahead: Vec<_> = (0..12).map(|_| client.alloc(0, 4096).unwrap()).collect();
+    for &p in &locked {
+        client.lock(p).unwrap();
+    }
+    let mut buf = [0u8; 64];
+    for (i, &p) in staged.iter().enumerate() {
+        for &a in &ahead {
+            client.write(a, 0, &[0; 4096]).unwrap();
+        }
+        client.write(p, 0, &[i as u8; 64]).unwrap();
+        client.read(p, 0, &mut buf).unwrap();
+        assert_eq!(buf, [i as u8; 64], "read-your-writes of staged write {i}");
+    }
+    for &p in &locked {
+        client.unlock(p).unwrap();
+    }
+    client.drain_all().unwrap();
+    let mut other = reporting_client(&cluster);
+    for &p in &locked {
+        other.lock(p).unwrap();
+        other.unlock(p).unwrap();
+    }
+    for (i, &p) in staged.iter().enumerate() {
+        other.read(p, 0, &mut buf).unwrap();
+        assert_eq!(buf, [i as u8; 64], "staged write {i} after the drain");
+    }
+    assert_eq!(other.stats().lock_retries, 0, "{:?}", other.stats());
+
+    // An object heated past the bound: the server caches it (the other
+    // client hits its frame), but this client records no frame for it.
+    let cold = client.alloc(0, 64).unwrap();
+    client.write(cold, 0, &[7; 64]).unwrap();
+    client.drain_all().unwrap();
+    let hits = client.stats().cache_hits;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while other.stats().cache_hits == 0 {
+        for _ in 0..8 {
+            client.read(cold, 0, &mut buf).unwrap();
+            assert_eq!(buf, [7; 64]);
+        }
+        other.read(cold, 0, &mut buf).unwrap();
+        assert!(Instant::now() < deadline, "never promoted");
+    }
+    for _ in 0..64 {
+        client.read(cold, 0, &mut buf).unwrap();
+        assert_eq!(buf, [7; 64]);
+        client.flush_reports().unwrap();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(client.stats().cache_hits, hits, "{:?}", client.stats());
+    assert_eq!(client.remap_entries(), 1);
 }

@@ -8,6 +8,7 @@ use gengar_core::cluster::Cluster;
 use gengar_core::config::{ClientConfig, Consistency, ServerConfig};
 use gengar_core::pool::DshmPool;
 use gengar_core::{GengarError, GlobalPtr};
+use gengar_hybridmem::DeviceProfile;
 use gengar_rdma::FabricConfig;
 
 fn small_cluster(n: usize) -> Cluster {
@@ -245,6 +246,38 @@ fn cas_and_faa_work_on_pool_objects() {
     let mut buf = [0u8; 8];
     client.read(ptr, 0, &mut buf).unwrap();
     assert_eq!(u64::from_le_bytes(buf), 8);
+}
+
+/// An atomic waits out an older staged write to its object, as a direct
+/// write does: the drain would otherwise apply the staged bytes over the
+/// atomic's result. Optane-speed NVM and twelve 4 KiB records ahead keep
+/// the staged write un-drained when the atomic is issued.
+#[test]
+fn atomics_land_after_an_older_staged_write() {
+    let config = ServerConfig {
+        nvm_profile: DeviceProfile::optane(),
+        staging_ring_capacity: 256 << 10,
+        ..ServerConfig::small()
+    };
+    let cluster = Cluster::launch(1, config, FabricConfig::instant()).unwrap();
+    let mut client = cluster.default_client().unwrap();
+    let ptr = client.alloc(0, 64).unwrap();
+    let ahead: Vec<GlobalPtr> = (0..12).map(|_| client.alloc(0, 4096).unwrap()).collect();
+    let mut lost = 0;
+    for round in 0..20u8 {
+        for &p in &ahead {
+            client.write(p, 0, &[round; 4096]).unwrap();
+        }
+        client.write(ptr, 0, &[0; 64]).unwrap();
+        assert_eq!(client.faa_u64(ptr, 0, 1).unwrap(), 0, "round {round}");
+        client.drain_all().unwrap();
+        let mut word = [0u8; 8];
+        client.read(ptr, 0, &mut word).unwrap();
+        lost += usize::from(u64::from_le_bytes(word) != 1);
+    }
+    let stats = client.stats();
+    assert_eq!(stats.staged_writes, 20 * 13, "{stats:?}");
+    assert_eq!(lost, 0, "increments lost to an older staged write");
 }
 
 /// The atomics, the lock calls and the lock-word read run as batches of

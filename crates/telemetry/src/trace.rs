@@ -163,9 +163,9 @@ pub struct Tracer {
     mode: AtomicU8,
     epoch: Instant,
     next_id: AtomicU64,
-    /// Span storage of `capacity` slots, allocated when the first span
-    /// commits: a tracer that stays off (every untraced run) never holds
-    /// it. Slots are claimed by a lock-free `fetch_add` on `cursor`; the
+    /// Span storage of `capacity` slots, allocated when recording is first
+    /// switched on, so no traced operation pays for it: a tracer that stays
+    /// off (every untraced run) never holds it. Slots are claimed by a lock-free `fetch_add` on `cursor`; the
     /// per-slot mutex only serialises the single writer of a claimed slot
     /// against snapshot readers.
     slots: OnceLock<Box<[Mutex<Option<SpanRecord>>]>>,
@@ -235,14 +235,28 @@ impl Tracer {
         }
     }
 
-    /// Switches the recording mode.
+    /// Switches the recording mode, allocating the span buffer the first
+    /// time it is not [`TraceMode::Off`].
     pub fn set_mode(&self, mode: TraceMode) {
         let v = match mode {
             TraceMode::Off => 0,
             TraceMode::Sampled => 1,
             TraceMode::Full => 2,
         };
+        if v != 0 {
+            self.slots();
+        }
         self.mode.store(v, Ordering::Relaxed);
+    }
+
+    /// The main buffer, allocated on first use.
+    fn slots(&self) -> &[Mutex<Option<SpanRecord>>] {
+        self.slots.get_or_init(|| {
+            (0..self.capacity)
+                .map(|_| Mutex::new(None))
+                .collect::<Vec<_>>()
+                .into_boxed_slice()
+        })
     }
 
     /// Whether any recording is active (one atomic load — the hot-path
@@ -400,13 +414,7 @@ impl Tracer {
         }
         let idx = self.cursor.fetch_add(1, Ordering::Relaxed);
         if idx < cap {
-            let slots = self.slots.get_or_init(|| {
-                (0..cap)
-                    .map(|_| Mutex::new(None))
-                    .collect::<Vec<_>>()
-                    .into_boxed_slice()
-            });
-            *slots[idx].lock().unwrap() = Some(rec);
+            *self.slots()[idx].lock().unwrap() = Some(rec);
             self.ended.fetch_add(1, Ordering::Relaxed);
         } else if root {
             // The op-level skeleton must survive buffer exhaustion: roots
@@ -422,7 +430,7 @@ impl Tracer {
         }
     }
 
-    /// The main buffer: empty until a span first commits.
+    /// The main buffer: empty until recording is first switched on.
     fn stored(&self) -> &[Mutex<Option<SpanRecord>>] {
         self.slots.get().map_or(&[], |slots| slots)
     }
@@ -708,6 +716,22 @@ mod tests {
         assert_eq!(t.counts(), (0, 0, 0));
         assert!(t.snapshot().is_empty());
         assert_eq!(current_context(), (TraceId::NONE, SpanId::NONE));
+    }
+
+    /// The span buffer comes with the mode, not with the first span: a
+    /// traced operation never pays for it.
+    #[test]
+    fn switching_recording_on_allocates_the_buffer() {
+        let t = Tracer::with_capacity(16);
+        t.set_mode(TraceMode::Off);
+        assert!(t.stored().is_empty());
+        t.set_mode(TraceMode::Full);
+        assert_eq!(t.stored().len(), 16);
+        assert_eq!(t.counts(), (0, 0, 0), "before any span commits");
+        for mode in [TraceMode::Sampled, TraceMode::Off] {
+            t.set_mode(mode);
+            assert_eq!(t.stored().len(), 16, "{mode:?} keeps it");
+        }
     }
 
     #[test]
