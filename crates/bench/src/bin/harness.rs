@@ -20,7 +20,9 @@
 //! per-server-count kops, at full precision) is also written to
 //! `BENCH_<ID>.json` in the current directory, one file per experiment
 //! per run (the previous one rotates to `.prev`), so the perf trajectory
-//! stays machine-readable across runs and PRs.
+//! stays machine-readable across runs and PRs. A run that cannot tell
+//! which git revision it measured (a tarball checkout) prints the record
+//! and writes no file.
 //!
 //! `--faults <spec>` arms a deterministic fault plane (fixed seed) on every
 //! Gengar fabric the experiments launch (baselines run fault-free: they
@@ -56,7 +58,7 @@
 //! `gengar_bench::gate`, or the named ones) instead of reporting; it exits
 //! 1 if any failed and writes no snapshot.
 
-use gengar_bench::{gate, resolve, snapshot_record, Provenance, RunConfig, Scale};
+use gengar_bench::{gate, resolve, snapshot_file, snapshot_record, Provenance, RunConfig, Scale};
 use gengar_telemetry::{chrome_trace_json, critical_path_table, Registry, TraceMode, Tracer};
 
 /// Prints `msg` and exits with the usage status.
@@ -160,17 +162,25 @@ fn main() {
             &metrics,
             telemetry.as_ref(),
         );
-        if config.telemetry {
-            println!("{record}");
-        }
-        let snap_path = format!("BENCH_{}.json", id.to_uppercase());
-        // Keep the previous snapshot as `.prev` so bench_compare.sh can
-        // diff this run against the last one without any VCS gymnastics.
-        if std::path::Path::new(&snap_path).exists() {
-            let _ = std::fs::rename(&snap_path, format!("{snap_path}.prev"));
-        }
-        if let Err(e) = std::fs::write(&snap_path, format!("{record}\n")) {
-            eprintln!("failed to write {snap_path}: {e}");
+        match snapshot_file(id, &provenance) {
+            Ok(snap_path) => {
+                if config.telemetry {
+                    println!("{record}");
+                }
+                // Keep the previous snapshot as `.prev` so bench_compare.sh
+                // can diff this run against the last one without any VCS
+                // gymnastics.
+                if std::path::Path::new(&snap_path).exists() {
+                    let _ = std::fs::rename(&snap_path, format!("{snap_path}.prev"));
+                }
+                if let Err(e) = std::fs::write(&snap_path, format!("{record}\n")) {
+                    eprintln!("failed to write {snap_path}: {e}");
+                }
+            }
+            Err(why) => {
+                println!("{record}");
+                eprintln!("{why}");
+            }
         }
         println!("[{id} done in {elapsed:.1?}]");
     }

@@ -280,7 +280,8 @@ impl Experiment {
 pub struct Provenance {
     /// Seconds since the Unix epoch at the start of the run.
     pub ts_unix: u64,
-    /// `git rev-parse --short HEAD`, or "unknown" in a tarball checkout.
+    /// `git rev-parse --short HEAD` of the workspace this binary was
+    /// built from (wherever it runs), or "unknown" in a tarball checkout.
     pub rev: String,
     /// The machine's hostname, or "unknown".
     pub host: String,
@@ -294,6 +295,8 @@ impl Provenance {
             .map(|d| d.as_secs())
             .unwrap_or(0);
         let rev = std::process::Command::new("git")
+            .arg("-C")
+            .arg(env!("CARGO_MANIFEST_DIR"))
             .args(["rev-parse", "--short", "HEAD"])
             .output()
             .ok()
@@ -309,6 +312,24 @@ impl Provenance {
             .unwrap_or_else(|| "unknown".to_owned());
         Provenance { ts_unix, rev, host }
     }
+}
+
+/// The file a reporting run of experiment `id` writes its record to,
+/// `BENCH_<ID>.json`; `Err` with the reason when `provenance` cannot say
+/// which revision measured — a snapshot nobody can place against the
+/// history compares against nothing.
+///
+/// # Errors
+///
+/// The rev is "unknown".
+pub fn snapshot_file(id: &str, provenance: &Provenance) -> Result<String, String> {
+    let file = format!("BENCH_{}.json", id.to_uppercase());
+    if provenance.rev == "unknown" {
+        return Err(format!(
+            "not writing {file}: the git revision is unknown (build from a git checkout)"
+        ));
+    }
+    Ok(file)
 }
 
 /// The one-line JSON record of one experiment run: what `harness` prints
@@ -413,6 +434,27 @@ mod tests {
         let metrics = row.execute(&RunConfig::default());
         assert_eq!(metrics, [("scale_seen".to_owned(), 8.0)]);
         assert_eq!(gengar_hybridmem::time_scale(), 1.0);
+    }
+
+    /// A record stamped with an unknown revision is never written: the
+    /// file name comes back as the refusal's reason instead.
+    #[test]
+    fn snapshot_file_refuses_an_unknown_rev() {
+        let mut provenance = Provenance {
+            ts_unix: 7,
+            rev: "abc1234".to_owned(),
+            host: "box".to_owned(),
+        };
+        assert_eq!(
+            snapshot_file("e10", &provenance).as_deref(),
+            Ok("BENCH_E10.json")
+        );
+        provenance.rev = "unknown".to_owned();
+        let why = snapshot_file("e10", &provenance).unwrap_err();
+        assert!(
+            why.contains("BENCH_E10.json") && why.contains("unknown"),
+            "{why}"
+        );
     }
 
     #[test]

@@ -247,9 +247,10 @@ enum Flight {
 /// groups overlap. A `Seqlock` write runs lock CAS (behind a lock-word READ
 /// when the client remembers no word of the object) → WRITE per op-area
 /// chunk → its persist ([`plan::persist`]) → unlock WRITE. The unlock
-/// stays a doorbell of its own: a WR dropped on the wire does not stop the
-/// WRs behind it, so an unlock behind a lost WRITE would publish a write
-/// that never landed. Where other ops start is [`plan::chain_start`]'s.
+/// stays a doorbell of its own: without a fence nothing orders a WRITE
+/// behind a FLUSH's completion, so an unlock in the FLUSH's doorbell could
+/// publish the write before its range is durable. Where other ops start is
+/// [`plan::chain_start`]'s.
 #[derive(Debug, Default)]
 struct DirectOp {
     /// Position of the op in the group's indices (the walk resumes behind it).
@@ -448,7 +449,11 @@ struct ReportFlight {
     slots: Vec<Vec<AccessEntry>>,
 }
 
+/// Cache-line aligned, so where its hot fields fall does not move with the
+/// size of the types it embeds: shrinking `Endpoint` by 16 bytes cut
+/// `read_skew`'s throughput by a fifth until this alignment restored it.
 #[derive(Debug)]
+#[repr(align(64))]
 struct ServerConn {
     /// The server-assigned client id of this tenure (see [`Handshake`]).
     cid: u32,
@@ -467,13 +472,8 @@ struct ServerConn {
     /// without the proxy. Reused verbatim on reconnect: the ring geometry
     /// is a server-config constant.
     staging_scratch_off: Option<u64>,
-    /// Consecutive staged-write failures. Reset by any staged success or a
-    /// successful reconnect.
+    /// Consecutive staged-write failures ([`ServerConn::degraded`]).
     staging_faults: u32,
-    /// Degraded mode: staging has faulted `staging_fault_threshold` times
-    /// in a row, so writes bypass the proxy and go straight to NVM until
-    /// the next successful reconnect.
-    degraded: bool,
     /// When the staging writer's mirror lane was shed (mirror WR failure).
     /// Drives the cooldown before a background re-mirror attempt; `None`
     /// while the lane is healthy (or the server mounts unreplicated).
@@ -495,6 +495,14 @@ struct ServerConn {
 }
 
 impl ServerConn {
+    /// Degraded mode: staging has faulted `threshold` times in a row, so
+    /// writes bypass the proxy and go straight to NVM. A staged success, a
+    /// failover or a reconnect whose old tenure staged nothing (a degraded
+    /// one's next) zeroes the count.
+    fn degraded(&self, threshold: u32) -> bool {
+        self.staging_faults >= threshold
+    }
+
     fn nvm_rkey(&self) -> RKey {
         RKey(self.mount.nvm_rkey)
     }
@@ -631,7 +639,6 @@ impl GengarClient {
                 rpc_mr,
                 staging_scratch_off,
                 staging_faults: 0,
-                degraded: false,
                 mirror_down_since: None,
                 redirect_cid: None,
                 window: OpWindow::new(config.window_depth, config.telemetry),
@@ -717,10 +724,7 @@ impl GengarClient {
             return Ok(());
         };
         let srv = Arc::clone(&self.servers[bidx]);
-        let mut channel = srv.accept_mirror(&self.node, &self.pd, primary)?;
-        channel
-            .proxy
-            .set_op_timeout(attempt_timeout(self.config.op_deadline));
+        let channel = srv.accept_mirror(&self.node, &self.pd, primary)?;
         let lane = MirrorLane {
             ep: channel.proxy,
             staging_rkey: RKey(self.conns[bidx].mount.staging_rkey),
@@ -739,10 +743,9 @@ impl GengarClient {
         Ok(())
     }
 
-    /// Runs the accept + Mount handshake against `server`: the attempt
-    /// timeouts on every endpoint, the RPC client over `rpc_mr`, and the
-    /// staging writer over the ring the accept assigned when the server
-    /// mounts the proxy.
+    /// Runs the accept + Mount handshake against `server`: the RPC client
+    /// over `rpc_mr`, and the staging writer over the ring the accept
+    /// assigned when the server mounts the proxy.
     ///
     /// `alloc_scratch` reserves scratch bytes for that writer: `connect`
     /// passes a bump allocator, `reconnect` returns the connection's
@@ -758,14 +761,8 @@ impl GengarClient {
         alloc_scratch: Option<&mut dyn FnMut(u64) -> u64>,
         config: &ClientConfig,
     ) -> Result<Handshake, GengarError> {
-        let mut channel = server.accept(node, pd)?;
+        let channel = server.accept(node, pd)?;
         let cid = channel.cid;
-        // Verbs must give up well inside the operation deadline so the
-        // retry loop gets several attempts (and a reconnect) per budget.
-        let attempt = attempt_timeout(config.op_deadline);
-        channel.rpc.set_op_timeout(attempt);
-        channel.data.set_op_timeout(attempt);
-        channel.proxy.set_op_timeout(attempt);
         let rpc = RpcClient::with_deadline(channel.rpc, rpc_mr, config.op_deadline);
         let mount = rpc
             .call(&Request::Mount {
@@ -824,14 +821,17 @@ impl GengarClient {
     }
 
     /// Whether writes to `server` currently bypass the staging ring
-    /// because it faulted repeatedly (cleared by the next reconnect).
+    /// because it faulted repeatedly (cleared by the first reconnect made
+    /// while degraded, or a failover).
     ///
     /// # Errors
     ///
     /// [`GengarError::UnknownServer`] for a server this client never
     /// mounted.
     pub fn is_degraded(&self, server: u8) -> Result<bool, GengarError> {
-        Ok(self.conn(server)?.degraded)
+        Ok(self
+            .conn(server)?
+            .degraded(self.config.staging_fault_threshold))
     }
 
     /// Fetches `server`'s live health document (the `Inspect` admin RPC):
@@ -1042,8 +1042,12 @@ impl GengarClient {
         if let (Some(state), Some(st)) = (self.tenant.as_ref(), conn.staging.as_mut()) {
             st.set_tenant_tag(state.tag());
         }
-        conn.staging_faults = 0;
-        conn.degraded = false;
+        // A staged failure kills the proxy QP and causes this reconnect:
+        // its count survives it. A tenure that staged nothing failed for
+        // another reason, and the fresh ring starts with a clean count.
+        if old_ring.is_none() {
+            conn.staging_faults = 0;
+        }
 
         // The old tenure's mirror lane is orphaned: hand its ring id back
         // to the backup and dial a fresh lane, so the replayed records
@@ -1147,7 +1151,6 @@ impl GengarClient {
         conn.rpc = hs.rpc;
         conn.data = hs.data;
         conn.staging_faults = 0;
-        conn.degraded = false;
         match conn.staging.as_mut() {
             Some(st) if st.has_mirror() => st.fail_over_to_mirror()?,
             // No mirror lane survived (or the proxy was off): staged
@@ -1308,10 +1311,11 @@ impl GengarClient {
     /// detected (tag / head and tail version / stamp against the lock word)
     /// and fall back to NVM.
     ///
-    /// Transient transport faults are absorbed: lost requests are retried
-    /// with backoff, dead connections are re-established (including a
-    /// re-mount and staged-write replay), all inside the configured
-    /// per-operation deadline.
+    /// Transient transport faults are absorbed: a lost request fails its
+    /// queue pair like any error completion, and dead connections are
+    /// re-established (including a re-mount and staged-write replay) and
+    /// retried with backoff, all inside the configured per-operation
+    /// deadline.
     ///
     /// # Errors
     ///
@@ -1394,7 +1398,8 @@ impl GengarClient {
     /// and flushes by RPC. Faults are absorbed like in
     /// [`GengarClient::read`]; after `staging_fault_threshold` consecutive
     /// staged-write failures a connection is *degraded* and writes go
-    /// direct until a reconnect heals the ring.
+    /// direct until a reconnect made while degraded (which no staged write
+    /// caused) hands it a fresh ring.
     ///
     /// # Errors
     ///
@@ -1747,8 +1752,7 @@ impl GengarClient {
                             run.phase = *then;
                         }
                         // A watermark frozen past the attempt timeout means
-                        // the drain is stuck: the attempt times out like any
-                        // other lost round trip.
+                        // the drain is stuck: the attempt times out.
                         Ok(drained) if drained <= last_seen && now >= stall_deadline => {
                             self.end_attempt(run, GengarError::Rdma(RdmaError::Timeout), results)
                         }
@@ -2093,7 +2097,7 @@ impl GengarClient {
             (cap, slot_bytes, if own { own_lane } else { conn.op_buf })
         });
         let ring = match ring {
-            _ if conn.degraded => Ring::Degraded,
+            _ if conn.degraded(self.config.staging_fault_threshold) => Ring::Degraded,
             Some((st, _)) => Ring::Healthy {
                 slot: st.max_payload(),
             },
@@ -2522,7 +2526,6 @@ impl GengarClient {
                 (p.target_raw, data, p.lane)
             })
             .collect();
-        let threshold = self.config.staging_fault_threshold;
         let conn = self.conn_mut(run.server)?;
         match conn
             .staging
@@ -2540,9 +2543,6 @@ impl GengarClient {
             }
             Err(e) => {
                 conn.staging_faults += 1;
-                if conn.staging_faults >= threshold {
-                    conn.degraded = true;
-                }
                 Err(e)
             }
         }
@@ -2577,7 +2577,6 @@ impl GengarClient {
                 .expect("flight implies a staging ring")
                 .stage_batch_finish(flight)
         };
-        let threshold = self.config.staging_fault_threshold;
         let idx = self.idx(run.server)?;
         let mut first_err: Option<GengarError> = None;
         let mut any_ok = false;
@@ -2611,9 +2610,6 @@ impl GengarClient {
             }
             if first_err.is_some() {
                 conn.staging_faults += 1;
-                if conn.staging_faults >= threshold {
-                    conn.degraded = true;
-                }
             }
         }
         self.purge_write_back(run.server)?;

@@ -83,8 +83,8 @@ const THRESHOLDS: [(f64, f64); 5] = [
 /// how fast its error budget is being spent relative to plan.
 ///
 /// Op p99 target: far above a healthy op's microseconds and a tenth of
-/// the 100 ms attempt patience at the default 2 s deadline, so a miss
-/// means an op waited on a lost completion or a backoff.
+/// the 100 ms RPC patience at the default 2 s deadline, so a miss means
+/// an op waited on a reconnect, a late response or a backoff.
 const OP_P99: Duration = Duration::from_millis(10);
 /// Fraction of ops allowed above [`OP_P99`]: the target is a p99, so a
 /// window exactly at target spends its budget exactly on plan.

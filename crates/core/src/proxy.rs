@@ -410,8 +410,9 @@ impl StagingWriter {
     /// (caller-owned, inside this writer's scratch MR) and the whole list
     /// goes out as a single WRITE_WITH_IMM batch — this is the only place
     /// a record header is encoded. The ring cursors stay put until
-    /// [`StagingWriter::stage_batch_finish`] learns which prefix of the
-    /// flight made it; until then no other staging may run on this writer.
+    /// [`StagingWriter::stage_batch_finish`] learns how many leading
+    /// records of the flight made it; until then no other staging may run
+    /// on this writer.
     ///
     /// # Errors
     ///
@@ -573,22 +574,20 @@ impl StagingWriter {
         }
     }
 
-    /// Retires a completed flight: applies the prefix/hole rule to the
-    /// ring cursors and returns one result per record in order; `Ok(seq)`
-    /// means that record is durably in its slot.
+    /// Retires a completed flight: advances the ring cursors past the
+    /// records that landed and returns one result per record in order;
+    /// `Ok(seq)` means that record is durably in its slot.
     ///
-    /// Failure handling: let `k` be the last record that completed. The
-    /// ring cursors advance by `k + 1` and every sequence number up to
-    /// `k` — including failed holes — is tracked as in flight. Hole seqs
-    /// retire automatically because the server's drained watermark stores
-    /// each drained record's own (monotonically increasing) sequence
-    /// number, so a later record's drain covers the hole. Records after
-    /// `k` never occupied their slots: a retry reuses the same slots with
-    /// fresh sequence numbers.
+    /// The flight is one doorbell on one RC queue pair, so its failures
+    /// are a suffix: the first failed WR moves the QP to error and every
+    /// later one is flushed. The cursors advance by the count of leading
+    /// successes; the failed records never occupied their slots, and a
+    /// retry reuses them with fresh sequence numbers.
     ///
     /// # Panics
     ///
-    /// Debug-asserts the flight was opened by this writer and is done.
+    /// Debug-asserts the flight was opened by this writer and is done,
+    /// and that no success follows a failure.
     pub fn stage_batch_finish(&mut self, flight: StagedFlight) -> Vec<Result<u64, GengarError>> {
         debug_assert!(flight.pending.as_ref().is_none_or(|p| p.is_done()));
         debug_assert!(flight.mirror_pending.as_ref().is_none_or(|p| p.is_done()));
@@ -616,26 +615,24 @@ impl StagingWriter {
                 .expect("failover flight carries a mirror lane")
                 .into_results(),
         };
-        let mut out = Vec::with_capacity(flight.n);
-        let mut last_ok: Option<usize> = None;
-        for (i, wc) in completions.into_iter().enumerate() {
-            match wc {
-                Ok(_) => {
-                    last_ok = Some(i);
-                    out.push(Ok(self.next_seq + i as u64));
-                }
-                Err(e) => out.push(Err(GengarError::Rdma(e))),
-            }
-        }
-        if let Some(k) = last_ok {
-            for i in 0..=k {
-                self.in_flight.push_back(self.next_seq + i as u64);
-            }
-            self.staged
-                .add(out[..=k].iter().filter(|r| r.is_ok()).count() as u64);
-            self.next_seq += k as u64 + 1;
-            self.next_slot = (self.next_slot + k as u32 + 1) % self.layout.slots;
-        }
+        let out: Vec<_> = completions
+            .into_iter()
+            .enumerate()
+            .map(|(i, wc)| {
+                wc.map(|_| self.next_seq + i as u64)
+                    .map_err(GengarError::Rdma)
+            })
+            .collect();
+        let landed = out.iter().take_while(|r| r.is_ok()).count();
+        debug_assert!(
+            out[landed..].iter().all(|r| r.is_err()),
+            "a staged record succeeded behind a failed one"
+        );
+        self.in_flight
+            .extend((0..landed as u64).map(|i| self.next_seq + i));
+        self.staged.add(landed as u64);
+        self.next_seq += landed as u64;
+        self.next_slot = (self.next_slot + landed as u32) % self.layout.slots;
         self.occupancy.set(self.in_flight.len() as i64);
         out
     }
@@ -814,6 +811,61 @@ mod tests {
             if let Some(mirror_slot) = mirror_slot {
                 assert_eq!(mirror_slot, slot, "mirror ring must carry the same record");
             }
+        }
+    }
+
+    /// A record lost in the middle of a flight fails the rest of it (RC
+    /// flushes the WRs behind it): the ring advances by the two leading
+    /// successes only, and the lost record's slot stays empty for the
+    /// retry.
+    #[test]
+    fn a_lost_record_advances_the_ring_by_the_leading_successes() {
+        let plane = gengar_rdma::FaultPlane::new(5);
+        plane.add_rule(gengar_rdma::FaultRule::drop_op().at_ops(vec![3]));
+        let mut config = FabricConfig::instant();
+        config.faults = Some(Arc::new(plane));
+        let fabric = Fabric::new(config);
+        let layout = RingLayout::for_ring_bytes(SLOTS_PER_RING as u64 * 256);
+        let node = fabric.add_node();
+        let pd = node.alloc_pd();
+        let scratch_dev = MemDevice::new(
+            0,
+            DeviceProfile::instant(MemKind::Dram),
+            5 * layout.slot_bytes(),
+        )
+        .unwrap();
+        let scratch = pd
+            .reg_mr(MemRegion::whole(Arc::new(scratch_dev)), Access::all())
+            .unwrap();
+        let (ep, _target_ep, ring, staging_rkey, ctl_rkey) =
+            ring_target(&fabric, (&node, &pd), layout);
+        let mut writer = StagingWriter::new(
+            ep,
+            staging_rkey,
+            ctl_rkey,
+            0,
+            layout,
+            3,
+            scratch,
+            4 * layout.slot_bytes(),
+            TelemetryConfig::disabled(),
+        );
+        let data = [0x5Au8; 64];
+        let items: Vec<(u64, &[u8], u64)> = (0..4u64)
+            .map(|i| (0x4000 + i * 64, &data[..], i * layout.slot_bytes()))
+            .collect();
+        let mut flight = writer.stage_batch_begin(&items).unwrap();
+        while !writer.poll_flight(&mut flight) {}
+        let out = writer.stage_batch_finish(flight);
+        assert_eq!(out[0], Ok(1));
+        assert_eq!(out[1], Ok(2));
+        assert!(out[2..].iter().all(|r| r.is_err()), "{out:?}");
+        assert_eq!(writer.next_seq(), 3);
+        assert_eq!(writer.ring_room(), layout.slots as usize - 2);
+        for (slot, seq) in [(0, 1), (1, 2), (2, 0), (3, 0)] {
+            let mut header = vec![0u8; RECORD_HEADER as usize];
+            ring.read(layout.slot_offset(slot), &mut header).unwrap();
+            assert_eq!(decode_record_header(&header).seq, seq, "slot {slot}");
         }
     }
 

@@ -23,9 +23,10 @@
 //!    backs off.
 //! 3. **Fabric admission** (backstop): [`Fabric::execute_batch`] consults
 //!    the plane per WR via [`gengar_rdma::QosPolicy`]. Over-burst WRs are
-//!    *dropped* (no transfer, no completion — the initiator times out and
-//!    retries), never delayed: shaping at the fabric would push the
-//!    shared FIFO port cursors into the future and tax every bystander.
+//!    *lost* (no transfer; the WR fails its queue pair with a transport
+//!    error and the client reconnects), never delayed: shaping at the
+//!    fabric would push the shared FIFO port cursors into the future and
+//!    tax every bystander.
 //!
 //! Staged writes get a fourth control: a per-tenant cap on staged bytes
 //! in flight (`TenantState::try_reserve_staged`). The client reserves

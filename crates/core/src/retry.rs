@@ -5,15 +5,18 @@
 //! When an attempt fails, [`classify`] decides what the failure means:
 //!
 //! * [`Disposition::Retry`] — transient; the connection is still usable.
-//!   [`RdmaError::Timeout`]: a verb was posted, no completion arrived in
-//!   time, and the queue pair is still in RTS (the request was lost in
-//!   flight) — re-posting on the same QP is safe. And
+//!   [`RdmaError::Timeout`] means only a wait the client bounds itself:
+//!   an RPC response that did not come back within the call deadline, or
+//!   a drain watermark that stopped moving. Posted verbs never time out —
+//!   each completes, or its queue pair is in error. And
 //!   [`GengarError::Throttled`]: the tenant is over its QoS budget and the
 //!   bucket refills with time.
 //! * [`Disposition::Reconnect`] — the connection is broken. Error
 //!   completions move the QP to the Error state, so every later verb on it
 //!   is doomed; the client must re-run the mount handshake on fresh queue
-//!   pairs before anything can succeed. A server that refuses new
+//!   pairs before anything can succeed. A request lost on the wire is one
+//!   of them: it fails with a transport error, as RC does once its
+//!   retries run out. A server that refuses new
 //!   connections ([`GengarError::ServerUnavailable`]) lands here too so
 //!   that the client keeps re-dialling until the server restarts or the
 //!   deadline expires.
@@ -55,11 +58,11 @@ const BASE_BACKOFF: Duration = Duration::from_micros(50);
 /// backoff, is what bounds a retry storm.
 const MAX_BACKOFF: Duration = Duration::from_millis(5);
 
-/// Patience for a single posted verb or RPC receive wait: a twentieth of
-/// the operation deadline (100 ms at the default 2 s), so several lost
-/// completions plus a reconnect fit inside one operation budget, clamped
-/// so healthy completions are never misread as losses (5 ms) and a dead
-/// connection is found in a fraction of a long budget (500 ms).
+/// Patience for an RPC response or a stalled drain watermark: a twentieth
+/// of the operation deadline (100 ms at the default 2 s), so several late
+/// responses plus a reconnect fit inside one operation budget, clamped so
+/// a healthy answer is never misread as lost (5 ms) and a dead server is
+/// found in a fraction of a long budget (500 ms).
 pub(crate) fn attempt_timeout(op_deadline: Duration) -> Duration {
     (op_deadline / 20).clamp(Duration::from_millis(5), Duration::from_millis(500))
 }
@@ -67,7 +70,7 @@ pub(crate) fn attempt_timeout(op_deadline: Duration) -> Duration {
 /// What a failed attempt means for the retry loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Disposition {
-    /// Transient loss; retry the attempt on the same connection.
+    /// Transient; retry the attempt on the same connection.
     Retry,
     /// The connection is dead (or the server refused us); re-run the mount
     /// handshake before retrying.

@@ -13,7 +13,9 @@
 //! echoes. A request is re-sent when its response is late, so one call can
 //! be answered more than once; the client keeps exactly one receive posted
 //! and drops any response whose id is not the current call's, so a late
-//! answer is never taken for the next call's.
+//! answer is never taken for the next call's. A request lost on the wire
+//! is not re-sent: the SEND fails like any RC verb and takes the queue
+//! pair with it, so the call fails and the caller reconnects.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -81,21 +83,21 @@ impl RpcClient {
 
     /// Issues one request and waits for the response.
     ///
-    /// A request lost to a transport fault is re-sent: the wait for the
-    /// response uses the attempt-scale patience of `retry::attempt_timeout`
-    /// (a response not back by then is lost, not slow), and timeouts are
-    /// retried until the call deadline expires. The queue pair stays healthy across such
-    /// losses, so re-posting is safe. A re-sent request that *was*
+    /// The wait for the response uses the attempt-scale patience of
+    /// `retry::attempt_timeout`; a request whose response is not back by
+    /// then is re-sent, until the call deadline expires. A request lost on
+    /// the wire fails its SEND and kills the queue pair, so the call fails
+    /// at once and the caller reconnects. A re-sent request that *was*
     /// processed is processed again, which is idempotent for every request
     /// in the protocol except `Alloc`, where it can at worst leak one
-    /// allocation per fault; whichever copy's answer arrives first is the
-    /// call's response, and the others are dropped by call id.
+    /// allocation per late response; whichever copy's answer arrives first
+    /// is the call's response, and the others are dropped by call id.
     ///
     /// # Errors
     ///
-    /// Transport failures surface as [`GengarError::Rdma`] — a dead queue
-    /// pair as `Rdma(QpError)`/`Rdma(CompletionError)`, deadline exhaustion
-    /// as `Rdma(Timeout)`; malformed responses as
+    /// Transport failures surface as [`GengarError::Rdma`] — a lost request
+    /// or dead queue pair as `Rdma(CompletionError)`/`Rdma(QpError)`,
+    /// deadline exhaustion as `Rdma(Timeout)`; malformed responses as
     /// [`GengarError::ProtocolViolation`].
     pub fn call(&self, req: &Request) -> Result<Response, GengarError> {
         let _call_span = gengar_telemetry::Tracer::global().span("rpc.call");
@@ -180,7 +182,7 @@ impl RpcClient {
                 Ok(None)
             }
             Err(RdmaError::Timeout) if Instant::now() < call.deadline => {
-                if call.sent.is_err() || Instant::now() >= call.resend_at {
+                if Instant::now() >= call.resend_at {
                     call.sent = self.post(&call.out);
                     call.resend_at = Instant::now() + attempt_timeout(self.timeout);
                 }
@@ -338,9 +340,7 @@ mod tests {
             let s_qp = qp(&s_node, &s_pd, Arc::clone(&shared));
             c_qp.connect(s_node.id(), s_qp.qpn()).unwrap();
             s_qp.connect(c_node.id(), c_qp.qpn()).unwrap();
-            // Per-verb patience as a `GengarClient` sets it.
-            let mut ep = Endpoint::from_qp(Arc::clone(&c_node), c_qp);
-            ep.set_op_timeout(attempt_timeout(deadline));
+            let ep = Endpoint::from_qp(Arc::clone(&c_node), c_qp);
             clients.push(RpcClient::with_deadline(ep, buf(&c_pd), deadline));
             let ep = Endpoint::from_qp(Arc::clone(&s_node), s_qp);
             servers.push(RpcServerConn::new(ep, buf(&s_pd)).unwrap());
@@ -511,22 +511,35 @@ mod tests {
         assert_eq!(resp, Response::Alloc { addr: 8 });
     }
 
+    /// A request lost on the wire fails the way RC fails: the call ends
+    /// at once with the SEND's transport-error completion (no re-send on
+    /// the dead queue pair), and the server never saw it.
     #[test]
-    fn call_retries_through_a_dropped_request() {
-        // Drop the very first SEND on the fabric: the first request
-        // vanishes in flight and the call must transparently re-send.
+    fn call_fails_on_a_lost_request() {
         let plane = FaultPlane::from_spec("drop:verb=send,at=1", 7, TelemetryConfig::disabled());
         let mut config = FabricConfig::instant();
         config.faults = Some(Arc::new(plane.unwrap()));
-        // A 500 ms deadline keeps the dropped SEND's own wait at 25 ms, so
-        // the retry happens well inside the call deadline.
         let (_fabric, clients, servers, cq) = rpc_conns(config, 1, Duration::from_millis(500));
-        let _loop = serve(servers, cq, |_, req| match req {
-            Request::Alloc { size } => Response::Alloc { addr: size + 1 },
-            _ => Response::Ok,
+        let served = Arc::new(AtomicU64::new(0));
+        let count = Arc::clone(&served);
+        let _loop = serve(servers, cq, move |_, _| {
+            count.fetch_add(1, Ordering::Relaxed);
+            Response::Ok
         });
-        let resp = clients[0].call(&Request::Alloc { size: 9 }).unwrap();
-        assert_eq!(resp, Response::Alloc { addr: 10 });
+        let t0 = Instant::now();
+        let err = clients[0].call(&Request::Alloc { size: 9 }).unwrap_err();
+        assert_eq!(
+            err,
+            GengarError::Rdma(RdmaError::CompletionError(
+                gengar_rdma::WcStatus::TransportError
+            ))
+        );
+        assert!(
+            t0.elapsed() < Duration::from_millis(25),
+            "waited out a patience"
+        );
+        assert_eq!(clients[0].ep.qp().state(), gengar_rdma::QpState::Error);
+        assert_eq!(served.load(Ordering::Relaxed), 0);
     }
 
     /// A handler slower than the call's patience gets the request re-sent,

@@ -550,11 +550,7 @@ impl MemoryServer {
             // Control-plane pair + its message buffer.
             let (rpc, s_rpc) = inner.connect(client_node, client_pd, &inner.rpc_recv_cq)?;
             let s_qpn = s_rpc.qpn();
-            let mut s_rpc = Endpoint::from_qp(Arc::clone(&inner.node), s_rpc);
-            // Bound the response-send patience: a response lost to an
-            // injected fault must not hold the control loop for the default
-            // 10 s — the connection dies and the client reconnects.
-            s_rpc.set_op_timeout(Duration::from_millis(250));
+            let s_rpc = Endpoint::from_qp(Arc::clone(&inner.node), s_rpc);
             let msg_off = cid as u64 * RPC_BUF_BYTES;
             let msg_region = MemRegion::new(Arc::clone(&inner.msg_dev), msg_off, RPC_BUF_BYTES)?;
             let msg_mr = inner.pd.reg_mr(msg_region, Access::LOCAL_WRITE)?;

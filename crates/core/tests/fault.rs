@@ -444,10 +444,9 @@ fn lock_survives_a_failed_cas_through_a_reconnect() {
     rival.unlock(ptr).unwrap();
 }
 
-/// The flush RPC behind an atomic is lost: dropped on the wire (the RPC
-/// re-sends it) or failed with its queue pair (the op reconnects and
-/// retries). Either way only the flush goes out again; the atomic applies
-/// once.
+/// The flush RPC behind an atomic is lost: dropped on the wire or failed
+/// with its queue pair. Either way the SEND fails its queue pair, the op
+/// reconnects and only the flush goes out again; the atomic applies once.
 #[test]
 fn atomics_apply_once_when_their_flush_is_lost() {
     for spec in ["drop:verb=send,at=1", "err:verb=send,at=1"] {
@@ -477,6 +476,129 @@ fn atomics_apply_once_when_their_flush_is_lost() {
             );
         }
     }
+}
+
+/// A `Seqlock` write loses one verb of its chain: for good (the lock CAS,
+/// the payload WRITE, the FLUSH under its doorbell or every unlock WRITE,
+/// `at=` the even plain WRITEs once the payload's first WRITE passed), so
+/// the write fails within its budget, or once (a FLUSH, an unlock), so a
+/// reconnect recovers it. Each case leaves the lock never taken, held and
+/// adoptable by the writer, or released with the payload durable — never
+/// released without it.
+#[test]
+fn seqlock_write_never_releases_the_lock_without_its_payload() {
+    use gengar_core::layout::lockword;
+
+    let unlocks: Vec<String> = (1..=20).map(|i| (2 * i).to_string()).collect();
+    let unlock_spec = format!("drop:verb=write,imm=0,at={}", unlocks.join("/"));
+    for spec in [
+        "drop:verb=cas",
+        "drop:verb=write,imm=0",
+        "drop:verb=flush",
+        unlock_spec.as_str(),
+        "drop:verb=flush,at=1",
+        "drop:verb=write,imm=0,at=2",
+    ] {
+        let plane = Arc::new(FaultPlane::new(29));
+        let mut fabric = FabricConfig::instant();
+        fabric.faults = Some(Arc::clone(&plane));
+        let mut server_config = ServerConfig::small();
+        server_config.crash_sim = true;
+        let cluster = Cluster::launch(1, server_config, fabric).unwrap();
+        let seqlock = ClientConfig {
+            consistency: Consistency::Seqlock,
+            lock_retries: 3,
+            report_every: u32::MAX,
+            ..fast_fail_config()
+        };
+        let mut client = cluster.client(seqlock.clone()).unwrap();
+        let mut rival = cluster.client(seqlock.clone()).unwrap();
+        let ptr = client.alloc(0, 64).unwrap();
+        // Past version 0: the chain persists with the FLUSH verb.
+        client.write(ptr, 0, &[1u8; 64]).unwrap();
+        let before = rival.read_lock_word(ptr).unwrap();
+
+        plane.parse(spec).unwrap();
+        let wrote = client.write(ptr, 0, &[2u8; 64]);
+        plane.clear();
+        let word = rival.read_lock_word(ptr).unwrap();
+        if lockword::is_locked(word) {
+            assert!(wrote.is_err(), "{spec}: acknowledged a write still locked");
+            client.lock(ptr).expect("the writer adopts its lock");
+            assert!(
+                matches!(rival.lock(ptr), Err(GengarError::LockContended(_))),
+                "{spec}: the adopted lock must be held"
+            );
+            client.unlock(ptr).unwrap();
+        } else if lockword::version(word) == lockword::version(before) {
+            assert!(wrote.is_err(), "{spec}: acknowledged a write never locked");
+            let mut buf = [0u8; 64];
+            rival.read(ptr, 0, &mut buf).unwrap();
+            assert_eq!(buf, [1u8; 64], "{spec}: a never-locked write landed");
+        } else {
+            let server = cluster.server(0).unwrap();
+            server.shutdown();
+            server.crash().unwrap();
+            server.recover().unwrap();
+            server.restart();
+            let mut reader = cluster.client(seqlock).unwrap();
+            let mut buf = [0u8; 64];
+            reader.read(ptr, 0, &mut buf).unwrap();
+            assert_eq!(buf, [2u8; 64], "{spec}: released without the payload");
+        }
+    }
+}
+
+/// A record lost in the middle of a four-record staged window fails the
+/// records behind it with the proxy queue pair. The two ahead of it are
+/// acknowledged; the reconnect replays them and the retry stages the
+/// rest, so every record survives a drain barrier.
+#[test]
+fn staged_window_loss_keeps_every_acknowledged_record() {
+    let plane = Arc::new(FaultPlane::new(31));
+    let mut fabric = FabricConfig::instant();
+    fabric.faults = Some(Arc::clone(&plane));
+    let cluster = Cluster::launch(1, ServerConfig::small(), fabric).unwrap();
+    let config = ClientConfig {
+        report_every: u32::MAX,
+        ..Default::default()
+    };
+    let mut client = cluster.client(config.clone()).unwrap();
+    let ptrs: Vec<GlobalPtr> = (0..4).map(|_| client.alloc(0, 64).unwrap()).collect();
+
+    plane.parse("drop:imm=1,at=3").unwrap();
+    let values: Vec<[u8; 64]> = (0..4u8).map(|i| [i + 1; 64]).collect();
+    let mut batch = client.batch();
+    for (ptr, value) in ptrs.iter().zip(&values) {
+        batch = batch.write(*ptr, 0, value);
+    }
+    assert!(batch.submit().unwrap().all_ok());
+    let stats = client.stats();
+    assert_eq!(stats.reconnects, 1, "the lost record must fail its QP");
+    assert_eq!(stats.staged_writes, 4, "{stats:?}");
+    client.drain_all().unwrap();
+
+    let mut reader = cluster.client(config).unwrap();
+    for (ptr, value) in ptrs.iter().zip(&values) {
+        let mut buf = [0u8; 64];
+        reader.read(*ptr, 0, &mut buf).unwrap();
+        assert_eq!(&buf, value);
+    }
+}
+
+/// An RPC request lost on the wire fails its queue pair: `alloc`
+/// reconnects and succeeds on the fresh connection.
+#[test]
+fn lost_rpc_request_reconnects_the_client() {
+    let plane = Arc::new(FaultPlane::new(37));
+    let (_cluster, mut client, _ptr) = faulted_object(&plane);
+    plane.parse("drop:verb=send,at=1").unwrap();
+    let ptr = client.alloc(0, 64).unwrap();
+    assert_eq!(client.stats().reconnects, 1);
+    client.write(ptr, 0, &[4u8; 64]).unwrap();
+    let mut buf = [0u8; 64];
+    client.read(ptr, 0, &mut buf).unwrap();
+    assert_eq!(buf, [4u8; 64]);
 }
 
 /// A barrier against a server whose drain threads are gone cannot wait

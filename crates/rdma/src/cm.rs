@@ -14,12 +14,9 @@ use crate::cq::{Wc, WcStatus};
 use crate::error::RdmaError;
 use crate::mr::ProtectionDomain;
 use crate::node::RdmaNode;
-use crate::qp::{QpOptions, QueuePair};
+use crate::qp::{QpOptions, QpState, QueuePair};
 use crate::types::RemoteAddr;
 use crate::wr::{Payload, RecvWr, SendOp, SendWr, Sge};
-
-/// Default patience of the blocking helpers.
-pub const DEFAULT_OP_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A posted doorbell batch whose completions are still being harvested.
 ///
@@ -34,7 +31,6 @@ pub struct PendingOps {
     base: u64,
     out: Vec<Option<Result<Wc, RdmaError>>>,
     pending: usize,
-    deadline: Instant,
 }
 
 impl PendingOps {
@@ -54,12 +50,15 @@ impl PendingOps {
     }
 
     /// Consumes the batch and returns one result per operation, in
-    /// posting order. Call only after [`PendingOps::is_done`]; operations
-    /// still outstanding are reported as [`RdmaError::Timeout`].
+    /// posting order.
+    ///
+    /// # Panics
+    ///
+    /// If called before [`PendingOps::is_done`].
     pub fn into_results(self) -> Vec<Result<Wc, RdmaError>> {
         self.out
             .into_iter()
-            .map(|s| s.unwrap_or(Err(RdmaError::Timeout)))
+            .map(|s| s.expect("a settled batch has every result"))
             .collect()
     }
 }
@@ -76,7 +75,6 @@ pub struct Endpoint {
     node: Arc<RdmaNode>,
     qp: Arc<QueuePair>,
     next_wr: AtomicU64,
-    op_timeout: Duration,
 }
 
 impl Endpoint {
@@ -117,7 +115,6 @@ impl Endpoint {
             node,
             qp,
             next_wr: AtomicU64::new(1),
-            op_timeout: DEFAULT_OP_TIMEOUT,
         }
     }
 
@@ -131,16 +128,6 @@ impl Endpoint {
         &self.qp
     }
 
-    /// Changes the patience of the blocking helpers.
-    pub fn set_op_timeout(&mut self, timeout: Duration) {
-        self.op_timeout = timeout;
-    }
-
-    /// The patience of the blocking helpers.
-    pub fn op_timeout(&self) -> Duration {
-        self.op_timeout
-    }
-
     fn next_wr_id(&self) -> u64 {
         self.next_wr.fetch_add(1, Ordering::Relaxed)
     }
@@ -150,10 +137,9 @@ impl Endpoint {
     /// # Errors
     ///
     /// Programming errors surface immediately; transport/remote failures
-    /// surface as [`RdmaError::CompletionError`]; patience exhaustion as
-    /// [`RdmaError::Timeout`] while the QP is healthy, or
-    /// [`RdmaError::QpError`] if the QP died while waiting (e.g. a
-    /// different operation's error completion flushed this one).
+    /// (a request lost on the wire included) as
+    /// [`RdmaError::CompletionError`]; [`RdmaError::QpError`] if the
+    /// operation's completion was lost to a CQ overrun that killed the QP.
     pub fn execute(&self, op: SendOp) -> Result<Wc, RdmaError> {
         let mut results = self.execute_many(vec![op])?;
         results.pop().expect("one result for one op")
@@ -182,20 +168,17 @@ impl Endpoint {
             let wrs = ops
                 .enumerate()
                 .map(|(i, op)| SendWr::new(base + i as u64, op));
-            // The patience runs from the doorbell.
-            let posted = self.qp.post_list(wrs)?;
+            self.qp.post_list(wrs)?;
             Ok(PendingOps {
                 base,
                 out: vec![None; n],
                 pending: n,
-                deadline: posted + self.op_timeout,
             })
         } else {
             Ok(PendingOps {
                 base: 0,
                 out: Vec::new(),
                 pending: 0,
-                deadline: Instant::now() + self.op_timeout,
             })
         }
     }
@@ -204,21 +187,17 @@ impl Endpoint {
     /// once every operation has a result (then [`PendingOps::into_results`]
     /// yields them).
     ///
-    /// Failure handling mirrors the blocking path: error completions land
-    /// in their slot as [`RdmaError::CompletionError`]; when nothing at
-    /// all is left in flight on the send CQ the remaining slots fill with
-    /// [`RdmaError::QpError`] (connection death) or [`RdmaError::Timeout`]
-    /// (operations dropped on the wire — their completions are never
-    /// coming, so there is no point waiting out the full patience); the
-    /// batch deadline backstops everything else.
+    /// Error completions land in their slot as
+    /// [`RdmaError::CompletionError`]. Every posted WR completes or its QP
+    /// is in error, so the one way a slot can go unanswered is a CQ
+    /// overrun, which kills the QP: once the QP is in error and its send
+    /// CQ is empty, the remaining slots fill with [`RdmaError::QpError`].
     pub fn poll_pending(&self, p: &mut PendingOps) -> bool {
         if p.pending == 0 {
             return true;
         }
-        // One clock read serves the harvest and the deadline check.
-        let now = Instant::now();
         let n = p.out.len();
-        self.qp.send_cq().harvest(usize::MAX, now, |wc| {
+        self.qp.send_cq().harvest(usize::MAX, Instant::now(), |wc| {
             // Stale completions from earlier unmatched waits fall outside
             // [base, base + n) and are dropped.
             let slot = match wc.wr_id.checked_sub(p.base) {
@@ -239,16 +218,10 @@ impl Endpoint {
             return true;
         }
         // The fabric queues every completion (even deferred ones) at post
-        // time, so an empty send CQ with operations still pending means
-        // those completions will never arrive: the op was dropped on the
-        // wire, or was never matched before the QP died.
-        let timed_out = now >= p.deadline;
-        if self.qp.send_cq().is_empty() || timed_out {
-            let err = if self.qp.state() == crate::qp::QpState::Error {
-                RdmaError::QpError(self.qp.error_status().unwrap_or(WcStatus::WrFlushed))
-            } else {
-                RdmaError::Timeout
-            };
+        // time, so a dead QP with an empty send CQ has lost the rest to an
+        // overrun: they will never arrive.
+        if self.qp.send_cq().is_empty() && self.qp.state() == QpState::Error {
+            let err = RdmaError::QpError(self.qp.error_status().unwrap_or(WcStatus::WrFlushed));
             for slot in p.out.iter_mut().filter(|s| s.is_none()) {
                 *slot = Some(Err(err.clone()));
             }
@@ -259,24 +232,18 @@ impl Endpoint {
     }
 
     /// When a still-pending batch is expected to be *fully* harvestable:
-    /// the later of the send CQ's entries, capped by the batch deadline.
-    /// A waiter that cannot act on partial completions (the batch settles
-    /// as a unit) sleeps until this — one long, sleepable wait instead of
-    /// a sub-sleep-threshold busy-spin per staggered completion, which
-    /// matters when the host has fewer cores than the simulated cluster
-    /// has channels. Completions that will never arrive (dropped on the
-    /// wire) are covered by the fail-fast in [`Endpoint::poll_pending`]
-    /// once the CQ drains. `None` once the batch is done.
+    /// the latest of the send CQ's entries. A waiter that cannot act on
+    /// partial completions (the batch settles as a unit) sleeps until
+    /// this — one long, sleepable wait instead of a sub-sleep-threshold
+    /// busy-spin per staggered completion, which matters when the host
+    /// has fewer cores than the simulated cluster has channels. `None`
+    /// once the batch is done, or when the CQ is empty (the next
+    /// [`Endpoint::poll_pending`] then settles it).
     pub fn pending_done_wake(&self, p: &PendingOps) -> Option<Instant> {
         if p.pending == 0 {
             return None;
         }
-        Some(
-            self.qp
-                .send_cq()
-                .last_ready_at()
-                .map_or(p.deadline, |at| at.min(p.deadline)),
-        )
+        self.qp.send_cq().last_ready_at()
     }
 
     /// Posts `ops` as one doorbell batch and waits for every completion.
@@ -292,9 +259,9 @@ impl Endpoint {
     /// The outer `Err` is reserved for programming errors that fail the
     /// post itself (nothing executed). Per-operation transport failures
     /// land in the inner results: [`RdmaError::CompletionError`] for an
-    /// error completion, [`RdmaError::QpError`] for operations flushed by
-    /// a connection death, [`RdmaError::Timeout`] for operations whose
-    /// completion never arrived (e.g. dropped on the wire).
+    /// error completion (`WrFlushed` behind a failed WR),
+    /// [`RdmaError::QpError`] for operations whose completion a CQ overrun
+    /// lost.
     pub fn execute_many(&self, ops: Vec<SendOp>) -> Result<Vec<Result<Wc, RdmaError>>, RdmaError> {
         Ok(self.wait(self.post_many(ops)?))
     }
@@ -415,7 +382,7 @@ impl Endpoint {
         match got.first() {
             Some(wc) if wc.status == WcStatus::Success => Ok(*wc),
             Some(wc) => Err(RdmaError::CompletionError(wc.status)),
-            None if self.qp.state() == crate::qp::QpState::Error => Err(RdmaError::QpError(
+            None if self.qp.state() == QpState::Error => Err(RdmaError::QpError(
                 self.qp.error_status().unwrap_or(WcStatus::WrFlushed),
             )),
             None => Err(RdmaError::Timeout),

@@ -57,25 +57,18 @@ pub enum RdmaError {
     Memory(HybridMemError),
     /// The fabric rejected the connection (e.g. peer already bound).
     ConnectionRefused(&'static str),
-    /// A blocking helper gave up waiting for a completion while the queue
-    /// pair was still healthy: the operation may yet be outstanding, and a
-    /// retry on the same connection can succeed.
+    /// A bounded wait ran out while the queue pair was still healthy: a
+    /// receive ([`crate::Endpoint::recv`]), or a caller's own patience
+    /// built on one. Posted send-side WRs never time out: each completes,
+    /// or its queue pair is in error.
     Timeout,
     /// The operation completed with an error status.
     CompletionError(crate::cq::WcStatus),
     /// A blocking helper observed the queue pair in the error state while
     /// waiting; the payload is the completion status that killed the QP.
-    /// Unlike [`RdmaError::Timeout`], retrying on this connection cannot
-    /// succeed — the QP must be reset and reconnected.
+    /// Retrying on this connection cannot succeed — the QP must be reset
+    /// and reconnected.
     QpError(crate::cq::WcStatus),
-}
-
-impl RdmaError {
-    /// `true` when retrying the operation on the *same* connection can
-    /// succeed (the QP is still healthy).
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, RdmaError::Timeout)
-    }
 }
 
 impl fmt::Display for RdmaError {

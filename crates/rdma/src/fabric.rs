@@ -36,15 +36,20 @@ fn occupy_ports_at(a: &Limiter, b: &Limiter, bytes: u64, start: Instant) -> Inst
 /// Largest inline payload a WQE carries.
 const MAX_INLINE: usize = 220;
 
+/// Transport retries an RC initiator makes before it gives a lost request
+/// up (`retry_cnt`, 7 being the verbs maximum), each waiting one link
+/// round trip.
+const TRANSPORT_RETRIES: u64 = 7;
+
 /// Admission verdict from a [`QosPolicy`] for one work request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QosVerdict {
     /// Let the WR execute.
     Admit,
-    /// Lost on the wire: no transfer, no completion. The initiator's
-    /// blocking helper times out and its retry machinery re-posts — the
-    /// same observable behaviour as [`FaultDecision::Drop`], so a tenant
-    /// that blasts past its burst budget slows itself down without
+    /// Lost on the wire, exactly as a [`FaultDecision::Drop`]: nothing
+    /// reaches the responder, the WR completes with a transport error
+    /// after the modelled retry time and its QP goes to error. A tenant
+    /// that blasts past its burst budget pays a reconnect without
     /// occupying the shared NIC channels.
     Drop,
 }
@@ -190,8 +195,8 @@ impl Gathered {
 /// (`CompletionQueue::push_at`). One thread can therefore hold many
 /// doorbells in flight across independent targets and genuinely overlap
 /// their modelled wire time. Fault injection: links can be partitioned or
-/// given extra delay, and the RC state machine reacts as real hardware
-/// does (error completions, QP to error state).
+/// given extra delay, and requests can be lost; the RC state machine
+/// reacts as real hardware does (error completions, QP to error state).
 pub struct Fabric {
     config: FabricConfig,
     next_node: AtomicU32,
@@ -361,15 +366,18 @@ impl Fabric {
         }
     }
 
-    /// Pushes a work completion onto `cq`, harvestable at `ready`,
+    /// Pushes a work completion of `qp` onto `cq`, harvestable at `ready`,
     /// counting it (or the overflow) in the fabric metrics. Every CQ push
     /// goes through here, so CQs the application constructed directly are
-    /// covered too.
-    fn push_wc_at(&self, cq: &CompletionQueue, wc: Wc, ready: Instant) {
+    /// covered too. An overrun loses the completion and fails `qp`, as a
+    /// CQ error does on hardware: a posted WR either completes or its QP
+    /// is in error.
+    fn push_wc_at(&self, qp: &QueuePair, cq: &CompletionQueue, wc: Wc, ready: Instant) {
         if cq.push_at(wc, ready) {
             self.metrics.cq_completions.inc();
         } else {
             self.metrics.cq_overflows.inc();
+            qp.fail(WcStatus::WrFlushed);
         }
     }
 
@@ -390,10 +398,12 @@ impl Fabric {
             self.metrics.verb(opcode).bytes.add(byte_len);
         } else {
             self.metrics.error_completions.inc();
+            qp.fail(status);
         }
         if wr.signaled || status != WcStatus::Success {
             Tracer::global().fine_event("rdma.cq_completion", wr.wr_id);
             self.push_wc_at(
+                qp,
                 qp.send_cq(),
                 Wc {
                     wr_id: wr.wr_id,
@@ -405,9 +415,6 @@ impl Fabric {
                 },
                 ready,
             );
-        }
-        if status != WcStatus::Success {
-            qp.fail(status);
         }
     }
 
@@ -445,7 +452,12 @@ impl Fabric {
     /// completions that involve the responder pay one more `one_way_ns`
     /// back. Failures follow RC ordering: the failing WR gets an error
     /// completion (moving the QP to the error state) and every later WR
-    /// in the list is flushed with `WrFlushed`.
+    /// in the list is flushed with `WrFlushed`, ready no earlier than the
+    /// error. A request lost on the wire (a fault-plane `drop` or a QoS
+    /// `Drop`) is one such failure: nothing reaches the responder, and the
+    /// initiator gives up after `TRANSPORT_RETRIES` link round trips
+    /// with a `TransportError`. So every posted WR completes, or its QP is
+    /// in error.
     ///
     /// Data movement (and ADR durability) happens at post time, slightly
     /// *before* the modelled completion instant — never after — so no
@@ -534,6 +546,10 @@ impl Fabric {
         // Outcomes the initiator learns from the responder surface one
         // response hop later than the op finishes there.
         let resp_delay = scaled_duration(cfg.one_way_ns + fault.extra_delay_ns);
+        // How long the initiator retransmits a lost request before its
+        // error completion: zero on an instant fabric.
+        let retry_time =
+            scaled_duration(TRANSPORT_RETRIES * 2 * (cfg.one_way_ns + fault.extra_delay_ns));
 
         for (wr, sender_opcode, local) in prepared.drain(..) {
             let mut wr_span = tracer.fine_span("rdma.wr");
@@ -552,6 +568,7 @@ impl Fabric {
             // Fault decisions are drawn per WR in submission order, so a
             // seeded chaos schedule consumes the same RNG stream whether
             // the ops were posted one at a time or as a batch.
+            let mut lost = false;
             if let Some(plane) = cfg.faults.as_ref() {
                 let with_imm = matches!(&wr.op, SendOp::Write { imm: Some(_), .. });
                 match plane.decide(src.id(), dst_id, sender_opcode, with_imm) {
@@ -566,14 +583,9 @@ impl Fabric {
                         verb.lat_ns.record_ns((cursor - posted).as_nanos() as u64);
                         continue;
                     }
-                    // Operation lost on the wire: no transfer, no
-                    // completion. The initiator's blocking helper times
-                    // out; the QP stays usable so a retry on the same
-                    // connection can succeed.
                     FaultDecision::Drop => {
                         tracer.event("fault.drop", wr.wr_id);
-                        verb.lat_ns.record_ns((cursor - posted).as_nanos() as u64);
-                        continue;
+                        lost = true;
                     }
                 }
             }
@@ -581,7 +593,7 @@ impl Fabric {
             // fault RNG stream stays identical whether or not a tenant
             // policy is installed (budget state is wall-clock
             // dependent and would otherwise perturb chaos schedules).
-            if let Some(qos) = cfg.qos.as_ref() {
+            if let Some(qos) = cfg.qos.as_ref().filter(|_| !lost) {
                 let bytes = match (&wr.op, &local) {
                     (SendOp::Read { local, .. }, _) => local.len,
                     (SendOp::Flush { .. }, _) => 0,
@@ -592,9 +604,18 @@ impl Fabric {
                 if qos.admit(src.id(), bytes) == QosVerdict::Drop {
                     tracer.event("qos.drop", wr.wr_id);
                     self.metrics.qos_dropped.inc();
-                    verb.lat_ns.record_ns((cursor - posted).as_nanos() as u64);
-                    continue;
+                    lost = true;
                 }
+            }
+            // A lost request: nothing is placed, no responder state
+            // changes and a SEND consumes no receive. The initiator
+            // retransmits until its retries run out, then the WR fails
+            // the QP; the WRs behind it flush no earlier.
+            if lost {
+                cursor += retry_time;
+                self.complete_at(qp, &wr, WcStatus::TransportError, sender_opcode, 0, cursor);
+                verb.lat_ns.record_ns((cursor - posted).as_nanos() as u64);
+                continue;
             }
             let pair = match &target {
                 Some(pair) => pair,
@@ -668,6 +689,7 @@ impl Fabric {
                     match dst_qp.take_recv() {
                         Some(recv) => {
                             self.push_wc_at(
+                                dst_qp,
                                 dst_qp.recv_cq(),
                                 Wc {
                                     wr_id: recv.wr_id,
@@ -775,6 +797,7 @@ impl Fabric {
                     None => {
                         // Receiver-side length/key error: both sides learn.
                         self.push_wc_at(
+                            dst_qp,
                             dst_qp.recv_cq(),
                             Wc {
                                 wr_id: recv.wr_id,
@@ -800,6 +823,7 @@ impl Fabric {
                 };
                 *cursor = data.place_into_at(scatter.region(), recv.sge.offset, *cursor)?;
                 self.push_wc_at(
+                    dst_qp,
                     dst_qp.recv_cq(),
                     Wc {
                         wr_id: recv.wr_id,

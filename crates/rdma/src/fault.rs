@@ -6,8 +6,9 @@
 //! wire) and *before* the link model runs. It can
 //!
 //! - force error completions ([`WcStatus`]) per-verb / per-link,
-//! - drop operations entirely (the initiator never sees a completion and
-//!   its blocking helper times out),
+//! - lose operations on the wire (nothing reaches the responder; the
+//!   initiator's transport retries run out and the WR completes with
+//!   [`WcStatus::TransportError`], moving its QP to error),
 //! - add extra delay to selected operations,
 //! - exhaust RNR credits (a forced [`WcStatus::RnrRetryExceeded`]),
 //! - flap partitions on a deterministic schedule.
@@ -33,8 +34,9 @@ use crate::types::NodeId;
 pub enum FaultAction {
     /// Complete the operation with this error status (QP goes to error).
     Error(WcStatus),
-    /// Drop the operation: no data transfer, no completion. The initiator's
-    /// blocking helper observes a timeout; the QP stays usable.
+    /// Lose the operation's request on the wire: no data transfer, and
+    /// the initiator completes it with [`WcStatus::TransportError`] once
+    /// its transport retries run out (the QP goes to error).
     Drop,
     /// Delay the operation by this many simulated nanoseconds, then let it
     /// proceed normally.
@@ -107,7 +109,8 @@ impl FaultRule {
         Self::new(FaultAction::Error(status))
     }
 
-    /// A rule dropping operations (lost completion → initiator timeout).
+    /// A rule losing operations on the wire (transport-error completion,
+    /// QP to error).
     pub fn drop_op() -> Self {
         Self::new(FaultAction::Drop)
     }
@@ -231,7 +234,8 @@ pub enum FaultDecision {
     Delay(u64),
     /// Complete with this error status instead of executing.
     Error(WcStatus),
-    /// Drop silently: no execution, no completion.
+    /// Lost on the wire: no execution; the fabric completes it with
+    /// [`WcStatus::TransportError`] after its transport retry time.
     Drop,
 }
 
@@ -322,7 +326,8 @@ impl FaultPlane {
     /// rules. Terms are joined with `+`; each term is
     /// `kind:key=val,key=val,...`:
     ///
-    /// - `drop:p=0.01[,verb=read]` — drop ops with probability `p`
+    /// - `drop:p=0.01[,verb=read]` — lose ops on the wire with probability
+    ///   `p` (a transport-error completion after the retry time)
     /// - `err:p=0.01[,verb=...]` — force transport-error completions
     /// - `rnr:p=0.02` — RNR exhaustion (an RNR-retry-exceeded completion)
     /// - `delay:ns=50000[,p=0.1]` — add `ns` of delay

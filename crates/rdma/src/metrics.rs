@@ -32,7 +32,7 @@ pub(crate) struct FabricMetrics {
     pub error_completions: CounterHandle,
     /// Work completions pushed onto any CQ.
     pub cq_completions: CounterHandle,
-    /// Completions dropped because a CQ was full.
+    /// Completions lost because a CQ was full (each fails its QP).
     pub cq_overflows: CounterHandle,
     /// Receive work requests posted.
     pub recv_posted: CounterHandle,
@@ -46,7 +46,8 @@ pub(crate) struct FabricMetrics {
     pub doorbells_saved: CounterHandle,
     /// Distribution of posted-list lengths (sample value = WRs per doorbell).
     pub batch_size: HistogramHandle,
-    /// WRs dropped by the QoS admission backstop (over-burst tenants).
+    /// WRs lost by the QoS admission backstop (over-burst tenants); each
+    /// fails its QP with a transport error.
     pub qos_dropped: CounterHandle,
 }
 

@@ -509,36 +509,144 @@ fn disabled_telemetry_fabric_still_works() {
     assert!(wc.status.is_ok());
 }
 
-#[test]
-fn fault_plane_drop_times_out_and_qp_survives() {
+/// A fabric whose fault plane loses the `at`-th posted WR on the wire.
+fn losing_fabric(mut config: FabricConfig, at: u64) -> (MutexGuard<'static, ()>, Arc<Fabric>) {
     let plane = Arc::new(gengar_rdma::FaultPlane::new(1));
-    plane.add_rule(gengar_rdma::FaultRule::drop_op().at_ops(vec![1]));
-    let mut config = FabricConfig::instant();
-    config.faults = Some(Arc::clone(&plane));
-    let (_registry, fabric) = locked_fabric(config);
-    let (a, b, mut ea, _eb) = pair(&fabric);
-    ea.set_op_timeout(Duration::from_millis(20));
-    // First write is dropped on the wire: no completion, QP stays healthy.
+    plane.add_rule(gengar_rdma::FaultRule::drop_op().at_ops(vec![at]));
+    config.faults = Some(plane);
+    locked_fabric(config)
+}
+
+/// Harvests `n` completions off `ea`'s send CQ, in the order they become
+/// ready, failing if they do not all arrive within 5 s.
+fn harvest(ea: &Endpoint, n: usize) -> Vec<gengar_rdma::Wc> {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let mut wcs = Vec::new();
+    while wcs.len() < n && std::time::Instant::now() < deadline {
+        let cq = ea.qp().send_cq();
+        wcs.extend(cq.wait(n - wcs.len(), Duration::from_millis(100)));
+    }
+    assert_eq!(wcs.len(), n, "a posted WR never completed");
+    wcs
+}
+
+/// A WR lost at any position of a doorbell fails the way RC fails: it
+/// completes with a transport error and places nothing, the WRs behind
+/// it flush (none ready before the error), the ones ahead land, and the
+/// QP is in error.
+#[test]
+fn lost_wr_fails_rc_at_each_doorbell_position() {
+    for lost in 1..=3u64 {
+        let (_registry, fabric) = losing_fabric(FabricConfig::instant(), lost);
+        let (_a, b, ea, _eb) = pair(&fabric);
+        let wrs = (1..=3u64)
+            .map(|i| {
+                let op = SendOp::Write {
+                    payload: Payload::Inline(vec![i as u8; 8]),
+                    remote: RemoteAddr::new(b.mr.rkey(), i * 8),
+                    imm: None,
+                };
+                gengar_rdma::SendWr::new(i, op)
+            })
+            .collect();
+        ea.qp().post_send_list(wrs).unwrap();
+        let wcs = harvest(&ea, 3);
+        let error_at = wcs.iter().position(|wc| wc.wr_id == lost).unwrap();
+        assert_eq!(
+            wcs[error_at].status,
+            WcStatus::TransportError,
+            "lost {lost}"
+        );
+        for wc in &wcs {
+            let expected = match wc.wr_id.cmp(&lost) {
+                std::cmp::Ordering::Less => WcStatus::Success,
+                std::cmp::Ordering::Equal => WcStatus::TransportError,
+                std::cmp::Ordering::Greater => WcStatus::WrFlushed,
+            };
+            assert_eq!(wc.status, expected, "lost {lost}, wr {}", wc.wr_id);
+        }
+        assert!(
+            wcs[..error_at].iter().all(|wc| wc.status.is_ok()),
+            "lost {lost}: a flushed WR was ready before the lost WR's error"
+        );
+        for i in 1..=3u64 {
+            let mut buf = [0u8; 8];
+            b.mr.region().read(i * 8, &mut buf).unwrap();
+            let landed = if i < lost { i as u8 } else { 0 };
+            assert_eq!(buf, [landed; 8], "lost {lost}, wr {i}");
+        }
+        assert_eq!(ea.qp().state(), QpState::Error);
+        assert_eq!(ea.qp().error_status(), Some(WcStatus::TransportError));
+    }
+}
+
+/// The lost WR's error waits out the initiator's transport retries: seven
+/// link round trips, here stretched by a link delay.
+#[test]
+fn lost_wr_error_waits_out_the_transport_retries() {
+    gengar_hybridmem::set_time_scale(1.0);
+    let config = FabricConfig::infiniband_100g();
+    let one_way_ns = config.one_way_ns + 100_000;
+    let (_registry, fabric) = losing_fabric(config, 1);
+    let (a, b, ea, _eb) = pair(&fabric);
+    fabric.set_extra_delay_ns(a.node.id(), b.node.id(), 100_000);
+    let t0 = std::time::Instant::now();
     let err = ea
-        .write(
-            Payload::Inline(b"lost".to_vec()),
-            RemoteAddr::new(b.mr.rkey(), 0),
-        )
+        .read(Sge::new(a.mr.lkey(), 0, 8), RemoteAddr::new(b.mr.rkey(), 0))
         .unwrap_err();
-    assert_eq!(err, RdmaError::Timeout);
-    assert!(err.is_retryable());
-    assert_eq!(ea.qp().state(), QpState::ReadyToSend);
-    // Retrying on the same connection succeeds.
-    ea.write(
-        Payload::Inline(b"kept".to_vec()),
-        RemoteAddr::new(b.mr.rkey(), 0),
-    )
-    .unwrap();
-    ea.read(Sge::new(a.mr.lkey(), 0, 4), RemoteAddr::new(b.mr.rkey(), 0))
-        .unwrap();
-    let mut buf = [0u8; 4];
-    a.mr.region().read(0, &mut buf).unwrap();
-    assert_eq!(&buf, b"kept");
+    assert_eq!(err, RdmaError::CompletionError(WcStatus::TransportError));
+    assert!(t0.elapsed() >= Duration::from_nanos(7 * 2 * one_way_ns));
+}
+
+/// A lost SEND never reaches the responder: the peer's receive stays
+/// posted and nothing arrives on it.
+#[test]
+fn lost_send_leaves_the_peer_receive_posted() {
+    let (_registry, fabric) = losing_fabric(FabricConfig::instant(), 1);
+    let (_a, b, ea, eb) = pair(&fabric);
+    eb.post_recv(Sge::new(b.mr.lkey(), 0, 64)).unwrap();
+    let err = ea
+        .send(Payload::Inline(b"lost".to_vec()), None)
+        .unwrap_err();
+    assert_eq!(err, RdmaError::CompletionError(WcStatus::TransportError));
+    assert_eq!(eb.qp().posted_recvs(), 1);
+    assert_eq!(eb.recv(Duration::from_millis(10)), Err(RdmaError::Timeout));
+}
+
+/// A send CQ too small for a doorbell's completions overruns: the QP
+/// fails, as a CQ error does on hardware, and the batch resolves with the
+/// lost completion's slot as `QpError` instead of waiting forever.
+#[test]
+fn cq_overrun_fails_the_qp_and_the_batch_resolves() {
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
+    let a = make_node(&fabric, MemKind::Dram, 4096, Access::all());
+    let b = make_node(&fabric, MemKind::Dram, 4096, Access::all());
+    let qa = a.node.create_qp(
+        &a.pd,
+        a.node.create_cq(2),
+        a.node.create_cq(16),
+        QpOptions::default(),
+    );
+    let qb = b.node.create_qp(
+        &b.pd,
+        b.node.create_cq(16),
+        b.node.create_cq(16),
+        QpOptions::default(),
+    );
+    qa.connect(b.node.id(), qb.qpn()).unwrap();
+    qb.connect(a.node.id(), qa.qpn()).unwrap();
+    let ea = Endpoint::from_qp(Arc::clone(&a.node), qa);
+    let reads = (0..3u64)
+        .map(|i| SendOp::Read {
+            local: Sge::new(a.mr.lkey(), i * 8, 8),
+            remote: RemoteAddr::new(b.mr.rkey(), 0),
+        })
+        .collect();
+    let results = ea.execute_many(reads).unwrap();
+    assert!(results[0].is_ok() && results[1].is_ok());
+    assert_eq!(results[2], Err(RdmaError::QpError(WcStatus::WrFlushed)));
+    assert_eq!(ea.qp().state(), QpState::Error);
+    assert!(ea.qp().send_cq().overflowed());
 }
 
 #[test]
@@ -553,7 +661,6 @@ fn fault_plane_error_kills_qp_with_cause() {
         .read(Sge::new(a.mr.lkey(), 0, 8), RemoteAddr::new(b.mr.rkey(), 0))
         .unwrap_err();
     assert_eq!(err, RdmaError::CompletionError(WcStatus::TransportError));
-    assert!(!err.is_retryable());
     assert_eq!(ea.qp().state(), QpState::Error);
     assert_eq!(ea.qp().error_status(), Some(WcStatus::TransportError));
 }
@@ -567,12 +674,13 @@ fn fault_plane_disarm_restores_clean_fabric() {
     let mut config = FabricConfig::instant();
     config.faults = Some(Arc::clone(&plane));
     let (_registry, fabric) = locked_fabric(config);
-    let (a, b, mut ea, _eb) = pair(&fabric);
-    ea.set_op_timeout(Duration::from_millis(10));
+    let (a, b, ea, _eb) = pair(&fabric);
     assert!(ea
         .read(Sge::new(a.mr.lkey(), 0, 8), RemoteAddr::new(b.mr.rkey(), 0))
         .is_err());
     plane.disarm();
+    // The loss killed that pair's QP; a fresh pair reads cleanly.
+    let (a, b, ea, _eb) = pair(&fabric);
     ea.read(Sge::new(a.mr.lkey(), 0, 8), RemoteAddr::new(b.mr.rkey(), 0))
         .unwrap();
 }
@@ -689,31 +797,6 @@ fn batch_with_invalid_wr_executes_nothing() {
 }
 
 #[test]
-fn batch_drop_times_out_only_that_slot() {
-    let plane = Arc::new(gengar_rdma::FaultPlane::new(1));
-    // Drop the second WR of the batch on the wire.
-    plane.add_rule(gengar_rdma::FaultRule::drop_op().at_ops(vec![2]));
-    let mut config = FabricConfig::instant();
-    config.faults = Some(plane);
-    let (_registry, fabric) = locked_fabric(config);
-    let (a, b, mut ea, _eb) = pair(&fabric);
-    ea.set_op_timeout(Duration::from_millis(20));
-    b.mr.region().write(0, &[7; 8]).unwrap();
-    let read = |off: u64| SendOp::Read {
-        local: Sge::new(a.mr.lkey(), off, 8),
-        remote: RemoteAddr::new(b.mr.rkey(), 0),
-    };
-    let results = ea.execute_many(vec![read(0), read(8), read(16)]).unwrap();
-    assert!(results[0].is_ok());
-    assert_eq!(results[1], Err(RdmaError::Timeout));
-    assert!(results[2].is_ok(), "a dropped WR does not kill the rest");
-    // The QP survives, so the lost slot can be retried in place.
-    assert_eq!(ea.qp().state(), QpState::ReadyToSend);
-    let wc = ea.execute(read(8));
-    assert!(wc.is_ok());
-}
-
-#[test]
 fn empty_batch_is_a_no_op() {
     let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let (_a, _b, ea, _eb) = pair(&fabric);
@@ -723,11 +806,10 @@ fn empty_batch_is_a_no_op() {
 
 #[test]
 fn qp_error_reported_for_flushed_waiters() {
-    // An op whose completion never arrives on a dead QP must surface
-    // QpError (reconnect required), not Timeout (retryable).
+    // A wait that can never be answered on a dead QP must surface
+    // QpError (reconnect required), not Timeout.
     let (_registry, fabric) = locked_fabric(FabricConfig::instant());
-    let (a, b, mut ea, _eb) = pair(&fabric);
-    ea.set_op_timeout(Duration::from_millis(50));
+    let (a, b, ea, _eb) = pair(&fabric);
     ea.qp().fail(WcStatus::RnrRetryExceeded);
     // recv: nothing will ever arrive on a dead QP.
     let err = ea.recv(Duration::from_millis(10)).unwrap_err();
