@@ -281,7 +281,9 @@ pub struct Provenance {
     /// Seconds since the Unix epoch at the start of the run.
     pub ts_unix: u64,
     /// `git rev-parse --short HEAD` of the workspace this binary was
-    /// built from (wherever it runs), or "unknown" in a tarball checkout.
+    /// built from (wherever it runs), with `-dirty` appended when that
+    /// checkout has uncommitted changes, or "unknown" in a tarball
+    /// checkout.
     pub rev: String,
     /// The machine's hostname, or "unknown".
     pub host: String,
@@ -294,16 +296,21 @@ impl Provenance {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0);
-        let rev = std::process::Command::new("git")
-            .arg("-C")
-            .arg(env!("CARGO_MANIFEST_DIR"))
-            .args(["rev-parse", "--short", "HEAD"])
-            .output()
-            .ok()
+        let git = |args: &[&str]| {
+            std::process::Command::new("git")
+                .arg("-C")
+                .arg(env!("CARGO_MANIFEST_DIR"))
+                .args(args)
+                .output()
+                .ok()
+        };
+        let head = git(&["rev-parse", "--short", "HEAD"])
             .filter(|out| out.status.success())
-            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_owned())
-            .filter(|rev| !rev.is_empty())
-            .unwrap_or_else(|| "unknown".to_owned());
+            .map(|out| String::from_utf8_lossy(&out.stdout).into_owned());
+        // `git diff --quiet` exits 1 when tracked files differ from HEAD.
+        let dirty =
+            git(&["diff", "--quiet", "HEAD"]).is_some_and(|out| out.status.code() == Some(1));
+        let rev = rev_stamp(head.as_deref(), dirty);
         let host = std::fs::read_to_string("/proc/sys/kernel/hostname")
             .ok()
             .map(|s| s.trim().to_owned())
@@ -311,6 +318,17 @@ impl Provenance {
             .filter(|s| !s.is_empty())
             .unwrap_or_else(|| "unknown".to_owned());
         Provenance { ts_unix, rev, host }
+    }
+}
+
+/// The rev a snapshot is stamped with: the short hash `head` (as git
+/// printed it), suffixed `-dirty` when the tree had uncommitted changes,
+/// or "unknown" without a hash.
+fn rev_stamp(head: Option<&str>, dirty: bool) -> String {
+    match head.map(str::trim).filter(|h| !h.is_empty()) {
+        Some(head) if dirty => format!("{head}-dirty"),
+        Some(head) => head.to_owned(),
+        None => "unknown".to_owned(),
     }
 }
 
@@ -455,6 +473,16 @@ mod tests {
             why.contains("BENCH_E10.json") && why.contains("unknown"),
             "{why}"
         );
+    }
+
+    /// A tree with uncommitted changes is stamped as such, so a snapshot
+    /// re-taken from a working tree does not pass for its commit.
+    #[test]
+    fn rev_stamp_marks_a_dirty_tree() {
+        assert_eq!(rev_stamp(Some("7e7dd0a\n"), false), "7e7dd0a");
+        assert_eq!(rev_stamp(Some("7e7dd0a\n"), true), "7e7dd0a-dirty");
+        assert_eq!(rev_stamp(None, true), "unknown");
+        assert_eq!(rev_stamp(Some(" \n"), false), "unknown");
     }
 
     #[test]

@@ -1,32 +1,26 @@
-//! Size-class slab allocator over a server's exported NVM region.
+//! The one allocator of a server's memory: its NVM object pool, its DRAM
+//! cache and its NVM demote area each carve their region with a
+//! [`RegionAllocator`].
 //!
-//! Objects are rounded up to power-of-two size classes (64 B .. 16 MiB)
-//! including their [`crate::layout::OBJ_HEADER`]. Freed blocks return to a
-//! per-class free list; fresh blocks come from a bump pointer. A map of
-//! live allocations provides size lookup and double-free detection.
+//! Requests (an object with its [`crate::layout::OBJ_HEADER`], or a cache
+//! frame with its header and tail) round to two-level TLSF-style size
+//! classes: a power-of-two first level split into eight linear subclasses
+//! (granule `2^(k-3)`, never below the 64 B alignment unit), so a block
+//! wastes less than one granule, about 12.5 %. A 4 KiB object (4 112 B
+//! with its header) takes a 4 608 B block, not the 8 KiB a power-of-two
+//! slab would pay. Freed blocks return to an exact-block-size free list;
+//! fresh blocks come from a bump pointer. A map of live blocks gives size
+//! lookup and catches a double or mismatched free.
 
 use std::collections::HashMap;
 
+use crate::addr::{GlobalAddr, MemClass};
 use crate::error::GengarError;
 
 /// Smallest block handed out (one cache line).
 pub const MIN_CLASS: u64 = 64;
 /// Largest block handed out.
 pub const MAX_CLASS: u64 = 16 << 20;
-/// Number of size classes (64 B, 128 B, ..., 16 MiB).
-pub const NUM_CLASSES: usize = 19;
-
-fn class_of(size: u64) -> Option<usize> {
-    if size == 0 || size > MAX_CLASS {
-        return None;
-    }
-    let rounded = size.max(MIN_CLASS).next_power_of_two();
-    Some((rounded.trailing_zeros() - MIN_CLASS.trailing_zeros()) as usize)
-}
-
-fn class_size(class: usize) -> u64 {
-    MIN_CLASS << class
-}
 
 /// Point-in-time allocator statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -43,143 +37,31 @@ pub struct AllocStats {
     pub frees: u64,
 }
 
-/// Size-class slab allocator over a `[base, base+capacity)` byte range.
+/// Subclass allocator over a `[base, base+capacity)` byte range of one
+/// memory region.
 #[derive(Debug)]
-pub struct SlabAllocator {
+pub struct RegionAllocator {
     base: u64,
     capacity: u64,
-    bump: u64,
-    free_lists: Vec<Vec<u64>>,
-    /// offset -> size class of the live block.
-    live: HashMap<u64, usize>,
-    stats: AllocStats,
-}
-
-impl SlabAllocator {
-    /// Creates an allocator over `[base, base+capacity)`.
-    pub fn new(base: u64, capacity: u64) -> Self {
-        SlabAllocator {
-            base,
-            capacity,
-            bump: base,
-            free_lists: vec![Vec::new(); NUM_CLASSES],
-            live: HashMap::new(),
-            stats: AllocStats::default(),
-        }
-    }
-
-    /// Total managed bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Rounds `size` to its block size, or `None` if unallocatable.
-    pub fn block_size(size: u64) -> Option<u64> {
-        class_of(size).map(class_size)
-    }
-
-    /// Allocates a block of at least `size` bytes, returning its offset
-    /// (64-byte aligned).
-    ///
-    /// # Errors
-    ///
-    /// [`GengarError::ObjectTooLarge`] beyond the largest class;
-    /// [`GengarError::OutOfMemory`] when the region is exhausted.
-    pub fn alloc(&mut self, size: u64) -> Result<u64, GengarError> {
-        let class = class_of(size).ok_or(GengarError::ObjectTooLarge {
-            requested: size,
-            max: MAX_CLASS,
-        })?;
-        let offset = if let Some(off) = self.free_lists[class].pop() {
-            off
-        } else {
-            let need = class_size(class);
-            let end = self
-                .bump
-                .checked_add(need)
-                .ok_or(GengarError::OutOfMemory { requested: size })?;
-            if end > self.base + self.capacity {
-                return Err(GengarError::OutOfMemory { requested: size });
-            }
-            let off = self.bump;
-            self.bump = end;
-            self.stats.bump_bytes += need;
-            off
-        };
-        self.live.insert(offset, class);
-        self.stats.live += 1;
-        self.stats.live_bytes += class_size(class);
-        self.stats.allocs += 1;
-        Ok(offset)
-    }
-
-    /// Frees the block at `offset`, returning its block size.
-    ///
-    /// # Errors
-    ///
-    /// [`GengarError::InvalidAddress`]-shaped error (reported as a raw
-    /// offset mismatch) when `offset` is not a live allocation — this also
-    /// catches double frees.
-    pub fn free(&mut self, offset: u64) -> Result<u64, GengarError> {
-        let class = self.live.remove(&offset).ok_or_else(|| {
-            GengarError::DoubleFree(crate::addr::GlobalAddr::new(
-                0,
-                crate::addr::MemClass::Nvm,
-                offset & ((1 << 48) - 1),
-            ))
-        })?;
-        self.free_lists[class].push(offset);
-        self.stats.live -= 1;
-        self.stats.live_bytes -= class_size(class);
-        self.stats.frees += 1;
-        Ok(class_size(class))
-    }
-
-    /// Block size of the live allocation at `offset`, if any.
-    pub fn size_of(&self, offset: u64) -> Option<u64> {
-        self.live.get(&offset).map(|&c| class_size(c))
-    }
-
-    /// Returns whether `offset` is a live allocation.
-    pub fn is_live(&self, offset: u64) -> bool {
-        self.live.contains_key(&offset)
-    }
-
-    /// Allocator statistics.
-    pub fn stats(&self) -> AllocStats {
-        self.stats
-    }
-}
-
-/// Fine-grained frame allocator for the DRAM cache and demote tiers.
-///
-/// Cache frames are payload-sized (header + payload + tail), which lands
-/// just past a power of two for the common power-of-two payloads — under
-/// the slab's power-of-two classes almost half of every frame would be
-/// internal fragmentation. This allocator rounds to two-level TLSF-style
-/// classes instead: a power-of-two first level split into eight linear
-/// subclasses (granule `2^(k-3)`, clamped to 64 B alignment), capping
-/// waste at ~12.5% and fitting ~1.7x more 16 KiB frames into the same
-/// DRAM budget. Freed frames return to an exact-block-size free list;
-/// fresh frames come from a bump pointer.
-#[derive(Debug)]
-pub struct FrameAllocator {
-    base: u64,
-    capacity: u64,
+    /// The region's class, named in the [`GengarError::DoubleFree`] a bad
+    /// free returns.
+    class: MemClass,
     bump: u64,
     /// block size -> free offsets of exactly that block size.
     free_lists: HashMap<u64, Vec<u64>>,
-    /// offset -> block size of the live frame.
+    /// offset -> block size of the live block.
     live: HashMap<u64, u64>,
     stats: AllocStats,
 }
 
-impl FrameAllocator {
-    /// Creates an allocator over `[base, base+capacity)`.
-    pub fn new(base: u64, capacity: u64) -> Self {
-        FrameAllocator {
+impl RegionAllocator {
+    /// Creates an allocator over `[base, base+capacity)` of a `class`
+    /// region.
+    pub fn new(base: u64, capacity: u64, class: MemClass) -> Self {
+        RegionAllocator {
             base,
             capacity,
+            class,
             bump: base,
             free_lists: HashMap::new(),
             live: HashMap::new(),
@@ -205,7 +87,7 @@ impl FrameAllocator {
         Some(size.div_ceil(granule) * granule)
     }
 
-    /// Allocates a frame of at least `size` bytes, returning its offset
+    /// Allocates a block of at least `size` bytes, returning its offset
     /// (64-byte aligned).
     ///
     /// # Errors
@@ -240,19 +122,15 @@ impl FrameAllocator {
         Ok(offset)
     }
 
-    /// Frees the frame at `offset`, returning its block size.
+    /// Frees the block at `offset`, returning its block size.
     ///
     /// # Errors
     ///
-    /// [`GengarError::DoubleFree`]-shaped error when `offset` is not a
-    /// live frame (this also catches double frees).
+    /// [`GengarError::DoubleFree`], naming this region's class, when
+    /// `offset` is not a live block (this also catches double frees).
     pub fn free(&mut self, offset: u64) -> Result<u64, GengarError> {
         let block = self.live.remove(&offset).ok_or_else(|| {
-            GengarError::DoubleFree(crate::addr::GlobalAddr::new(
-                0,
-                crate::addr::MemClass::DramCache,
-                offset & ((1 << 48) - 1),
-            ))
+            GengarError::DoubleFree(GlobalAddr::new(0, self.class, offset & ((1 << 48) - 1)))
         })?;
         self.free_lists.entry(block).or_default().push(offset);
         self.stats.live -= 1;
@@ -261,12 +139,12 @@ impl FrameAllocator {
         Ok(block)
     }
 
-    /// Block size of the live frame at `offset`, if any.
+    /// Block size of the live block at `offset`, if any.
     pub fn size_of(&self, offset: u64) -> Option<u64> {
         self.live.get(&offset).copied()
     }
 
-    /// Returns whether `offset` is a live frame.
+    /// Returns whether `offset` is a live block.
     pub fn is_live(&self, offset: u64) -> bool {
         self.live.contains_key(&offset)
     }
@@ -283,18 +161,18 @@ mod tests {
 
     #[test]
     fn class_rounding() {
-        assert_eq!(SlabAllocator::block_size(1), Some(64));
-        assert_eq!(SlabAllocator::block_size(64), Some(64));
-        assert_eq!(SlabAllocator::block_size(65), Some(128));
-        assert_eq!(SlabAllocator::block_size(4096), Some(4096));
-        assert_eq!(SlabAllocator::block_size(MAX_CLASS), Some(MAX_CLASS));
-        assert_eq!(SlabAllocator::block_size(MAX_CLASS + 1), None);
-        assert_eq!(SlabAllocator::block_size(0), None);
+        assert_eq!(RegionAllocator::block_size(1), Some(64));
+        assert_eq!(RegionAllocator::block_size(64), Some(64));
+        assert_eq!(RegionAllocator::block_size(65), Some(128));
+        assert_eq!(RegionAllocator::block_size(4096), Some(4096));
+        assert_eq!(RegionAllocator::block_size(MAX_CLASS), Some(MAX_CLASS));
+        assert_eq!(RegionAllocator::block_size(MAX_CLASS + 1), None);
+        assert_eq!(RegionAllocator::block_size(0), None);
     }
 
     #[test]
     fn alloc_returns_aligned_disjoint_blocks() {
-        let mut a = SlabAllocator::new(4096, 1 << 20);
+        let mut a = RegionAllocator::new(4096, 1 << 20, MemClass::Nvm);
         let x = a.alloc(100).unwrap();
         let y = a.alloc(100).unwrap();
         assert_ne!(x, y);
@@ -305,7 +183,7 @@ mod tests {
 
     #[test]
     fn free_recycles_blocks() {
-        let mut a = SlabAllocator::new(0, 1 << 20);
+        let mut a = RegionAllocator::new(0, 1 << 20, MemClass::Nvm);
         let x = a.alloc(200).unwrap();
         assert_eq!(a.free(x).unwrap(), 256);
         let y = a.alloc(200).unwrap();
@@ -314,7 +192,7 @@ mod tests {
 
     #[test]
     fn double_free_detected() {
-        let mut a = SlabAllocator::new(0, 1 << 20);
+        let mut a = RegionAllocator::new(0, 1 << 20, MemClass::Nvm);
         let x = a.alloc(64).unwrap();
         a.free(x).unwrap();
         assert!(matches!(a.free(x), Err(GengarError::DoubleFree(_))));
@@ -323,7 +201,7 @@ mod tests {
 
     #[test]
     fn exhaustion_reported() {
-        let mut a = SlabAllocator::new(0, 256);
+        let mut a = RegionAllocator::new(0, 256, MemClass::Nvm);
         a.alloc(128).unwrap();
         a.alloc(128).unwrap();
         assert!(matches!(a.alloc(128), Err(GengarError::OutOfMemory { .. })));
@@ -331,7 +209,7 @@ mod tests {
 
     #[test]
     fn too_large_reported() {
-        let mut a = SlabAllocator::new(0, 1 << 30);
+        let mut a = RegionAllocator::new(0, 1 << 30, MemClass::Nvm);
         assert!(matches!(
             a.alloc(MAX_CLASS + 1),
             Err(GengarError::ObjectTooLarge { .. })
@@ -340,7 +218,7 @@ mod tests {
 
     #[test]
     fn stats_track_lifecycle() {
-        let mut a = SlabAllocator::new(0, 1 << 20);
+        let mut a = RegionAllocator::new(0, 1 << 20, MemClass::Nvm);
         let x = a.alloc(64).unwrap();
         let _y = a.alloc(64).unwrap();
         a.free(x).unwrap();
@@ -354,7 +232,7 @@ mod tests {
 
     #[test]
     fn size_lookup() {
-        let mut a = SlabAllocator::new(0, 1 << 20);
+        let mut a = RegionAllocator::new(0, 1 << 20, MemClass::Nvm);
         let x = a.alloc(500).unwrap();
         assert_eq!(a.size_of(x), Some(512));
         assert!(a.is_live(x));
@@ -366,25 +244,29 @@ mod tests {
     #[test]
     fn frame_rounding_is_subclass_granular() {
         // Exact powers of two stay exact.
-        assert_eq!(FrameAllocator::block_size(64), Some(64));
-        assert_eq!(FrameAllocator::block_size(16384), Some(16384));
+        assert_eq!(RegionAllocator::block_size(64), Some(64));
+        assert_eq!(RegionAllocator::block_size(16384), Some(16384));
         // Just past a power of two costs one granule, not a doubling: a
         // 16 KiB payload's 16424-byte frame fits in 18 KiB, not 32 KiB.
-        assert_eq!(FrameAllocator::block_size(16424), Some(16384 + 2048));
-        assert_eq!(FrameAllocator::block_size(104), Some(128));
+        assert_eq!(RegionAllocator::block_size(16424), Some(16384 + 2048));
+        assert_eq!(RegionAllocator::block_size(104), Some(128));
         // Granule clamps to the 64-byte alignment unit for tiny frames.
-        assert_eq!(FrameAllocator::block_size(65), Some(128));
-        assert_eq!(FrameAllocator::block_size(1), Some(64));
-        assert_eq!(FrameAllocator::block_size(0), None);
-        assert_eq!(FrameAllocator::block_size(MAX_CLASS), Some(MAX_CLASS));
-        assert_eq!(FrameAllocator::block_size(MAX_CLASS + 1), None);
+        assert_eq!(RegionAllocator::block_size(65), Some(128));
+        assert_eq!(RegionAllocator::block_size(1), Some(64));
+        assert_eq!(RegionAllocator::block_size(0), None);
+        assert_eq!(RegionAllocator::block_size(MAX_CLASS), Some(MAX_CLASS));
+        assert_eq!(RegionAllocator::block_size(MAX_CLASS + 1), None);
+        // NVM objects with their 16 B header: 1, 4 and 8 KiB payloads.
+        assert_eq!(RegionAllocator::block_size(1024 + 16), Some(1152));
+        assert_eq!(RegionAllocator::block_size(4096 + 16), Some(4608));
+        assert_eq!(RegionAllocator::block_size(8192 + 16), Some(9216));
     }
 
     #[test]
     fn frame_alloc_packs_denser_than_slab() {
-        // 16 KiB payloads (16424-byte frames) in 1 MiB: the slab fits 32,
-        // the frame allocator at least 50.
-        let mut a = FrameAllocator::new(0, 1 << 20);
+        // 16 KiB payloads (16424-byte frames) in 1 MiB: a power-of-two
+        // slab would fit 32, the subclass rule at least 50.
+        let mut a = RegionAllocator::new(0, 1 << 20, MemClass::DramCache);
         let mut n = 0;
         while a.alloc(16424).is_ok() {
             n += 1;
@@ -394,7 +276,7 @@ mod tests {
 
     #[test]
     fn frame_free_recycles_and_detects_double_free() {
-        let mut a = FrameAllocator::new(0, 1 << 20);
+        let mut a = RegionAllocator::new(0, 1 << 20, MemClass::DramCache);
         let x = a.alloc(16424).unwrap();
         assert_eq!(a.size_of(x), Some(18432));
         assert_eq!(a.free(x).unwrap(), 18432);
@@ -407,5 +289,21 @@ mod tests {
         assert_eq!(s.frees, 2);
         assert_eq!(s.live, 0);
         assert_eq!(s.bump_bytes, 18432, "second alloc recycled, no new bump");
+    }
+
+    #[test]
+    fn double_free_names_the_region_class() {
+        for class in [MemClass::Nvm, MemClass::DramCache] {
+            let mut a = RegionAllocator::new(0, 1 << 20, class);
+            let x = a.alloc(4112).unwrap();
+            a.free(x).unwrap();
+            match a.free(x) {
+                Err(GengarError::DoubleFree(addr)) => {
+                    assert_eq!(addr.class(), class);
+                    assert_eq!(addr.offset(), x);
+                }
+                other => panic!("expected DoubleFree, got {other:?}"),
+            }
+        }
     }
 }

@@ -34,7 +34,7 @@ use gengar_telemetry::{CounterHandle, TelemetryConfig};
 use serde::{Deserialize, Serialize};
 
 use crate::addr::{GlobalAddr, MemClass};
-use crate::alloc::FrameAllocator;
+use crate::alloc::RegionAllocator;
 use crate::error::GengarError;
 use crate::layout::{decode_slot_header, encode_slot_header, lockword, SLOT_HEADER, SLOT_TAIL};
 
@@ -269,7 +269,7 @@ fn frame_need(payload_len: u64) -> u64 {
 pub struct CacheManager {
     server_id: u8,
     region: MemRegion,
-    alloc: FrameAllocator,
+    alloc: RegionAllocator,
     entries: HashMap<u64, CacheEntry>,
     policy: CachePolicy,
     /// Logical clock for segment-LRU hit times.
@@ -291,7 +291,7 @@ pub struct CacheManager {
 #[derive(Debug)]
 struct DemoteArea {
     region: MemRegion,
-    alloc: FrameAllocator,
+    alloc: RegionAllocator,
     entries: HashMap<u64, DemoteEntry>,
     order: VecDeque<u64>,
 }
@@ -314,7 +314,7 @@ impl CacheManager {
                 let cap = r.len();
                 DemoteArea {
                     region: r,
-                    alloc: FrameAllocator::new(0, cap),
+                    alloc: RegionAllocator::new(0, cap, MemClass::Nvm),
                     entries: HashMap::new(),
                     order: VecDeque::new(),
                 }
@@ -325,7 +325,7 @@ impl CacheManager {
         CacheManager {
             server_id,
             region,
-            alloc: FrameAllocator::new(0, capacity),
+            alloc: RegionAllocator::new(0, capacity, MemClass::DramCache),
             entries: HashMap::new(),
             policy,
             clock: 0,
@@ -528,7 +528,7 @@ impl CacheManager {
         warm: bool,
     ) -> Result<bool, GengarError> {
         let need = frame_need(payload.len() as u64);
-        if FrameAllocator::block_size(need).is_none_or(|b| b > self.alloc.capacity()) {
+        if RegionAllocator::block_size(need).is_none_or(|b| b > self.alloc.capacity()) {
             return Ok(false);
         }
         let slot_off = loop {
@@ -696,7 +696,7 @@ impl CacheManager {
         self.region.read(e.slot_off + SLOT_HEADER, &mut payload)?;
         let area = self.demote.as_mut().expect("checked above");
         let need = e.payload_len.max(1);
-        if FrameAllocator::block_size(need).is_none_or(|b| b > area.alloc.capacity()) {
+        if RegionAllocator::block_size(need).is_none_or(|b| b > area.alloc.capacity()) {
             return Ok(());
         }
         let off = loop {

@@ -86,7 +86,7 @@ impl Cluster {
         });
         let mut servers = Vec::with_capacity(n);
         for id in 0..n {
-            servers.push(MemoryServer::launch_full(
+            servers.push(MemoryServer::launch(
                 &fabric,
                 id as u8,
                 server_config.clone(),

@@ -11,17 +11,20 @@
 //!
 //! Every request carries a per-connection call id that its response
 //! echoes. A request is re-sent when its response is late, so one call can
-//! be answered more than once; the client keeps exactly one receive posted
-//! and drops any response whose id is not the current call's, so a late
-//! answer is never taken for the next call's. A request lost on the wire
-//! is not re-sent: the SEND fails like any RC verb and takes the queue
-//! pair with it, so the call fails and the caller reconnects.
+//! be answered more than once, but it runs once: the server answers a
+//! repeat of the call it last answered from that answer. The client keeps
+//! exactly one receive posted and drops any response whose id is not the
+//! current call's, so a late answer is never taken for the next call's. A
+//! request lost on the wire is not re-sent: the SEND fails like any RC
+//! verb and takes the queue pair with it, so the call fails and the caller
+//! reconnects.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gengar_rdma::{Endpoint, MemoryRegion, Payload, RdmaError, Sge, Wc};
+use parking_lot::Mutex;
 
 use crate::error::GengarError;
 use crate::proto::{Request, Response, MAX_MSG};
@@ -87,11 +90,10 @@ impl RpcClient {
     /// `retry::attempt_timeout`; a request whose response is not back by
     /// then is re-sent, until the call deadline expires. A request lost on
     /// the wire fails its SEND and kills the queue pair, so the call fails
-    /// at once and the caller reconnects. A re-sent request that *was*
-    /// processed is processed again, which is idempotent for every request
-    /// in the protocol except `Alloc`, where it can at worst leak one
-    /// allocation per late response; whichever copy's answer arrives first
-    /// is the call's response, and the others are dropped by call id.
+    /// at once and the caller reconnects. The server runs a request once
+    /// and answers its re-sent copies from that run; whichever copy's
+    /// answer arrives first is the call's response, and the others are
+    /// dropped by call id.
     ///
     /// # Errors
     ///
@@ -236,23 +238,33 @@ pub(crate) struct PendingCall {
 pub(crate) struct RpcServerConn {
     ep: Endpoint,
     buf: Arc<MemoryRegion>,
+    /// The call id last answered and its encoded answer, sent again for a
+    /// re-sent copy of that call. Call ids only grow on a connection, so
+    /// an older call never comes back.
+    last: Mutex<(u64, Vec<u8>)>,
 }
 
 impl RpcServerConn {
     /// Wraps the server-side endpoint and its [`RPC_BUF_BYTES`] message
     /// buffer, and posts the connection's one receive.
     pub(crate) fn new(ep: Endpoint, buf: Arc<MemoryRegion>) -> Result<Self, RdmaError> {
-        let conn = RpcServerConn { ep, buf };
+        let conn = RpcServerConn {
+            ep,
+            buf,
+            last: Mutex::new((0, Vec::new())),
+        };
         conn.arm()?;
         Ok(conn)
     }
 
     /// Answers the request whose receive completed as `wc`, echoing its
-    /// call id, then posts the receive again.
+    /// call id, then posts the receive again. A re-sent copy of the call
+    /// last answered gets that answer again, without running `handler`.
     ///
     /// Malformed requests are answered with
     /// [`Response::Err`]`{ code: BAD_REQUEST }` under call id 0 (no call
-    /// uses it) rather than killing the connection.
+    /// uses it, and its answer is never kept) rather than killing the
+    /// connection.
     ///
     /// # Errors
     ///
@@ -267,23 +279,30 @@ impl RpcServerConn {
         }
         let mut req_bytes = vec![0u8; wc.byte_len as usize];
         self.buf.region().read(IN_SLOT, &mut req_bytes)?;
-        let (resp, call) = match Request::decode_traced(&req_bytes) {
+        let mut last = self.last.lock();
+        let mut malformed = Vec::new();
+        let out = match Request::decode_traced(&req_bytes) {
+            Ok((_, _, call)) if call != 0 && call == last.0 => &last.1,
             Ok((req, ctx, call)) => {
                 // Serve under the issuing client op's trace context so
                 // server-side spans land in the same causal trace.
                 let _ctx = ctx.adopt();
                 let mut serve_span = gengar_telemetry::Tracer::global().span("rpc.serve");
                 serve_span.set_detail(req_bytes.first().copied().unwrap_or(0) as u64);
-                (handler(req), call)
+                let resp = handler(req);
+                let (id, bytes) = &mut *last;
+                *id = call;
+                bytes.clear();
+                resp.encode(call, bytes);
+                bytes
             }
             Err(_) => {
                 let code = crate::proto::err_code::BAD_REQUEST;
-                (Response::Err { code }, 0)
+                Response::Err { code }.encode(0, &mut malformed);
+                &malformed
             }
         };
-        let mut out = Vec::with_capacity(256);
-        resp.encode(call, &mut out);
-        self.buf.region().write(OUT_SLOT, &out)?;
+        self.buf.region().write(OUT_SLOT, out)?;
         let sge = Sge::new(self.buf.lkey(), OUT_SLOT, out.len() as u64);
         self.ep.send(Payload::Sge(sge), None)?;
         self.arm()?;
@@ -566,5 +585,30 @@ mod tests {
         }
         // Exactly one receive stays posted, however many copies were sent.
         assert_eq!(clients[0].ep.qp().posted_recvs(), 1);
+    }
+
+    /// A request re-sent because its handler outran the patience runs
+    /// once: the re-sent copies are answered from the first run, so an
+    /// `Alloc` allocates once per call.
+    #[test]
+    fn a_resent_request_runs_its_handler_once() {
+        let (_fabric, clients, servers, cq) =
+            rpc_conns(FabricConfig::instant(), 1, Duration::from_millis(200));
+        let runs = Arc::new(AtomicU64::new(0));
+        let count = Arc::clone(&runs);
+        let _loop = serve(servers, cq, move |_, req| match req {
+            Request::Alloc { size } => {
+                count.fetch_add(1, Ordering::Relaxed);
+                // Longer than the 10 ms patience of a 200 ms deadline.
+                std::thread::sleep(Duration::from_millis(25));
+                Response::Alloc { addr: size }
+            }
+            _ => Response::Ok,
+        });
+        for size in 1..=3 {
+            let resp = clients[0].call(&Request::Alloc { size }).unwrap();
+            assert_eq!(resp, Response::Alloc { addr: size }, "call {size}");
+        }
+        assert_eq!(runs.load(Ordering::Relaxed), 3);
     }
 }

@@ -38,7 +38,7 @@ use gengar_telemetry::{CounterHandle, GaugeHandle, HistogramHandle, TelemetryCon
 use parking_lot::{Mutex, RwLock};
 
 use crate::addr::{GlobalAddr, MemClass};
-use crate::alloc::SlabAllocator;
+use crate::alloc::RegionAllocator;
 use crate::cache::{CacheManager, CacheStats};
 use crate::config::ServerConfig;
 use crate::error::GengarError;
@@ -221,7 +221,7 @@ pub(crate) struct ServerInner {
     /// Replica-epoch source for mirror tenures (starts at 1; epoch 0 in a
     /// record header means "unreplicated").
     mirror_epoch: AtomicU32,
-    alloc: Mutex<SlabAllocator>,
+    alloc: Mutex<RegionAllocator>,
     /// payload base offset -> payload length, ordered for containment
     /// lookups.
     objects: RwLock<BTreeMap<u64, u64>>,
@@ -262,42 +262,16 @@ impl std::fmt::Debug for MemoryServer {
 
 impl MemoryServer {
     /// Creates the server's devices and regions on a fresh fabric node and
-    /// launches its background threads.
+    /// launches its background threads, bound to the cluster's shared QoS
+    /// and health planes ([`crate::Cluster::launch`] starts every server
+    /// this way). `None` disables the plane for this server regardless of
+    /// `config.qos.enabled` / `config.health.enabled` — without a health
+    /// plane `Inspect` answers with the minimal "unknown" document.
     ///
     /// # Errors
     ///
     /// Propagates device/region/registration failures.
     pub fn launch(
-        fabric: &Arc<Fabric>,
-        id: u8,
-        config: ServerConfig,
-    ) -> Result<Arc<MemoryServer>, GengarError> {
-        // A standalone server owns a private QoS plane and a private health
-        // plane (one sampler over the process registry); clusters pass
-        // shared ones through `launch_full` so tenants span servers and
-        // one tick thread serves every server's `Inspect`.
-        let qos = config
-            .qos
-            .enabled
-            .then(|| QosPlane::new(config.qos.clone(), config.telemetry));
-        let health = config.health.enabled.then(|| {
-            let plane = HealthPlane::new(config.health.clone(), config.telemetry);
-            plane.start();
-            plane
-        });
-        Self::launch_full(fabric, id, config, qos, health)
-    }
-
-    /// Like [`MemoryServer::launch`], but with explicit (typically
-    /// cluster-shared) QoS and health planes. `None` disables the plane
-    /// for this server regardless of `config.qos.enabled` /
-    /// `config.health.enabled` — without a health plane `Inspect` answers
-    /// with the minimal "unknown" document.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device/region/registration failures.
-    pub fn launch_full(
         fabric: &Arc<Fabric>,
         id: u8,
         config: ServerConfig,
@@ -416,7 +390,11 @@ impl MemoryServer {
             id,
             ring,
             wm_area,
-            alloc: Mutex::new(SlabAllocator::new(wm_area, config.nvm_capacity)),
+            alloc: Mutex::new(RegionAllocator::new(
+                wm_area,
+                config.nvm_capacity,
+                MemClass::Nvm,
+            )),
             objects: RwLock::new(BTreeMap::new()),
             hotness: Mutex::new(HotnessMonitor::with_policy(&config.cache, config.telemetry)),
             cache: Mutex::new(cache),

@@ -107,7 +107,7 @@ fn pool_exhaustion_is_clean_and_recoverable() {
     config.max_object = 1 << 20;
     let cluster = Cluster::launch(1, config, FabricConfig::instant()).unwrap();
     let mut client = cluster.default_client().unwrap();
-    // Fill the pool with 64 KiB objects (64 KiB + header rounds to 128 KiB
+    // Fill the pool with 64 KiB objects (64 KiB + header rounds to 72 KiB
     // blocks), then exhaust it.
     let mut held = Vec::new();
     loop {
@@ -122,6 +122,26 @@ fn pool_exhaustion_is_clean_and_recoverable() {
     // Freeing makes room again.
     client.free(held.pop().unwrap()).unwrap();
     client.alloc(0, 64 << 10).unwrap();
+}
+
+/// NVM objects take the pool's subclass blocks: a 4 KiB object with its
+/// 16 B header takes 4 608 B, so a pool of exactly sixteen such blocks
+/// holds sixteen objects (a power-of-two 8 KiB block would fit nine).
+#[test]
+fn pool_packs_objects_at_subclass_granularity() {
+    let mut config = ServerConfig::small();
+    config.nvm_capacity = 16 * 4608;
+    let cluster = Cluster::launch(1, config, FabricConfig::instant()).unwrap();
+    let mut client = cluster.default_client().unwrap();
+    for i in 0..16 {
+        if let Err(e) = client.alloc(0, 4096) {
+            panic!("object {i} refused: {e}");
+        }
+    }
+    assert!(matches!(
+        client.alloc(0, 4096),
+        Err(GengarError::OutOfMemory { .. })
+    ));
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for Gengar's core data structures and protocols.
 
 use gengar_core::addr::{GlobalAddr, MemClass};
-use gengar_core::alloc::{SlabAllocator, MAX_CLASS};
+use gengar_core::alloc::{RegionAllocator, MAX_CLASS};
 use gengar_core::hotness::{
     decode_report, encode_report, AccessEntry, CountMinSketch, HotnessMonitor, MAX_REPORT,
 };
@@ -36,7 +36,7 @@ proptest! {
     /// Live allocations never overlap and free/realloc preserves that.
     #[test]
     fn allocator_never_overlaps(ops in proptest::collection::vec((1u64..100_000, any::<bool>()), 1..120)) {
-        let mut a = SlabAllocator::new(4096, 64 << 20);
+        let mut a = RegionAllocator::new(4096, 64 << 20, MemClass::Nvm);
         let mut live: Vec<(u64, u64)> = Vec::new(); // (offset, block)
         for (size, free_one) in ops {
             if free_one && !live.is_empty() {
@@ -44,7 +44,7 @@ proptest! {
                 a.free(off).unwrap();
             } else {
                 let off = a.alloc(size).unwrap();
-                let block = SlabAllocator::block_size(size).unwrap();
+                let block = RegionAllocator::block_size(size).unwrap();
                 prop_assert_eq!(off % 64, 0, "misaligned block");
                 prop_assert!(off >= 4096, "escaped the managed base");
                 for &(o, b) in &live {
@@ -65,10 +65,14 @@ proptest! {
     /// Block sizes are monotone and cover requests exactly up to MAX_CLASS.
     #[test]
     fn block_size_covers_request(size in 1u64..=MAX_CLASS) {
-        let block = SlabAllocator::block_size(size).unwrap();
+        let block = RegionAllocator::block_size(size).unwrap();
         prop_assert!(block >= size);
         prop_assert!(block < size * 2 || block == 64);
-        prop_assert!(block.is_power_of_two());
+        // Subclass rounding: 64 B-aligned, and less than one granule (an
+        // eighth of the request's power of two, at least 64 B) over it.
+        let granule = ((1u64 << size.ilog2()) / 8).max(64);
+        prop_assert_eq!(block % 64, 0);
+        prop_assert!(block - size < granule, "{size} -> {block}");
     }
 
     /// The count-min sketch never under-estimates.

@@ -154,8 +154,9 @@ impl Endpoint {
     ///
     /// # Errors
     ///
-    /// Only programming errors that fail the post itself (nothing
-    /// executed). Per-operation failures surface through the results.
+    /// Only programming errors and a send CQ without room for the batch,
+    /// which fail the post itself (nothing executed). Per-operation
+    /// failures surface through the results.
     pub fn post_many<I>(&self, ops: I) -> Result<PendingOps, RdmaError>
     where
         I: IntoIterator<Item = SendOp>,
@@ -189,9 +190,11 @@ impl Endpoint {
     ///
     /// Error completions land in their slot as
     /// [`RdmaError::CompletionError`]. Every posted WR completes or its QP
-    /// is in error, so the one way a slot can go unanswered is a CQ
-    /// overrun, which kills the QP: once the QP is in error and its send
-    /// CQ is empty, the remaining slots fill with [`RdmaError::QpError`].
+    /// is in error. A list is refused when its QP's send CQ lacks room, so
+    /// the one way a slot can go unanswered is an overrun of a send CQ
+    /// that other QPs share, which kills the QP: once the QP is in error
+    /// and its send CQ is empty, the remaining slots fill with
+    /// [`RdmaError::QpError`].
     pub fn poll_pending(&self, p: &mut PendingOps) -> bool {
         if p.pending == 0 {
             return true;

@@ -49,7 +49,8 @@ pub enum RdmaError {
         /// Configured maximum.
         max: usize,
     },
-    /// The send queue is full (too many unpolled signalled completions).
+    /// The send CQ has no room for every completion of a posted list;
+    /// the list was refused before any of it executed.
     SendQueueFull,
     /// The receive queue is full.
     RecvQueueFull,

@@ -371,7 +371,9 @@ impl Fabric {
     /// goes through here, so CQs the application constructed directly are
     /// covered too. An overrun loses the completion and fails `qp`, as a
     /// CQ error does on hardware: a posted WR either completes or its QP
-    /// is in error.
+    /// is in error. A send CQ that one QP owns does not overrun here
+    /// (`execute_batch` refuses a list it has no room for); a receive CQ,
+    /// shared by a server's QPs, can.
     fn push_wc_at(&self, qp: &QueuePair, cq: &CompletionQueue, wc: Wc, ready: Instant) {
         if cq.push_at(wc, ready) {
             self.metrics.cq_completions.inc();
@@ -484,6 +486,13 @@ impl Fabric {
         let mut post_span = tracer.span("rdma.post");
         post_span.set_detail(wrs.len() as u64);
         let (dst_id, dst_qpn) = qp.remote().ok_or(RdmaError::NotConnected)?;
+        // Any WR of the list may complete (a failed or flushed one even
+        // unsignaled), so its send CQ must hold them all before one runs:
+        // an overrun would lose the completion of a WR that executed.
+        let send_cq = qp.send_cq();
+        if send_cq.len() + wrs.len() > send_cq.capacity() {
+            return Err(RdmaError::SendQueueFull);
+        }
 
         // Programming errors on the local side fail the whole post before
         // anything is on the wire.

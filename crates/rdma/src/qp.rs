@@ -312,7 +312,9 @@ impl QueuePair {
     ///
     /// Fails fast with [`RdmaError`] for programming errors in *any* WR
     /// (unknown lkey, sge out of bounds, inline payload too large, QP not
-    /// connected or errored); in that case no WR has executed.
+    /// connected or errored), and with [`RdmaError::SendQueueFull`] when
+    /// the send CQ lacks room for every WR's completion; in either case no
+    /// WR has executed.
     pub fn post_send_list(self: &Arc<Self>, wrs: Vec<SendWr>) -> Result<(), RdmaError> {
         self.post_list(wrs).map(drop)
     }

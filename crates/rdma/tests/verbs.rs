@@ -613,11 +613,11 @@ fn lost_send_leaves_the_peer_receive_posted() {
     assert_eq!(eb.recv(Duration::from_millis(10)), Err(RdmaError::Timeout));
 }
 
-/// A send CQ too small for a doorbell's completions overruns: the QP
-/// fails, as a CQ error does on hardware, and the batch resolves with the
-/// lost completion's slot as `QpError` instead of waiting forever.
+/// A doorbell whose completions would overrun its send CQ is refused
+/// before any WR executes, so an executed WR never loses its completion:
+/// no byte lands, the QP stays usable, and a list that fits then runs.
 #[test]
-fn cq_overrun_fails_the_qp_and_the_batch_resolves() {
+fn send_cq_overrun_is_refused_before_any_wr_executes() {
     let (_registry, fabric) = locked_fabric(FabricConfig::instant());
     let a = make_node(&fabric, MemKind::Dram, 4096, Access::all());
     let b = make_node(&fabric, MemKind::Dram, 4096, Access::all());
@@ -636,17 +636,27 @@ fn cq_overrun_fails_the_qp_and_the_batch_resolves() {
     qa.connect(b.node.id(), qb.qpn()).unwrap();
     qb.connect(a.node.id(), qa.qpn()).unwrap();
     let ea = Endpoint::from_qp(Arc::clone(&a.node), qa);
-    let reads = (0..3u64)
-        .map(|i| SendOp::Read {
-            local: Sge::new(a.mr.lkey(), i * 8, 8),
-            remote: RemoteAddr::new(b.mr.rkey(), 0),
-        })
-        .collect();
-    let results = ea.execute_many(reads).unwrap();
-    assert!(results[0].is_ok() && results[1].is_ok());
-    assert_eq!(results[2], Err(RdmaError::QpError(WcStatus::WrFlushed)));
-    assert_eq!(ea.qp().state(), QpState::Error);
-    assert!(ea.qp().send_cq().overflowed());
+    let writes = |n: u64| -> Vec<SendOp> {
+        (0..n)
+            .map(|i| SendOp::Write {
+                payload: Payload::Inline(vec![0xab; 8]),
+                remote: RemoteAddr::new(b.mr.rkey(), i * 8),
+                imm: None,
+            })
+            .collect()
+    };
+    assert_eq!(ea.execute_many(writes(3)), Err(RdmaError::SendQueueFull));
+    let mut remote = [0u8; 24];
+    b.mr.region().read(0, &mut remote).unwrap();
+    assert_eq!(remote, [0u8; 24], "a refused list placed bytes");
+    assert_eq!(ea.qp().state(), QpState::ReadyToSend);
+    assert!(!ea.qp().send_cq().overflowed());
+    let results = ea.execute_many(writes(2)).unwrap();
+    assert!(results.iter().all(Result::is_ok), "{results:?}");
+    b.mr.region().read(0, &mut remote).unwrap();
+    assert_eq!(remote[..16], [0xab; 16]);
+    assert_eq!(remote[16..], [0u8; 8]);
+    assert!(!ea.qp().send_cq().overflowed());
 }
 
 #[test]
