@@ -261,10 +261,10 @@ fn frame_need(payload_len: u64) -> u64 {
 
 /// Manages the DRAM cache region of one memory server.
 ///
-/// All methods run server-locally (promotion/eviction at each epoch and
-/// invalidation for RPCs, both on the server's control loop; updates on the
-/// proxy drain threads) under the server's cache mutex; remote clients only
-/// ever *read* the region.
+/// All methods run server-locally (promotion/eviction at each epoch,
+/// invalidation for RPCs and updates from proxy drains, all on the
+/// server's loop) under the server's cache mutex; remote clients only ever
+/// *read* the region.
 #[derive(Debug)]
 pub struct CacheManager {
     server_id: u8,

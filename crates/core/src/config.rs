@@ -105,9 +105,6 @@ pub struct ServerConfig {
     pub dram_profile: DeviceProfile,
     /// Track durable images so crashes can be simulated (costs memory).
     pub crash_sim: bool,
-    /// Proxy drain threads. Rings are assigned to threads by client id, so
-    /// per-ring ordering is preserved while drain bandwidth scales.
-    pub proxy_threads: u32,
     /// Whether server-side metrics (cache, proxy, hotness) are recorded
     /// into the global telemetry registry.
     pub telemetry: TelemetryConfig,
@@ -138,7 +135,6 @@ impl Default for ServerConfig {
             nvm_profile: DeviceProfile::optane(),
             dram_profile: DeviceProfile::dram(),
             crash_sim: false,
-            proxy_threads: 2,
             telemetry: TelemetryConfig::default(),
             qos: QosConfig::default(),
             replication: ReplicationConfig::default(),

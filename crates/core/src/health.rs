@@ -63,7 +63,7 @@ const THRESHOLDS: [(f64, f64); 5] = [
     // before re-reading the drained watermark, so a steady 1 600 staged
     // writes/s on one ring reads Degraded even with an idle drain.
     (100.0, 10_000.0),
-    // drain, staged records awaiting a drain thread: four and sixty-four
+    // drain, staged records awaiting the server loop: four and sixty-four
     // times the 1 024 slots of one server's rings at the default
     // `max_clients` (64 × `SLOTS_PER_RING`), so only a server configured
     // for hundreds of clients can reach either.

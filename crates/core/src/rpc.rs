@@ -368,7 +368,7 @@ mod tests {
     }
 
     /// One loop answering every connection off their shared CQ, as a
-    /// server's control loop does, until dropped.
+    /// server's loop does, until dropped.
     struct ServeLoop {
         stop: Arc<AtomicBool>,
         thread: Option<JoinHandle<()>>,

@@ -2,17 +2,14 @@
 //!
 //! Each server contributes NVM and DRAM to the pool. It exports five RDMA
 //! regions (NVM data, DRAM cache, ADR staging rings, control words, hotness
-//! reports), plus a shadow NVM image when replication is on, and runs
-//! `1 + proxy_threads` threads, however many clients connect:
+//! reports), plus a shadow NVM image when replication is on, and runs one
+//! thread, however many clients connect: a poll loop over one receive CQ
+//! that every connection's RPC lane, proxy ring and mirror ring receives on.
 //!
-//! * The **control loop** serves every connection's control plane off one
-//!   shared receive CQ — mount, allocation, flush/invalidate, staging
-//!   setup, and `Promote` (failover replay of the mirror rings). At each
-//!   epoch deadline it folds the report rings clients WRITE their accesses
-//!   into, promotes hot objects into the DRAM cache and leaves each client
-//!   the cache locations of what it reported in its remap mailbox.
-//!   Reporting costs it no RPC.
-//! * The **proxy drain loops** finish staged writes and advance durable
+//! * **RPCs** — mount, allocation, flush/invalidate, staging setup, and
+//!   `Promote` (failover replay of the mirror rings) — are answered as
+//!   they are harvested.
+//! * **Proxy drains** finish staged writes and advance durable
 //!   watermarks. A *primary lane* (a client's own ring) applies records to
 //!   local NVM and keeps cached copies fresh; a *mirror lane* applies them
 //!   to the shadow image of the primary it wards. A drain works on *runs*:
@@ -20,7 +17,11 @@
 //!   virtual-time cursor, with one flush for the run's payloads, one
 //!   watermark and one wait. The live drains, [`MemoryServer::recover`]
 //!   and `Promote` share one run applier (`apply_run`) and one watermark
-//!   step (`publish_watermark`).
+//!   step (`persist_watermark`, then `publish_watermark`).
+//! * **The epoch**, at each deadline, folds the report rings clients WRITE
+//!   their accesses into, promotes hot objects into the DRAM cache and
+//!   leaves each client the cache locations of what it reported in its
+//!   remap mailbox. Reporting costs it no RPC.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -105,8 +106,8 @@ pub struct MirrorChannel {
 /// resolved once at launch from [`ServerConfig::telemetry`].
 #[derive(Debug, Clone, Default)]
 struct ServerMetrics {
-    /// Completions waiting in the proxy drain CQs (staged records the
-    /// drain threads have not reached yet).
+    /// Completions waiting on the server loop: the harvest in hand plus
+    /// what its receive CQ still holds (staged records, and the rare RPC).
     drain_backlog: GaugeHandle,
     /// Staged records durably applied to NVM.
     drained_records: CounterHandle,
@@ -143,6 +144,16 @@ impl ServerMetrics {
 struct MirrorRing {
     ward: u8,
     epoch: u32,
+}
+
+/// A ring's run of `applied` records, applied and its watermark persisted:
+/// ring `cid`'s ctl word is stored at `seq` once the run's modelled end
+/// `at` has passed.
+struct RunEnd {
+    at: Instant,
+    cid: u32,
+    seq: u64,
+    applied: u64,
 }
 
 /// The server end of one client lane.
@@ -209,15 +220,13 @@ pub(crate) struct ServerInner {
     /// retargeted by [`MemoryServer::install_shadow_image`], which refuses
     /// while the old ward is promoted.
     shadow_ward: RwLock<Option<u8>>,
-    /// Held for read by each drain thread across a harvest (lane lookups,
-    /// payloads, cache refresh, watermarks); for write by
-    /// [`MemoryServer::nvm_image`] while it copies the region — so a
-    /// rebalance snapshot can never capture a half-applied record — by
-    /// the epoch while it copies one object and publishes (or re-copies)
-    /// its frame, so a frame never holds bytes an apply already superseded
-    /// (an invalidate runs on the epoch's own loop), and by `QueryDurable` to wait out the
-    /// runs of a ring it retired. Lock order: before `cache`.
-    nvm_quiesce: RwLock<()>,
+    /// Held by the server loop while it applies a harvest's runs (payloads,
+    /// cache refresh, watermarks) and by [`MemoryServer::nvm_image`] while
+    /// it copies the region, so a rebalance snapshot never captures a
+    /// half-applied record. Drains, the epoch's copies and `QueryDurable`'s
+    /// retirement need no guard against each other: they all run on the
+    /// loop. Lock order: before `cache`.
+    nvm_quiesce: Mutex<()>,
     /// Replica-epoch source for mirror tenures (starts at 1; epoch 0 in a
     /// record header means "unreplicated").
     mirror_epoch: AtomicU32,
@@ -228,11 +237,9 @@ pub(crate) struct ServerInner {
     hotness: Mutex<HotnessMonitor>,
     cache: Mutex<CacheManager>,
     clients: Mutex<ClientTable>,
-    /// One receive CQ per proxy drain thread; rings are pinned to threads
-    /// by client id so each ring's records drain in order.
-    proxy_recv_cqs: Vec<Arc<CompletionQueue>>,
-    /// The receive CQ of every RPC connection, polled by the control loop.
-    rpc_recv_cq: Arc<CompletionQueue>,
+    /// The one receive CQ of every lane — RPC connections, proxy rings and
+    /// mirror rings — polled by the server loop.
+    recv_cq: Arc<CompletionQueue>,
     metrics: ServerMetrics,
     /// The cluster's QoS plane (shared across servers); `None` = QoS off.
     qos: Option<Arc<QosPlane>>,
@@ -248,7 +255,7 @@ pub(crate) struct ServerInner {
 /// A running Gengar memory server.
 pub struct MemoryServer {
     inner: Arc<ServerInner>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for MemoryServer {
@@ -403,10 +410,7 @@ impl MemoryServer {
                 free_ids: Vec::new(),
                 lanes: HashMap::new(),
             }),
-            proxy_recv_cqs: (0..config.proxy_threads.max(1))
-                .map(|_| Arc::new(CompletionQueue::new(65_536)))
-                .collect(),
-            rpc_recv_cq: Arc::new(CompletionQueue::new(65_536)),
+            recv_cq: Arc::new(CompletionQueue::new(65_536)),
             metrics: ServerMetrics::new(config.telemetry),
             qos,
             health,
@@ -430,39 +434,28 @@ impl MemoryServer {
             backup: Mutex::new(NO_BACKUP),
             promoted: Mutex::new(HashSet::new()),
             shadow_ward: RwLock::new(None),
-            nvm_quiesce: RwLock::new(()),
+            nvm_quiesce: Mutex::new(()),
             mirror_epoch: AtomicU32::new(1),
         });
 
         let server = Arc::new(MemoryServer {
             inner: Arc::clone(&inner),
-            threads: Mutex::new(Vec::new()),
+            thread: Mutex::new(None),
         });
 
         server.spawn_workers();
         Ok(server)
     }
 
-    /// Starts the control loop (RPCs and epochs) and the proxy drain
-    /// threads (rings pinned by client id), named `s<id>-ctl` and
-    /// `s<id>-drain<t>` so per-thread CPU can be told apart.
+    /// Starts the server loop (RPCs, proxy drains and epochs), named
+    /// `s<id>-loop`.
     fn spawn_workers(&self) {
-        fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
-            std::thread::Builder::new()
-                .name(name)
-                .spawn(body)
-                .expect("spawn server thread")
-        }
-        let mut threads = self.threads.lock();
-        let id = self.inner.id;
         let inner = Arc::clone(&self.inner);
-        threads.push(spawn(format!("s{id}-ctl"), move || inner.control_loop()));
-        for t in 0..self.inner.proxy_recv_cqs.len() {
-            let inner = Arc::clone(&self.inner);
-            threads.push(spawn(format!("s{id}-drain{t}"), move || {
-                inner.drain_loop(t)
-            }));
-        }
+        let thread = std::thread::Builder::new()
+            .name(format!("s{}-loop", inner.id))
+            .spawn(move || inner.serve())
+            .expect("spawn server thread");
+        *self.thread.lock() = Some(thread);
     }
 
     /// This server's pool identifier.
@@ -503,7 +496,7 @@ impl MemoryServer {
 
     /// Accepts a new client: builds the three QP pairs, assigns a client
     /// id, clears the id's report area (a reused id never folds a previous
-    /// tenure's slots), hands the RPC connection to the control loop and
+    /// tenure's slots), hands the RPC connection to the server loop and
     /// arms the proxy ring. No thread is started.
     ///
     /// # Errors
@@ -526,7 +519,7 @@ impl MemoryServer {
             inner.reset_reports(cid)?;
 
             // Control-plane pair + its message buffer.
-            let (rpc, s_rpc) = inner.connect(client_node, client_pd, &inner.rpc_recv_cq)?;
+            let (rpc, s_rpc) = inner.connect(client_node, client_pd)?;
             let s_qpn = s_rpc.qpn();
             let s_rpc = Endpoint::from_qp(Arc::clone(&inner.node), s_rpc);
             let msg_off = cid as u64 * RPC_BUF_BYTES;
@@ -614,7 +607,7 @@ impl MemoryServer {
         open: impl FnOnce(u32) -> Result<T, GengarError>,
     ) -> Result<T, GengarError> {
         let inner = &self.inner;
-        // A stopped server accepts nobody: no control loop would answer
+        // A stopped server accepts nobody: no server loop would answer
         // and the client would stall on a dead connection. Refusing here
         // lets clients back off and re-dial after restart().
         if !self.is_running() {
@@ -671,12 +664,12 @@ impl MemoryServer {
     ///
     /// Propagates device read failures.
     pub fn nvm_image(&self) -> Result<Vec<u8>, GengarError> {
-        // Pause the proxy drains' NVM applies for the copy: a half-applied
+        // Pause the server loop's NVM applies for the copy: a half-applied
         // record (payload written, watermark not yet — or vice versa)
         // captured here would seed the new backup with a torn value that no
         // later replay repairs, because the record may already be settled
         // and retired on the primary.
-        let _quiesce = self.inner.nvm_quiesce.write();
+        let _quiesce = self.inner.nvm_quiesce.lock();
         let nvm = self.inner.nvm_mr.region();
         let mut image = vec![0u8; nvm.len() as usize];
         nvm.read(0, &mut image)?;
@@ -745,7 +738,7 @@ impl MemoryServer {
     /// and watermark slots are handed verbatim to the next client, which is
     /// safe exactly because nothing was ever written under the old tenure.
     /// Every lane opened under the id goes with it, the RPC connection
-    /// included: the control loop stops answering it.
+    /// included: the server loop stops answering it.
     pub fn release_client(&self, cid: u32) {
         // Drop the QoS session first: the tenant's limiter buckets are
         // refcounted by live sessions, so a reconnect storm of failed
@@ -772,25 +765,25 @@ impl MemoryServer {
         self.inner.health.as_ref()
     }
 
-    /// Whether the server is serving (background threads alive, new
+    /// Whether the server is serving (server loop alive, new
     /// clients accepted). False between [`MemoryServer::shutdown`] /
     /// [`MemoryServer::crash`] and [`MemoryServer::restart`].
     pub fn is_running(&self) -> bool {
         !self.inner.shutdown.load(Ordering::Relaxed)
     }
 
-    /// Stops background threads and joins them, and drops every RPC
+    /// Stops the server loop and joins it, and drops every RPC
     /// connection: nothing answers them again, even after a restart.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::Relaxed);
-        for t in self.threads.lock().drain(..) {
-            let _ = t.join();
+        if let Some(thread) = self.thread.lock().take() {
+            let _ = thread.join();
         }
         let mut clients = self.inner.clients.lock();
         clients.lanes.retain(|_, l| matches!(l.1, Lane::Ring(..)));
     }
 
-    /// Restarts the control loop and the drain threads after a
+    /// Restarts the server loop after a
     /// [`shutdown`] + [`recover`] cycle. Existing client connections stay
     /// dead (shutdown dropped them; their clients reconnect); new clients
     /// connect normally via [`MemoryServer::accept`].
@@ -862,46 +855,25 @@ impl Drop for MemoryServer {
 }
 
 impl ServerInner {
-    /// Body of the control loop: answers each RPC as its receive completes
-    /// on the shared CQ, and runs an epoch whenever the deadline passes —
-    /// the next one is due an `epoch` after that run ends. A connection
-    /// that fails to answer is dropped; its client reconnects.
-    fn control_loop(&self) {
-        let mut next_epoch = Instant::now() + self.config.epoch;
-        while !self.shutdown.load(Ordering::Relaxed) {
-            let wait = next_epoch.saturating_duration_since(Instant::now());
-            for wc in self.rpc_recv_cq.wait(64, wait) {
-                let lane = self.clients.lock().lanes.get(&wc.qpn).cloned();
-                let Some((cid, Lane::Rpc(conn))) = lane else {
-                    continue;
-                };
-                if conn.answer(&wc, |req| self.handle(cid, req)).is_err() {
-                    self.clients.lock().lanes.remove(&wc.qpn);
-                }
-            }
-            if Instant::now() >= next_epoch {
-                self.run_epoch();
-                next_epoch = Instant::now() + self.config.epoch;
-            }
-        }
-    }
-
-    /// Body of one proxy drain thread: harvest the WRITE_WITH_IMM
-    /// completions ready on the thread's recv CQ, group the slots they name
-    /// by ring in arrival order, and drain the harvest. The backlog gauge
-    /// tracks how many staged records are waiting across harvest and
-    /// drain, so a proxy that falls behind is visible in telemetry.
+    /// Body of the server loop. Each pass harvests up to 64 completions off
+    /// the one receive CQ. It answers each RPC through its lane (a
+    /// connection that fails to answer is dropped; its client reconnects),
+    /// then drains the staged records as runs grouped by ring in arrival
+    /// order ([`ServerInner::drain_harvest`]), so a ring that an RPC of the
+    /// same harvest retired drains none of it. Once the epoch deadline
+    /// passes it runs the epoch; the next is due one `epoch` after that.
     ///
-    /// Between harvests the thread spins for the next one as long as the
-    /// last gap between harvests, when that gap is one the emulator would
-    /// spin through rather than sleep (`SLEEP_THRESHOLD_NS`); otherwise,
-    /// and once the spin runs out, it parks on the CQ. A drain parked
-    /// between closely spaced records makes every post wake it, and on a
-    /// host with few cores the woken drain preempts the posting client.
-    fn drain_loop(&self, t: usize) {
-        let cq = &self.proxy_recv_cqs[t];
+    /// Between harvests the loop spins for the next one as long as the last
+    /// gap between harvests, when that gap is one the emulator would spin
+    /// through rather than sleep (`SLEEP_THRESHOLD_NS`): parked between
+    /// closely spaced records, every post would wake it, and on a host with
+    /// few cores the woken loop preempts the posting client. Otherwise it
+    /// parks on the CQ until the next completion or the epoch deadline.
+    fn serve(&self) {
+        let cq = &self.recv_cq;
         let spin_max = Duration::from_nanos(SLEEP_THRESHOLD_NS);
         let mut payload = Vec::new();
+        let mut next_epoch = Instant::now() + self.config.epoch;
         let (mut arrived, mut idle_since, mut gap) =
             (Instant::now(), Instant::now(), Duration::MAX);
         while !self.shutdown.load(Ordering::Relaxed) {
@@ -912,7 +884,7 @@ impl ServerInner {
                 wcs = cq.poll(64);
             }
             if wcs.is_empty() {
-                wcs = cq.wait(64, Duration::from_millis(20));
+                wcs = cq.wait(64, next_epoch.saturating_duration_since(Instant::now()));
             }
             if !wcs.is_empty() {
                 let now = Instant::now();
@@ -921,9 +893,17 @@ impl ServerInner {
             self.metrics
                 .drain_backlog
                 .set((wcs.len() + cq.len()) as i64);
+            let harvested = !wcs.is_empty();
             let mut runs: Vec<(Qpn, Vec<u32>)> = Vec::new();
             for wc in wcs {
                 if wc.opcode != WcOpcode::RecvRdmaWithImm || !wc.status.is_ok() {
+                    // An RPC; on a ring, an error or a stray SEND is ignored.
+                    let lane = self.clients.lock().lanes.get(&wc.qpn).cloned();
+                    if let Some((cid, Lane::Rpc(conn))) = lane {
+                        if conn.answer(&wc, |req| self.handle(cid, req)).is_err() {
+                            self.clients.lock().lanes.remove(&wc.qpn);
+                        }
+                    }
                     continue;
                 }
                 let slot = wc.imm.unwrap_or(0);
@@ -932,41 +912,64 @@ impl ServerInner {
                     None => runs.push((wc.qpn, vec![slot])),
                 }
             }
-            if runs.is_empty() {
-                continue;
+            if !runs.is_empty() {
+                self.drain_harvest(&runs, arrived, &mut payload);
             }
-            // Held shared across the harvest, lane lookups included: an
-            // exclusive take (rebalance snapshot, cache promotion, a
-            // reconnect retiring a ring) waits out every run in flight and
-            // then sees the lane table without a ring it removed.
-            let _quiesce = self.nvm_quiesce.read();
-            for (qpn, slots) in &runs {
-                let _ = self.drain(*qpn, slots, arrived, &mut payload);
+            if harvested {
+                idle_since = Instant::now();
             }
-            idle_since = Instant::now();
+            if Instant::now() >= next_epoch {
+                self.run_epoch();
+                next_epoch = Instant::now() + self.config.epoch;
+            }
         }
     }
 
-    /// Drains one ring's run: the staged records in `slots`, in order,
-    /// applied as one group commit ([`ServerInner::apply_run`] then
-    /// [`ServerInner::publish_watermark`]). Caller holds `nvm_quiesce`
-    /// shared, so payload, cache refresh and watermark land atomically
-    /// w.r.t. a rebalance snapshot and a cache promotion (both hold it for
-    /// write): the seeded shadow never carries a torn record, and a
-    /// promotion never publishes the bytes a record replaces.
-    /// `proxy.drain_ns` samples each drained record from `harvest`, the
-    /// instant its harvest arrived, so a ring drained after others in the
-    /// same harvest counts the time they took.
-    fn drain(
+    /// Drains one harvest's runs, each a group commit
+    /// ([`ServerInner::apply_ring_run`]). Every run is charged on its own
+    /// device cursor from the same instant, so runs of different rings
+    /// overlap in modelled time as far as the devices' channels let them;
+    /// their client-visible watermarks are published in the order the runs
+    /// end. Holds `nvm_quiesce` throughout, so a rebalance snapshot never
+    /// captures a half-applied record. `proxy.drain_ns` samples each
+    /// drained record from `harvest`, the instant its harvest arrived, to
+    /// the ctl store that covers it.
+    fn drain_harvest(&self, runs: &[(Qpn, Vec<u32>)], harvest: Instant, payload: &mut Vec<u8>) {
+        let _quiesce = self.nvm_quiesce.lock();
+        let start = Instant::now();
+        let mut ends: Vec<RunEnd> = runs
+            .iter()
+            .filter_map(|(qpn, slots)| self.apply_ring_run(*qpn, slots, start, payload).ok()?)
+            .collect();
+        ends.sort_by_key(|end| end.at);
+        for end in ends {
+            if self.publish_watermark(end.cid, end.seq, end.at).is_err() {
+                continue;
+            }
+            self.metrics.drained_records.add(end.applied);
+            let drained = harvest.elapsed();
+            for _ in 0..end.applied {
+                self.metrics.drain_ns.record(drained);
+            }
+        }
+    }
+
+    /// Applies one ring's run — the staged records in `slots`, in order —
+    /// as one group commit from `start`: [`ServerInner::apply_run`], then
+    /// [`ServerInner::persist_watermark`]. Returns what the caller needs to
+    /// publish the watermark once the run's modelled end has passed, or
+    /// `None` if the lane is gone (retired or released) or the run applied
+    /// nothing.
+    fn apply_ring_run(
         &self,
         qpn: Qpn,
         slots: &[u32],
-        harvest: Instant,
+        start: Instant,
         payload: &mut Vec<u8>,
-    ) -> Result<(), GengarError> {
+    ) -> Result<Option<RunEnd>, GengarError> {
         let lane = self.clients.lock().lanes.get(&qpn).cloned();
         let Some((cid, Lane::Ring(qp, mirror))) = lane else {
-            return Ok(());
+            return Ok(None);
         };
         // Re-arm the consumed receives first, whatever becomes of the
         // records: the client reuses a slot only once the watermark passes
@@ -977,7 +980,7 @@ impl ServerInner {
         }
         let staging = self.staging_mr.region();
         let mut hdr = [0u8; RECORD_HEADER as usize];
-        let mut cursor = Instant::now();
+        let mut cursor = start;
         let mut records = Vec::with_capacity(slots.len());
         for &slot in slots {
             let slot_off = self.slot_off(cid, slot);
@@ -998,14 +1001,13 @@ impl ServerInner {
         // ward's image: a stale lane that outlived a retarget (its ward
         // died unpromoted and the shadow was re-dedicated) must not
         // scribble over the new ward's bytes. The read guard keeps an
-        // image install or promotion replay from interleaving with this
-        // run.
+        // image install from interleaving with this run.
         let claim = mirror.map(|_| self.shadow_ward.read());
         let target = match &claim {
             None => self.nvm_mr.region(),
             Some(claim) => match self.shadow_of(mirror, **claim) {
                 Some(shadow) => shadow,
-                None => return Ok(()),
+                None => return Ok(None),
             },
         };
         let mut applied = 0u64;
@@ -1041,19 +1043,19 @@ impl ServerInner {
                 }
             },
         )?;
-        let (Some(last), cursor) = run else {
-            return Ok(());
+        let (Some(seq), cursor) = run else {
+            return Ok(None);
         };
-        self.publish_watermark(target, cid, last, cursor)?;
+        let at = self.persist_watermark(target, cid, seq, cursor)?;
         if mirror.is_some() {
             *self.last_shadow_update.lock() = Some(Instant::now());
         }
-        self.metrics.drained_records.add(applied);
-        let drained = harvest.elapsed();
-        for _ in 0..applied {
-            self.metrics.drain_ns.record(drained);
-        }
-        Ok(())
+        Ok(Some(RunEnd {
+            at,
+            cid,
+            seq,
+            applied,
+        }))
     }
 
     /// The open mirror rings: ring id -> ward and epoch.
@@ -1137,24 +1139,28 @@ impl ServerInner {
         Ok((last, cursor))
     }
 
-    /// Advances ring `cid`'s durable watermark to `seq`, continuing the
-    /// run's `cursor`: the word in the lane's image is stored and flushed
-    /// first (crash consistency: every record up to `seq` is already
-    /// flushed), then the run's modelled end is waited out — the one wait
-    /// of the run — and only then the client-visible ctl word that the
-    /// client retires slots off is stored.
-    fn publish_watermark(
+    /// Persists ring `cid`'s durable watermark `seq` in the lane's image,
+    /// continuing the run's `cursor`: the word is stored and flushed after
+    /// every record up to `seq` was (crash consistency). Returns the run's
+    /// modelled end, for [`ServerInner::publish_watermark`].
+    fn persist_watermark(
         &self,
         target: &MemRegion,
         cid: u32,
         seq: u64,
         cursor: Instant,
-    ) -> Result<(), GengarError> {
+    ) -> Result<Instant, GengarError> {
         let wm_off = cid as u64 * 8;
         let cursor = target.store_u64_at(wm_off, seq, cursor)?;
-        let cursor = target.flush_at(&[(wm_off, 8)], cursor)?;
-        spin_until(cursor);
-        self.ctl_mr.region().store_u64(wm_off, seq)?;
+        Ok(target.flush_at(&[(wm_off, 8)], cursor)?)
+    }
+
+    /// Waits out a run's modelled end `at` — the one wait of the run — and
+    /// only then stores ring `cid`'s client-visible ctl word, which the
+    /// client retires slots off, at `seq`.
+    fn publish_watermark(&self, cid: u32, seq: u64, at: Instant) -> Result<(), GengarError> {
+        spin_until(at);
+        self.ctl_mr.region().store_u64(cid as u64 * 8, seq)?;
         Ok(())
     }
 
@@ -1193,7 +1199,9 @@ impl ServerInner {
             &mut Vec::new(),
             |_, _, _| replayed += 1,
         )?;
-        self.publish_watermark(target, cid, last.unwrap_or(watermark), cursor)?;
+        let seq = last.unwrap_or(watermark);
+        let at = self.persist_watermark(target, cid, seq, cursor)?;
+        self.publish_watermark(cid, seq, at)?;
         Ok(replayed)
     }
 
@@ -1208,10 +1216,7 @@ impl ServerInner {
         client_pd: &ProtectionDomain,
         mirror: Option<MirrorRing>,
     ) -> Result<Endpoint, GengarError> {
-        // The server side uses the recv CQ of the drain thread this ring
-        // is pinned to.
-        let drain_cq = &self.proxy_recv_cqs[cid as usize % self.proxy_recv_cqs.len()];
-        let (c_proxy, s_proxy) = self.connect(client_node, client_pd, drain_cq)?;
+        let (c_proxy, s_proxy) = self.connect(client_node, client_pd)?;
         for _ in 0..self.ring.slots {
             self.arm_recv(&s_proxy)?;
         }
@@ -1236,17 +1241,17 @@ impl ServerInner {
     }
 
     /// Connects a QP pair between a client and this server whose server
-    /// end receives on `recv_cq`. Returns the client's end and the server's.
+    /// end receives on the loop's CQ. Returns the client's end and the
+    /// server's.
     fn connect(
         &self,
         client_node: &Arc<RdmaNode>,
         client_pd: &ProtectionDomain,
-        recv_cq: &Arc<CompletionQueue>,
     ) -> Result<(Endpoint, Arc<QueuePair>), GengarError> {
         let s_qp = self.node.create_qp(
             &self.pd,
             self.node.create_cq(1024),
-            Arc::clone(recv_cq),
+            Arc::clone(&self.recv_cq),
             QpOptions::default(),
         );
         let c_qp = client_node.create_qp(
@@ -1378,9 +1383,9 @@ impl ServerInner {
 
     /// One hotness epoch: fold the report rings, refresh/decay cache
     /// scores, promote hot objects, re-copy the frames of reported writes,
-    /// then post each reporter's remaps. Runs on the control loop, which
-    /// also owns all demote-area traffic — the foreground drain never pays
-    /// for tiering.
+    /// then post each reporter's remaps. Runs on the server loop between
+    /// harvests, so no drain apply interleaves with its copies; the loop
+    /// also owns all demote-area traffic.
     fn run_epoch(&self) {
         // Refresh shadow staleness while we are on a periodic path
         // anyway: replication health wants "how long since the standby
@@ -1419,7 +1424,6 @@ impl ServerInner {
             if self.cache.lock().contains(addr_raw) {
                 continue;
             }
-            let _still = self.nvm_quiesce.write();
             // Demote-tier fast path: one local NVM→DRAM copy, skipping the
             // object read, if the parked copy was taken at the current word.
             if self.cache.lock().has_demoted(addr_raw) {
@@ -1440,8 +1444,7 @@ impl ServerInner {
         // server, and its writer reports it written: re-copy every such
         // frame into its own slot, so the remaps that point at it stay good.
         // A stamp-0 frame is never outdated (the first lock drops it), and
-        // a current one needs no copy: neither takes `nvm_quiesce` from the
-        // drains.
+        // a current one needs no copy.
         for addr_raw in written {
             let stamp = self.cache.lock().stamp(addr_raw);
             let Some((addr, len)) = stamp
@@ -1454,7 +1457,6 @@ impl ServerInner {
             if self.nvm_mr.region().load_u64(word_off).ok() == stamp {
                 continue;
             }
-            let _still = self.nvm_quiesce.write();
             if let Some((payload, word)) = self.bracketed_copy(addr, len) {
                 let _ = self.cache.lock().refresh(addr_raw, &payload, word);
             }
@@ -1472,10 +1474,10 @@ impl ServerInner {
     }
 
     /// Copies object `addr` out of NVM for the cache, with the lock word
-    /// the copy was taken at. The caller holds `nvm_quiesce` for write
-    /// across the copy and its publication, so a drain apply lands wholly
-    /// before (and the copy has it) or wholly after (and refreshes the
-    /// published frame in place); a flush-RPC invalidate runs on this loop.
+    /// the copy was taken at. The copy and its publication run on the
+    /// server loop, between harvests, so a drain apply lands wholly before
+    /// (and the copy has it) or wholly after (and refreshes the published
+    /// frame in place); a flush-RPC invalidate runs on the loop too.
     /// One-sided writers cannot be held off, but under `Seqlock` they hold
     /// the lock word across their payload WRITE and its FLUSH and bump its
     /// version on unlock: a copy bracketed by two equal, unlocked loads of
@@ -1495,7 +1497,7 @@ impl ServerInner {
         Some((payload, word))
     }
 
-    /// Control-plane request dispatch (control loop).
+    /// Control-plane request dispatch (server loop).
     fn handle(&self, cid: u32, req: Request) -> Response {
         self.metrics.rpc_requests.inc();
         // QoS enforcement on the RPC path: every post-handshake request
@@ -1565,10 +1567,10 @@ impl ServerInner {
 
     /// Answers a reconnecting client's `QueryDurable` for its old ring
     /// `cid`: the ring stops draining first — its lane leaves the table,
-    /// and one exclusive take of `nvm_quiesce` waits out a run already in
-    /// flight on it — so the answer is final. The client replays every
-    /// record above it through its new ring; an old-ring record drained
-    /// after the answer could overwrite a newer replayed value.
+    /// and no run of it is in flight, since runs drain on this same loop —
+    /// so the answer is final. The client replays every record above it
+    /// through its new ring; an old-ring record drained after the answer
+    /// could overwrite a newer replayed value.
     ///
     /// The retirement is durable: the image watermark gains [`RETIRED`],
     /// flushed, and `recover` replays no retired ring. Records still in its
@@ -1601,7 +1603,6 @@ impl ServerInner {
                 .lanes
                 .retain(|_, (id, lane)| *id != cid || !matches!(lane, Lane::Ring(..)));
         }
-        let _quiesce = self.nvm_quiesce.write();
         let nvm = self.nvm_mr.region();
         let retire = || -> Result<u64, GengarError> {
             let word = nvm.load_u64(wm_off)?;
@@ -1768,26 +1769,32 @@ mod tests {
     use super::*;
     use crate::cluster::Cluster;
 
-    /// A server runs its control loop and its drain loops, whatever its
-    /// connection history: accepts handed back and clients that come and
-    /// go leave no thread (and no lane) behind.
+    /// A server runs one thread, its loop, whatever its connection
+    /// history: accepts handed back and clients that come and go leave no
+    /// thread (and no lane) behind.
     #[test]
     fn thread_count_does_not_depend_on_connections() {
         let cluster = Cluster::launch(1, ServerConfig::small(), FabricConfig::instant()).unwrap();
         let server = cluster.server(0).unwrap();
-        let threads = 1 + server.config().proxy_threads as usize;
-        assert_eq!(server.threads.lock().len(), threads);
+        let one_loop = || {
+            let thread = server.thread.lock();
+            let name = thread
+                .as_ref()
+                .and_then(|t| t.thread().name().map(str::to_owned));
+            assert_eq!(name.as_deref(), Some("s0-loop"));
+        };
+        one_loop();
         let node = cluster.fabric().add_node();
         let pd = node.alloc_pd();
         for _ in 0..6 {
             let channel = server.accept(&node, &pd).unwrap();
             server.release_client(channel.cid);
-            assert_eq!(server.threads.lock().len(), threads);
+            one_loop();
             assert!(server.inner.clients.lock().lanes.is_empty());
         }
         for _ in 0..6 {
             drop(cluster.default_client().unwrap());
-            assert_eq!(server.threads.lock().len(), threads);
+            one_loop();
         }
     }
 }

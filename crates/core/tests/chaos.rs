@@ -1077,7 +1077,7 @@ fn crash_mid_drain_replays_every_undrained_record() {
     let mut client = cluster.client(chaos_client_config()).unwrap();
     let ptrs: Vec<_> = (0..8).map(|_| client.alloc(0, 64).unwrap()).collect();
 
-    // Stop the drain threads, then stage one write per object. Staging is
+    // Stop the server loop, then stage one write per object. Staging is
     // one-sided so the writes are acknowledged (durably parked in the ADR
     // ring) even though nothing serves them.
     let server = cluster.server(0).unwrap();

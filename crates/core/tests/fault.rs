@@ -601,7 +601,7 @@ fn lost_rpc_request_reconnects_the_client() {
     assert_eq!(buf, [4u8; 64]);
 }
 
-/// A barrier against a server whose drain threads are gone cannot wait
+/// A barrier against a server whose loop is stopped cannot wait
 /// forever: the stalled watermark fails it within the operation deadline.
 #[test]
 fn drain_all_fails_within_its_deadline_on_a_stopped_server() {

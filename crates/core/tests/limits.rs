@@ -155,28 +155,11 @@ fn zero_sized_alloc_rejected() {
 }
 
 #[test]
-fn single_proxy_thread_config_works() {
-    let mut config = ServerConfig::small();
-    config.proxy_threads = 1;
-    let cluster = Cluster::launch(1, config, FabricConfig::instant()).unwrap();
-    let mut client = cluster.default_client().unwrap();
-    let ptr = client.alloc(0, 64).unwrap();
-    for i in 0..40u8 {
-        client.write(ptr, 0, &[i; 64]).unwrap();
-    }
-    client.drain_all().unwrap();
-    let mut buf = [0u8; 64];
-    client.read(ptr, 0, &mut buf).unwrap();
-    assert!(buf.iter().all(|&b| b == 39));
-}
-
-#[test]
-fn many_proxy_threads_preserve_per_ring_order() {
-    let mut config = ServerConfig::small();
-    config.proxy_threads = 4;
-    let cluster = Cluster::launch(1, config, FabricConfig::instant()).unwrap();
+fn many_rings_preserve_per_ring_order_on_one_loop() {
+    let cluster = Cluster::launch(1, ServerConfig::small(), FabricConfig::instant()).unwrap();
     // Several clients writing interleaved to their own objects: each
-    // ring's records must apply in order regardless of drain-thread count.
+    // ring's records must apply in order while one loop drains them all,
+    // runs of different rings in one harvest included.
     let cluster = std::sync::Arc::new(cluster);
     let mut handles = Vec::new();
     for _ in 0..4 {

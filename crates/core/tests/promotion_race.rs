@@ -35,19 +35,18 @@ fn read_until_cache_hit(client: &mut GengarClient, ptr: GlobalPtr, expect: u8, w
 /// promotion then publishes the bytes the write replaced — a stale frame
 /// that serves every remapped reader until the next write or eviction.
 ///
-/// Forcing the interleaving: NVM reads are slow, so the epoch sits
-/// in its object read for `nvm read latency` after it has checked that the
-/// object is not cached; bulk DRAM writes are slow, so the one drain thread
-/// holds the cache lock for a comparable time while it refreshes a big,
-/// already cached object. Each round starts that refresh while the epoch
-/// is reading, and queues the racing write right behind it: the
-/// copy completes under the refresh, and the racing write is applied by the
-/// thread that releases the cache lock, ahead of the control loop it wakes.
+/// The windows: NVM reads are slow, so the epoch sits in its object read
+/// for `nvm read latency` after it has checked that the object is not
+/// cached; bulk DRAM writes are slow, so a drain holds the cache lock for
+/// a comparable time while it refreshes a big, already cached object. Each
+/// round queues that refresh and the racing write right behind the epoch
+/// that promotes. The server must apply the racing write wholly before the
+/// copy or wholly after the publish; its one loop never interleaves a
+/// drain with the epoch.
 #[test]
 fn promotion_never_publishes_bytes_a_drained_write_replaced() {
     gengar_hybridmem::set_time_scale(1.0);
     let mut config = ServerConfig::small();
-    config.proxy_threads = 1;
     config.epoch = Duration::from_millis(2);
     config.cache = CachePolicy::new()
         .capacity(1 << 20)

@@ -5,9 +5,14 @@
 //! (`MemoryServer::staging_region`), so the test controls every header
 //! field a real client would never get wrong. The live drains see the
 //! table one doorbell per record and as one doorbell (one run); the run
-//! tests pin what a run costs and that a retired ring drains no more.
+//! tests pin what a run costs and that a retired ring drains no more. The
+//! loop tests pin what sharing one server loop must not cost: the epoch's
+//! cadence, RPC answers and overlap between runs of one harvest.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use gengar_core::addr::{GlobalAddr, MemClass};
 use gengar_core::cluster::Cluster;
@@ -28,13 +33,12 @@ const LEN: u64 = 64;
 const TARGETS: u64 = 1 << 20;
 const FILL: u8 = 0x5A;
 
-/// A 2-server replicated cluster with one drain thread per server, so a
-/// later record on *any* ring is drained after every earlier one.
+/// A 2-server replicated cluster. Each server drains on its one loop, so
+/// a later record on *any* ring is drained after every earlier one.
 fn cluster() -> Cluster {
     let mut config = ServerConfig::small();
     config.crash_sim = true;
     config.replication.enabled = true;
-    config.proxy_threads = 1;
     Cluster::launch(2, config, FabricConfig::instant()).unwrap()
 }
 
@@ -238,7 +242,7 @@ fn stage_op(lane: &Lane, slot: u32, row: &Row) -> SendOp {
 /// Live drains: ring the ring's doorbell once per record, or once for the
 /// whole table (`one_doorbell`: the drain sees it as one run), the valid
 /// record first so any wrongly applied record after it would move the
-/// watermark past it. `fence` must not return before the drain thread has
+/// watermark past it. `fence` must not return before the server loop has
 /// judged everything posted so far.
 fn drive_live(
     entry: &str,
@@ -293,8 +297,8 @@ fn drive_replay(entry: &str, lane: &Lane, replay: &mut dyn FnMut() -> u64) {
     assert_only_valid_applied(entry, lane, &rows, 10);
 }
 
-/// A write through a real client on `server`, drained: with one drain
-/// thread, everything posted to that server before it has been judged.
+/// A write through a real client on `server`, drained: on the server's one
+/// loop, everything posted to that server before it has been judged.
 fn fence_on(cluster: &Cluster, server: u8) -> impl FnMut() {
     let mut client = cluster.client(ClientConfig::default()).unwrap();
     let ptr = client.alloc(server, 64).unwrap();
@@ -418,7 +422,7 @@ fn recover_never_replays_a_stale_lane_into_a_retargeted_shadow() {
 }
 
 /// A run is one group commit: four staged records under one doorbell
-/// reach the drain as one harvest (staged while the drain threads are
+/// reach the drain as one harvest (staged while the server loop is
 /// stopped) and cost the NVM device two flushes — one covering the four
 /// payload ranges, one for the watermark — instead of two per record.
 /// The watermark covers the whole run, so recovery replays nothing.
@@ -542,4 +546,139 @@ fn query_durable_refuses_ids_that_are_no_primary_ring() {
             "id {client_id}: {answer:?}"
         );
     }
+}
+
+/// A 1-server cluster whose NVM takes `nvm_ns` per write and per flush, so
+/// a run costs the loop milliseconds and whatever arrives meanwhile shares
+/// its next harvest.
+fn slow_cluster(nvm_ns: u64) -> Cluster {
+    gengar_hybridmem::set_time_scale(1.0);
+    let mut config = ServerConfig::small();
+    config.max_clients = 32;
+    config.epoch = Duration::from_millis(2);
+    config.nvm_profile.write_latency_ns = nvm_ns;
+    config.nvm_profile.flush_latency_ns = nvm_ns;
+    Cluster::launch(1, config, FabricConfig::instant()).unwrap()
+}
+
+/// A client on server 0 staging writes without pause on its own thread
+/// until the returned flag is set; the handle yields how many it wrote.
+fn stream(cluster: &Arc<Cluster>) -> (Arc<AtomicBool>, JoinHandle<u64>) {
+    let stop = Arc::new(AtomicBool::new(false));
+    let (cluster, flag) = (Arc::clone(cluster), Arc::clone(&stop));
+    let handle = std::thread::spawn(move || {
+        let mut client = cluster.client(ClientConfig::default()).unwrap();
+        let ptr = client.alloc(0, 64).unwrap();
+        let mut writes = 0u64;
+        while !flag.load(Ordering::Relaxed) {
+            client.write(ptr, 0, &[writes as u8; 64]).unwrap();
+            writes += 1;
+        }
+        client.drain_all().unwrap();
+        writes
+    });
+    (stop, handle)
+}
+
+/// The epoch shares the loop with the drains, and a client that keeps the
+/// CQ from ever running dry must not starve it: epochs keep their cadence.
+#[test]
+fn epochs_keep_their_cadence_while_a_client_streams_staged_writes() {
+    let cluster = Arc::new(slow_cluster(20_000));
+    let server = cluster.server(0).unwrap();
+    let (stop, writer) = stream(&cluster);
+    std::thread::sleep(Duration::from_millis(20));
+    let before = server.epochs();
+    std::thread::sleep(Duration::from_millis(300));
+    let epochs = server.epochs() - before;
+    stop.store(true, Ordering::Relaxed);
+    let writes = writer.join().unwrap();
+    // A 2 ms epoch gives ≈ 150 in 300 ms; a quarter of that is the floor.
+    assert!(epochs >= 37, "{epochs} epochs in 300 ms ({writes} writes)");
+    assert!(writes > 100, "the stream wrote {writes}");
+}
+
+/// RPCs share the loop with the drains: another client's `alloc`, and a
+/// reconnecting client's `QueryDurable`, are answered while one client
+/// streams staged writes. The retirement stays final even when the ring's
+/// record and the RPC arrive in one harvest: the record is covered by the
+/// answer or never applied.
+#[test]
+fn rpcs_are_answered_while_a_client_streams_staged_writes() {
+    let cluster = Arc::new(slow_cluster(50_000));
+    let server = cluster.server(0).unwrap();
+    let (stop, writer) = stream(&cluster);
+    std::thread::sleep(Duration::from_millis(20));
+    let mut other = cluster.client(ClientConfig::default()).unwrap();
+    let mut fence = fence_on(&cluster, 0);
+    let mut answers = Vec::new();
+    for round in 0..6 {
+        let t0 = Instant::now();
+        other.alloc(0, 64).unwrap();
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "alloc took {:?}",
+            t0.elapsed()
+        );
+
+        let old = raw_client(&cluster, server);
+        let lane = Lane::new(server, &old.mount, old.cid, 0, 0);
+        let target = TARGETS + 256 * round;
+        old.proxy
+            .execute(stage_op(&lane, 0, &valid(&lane, 1, target)))
+            .unwrap();
+        let query = Request::QueryDurable { client_id: old.cid };
+        let seq = match old.rpc.call(&query) {
+            Ok(Response::Durable { seq }) => seq,
+            other => panic!("round {round}: {other:?}"),
+        };
+        fence();
+        let applied = lane.image_bytes(target) == [FILL; LEN as usize];
+        assert_eq!(applied, seq == 1, "round {round}: answered {seq}");
+        assert_eq!(lane.watermarks().0 & !(1 << 63), seq, "round {round}");
+        answers.push(seq);
+    }
+    stop.store(true, Ordering::Relaxed);
+    assert!(writer.join().unwrap() > 0);
+    println!("QueryDurable answers: {answers:?}");
+}
+
+/// Runs of different rings in one harvest overlap in modelled time: two
+/// clients' single-record runs drain in about one run's time, not two.
+/// Each harvest is built by staging while the loop is stopped.
+#[test]
+fn two_rings_runs_in_one_harvest_overlap() {
+    let cluster = slow_cluster(2_000_000);
+    let server = cluster.server(0).unwrap();
+    let raws = [raw_client(&cluster, server), raw_client(&cluster, server)];
+    let lanes: Vec<Lane> = raws
+        .iter()
+        .map(|raw| Lane::new(server, &raw.mount, raw.cid, 0, 0))
+        .collect();
+    // Stages `seq` on the first `rings` rings as one harvest and times it.
+    let harvest = |rings: usize, seq: u64| {
+        server.shutdown();
+        for (i, (raw, lane)) in raws.iter().zip(&lanes).take(rings).enumerate() {
+            let row = valid(lane, seq, TARGETS + 256 * i as u64);
+            raw.proxy
+                .execute(stage_op(lane, seq as u32 - 1, &row))
+                .unwrap();
+        }
+        let t0 = Instant::now();
+        server.restart();
+        while lanes.iter().take(rings).any(|l| l.watermarks().1 != seq) {
+            assert!(t0.elapsed() < Duration::from_secs(5), "never drained");
+            std::hint::spin_loop();
+        }
+        t0.elapsed()
+    };
+    let one = harvest(1, 1);
+    let two = harvest(2, 2);
+    // A run is four 2 ms NVM steps: one ≈ 8 ms, two one after the other
+    // ≈ 16 ms.
+    assert!(one >= Duration::from_millis(8), "one run took {one:?}");
+    assert!(
+        two.as_secs_f64() < 1.5 * one.as_secs_f64(),
+        "two runs took {two:?}, one took {one:?}"
+    );
 }

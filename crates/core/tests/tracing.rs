@@ -187,7 +187,7 @@ fn staged_write_trace_links_client_to_async_drain() {
 
     // At least one write trace must show the full causal chain with the
     // drain strictly after the client-visible completion. (Exists- not
-    // forall-quantified: the drain thread can race ahead of the ack for
+    // forall-quantified: the server loop can race ahead of the ack for
     // records it picks up mid-stage.)
     let mut complete_chains = 0usize;
     for spans in traces.values() {

@@ -7,15 +7,16 @@
 # 0), samples /proc/<pid>/task/* at the start and the end of a window of a
 # seventh of the run centred on its middle (inside the second of the three
 # trials), and prints per thread name: how many threads carry it, CPU % of
-# one core, and voluntary / involuntary context switches per second. Server
-# threads are named s<id>-ctl and s<id>-drain<t>; the load thread carries
-# the binary's name. Then the whole host's busy share over the window, the
-# run's ops_per_s, and the drain threads' CPU per op in microseconds
-# (divide by the workload's write share for CPU per drained record).
+# one core, and voluntary / involuntary context switches per second. Each
+# server runs one thread, s<id>-loop (RPCs, proxy drains and the epoch);
+# the load thread carries the binary's name. Then the whole host's busy
+# share over the window, the run's ops_per_s, and the server loops' CPU
+# per op in microseconds (divide by the workload's write share for CPU per
+# drained record on a writing workload).
 # Writes nothing but the build output (CARGO_TARGET_DIR, default target/).
 set -euo pipefail
 cd "$(dirname "$0")/.."
-[[ $# -ge 1 && $# -le 2 ]] || { sed -n '2,15p' "$0" >&2; exit 2; }
+[[ $# -ge 1 && $# -le 2 ]] || { sed -n '2,16p' "$0" >&2; exit 2; }
 workload=$1
 seconds=${2:-21}
 
@@ -84,6 +85,6 @@ result = json.loads(lines[-1]) if lines else {}
 ops = result.get("metrics", {}).get("ops_per_s", {}).get("value")
 if not ops:
     sys.exit(f"no ops_per_s in the run's output: {lines[-1] if lines else 'empty'}")
-drain = sum(r[1] for name, r in rows.items() if "-drain" in name) / tick / dt
-print(f"ops_per_s {ops:.0f}; drain threads {drain * 1e6 / ops:.2f} us CPU per op")
+loops = sum(r[1] for name, r in rows.items() if name.endswith("-loop")) / tick / dt
+print(f"ops_per_s {ops:.0f}; server loops {loops * 1e6 / ops:.2f} us CPU per op")
 EOF

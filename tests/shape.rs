@@ -30,22 +30,26 @@ fn comparator(kind: SystemKind) -> (Cluster, GengarClient) {
     (cluster, client)
 }
 
-/// Median of per-op latencies: robust against the preemption outliers a
-/// busy-wait emulation suffers on small machines.
-fn median_ns(f: impl FnMut()) -> u64 {
-    let mut f = f;
+/// Medians of per-op latencies of two arms, `a` and `b`: robust against
+/// the preemption outliers a busy-wait emulation suffers on small
+/// machines. After 20 warm-up calls of each, the arms' 100 samples
+/// alternate, so a slow stretch of a shared host lands on both arms
+/// instead of stretching one.
+fn medians_ns(mut a: impl FnMut(), mut b: impl FnMut()) -> (u64, u64) {
     for _ in 0..20 {
-        f(); // warm-up
+        a();
+        b();
     }
-    let mut samples: Vec<u64> = (0..100)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_nanos() as u64
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+    let time = |f: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        f();
+        t0.elapsed().as_nanos() as u64
+    };
+    let (mut sa, mut sb): (Vec<u64>, Vec<u64>) =
+        (0..100).map(|_| (time(&mut a), time(&mut b))).unzip();
+    sa.sort_unstable();
+    sb.sort_unstable();
+    (sa[sa.len() / 2], sb[sb.len() / 2])
 }
 
 #[test]
@@ -57,12 +61,14 @@ fn remote_nvm_reads_are_slower_than_remote_dram_reads() {
 
     let nvm_ptr = nvm.alloc(0, 65536).unwrap();
     let dram_ptr = dram.alloc(0, 65536).unwrap();
-    let mut buf = vec![0u8; 65536];
-    nvm.write(nvm_ptr, 0, &buf).unwrap();
-    dram.write(dram_ptr, 0, &buf).unwrap();
+    let (mut nvm_buf, mut dram_buf) = (vec![0u8; 65536], vec![0u8; 65536]);
+    nvm.write(nvm_ptr, 0, &nvm_buf).unwrap();
+    dram.write(dram_ptr, 0, &dram_buf).unwrap();
 
-    let nvm_read = median_ns(|| nvm.read(nvm_ptr, 0, &mut buf).unwrap());
-    let dram_read = median_ns(|| dram.read(dram_ptr, 0, &mut buf).unwrap());
+    let (nvm_read, dram_read) = medians_ns(
+        || nvm.read(nvm_ptr, 0, &mut nvm_buf).unwrap(),
+        || dram.read(dram_ptr, 0, &mut dram_buf).unwrap(),
+    );
     assert!(
         nvm_read as f64 > dram_read as f64 * 1.2,
         "NVM read {nvm_read} ns should exceed DRAM read {dram_read} ns"
@@ -81,12 +87,10 @@ fn proxy_writes_beat_direct_nvm_writes() {
     let d = direct.alloc(0, 1024).unwrap();
     let buf = vec![7u8; 1024];
 
-    let proxied = median_ns(|| {
-        proxy.write(p, 0, &buf).unwrap();
-    });
-    let directed = median_ns(|| {
-        direct.write(d, 0, &buf).unwrap();
-    });
+    let (proxied, directed) = medians_ns(
+        || proxy.write(p, 0, &buf).unwrap(),
+        || direct.write(d, 0, &buf).unwrap(),
+    );
     // Same 1.2 margin as the NVM-vs-DRAM read shape above: on slow
     // single-core hosts the constant scheduling overhead inflates both
     // sides and compresses the measured ratio toward 1, so the modeled
@@ -170,8 +174,10 @@ fn consistency_mode_costs_but_stays_correct() {
     let b = none.alloc(0, 1024).unwrap();
     let buf = vec![1u8; 1024];
 
-    let fast = median_ns(|| none.write(a, 0, &buf).unwrap());
-    let safe = median_ns(|| seqlock.write(b, 0, &buf).unwrap());
+    let (fast, safe) = medians_ns(
+        || none.write(a, 0, &buf).unwrap(),
+        || seqlock.write(b, 0, &buf).unwrap(),
+    );
     assert!(
         safe > fast,
         "seqlock writes ({safe} ns) should cost more than unshared writes ({fast} ns)"
