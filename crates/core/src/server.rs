@@ -863,11 +863,13 @@ impl ServerInner {
     /// same harvest retired drains none of it. Once the epoch deadline
     /// passes it runs the epoch; the next is due one `epoch` after that.
     ///
-    /// Between harvests the loop spins for the next one as long as the last
-    /// gap between harvests, when that gap is one the emulator would spin
-    /// through rather than sleep (`SLEEP_THRESHOLD_NS`): parked between
-    /// closely spaced records, every post would wake it, and on a host with
-    /// few cores the woken loop preempts the posting client. Otherwise it
+    /// After a harvest of staged records the loop spins for the next one as
+    /// long as the last gap between such harvests, when that gap is one the
+    /// emulator would spin through rather than sleep (`SLEEP_THRESHOLD_NS`):
+    /// parked between closely spaced records, every post would wake it, and
+    /// on a host with few cores the woken loop preempts the posting client.
+    /// RPCs never make it spin: a spinning loop per server takes the cores
+    /// an RPC-heavy phase (a populate's allocations) needs. Otherwise it
     /// parks on the CQ until the next completion or the epoch deadline.
     fn serve(&self) {
         let cq = &self.recv_cq;
@@ -886,14 +888,10 @@ impl ServerInner {
             if wcs.is_empty() {
                 wcs = cq.wait(64, next_epoch.saturating_duration_since(Instant::now()));
             }
-            if !wcs.is_empty() {
-                let now = Instant::now();
-                (gap, arrived) = (now - arrived, now);
-            }
+            let now = Instant::now();
             self.metrics
                 .drain_backlog
                 .set((wcs.len() + cq.len()) as i64);
-            let harvested = !wcs.is_empty();
             let mut runs: Vec<(Qpn, Vec<u32>)> = Vec::new();
             for wc in wcs {
                 if wc.opcode != WcOpcode::RecvRdmaWithImm || !wc.status.is_ok() {
@@ -913,9 +911,8 @@ impl ServerInner {
                 }
             }
             if !runs.is_empty() {
+                (gap, arrived) = (now - arrived, now);
                 self.drain_harvest(&runs, arrived, &mut payload);
-            }
-            if harvested {
                 idle_since = Instant::now();
             }
             if Instant::now() >= next_epoch {
