@@ -8,7 +8,7 @@
 //! cargo run -p gengar-bench --release --bin harness -- e4 --no-telemetry
 //! cargo run -p gengar-bench --release --bin harness -- e4 --quick \
 //!     --faults 'drop:p=0.01 + delay:ns=20000,p=0.05'
-//! cargo run -p gengar-bench --release --bin harness -- gate   # the ten gates
+//! cargo run -p gengar-bench --release --bin harness -- gate   # the eleven gates
 //! ```
 //!
 //! After each experiment the harness emits a one-line JSON record with a

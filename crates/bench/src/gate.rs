@@ -1,4 +1,4 @@
-//! The numeric gates: a ten-row table of rules over the [`Metrics`] the
+//! The numeric gates: an eleven-row table of rules over the [`Metrics`] the
 //! experiments return, evaluated in-process by `harness gate` (the one
 //! numeric step of `scripts/check.sh`).
 //!
@@ -121,6 +121,14 @@ pub const GATES: &[Gate] = &[
         );
         let mirrored = m.get("write1024.replicated_ns")?;
         Ok(mirrored <= 2.0 * plain && mirrored < direct)
+    }),
+    // Eight sharers' lock -> read -> write -> unlock increments on one
+    // object must keep half of one sharer's throughput: lock retries may
+    // queue writers, not collapse them (EXPERIMENTS.md reads 51.9 / 46.2
+    // kops/s). The run also hard-asserts that the counter is exact at
+    // every sharer count (the experiment aborts on a lost update).
+    gate("sharing", "e10", Scale::Quick, 1, |m| {
+        Ok(m.get("sharers8.kops")? >= 0.5 * m.get("sharers1.kops")?)
     }),
     // The adaptive cache (TinyLFU admission + ghost-sized segments +
     // subclass frame rounding) holds >= 0.60 on zipf-0.99 with cache DRAM
@@ -297,6 +305,13 @@ mod tests {
                 ("write1024.unreplicated_ns", 4000.0, Some(3999.0)),
                 ("write1024.replicated_ns", 8000.0, Some(8001.0)),
                 ("write1024.nvmdirect_ns", 8001.0, Some(8000.0)),
+            ],
+        ),
+        (
+            "sharing",
+            &[
+                ("sharers1.kops", 100.0, Some(100.1)),
+                ("sharers8.kops", 50.0, Some(49.9)),
             ],
         ),
         (

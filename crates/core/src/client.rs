@@ -36,8 +36,8 @@ use crate::hotness::{
 use crate::layout::{decode_slot_header, lockword, OBJ_HEADER, SLOT_HEADER, SLOT_TAIL};
 use crate::objects::{Objects, WriteBack};
 use crate::plan::{
-    self, DirectStep, FrameVerdict, Hold, Known, LostCas, Op, Persist, ReadKind, Ring, Route,
-    Start, Why,
+    self, DirectStep, FrameVerdict, Hold, Known, LostCas, Op, Persist, ReadKind, Release, Ring,
+    Route, Start, Why,
 };
 use crate::proto::{error_for_code, MountInfo, Request, Response, NO_BACKUP};
 use crate::proxy::{MirrorLane, StagedFlight, StagingWriter};
@@ -2254,10 +2254,12 @@ impl GengarClient {
         let mut held = self.conns[idx].objects.get(base).and_then(|st| st.hold);
         loop {
             let one_sided = plan::persist(kind, consistency, held) == Persist::Flush;
+            let release = plan::releases(kind, consistency, held);
             let conn = &self.conns[idx];
             let (word_lane, data_lane) = (conn.op_buf, conn.op_buf + 8);
             let chunk = (data.len() as u64 - w.done).min(conn.op_buf_len - 8);
-            // This step's doorbell finishes the payload and carries the FLUSH.
+            // This step's doorbell finishes the payload and carries the FLUSH
+            // (and behind it, fenced, the unlock of a lock the write took).
             let flushes = one_sided && w.done + chunk == data.len() as u64;
             let nvm = |off: u64| RemoteAddr::new(conn.nvm_rkey(), off);
             let word_sge = Sge::new(mr_lkey, word_lane, 8);
@@ -2265,6 +2267,12 @@ impl GengarClient {
                 payload: Payload::Sge(from),
                 remote: nvm(to),
                 imm: None,
+            };
+            // The WRITE of the released lock word, from the word lane.
+            let unlock = || -> Result<SendOp, GengarError> {
+                let locked = held.expect("an unlock runs under a hold").word;
+                region.write(word_lane, &lockword::release(locked).to_le_bytes())?;
+                Ok(write(word_sge, word_at))
             };
             match w.flight.take() {
                 None => {
@@ -2320,15 +2328,16 @@ impl GengarClient {
                                 let remote = nvm(ptr.addr.offset() + offset);
                                 run.sends.push(SendOp::Flush { remote, len });
                             }
-                            let posted = conn.data.post_many(run.sends.drain(..))?;
+                            let posted = if flushes && release == Release::Fenced {
+                                run.sends.push(unlock()?);
+                                conn.data.post_fenced(run.sends.drain(..))?
+                            } else {
+                                conn.data.post_many(run.sends.drain(..))?
+                            };
                             w.flight = Some(Flight::Verb(posted));
                             continue;
                         }
-                        DirectStep::Unlock => {
-                            let locked = held.expect("an unlock runs under a hold").word;
-                            region.write(word_lane, &lockword::release(locked).to_le_bytes())?;
-                            write(word_sge, word_at)
-                        }
+                        DirectStep::Unlock => unlock()?,
                     };
                     w.flight = Some(Flight::Verb(conn.data.post_many([op])?));
                 }
@@ -2407,10 +2416,10 @@ impl GengarClient {
                         DirectStep::Write => {
                             w.done += chunk;
                             if flushes {
-                                if !plan::releases(kind, held) {
-                                    break;
+                                if release == Release::Fenced {
+                                    self.conns[idx].objects.release(base);
                                 }
-                                w.step = DirectStep::Unlock;
+                                break;
                             }
                         }
                         DirectStep::Unlock => {
@@ -2428,7 +2437,7 @@ impl GengarClient {
                     w.refused = Self::flush_ack(resp, len).err();
                     // The server dropped the object's frame.
                     self.conns[idx].objects.drop_frame(base);
-                    if !plan::releases(kind, held) {
+                    if release == Release::No {
                         break;
                     }
                     w.step = DirectStep::Unlock;

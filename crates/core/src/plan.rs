@@ -104,8 +104,10 @@ pub fn joins_reads(n: usize, wrs: usize, depth: usize, used: u64, need: u64, are
 
 /// The verb a direct-chain op has on the wire or posts next. `Write` is
 /// the payload chunks, then the flush RPC unless the op persists by FLUSH
-/// under the last chunk's doorbell ([`persist`]); an atomic or a `lock`
-/// writes no chunk, so its `Write` is the flush RPC alone.
+/// under the last chunk's doorbell ([`persist`]), with a fenced unlock
+/// behind it ([`releases`]); an atomic or a `lock` writes no chunk, so its
+/// `Write` is the flush RPC alone. `Unlock` is `unlock`, or a write's
+/// release after its flush RPC.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DirectStep {
     ReadWord,
@@ -228,11 +230,31 @@ pub fn persist(op: Op, c: Consistency, held: Option<Hold>) -> Persist {
     }
 }
 
-/// Whether the chain unlocks once `op` persisted: a write releases a lock
-/// it took for itself (this attempt or a failed earlier one); the caller's
-/// lock stays held, and a `lock` or an atomic has nothing to release.
-pub fn releases(op: Op, held: Option<Hold>) -> bool {
-    op == Op::Write && held.is_some_and(|h| h.own)
+/// Whether and where the chain unlocks once the op persisted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Release {
+    /// It does not: the caller's lock stays held, and a `lock` or an
+    /// atomic has nothing to release.
+    No,
+    /// A fenced unlock WRITE at the end of the FLUSH's doorbell: the fence
+    /// starts it at the responder only once the FLUSH has finished there.
+    Fenced,
+    /// Its own doorbell, once the flush RPC answered: an RPC has no fence
+    /// to ride.
+    AfterRpc,
+}
+
+/// Whether and where the chain unlocks once `op` persisted: a write
+/// releases a lock it took for itself (this attempt or a failed earlier
+/// one), behind the FLUSH if it persists by one ([`persist`]).
+pub fn releases(op: Op, c: Consistency, held: Option<Hold>) -> Release {
+    if op != Op::Write || !held.is_some_and(|h| h.own) {
+        return Release::No;
+    }
+    match persist(op, c, held) {
+        Persist::Flush => Release::Fenced,
+        _ => Release::AfterRpc,
+    }
 }
 
 /// What a planned read fetches into its lane: the whole cache frame at
@@ -396,8 +418,8 @@ mod tests {
 
     /// What a row expects of one lock state: where the chain starts
     /// (`Ok` / `Refused`: settled at once), how the op then persists, and
-    /// whether the chain releases the lock.
-    type Cell = (&'static str, Persist, bool);
+    /// whether and where the chain releases the lock.
+    type Cell = (&'static str, Persist, Release);
 
     fn start_name(start: &Start) -> &'static str {
         match start {
@@ -413,15 +435,18 @@ mod tests {
     }
 
     /// Every chain op × consistency mode × lock state: the start, the
-    /// persist rule on the hold the start leaves, and the release rule.
+    /// persist rule on the hold the start leaves, and the release rule. A
+    /// write's own lock is released by a fenced WRITE behind its FLUSH, or
+    /// by its own doorbell after the flush RPC.
     #[test]
     fn chain_table() {
         use Persist::{Flush, Rpc};
+        use Release::{AfterRpc, Fenced, No};
         let n = Persist::None;
         let write = [
-            ("Write", Rpc, false),
-            ("Write", Rpc, true),
-            ("Write", Rpc, false),
+            ("Write", Rpc, No),
+            ("Write", Rpc, AfterRpc),
+            ("Write", Rpc, No),
         ];
         let rows: [(Op, Consistency, [Cell; 5]); 12] = [
             (
@@ -433,79 +458,67 @@ mod tests {
                 Op::Write,
                 SEQ,
                 [
-                    ("ReadWord", Rpc, false),
-                    ("Write", Rpc, true),
-                    ("Write", Rpc, false),
-                    ("Write", Flush, true),
-                    ("Write", Flush, false),
+                    ("ReadWord", Rpc, No),
+                    ("Write", Rpc, AfterRpc),
+                    ("Write", Rpc, No),
+                    ("Write", Flush, Fenced),
+                    ("Write", Flush, No),
                 ],
             ),
             (
                 Op::Atomic { applied: false },
                 NONE,
-                [("Atomic", Rpc, false); 5],
+                [("Atomic", Rpc, No); 5],
             ),
-            (
-                Op::Atomic { applied: false },
-                SEQ,
-                [("Atomic", Rpc, false); 5],
-            ),
-            (
-                Op::Atomic { applied: true },
-                NONE,
-                [("Write", Rpc, false); 5],
-            ),
-            (
-                Op::Atomic { applied: true },
-                SEQ,
-                [("Write", Rpc, false); 5],
-            ),
+            (Op::Atomic { applied: false }, SEQ, [("Atomic", Rpc, No); 5]),
+            (Op::Atomic { applied: true }, NONE, [("Write", Rpc, No); 5]),
+            (Op::Atomic { applied: true }, SEQ, [("Write", Rpc, No); 5]),
             (
                 Op::Lock,
                 NONE,
                 [
-                    ("ReadWord", n, false),
-                    ("Write", Rpc, false),
-                    ("Write", Rpc, false),
-                    ("Ok", n, false),
-                    ("Ok", n, false),
+                    ("ReadWord", n, No),
+                    ("Write", Rpc, No),
+                    ("Write", Rpc, No),
+                    ("Ok", n, No),
+                    ("Ok", n, No),
                 ],
             ),
             (
                 Op::Lock,
                 SEQ,
                 [
-                    ("ReadWord", n, false),
-                    ("Write", Rpc, false),
-                    ("Write", Rpc, false),
-                    ("Ok", n, false),
-                    ("Ok", n, false),
+                    ("ReadWord", n, No),
+                    ("Write", Rpc, No),
+                    ("Write", Rpc, No),
+                    ("Ok", n, No),
+                    ("Ok", n, No),
                 ],
             ),
             (
                 Op::Unlock,
                 NONE,
                 [
-                    ("Refused", n, false),
-                    ("Unlock", n, false),
-                    ("Unlock", n, false),
-                    ("Unlock", n, false),
-                    ("Unlock", n, false),
+                    ("Refused", n, No),
+                    ("Unlock", n, No),
+                    ("Unlock", n, No),
+                    ("Unlock", n, No),
+                    ("Unlock", n, No),
                 ],
             ),
             (
                 Op::Unlock,
                 SEQ,
                 [
-                    ("Refused", n, false),
-                    ("Unlock", n, false),
-                    ("Unlock", n, false),
-                    ("Unlock", n, false),
-                    ("Unlock", n, false),
+                    ("Refused", n, No),
+                    ("Unlock", n, No),
+                    ("Unlock", n, No),
+                    ("Unlock", n, No),
+                    ("Unlock", n, No),
                 ],
             ),
-            (Op::LockWord, NONE, [("ReadWord", n, false); 5]),
-            (Op::LockWord, SEQ, [("ReadWord", n, false); 5]),
+            (Op::LockWord, NONE, [("ReadWord", n, No); 5]),
+            (Op::LockWord, SEQ, [("ReadWord", n, No); 5]),
         ];
         for (op, c, cells) in rows {
             for (held, (start, persists, frees)) in HOLDS.into_iter().zip(cells) {
@@ -519,7 +532,7 @@ mod tests {
                     .map(|h| Hold { own: false, ..h });
                 assert_eq!(after, adopted.or(held), "{row}");
                 assert_eq!(persist(op, c, after), persists, "{row}");
-                assert_eq!(releases(op, after), frees, "{row}");
+                assert_eq!(releases(op, c, after), frees, "{row}");
             }
         }
     }
@@ -585,22 +598,24 @@ mod tests {
     }
 
     /// The lock CAS's win: the hold it records decides the rest of the
-    /// chain. A write's own lock persists by RPC at version 0 and by FLUSH
-    /// past it, then releases; a `lock` ends at the CAS past version 0.
+    /// chain. A write's own lock persists by RPC at version 0, then
+    /// releases in its own doorbell, and past it by FLUSH, with the fenced
+    /// unlock in the FLUSH's doorbell; a `lock` ends at the CAS past
+    /// version 0.
     #[test]
     fn cas_win_persists_by_version() {
         for (word, op, persists, releases_after) in [
-            (1, Op::Write, Persist::Rpc, true),
-            (7, Op::Write, Persist::Flush, true),
-            (1, Op::Lock, Persist::Rpc, false),
-            (7, Op::Lock, Persist::None, false),
+            (1, Op::Write, Persist::Rpc, Release::AfterRpc),
+            (7, Op::Write, Persist::Flush, Release::Fenced),
+            (1, Op::Lock, Persist::Rpc, Release::No),
+            (7, Op::Lock, Persist::None, Release::No),
         ] {
             let hold = Some(Hold {
                 word,
                 own: op == Op::Write,
             });
             assert_eq!(persist(op, SEQ, hold), persists, "{op:?} {word}");
-            assert_eq!(releases(op, hold), releases_after, "{op:?} {word}");
+            assert_eq!(releases(op, SEQ, hold), releases_after, "{op:?} {word}");
         }
     }
 
@@ -610,7 +625,7 @@ mod tests {
             for c in [NONE, SEQ] {
                 for held in HOLDS {
                     assert_eq!(persist(op, c, held), Persist::None);
-                    assert!(!releases(op, held));
+                    assert_eq!(releases(op, c, held), Release::No);
                 }
                 let ring = Ring::Healthy { slot: 64 };
                 assert_eq!(route(op, c, ring, 8, true), Route::Direct(Why::Chain));

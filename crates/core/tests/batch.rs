@@ -304,13 +304,14 @@ fn doorbells_by_group(spans: &[SpanRecord], trace: TraceId) -> Vec<Vec<(u64, u64
 
 /// The per-server groups of a `Seqlock` batch overlap their locks. Each
 /// object was written before, so every group's chain starts at the lock
-/// CAS with the word the client's own unlock published: CAS, WRITE with
-/// its FLUSH, unlock, then the read's triple. All four CASes are on the
-/// wire before any group harvests a completion — each group's second
-/// doorbell waits for its CAS's. The order is read from the trace, not
-/// timed: only a stall of the issuing thread for a whole 4 ms round trip,
-/// between a post and the next poll, could break it. Groups stepped one at
-/// a time ring a whole chain before the next group's CAS.
+/// CAS with the word the client's own unlock published: CAS, then WRITE,
+/// FLUSH and the fenced unlock under one doorbell, then the read's triple.
+/// All four CASes are on the wire before any group harvests a completion —
+/// each group's second doorbell waits for its CAS's. The order is read
+/// from the trace, not timed: only a stall of the issuing thread for a
+/// whole 4 ms round trip, between a post and the next poll, could break
+/// it. Groups stepped one at a time ring a whole chain before the next
+/// group's CAS.
 #[test]
 fn seqlock_batches_overlap_their_locks_across_servers() {
     const SERVERS: u8 = 4;
@@ -349,7 +350,7 @@ fn seqlock_batches_overlap_their_locks_across_servers() {
     assert_eq!(groups.len(), usize::from(SERVERS), "{groups:?}");
     for rung in &groups {
         let wrs: Vec<u64> = rung.iter().map(|&(_, n)| n).collect();
-        assert_eq!(wrs, [1, 2, 1, 3], "CAS, WRITE+FLUSH, unlock, triple");
+        assert_eq!(wrs, [1, 3, 3], "CAS, WRITE+FLUSH+unlock, triple");
     }
     let last_cas = groups.iter().map(|rung| rung[0].0).max().unwrap();
     let first_harvested = groups.iter().map(|rung| rung[1].0).min().unwrap();

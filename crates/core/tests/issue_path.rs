@@ -3,8 +3,9 @@
 //! and the one-doorbell NVM triple under `Consistency::Seqlock`, reads
 //! whose store-buffer entry has drained, the one-sided hotness reports
 //! that follow a batch, the ring-full waits a staged window counts, the
-//! `Seqlock` lock CAS that starts from a remembered word, and what
-//! connecting and the scalar lock and atomic calls cost.
+//! `Seqlock` lock CAS that starts from a remembered word, the unlock fenced
+//! behind the FLUSH in one doorbell, and what connecting and the scalar
+//! lock and atomic calls cost.
 //!
 //! Doorbell, RPC and wait accounting comes from the process-global metrics
 //! registry, so every test here serialises on [`REGISTRY_LOCK`] and asserts
@@ -223,8 +224,9 @@ fn seqlock_nvm_read_is_three_reads_under_one_doorbell() {
 }
 
 /// A `Seqlock` write to an object this client wrote before starts at the
-/// lock CAS, expecting the word its own unlock published: CAS, WRITE with
-/// its FLUSH, unlock WRITE — three doorbells and no READ.
+/// lock CAS, expecting the word its own unlock published: CAS, then WRITE,
+/// FLUSH and the fenced unlock WRITE under one doorbell — two doorbells and
+/// no READ.
 #[test]
 fn seqlock_write_after_own_write_skips_the_lock_word_read() {
     let _guard = registry_guard();
@@ -245,12 +247,53 @@ fn seqlock_write_after_own_write_skips_the_lock_word_read() {
     client.write(ptr, 0, &[2u8; 64]).unwrap();
     let after = names.map(counter);
     let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
-    assert_eq!(delta, [3, 0, 1], "doorbells, READ verbs, CAS verbs");
+    assert_eq!(delta, [2, 0, 1], "doorbells, READ verbs, CAS verbs");
     let stats = client.stats();
     assert_eq!(stats.lock_retries, 0, "{stats:?}");
     assert_eq!(
         client.read_lock_word(ptr).unwrap(),
         lockword::with_version(2)
+    );
+}
+
+/// The unlock rides the FLUSH's doorbell behind a fence: under a 2 ms NVM
+/// flush, a `Seqlock` write's unlock WRITE completes no earlier than its
+/// FLUSH. Bytes land at post time in either order, so only the verbs'
+/// completion times tell a fenced unlock from an unfenced one.
+#[test]
+fn seqlock_unlock_completes_no_earlier_than_its_flush() {
+    const FLUSH_NS: u64 = 2_000_000;
+    let _guard = registry_guard();
+    let mut server = ServerConfig::small();
+    server.nvm_profile.flush_latency_ns = FLUSH_NS;
+    let cluster = Cluster::launch(1, server, FabricConfig::instant()).unwrap();
+    let mut client = cluster
+        .client(ClientConfig {
+            report_every: u32::MAX,
+            consistency: Consistency::Seqlock,
+            ..Default::default()
+        })
+        .unwrap();
+    let ptr = client.alloc(0, 64).unwrap();
+    // Past version 0, the next write persists by FLUSH.
+    client.write(ptr, 0, &[1u8; 64]).unwrap();
+
+    let registry = Registry::global();
+    let [writes, flushes] = ["write_ns", "flush_ns"].map(|name| registry.histogram("rdma", name));
+    writes.reset();
+    flushes.reset();
+    client.write(ptr, 0, &[2u8; 64]).unwrap();
+    let (writes, flushes) = (writes.snapshot(), flushes.snapshot());
+    assert_eq!(
+        (writes.count, flushes.count),
+        (2, 1),
+        "payload, unlock; FLUSH"
+    );
+    assert!(flushes.min_ns >= FLUSH_NS, "{flushes:?}");
+    assert!(
+        writes.max_ns >= flushes.max_ns,
+        "the unlock completed {} ns before its FLUSH",
+        flushes.max_ns - writes.max_ns
     );
 }
 

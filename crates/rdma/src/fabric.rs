@@ -455,7 +455,9 @@ impl Fabric {
     /// back. Failures follow RC ordering: the failing WR gets an error
     /// completion (moving the QP to the error state) and every later WR
     /// in the list is flushed with `WrFlushed`, ready no earlier than the
-    /// error. A request lost on the wire (a fault-plane `drop` or a QoS
+    /// error. A fenced WR ([`SendWr::fence`]) starts its chain at the later
+    /// of the arrival instant and the end of every earlier READ, atomic and
+    /// FLUSH in the list. A request lost on the wire (a fault-plane `drop` or a QoS
     /// `Drop`) is one such failure: nothing reaches the responder, and the
     /// initiator gives up after `TRANSPORT_RETRIES` link round trips
     /// with a `TransportError`. So every posted WR completes, or its QP is
@@ -559,6 +561,9 @@ impl Fabric {
         // error completion: zero on an instant fabric.
         let retry_time =
             scaled_duration(TRANSPORT_RETRIES * 2 * (cfg.one_way_ns + fault.extra_delay_ns));
+        // The latest end of this doorbell's READs, atomics and FLUSHes at
+        // the responder: a fenced WR's chain starts no earlier.
+        let mut fence_floor = cursor;
 
         for (wr, sender_opcode, local) in prepared.drain(..) {
             let mut wr_span = tracer.fine_span("rdma.wr");
@@ -636,8 +641,16 @@ impl Fabric {
                     continue;
                 }
             };
+            let start = if wr.fence {
+                cursor.max(fence_floor)
+            } else {
+                cursor
+            };
             let end =
-                self.execute_one_at(src, qp, &wr, sender_opcode, local, pair, cursor, resp_delay)?;
+                self.execute_one_at(src, qp, &wr, sender_opcode, local, pair, start, resp_delay)?;
+            if !matches!(sender_opcode, WcOpcode::Send | WcOpcode::RdmaWrite) {
+                fence_floor = fence_floor.max(end);
+            }
             verb.lat_ns
                 .record_ns((end + resp_delay - posted).as_nanos() as u64);
         }

@@ -130,6 +130,14 @@ pub struct SendWr {
     /// Whether a successful completion is reported on the send CQ.
     /// Errors are always reported.
     pub signaled: bool,
+    /// The verbs `IBV_SEND_FENCE` flag: the WR starts at the responder no
+    /// earlier than the end of every earlier READ, atomic and FLUSH *of its
+    /// own doorbell*. On hardware the fence covers the QP's earlier
+    /// doorbells too; here it does not, since a caller that needs one of
+    /// their outcomes has harvested its completion before it posts.
+    /// Earlier WRITEs and SENDs are not waited for; a WR behind a failed
+    /// one is flushed, fenced or not.
+    pub fence: bool,
 }
 
 impl SendWr {
@@ -139,6 +147,7 @@ impl SendWr {
             wr_id,
             op,
             signaled: true,
+            fence: false,
         }
     }
 
@@ -148,6 +157,7 @@ impl SendWr {
             wr_id,
             op,
             signaled: false,
+            fence: false,
         }
     }
 }
@@ -205,5 +215,21 @@ mod tests {
         };
         assert!(SendWr::new(1, op.clone()).signaled);
         assert!(!SendWr::unsignaled(1, op).signaled);
+    }
+
+    /// No constructor fences, and the flag shares the word `signaled`
+    /// pads out: a WR is its id and op plus one word, as before the flag.
+    #[test]
+    fn fence_is_off_by_default_and_does_not_grow_a_wr() {
+        use std::mem::size_of;
+        let op = SendOp::Flush {
+            remote: RemoteAddr::new(RKey(1), 0),
+            len: 8,
+        };
+        assert!(!SendWr::new(1, op.clone()).fence && !SendWr::unsignaled(1, op).fence);
+        assert_eq!(
+            size_of::<SendWr>(),
+            size_of::<WrId>() + size_of::<SendOp>() + 8
+        );
     }
 }

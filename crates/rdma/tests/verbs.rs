@@ -826,3 +826,146 @@ fn qp_error_reported_for_flushed_waiters() {
     assert_eq!(err, RdmaError::QpError(WcStatus::RnrRetryExceeded));
     let _ = (a, b);
 }
+
+/// The device time of a FLUSH on [`slow_flush_pair`]'s NVM node, and the
+/// one-way hop of its link: far apart, so the fence's ordering shows in
+/// completion order.
+const SLOW_FLUSH_NS: u64 = 2_000_000;
+const HOP_NS: u64 = 100_000;
+
+/// A DRAM node and an NVM node whose FLUSH takes [`SLOW_FLUSH_NS`], joined
+/// by a link of [`HOP_NS`] each way (at time scale 1).
+fn slow_flush_pair(fabric: &Arc<Fabric>) -> (TestNode, TestNode, Endpoint) {
+    gengar_hybridmem::set_time_scale(1.0);
+    let a = make_node(fabric, MemKind::Dram, 1 << 16, Access::all());
+    let node = fabric.add_node();
+    let pd = node.alloc_pd();
+    let profile = DeviceProfile {
+        flush_latency_ns: SLOW_FLUSH_NS,
+        ..DeviceProfile::instant(MemKind::Nvm)
+    };
+    let dev = Arc::new(MemDevice::new(0, profile, 1 << 16).unwrap());
+    let mr = pd.reg_mr(MemRegion::whole(dev), Access::all()).unwrap();
+    let b = TestNode { node, pd, mr };
+    fabric.set_extra_delay_ns(a.node.id(), b.node.id(), HOP_NS);
+    let (ea, _eb) =
+        Endpoint::pair((&a.node, &a.pd), (&b.node, &b.pd), QpOptions::default()).unwrap();
+    (a, b, ea)
+}
+
+/// WRITE, FLUSH, then a second WRITE on `b`.
+fn write_flush_write(b: &TestNode) -> Vec<SendOp> {
+    let write = |off: u64, byte: u8| SendOp::Write {
+        payload: Payload::Inline(vec![byte; 8]),
+        remote: RemoteAddr::new(b.mr.rkey(), off),
+        imm: None,
+    };
+    let flush = SendOp::Flush {
+        remote: RemoteAddr::new(b.mr.rkey(), 0),
+        len: 8,
+    };
+    vec![write(0, 1), flush, write(64, 2)]
+}
+
+/// Posts `ops` as one doorbell with WR ids from `first`, the last WR
+/// fenced if `fence_last`.
+fn post_ids(ea: &Endpoint, ops: Vec<SendOp>, first: u64, fence_last: bool) {
+    let n = ops.len();
+    let wrs = ops
+        .into_iter()
+        .enumerate()
+        .map(|(i, op)| gengar_rdma::SendWr {
+            fence: fence_last && i + 1 == n,
+            ..gengar_rdma::SendWr::new(first + i as u64, op)
+        })
+        .collect();
+    ea.qp().post_send_list(wrs).unwrap();
+}
+
+/// The WR ids of `n` completions, in the order they become ready.
+fn ready_order(ea: &Endpoint, n: usize) -> Vec<u64> {
+    let wcs = harvest(ea, n);
+    assert!(wcs.iter().all(|wc| wc.status.is_ok()), "{wcs:?}");
+    wcs.iter().map(|wc| wc.wr_id).collect()
+}
+
+/// A fenced WRITE behind a FLUSH in one doorbell starts at the responder
+/// only once the FLUSH has finished on the device, so it completes after
+/// the FLUSH: no earlier than two hops and the device's flush time.
+#[test]
+fn fenced_write_completes_after_the_flush_in_its_doorbell() {
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
+    let (_a, b, ea) = slow_flush_pair(&fabric);
+    let t0 = std::time::Instant::now();
+    post_ids(&ea, write_flush_write(&b), 1, true);
+    assert_eq!(ready_order(&ea, 3), [1, 2, 3], "WRITE, FLUSH, fenced WRITE");
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed >= Duration::from_nanos(2 * HOP_NS + SLOW_FLUSH_NS),
+        "{elapsed:?}"
+    );
+}
+
+/// The same list unfenced: the last WRITE's chain starts on arrival, as
+/// the FLUSH's does, and it completes first. The fence, not the doorbell,
+/// orders it behind the FLUSH.
+#[test]
+fn unfenced_write_completes_before_the_flush_in_its_doorbell() {
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
+    let (_a, b, ea) = slow_flush_pair(&fabric);
+    post_ids(&ea, write_flush_write(&b), 1, false);
+    assert_eq!(ready_order(&ea, 3), [1, 3, 2], "WRITE, WRITE, FLUSH");
+}
+
+/// A fence covers its own doorbell only: a fenced WRITE rung while an
+/// earlier doorbell's FLUSH is still on the device does not wait for it.
+#[test]
+fn fence_waits_for_its_own_doorbell_only() {
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
+    let (_a, b, ea) = slow_flush_pair(&fabric);
+    let mut ops = write_flush_write(&b);
+    let write = ops.pop().unwrap();
+    post_ids(&ea, ops, 1, false);
+    post_ids(&ea, vec![write], 3, true);
+    assert_eq!(ready_order(&ea, 3), [1, 3, 2], "WRITE, fenced WRITE, FLUSH");
+}
+
+/// A fenced WRITE behind a FLUSH that is lost on the wire, or that the
+/// responder refuses, is flushed and never executes.
+#[test]
+fn fenced_write_behind_a_failed_flush_is_flushed() {
+    for lost in [true, false] {
+        let mut config = FabricConfig::instant();
+        if lost {
+            let plane = Arc::new(gengar_rdma::FaultPlane::new(1));
+            plane.parse("drop:verb=flush").unwrap();
+            config.faults = Some(plane);
+        }
+        let (_registry, fabric) = locked_fabric(config);
+        let (_a, b, ea, _eb) = pair(&fabric);
+        let mut ops = write_flush_write(&b);
+        if !lost {
+            // Past the end of the MR: a remote access error.
+            ops[1] = SendOp::Flush {
+                remote: RemoteAddr::new(b.mr.rkey(), 0),
+                len: 1 << 20,
+            };
+        }
+        let results = ea.wait(ea.post_fenced(ops).unwrap());
+        let failed = match lost {
+            true => WcStatus::TransportError,
+            false => WcStatus::RemoteAccessError,
+        };
+        assert!(results[0].is_ok(), "lost={lost}");
+        assert_eq!(results[1], Err(RdmaError::CompletionError(failed)));
+        assert_eq!(
+            results[2],
+            Err(RdmaError::CompletionError(WcStatus::WrFlushed)),
+            "lost={lost}"
+        );
+        let mut buf = [0u8; 8];
+        b.mr.region().read(64, &mut buf).unwrap();
+        assert_eq!(buf, [0u8; 8], "lost={lost}: the fenced WRITE executed");
+        assert_eq!(ea.qp().state(), QpState::Error);
+    }
+}

@@ -39,7 +39,7 @@ fi
 # are compared at the end.
 snapshots_before=$(sha256sum BENCH_*.json)
 
-# The ten numeric gates are one table in crates/bench/src/gate.rs, judged
+# The eleven numeric gates are one table in crates/bench/src/gate.rs, judged
 # in-process on the metrics the experiments return; thresholds, retries and
 # the reason for each are on its row. `harness -- gate <name>` reruns one.
 echo "== numeric gates (harness gate)"
