@@ -9,7 +9,7 @@
 //! the reactor overlaps the per-server lock / write / flush / unlock
 //! chains, so the batched arm should clearly beat the scalar one.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use gengar_core::config::Consistency;
@@ -35,13 +35,17 @@ pub fn run(rc: &RunConfig) -> Metrics {
         let ptr = gengar_core::pool::DshmPool::alloc(&mut owner, 0, 64).expect("alloc");
         gengar_core::pool::DshmPool::write(&mut owner, ptr, 0, &0u64.to_le_bytes()).expect("init");
 
-        let t0 = Instant::now();
+        // The clock starts once every sharer has connected: a connect is
+        // not RMW time.
+        let connected = Arc::new(Barrier::new(sharers + 1));
         let handles: Vec<_> = (0..sharers)
             .map(|_| {
                 let system = Arc::clone(&system);
+                let connected = Arc::clone(&connected);
                 let config = rc.seqlock_client_config();
                 std::thread::spawn(move || {
                     let mut c = system.gengar_client(config);
+                    connected.wait();
                     for _ in 0..incs {
                         c.lock(ptr).expect("lock");
                         let mut buf = [0u8; 8];
@@ -54,6 +58,8 @@ pub fn run(rc: &RunConfig) -> Metrics {
                 })
             })
             .collect();
+        connected.wait();
+        let t0 = Instant::now();
         let retries: u64 = handles.into_iter().map(|h| h.join().expect("sharer")).sum();
         let elapsed = t0.elapsed();
 

@@ -331,12 +331,6 @@ impl BatchResult {
             }),
         }
     }
-
-    /// Unwraps a single-op batch (the scalar wrappers).
-    pub(crate) fn into_single(mut self) -> Result<(), GengarError> {
-        debug_assert_eq!(self.results.len(), 1);
-        self.results.pop().expect("single-op batch")
-    }
 }
 
 /// A batch that did not fully complete: `completed` operations landed

@@ -17,7 +17,7 @@ use gengar_hybridmem::latency::{spin_until, SLEEP_THRESHOLD_NS};
 use gengar_hybridmem::{DeviceProfile, MemDevice, MemRegion};
 use gengar_rdma::{
     Access, Fabric, FastMap, MemoryRegion, Payload, PendingOps, ProtectionDomain, RKey, RdmaError,
-    RdmaNode, RemoteAddr, SendOp, Sge, Wc,
+    RdmaNode, RemoteAddr, SendOp, Sge,
 };
 use gengar_telemetry::{
     adopt, Counter, CounterHandle, HistogramHandle, SpanId, Telemetry, TelemetryConfig, TraceId,
@@ -355,6 +355,9 @@ struct GroupRun {
     spare_reads: Vec<ReadPlan>,
     spare_staged: Vec<StagedPlan>,
     sends: Vec<SendOp>,
+    /// The boxes a direct chain and a parked phase last used.
+    spare_direct: Option<Box<DirectOp>>,
+    spare_phase: Option<Box<GroupPhase>>,
     state: RetryState,
     /// Unresolved ops when the current attempt started (progress check).
     pending_at_start: usize,
@@ -377,6 +380,8 @@ struct GroupBufs {
     reads: Vec<ReadPlan>,
     staged: Vec<StagedPlan>,
     sends: Vec<SendOp>,
+    direct: Option<Box<DirectOp>>,
+    phase: Option<Box<GroupPhase>>,
 }
 
 impl GroupRun {
@@ -388,6 +393,8 @@ impl GroupRun {
             spare_reads: bufs.reads,
             spare_staged: bufs.staged,
             sends: bufs.sends,
+            spare_direct: bufs.direct,
+            spare_phase: bufs.phase,
             state,
             pending_at_start: 0,
             phase: GroupPhase::Done,
@@ -406,12 +413,85 @@ impl GroupRun {
             reads: self.spare_reads,
             staged: self.spare_staged,
             sends: self.sends,
+            direct: self.spare_direct,
+            phase: self.spare_phase,
         };
         bufs.indices.clear();
         bufs.reads.clear();
         bufs.staged.clear();
         bufs.sends.clear();
         bufs
+    }
+
+    /// `phase`, boxed in the box the group parked in last.
+    fn boxed(&mut self, phase: GroupPhase) -> Box<GroupPhase> {
+        match self.spare_phase.take() {
+            Some(mut b) => {
+                *b = phase;
+                b
+            }
+            None => Box::new(phase),
+        }
+    }
+
+    /// The phase in `b`, keeping the box for the next park.
+    fn unbox(&mut self, mut b: Box<GroupPhase>) -> GroupPhase {
+        let phase = std::mem::replace(&mut *b, GroupPhase::Done);
+        self.spare_phase = Some(b);
+        phase
+    }
+
+    /// `op`, boxed in the box the group's last direct chain used.
+    fn boxed_direct(&mut self, op: DirectOp) -> Box<DirectOp> {
+        match self.spare_direct.take() {
+            Some(mut b) => {
+                *b = op;
+                b
+            }
+            None => Box::new(op),
+        }
+    }
+}
+
+/// A call's groups: the first inline, the rest in a list, so a call on one
+/// server allocates no list.
+#[derive(Debug, Default)]
+struct Groups {
+    first: Option<GroupRun>,
+    rest: Vec<GroupRun>,
+}
+
+impl Groups {
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut GroupRun> {
+        self.first.iter_mut().chain(self.rest.iter_mut())
+    }
+
+    /// `server`'s group, made by `make` if the call has none yet; `servers`
+    /// bounds how many groups the call can have.
+    fn group(
+        &mut self,
+        server: u8,
+        servers: usize,
+        make: impl FnOnce() -> GroupRun,
+    ) -> &mut GroupRun {
+        match &self.first {
+            None => return self.first.insert(make()),
+            Some(run) if run.server == server => {
+                return self.first.as_mut().expect("matched above")
+            }
+            Some(_) => {}
+        }
+        match self.rest.iter().position(|run| run.server == server) {
+            Some(k) => &mut self.rest[k],
+            None => {
+                // Sized for the servers the call can reach: a group is
+                // large, and growing the list one group at a time leaves
+                // the allocator's fast path.
+                self.rest.reserve(servers.saturating_sub(1).max(1));
+                self.rest.push(make());
+                self.rest.last_mut().expect("just pushed")
+            }
+        }
     }
 }
 
@@ -552,6 +632,9 @@ pub struct GengarClient {
     op_salt: u64,
     /// Buffers of finished groups, handed to the next call's groups.
     spare: Vec<GroupBufs>,
+    /// The current call's per-op results; empty between calls, kept for
+    /// its capacity.
+    results: Vec<Option<Result<(), GengarError>>>,
     /// The tenant's shared QoS state when the pool runs with a QoS plane:
     /// the issue gate charges it before every doorbell and staged windows
     /// reserve occupancy against it. `None` = QoS off, zero overhead.
@@ -691,6 +774,7 @@ impl GengarClient {
             redirects: FastMap::default(),
             pending: FastMap::default(),
             spare: Vec::new(),
+            results: Vec::new(),
             ops_since_report: 0,
             wb_checks: 0,
             tenant,
@@ -1298,9 +1382,11 @@ impl GengarClient {
     }
 
     /// The word a READ or an atomic's prior value landed at scratch `off`.
+    /// The scratch buffer is this client's own memory, read by the CPU:
+    /// every read of it is a plain copy ([`MemRegion::copy_out`]).
     fn scratch_word(&self, off: u64) -> Result<u64, GengarError> {
         let mut w = [0u8; 8];
-        self.mr.region().read(off, &mut w)?;
+        self.mr.region().copy_out(off, &mut w)?;
         Ok(u64::from_le_bytes(w))
     }
 
@@ -1324,13 +1410,12 @@ impl GengarClient {
     /// losing to writers.
     pub fn read(&mut self, ptr: GlobalPtr, offset: u64, buf: &mut [u8]) -> Result<(), GengarError> {
         // A scalar read is a batch of one: same planner, same reactor.
-        self.run_batch(&mut [BatchOp::Read {
+        self.run_one(BatchOp::Read {
             ptr,
             offset,
             buf,
             word: None,
-        }])?
-        .into_single()
+        })
     }
 
     /// Step 1 of every read: the object's store-buffer record `wb`, which
@@ -1378,7 +1463,7 @@ impl GengarClient {
     /// ([`plan::frame_verdict`]).
     fn check_frame(&self, p: &ReadPlan) -> Result<(FrameVerdict, Option<u64>), GengarError> {
         let mut hdr = [0u8; SLOT_HEADER as usize];
-        self.mr.region().read(p.lane, &mut hdr)?;
+        self.mr.region().copy_out(p.lane, &mut hdr)?;
         let tail = self.scratch_word(p.lane + SLOT_HEADER + p.ptr.size)?;
         let word = match p.kind.word() {
             true => Some(self.scratch_word(p.lane + p.frame_len())?),
@@ -1407,8 +1492,7 @@ impl GengarClient {
     /// the operation deadline.
     pub fn write(&mut self, ptr: GlobalPtr, offset: u64, data: &[u8]) -> Result<(), GengarError> {
         // A scalar write is a batch of one: same planner, same reactor.
-        self.run_batch(&mut [BatchOp::Write { ptr, offset, data }])?
-            .into_single()
+        self.run_one(BatchOp::Write { ptr, offset, data })
     }
 
     /// Decodes the answer to a `FlushRange` of `len` bytes.
@@ -1486,13 +1570,34 @@ impl GengarClient {
         self.run_batch(&mut ops)
     }
 
-    /// The issue path: runs a batch of operations to completion under the
-    /// per-server recovery loops. Every scalar data-plane call passes a
-    /// batch of one through here (`drain_all`: one drain per server).
+    /// Runs a submitted batch ([`GengarClient::run_ops`]) and hands back
+    /// its per-op results.
     pub(crate) fn run_batch(
         &mut self,
         ops: &mut [BatchOp<'_>],
     ) -> Result<BatchResult, GengarError> {
+        let trace = self.run_ops(ops);
+        let results = self.results.drain(..);
+        Ok(BatchResult::new(
+            results.map(|r| r.expect("every op resolved")).collect(),
+            trace,
+        ))
+    }
+
+    /// A scalar call: a batch of one, whose result needs no list.
+    fn run_one(&mut self, op: BatchOp<'_>) -> Result<(), GengarError> {
+        self.run_ops(&mut [op]);
+        let result = self.results.pop().flatten();
+        result.expect("every op resolved")
+    }
+
+    /// The issue path: runs a batch of operations to completion under the
+    /// per-server recovery loops, leaving one result per op in
+    /// `self.results`, and returns the batch's trace. Every scalar
+    /// data-plane call passes a batch of one through here (`drain_all`: one
+    /// drain per server). The result and group lists are the client's own,
+    /// reused call after call.
+    fn run_ops(&mut self, ops: &mut [BatchOp<'_>]) -> TraceId {
         // One trace per batch, rooted at the client-visible operation. The
         // root's context is installed on this thread, so every layer below
         // (window, staging, fabric, RPC encode) files under the same trace.
@@ -1505,7 +1610,8 @@ impl GengarClient {
         root.set_detail(ops.len() as u64);
         let trace = root.trace_id().unwrap_or(gengar_telemetry::TraceId::NONE);
         let started = Instant::now();
-        let mut results: Vec<Option<Result<(), GengarError>>> = Vec::with_capacity(ops.len());
+        let mut results = std::mem::take(&mut self.results);
+        results.clear();
         let (mut reads, mut writes) = (0, 0);
         for op in ops.iter() {
             let checked = op.range().map_or(Ok(()), |(ptr, offset, len)| {
@@ -1530,24 +1636,17 @@ impl GengarClient {
         // within each group: a linear scan of the few groups, over buffers
         // earlier calls left behind. Each group runs under its own recovery
         // budget, so one dead server cannot starve the others.
-        // Sized for the servers the batch can reach: a group is large, and
-        // a default first growth to four of them leaves the allocator's
-        // fast path.
-        let mut runs: Vec<GroupRun> = Vec::with_capacity(ops.len().min(self.conns.len()));
+        let mut runs = Groups::default();
         for (i, op) in ops.iter().enumerate() {
             if results[i].is_some() {
                 continue;
             }
             let server = op.server();
-            let run = match runs.iter().position(|run| run.server == server) {
-                Some(gi) => &mut runs[gi],
-                None => {
-                    let state = self.retry_state(started);
-                    let bufs = self.spare.pop().unwrap_or_default();
-                    runs.push(GroupRun::new(server, state, bufs));
-                    runs.last_mut().expect("just pushed")
-                }
-            };
+            let run = runs.group(server, self.conns.len(), || {
+                let state = self.retry_state(started);
+                let bufs = self.spare.pop().unwrap_or_default();
+                GroupRun::new(server, state, bufs)
+            });
             run.indices.push(i);
         }
 
@@ -1558,7 +1657,7 @@ impl GengarClient {
         // waiting on a stalled ring parks on its own wake instant and
         // never holds the others up.
         let root_ctx = (trace, root.span_id().unwrap_or(gengar_telemetry::SpanId(0)));
-        for run in &mut runs {
+        for run in runs.iter_mut() {
             let _root = adopt(root_ctx.0, root_ctx.1);
             run.group_span = tracer.span("client.group");
             run.group_ctx = (
@@ -1569,21 +1668,25 @@ impl GengarClient {
             self.start_attempt(run, &results);
         }
         loop {
-            let mut progressed = false;
+            let mut again = false;
             let mut next_wake: Option<Instant> = None;
             let mut all_done = true;
-            for run in &mut runs {
+            for run in runs.iter_mut() {
                 let (stepped, wake) = self.step_group(run, ops, &mut results, Duration::ZERO);
-                progressed |= stepped;
-                if let Some(at) = wake {
-                    next_wake = Some(next_wake.map_or(at, |w| w.min(at)));
+                let done = matches!(run.phase, GroupPhase::Done);
+                match wake {
+                    Some(at) => next_wake = Some(next_wake.map_or(at, |w| w.min(at))),
+                    // Parked with no instant to wait for: look again now.
+                    None => again |= stepped && !done,
                 }
-                all_done &= matches!(run.phase, GroupPhase::Done);
+                all_done &= done;
             }
             if all_done {
                 break;
             }
-            if progressed {
+            // A group that just posted is not polled again before its
+            // earliest ready instant: nothing else it waits on moves.
+            if again {
                 continue;
             }
             // Everyone is parked. An RPC response has no modelled arrival (it
@@ -1612,7 +1715,9 @@ impl GengarClient {
                 }
             }
         }
-        self.spare.extend(runs.into_iter().map(GroupRun::into_bufs));
+        let Groups { first, rest } = runs;
+        let bufs = first.into_iter().chain(rest).map(GroupRun::into_bufs);
+        self.spare.extend(bufs);
         self.report_if_due();
 
         // Whole-batch latency recorded once per op, mirroring the scalar
@@ -1627,13 +1732,8 @@ impl GengarClient {
                 self.metrics.write_ns.record_ns(elapsed);
             }
         }
-        Ok(BatchResult::new(
-            results
-                .into_iter()
-                .map(|r| r.expect("every op resolved"))
-                .collect(),
-            trace,
-        ))
+        self.results = results;
+        trace
     }
 
     /// Advances one group as far as it can without blocking: polls open
@@ -1680,7 +1780,7 @@ impl GengarClient {
                         return (progressed, Some(resume_at));
                     }
                     progressed = true;
-                    run.phase = *next;
+                    run.phase = run.unbox(next);
                 }
                 phase @ (GroupPhase::PostWrites { .. }
                 | GroupPhase::PostReads { .. }
@@ -1749,7 +1849,7 @@ impl GengarClient {
                         Err(e) => self.end_attempt(run, e, results),
                         Ok(drained) if drained >= target => {
                             progressed = true;
-                            run.phase = *then;
+                            run.phase = run.unbox(then);
                         }
                         // A watermark frozen past the attempt timeout means
                         // the drain is stuck: the attempt times out.
@@ -1866,7 +1966,7 @@ impl GengarClient {
                     progressed = true;
                     let outcome = {
                         let _ctx = adopt(run.attempt_ctx.0, run.attempt_ctx.1);
-                        self.settle_reads(run, resume, plans, pending.into_results(), ops, results)
+                        self.settle_reads(run, resume, plans, &pending, ops, results)
                     };
                     if let Err(e) = outcome {
                         self.end_attempt(run, e, results);
@@ -2063,9 +2163,10 @@ impl GengarClient {
                     // retry budget charged) and the walk resumes right here.
                     if let Some(tenant) = &self.tenant {
                         if let Err(wake) = tenant.issue_admit(1, data_len) {
+                            let next = run.boxed(GroupPhase::Writes { cursor });
                             run.phase = GroupPhase::Throttle {
                                 resume_at: wake,
-                                next: Box::new(GroupPhase::Writes { cursor }),
+                                next,
                             };
                             return Ok(());
                         }
@@ -2121,6 +2222,7 @@ impl GengarClient {
     /// drained watermark reaches `target`, then enters `then`. `ring_full`
     /// marks a wait for ring room.
     fn await_drained(&self, run: &mut GroupRun, target: u64, then: GroupPhase, ring_full: bool) {
+        let then = run.boxed(then);
         let now = Instant::now();
         let last_seen = self
             .conn(run.server)
@@ -2129,7 +2231,7 @@ impl GengarClient {
             .map_or(0, StagingWriter::known_drained);
         run.phase = GroupPhase::AwaitDrained {
             target,
-            then: Box::new(then),
+            then,
             next_poll: now,
             sleep_us: 5,
             last_seen,
@@ -2211,7 +2313,7 @@ impl GengarClient {
                 return Ok(());
             }
         };
-        let chain = GroupPhase::Direct(Box::new(DirectOp {
+        let chain = GroupPhase::Direct(run.boxed_direct(DirectOp {
             cursor,
             step,
             expected: known.unwrap_or(lockword::INIT),
@@ -2271,7 +2373,7 @@ impl GengarClient {
             // The WRITE of the released lock word, from the word lane.
             let unlock = || -> Result<SendOp, GengarError> {
                 let locked = held.expect("an unlock runs under a hold").word;
-                region.write(word_lane, &lockword::release(locked).to_le_bytes())?;
+                region.copy_in(word_lane, &lockword::release(locked).to_le_bytes())?;
                 Ok(write(word_sge, word_at))
             };
             match w.flight.take() {
@@ -2319,7 +2421,7 @@ impl GengarClient {
                         DirectStep::Write => {
                             if chunk > 0 {
                                 let from = w.done as usize;
-                                region.write(data_lane, &data[from..from + chunk as usize])?;
+                                region.copy_in(data_lane, &data[from..from + chunk as usize])?;
                                 let to = ptr.addr.offset() + offset + w.done;
                                 run.sends
                                     .push(write(Sge::new(mr_lkey, data_lane, chunk), to));
@@ -2348,8 +2450,8 @@ impl GengarClient {
                         run.phase = GroupPhase::Direct(w);
                         return Ok(ControlFlow::Break(wake));
                     }
-                    for result in pending.into_results() {
-                        result?;
+                    if let Some(e) = pending.first_error() {
+                        return Err(e.into());
                     }
                     match w.step {
                         DirectStep::ReadWord => {
@@ -2392,9 +2494,10 @@ impl GengarClient {
                                 LostCas::Park { tries } => {
                                     self.metrics.lock_retries.inc();
                                     w.tries = tries;
+                                    let next = run.boxed(GroupPhase::Direct(w));
                                     run.phase = GroupPhase::Throttle {
                                         resume_at: Instant::now() + park_after(tries),
-                                        next: Box::new(GroupPhase::Direct(w)),
+                                        next,
                                     };
                                     return Ok(ControlFlow::Continue(()));
                                 }
@@ -2444,7 +2547,7 @@ impl GengarClient {
                 }
             }
         }
-        let outcome = w.refused.map_or(Ok(()), Err);
+        let outcome = w.refused.take().map_or(Ok(()), Err);
         if outcome.is_ok() && matches!(ops[i], BatchOp::Write { .. } | BatchOp::Atomic { .. }) {
             // The object changed under any staged copy, and under a cached
             // frame a one-sided write left in place (a flush RPC dropped it):
@@ -2456,6 +2559,7 @@ impl GengarClient {
             }
         }
         Self::settle_op(run, w.cursor, results, outcome);
+        run.spare_direct = Some(w);
         Ok(ControlFlow::Continue(()))
     }
 
@@ -2493,9 +2597,10 @@ impl GengarClient {
             // flights hold the budget — park briefly until they settle
             // and release, re-entering here.
             if !tenant.try_reserve_staged(bytes) {
+                let next = run.boxed(GroupPhase::PostWrites { resume, plans });
                 run.phase = GroupPhase::Throttle {
                     resume_at: Instant::now() + Duration::from_micros(20),
-                    next: Box::new(GroupPhase::PostWrites { resume, plans }),
+                    next,
                 };
                 return Ok(());
             }
@@ -2504,9 +2609,10 @@ impl GengarClient {
             // reservation back (both gates re-run on wake).
             if let Err(wake) = tenant.issue_admit(plans.len() as u64, bytes) {
                 tenant.release_staged(bytes);
+                let next = run.boxed(GroupPhase::PostWrites { resume, plans });
                 run.phase = GroupPhase::Throttle {
                     resume_at: wake,
-                    next: Box::new(GroupPhase::PostWrites { resume, plans }),
+                    next,
                 };
                 return Ok(());
             }
@@ -2525,22 +2631,19 @@ impl GengarClient {
         plans: Vec<StagedPlan>,
         ops: &[BatchOp<'_>],
     ) -> Result<(), GengarError> {
-        let items: Vec<(u64, &[u8], u64)> = plans
-            .iter()
-            .map(|p| {
-                let data: &[u8] = match &ops[p.idx] {
-                    BatchOp::Write { data, .. } => data,
-                    _ => unreachable!("planned from a write"),
-                };
-                (p.target_raw, data, p.lane)
-            })
-            .collect();
+        let items = plans.iter().map(|p| {
+            let data: &[u8] = match &ops[p.idx] {
+                BatchOp::Write { data, .. } => data,
+                _ => unreachable!("planned from a write"),
+            };
+            (p.target_raw, data, p.lane)
+        });
         let conn = self.conn_mut(run.server)?;
         match conn
             .staging
             .as_mut()
             .expect("planned on a staging ring")
-            .stage_batch_begin(&items)
+            .stage_batch_begin(items)
         {
             Ok(flight) => {
                 run.phase = GroupPhase::StagedWait {
@@ -2579,7 +2682,7 @@ impl GengarClient {
             }
             run.staged_reserved = 0;
         }
-        let outcomes = {
+        let landed = {
             let conn = self.conn_mut(run.server)?;
             conn.staging
                 .as_mut()
@@ -2587,28 +2690,19 @@ impl GengarClient {
                 .stage_batch_finish(flight)
         };
         let idx = self.idx(run.server)?;
-        let mut first_err: Option<GengarError> = None;
-        let mut any_ok = false;
-        for (p, outcome) in plans.iter().zip(outcomes) {
-            match outcome {
-                Ok(seq) => {
-                    any_ok = true;
-                    let data: &[u8] = match &ops[p.idx] {
-                        BatchOp::Write { data, .. } => data,
-                        _ => unreachable!("planned from a write"),
-                    };
-                    self.conns[idx].objects.stage(p.base_raw, seq, p.off, data);
-                    self.metrics.staged_writes.inc();
-                    results[p.idx] = Some(Ok(()));
-                    self.record(run.server, p.base_raw, true);
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
+        let any_ok = landed.count > 0;
+        for (i, p) in plans.iter().take(landed.count).enumerate() {
+            let data: &[u8] = match &ops[p.idx] {
+                BatchOp::Write { data, .. } => data,
+                _ => unreachable!("planned from a write"),
+            };
+            let seq = landed.first + i as u64;
+            self.conns[idx].objects.stage(p.base_raw, seq, p.off, data);
+            self.metrics.staged_writes.inc();
+            results[p.idx] = Some(Ok(()));
+            self.record(run.server, p.base_raw, true);
         }
+        let first_err = landed.failure;
         let mut plans = plans;
         plans.clear();
         run.spare_staged = plans;
@@ -2794,9 +2888,10 @@ impl GengarClient {
         if let Some(tenant) = &self.tenant {
             if let Err(wake) = tenant.issue_admit(posted, bytes) {
                 sends.clear();
+                let next = run.boxed(GroupPhase::PostReads { resume, plans });
                 run.phase = GroupPhase::Throttle {
                     resume_at: wake,
-                    next: Box::new(GroupPhase::PostReads { resume, plans }),
+                    next,
                 };
                 return Ok(());
             }
@@ -2821,13 +2916,13 @@ impl GengarClient {
         run: &mut GroupRun,
         resume: usize,
         plans: Vec<ReadPlan>,
-        completions: Vec<Result<Wc, RdmaError>>,
+        completions: &PendingOps,
         ops: &mut [BatchOp<'_>],
         results: &mut [Option<Result<(), GengarError>>],
     ) -> Result<(), GengarError> {
         let region = self.mr.region().clone();
         let idx = self.idx(run.server)?;
-        let mut completions = completions.into_iter();
+        let mut completions = completions.results();
         let mut first_err: Option<GengarError> = None;
         // What goes round again is compacted to the front of `plans`.
         let mut plans = plans;
@@ -2870,7 +2965,7 @@ impl GengarClient {
                     }
                     match plan::reread(verdict, self.config.consistency, held) {
                         None => {
-                            region.read(p.lane + SLOT_HEADER + p.offset, buf)?;
+                            region.copy_out(p.lane + SLOT_HEADER + p.offset, buf)?;
                             self.metrics.cache_hits.inc();
                         }
                         Some(kind) => {
@@ -2901,7 +2996,7 @@ impl GengarClient {
                         self.conns[idx].objects.saw_word(base, before, false);
                     }
                     let from = p.done as usize;
-                    region.read(data_at, &mut buf[from..from + len as usize])?;
+                    region.copy_out(data_at, &mut buf[from..from + len as usize])?;
                     p.done += len;
                     if p.done < p.len {
                         keep(p);
@@ -2934,7 +3029,7 @@ impl GengarClient {
         } else {
             GroupPhase::Throttle {
                 resume_at: Instant::now() + park,
-                next: Box::new(GroupPhase::PostReads { resume, plans }),
+                next: run.boxed(GroupPhase::PostReads { resume, plans }),
             }
         };
         Ok(())
@@ -2980,13 +3075,12 @@ impl GengarClient {
         verb: AtomicVerb,
     ) -> Result<u64, GengarError> {
         let mut prev = None;
-        self.run_batch(&mut [BatchOp::Atomic {
+        self.run_one(BatchOp::Atomic {
             ptr,
             offset,
             verb,
             prev: &mut prev,
-        }])?
-        .into_single()?;
+        })?;
         Ok(prev.expect("a settled atomic has its prior value"))
     }
 
@@ -2998,7 +3092,7 @@ impl GengarClient {
     ///
     /// [`GengarError::LockContended`] after `lock_retries` failed attempts.
     pub fn lock(&mut self, ptr: GlobalPtr) -> Result<(), GengarError> {
-        self.run_batch(&mut [BatchOp::Lock { ptr }])?.into_single()
+        self.run_one(BatchOp::Lock { ptr })
     }
 
     /// Releases a lock held by this client, bumping the object version.
@@ -3010,8 +3104,7 @@ impl GengarClient {
     /// [`GengarError::ProtocolViolation`] if this client does not hold the
     /// lock.
     pub fn unlock(&mut self, ptr: GlobalPtr) -> Result<(), GengarError> {
-        self.run_batch(&mut [BatchOp::Unlock { ptr }])?
-            .into_single()
+        self.run_one(BatchOp::Unlock { ptr })
     }
 
     /// Reads the object's raw lock/version word (one 8-byte READ). Exposed
@@ -3023,11 +3116,10 @@ impl GengarClient {
     /// Transport failures as [`GengarError::Rdma`].
     pub fn read_lock_word(&mut self, ptr: GlobalPtr) -> Result<u64, GengarError> {
         let mut word = 0;
-        self.run_batch(&mut [BatchOp::LockWord {
+        self.run_one(BatchOp::LockWord {
             ptr,
             word: &mut word,
-        }])?
-        .into_single()?;
+        })?;
         Ok(word)
     }
 
@@ -3050,13 +3142,12 @@ impl GengarClient {
         buf: &mut [u8],
     ) -> Result<u64, GengarError> {
         let mut word = 0;
-        self.run_batch(&mut [BatchOp::Read {
+        self.run_one(BatchOp::Read {
             ptr,
             offset,
             buf,
             word: Some(&mut word),
-        }])?
-        .into_single()?;
+        })?;
         Ok(word)
     }
 
@@ -3224,7 +3315,7 @@ impl GengarClient {
                 let seq = lane.next + i as u64;
                 let bytes = encode_report(seq, slot);
                 let at = gather + i as u64 * REPORT_SLOT_BYTES;
-                region.write(at, &bytes)?;
+                region.copy_in(at, &bytes)?;
                 ops.push(SendOp::Write {
                     payload: Payload::Sge(Sge::new(lkey, at, bytes.len() as u64)),
                     remote: RemoteAddr::new(rkey, lane.area.slot(seq)),
@@ -3274,7 +3365,7 @@ impl GengarClient {
         read?;
         let conn = &mut self.conns[idx];
         let mut landing = vec![0u8; Self::report_landing(conn) as usize];
-        self.mr.region().read(conn.op_buf, &mut landing)?;
+        self.mr.region().copy_out(conn.op_buf, &mut landing)?;
         conn.reports.consumed = u64::from_le_bytes(landing[..8].try_into().expect("8 bytes"));
         if landing.len() == 8 {
             return Ok(None);
@@ -3296,7 +3387,7 @@ impl GengarClient {
         let mut mailbox = vec![0u8; len as usize];
         self.mr
             .region()
-            .read(self.conns[idx].op_buf, &mut mailbox)?;
+            .copy_out(self.conns[idx].op_buf, &mut mailbox)?;
         let objects = &mut self.conns[idx].objects;
         // A new mailbox follows an epoch, which re-copied the frames its
         // folded reports marked written: its seq lapses the outdated marks.
@@ -3325,10 +3416,10 @@ impl GengarClient {
             .into_iter()
             .map(|server| BatchOp::Drain { server })
             .collect();
-        self.run_batch(&mut drains)?
-            .into_results()
-            .into_iter()
-            .collect()
+        self.run_ops(&mut drains);
+        self.results
+            .drain(..)
+            .try_for_each(|r| r.expect("every op resolved"))
     }
 
     /// Number of remap entries (cache frames) currently known locally.

@@ -11,12 +11,17 @@ use gengar_rdma::FastMap;
 
 use crate::layout::lockword;
 use crate::plan::{FrameVerdict, Hold};
+use crate::proxy::SLOTS_PER_RING;
 
 /// Objects a table records a frame or a word for: a frame per 512 bytes of
 /// one server's default 32 MiB cache. Past it a new object gets an entry
 /// only for a hold or a record; nothing is evicted, so no held lock and no
 /// un-drained write is forgotten.
 pub const OBJECTS: usize = 65_536;
+
+/// Drained records a table keeps for the next writes to reuse: a ring's
+/// worth, as many as can stage between two drains.
+const SPARE_RECORDS: usize = SLOTS_PER_RING as usize;
 
 /// A staged write's record `seq`, kept for read-your-writes until drained.
 #[derive(Debug)]
@@ -65,12 +70,24 @@ enum Make {
 }
 
 /// One connection's table, the seq of the last mailbox applied (0 at the
-/// start of a tenure) and the count of records.
+/// start of a tenure), the count of records and the drained records kept
+/// for reuse, so a warm staged write allocates no record.
 #[derive(Debug, Default)]
 pub struct Objects {
     map: FastMap<u64, ObjState>,
     mailbox: u64,
     staged: usize,
+    /// Boxed: the boxes are what a staged write reuses.
+    #[allow(clippy::vec_box)]
+    spare: Vec<Box<WriteBack>>,
+}
+
+/// Keeps a dropped record for reuse while the spare list has room.
+#[allow(clippy::vec_box)]
+fn recycle(spare: &mut Vec<Box<WriteBack>>, record: Option<Box<WriteBack>>) {
+    if let Some(record) = record.filter(|_| spare.len() < SPARE_RECORDS) {
+        spare.push(record);
+    }
 }
 
 impl Objects {
@@ -186,51 +203,59 @@ impl Objects {
         });
     }
 
-    /// Keeps staged write `seq`, refilling a record in place.
+    /// Keeps staged write `seq`, refilling the object's record, or a
+    /// drained one, in place.
     pub fn stage(&mut self, base: u64, seq: u64, off: u64, data: &[u8]) {
-        self.edit(base, Make::Always, |st, _| match st.staged.as_mut() {
-            Some(wb) => {
-                (wb.seq, wb.off) = (seq, off);
-                wb.data.clear();
-                wb.data.extend_from_slice(data);
-            }
-            None => {
-                st.staged = Some(Box::new(WriteBack {
-                    seq,
-                    off,
-                    data: data.to_vec(),
-                }))
-            }
+        let mut spare = self.spare.pop();
+        self.edit(base, Make::Always, |st, _| {
+            let wb = st.staged.get_or_insert_with(|| {
+                spare.take().unwrap_or_else(|| {
+                    Box::new(WriteBack {
+                        seq,
+                        off,
+                        data: Vec::new(),
+                    })
+                })
+            });
+            (wb.seq, wb.off) = (seq, off);
+            wb.data.clear();
+            wb.data.extend_from_slice(data);
         });
+        recycle(&mut self.spare, spare);
     }
 
     /// Drops the record, which its ring drained.
     pub fn drained(&mut self, base: u64) {
-        self.edit(base, Make::Never, |st, _| st.staged = None);
+        let record = self.edit(base, Make::Never, |st, _| st.staged.take());
+        recycle(&mut self.spare, record.flatten());
     }
 
     /// A direct write or an atomic changed the object under its frame and
     /// its record.
     pub fn wrote(&mut self, base: u64) {
         let mailbox = self.mailbox;
-        self.edit(base, Make::Never, |st, _| {
+        let record = self.edit(base, Make::Never, |st, _| {
             st.outdate(mailbox);
-            st.staged = None;
+            st.staged.take()
         });
+        recycle(&mut self.spare, record.flatten());
     }
 
     /// Forgets a freed object.
     pub fn remove(&mut self, base: u64) {
-        let st = self.map.remove(&base);
-        self.staged -= usize::from(st.is_some_and(|st| st.staged.is_some()));
+        let record = self.map.remove(&base).and_then(|st| st.staged);
+        self.staged -= usize::from(record.is_some());
+        recycle(&mut self.spare, record);
     }
 
-    fn sweep(&mut self, mut clear: impl FnMut(&mut ObjState)) {
-        let staged = &mut self.staged;
+    /// Runs `clear` on every entry, keeping the records it hands back for
+    /// reuse.
+    fn sweep(&mut self, mut clear: impl FnMut(&mut ObjState) -> Option<Box<WriteBack>>) {
+        let (staged, spare) = (&mut self.staged, &mut self.spare);
         self.map.retain(|_, st| {
-            let had = st.staged.is_some();
-            clear(st);
-            *staged -= usize::from(had && st.staged.is_none());
+            let record = clear(st);
+            *staged -= usize::from(record.is_some());
+            recycle(spare, record);
             !st.is_empty()
         });
     }
@@ -238,12 +263,18 @@ impl Objects {
     /// Drops the records up to seq `drained`: all at `u64::MAX`, a drain
     /// barrier.
     pub fn retire_staged(&mut self, drained: u64) {
-        self.sweep(|st| st.staged = st.staged.take().filter(|wb| wb.seq > drained));
+        self.sweep(|st| match &st.staged {
+            Some(wb) if wb.seq <= drained => st.staged.take(),
+            _ => None,
+        });
     }
 
     /// Drops every frame: a failover.
     pub fn drop_frames(&mut self) {
-        self.sweep(|st| st.frame = None);
+        self.sweep(|st| {
+            st.frame = None;
+            None
+        });
     }
 
     /// A reconnect: the frames go (the restarted server may re-assign
@@ -414,6 +445,39 @@ mod tests {
         t.release(past);
         t.drained(past + 64);
         assert_eq!(t.map.len(), OBJECTS);
+    }
+
+    /// A drained record's box and payload buffer serve the next staged
+    /// write, to any object; the spare list holds at most a ring's worth.
+    #[test]
+    fn a_drained_record_is_reused_by_the_next_stage() {
+        let mut t = Objects::default();
+        let record = |t: &Objects, base| {
+            let wb = t.get(base).unwrap().staged.as_ref().unwrap();
+            (&**wb as *const WriteBack, wb.data.as_ptr())
+        };
+        t.stage(64, 1, 0, &[7; 32]);
+        let first = record(&t, 64);
+        t.retire_staged(1);
+        assert_eq!((t.get(64).map(|_| ()), t.staged()), (None, 0));
+        t.stage(128, 2, 8, &[9; 16]);
+        assert_eq!(record(&t, 128), first, "the drained record came back");
+        let wb = t.get(128).unwrap().staged.as_ref().unwrap();
+        assert_eq!((wb.seq, wb.off, &wb.data[..]), (2, 8, &[9u8; 16][..]));
+        // `drained`, `wrote` and `remove` hand their records back too.
+        t.drained(128);
+        t.stage(192, 3, 0, &[1]);
+        assert_eq!(record(&t, 192), first);
+        t.wrote(192);
+        t.stage(256, 4, 0, &[1]);
+        assert_eq!(record(&t, 256), first);
+        t.remove(256);
+        assert_eq!((t.spare.len(), t.staged()), (1, 0));
+        for seq in 0..2 * SPARE_RECORDS as u64 {
+            t.stage((seq + 8) * 64, seq, 0, &[1]);
+        }
+        t.retire_staged(u64::MAX);
+        assert_eq!(t.spare.len(), SPARE_RECORDS);
     }
 
     /// `read_skew` keeps thousands of frame entries: the entry must not

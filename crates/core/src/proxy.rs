@@ -130,6 +130,27 @@ impl StagedFlight {
     }
 }
 
+/// What a settled flight staged ([`StagingWriter::stage_batch_finish`]):
+/// its first `count` records, under the seqs from `first` on, and the
+/// error of the first record that failed. Failures are a suffix: every
+/// record behind a failed one failed too.
+#[derive(Debug)]
+pub struct Landed {
+    pub first: u64,
+    pub count: usize,
+    pub failure: Option<GengarError>,
+}
+
+impl Landed {
+    /// Record `i`'s outcome: its seq, or the flight's failure.
+    pub fn outcome(&self, i: usize) -> Result<u64, GengarError> {
+        match &self.failure {
+            Some(e) if i >= self.count => Err(e.clone()),
+            _ => Ok(self.first + i as u64),
+        }
+    }
+}
+
 /// Client-side handle to its staging ring.
 ///
 /// Not thread-safe: each client thread owns its own ring, mirroring how
@@ -371,15 +392,13 @@ impl StagingWriter {
     /// [`GengarError::ProtocolViolation`] if the ring is full; transport
     /// failures as [`GengarError::Rdma`].
     pub fn stage_write(&mut self, addr_raw: u64, data: &[u8]) -> Result<u64, GengarError> {
-        let mut flight = self.stage_batch_begin(&[(addr_raw, data, self.scratch_off)])?;
+        let mut flight = self.stage_batch_begin([(addr_raw, data, self.scratch_off)])?;
         while !self.poll_flight(&mut flight) {
             if let Some(wake) = self.flight_done_wake(&flight) {
                 gengar_hybridmem::latency::spin_until(wake);
             }
         }
-        self.stage_batch_finish(flight)
-            .pop()
-            .expect("one result for one record")
+        self.stage_batch_finish(flight).outcome(0)
     }
 
     /// Slots currently free in the ring (as of the last watermark read).
@@ -421,12 +440,15 @@ impl StagingWriter {
     /// the ring lacks room (callers check [`StagingWriter::ring_room`]);
     /// transport failures of the post itself as [`GengarError::Rdma`]
     /// (nothing staged).
-    pub fn stage_batch_begin(
-        &mut self,
-        items: &[(u64, &[u8], u64)],
-    ) -> Result<StagedFlight, GengarError> {
-        debug_assert!(items.len() <= self.layout.slots as usize);
-        for &(_, data, _) in items {
+    pub fn stage_batch_begin<'d, I>(&mut self, items: I) -> Result<StagedFlight, GengarError>
+    where
+        I: IntoIterator<Item = (u64, &'d [u8], u64)>,
+        I::IntoIter: ExactSizeIterator + Clone,
+    {
+        let items = items.into_iter();
+        let n = items.len();
+        debug_assert!(n <= self.layout.slots as usize);
+        for (_, data, _) in items.clone() {
             if data.len() as u64 > self.layout.slot_payload {
                 return Err(GengarError::ObjectTooLarge {
                     requested: data.len() as u64,
@@ -434,7 +456,7 @@ impl StagingWriter {
                 });
             }
         }
-        if self.ring_room() < items.len() {
+        if self.ring_room() < n {
             return Err(GengarError::ProtocolViolation(
                 "staging ring lacks room for the batch",
             ));
@@ -444,18 +466,14 @@ impl StagingWriter {
         // into the ring so the server's drain can join the same trace.
         let tracer = Tracer::global();
         let mut stage_span = tracer.span("proxy.stage_batch");
-        stage_span.set_detail(items.len() as u64);
+        stage_span.set_detail(n as u64);
         let trace = gengar_telemetry::current_context().0 .0;
 
-        let mut ops = Vec::with_capacity(items.len());
-        let mut mirror_ops = Vec::with_capacity(if self.mirror.is_some() {
-            items.len()
-        } else {
-            0
-        });
-        for (i, &(addr_raw, data, gather_off)) in items.iter().enumerate() {
+        // Gather every record into its lane (the scratch buffer is this
+        // client's own memory: plain copies), then post one WRITE_WITH_IMM
+        // per record from there, on each lane.
+        for (i, (addr_raw, data, gather_off)) in items.clone().enumerate() {
             let seq = self.next_seq + i as u64;
-            let slot = (self.next_slot + i as u32) % self.layout.slots;
             let mut header = [0u8; RECORD_HEADER as usize];
             encode_record_header(
                 &mut header,
@@ -467,44 +485,40 @@ impl StagingWriter {
                 self.tenant_tag,
                 self.record_epoch(),
             );
-            self.scratch.region().write(gather_off, &header)?;
-            self.scratch
-                .region()
-                .write(gather_off + RECORD_HEADER, data)?;
-            let sge = Sge::new(
-                self.scratch.lkey(),
-                gather_off,
-                RECORD_HEADER + data.len() as u64,
-            );
-            ops.push(SendOp::Write {
-                payload: Payload::Sge(sge),
-                remote: RemoteAddr::new(
-                    self.staging_rkey,
-                    self.ring_offset + self.layout.slot_offset(slot),
-                ),
-                imm: Some(slot),
-            });
-            if let Some(m) = &self.mirror {
-                // The mirror WR reuses the gathered record verbatim; it
-                // rides the same doorbell window on the lane's own QP.
-                mirror_ops.push(SendOp::Write {
-                    payload: Payload::Sge(sge),
-                    remote: RemoteAddr::new(
-                        m.staging_rkey,
-                        m.ring_offset + self.layout.slot_offset(slot),
-                    ),
-                    imm: Some(slot),
-                });
-            }
+            let region = self.scratch.region();
+            region.copy_in(gather_off, &header)?;
+            region.copy_in(gather_off + RECORD_HEADER, data)?;
         }
+        // The WRITE of each gathered record to its slot of the ring at
+        // `ring_offset` under `rkey`.
+        let (lkey, layout, next_slot) = (self.scratch.lkey(), self.layout, self.next_slot);
+        let records = |rkey: RKey, ring_offset: u64| {
+            items
+                .clone()
+                .enumerate()
+                .map(move |(i, (_, data, gather_off))| {
+                    let slot = (next_slot + i as u32) % layout.slots;
+                    let len = RECORD_HEADER + data.len() as u64;
+                    SendOp::Write {
+                        payload: Payload::Sge(Sge::new(lkey, gather_off, len)),
+                        remote: RemoteAddr::new(rkey, ring_offset + layout.slot_offset(slot)),
+                        imm: Some(slot),
+                    }
+                })
+        };
         let pending = if self.primary_down {
             None
         } else {
             self.posted = true;
-            Some(self.ep.post_many(ops)?)
+            Some(
+                self.ep
+                    .post_many(records(self.staging_rkey, self.ring_offset))?,
+            )
         };
+        // The mirror WRs reuse the gathered records verbatim; they ride the
+        // same doorbell window on the lane's own QP.
         let mirror_pending = match &self.mirror {
-            Some(m) => match m.ep.post_many(mirror_ops) {
+            Some(m) => match m.ep.post_many(records(m.staging_rkey, m.ring_offset)) {
                 Ok(p) => Some(p),
                 Err(e) => {
                     if self.primary_down || pending.is_none() {
@@ -528,7 +542,7 @@ impl StagingWriter {
             mirror_pending,
             base_seq: self.next_seq,
             base_slot: self.next_slot,
-            n: items.len(),
+            n,
         })
     }
 
@@ -575,8 +589,8 @@ impl StagingWriter {
     }
 
     /// Retires a completed flight: advances the ring cursors past the
-    /// records that landed and returns one result per record in order;
-    /// `Ok(seq)` means that record is durably in its slot.
+    /// records that landed and says which did; a record that landed is
+    /// durably in its slot.
     ///
     /// The flight is one doorbell on one RC queue pair, so its failures
     /// are a suffix: the first failed WR moves the QP to error and every
@@ -588,7 +602,7 @@ impl StagingWriter {
     ///
     /// Debug-asserts the flight was opened by this writer and is done,
     /// and that no success follows a failure.
-    pub fn stage_batch_finish(&mut self, flight: StagedFlight) -> Vec<Result<u64, GengarError>> {
+    pub fn stage_batch_finish(&mut self, flight: StagedFlight) -> Landed {
         debug_assert!(flight.pending.as_ref().is_none_or(|p| p.is_done()));
         debug_assert!(flight.mirror_pending.as_ref().is_none_or(|p| p.is_done()));
         debug_assert_eq!(flight.base_seq, self.next_seq);
@@ -599,42 +613,37 @@ impl StagingWriter {
         // ack rule holds because a record only reports `Ok` once every
         // lane that was posted has completed (the flight settles as a
         // unit across both lanes).
-        let completions = match flight.pending {
+        let completions = match &flight.pending {
             Some(p) => {
-                let mirror_failed = flight
-                    .mirror_pending
-                    .map(PendingOps::into_results)
-                    .is_some_and(|rs| rs.iter().any(|r| r.is_err()));
-                if mirror_failed {
+                let mirror = flight.mirror_pending.as_ref();
+                if mirror.is_some_and(|m| m.first_error().is_some()) {
                     self.lose_mirror();
                 }
-                p.into_results()
+                p
             }
             None => flight
                 .mirror_pending
-                .expect("failover flight carries a mirror lane")
-                .into_results(),
+                .as_ref()
+                .expect("failover flight carries a mirror lane"),
         };
-        let out: Vec<_> = completions
-            .into_iter()
-            .enumerate()
-            .map(|(i, wc)| {
-                wc.map(|_| self.next_seq + i as u64)
-                    .map_err(GengarError::Rdma)
-            })
-            .collect();
-        let landed = out.iter().take_while(|r| r.is_ok()).count();
+        let landed = completions.results().take_while(Result::is_ok).count();
         debug_assert!(
-            out[landed..].iter().all(|r| r.is_err()),
+            completions.results().skip(landed).all(|r| r.is_err()),
             "a staged record succeeded behind a failed one"
         );
+        let failure = completions.first_error().map(GengarError::Rdma);
         self.in_flight
             .extend((0..landed as u64).map(|i| self.next_seq + i));
         self.staged.add(landed as u64);
+        let first = self.next_seq;
         self.next_seq += landed as u64;
         self.next_slot = (self.next_slot + landed as u32) % self.layout.slots;
         self.occupancy.set(self.in_flight.len() as i64);
-        out
+        Landed {
+            first,
+            count: landed,
+            failure,
+        }
     }
 
     /// Reads the drained watermark of every active lane (one-sided READ
@@ -654,7 +663,7 @@ impl StagingWriter {
                 RemoteAddr::new(self.ctl_rkey, self.client_id as u64 * 8),
             )?;
             let mut word = [0u8; 8];
-            self.scratch.region().read(pad, &mut word)?;
+            self.scratch.region().copy_out(pad, &mut word)?;
             self.drained = u64::from_le_bytes(word);
         }
         if let Some(m) = &self.mirror {
@@ -666,7 +675,7 @@ impl StagingWriter {
             match read {
                 Ok(_) => {
                     let mut word = [0u8; 8];
-                    self.scratch.region().read(mpad, &mut word)?;
+                    self.scratch.region().copy_out(mpad, &mut word)?;
                     self.mirror_drained = u64::from_le_bytes(word);
                 }
                 Err(e) => {
@@ -786,9 +795,9 @@ mod tests {
                 let seq = if blocking {
                     writer.stage_write(addr, &data).unwrap()
                 } else {
-                    let mut flight = writer.stage_batch_begin(&[(addr, &data, lane)]).unwrap();
+                    let mut flight = writer.stage_batch_begin([(addr, &data[..], lane)]).unwrap();
                     while !writer.poll_flight(&mut flight) {}
-                    writer.stage_batch_finish(flight).pop().unwrap().unwrap()
+                    writer.stage_batch_finish(flight).outcome(0).unwrap()
                 };
                 assert_eq!(seq, 1);
                 assert_eq!(writer.has_mirror(), mirrored, "mirror lane was shed");
@@ -854,12 +863,12 @@ mod tests {
         let items: Vec<(u64, &[u8], u64)> = (0..4u64)
             .map(|i| (0x4000 + i * 64, &data[..], i * layout.slot_bytes()))
             .collect();
-        let mut flight = writer.stage_batch_begin(&items).unwrap();
+        let mut flight = writer.stage_batch_begin(items.iter().copied()).unwrap();
         while !writer.poll_flight(&mut flight) {}
         let out = writer.stage_batch_finish(flight);
-        assert_eq!(out[0], Ok(1));
-        assert_eq!(out[1], Ok(2));
-        assert!(out[2..].iter().all(|r| r.is_err()), "{out:?}");
+        assert_eq!(out.outcome(0), Ok(1));
+        assert_eq!(out.outcome(1), Ok(2));
+        assert!((2..4).all(|i| out.outcome(i).is_err()), "{out:?}");
         assert_eq!(writer.next_seq(), 3);
         assert_eq!(writer.ring_room(), layout.slots as usize - 2);
         for (slot, seq) in [(0, 1), (1, 2), (2, 0), (3, 0)] {

@@ -519,12 +519,14 @@ impl MemoryServer {
             inner.reset_reports(cid)?;
 
             // Control-plane pair + its message buffer.
-            let (rpc, s_rpc) = inner.connect(client_node, client_pd)?;
-            let s_qpn = s_rpc.qpn();
-            let s_rpc = Endpoint::from_qp(Arc::clone(&inner.node), s_rpc);
+            // The message buffer is registered before the endpoint is
+            // built, so the endpoint's route caches it.
             let msg_off = cid as u64 * RPC_BUF_BYTES;
             let msg_region = MemRegion::new(Arc::clone(&inner.msg_dev), msg_off, RPC_BUF_BYTES)?;
             let msg_mr = inner.pd.reg_mr(msg_region, Access::LOCAL_WRITE)?;
+            let (rpc, s_rpc) = inner.connect(client_node, client_pd)?;
+            let s_qpn = s_rpc.qpn();
+            let s_rpc = Endpoint::from_qp(Arc::clone(&inner.node), s_rpc);
             let conn = Lane::Rpc(Arc::new(RpcServerConn::new(s_rpc, msg_mr)?));
             inner.clients.lock().lanes.insert(s_qpn, (cid, conn));
 

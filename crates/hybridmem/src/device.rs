@@ -232,6 +232,52 @@ impl MemDevice {
         Ok(end)
     }
 
+    /// Copies `dst.len()` bytes out at `offset` as a CPU load from local
+    /// memory: bounds-checked, with no modelled cost and no count. For
+    /// memory that only its owner's CPU accesses this way (a client's
+    /// scratch buffer), whose cost is the copy itself.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HybridMemError::OutOfBounds`] if the range exceeds capacity.
+    pub fn copy_out(&self, offset: u64, dst: &mut [u8]) -> Result<()> {
+        self.check(offset, dst.len() as u64)?;
+        // SAFETY: bounds checked above; see `Backing` for the race model.
+        unsafe {
+            std::ptr::copy_nonoverlapping(
+                self.backing.ptr.add(offset as usize),
+                dst.as_mut_ptr(),
+                dst.len(),
+            );
+        }
+        Ok(())
+    }
+
+    /// Copies `src` in at `offset` as a CPU store to local memory: the
+    /// counterpart of [`MemDevice::copy_out`], durable at once on an ADR
+    /// device under crash simulation, as [`MemDevice::write`] is.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HybridMemError::OutOfBounds`] if the range exceeds capacity.
+    pub fn copy_in(&self, offset: u64, src: &[u8]) -> Result<()> {
+        self.check(offset, src.len() as u64)?;
+        // SAFETY: bounds checked above; see `Backing` for the race model.
+        unsafe {
+            std::ptr::copy_nonoverlapping(
+                src.as_ptr(),
+                self.backing.ptr.add(offset as usize),
+                src.len(),
+            );
+        }
+        if self.profile.persistence == PersistenceMode::Adr {
+            if let Some(image) = self.durable.lock().as_mut() {
+                image[offset as usize..offset as usize + src.len()].copy_from_slice(src);
+            }
+        }
+        Ok(())
+    }
+
     /// Writes `src` starting at `offset`: [`MemDevice::write_at`] from
     /// now, then one wait for its modelled completion.
     ///
@@ -910,6 +956,21 @@ mod tests {
         d.read(4096, &mut b).unwrap();
         d.read(8192, &mut c).unwrap();
         assert_eq!((a, b, c), ([1u8; 64], [2u8; 130], [0u8; 8]));
+    }
+
+    /// The plain copies charge nothing and count nothing, on a timed
+    /// device too, and stay bounds-checked.
+    #[test]
+    fn plain_copies_are_uncounted_and_bounds_checked() {
+        let d = timed();
+        d.copy_in(8, b"plain").unwrap();
+        let mut buf = [0u8; 5];
+        d.copy_out(8, &mut buf).unwrap();
+        assert_eq!(&buf, b"plain");
+        let s = d.stats().snapshot();
+        assert_eq!((s.reads, s.writes), (0, 0));
+        assert!(d.copy_out(d.capacity() - 2, &mut buf).is_err());
+        assert!(d.copy_in(u64::MAX, &buf).is_err());
     }
 
     #[test]

@@ -104,6 +104,30 @@ impl MemRegion {
         self.device.read_at(abs, dst, start)
     }
 
+    /// Copies `dst.len()` bytes out at region-relative `offset` with no
+    /// modelled cost and no count ([`MemDevice::copy_out`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HybridMemError::OutOfBounds`] if the access leaves the
+    /// window.
+    pub fn copy_out(&self, offset: u64, dst: &mut [u8]) -> Result<()> {
+        let abs = self.translate(offset, dst.len() as u64)?;
+        self.device.copy_out(abs, dst)
+    }
+
+    /// Copies `src` in at region-relative `offset` with no modelled cost
+    /// and no count ([`MemDevice::copy_in`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HybridMemError::OutOfBounds`] if the access leaves the
+    /// window.
+    pub fn copy_in(&self, offset: u64, src: &[u8]) -> Result<()> {
+        let abs = self.translate(offset, src.len() as u64)?;
+        self.device.copy_in(abs, src)
+    }
+
     /// Writes `src` at region-relative `offset`.
     ///
     /// # Errors

@@ -4,6 +4,7 @@
 //! simulation the exchange is a function call: [`Endpoint::pair`] creates
 //! two RC queue pairs, wires them together and returns both ends.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -12,11 +13,24 @@ use gengar_hybridmem::latency::spin_until;
 
 use crate::cq::{Wc, WcStatus};
 use crate::error::RdmaError;
+use crate::fabric::Route;
 use crate::mr::ProtectionDomain;
 use crate::node::RdmaNode;
 use crate::qp::{QpOptions, QpState, QueuePair};
 use crate::types::RemoteAddr;
 use crate::wr::{Payload, RecvWr, SendOp, SendWr, Sge};
+
+/// One operation's result slot in a [`PendingOps`].
+type Slot = Option<Result<Wc, RdmaError>>;
+
+/// Emptied result lists a thread keeps for its next posts.
+const SPARE_LISTS: usize = 16;
+
+thread_local! {
+    /// The result lists of settled batches, emptied, so a post allocates
+    /// none once its thread has settled a batch as wide.
+    static SPARE_SLOTS: Cell<Vec<Vec<Slot>>> = const { Cell::new(Vec::new()) };
+}
 
 /// A posted doorbell batch whose completions are still being harvested.
 ///
@@ -25,15 +39,36 @@ use crate::wr::{Payload, RecvWr, SendOp, SendWr, Sge};
 /// [`Endpoint::pending_done_wake`] between passes. One `PendingOps` per
 /// batch; a single endpoint can only be driven by one thread, but one
 /// thread can hold `PendingOps` for *several endpoints* in flight at once
-/// — that is the whole point of the completion-driven issue engine.
+/// — that is the whole point of the completion-driven issue engine. Its
+/// result list goes back to the thread that drops it, for the next post.
 #[derive(Debug)]
 pub struct PendingOps {
     base: u64,
-    out: Vec<Option<Result<Wc, RdmaError>>>,
+    out: Vec<Slot>,
     pending: usize,
 }
 
 impl PendingOps {
+    /// A batch of `n` operations from wr_id `base`, over a spare list.
+    fn new(base: u64, n: usize) -> PendingOps {
+        let mut out = SPARE_SLOTS
+            .try_with(|spare| {
+                let mut lists = spare.take();
+                let list = lists.pop();
+                spare.set(lists);
+                list
+            })
+            .ok()
+            .flatten()
+            .unwrap_or_default();
+        out.resize(n, None);
+        PendingOps {
+            base,
+            out,
+            pending: n,
+        }
+    }
+
     /// Number of operations in the batch.
     pub fn len(&self) -> usize {
         self.out.len()
@@ -49,6 +84,27 @@ impl PendingOps {
         self.pending == 0
     }
 
+    /// One result per operation, in posting order, without consuming the
+    /// batch.
+    ///
+    /// # Panics
+    ///
+    /// If called before [`PendingOps::is_done`].
+    pub fn results(&self) -> impl ExactSizeIterator<Item = Result<Wc, RdmaError>> + '_ {
+        self.out
+            .iter()
+            .map(|s| s.clone().expect("a settled batch has every result"))
+    }
+
+    /// The first failed operation's error, if any failed.
+    ///
+    /// # Panics
+    ///
+    /// If called before [`PendingOps::is_done`].
+    pub fn first_error(&self) -> Option<RdmaError> {
+        self.results().find_map(Result::err)
+    }
+
     /// Consumes the batch and returns one result per operation, in
     /// posting order.
     ///
@@ -56,10 +112,31 @@ impl PendingOps {
     ///
     /// If called before [`PendingOps::is_done`].
     pub fn into_results(self) -> Vec<Result<Wc, RdmaError>> {
-        self.out
-            .into_iter()
-            .map(|s| s.expect("a settled batch has every result"))
-            .collect()
+        self.results().collect()
+    }
+
+    /// Takes the result of operation `i`.
+    fn take(&mut self, i: usize) -> Result<Wc, RdmaError> {
+        self.out[i]
+            .take()
+            .expect("a settled batch has every result")
+    }
+}
+
+impl Drop for PendingOps {
+    fn drop(&mut self) {
+        let mut out = std::mem::take(&mut self.out);
+        if out.capacity() == 0 {
+            return;
+        }
+        out.clear();
+        let _ = SPARE_SLOTS.try_with(|spare| {
+            let mut lists = spare.take();
+            if lists.len() < SPARE_LISTS {
+                lists.push(out);
+            }
+            spare.set(lists);
+        });
     }
 }
 
@@ -70,11 +147,17 @@ impl PendingOps {
 /// blocking helpers (`read`, `write`, `send`, ...) post one work request
 /// and wait for its completion; they are designed for one thread driving
 /// one endpoint, which is how Gengar clients use their connections.
+///
+/// A connected endpoint is a resolved route: its posts reach the peer's
+/// QP and its own MRs without a lookup, a lock or a `Weak` upgrade.
 #[derive(Debug)]
 pub struct Endpoint {
     node: Arc<RdmaNode>,
     qp: Arc<QueuePair>,
     next_wr: AtomicU64,
+    /// The QP's connection as resolved when the endpoint was built; `None`
+    /// if it was not connected then.
+    route: Option<Box<Route>>,
 }
 
 impl Endpoint {
@@ -109,12 +192,16 @@ impl Endpoint {
         ))
     }
 
-    /// Wraps an already-connected queue pair.
+    /// Wraps an already-connected queue pair, resolving its route: the
+    /// peer, its QP and the MRs registered so far in the QP's protection
+    /// domain.
     pub fn from_qp(node: Arc<RdmaNode>, qp: Arc<QueuePair>) -> Endpoint {
+        let route = Route::resolve(&node, &qp, true).ok().map(Box::new);
         Endpoint {
             node,
             qp,
             next_wr: AtomicU64::new(1),
+            route,
         }
     }
 
@@ -141,8 +228,9 @@ impl Endpoint {
     /// [`RdmaError::CompletionError`]; [`RdmaError::QpError`] if the
     /// operation's completion was lost to a CQ overrun that killed the QP.
     pub fn execute(&self, op: SendOp) -> Result<Wc, RdmaError> {
-        let mut results = self.execute_many(vec![op])?;
-        results.pop().expect("one result for one op")
+        let mut pending = self.post_many([op])?;
+        self.settle(&mut pending);
+        pending.take(0)
     }
 
     /// Posts `ops` as one doorbell batch without waiting for completions.
@@ -198,18 +286,27 @@ impl Endpoint {
                 fence: fence_last && i + 1 == n,
                 ..SendWr::new(base + i as u64, op)
             });
-            self.qp.post_list(wrs)?;
-            Ok(PendingOps {
-                base,
-                out: vec![None; n],
-                pending: n,
-            })
+            self.post(wrs)?;
+            Ok(PendingOps::new(base, n))
         } else {
-            Ok(PendingOps {
-                base: 0,
-                out: Vec::new(),
-                pending: 0,
-            })
+            Ok(PendingOps::new(0, 0))
+        }
+    }
+
+    /// Posts `wrs` on the resolved route, or on one resolved for this post
+    /// when the QP has reconnected since the endpoint was built.
+    fn post<I>(&self, wrs: I) -> Result<Instant, RdmaError>
+    where
+        I: IntoIterator<Item = SendWr>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        match &self.route {
+            Some(route) if self.qp.is_connection(route.conn) => {
+                self.qp.check_ready("post_send_list")?;
+                let wire = self.node.wire();
+                wire.execute_batch(&self.node, &self.qp, route, wrs)
+            }
+            _ => self.qp.post_list(wrs, "post_send_list"),
         }
     }
 
@@ -303,12 +400,17 @@ impl Endpoint {
     /// what each result can be). The wait sleeps until the batch's
     /// [`Endpoint::pending_done_wake`] between harvest passes.
     pub fn wait(&self, mut pending: PendingOps) -> Vec<Result<Wc, RdmaError>> {
-        while !self.poll_pending(&mut pending) {
-            if let Some(wake) = self.pending_done_wake(&pending) {
+        self.settle(&mut pending);
+        pending.into_results()
+    }
+
+    /// Waits until every operation of a posted batch has its result.
+    pub fn settle(&self, pending: &mut PendingOps) {
+        while !self.poll_pending(pending) {
+            if let Some(wake) = self.pending_done_wake(pending) {
                 spin_until(wake);
             }
         }
-        pending.into_results()
     }
 
     /// One-sided READ of `local.len` bytes from `remote` into `local`.

@@ -18,7 +18,7 @@ use crate::metrics::FabricMetrics;
 use crate::mr::MemoryRegion;
 use crate::node::RdmaNode;
 use crate::qp::QueuePair;
-use crate::types::{Access, NodeId, RemoteAddr};
+use crate::types::{Access, NodeId, Qpn, RemoteAddr};
 use crate::wr::{Payload, SendOp, SendWr, Sge};
 
 /// Occupies both NIC ports for one transfer's bytes starting no earlier
@@ -198,24 +198,112 @@ impl Gathered {
 /// given extra delay, and requests can be lost; the RC state machine
 /// reacts as real hardware does (error completions, QP to error state).
 pub struct Fabric {
-    config: FabricConfig,
+    wire: Arc<Wire>,
     next_node: AtomicU32,
     nodes: RwLock<FastMap<NodeId, Arc<RdmaNode>>>,
+}
+
+/// What executing a post needs of its fabric: the timing configuration, the
+/// link-fault table and the metric handles. Every node holds it, so a post
+/// on a resolved [`Route`] reaches the wire without upgrading a `Weak` to
+/// the fabric.
+pub(crate) struct Wire {
+    config: FabricConfig,
     faults: RwLock<FastMap<(NodeId, NodeId), LinkFault>>,
     /// Set by the first partition or delay ever configured: until then a
     /// post skips the fault table and its lock. Stored (Release) after the
     /// table entry is written; a post that loads it set (Acquire) then
     /// reads the table under its lock.
     any_faults: AtomicBool,
+    /// Cleared when the fabric is dropped: a post on a route that outlived
+    /// it fails [`RdmaError::NotConnected`], as a post through a dropped
+    /// fabric always has.
+    live: AtomicBool,
     metrics: FabricMetrics,
+}
+
+/// A connected queue pair's destination and local memory, resolved once
+/// when an [`crate::Endpoint`] is built: the peer node and its QP, and the
+/// MRs of the QP's protection domain registered by then. A post on the
+/// route takes no lock and upgrades no `Weak`. Liveness stays exact: the
+/// peer's `attached` flag ([`Fabric::remove_node`] clears it) is read on
+/// every post, partitions stay on the link-fault table, and a route
+/// resolved for an earlier connection of the QP is not used.
+///
+/// The route lives in the endpoint, never in the QP: QPs reach each other
+/// through their nodes, so routes stored there would form `Arc` cycles
+/// that keep every node of a dropped fabric alive.
+#[derive(Debug)]
+pub(crate) struct Route {
+    /// The QP connection this route was resolved for ([`QueuePair::connection`]).
+    pub(crate) conn: u32,
+    dst_id: NodeId,
+    /// The peer and its QP; `None` when the peer was detached before the
+    /// route was resolved.
+    target: Option<(Arc<RdmaNode>, Arc<QueuePair>)>,
+    /// Local MRs by ascending key. No MR is ever deregistered, so a cached
+    /// one stays valid; a key registered later is looked up on the node.
+    local: Box<[Arc<MemoryRegion>]>,
+}
+
+impl Route {
+    /// Resolves `qp`'s current connection from `src`, caching the local MRs
+    /// of the QP's protection domain when `cache_mrs`.
+    ///
+    /// # Errors
+    ///
+    /// [`RdmaError::NotConnected`] when the QP has no peer or the fabric is
+    /// gone.
+    pub(crate) fn resolve(
+        src: &RdmaNode,
+        qp: &QueuePair,
+        cache_mrs: bool,
+    ) -> Result<Route, RdmaError> {
+        let (conn, (dst_id, dst_qpn)) = qp.connection().ok_or(RdmaError::NotConnected)?;
+        let fabric = src.fabric().ok_or(RdmaError::NotConnected)?;
+        Ok(Route {
+            conn,
+            dst_id,
+            target: Self::target(&fabric, dst_id, dst_qpn),
+            local: if cache_mrs {
+                src.mrs_in(qp.pd_id())
+            } else {
+                Box::default()
+            },
+        })
+    }
+
+    fn target(
+        fabric: &Fabric,
+        dst_id: NodeId,
+        dst_qpn: Qpn,
+    ) -> Option<(Arc<RdmaNode>, Arc<QueuePair>)> {
+        let dst = fabric.node(dst_id)?;
+        let dst_qp = dst.qp(dst_qpn)?;
+        Some((dst, dst_qp))
+    }
+
+    /// The local MR `key` names: from the cache, else from the node.
+    fn local_mr(&self, src: &RdmaNode, key: u32) -> Option<Arc<MemoryRegion>> {
+        match self.local.binary_search_by_key(&key, |mr| mr.lkey().0) {
+            Ok(i) => Some(Arc::clone(&self.local[i])),
+            Err(_) => src.mr_by_key(key),
+        }
+    }
 }
 
 impl std::fmt::Debug for Fabric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Fabric")
-            .field("config", &self.config)
+            .field("config", &self.wire.config)
             .field("nodes", &self.nodes.read().len())
             .finish()
+    }
+}
+
+impl Drop for Fabric {
+    fn drop(&mut self) {
+        self.wire.live.store(false, Ordering::Release);
     }
 }
 
@@ -232,29 +320,27 @@ impl Fabric {
     pub fn new(config: FabricConfig) -> Arc<Self> {
         let metrics = FabricMetrics::new(config.telemetry);
         Arc::new(Fabric {
-            config,
+            wire: Arc::new(Wire {
+                config,
+                faults: RwLock::new(FastMap::default()),
+                any_faults: AtomicBool::new(false),
+                live: AtomicBool::new(true),
+                metrics,
+            }),
             next_node: AtomicU32::new(0),
             nodes: RwLock::new(FastMap::default()),
-            faults: RwLock::new(FastMap::default()),
-            any_faults: AtomicBool::new(false),
-            metrics,
         })
     }
 
     /// The timing configuration.
     pub fn config(&self) -> &FabricConfig {
-        &self.config
+        &self.wire.config
     }
 
     /// Attaches a new node and returns its context.
     pub fn add_node(self: &Arc<Self>) -> Arc<RdmaNode> {
         let id = NodeId(self.next_node.fetch_add(1, Ordering::Relaxed));
-        let node = RdmaNode::new(
-            id,
-            Arc::downgrade(self),
-            self.config.nic_bw_bytes_per_sec,
-            self.metrics.clone(),
-        );
+        let node = RdmaNode::new(id, Arc::downgrade(self), Arc::clone(&self.wire));
         self.nodes.write().insert(id, Arc::clone(&node));
         node
     }
@@ -265,19 +351,38 @@ impl Fabric {
     }
 
     /// Detaches a node (simulates machine failure). Peers talking to it
-    /// observe transport errors.
+    /// observe transport errors, through routes resolved before the
+    /// detach too.
     pub fn remove_node(&self, id: NodeId) -> Option<Arc<RdmaNode>> {
-        self.nodes.write().remove(&id)
+        let node = self.nodes.write().remove(&id);
+        if let Some(node) = &node {
+            node.detach();
+        }
+        node
     }
 
     /// Partitions (or heals) the link between `a` and `b`.
     pub fn partition(&self, a: NodeId, b: NodeId, partitioned: bool) {
-        self.set_link_fault(a, b, |f| f.partitioned = partitioned);
+        self.wire
+            .set_link_fault(a, b, |f| f.partitioned = partitioned);
     }
 
     /// Adds fixed extra one-way delay on the link between `a` and `b`.
     pub fn set_extra_delay_ns(&self, a: NodeId, b: NodeId, delay_ns: u64) {
-        self.set_link_fault(a, b, |f| f.extra_delay_ns = delay_ns);
+        self.wire
+            .set_link_fault(a, b, |f| f.extra_delay_ns = delay_ns);
+    }
+}
+
+impl Wire {
+    /// The fabric's metric handles.
+    pub(crate) fn metrics(&self) -> &FabricMetrics {
+        &self.metrics
+    }
+
+    /// The NIC port bandwidth of every node.
+    pub(crate) fn nic_bw_bytes_per_sec(&self) -> u64 {
+        self.config.nic_bw_bytes_per_sec
     }
 
     /// Edits the fault entry of the link between `a` and `b`.
@@ -299,7 +404,7 @@ impl Fabric {
 
     /// Validates a remote access and returns the target MR.
     fn remote_mr(
-        dst: &Arc<RdmaNode>,
+        dst: &RdmaNode,
         dst_pd: u32,
         raddr: RemoteAddr,
         len: u64,
@@ -321,11 +426,16 @@ impl Fabric {
         Ok(mr)
     }
 
-    /// Resolves the local side of a payload/sge, failing fast on
-    /// programming errors.
-    fn local_mr(src: &Arc<RdmaNode>, qp_pd: u32, sge: Sge) -> Result<Arc<MemoryRegion>, RdmaError> {
-        let mr = src
-            .mr_by_key(sge.lkey.0)
+    /// Resolves the local side of a payload/sge through `route`, failing
+    /// fast on programming errors.
+    fn local_mr(
+        src: &RdmaNode,
+        route: &Route,
+        qp_pd: u32,
+        sge: Sge,
+    ) -> Result<Arc<MemoryRegion>, RdmaError> {
+        let mr = route
+            .local_mr(src, sge.lkey.0)
             .ok_or(RdmaError::UnknownLKey(sge.lkey.0))?;
         if mr.pd_id() != qp_pd {
             return Err(RdmaError::UnknownLKey(sge.lkey.0));
@@ -345,7 +455,8 @@ impl Fabric {
     }
 
     fn gather_payload(
-        src: &Arc<RdmaNode>,
+        src: &RdmaNode,
+        route: &Route,
         qp: &QueuePair,
         payload: &Payload,
     ) -> Result<Gathered, RdmaError> {
@@ -360,7 +471,7 @@ impl Fabric {
                 Ok(Gathered::Bytes(bytes.clone()))
             }
             Payload::Sge(sge) => {
-                let mr = Self::local_mr(src, qp.pd_id(), *sge)?;
+                let mr = Self::local_mr(src, route, qp.pd_id(), *sge)?;
                 Ok(Gathered::Mr(mr, sge.offset, sge.len))
             }
         }
@@ -420,21 +531,9 @@ impl Fabric {
         }
     }
 
-    /// Posts a send-side work request. Called from
-    /// [`QueuePair::post_send`]. A single post is a one-element doorbell
-    /// batch, so serial and batched paths share one execution engine (and
-    /// identical timing for a batch of one).
-    pub(crate) fn execute(
-        &self,
-        src: &Arc<RdmaNode>,
-        qp: &Arc<QueuePair>,
-        wr: SendWr,
-    ) -> Result<(), RdmaError> {
-        self.execute_batch(src, qp, [wr]).map(drop)
-    }
-
-    /// Posts a list of send-side work requests as one doorbell batch.
-    /// Called from [`QueuePair::post_send_list`]. Returns the doorbell
+    /// Posts a list of send-side work requests as one doorbell batch on
+    /// `route`, the QP's resolved connection. Every post, serial or
+    /// batched, comes through here. Returns the doorbell
     /// instant without blocking: completions are queued with their
     /// modelled ready instants and harvested from the CQ as simulated time
     /// passes.
@@ -468,14 +567,18 @@ impl Fabric {
     /// caller can harvest a completion whose bytes have not landed.
     pub(crate) fn execute_batch<I>(
         &self,
-        src: &Arc<RdmaNode>,
+        src: &RdmaNode,
         qp: &Arc<QueuePair>,
+        route: &Route,
         wrs: I,
     ) -> Result<Instant, RdmaError>
     where
         I: IntoIterator<Item = SendWr>,
         I::IntoIter: ExactSizeIterator,
     {
+        if !self.live.load(Ordering::Acquire) {
+            return Err(RdmaError::NotConnected);
+        }
         let wrs = wrs.into_iter();
         if wrs.len() == 0 {
             return Ok(Instant::now());
@@ -487,7 +590,7 @@ impl Fabric {
         let tracer = Tracer::global();
         let mut post_span = tracer.span("rdma.post");
         post_span.set_detail(wrs.len() as u64);
-        let (dst_id, dst_qpn) = qp.remote().ok_or(RdmaError::NotConnected)?;
+        let dst_id = route.dst_id;
         // Any WR of the list may complete (a failed or flushed one even
         // unsignaled), so its send CQ must hold them all before one runs:
         // an overrun would lose the completion of a WR that executed.
@@ -511,13 +614,13 @@ impl Fabric {
             };
             let local: Option<Gathered> = match &wr.op {
                 SendOp::Send { payload, .. } | SendOp::Write { payload, .. } => {
-                    Some(Self::gather_payload(src, qp, payload)?)
+                    Some(Self::gather_payload(src, route, qp, payload)?)
                 }
                 SendOp::Read { local, .. }
                 | SendOp::CompareSwap { local, .. }
                 | SendOp::FetchAdd { local, .. } => {
                     // Resolve the local landing MR now; data lands later.
-                    let mr = Self::local_mr(src, qp.pd_id(), *local)?;
+                    let mr = Self::local_mr(src, route, qp.pd_id(), *local)?;
                     Some(Gathered::Mr(mr, local.offset, local.len))
                 }
                 SendOp::Flush { .. } => None,
@@ -536,10 +639,10 @@ impl Fabric {
 
         let cfg = &self.config;
         let fault = self.fault(src.id(), dst_id);
-        let target = match self.node(dst_id) {
-            Some(d) if !fault.partitioned => d.qp(dst_qpn).map(|q| (d, q)),
-            _ => None,
-        };
+        let target = route
+            .target
+            .as_ref()
+            .filter(|(dst, _)| dst.is_attached() && !fault.partitioned);
 
         // The arrival cursor: when this doorbell's request wave reaches
         // the responder. Every WQE pays initiator NIC processing; the
@@ -631,7 +734,7 @@ impl Fabric {
                 verb.lat_ns.record_ns((cursor - posted).as_nanos() as u64);
                 continue;
             }
-            let pair = match &target {
+            let pair = match target {
                 Some(pair) => pair,
                 None => {
                     // Transport retry exceeded: error completion, QP to
@@ -671,7 +774,7 @@ impl Fabric {
     #[allow(clippy::too_many_arguments)]
     fn execute_one_at(
         &self,
-        src: &Arc<RdmaNode>,
+        src: &RdmaNode,
         qp: &Arc<QueuePair>,
         wr: &SendWr,
         sender_opcode: WcOpcode,

@@ -1,13 +1,13 @@
 //! Per-node RDMA context (one simulated machine with one NIC).
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Weak};
 
 use gengar_hybridmem::Limiter;
 use parking_lot::RwLock;
 
 use crate::cq::CompletionQueue;
-use crate::fabric::Fabric;
+use crate::fabric::{Fabric, Wire};
 use crate::hash::FastMap;
 use crate::metrics::FabricMetrics;
 use crate::mr::{MemoryRegion, ProtectionDomain};
@@ -22,6 +22,10 @@ use crate::types::{NodeId, Qpn};
 pub struct RdmaNode {
     id: NodeId,
     fabric: Weak<Fabric>,
+    wire: Arc<Wire>,
+    /// Cleared when the node is detached from its fabric (machine death):
+    /// routes to it read this on every post.
+    attached: AtomicBool,
     next_key: Arc<AtomicU32>,
     next_qpn: AtomicU32,
     next_pd: AtomicU32,
@@ -43,15 +47,13 @@ impl std::fmt::Debug for RdmaNode {
 }
 
 impl RdmaNode {
-    pub(crate) fn new(
-        id: NodeId,
-        fabric: Weak<Fabric>,
-        nic_bw_bytes_per_sec: u64,
-        metrics: FabricMetrics,
-    ) -> Arc<Self> {
+    pub(crate) fn new(id: NodeId, fabric: Weak<Fabric>, wire: Arc<Wire>) -> Arc<Self> {
+        let (nic_bw_bytes_per_sec, metrics) = (wire.nic_bw_bytes_per_sec(), wire.metrics().clone());
         let node = Arc::new(RdmaNode {
             id,
             fabric,
+            wire,
+            attached: AtomicBool::new(true),
             next_key: Arc::new(AtomicU32::new(0)),
             next_qpn: AtomicU32::new(0),
             next_pd: AtomicU32::new(0),
@@ -73,6 +75,21 @@ impl RdmaNode {
     /// The fabric this node is attached to, if it still exists.
     pub fn fabric(&self) -> Option<Arc<Fabric>> {
         self.fabric.upgrade()
+    }
+
+    /// The execution half of the fabric this node was added to.
+    pub(crate) fn wire(&self) -> &Wire {
+        &self.wire
+    }
+
+    /// Whether the node is still attached to its fabric.
+    pub(crate) fn is_attached(&self) -> bool {
+        self.attached.load(Ordering::Acquire)
+    }
+
+    /// Marks the node detached ([`Fabric::remove_node`]).
+    pub(crate) fn detach(&self) {
+        self.attached.store(false, Ordering::Release);
     }
 
     /// NIC port bandwidth limiter (shared by all QPs on the node).
@@ -125,6 +142,20 @@ impl RdmaNode {
     /// Looks up an MR by key (lkeys and rkeys share the key space).
     pub fn mr_by_key(&self, key: u32) -> Option<Arc<MemoryRegion>> {
         self.mrs.read().get(&key).cloned()
+    }
+
+    /// The MRs registered so far in protection domain `pd_id`, by
+    /// ascending key.
+    pub(crate) fn mrs_in(&self, pd_id: u32) -> Box<[Arc<MemoryRegion>]> {
+        let mut mrs: Vec<_> = self
+            .mrs
+            .read()
+            .values()
+            .filter(|mr| mr.pd_id() == pd_id)
+            .cloned()
+            .collect();
+        mrs.sort_unstable_by_key(|mr| mr.lkey().0);
+        mrs.into_boxed_slice()
     }
 }
 

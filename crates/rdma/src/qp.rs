@@ -1,6 +1,7 @@
 //! Reliable-connected queue pairs.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -8,6 +9,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::cq::CompletionQueue;
 use crate::error::RdmaError;
+use crate::fabric::Route;
 use crate::metrics::FabricMetrics;
 use crate::node::RdmaNode;
 use crate::types::{NodeId, Qpn};
@@ -16,6 +18,7 @@ use crate::wr::{RecvWr, SendWr};
 /// Queue-pair state (condensed RC state machine: the INIT/RTR handshake is
 /// folded into `connect`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum QpState {
     /// Freshly created; must be connected before use.
     Reset,
@@ -31,6 +34,14 @@ impl QpState {
             QpState::Reset => "RESET",
             QpState::ReadyToSend => "RTS",
             QpState::Error => "ERROR",
+        }
+    }
+
+    fn from_u8(v: u8) -> QpState {
+        match v {
+            0 => QpState::Reset,
+            1 => QpState::ReadyToSend,
+            _ => QpState::Error,
         }
     }
 }
@@ -77,7 +88,12 @@ pub struct QueuePair {
     qpn: Qpn,
     pd_id: u32,
     opts: QpOptions,
-    state: Mutex<QpState>,
+    /// A [`QpState`], read by every post without a lock. Connect and reset
+    /// change it under `remote`'s mutex.
+    state: AtomicU8,
+    /// Counts the QP's connects: a route resolved for an earlier one is
+    /// stale.
+    conn: AtomicU32,
     /// The completion status that moved the QP to error, for diagnostics
     /// ([`RdmaError::QpError`]). First writer wins; cleared by `reset`.
     last_error: Mutex<Option<crate::cq::WcStatus>>,
@@ -104,7 +120,8 @@ impl QueuePair {
             qpn,
             pd_id,
             opts,
-            state: Mutex::new(QpState::Reset),
+            state: AtomicU8::new(QpState::Reset as u8),
+            conn: AtomicU32::new(0),
             last_error: Mutex::new(None),
             remote: Mutex::new(None),
             send_cq,
@@ -127,7 +144,33 @@ impl QueuePair {
 
     /// Current state.
     pub fn state(&self) -> QpState {
-        *self.state.lock()
+        QpState::from_u8(self.state.load(Ordering::Acquire))
+    }
+
+    fn set_state(&self, state: QpState) {
+        self.state.store(state as u8, Ordering::Release);
+    }
+
+    /// The current connection: its number (see [`Route`]) and the peer.
+    pub(crate) fn connection(&self) -> Option<(u32, (NodeId, Qpn))> {
+        let remote = self.remote.lock();
+        remote.map(|peer| (self.conn.load(Ordering::Acquire), peer))
+    }
+
+    /// Whether a route resolved for connection `conn` still serves.
+    pub(crate) fn is_connection(&self, conn: u32) -> bool {
+        self.conn.load(Ordering::Acquire) == conn
+    }
+
+    /// Refuses a post unless the QP is ready to send.
+    pub(crate) fn check_ready(&self, operation: &'static str) -> Result<(), RdmaError> {
+        match self.state() {
+            QpState::ReadyToSend => Ok(()),
+            state => Err(RdmaError::InvalidQpState {
+                state: state.name(),
+                operation,
+            }),
+        }
     }
 
     /// The connected peer, if any.
@@ -151,8 +194,9 @@ impl QueuePair {
     ///
     /// Returns [`RdmaError::InvalidQpState`] unless the QP is in RESET.
     pub fn connect(&self, remote_node: NodeId, remote_qpn: Qpn) -> Result<(), RdmaError> {
-        let mut state = self.state.lock();
-        if *state != QpState::Reset {
+        let mut remote = self.remote.lock();
+        let state = self.state();
+        if state != QpState::Reset {
             return Err(RdmaError::InvalidQpState {
                 state: state.name(),
                 operation: "connect",
@@ -169,8 +213,9 @@ impl QueuePair {
                 return Err(RdmaError::NodeNotFound(remote_node));
             }
         }
-        *self.remote.lock() = Some((remote_node, remote_qpn));
-        *state = QpState::ReadyToSend;
+        *remote = Some((remote_node, remote_qpn));
+        self.conn.fetch_add(1, Ordering::AcqRel);
+        self.set_state(QpState::ReadyToSend);
         Ok(())
     }
 
@@ -188,7 +233,7 @@ impl QueuePair {
                 *last = Some(status);
             }
         }
-        *self.state.lock() = QpState::Error;
+        self.set_state(QpState::Error);
         // Wake anyone blocked waiting for receives so they observe the
         // error. Passing through the queue's mutex first orders the wake
         // after any waiter's state check, so none parks past it.
@@ -204,11 +249,11 @@ impl QueuePair {
     /// Resets an errored QP back to RESET so it can be reconnected
     /// (equivalent to cycling a real QP through RESET).
     pub fn reset(&self) {
-        let mut state = self.state.lock();
-        *self.remote.lock() = None;
+        let mut remote = self.remote.lock();
+        *remote = None;
         self.recvs.lock().queue.clear();
         *self.last_error.lock() = None;
-        *state = QpState::Reset;
+        self.set_state(QpState::Reset);
     }
 
     /// Posts a receive buffer.
@@ -218,7 +263,7 @@ impl QueuePair {
     /// Returns [`RdmaError::RecvQueueFull`] if `max_recv` receives are
     /// already pending, or [`RdmaError::InvalidQpState`] on an errored QP.
     pub fn post_recv(&self, wr: RecvWr) -> Result<(), RdmaError> {
-        let state = *self.state.lock();
+        let state = self.state();
         if state == QpState::Error {
             return Err(RdmaError::InvalidQpState {
                 state: state.name(),
@@ -253,7 +298,7 @@ impl QueuePair {
             if let Some(wr) = recvs.queue.pop_front() {
                 return Some(wr);
             }
-            if *self.state.lock() == QpState::Error {
+            if self.state() == QpState::Error {
                 return None;
             }
             recvs.waiters += 1;
@@ -284,18 +329,7 @@ impl QueuePair {
     /// connected or errored, unknown lkey, sge out of bounds, inline
     /// payload too large.
     pub fn post_send(self: &Arc<Self>, wr: SendWr) -> Result<(), RdmaError> {
-        {
-            let state = *self.state.lock();
-            if state != QpState::ReadyToSend {
-                return Err(RdmaError::InvalidQpState {
-                    state: state.name(),
-                    operation: "post_send",
-                });
-            }
-        }
-        let node = self.node.upgrade().ok_or(RdmaError::NotConnected)?;
-        let fabric = node.fabric().ok_or(RdmaError::NotConnected)?;
-        fabric.execute(&node, self, wr)
+        self.post_list([wr], "post_send").map(drop)
     }
 
     /// Posts a list of send-side work requests with a single doorbell and
@@ -316,28 +350,25 @@ impl QueuePair {
     /// the send CQ lacks room for every WR's completion; in either case no
     /// WR has executed.
     pub fn post_send_list(self: &Arc<Self>, wrs: Vec<SendWr>) -> Result<(), RdmaError> {
-        self.post_list(wrs).map(drop)
+        self.post_list(wrs, "post_send_list").map(drop)
     }
 
-    /// [`QueuePair::post_send_list`] over any list whose length is known,
-    /// returning the doorbell instant.
-    pub(crate) fn post_list<I>(self: &Arc<Self>, wrs: I) -> Result<Instant, RdmaError>
+    /// Posts a list on a route resolved for this one post: the QP-level
+    /// verbs, and an endpoint whose QP reconnected since it was built.
+    /// Returns the doorbell instant.
+    pub(crate) fn post_list<I>(
+        self: &Arc<Self>,
+        wrs: I,
+        operation: &'static str,
+    ) -> Result<Instant, RdmaError>
     where
         I: IntoIterator<Item = SendWr>,
         I::IntoIter: ExactSizeIterator,
     {
-        {
-            let state = *self.state.lock();
-            if state != QpState::ReadyToSend {
-                return Err(RdmaError::InvalidQpState {
-                    state: state.name(),
-                    operation: "post_send_list",
-                });
-            }
-        }
+        self.check_ready(operation)?;
         let node = self.node.upgrade().ok_or(RdmaError::NotConnected)?;
-        let fabric = node.fabric().ok_or(RdmaError::NotConnected)?;
-        fabric.execute_batch(&node, self, wrs)
+        let route = Route::resolve(&node, self, false)?;
+        node.wire().execute_batch(&node, self, &route, wrs)
     }
 }
 

@@ -373,6 +373,112 @@ fn removed_node_causes_transport_error() {
     assert_eq!(err, RdmaError::CompletionError(WcStatus::TransportError));
 }
 
+/// A read of 8 bytes of `b`'s MR through `ea`, landing in `a`'s.
+fn read8(a: &TestNode, b: &TestNode, ea: &Endpoint) -> Result<gengar_rdma::Wc, RdmaError> {
+    ea.read(Sge::new(a.mr.lkey(), 0, 8), RemoteAddr::new(b.mr.rkey(), 0))
+}
+
+/// An endpoint resolves its route when it is built; a peer detached after
+/// that fails the next post through it as a lost peer does, and the QP
+/// goes to error.
+#[test]
+fn remove_node_after_connect_fails_the_resolved_route() {
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
+    let (a, b, ea, _eb) = pair(&fabric);
+    read8(&a, &b, &ea).unwrap();
+    fabric.remove_node(b.node.id());
+    assert_eq!(
+        read8(&a, &b, &ea).unwrap_err(),
+        RdmaError::CompletionError(WcStatus::TransportError)
+    );
+    assert_eq!(ea.qp().state(), QpState::Error);
+    assert_eq!(ea.qp().error_status(), Some(WcStatus::TransportError));
+}
+
+/// The route reads the link-fault table on every post: a partition set
+/// after connect fails a post, and after the heal a route resolved before
+/// the partition posts again, as does the failed QP once reconnected.
+#[test]
+fn partition_after_connect_fails_until_healed() {
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
+    let (a, b, ea, eb) = pair(&fabric);
+    let (spare, _spare_peer) =
+        Endpoint::pair((&a.node, &a.pd), (&b.node, &b.pd), QpOptions::default()).unwrap();
+    fabric.partition(a.node.id(), b.node.id(), true);
+    assert_eq!(
+        read8(&a, &b, &ea).unwrap_err(),
+        RdmaError::CompletionError(WcStatus::TransportError)
+    );
+    fabric.partition(a.node.id(), b.node.id(), false);
+    read8(&a, &b, &spare).unwrap();
+    let (b_qpn, a_qpn) = (eb.qp().qpn(), ea.qp().qpn());
+    ea.qp().reset();
+    eb.qp().reset();
+    ea.qp().connect(b.node.id(), b_qpn).unwrap();
+    eb.qp().connect(a.node.id(), a_qpn).unwrap();
+    read8(&a, &b, &ea).unwrap();
+}
+
+/// A reset QP refuses a post through its endpoint's route, and once
+/// reconnected to another peer its posts go there, not down the route the
+/// endpoint was built with.
+#[test]
+fn a_reset_qp_refuses_posts_and_a_reconnect_reroutes() {
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
+    let (a, b, ea, _eb) = pair(&fabric);
+    ea.qp().reset();
+    assert!(matches!(
+        read8(&a, &b, &ea),
+        Err(RdmaError::InvalidQpState { state: "RESET", .. })
+    ));
+    let c = make_node(&fabric, MemKind::Nvm, 1 << 16, Access::all());
+    let c_qp = c.node.create_qp(
+        &c.pd,
+        c.node.create_cq(16),
+        c.node.create_cq(16),
+        QpOptions::default(),
+    );
+    c_qp.connect(a.node.id(), ea.qp().qpn()).unwrap();
+    ea.qp().connect(c.node.id(), c_qp.qpn()).unwrap();
+    ea.write(
+        Payload::Inline(b"rerouted".to_vec()),
+        RemoteAddr::new(c.mr.rkey(), 0),
+    )
+    .unwrap();
+    let mut buf = [0u8; 8];
+    c.mr.region().read(0, &mut buf).unwrap();
+    assert_eq!(&buf, b"rerouted");
+}
+
+/// Routes hold their peers strongly but sit in endpoints, not in QPs: once
+/// the fabric and every endpoint are dropped, no node survives.
+#[test]
+fn dropping_the_fabric_and_its_endpoints_frees_every_node() {
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
+    let (a, b, ea, eb) = pair(&fabric);
+    let (ec, ed) =
+        Endpoint::pair((&b.node, &b.pd), (&a.node, &a.pd), QpOptions::default()).unwrap();
+    read8(&a, &b, &ea).unwrap();
+    let nodes = [Arc::downgrade(&a.node), Arc::downgrade(&b.node)];
+    drop((a, b, ea, eb, ec, ed, fabric));
+    assert!(nodes.iter().all(|n| n.upgrade().is_none()));
+}
+
+/// An endpoint that outlives its fabric and its peer gets an error from
+/// its next post, never a success.
+#[test]
+fn an_endpoint_that_outlives_its_fabric_fails() {
+    let (_registry, fabric) = locked_fabric(FabricConfig::instant());
+    let (a, b, ea, eb) = pair(&fabric);
+    read8(&a, &b, &ea).unwrap();
+    let b_mr = Arc::clone(&b.mr);
+    drop((eb, b, fabric));
+    let err = ea
+        .read(Sge::new(a.mr.lkey(), 0, 8), RemoteAddr::new(b_mr.rkey(), 0))
+        .unwrap_err();
+    assert_eq!(err, RdmaError::NotConnected);
+}
+
 #[test]
 fn pd_mismatch_is_rejected_remotely() {
     let (_registry, fabric) = locked_fabric(FabricConfig::instant());

@@ -15,15 +15,16 @@
 # one traced (`--trace 1`) run per side per workload and prints every
 # per-layer metric whose value moved by more than 20 %, better or worse by
 # the metric's own direction, then the same-work set (the verbs, RPCs,
-# CASes, lock retries and NVM flushes per op, the cache hit ratio and the
-# modelled READ, WRITE and CAS verb latencies) and the host-cost set (the client's own µs per
+# CASes, lock retries and NVM flushes per op, the cache hit ratio, the
+# promotions and reported accesses per op, and the modelled READ, WRITE
+# and CAS verb latencies) and the host-cost set (the client's own µs per
 # op and the batch overlap ratio) for every workload and both sides, moved
 # or not. AB_PARENT_DIR=<dir> uses an existing checkout of the parent
 # instead of a worktree. VERBOSE=1 also prints every run's value. Reads
 # BENCHMARK.json; writes nothing under the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-[[ $# -ge 1 ]] || { sed -n '2,23p' "$0" >&2; exit 2; }
+[[ $# -ge 1 ]] || { sed -n '2,24p' "$0" >&2; exit 2; }
 parent_rev=$1
 shift
 
@@ -114,9 +115,13 @@ for workload in workloads:
 # The verb latencies are modelled time: a change to host cost leaves them.
 # A lock CAS that starts from a remembered word and loses stands in for the
 # READ it skipped: it must not show up as a lock retry.
+# The promotions and the reported accesses per op show the cache's
+# feedback on host speed (ROADMAP item 21): heat decays per wall-clock
+# epoch, so a change in host cost alone can move what is promoted.
 same_work = ["rdma.round_trips_per_op", "rdma.doorbells_per_op", "core.server.rpc_requests_per_kop",
              "core.consistency.cas_per_write", "core.consistency.lock_retries_per_kop",
              "hybridmem.nvm_flushes_per_write", "core.client.cache_hit_ratio",
+             "core.cache.promotions", "core.hotness.reported_accesses_per_op",
              "rdma.read_verb_p50_ns", "rdma.write_verb_p50_ns", "rdma.cas_verb_p50_ns"]
 # Host cost: where a saving in host software shows, printed moved or not.
 host_cost = ["core.client.self_us_per_op", "core.batch.overlap_ratio"]
