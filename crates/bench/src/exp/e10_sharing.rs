@@ -36,16 +36,19 @@ pub fn run(rc: &RunConfig) -> Metrics {
         gengar_core::pool::DshmPool::write(&mut owner, ptr, 0, &0u64.to_le_bytes()).expect("init");
 
         // The clock starts once every sharer has connected: a connect is
-        // not RMW time.
+        // not RMW time. The sharers start only after the clock has (a
+        // second barrier), so none runs before it.
         let connected = Arc::new(Barrier::new(sharers + 1));
+        let start = Arc::new(Barrier::new(sharers + 1));
         let handles: Vec<_> = (0..sharers)
             .map(|_| {
                 let system = Arc::clone(&system);
-                let connected = Arc::clone(&connected);
+                let (connected, start) = (Arc::clone(&connected), Arc::clone(&start));
                 let config = rc.seqlock_client_config();
                 std::thread::spawn(move || {
                     let mut c = system.gengar_client(config);
                     connected.wait();
+                    start.wait();
                     for _ in 0..incs {
                         c.lock(ptr).expect("lock");
                         let mut buf = [0u8; 8];
@@ -60,6 +63,7 @@ pub fn run(rc: &RunConfig) -> Metrics {
             .collect();
         connected.wait();
         let t0 = Instant::now();
+        start.wait();
         let retries: u64 = handles.into_iter().map(|h| h.join().expect("sharer")).sum();
         let elapsed = t0.elapsed();
 

@@ -649,3 +649,45 @@ fn shutdown_is_idempotent_and_fast() {
     cluster.shutdown();
     assert!(t0.elapsed() < Duration::from_secs(2));
 }
+
+/// Endpoints hold resolved routes to their peers, but no route sits in a
+/// QP, so the nodes do not keep each other alive: once a cluster and its
+/// clients are dropped, every node of its fabric is freed.
+#[test]
+fn dropping_a_cluster_and_its_clients_frees_every_node() {
+    let cluster = Cluster::launch(2, ServerConfig::small(), FabricConfig::instant()).unwrap();
+    let mut client = cluster.default_client().unwrap();
+    for server in 0..2 {
+        let ptr = client.alloc(server, 64).unwrap();
+        client.write(ptr, 0, &[server; 64]).unwrap();
+        client.drain_all().unwrap();
+        let mut buf = [0u8; 64];
+        client.read(ptr, 0, &mut buf).unwrap();
+    }
+    let nodes: Vec<_> = cluster
+        .servers()
+        .iter()
+        .map(|s| Arc::downgrade(s.node()))
+        .chain([Arc::downgrade(client.node())])
+        .collect();
+    drop(client);
+    drop(cluster);
+    assert!(nodes.iter().all(|n| n.upgrade().is_none()));
+}
+
+/// A client's routes outlive the fabric they were resolved on only as
+/// errors: once its cluster is gone, its next call fails, even a one-sided
+/// read of an object it has read before.
+#[test]
+fn a_client_that_outlives_its_cluster_fails() {
+    let cluster = Cluster::launch(1, ServerConfig::small(), FabricConfig::instant()).unwrap();
+    let mut client = cluster.client(fast_fail_config()).unwrap();
+    let ptr = client.alloc(0, 64).unwrap();
+    client.write(ptr, 0, &[5u8; 64]).unwrap();
+    client.drain_all().unwrap();
+    let mut buf = [0u8; 64];
+    client.read(ptr, 0, &mut buf).unwrap();
+    drop(cluster);
+    assert!(client.read(ptr, 0, &mut buf).is_err());
+    assert!(client.write(ptr, 0, &[6u8; 64]).is_err());
+}
