@@ -405,7 +405,7 @@ impl Endpoint {
     }
 
     /// Waits until every operation of a posted batch has its result.
-    pub fn settle(&self, pending: &mut PendingOps) {
+    fn settle(&self, pending: &mut PendingOps) {
         while !self.poll_pending(pending) {
             if let Some(wake) = self.pending_done_wake(pending) {
                 spin_until(wake);
