@@ -54,7 +54,7 @@
 //! traces are kept while the span buffer is roomy, children are thinned
 //! 1-in-8 once it passes half occupancy).
 //!
-//! `gate [name…]` evaluates the numeric gates (all ten rows of
+//! `gate [name…]` evaluates the numeric gates (all eleven rows of
 //! `gengar_bench::gate`, or the named ones) instead of reporting; it exits
 //! 1 if any failed and writes no snapshot.
 

@@ -1,8 +1,8 @@
 //! E15 — observability overhead and live inspection.
 //!
 //! The live health plane (windowed sampler + state machines + SLO
-//! tracker) rides a background tick thread and must be close to free for
-//! the foreground data path. This experiment runs the *same* read-heavy
+//! tracker) is ticked by the server loops, between their harvests, and
+//! must be close to free for the foreground data path. This experiment runs the *same* read-heavy
 //! closed loop twice — health plane off, then on with a fast tick — and
 //! reports both throughputs. The `health-overhead` gate (`harness gate`)
 //! holds the on-arm at no worse than 5% under the off-arm.

@@ -27,36 +27,27 @@ pub enum Consistency {
 /// backs up. Clients fan staged writes out to the backup's mirror ring
 /// before reporting them settled, so losing the primary machine loses no
 /// settled write: the client promotes the backup (which replays any
-/// un-drained mirror-ring records into the shadow) and keeps going.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// un-drained mirror-ring records into the shadow) and keeps going. Each
+/// primary checks its backup's liveness at the end of every hotness epoch
+/// and re-establishes a new backup when its replica died.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ReplicationConfig {
     /// Mirror staged writes to a backup server and allow failover.
     pub enabled: bool,
-    /// How often the cluster's rebalance thread checks backup liveness and
-    /// re-establishes a new backup for servers whose replica died.
-    pub rebalance_interval: Duration,
-}
-
-impl Default for ReplicationConfig {
-    fn default() -> Self {
-        ReplicationConfig {
-            enabled: false,
-            rebalance_interval: Duration::from_millis(50),
-        }
-    }
 }
 
 /// Live health & SLO plane: windowed sampling, per-component state
 /// machines with hysteresis, and burn-rate alerts that arm the flight
-/// recorder. Disabled by default: no sampler thread runs and `Inspect`
-/// serves a minimal "unknown" document. Thresholds, hysteresis and SLO
+/// recorder. Disabled by default: no server loop ticks a plane and
+/// `Inspect` serves a minimal "unknown" document. Thresholds, hysteresis and SLO
 /// targets are constants beside their reader in [`crate::health`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HealthConfig {
     /// Run the health plane (sampler + evaluation tick).
     pub enabled: bool,
     /// Sampling/evaluation interval: each tick closes one window and
-    /// re-evaluates every component state machine.
+    /// re-evaluates every component state machine. The first server loop
+    /// to find a tick due runs it.
     pub tick: Duration,
 }
 
@@ -116,8 +107,8 @@ pub struct ServerConfig {
     /// no shadow device is allocated and writes pay no mirror WR.
     #[serde(default)]
     pub replication: ReplicationConfig,
-    /// Live health & SLO plane. Disabled by default: no sampler thread
-    /// runs and `Inspect` serves a minimal document.
+    /// Live health & SLO plane. Disabled by default: no server loop ticks
+    /// a plane and `Inspect` serves a minimal document.
     #[serde(default)]
     pub health: HealthConfig,
 }
@@ -252,7 +243,6 @@ mod tests {
         assert_eq!(c.tenant, "default");
         assert!(!s.qos.enabled, "QoS must be opt-in");
         assert!(!s.replication.enabled, "replication must be opt-in");
-        assert!(s.replication.rebalance_interval > Duration::ZERO);
         assert!(!s.health.enabled, "health plane must be opt-in");
         assert!(s.health.tick > Duration::ZERO);
         assert!(HealthConfig::enabled().enabled);

@@ -1,8 +1,8 @@
 //! Live health & SLO plane.
 //!
 //! The registry answers "what happened"; this module answers "is the
-//! cluster healthy *right now*". A [`HealthPlane`] ticks periodically:
-//! each tick closes one delta window (via the telemetry crate's
+//! cluster healthy *right now*". A [`HealthPlane`] ticks periodically, on
+//! whichever server loop finds a tick due first: each tick closes one delta window (via the telemetry crate's
 //! [`WindowSampler`]), feeds the windowed signals through per-component
 //! state machines with hysteresis, and evaluates the configured SLOs as
 //! burn rates. A sustained burn above the alert threshold arms the
@@ -26,10 +26,9 @@
 //! on a threshold cannot flap the state. See DESIGN.md § Live health &
 //! SLO plane.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gengar_telemetry::{
     json_escape, CounterHandle, FlightRecorder, GaugeHandle, HistogramSnapshot, Registry,
@@ -325,8 +324,9 @@ pub const COMPONENTS: [&str; 5] = ["proxy_ring", "drain", "replication", "qos", 
 ///
 /// One plane serves a whole cluster (signals live in the shared
 /// registry); every [`crate::server::MemoryServer`] holding a reference
-/// answers `Inspect` from it. The cluster starts its tick thread; unit
-/// tests drive `tick` by hand.
+/// answers `Inspect` from it and ticks it from its loop when a tick is
+/// due, so the plane ticks while any of them runs; unit tests drive
+/// `tick` by hand.
 #[derive(Debug)]
 pub struct HealthPlane {
     config: HealthConfig,
@@ -335,8 +335,11 @@ pub struct HealthPlane {
     machines: Mutex<[Machine; 5]>,
     slo: Mutex<SloTracker>,
     ticks: AtomicU64,
-    stop: AtomicBool,
-    thread: Mutex<Option<JoinHandle<()>>>,
+    /// The plane's creation: `next_due` counts from it.
+    origin: Instant,
+    /// Nanoseconds after `origin` at which the next tick is due. The loop
+    /// that moves it forward by CAS runs the tick.
+    next_due: AtomicU64,
     tick_count: CounterHandle,
     transitions: CounterHandle,
     slo_alerts: CounterHandle,
@@ -364,16 +367,16 @@ impl HealthPlane {
         let sampler = WindowSampler::new(registry, WINDOW_RING);
         Arc::new(HealthPlane {
             slo: Mutex::new(SloTracker::new()),
-            config,
             sampler,
             machines: Mutex::new(THRESHOLDS.map(Machine::new)),
             ticks: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-            thread: Mutex::new(None),
+            origin: Instant::now(),
+            next_due: AtomicU64::new(config.tick.as_nanos() as u64),
             tick_count: tel.counter("health", "ticks"),
             transitions: tel.counter("health", "transitions"),
             slo_alerts: tel.counter("health", "slo_alerts"),
             overall_level: tel.gauge("health", "overall_level"),
+            config,
         })
     }
 
@@ -417,8 +420,9 @@ impl HealthPlane {
     }
 
     /// Closes one window and advances every state machine and the SLO
-    /// tracker. Called from the plane's thread; public so tests (and the
-    /// harness) can drive evaluation in lockstep with load.
+    /// tracker. Called through [`HealthPlane::tick_if_due`] by the server
+    /// loops; tests call it directly to drive evaluation in lockstep with
+    /// load.
     pub(crate) fn tick(&self) {
         let window = self.sampler.sample();
         let mut machines = self.machines.lock().expect("health machines lock");
@@ -469,37 +473,29 @@ impl HealthPlane {
         self.slo.lock().expect("slo lock").status.clone()
     }
 
-    /// Spawns the tick thread. Idempotent; [`HealthPlane::stop`] (or
-    /// drop) joins it.
-    pub(crate) fn start(self: &Arc<Self>) {
-        let mut slot = self.thread.lock().expect("health thread lock");
-        if slot.is_some() {
-            return;
-        }
-        self.stop.store(false, Ordering::Relaxed);
-        let plane = Arc::clone(self);
-        *slot = Some(
-            std::thread::Builder::new()
-                .name("gengar-health".into())
-                .spawn(move || {
-                    while !plane.stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(plane.config.tick);
-                        if plane.stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        plane.tick();
-                    }
-                })
-                .expect("spawn health plane"),
-        );
+    /// When the next tick is due: a server loop parks no later than this.
+    pub(crate) fn next_due(&self) -> Instant {
+        self.origin + Duration::from_nanos(self.next_due.load(Ordering::Acquire))
     }
 
-    /// Stops and joins the tick thread, if running.
-    pub(crate) fn stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(join) = self.thread.lock().expect("health thread lock").take() {
-            let _ = join.join();
+    /// Ticks if a tick is due at `now` and no other caller has claimed it:
+    /// the caller whose CAS moves the next-due instant to one `tick` after
+    /// `now` runs the tick, so loops racing for one due tick run it once.
+    /// Returns whether this call ticked.
+    pub(crate) fn tick_if_due(&self, now: Instant) -> bool {
+        let now_ns = now.saturating_duration_since(self.origin).as_nanos() as u64;
+        let due = self.next_due.load(Ordering::Acquire);
+        let next = now_ns + self.config.tick.as_nanos() as u64;
+        if now_ns < due
+            || self
+                .next_due
+                .compare_exchange(due, next, Ordering::AcqRel, Ordering::Acquire)
+                .is_err()
+        {
+            return false;
         }
+        self.tick();
+        true
     }
 
     /// Builds the versioned Inspect document, at most `max_bytes` long:
@@ -615,15 +611,6 @@ impl HealthPlane {
             "{{\"v\":1,\"server\":{server},\"tick\":0,\"interval_ms\":0,\"overall\":\"unknown\",\
              \"components\":{{}},\"slo\":[],\"tenants\":{{}},\"windows\":[]}}"
         )
-    }
-}
-
-impl Drop for HealthPlane {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(join) = self.thread.lock().expect("health thread lock").take() {
-            let _ = join.join();
-        }
     }
 }
 
@@ -813,23 +800,33 @@ mod tests {
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
     }
 
+    /// A due tick is claimed by CAS: a caller before the due instant
+    /// ticks not at all, and two callers racing at one overdue instant
+    /// tick once between them.
     #[test]
-    fn tick_thread_runs_and_stops() {
+    fn one_caller_claims_each_due_tick() {
         let r = Arc::new(Registry::new());
-        let mut config = HealthConfig::enabled();
-        config.tick = Duration::from_millis(1);
-        let plane = plane_with(&r, config);
-        plane.start();
-        plane.start(); // idempotent
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while plane.ticks() == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
+        let plane = plane_with(&r, HealthConfig::enabled());
+        let barrier = std::sync::Barrier::new(2);
+        for round in 1..=20 {
+            let due = plane.next_due();
+            assert!(!plane.tick_if_due(due - Duration::from_nanos(1)));
+            assert_eq!(plane.ticks(), round - 1, "ticked before its instant");
+            let ticked: u64 = std::thread::scope(|s| {
+                let racers: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            plane.tick_if_due(due)
+                        })
+                    })
+                    .collect();
+                racers.into_iter().map(|r| r.join().unwrap() as u64).sum()
+            });
+            assert_eq!(ticked, 1, "round {round}: racers ticked {ticked} times");
+            assert_eq!(plane.ticks(), round);
+            assert_eq!(plane.next_due(), due + HealthConfig::enabled().tick);
         }
-        plane.stop();
-        let ticks = plane.ticks();
-        assert!(ticks >= 1, "tick thread never ticked");
-        std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(plane.ticks(), ticks, "ticked after stop");
     }
 
     #[test]

@@ -21,11 +21,17 @@
 //! * **The epoch**, at each deadline, folds the report rings clients WRITE
 //!   their accesses into, promotes hot objects into the DRAM cache and
 //!   leaves each client the cache locations of what it reported in its
-//!   remap mailbox. Reporting costs it no RPC.
+//!   remap mailbox. Reporting costs it no RPC. With replication on, a
+//!   primary's epoch also checks its backup and replaces a dead one.
+//! * **The health tick**, with the health plane on: the first loop to
+//!   find the cluster's shared tick due runs it.
+//!
+//! The loop parks until the earlier of the epoch deadline and the health
+//! plane's next tick; a cluster runs no other thread.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -122,6 +128,8 @@ struct ServerMetrics {
     /// drain, promotion replay or image install). -1 = shadow never
     /// written; refreshed every epoch.
     shadow_staleness_ms: GaugeHandle,
+    /// Backup re-establishments this primary tried (a survivor chosen).
+    rebalance_attempts: CounterHandle,
 }
 
 impl ServerMetrics {
@@ -134,6 +142,7 @@ impl ServerMetrics {
             rpc_requests: tel.counter("server", "rpc_requests"),
             promotions: tel.counter("replica", "promotions"),
             shadow_staleness_ms: tel.gauge("replica", "shadow_staleness_ms"),
+            rebalance_attempts: tel.counter("replica", "rebalance_attempts"),
         }
     }
 }
@@ -206,8 +215,13 @@ pub(crate) struct ServerInner {
     shadow_mr: Option<Arc<MemoryRegion>>,
     /// Which server backs *this* one up ([`NO_BACKUP`] = unreplicated).
     /// Published to clients in [`MountInfo`] and via `QueryReplica`; the
-    /// cluster's rebalance thread rewrites it when a backup dies.
+    /// epoch's backup check rewrites it when the backup dies.
     backup: Mutex<u8>,
+    /// The cluster's servers by pool id (this one included), installed
+    /// once by [`crate::Cluster::launch`] when replication is on: the
+    /// epoch's backup check chooses a new backup among them. Weak, so
+    /// servers holding each other form no cycle.
+    peers: OnceLock<Vec<Weak<ServerInner>>>,
     /// Primaries this server has promoted for: their addresses are served
     /// from the shadow image on the data/control planes.
     promoted: Mutex<HashSet<u8>>,
@@ -218,15 +232,9 @@ pub(crate) struct ServerInner {
     /// that touches the shadow (mirror drains, promotion replays, image
     /// installs) must hold this lock and match the claim. A claim is only
     /// retargeted by [`MemoryServer::install_shadow_image`], which refuses
-    /// while the old ward is promoted.
+    /// while the old ward is promoted or once the claim moved since its
+    /// caller read it.
     shadow_ward: RwLock<Option<u8>>,
-    /// Held by the server loop while it applies a harvest's runs (payloads,
-    /// cache refresh, watermarks) and by [`MemoryServer::nvm_image`] while
-    /// it copies the region, so a rebalance snapshot never captures a
-    /// half-applied record. Drains, the epoch's copies and `QueryDurable`'s
-    /// retirement need no guard against each other: they all run on the
-    /// loop. Lock order: before `cache`.
-    nvm_quiesce: Mutex<()>,
     /// Replica-epoch source for mirror tenures (starts at 1; epoch 0 in a
     /// record header means "unreplicated").
     mirror_epoch: AtomicU32,
@@ -432,9 +440,9 @@ impl MemoryServer {
             shadow_dev,
             shadow_mr,
             backup: Mutex::new(NO_BACKUP),
+            peers: OnceLock::new(),
             promoted: Mutex::new(HashSet::new()),
             shadow_ward: RwLock::new(None),
-            nvm_quiesce: Mutex::new(()),
             mirror_epoch: AtomicU32::new(1),
         });
 
@@ -630,20 +638,22 @@ impl MemoryServer {
     }
 
     /// Declares which server backs this one up. Set by the cluster at
-    /// launch and rewritten by its rebalance thread after a backup dies;
+    /// launch and rewritten by this server's epoch after the backup dies;
     /// published to clients through [`MountInfo`] and `QueryReplica`.
     pub fn set_backup(&self, backup: u8) {
         *self.inner.backup.lock() = backup;
     }
 
+    /// Installs the cluster's servers, by pool id, as the candidates the
+    /// epoch's backup check chooses among. Set once, at launch.
+    pub(crate) fn set_peers(&self, servers: &[Arc<MemoryServer>]) {
+        let peers = servers.iter().map(|s| Arc::downgrade(&s.inner)).collect();
+        let _ = self.inner.peers.set(peers);
+    }
+
     /// The server currently backing this one up ([`NO_BACKUP`] = none).
     pub fn backup_id(&self) -> u8 {
         *self.inner.backup.lock()
-    }
-
-    /// Whether this server was launched with a shadow device.
-    pub fn replication_enabled(&self) -> bool {
-        self.inner.shadow_mr.is_some()
     }
 
     /// Number of live mirror lanes warding other servers on this one.
@@ -657,81 +667,39 @@ impl MemoryServer {
         self.inner.promoted.lock().contains(&primary)
     }
 
-    /// Snapshot of this server's full NVM image (watermark area + pool).
-    /// Management-plane helper for the rebalance path: the image seeds a
-    /// new backup's shadow so later promotions serve settled data that
-    /// predates the re-mirror.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device read failures.
-    pub fn nvm_image(&self) -> Result<Vec<u8>, GengarError> {
-        // Pause the server loop's NVM applies for the copy: a half-applied
-        // record (payload written, watermark not yet — or vice versa)
-        // captured here would seed the new backup with a torn value that no
-        // later replay repairs, because the record may already be settled
-        // and retired on the primary.
-        let _quiesce = self.inner.nvm_quiesce.lock();
-        let nvm = self.inner.nvm_mr.region();
-        let mut image = vec![0u8; nvm.len() as usize];
-        nvm.read(0, &mut image)?;
-        Ok(image)
-    }
-
     /// The primary the shadow is currently dedicated to (`None` = never
-    /// claimed). Management-plane helper for the rebalance scanner's
-    /// candidate filter.
+    /// claimed): what a caller of [`MemoryServer::install_shadow_image`]
+    /// passes as the claim it saw.
     pub fn shadow_ward(&self) -> Option<u8> {
         *self.inner.shadow_ward.read()
     }
 
     /// Installs `image` as this server's shadow and dedicates the shadow to
-    /// `ward` (the image's owner; must match the shadow geometry).
-    /// Management-plane counterpart of [`MemoryServer::nvm_image`] used
-    /// when this server becomes someone's new backup.
+    /// `ward` (the image's owner; must match the shadow geometry), if the
+    /// shadow's claim is still `seen`, the [`MemoryServer::shadow_ward`]
+    /// its caller chose this server on. Management-plane counterpart of
+    /// a primary's NVM image snapshot, used when this server becomes
+    /// someone's new backup.
     ///
     /// Retargets a stale claim (a dead, never-promoted ward) but refuses
     /// while any promotion is live: a promoted ward's shadow bytes are
     /// being served to clients and must not be clobbered by another
-    /// server's image.
+    /// server's image. Primaries choose backups concurrently, so it also
+    /// refuses once the claim moved since `seen`: of two primaries that
+    /// chose one survivor, one installs and the other chooses again.
     ///
     /// # Errors
     ///
     /// [`GengarError::ProtocolViolation`] when replication is disabled, the
-    /// image size does not match, or the shadow serves a promoted ward;
-    /// device failures otherwise.
-    pub fn install_shadow_image(&self, ward: u8, image: &[u8]) -> Result<(), GengarError> {
-        let Some(shadow_mr) = &self.inner.shadow_mr else {
-            return Err(GengarError::ProtocolViolation(
-                "shadow install on a server without replication",
-            ));
-        };
-        let shadow = shadow_mr.region();
-        if image.len() as u64 != shadow.len() {
-            return Err(GengarError::ProtocolViolation(
-                "shadow image geometry mismatch",
-            ));
-        }
-        // Claim (or retarget) under the write lock so neither a mirror
-        // drain nor a promotion replay interleaves with the bulk copy.
-        let mut shadow_ward = self.inner.shadow_ward.write();
-        if !self.inner.promoted.lock().is_empty() {
-            return Err(GengarError::ProtocolViolation(
-                "shadow serves a promoted ward",
-            ));
-        }
-        *shadow_ward = Some(ward);
-        shadow.write(0, image)?;
-        shadow.flush(0, image.len() as u64)?;
-        // The image's watermark area carries the *primary's* per-ring drain
-        // words, meaningless under this server's ring ids (a stale high
-        // watermark would mask mirror records from replay): reset it. Any
-        // live mirror lane for `ward` re-zeroed its word at accept time and
-        // retires slots off the ctl word, which is untouched here.
-        shadow.write(0, &vec![0u8; self.inner.wm_area as usize])?;
-        shadow.flush(0, self.inner.wm_area)?;
-        *self.inner.last_shadow_update.lock() = Some(Instant::now());
-        Ok(())
+    /// image size does not match, the claim is no longer `seen`, or the
+    /// shadow serves a promoted ward; device failures otherwise.
+    pub fn install_shadow_image(
+        &self,
+        ward: u8,
+        seen: Option<u8>,
+        image: &[u8],
+    ) -> Result<(), GengarError> {
+        self.inner.install_shadow_image(ward, seen, image)
     }
 
     /// Returns a client id for reuse after a mount handshake failed partway
@@ -872,7 +840,13 @@ impl ServerInner {
     /// on a host with few cores the woken loop preempts the posting client.
     /// RPCs never make it spin: a spinning loop per server takes the cores
     /// an RPC-heavy phase (a populate's allocations) needs. Otherwise it
-    /// parks on the CQ until the next completion or the epoch deadline.
+    /// parks on the CQ until the next completion or the earlier of the
+    /// epoch deadline and, with the health plane on, its next tick.
+    ///
+    /// With the health plane on, each pass starts by ticking it if a tick
+    /// is due and no other server's loop claimed it first
+    /// ([`HealthPlane::tick_if_due`]), so the cluster's plane ticks once per
+    /// period while any server runs.
     fn serve(&self) {
         let cq = &self.recv_cq;
         let spin_max = Duration::from_nanos(SLEEP_THRESHOLD_NS);
@@ -881,6 +855,11 @@ impl ServerInner {
         let (mut arrived, mut idle_since, mut gap) =
             (Instant::now(), Instant::now(), Duration::MAX);
         while !self.shutdown.load(Ordering::Relaxed) {
+            let mut wake = next_epoch;
+            if let Some(plane) = &self.health {
+                plane.tick_if_due(Instant::now());
+                wake = wake.min(plane.next_due());
+            }
             let linger = if gap <= spin_max { gap } else { Duration::ZERO };
             let mut wcs = Vec::new();
             while wcs.is_empty() && idle_since.elapsed() < linger {
@@ -888,7 +867,7 @@ impl ServerInner {
                 wcs = cq.poll(64);
             }
             if wcs.is_empty() {
-                wcs = cq.wait(64, next_epoch.saturating_duration_since(Instant::now()));
+                wcs = cq.wait(64, wake.saturating_duration_since(Instant::now()));
             }
             let now = Instant::now();
             self.metrics
@@ -929,12 +908,9 @@ impl ServerInner {
     /// device cursor from the same instant, so runs of different rings
     /// overlap in modelled time as far as the devices' channels let them;
     /// their client-visible watermarks are published in the order the runs
-    /// end. Holds `nvm_quiesce` throughout, so a rebalance snapshot never
-    /// captures a half-applied record. `proxy.drain_ns` samples each
-    /// drained record from `harvest`, the instant its harvest arrived, to
-    /// the ctl store that covers it.
+    /// end. `proxy.drain_ns` samples each drained record from `harvest`,
+    /// the instant its harvest arrived, to the ctl store that covers it.
     fn drain_harvest(&self, runs: &[(Qpn, Vec<u32>)], harvest: Instant, payload: &mut Vec<u8>) {
-        let _quiesce = self.nvm_quiesce.lock();
         let start = Instant::now();
         let mut ends: Vec<RunEnd> = runs
             .iter()
@@ -1055,6 +1031,122 @@ impl ServerInner {
             seq,
             applied,
         }))
+    }
+
+    /// Whether this server serves: its loop runs and its machine is still
+    /// attached to the fabric.
+    fn is_alive(&self) -> bool {
+        !self.shutdown.load(Ordering::Relaxed) && self.node.is_attached()
+    }
+
+    /// Snapshot of this server's full NVM image (watermark area + pool):
+    /// it seeds a new backup's shadow so later promotions serve settled
+    /// data that predates the re-mirror. Taken on the server loop, between
+    /// harvests: a half-applied record (payload written, watermark not yet
+    /// — or vice versa) captured mid-drain would seed the new backup with
+    /// a torn value that no later replay repairs, because the record may
+    /// already be settled and retired on the primary.
+    fn nvm_image(&self) -> Result<Vec<u8>, GengarError> {
+        let nvm = self.nvm_mr.region();
+        let mut image = vec![0u8; nvm.len() as usize];
+        nvm.read(0, &mut image)?;
+        Ok(image)
+    }
+
+    /// See [`MemoryServer::install_shadow_image`].
+    fn install_shadow_image(
+        &self,
+        ward: u8,
+        seen: Option<u8>,
+        image: &[u8],
+    ) -> Result<(), GengarError> {
+        let Some(shadow_mr) = &self.shadow_mr else {
+            return Err(GengarError::ProtocolViolation(
+                "shadow install on a server without replication",
+            ));
+        };
+        let shadow = shadow_mr.region();
+        if image.len() as u64 != shadow.len() {
+            return Err(GengarError::ProtocolViolation(
+                "shadow image geometry mismatch",
+            ));
+        }
+        // Compare and claim (or retarget) under the write lock, so neither
+        // a mirror drain nor a promotion replay interleaves with the bulk
+        // copy, and a concurrent install that won the claim first makes
+        // this one refuse rather than overwrite its ward's image.
+        let mut shadow_ward = self.shadow_ward.write();
+        if *shadow_ward != seen {
+            return Err(GengarError::ProtocolViolation(
+                "shadow claim moved since it was read",
+            ));
+        }
+        if !self.promoted.lock().is_empty() {
+            return Err(GengarError::ProtocolViolation(
+                "shadow serves a promoted ward",
+            ));
+        }
+        *shadow_ward = Some(ward);
+        shadow.write(0, image)?;
+        shadow.flush(0, image.len() as u64)?;
+        // The image's watermark area carries the *primary's* per-ring drain
+        // words, meaningless under this server's ring ids (a stale high
+        // watermark would mask mirror records from replay): reset it. Any
+        // live mirror lane for `ward` re-zeroed its word at accept time and
+        // retires slots off the ctl word, which is untouched here.
+        shadow.write(0, &vec![0u8; self.wm_area as usize])?;
+        shadow.flush(0, self.wm_area)?;
+        *self.last_shadow_update.lock() = Some(Instant::now());
+        Ok(())
+    }
+
+    /// The epoch's backup check, on a primary whose peers the cluster
+    /// installed: a backup that died is replaced by the next live survivor
+    /// after this server (the launch-time ring's order), whose shadow is
+    /// seeded with this server's NVM image first, so later promotions also
+    /// cover data that predates the re-mirror. One shadow, one ward: a
+    /// survivor whose shadow is still dedicated to a *relevant* other
+    /// primary — alive, or dead but promoted (its bytes are being served)
+    /// — is not a candidate; a claim by a dead, never-promoted ward is
+    /// stale and safe to retarget. The install claims the shadow only if
+    /// its claim is still the one read here: a primary that lost the
+    /// survivor to another chooses again at its next epoch.
+    fn check_backup(&self) {
+        let Some(peers) = self.peers.get() else {
+            return;
+        };
+        let live = |id: u8| {
+            let peer = peers.get(id as usize)?.upgrade()?;
+            peer.is_alive().then_some(peer)
+        };
+        let backup = *self.backup.lock();
+        if backup != NO_BACKUP && live(backup).is_some() {
+            return;
+        }
+        let n = peers.len();
+        let chosen = (1..n)
+            .map(|step| ((self.id as usize + step) % n) as u8)
+            .filter(|&c| c != backup)
+            .find_map(|c| {
+                let survivor = live(c).filter(|s| s.shadow_mr.is_some())?;
+                let seen = *survivor.shadow_ward.read();
+                let free = seen.is_none_or(|w| {
+                    w == self.id || (live(w).is_none() && !survivor.promoted.lock().contains(&w))
+                });
+                free.then_some((survivor, seen))
+            });
+        let Some((survivor, seen)) = chosen else {
+            return;
+        };
+        self.metrics.rebalance_attempts.inc();
+        let installed = self
+            .nvm_image()
+            .and_then(|image| survivor.install_shadow_image(self.id, seen, &image));
+        if installed.is_ok() {
+            *self.backup.lock() = survivor.id;
+            let pair = (self.id as u64) << 8 | survivor.id as u64;
+            gengar_telemetry::Tracer::global().event("replica.rebalance", pair);
+        }
     }
 
     /// The open mirror rings: ring id -> ward and epoch.
@@ -1384,7 +1476,8 @@ impl ServerInner {
     /// scores, promote hot objects, re-copy the frames of reported writes,
     /// then post each reporter's remaps. Runs on the server loop between
     /// harvests, so no drain apply interleaves with its copies; the loop
-    /// also owns all demote-area traffic.
+    /// also owns all demote-area traffic. With replication on it also
+    /// checks this server's backup ([`ServerInner::check_backup`]).
     fn run_epoch(&self) {
         // Refresh shadow staleness while we are on a periodic path
         // anyway: replication health wants "how long since the standby
@@ -1395,6 +1488,7 @@ impl ServerInner {
                 None => -1,
             };
             self.metrics.shadow_staleness_ms.set(staleness);
+            self.check_backup();
         }
         let (reported, written) = self.fold_reports();
         let folded = self.hotness.lock().fold_epoch();
@@ -1795,5 +1889,38 @@ mod tests {
             drop(cluster.default_client().unwrap());
             one_loop();
         }
+    }
+
+    /// Two primaries that chose one survivor, having read the same claim,
+    /// install into it at once: the compare-and-claim lets exactly one in,
+    /// and the shadow is dedicated to the winner.
+    #[test]
+    fn concurrent_installs_on_one_seen_claim_let_one_in() {
+        let mut config = ServerConfig::small();
+        config.replication.enabled = true;
+        let cluster = Cluster::launch(1, config, FabricConfig::instant()).unwrap();
+        let survivor = cluster.server(0).unwrap();
+        let seen = survivor.shadow_ward();
+        let image = survivor.inner.nvm_image().unwrap();
+        let barrier = std::sync::Barrier::new(2);
+        let won: Vec<u8> = std::thread::scope(|s| {
+            let installs: Vec<_> = [7u8, 9]
+                .into_iter()
+                .map(|ward| {
+                    let (barrier, image) = (&barrier, &image);
+                    s.spawn(move || {
+                        barrier.wait();
+                        let installed = survivor.install_shadow_image(ward, seen, image);
+                        installed.is_ok().then_some(ward)
+                    })
+                })
+                .collect();
+            installs
+                .into_iter()
+                .filter_map(|install| install.join().unwrap())
+                .collect()
+        });
+        assert_eq!(won.len(), 1, "installs that claimed the shadow: {won:?}");
+        assert_eq!(survivor.shadow_ward(), Some(won[0]));
     }
 }

@@ -719,12 +719,11 @@ fn chaos_qos_aggressor_on_flapping_link_spares_victim() {
     }
 }
 
-/// Chaos server config with primary–backup replication switched on and a
-/// rebalance scanner fast enough for test-scale timelines.
+/// Chaos server config with primary–backup replication switched on: each
+/// primary checks its backup every 5 ms epoch of `ServerConfig::small`.
 fn replicated_server_config() -> ServerConfig {
     let mut config = chaos_server_config();
     config.replication.enabled = true;
-    config.replication.rebalance_interval = std::time::Duration::from_millis(20);
     config
 }
 

@@ -639,6 +639,31 @@ fn errors_are_displayable_and_classified() {
     assert!(std::error::Error::source(&err).is_some());
 }
 
+/// A primary's epoch replaces its dead backup with no client traffic to
+/// notice the death: killing server 1 of the ring 0 → 1 → 2 → 0 re-points
+/// server 0 at server 2 within a second, and server 2's shadow wards 0.
+#[test]
+fn a_dead_backup_is_replaced_without_traffic() {
+    let mut config = ServerConfig::small();
+    config.replication.enabled = true;
+    let cluster = Cluster::launch(3, config, FabricConfig::instant()).unwrap();
+    let primary = cluster.server(0).unwrap();
+    assert_eq!(primary.backup_id(), 1);
+    let dead = cluster.server(1).unwrap();
+    dead.shutdown();
+    cluster.fabric().remove_node(dead.node().id());
+    let deadline = std::time::Instant::now() + Duration::from_secs(1);
+    while primary.backup_id() != 2 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "server 0's backup is still {} a second after its backup died",
+            primary.backup_id()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(cluster.server(2).unwrap().shadow_ward(), Some(0));
+}
+
 #[test]
 fn shutdown_is_idempotent_and_fast() {
     let cluster = Cluster::launch(1, ServerConfig::small(), FabricConfig::instant()).unwrap();

@@ -46,6 +46,30 @@ fn client_config() -> ClientConfig {
     }
 }
 
+/// The plane ticks on whichever server loop finds a tick due: it keeps
+/// ticking after one of two servers stops, and stops once both have.
+#[test]
+fn plane_ticks_while_any_server_runs() {
+    let mut config = ServerConfig::small();
+    config.health = test_health();
+    let cluster = Cluster::launch(2, config, FabricConfig::instant()).expect("cluster launch");
+    let plane = cluster.health_plane().expect("health plane on").clone();
+    cluster.server(0).unwrap().shutdown();
+    let at_shutdown = plane.ticks();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while plane.ticks() < at_shutdown + 3 {
+        assert!(
+            Instant::now() < deadline,
+            "the plane stopped ticking with server 1 still running"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    cluster.server(1).unwrap().shutdown();
+    let stopped = plane.ticks();
+    std::thread::sleep(test_health().tick * 5);
+    assert_eq!(plane.ticks(), stopped, "ticked with every server stopped");
+}
+
 #[test]
 fn inspect_rpc_serves_live_health_and_windows() {
     let (cluster, _plane) = health_cluster();

@@ -411,7 +411,9 @@ fn recover_never_replays_a_stale_lane_into_a_retargeted_shadow() {
     staging.write(lane.slot_off(0), &record.bytes()).unwrap();
     // ...and a shadow that now belongs to ward 7.
     let image = vec![0xC3u8; lane.image.len() as usize];
-    backup.install_shadow_image(7, &image).unwrap();
+    backup
+        .install_shadow_image(7, backup.shadow_ward(), &image)
+        .unwrap();
     assert_eq!(backup.shadow_ward(), Some(7));
 
     backup.shutdown();

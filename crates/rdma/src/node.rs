@@ -82,8 +82,9 @@ impl RdmaNode {
         &self.wire
     }
 
-    /// Whether the node is still attached to its fabric.
-    pub(crate) fn is_attached(&self) -> bool {
+    /// Whether the node is still attached to its fabric: false once
+    /// [`Fabric::remove_node`] detached it (machine death).
+    pub fn is_attached(&self) -> bool {
         self.attached.load(Ordering::Acquire)
     }
 

@@ -12,19 +12,20 @@
 # worse the change's is, both quartile spreads (first-to-third-quartile
 # distance over the median), the pairs the change won (ties count for
 # neither) and the metric's bound. Then, to show which layer moved, it runs
-# one traced (`--trace 1`) run per side per workload and prints every
-# per-layer metric whose value moved by more than 20 %, better or worse by
-# the metric's own direction, then the same-work set (the verbs, RPCs,
-# CASes, lock retries and NVM flushes per op, the cache hit ratio, the
-# promotions and reported accesses per op, and the modelled READ, WRITE
-# and CAS verb latencies) and the host-cost set (the client's own µs per
-# op and the batch overlap ratio) for every workload and both sides, moved
-# or not. AB_PARENT_DIR=<dir> uses an existing checkout of the parent
-# instead of a worktree. VERBOSE=1 also prints every run's value. Reads
-# BENCHMARK.json; writes nothing under the repository.
+# three traced (`--trace 1`) runs per side per workload (seeds 1-3, which
+# side goes first alternating) and prints every per-layer metric whose
+# median moved by more than 20 %, better or worse by the metric's own
+# direction, then the same-work set (the verbs, RPCs, CASes, lock retries
+# and NVM flushes per op, the cache hit ratio, the promotions and reported
+# accesses per op, and the modelled READ, WRITE and CAS verb latencies) and
+# the host-cost set (the client's own µs per op and the batch overlap
+# ratio) for every workload and both sides, moved or not, each as the
+# median and range of the three runs. AB_PARENT_DIR=<dir> uses an existing
+# checkout of the parent instead of a worktree. VERBOSE=1 also prints every
+# run's value. Reads BENCHMARK.json; writes nothing under the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-[[ $# -ge 1 ]] || { sed -n '2,24p' "$0" >&2; exit 2; }
+[[ $# -ge 1 ]] || { sed -n '2,25p' "$0" >&2; exit 2; }
 parent_rev=$1
 shift
 
@@ -96,14 +97,30 @@ for workload in workloads:
             print("    parent:", " ".join(f"{v:.4g}" for v in p),
                   "\n    change:", " ".join(f"{v:.4g}" for v in c))
 
-# Which layer moved: one traced run per side per workload, same seed.
-print("\nper-layer moves over 20 % (one --trace 1 run per side, seed 1)")
+# Which layer moved: three traced runs per side per workload, seeds 1-3,
+# alternating which side goes first; one traced run has shown the wrong
+# sign, so every figure below is a median of three.
+TRACED_SEEDS = (1, 2, 3)
+
+def stats(values):
+    """(median, min, max) of a metric's traced readings, or None."""
+    return (statistics.median(values), min(values), max(values)) if values else None
+
+print(f"\nper-layer moves over 20 % (medians of {len(TRACED_SEEDS)} --trace 1 runs per side,"
+      f" seeds {TRACED_SEEDS[0]}-{TRACED_SEEDS[-1]})")
 print(f"{'workload':13}{'metric':45}{'parent':>14}{'change':>14}{'moved':>10}")
 traced = {}
 for workload in workloads:
-    p, c = traced[workload] = [run(side, workload, 1, trace=1) for side in ("parent", "change")]
+    runs = {"parent": [], "change": []}
+    for i, seed in enumerate(TRACED_SEEDS):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            runs[side].append(run(side, workload, seed, trace=1))
+    p, c = traced[workload] = [
+        {name: stats([r[name] for r in runs[side] if name in r])
+         for name in set().union(*runs[side])}
+        for side in ("parent", "change")]
     for m in manifest["per_layer"]:
-        a, b = p.get(m["name"]), c.get(m["name"])
+        a, b = (side[m["name"]][0] if side.get(m["name"]) else None for side in (p, c))
         if a is None or b is None or a == b or (a and abs(b - a) / abs(a) <= 0.2):
             continue
         worse = (b - a) * (1 if m["better"] == "lower" else -1) > 0
@@ -125,11 +142,14 @@ same_work = ["rdma.round_trips_per_op", "rdma.doorbells_per_op", "core.server.rp
              "rdma.read_verb_p50_ns", "rdma.write_verb_p50_ns", "rdma.cas_verb_p50_ns"]
 # Host cost: where a saving in host software shows, printed moved or not.
 host_cost = ["core.client.self_us_per_op", "core.batch.overlap_ratio"]
+
+def cell(s):
+    return f"{s[0]:12.4g} [{s[1]:.4g}, {s[2]:.4g}]" if s else f"{'-':>12}"
+
 for title, names in (("same-work", same_work), ("host-cost", host_cost)):
-    print(f"\n{title} set (the traced runs above)")
-    print(f"{'workload':13}{'metric':45}{'parent':>14}{'change':>14}")
+    print(f"\n{title} set (median [min, max] of the traced runs above)")
+    print(f"{'workload':13}{'metric':45}{'parent':>12}{'':>22}{'change':>12}")
     for workload, (p, c) in traced.items():
         for name in names:
-            a, b = (f"{side[name]:14.4g}" if name in side else f"{'-':>14}" for side in (p, c))
-            print(f"{workload:13}{name:45}{a}{b}", flush=True)
+            print(f"{workload:13}{name:45}{cell(p.get(name)):34}{cell(c.get(name))}", flush=True)
 EOF
