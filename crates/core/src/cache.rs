@@ -8,8 +8,18 @@
 //! version + head==tail (FaRM-style), and a non-zero stamp against the
 //! object's lock word — a stale, torn or mid-update frame fails validation
 //! and the client falls back to NVM, so remap staleness is always safe.
-//! A `Seqlock` write leaves the frame in place with an outdated stamp; the
-//! epoch re-copies it into the same slot ([`CacheManager::refresh`]).
+//! A `Seqlock` writer that knows the frame rewrites it while it holds the
+//! object's lock (`plan::frame_update`); a frame a write left stale the
+//! epoch re-copies into the same slot (`CacheManager::refresh`).
+//!
+//! # Frames and lock words
+//!
+//! A writer checks a frame's tag only once it holds the object's lock,
+//! and writes into the frame before it unlocks. So the cache re-tags,
+//! drops or rewrites a stamped frame only while it holds the object's lock
+//! word itself, taken with a local CAS (`CacheManager::seize`): a frame
+//! whose lock a client holds is no eviction victim this epoch, and a slot
+//! dropped under a client's lock is retired until the lock is free.
 //!
 //! # Policy
 //!
@@ -36,7 +46,9 @@ use serde::{Deserialize, Serialize};
 use crate::addr::{GlobalAddr, MemClass};
 use crate::alloc::RegionAllocator;
 use crate::error::GengarError;
-use crate::layout::{decode_slot_header, encode_slot_header, lockword, SLOT_HEADER, SLOT_TAIL};
+use crate::layout::{
+    decode_slot_header, encode_slot_header, lockword, OBJ_HEADER, SLOT_HEADER, SLOT_TAIL,
+};
 
 /// How the cache decides whether a candidate may evict a resident frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -165,13 +177,12 @@ impl CachePolicy {
     }
 }
 
-/// One cached object.
+/// One cached object. Its stamp lives in the frame's header only, where
+/// writers refresh it.
 #[derive(Debug, Clone, Copy)]
 struct CacheEntry {
     slot_off: u64,
     payload_len: u64,
-    /// The lock word the frame's copy was taken at (the header's stamp).
-    stamp: u64,
     score: u32,
     /// `true` once the frame has proven itself (remap hit or warm re-entry);
     /// protected frames are evicted only when probation is empty.
@@ -202,7 +213,7 @@ pub struct CacheStats {
     /// In-place updates applied by the proxy drain path.
     pub updates: u64,
     /// Frames re-copied in place by the epoch after a `Seqlock` write
-    /// outdated their stamp.
+    /// left their stamp behind the lock word.
     pub refreshes: u64,
     /// Candidates accepted by the admission filter (== promotions).
     pub admitted: u64,
@@ -284,6 +295,12 @@ pub struct CacheManager {
     /// TinyLFU doorkeeper: addresses that have already knocked once.
     doorkeeper: HashSet<u64>,
     demote: Option<DemoteArea>,
+    /// The NVM region holding the objects' lock words, if clients write
+    /// frames ([`CacheManager::guarding`]).
+    words: Option<MemRegion>,
+    /// Slots dropped while a client held their object's lock: (object,
+    /// slot offset), freed once the lock is free.
+    retired: Vec<(u64, u64)>,
     stats: CacheStats,
     metrics: CacheMetrics,
 }
@@ -335,8 +352,51 @@ impl CacheManager {
             ghost_order: VecDeque::new(),
             doorkeeper: HashSet::new(),
             demote,
+            words: None,
+            retired: Vec::new(),
             stats: CacheStats::default(),
             metrics: CacheMetrics::new(telemetry),
+        }
+    }
+
+    /// The manager, changing stamped frames only under their objects' lock
+    /// words in `words`, the server's NVM region ([`CacheManager::seize`]).
+    #[must_use]
+    pub(crate) fn guarding(mut self, words: MemRegion) -> Self {
+        self.words = Some(words);
+        self
+    }
+
+    /// Takes `addr`'s lock word with a local CAS before the cache re-tags,
+    /// drops or rewrites its frame at `slot_off`, so no `Seqlock` writer is
+    /// between its check of the frame's tag and its WRITEs into it. A frame
+    /// stamped 0 needs no hold: its object is at version 0, and no writer
+    /// refreshes such a frame or can move the word past version 0 before
+    /// this server's loop answers its first lock's flush RPC. Returns the
+    /// word to restore (`Some(None)`: no hold needed), or `None` while a
+    /// client holds the lock. The word is restored unchanged, so no stamp
+    /// or remembered word goes stale.
+    fn seize(&self, addr_raw: u64, slot_off: u64) -> Option<Option<u64>> {
+        let Some(words) = &self.words else {
+            return Some(None);
+        };
+        if self.region.load_u64(slot_off + 16).ok()? == lockword::INIT {
+            return Some(None);
+        }
+        let at = GlobalAddr::from_raw(addr_raw)?
+            .offset()
+            .checked_sub(OBJ_HEADER)?;
+        let word = words.load_u64(at).ok()?;
+        let locked = lockword::locked(word);
+        let won = !lockword::is_locked(word) && words.cas_u64(at, word, locked).ok()? == word;
+        won.then_some(Some(word))
+    }
+
+    /// Restores the word [`CacheManager::seize`] took.
+    fn unseize(&self, addr_raw: u64, held: Option<u64>) {
+        if let (Some(word), Some(words)) = (held, &self.words) {
+            let at = GlobalAddr::from_raw(addr_raw).map(|a| a.offset() - OBJ_HEADER);
+            let _ = at.map(|at| words.store_u64(at, word));
         }
     }
 
@@ -420,11 +480,6 @@ impl CacheManager {
     /// Returns whether `addr` is cached.
     pub fn contains(&self, addr_raw: u64) -> bool {
         self.entries.contains_key(&addr_raw)
-    }
-
-    /// The stamp of `addr`'s frame, if it is cached.
-    pub(crate) fn stamp(&self, addr_raw: u64) -> Option<u64> {
-        self.entries.get(&addr_raw).map(|e| e.stamp)
     }
 
     /// Promotes a version-0 object: `promote_stamped` with
@@ -543,7 +598,10 @@ impl CacheManager {
                         self.metrics.rejected.inc();
                         return Ok(false);
                     }
-                    self.evict(victim)?;
+                    // A victim whose lock a client holds stays this epoch.
+                    if !self.evict(victim)? {
+                        return Ok(false);
+                    }
                 }
             }
         };
@@ -565,7 +623,6 @@ impl CacheManager {
             CacheEntry {
                 slot_off,
                 payload_len: payload.len() as u64,
-                stamp,
                 score,
                 protected: warm,
                 hit_at: self.clock,
@@ -617,18 +674,27 @@ impl CacheManager {
         pick(false).or_else(|| pick(true))
     }
 
-    /// Evicts `addr`: parks warm payloads in the demote area, records the
-    /// address on the ghost list, then frees the slot.
-    fn evict(&mut self, addr_raw: u64) -> Result<(), GengarError> {
+    /// Evicts `addr` under its lock word: parks warm payloads in the
+    /// demote area, records the address on the ghost list, then frees the
+    /// slot. Returns `false`, evicting nothing, while a client holds the
+    /// lock.
+    fn evict(&mut self, addr_raw: u64) -> Result<bool, GengarError> {
         let Some(e) = self.entries.get(&addr_raw).copied() else {
-            return Ok(());
+            return Ok(true);
         };
-        if e.score >= 1 {
-            self.demote_store(addr_raw, e)?;
-        }
+        let Some(held) = self.seize(addr_raw, e.slot_off) else {
+            return Ok(false);
+        };
+        let demoted = match e.score {
+            0 => Ok(()),
+            _ => self.demote_store(addr_raw, e),
+        };
         self.ghost_insert(addr_raw, e.protected);
-        self.remove(addr_raw, true)?;
-        Ok(())
+        let removed = self
+            .unlink(addr_raw, true)
+            .and_then(|_| self.free_slot(e.slot_off));
+        self.unseize(addr_raw, held);
+        demoted.and(removed).map(|_| true)
     }
 
     /// Removes `addr` from the ghost list; on a hit, adaptively resizes the
@@ -686,14 +752,21 @@ impl CacheManager {
         }
     }
 
-    /// Copies an evicted frame's payload into the NVM demote area (epoch
+    /// Copies an evicted frame's payload into the NVM demote area with the
+    /// stamp its header carries, unless a failed writer left it torn (epoch
     /// thread only — the foreground drain never pays for this write).
     fn demote_store(&mut self, addr_raw: u64, e: CacheEntry) -> Result<(), GengarError> {
         if self.demote.is_none() {
             return Ok(());
         }
-        let mut payload = vec![0u8; e.payload_len as usize];
-        self.region.read(e.slot_off + SLOT_HEADER, &mut payload)?;
+        let mut frame = vec![0u8; frame_need(e.payload_len) as usize];
+        self.region.read(e.slot_off, &mut frame)?;
+        let h = decode_slot_header(&frame);
+        let tail = frame.split_off((SLOT_HEADER + e.payload_len) as usize);
+        if !h.version.is_multiple_of(2) || tail[..] != h.version.to_le_bytes() {
+            return Ok(());
+        }
+        let payload = &frame[SLOT_HEADER as usize..];
         let area = self.demote.as_mut().expect("checked above");
         let need = e.payload_len.max(1);
         if RegionAllocator::block_size(need).is_none_or(|b| b > area.alloc.capacity()) {
@@ -714,13 +787,13 @@ impl CacheManager {
                 }
             }
         };
-        area.region.write(off, &payload)?;
+        area.region.write(off, payload)?;
         area.entries.insert(
             addr_raw,
             DemoteEntry {
                 off,
                 len: e.payload_len,
-                stamp: e.stamp,
+                stamp: h.stamp,
                 score: e.score,
             },
         );
@@ -739,40 +812,87 @@ impl CacheManager {
         }
     }
 
-    fn remove(&mut self, addr_raw: u64, eviction: bool) -> Result<bool, GengarError> {
-        if let Some(e) = self.entries.remove(&addr_raw) {
-            if e.protected {
-                self.protected_bytes = self
-                    .protected_bytes
-                    .saturating_sub(frame_need(e.payload_len));
-            }
-            // Clear the tag so racing clients with stale remap entries fail
-            // validation instead of reading a recycled slot.
-            self.region.write(e.slot_off, &0u64.to_le_bytes())?;
-            self.alloc.free(e.slot_off)?;
-            if eviction {
-                self.stats.evictions += 1;
-                self.metrics.evictions.inc();
-            } else {
-                self.stats.invalidations += 1;
-                self.metrics.invalidations.inc();
-            }
-            Ok(true)
-        } else {
-            Ok(false)
+    /// Unpublishes `addr`'s frame and returns it, leaving its slot
+    /// allocated: the tag is cleared so racing clients with stale remap
+    /// entries fail validation instead of reading a recycled slot.
+    fn unlink(&mut self, addr_raw: u64, eviction: bool) -> Result<Option<CacheEntry>, GengarError> {
+        let Some(e) = self.entries.remove(&addr_raw) else {
+            return Ok(None);
+        };
+        if e.protected {
+            self.protected_bytes = self
+                .protected_bytes
+                .saturating_sub(frame_need(e.payload_len));
         }
+        self.region.write(e.slot_off, &0u64.to_le_bytes())?;
+        if eviction {
+            self.stats.evictions += 1;
+            self.metrics.evictions.inc();
+        } else {
+            self.stats.invalidations += 1;
+            self.metrics.invalidations.inc();
+        }
+        Ok(Some(e))
+    }
+
+    fn free_slot(&mut self, slot_off: u64) -> Result<(), GengarError> {
+        self.alloc.free(slot_off).map(|_| ())
     }
 
     /// Drops the cached copy of `addr`, if any — including any parked
-    /// demote copy, which is stale the moment the object changes. Returns
-    /// whether a DRAM copy existed.
+    /// demote copy, which is stale the moment the object changes. Its slot
+    /// is freed under the object's lock word, or retired while a client
+    /// holds it until an epoch can take it. Returns whether a DRAM copy
+    /// existed.
     ///
     /// # Errors
     ///
     /// Propagates device errors.
     pub fn invalidate(&mut self, addr_raw: u64) -> Result<bool, GengarError> {
         self.demote_drop(addr_raw);
-        self.remove(addr_raw, false)
+        let Some(e) = self.unlink(addr_raw, false)? else {
+            return Ok(false);
+        };
+        match self.seize(addr_raw, e.slot_off) {
+            Some(held) => {
+                let freed = self.free_slot(e.slot_off);
+                self.unseize(addr_raw, held);
+                freed?;
+            }
+            None => self.retired.push((addr_raw, e.slot_off)),
+        }
+        Ok(true)
+    }
+
+    /// Drops every trace of a freed object: its frame and any retired slot
+    /// are freed at once, as it has no lock word left to take.
+    ///
+    /// # Errors
+    ///
+    /// Propagates device errors.
+    pub(crate) fn forget(&mut self, addr_raw: u64) -> Result<(), GengarError> {
+        self.demote_drop(addr_raw);
+        if let Some(e) = self.unlink(addr_raw, false)? {
+            self.free_slot(e.slot_off)?;
+        }
+        while let Some(i) = self.retired.iter().position(|&(a, _)| a == addr_raw) {
+            let (_, slot) = self.retired.swap_remove(i);
+            self.free_slot(slot)?;
+        }
+        Ok(())
+    }
+
+    /// Frees each retired slot whose object's lock word is free now.
+    pub(crate) fn reclaim(&mut self) {
+        for (addr_raw, slot) in std::mem::take(&mut self.retired) {
+            match self.seize(addr_raw, slot) {
+                Some(held) => {
+                    let _ = self.free_slot(slot);
+                    self.unseize(addr_raw, held);
+                }
+                None => self.retired.push((addr_raw, slot)),
+            }
+        }
     }
 
     /// Applies a write of `data` at byte `rel_off` of the cached object
@@ -801,7 +921,7 @@ impl CacheManager {
         };
         if rel_off + data.len() as u64 > entry.payload_len {
             // A write larger than the cached frame: drop the copy.
-            self.remove(addr_raw, false)?;
+            self.invalidate(addr_raw)?;
             return Ok(false);
         }
         self.rewrite(entry, rel_off, data, None)?;
@@ -810,41 +930,48 @@ impl CacheManager {
         Ok(true)
     }
 
-    /// Re-copies the whole cached object `addr` in place from `payload`,
-    /// taken while its lock word read `stamp`: the frame keeps its slot, so
-    /// every remap that points at it stays valid. Returns whether `addr` was
-    /// cached at `payload`'s length.
+    /// Re-copies `addr`'s frame in place from the object in NVM if a write
+    /// left its stamp behind the lock word, holding the word meanwhile
+    /// ([`CacheManager::seize`]): the frame keeps its slot, so every remap
+    /// that points at it stays valid. A stamp-0 frame is never behind (the
+    /// first lock drops it), and a client that holds the lock refreshes the
+    /// frame itself. Returns whether it re-copied.
     ///
     /// # Errors
     ///
     /// Propagates device errors.
-    pub fn refresh(
-        &mut self,
-        addr_raw: u64,
-        payload: &[u8],
-        stamp: u64,
-    ) -> Result<bool, GengarError> {
-        let Some(mut entry) = self
-            .entries
-            .get(&addr_raw)
-            .copied()
-            .filter(|e| e.payload_len == payload.len() as u64)
-        else {
+    pub(crate) fn refresh(&mut self, addr_raw: u64) -> Result<bool, GengarError> {
+        let (Some(entry), Some(words)) = (self.entries.get(&addr_raw).copied(), &self.words) else {
             return Ok(false);
         };
-        self.rewrite(entry, 0, payload, Some(stamp))?;
-        entry.stamp = stamp;
-        self.entries.insert(addr_raw, entry);
+        let Some(addr) = GlobalAddr::from_raw(addr_raw) else {
+            return Ok(false);
+        };
+        let stamp = self.region.load_u64(entry.slot_off + 16)?;
+        if stamp == lockword::INIT || words.load_u64(addr.offset() - OBJ_HEADER)? == stamp {
+            return Ok(false);
+        }
+        let Some(Some(word)) = self.seize(addr_raw, entry.slot_off) else {
+            return Ok(false);
+        };
+        let mut payload = vec![0u8; entry.payload_len as usize];
+        let copied = words
+            .read(addr.offset(), &mut payload)
+            .map_err(GengarError::from)
+            .and_then(|()| self.rewrite(entry, 0, &payload, Some(word)));
+        self.unseize(addr_raw, Some(word));
+        copied?;
         self.stats.refreshes += 1;
         self.metrics.refreshes.inc();
         Ok(true)
     }
 
     /// Rewrites `data` at byte `rel_off` of `entry`'s frame seqlock-style:
-    /// head version odd, payload, tail then head to the new even version,
+    /// head version odd, payload, tail then head to the next even version,
     /// and a new `stamp` last. A reader that fetched the new stamp fetched
     /// the header after every other byte was written, so it sees the new
     /// tail too; one that fetched the old stamp rejects the frame as stale.
+    /// A head a failed writer left odd moves on to the next even version.
     fn rewrite(
         &self,
         entry: CacheEntry,
@@ -855,14 +982,12 @@ impl CacheManager {
         let slot = entry.slot_off;
         let mut hdr_buf = [0u8; SLOT_HEADER as usize];
         self.region.read(slot, &mut hdr_buf)?;
-        let version = decode_slot_header(&hdr_buf).version;
-        self.region.write(slot + 8, &(version + 1).to_le_bytes())?;
+        let even = (decode_slot_header(&hdr_buf).version | 1) + 1;
+        self.region.write(slot + 8, &(even - 1).to_le_bytes())?;
         self.region.write(slot + SLOT_HEADER + rel_off, data)?;
-        self.region.write(
-            slot + SLOT_HEADER + entry.payload_len,
-            &(version + 2).to_le_bytes(),
-        )?;
-        self.region.write(slot + 8, &(version + 2).to_le_bytes())?;
+        self.region
+            .write(slot + SLOT_HEADER + entry.payload_len, &even.to_le_bytes())?;
+        self.region.write(slot + 8, &even.to_le_bytes())?;
         if let Some(stamp) = stamp {
             self.region.write(slot + 16, &stamp.to_le_bytes())?;
         }
@@ -893,7 +1018,12 @@ impl CacheManager {
     pub fn clear(&mut self) {
         let addrs: Vec<u64> = self.entries.keys().copied().collect();
         for a in addrs {
-            let _ = self.remove(a, false);
+            if let Ok(Some(e)) = self.unlink(a, false) {
+                let _ = self.free_slot(e.slot_off);
+            }
+        }
+        for (_, slot) in std::mem::take(&mut self.retired) {
+            let _ = self.free_slot(slot);
         }
         self.ghost.clear();
         self.ghost_order.clear();
@@ -1056,23 +1186,32 @@ mod tests {
 
     #[test]
     fn refresh_rewrites_in_place_and_updates_keep_the_stamp() {
-        let mut c = mgr(1 << 16);
+        // The object at NVM offset 64, its lock word at 48.
+        let nvm = region(1 << 12);
+        let mut c = mgr(1 << 16).guarding(nvm.clone());
         let word = lockword::with_version(3);
-        assert!(c.promote_stamped(addr(0), b"version3", word, 1).unwrap());
-        let slot = c.lookup(addr(0).raw()).unwrap();
+        nvm.store_u64(48, word).unwrap();
+        nvm.write(64, b"version3").unwrap();
+        assert!(c.promote_stamped(addr(64), b"version3", word, 1).unwrap());
+        let slot = c.lookup(addr(64).raw()).unwrap();
         let frame = |c: &CacheManager| {
             let mut frame = vec![0u8; (SLOT_HEADER + 8 + SLOT_TAIL) as usize];
             let off = GlobalAddr::from_raw(slot).unwrap().offset();
             c.region.read(off, &mut frame).unwrap();
             frame
         };
-        assert!(c.update_range(addr(0).raw(), 0, b"Version3").unwrap());
+        assert!(c.update_range(addr(64).raw(), 0, b"Version3").unwrap());
         assert_eq!(decode_slot_header(&frame(&c)).stamp, word);
+        // A frame stamped with the current word needs no copy.
+        assert!(!c.refresh(addr(64).raw()).unwrap());
         let next = lockword::with_version(4);
-        assert!(c.refresh(addr(0).raw(), b"version4", next).unwrap());
-        // Same slot, new bytes and stamp, a valid head/tail pair.
-        assert_eq!(c.lookup(addr(0).raw()), Some(slot));
-        assert_eq!(c.stamp(addr(0).raw()), Some(next));
+        nvm.write(64, b"version4").unwrap();
+        nvm.store_u64(48, next).unwrap();
+        assert!(c.refresh(addr(64).raw()).unwrap());
+        // Same slot, new bytes and stamp, a valid head/tail pair, and the
+        // word the copy held restored as it was.
+        assert_eq!(c.lookup(addr(64).raw()), Some(slot));
+        assert_eq!(nvm.load_u64(48).unwrap(), next);
         let f = frame(&c);
         let h = decode_slot_header(&f);
         assert_eq!((h.stamp, h.version), (next, 6));
@@ -1083,9 +1222,52 @@ mod tests {
         let tail = u64::from_le_bytes(f[(SLOT_HEADER + 8) as usize..].try_into().unwrap());
         assert_eq!(tail, h.version);
         assert_eq!((c.stats().refreshes, c.stats().promotions), (1, 1));
-        // A payload of another length, or an uncached object, is no refresh.
-        assert!(!c.refresh(addr(0).raw(), b"short", next).unwrap());
-        assert!(!c.refresh(addr(64).raw(), b"version4", next).unwrap());
+        // A client holding the lock refreshes the frame itself; an uncached
+        // object has nothing to refresh.
+        nvm.store_u64(48, lockword::locked(next) + 2).unwrap();
+        assert!(!c.refresh(addr(64).raw()).unwrap());
+        assert!(!c.refresh(addr(128).raw()).unwrap());
+        assert_eq!(c.stats().refreshes, 1);
+    }
+
+    /// A stamped frame changes only under its object's lock word: a frame
+    /// whose lock a client holds is no eviction victim, and a slot
+    /// invalidated under it stays retired until the lock is free. A
+    /// stamp-0 frame needs no lock. The words come back unchanged.
+    #[test]
+    fn a_locked_frame_is_neither_evicted_nor_recycled() {
+        let nvm = region(1 << 12);
+        let mut c = mgr(128).guarding(nvm.clone());
+        let word = lockword::with_version(1);
+        for (obj, score) in [(64, 1), (128, 5)] {
+            nvm.store_u64(obj - 16, word).unwrap();
+            assert!(c.promote_stamped(addr(obj), b"aaaa", word, score).unwrap());
+        }
+        // The coldest frame is locked: the hotter candidate waits.
+        nvm.store_u64(48, lockword::locked(word)).unwrap();
+        assert!(!c.promote(addr(192), b"cccc", 9).unwrap());
+        assert!(c.contains(addr(64).raw()));
+        assert_eq!(c.stats().evictions, 0);
+        nvm.store_u64(48, word).unwrap();
+        assert!(c.promote(addr(192), b"cccc", 9).unwrap());
+        assert!(!c.contains(addr(64).raw()));
+        assert_eq!(nvm.load_u64(48).unwrap(), word);
+        // Dropped under a held lock: unpublished now, freed once free.
+        nvm.store_u64(112, lockword::locked(word)).unwrap();
+        assert!(c.invalidate(addr(128).raw()).unwrap());
+        assert!(!c.contains(addr(128).raw()));
+        assert_eq!(c.retired.len(), 1);
+        c.reclaim();
+        assert_eq!(c.retired.len(), 1, "still locked");
+        nvm.store_u64(112, word).unwrap();
+        c.reclaim();
+        assert!(c.retired.is_empty());
+        assert_eq!(nvm.load_u64(112).unwrap(), word);
+        // A version-0 frame goes at once, whoever holds its lock.
+        nvm.store_u64(240, lockword::locked(0)).unwrap();
+        assert!(c.promote(addr(256), b"dddd", 9).unwrap());
+        assert!(c.invalidate(addr(256).raw()).unwrap());
+        assert!(c.retired.is_empty());
     }
 
     #[test]

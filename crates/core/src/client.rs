@@ -36,8 +36,8 @@ use crate::hotness::{
 use crate::layout::{decode_slot_header, lockword, OBJ_HEADER, SLOT_HEADER, SLOT_TAIL};
 use crate::objects::{Objects, WriteBack};
 use crate::plan::{
-    self, DirectStep, FrameVerdict, Hold, Known, LostCas, Op, Persist, ReadKind, Release, Ring,
-    Route, Start, Why,
+    self, DirectStep, FrameUpdate, FrameVerdict, Hold, Known, LostCas, Op, Persist, ReadKind,
+    Release, Ring, Route, Start, Why,
 };
 use crate::proto::{error_for_code, MountInfo, Request, Response, NO_BACKUP};
 use crate::proxy::{MirrorLane, StagedFlight, StagingWriter};
@@ -245,12 +245,12 @@ enum Flight {
 
 /// An op part-way down the direct chain, each step a wait other servers'
 /// groups overlap. A `Seqlock` write runs lock CAS (behind a lock-word READ
-/// when the client remembers no word of the object) → WRITE per op-area
-/// chunk → its persist ([`plan::persist`]) → unlock WRITE. The unlock
-/// stays a doorbell of its own: without a fence nothing orders a WRITE
-/// behind a FLUSH's completion, so an unlock in the FLUSH's doorbell could
-/// publish the write before its range is durable. Where other ops start is
-/// [`plan::chain_start`]'s.
+/// when the client remembers no word of the object; with the frame's
+/// header READ fenced behind it when it knows the object's frame) → WRITE
+/// per op-area chunk → its persist ([`plan::persist`]) → unlock WRITE. Past
+/// version 0 the last chunk, the FLUSH, the frame refresh
+/// ([`plan::frame_update`]) and the fenced unlock share one doorbell.
+/// Where other ops start is [`plan::chain_start`]'s.
 #[derive(Debug, Default)]
 struct DirectOp {
     /// Position of the op in the group's indices (the walk resumes behind it).
@@ -264,6 +264,10 @@ struct DirectOp {
     guess: bool,
     /// Lost lock CASes so far (bounded by `lock_retries`).
     tries: u32,
+    /// The cache frame whose header the lock CAS's doorbell fetched, and
+    /// what the write puts into it once the CAS won.
+    frame: Option<GlobalAddr>,
+    update: Option<FrameUpdate>,
     /// Payload bytes already written.
     done: u64,
     /// Why the op fails (lock never won, flush refused); a lock a write
@@ -2353,7 +2357,15 @@ impl GengarClient {
         let word_at = ptr.addr.offset() - OBJ_HEADER;
         let (mr_lkey, region) = (self.mr.lkey(), self.mr.region().clone());
         let idx = self.idx(run.server)?;
-        let mut held = self.conns[idx].objects.get(base).and_then(|st| st.hold);
+        let entry = self.conns[idx].objects.get(base);
+        let mut held = entry.and_then(|st| st.hold);
+        // A write whose payload and frame lanes (tail, odd version, head)
+        // fit one doorbell can refresh the frame its remap names.
+        let frame = entry
+            .and_then(|st| st.frame)
+            .and_then(|f| GlobalAddr::from_raw(f.slot))
+            .filter(|slot| slot.class() == MemClass::DramCache)
+            .filter(|_| kind == Op::Write && 8 + len + 32 <= self.conns[idx].op_buf_len);
         loop {
             let one_sided = plan::persist(kind, consistency, held) == Persist::Flush;
             let release = plan::releases(kind, consistency, held);
@@ -2364,12 +2376,15 @@ impl GengarClient {
             // (and behind it, fenced, the unlock of a lock the write took).
             let flushes = one_sided && w.done + chunk == data.len() as u64;
             let nvm = |off: u64| RemoteAddr::new(conn.nvm_rkey(), off);
+            let dram = |off: u64| RemoteAddr::new(conn.cache_rkey(), off);
             let word_sge = Sge::new(mr_lkey, word_lane, 8);
-            let write = |from: Sge, to: u64| SendOp::Write {
+            let lane = |off: u64, len: u64| Sge::new(mr_lkey, off, len);
+            let write_to = |from: Sge, remote: RemoteAddr| SendOp::Write {
                 payload: Payload::Sge(from),
-                remote: nvm(to),
+                remote,
                 imm: None,
             };
+            let write = |from: Sge, to: u64| write_to(from, nvm(to));
             // The WRITE of the released lock word, from the word lane.
             let unlock = || -> Result<SendOp, GengarError> {
                 let locked = held.expect("an unlock runs under a hold").word;
@@ -2383,12 +2398,29 @@ impl GengarClient {
                             local: word_sge,
                             remote: nvm(word_at),
                         },
-                        DirectStep::Cas => SendOp::CompareSwap {
-                            local: word_sge,
-                            remote: nvm(word_at),
-                            expected: w.expected,
-                            swap: lockword::locked(w.expected),
-                        },
+                        DirectStep::Cas => {
+                            let cas = SendOp::CompareSwap {
+                                local: word_sge,
+                                remote: nvm(word_at),
+                                expected: w.expected,
+                                swap: lockword::locked(w.expected),
+                            };
+                            // The header READ starts once the CAS ends, so it
+                            // sees the frame as the won lock holds it.
+                            w.frame = frame.filter(|_| lockword::version(w.expected) != 0);
+                            match w.frame {
+                                None => cas,
+                                Some(slot) => {
+                                    let header = SendOp::Read {
+                                        local: lane(data_lane, SLOT_HEADER),
+                                        remote: dram(slot.offset()),
+                                    };
+                                    let posted = conn.data.post_fenced([cas, header])?;
+                                    w.flight = Some(Flight::Verb(posted));
+                                    continue;
+                                }
+                            }
+                        }
                         DirectStep::Atomic => {
                             let remote = nvm(ptr.addr.offset() + offset);
                             match &ops[i] {
@@ -2429,6 +2461,22 @@ impl GengarClient {
                             if flushes {
                                 let remote = nvm(ptr.addr.offset() + offset);
                                 run.sends.push(SendOp::Flush { remote, len });
+                            }
+                            // The frame refresh rides ahead of the fenced
+                            // unlock: the tail behind the payload in the data
+                            // lane, the odd version and the head after it.
+                            if let Some((u, slot)) = w.update.zip(w.frame).filter(|_| flushes) {
+                                let (tail, slot) = (data_lane + chunk, slot.offset());
+                                region.copy_in(tail, &u.even.to_le_bytes())?;
+                                region.copy_in(tail + 8, &u.odd.to_le_bytes())?;
+                                region.copy_in(tail + 16, &u.even.to_le_bytes())?;
+                                region.copy_in(tail + 24, &u.stamp.to_le_bytes())?;
+                                let payload = slot + SLOT_HEADER + offset;
+                                run.sends.push(write_to(lane(tail + 8, 8), dram(slot + 8)));
+                                run.sends
+                                    .push(write_to(lane(data_lane, chunk + 8), dram(payload)));
+                                run.sends
+                                    .push(write_to(lane(tail + 16, 16), dram(slot + 8)));
                             }
                             let posted = if flushes && release == Release::Fenced {
                                 run.sends.push(unlock()?);
@@ -2476,6 +2524,13 @@ impl GengarClient {
                                 };
                                 self.conns[idx].objects.hold(base, hold);
                                 held = Some(hold);
+                                if w.frame.is_some() {
+                                    let mut header = [0u8; SLOT_HEADER as usize];
+                                    region.copy_out(data_lane, &mut header)?;
+                                    let h = decode_slot_header(&header);
+                                    w.update =
+                                        plan::frame_update(Some(&h), ptr, hold.word, offset, len);
+                                }
                                 // Done, unless the op persists: a write, or
                                 // the object's first lock (by RPC).
                                 if plan::persist(kind, consistency, held) == Persist::None {
@@ -2550,9 +2605,10 @@ impl GengarClient {
         let outcome = w.refused.take().map_or(Ok(()), Err);
         if outcome.is_ok() && matches!(ops[i], BatchOp::Write { .. } | BatchOp::Atomic { .. }) {
             // The object changed under any staged copy, and under a cached
-            // frame a one-sided write left in place (a flush RPC dropped it):
-            // outdated until the epoch re-copies it.
-            self.conns[idx].objects.wrote(base);
+            // frame (a flush RPC dropped it): current if the write refreshed
+            // it under its lock, else outdated until a later write or the
+            // epoch refreshes it.
+            self.conns[idx].objects.wrote(base, w.update.is_some());
             self.record(run.server, base, true);
             if kind == Op::Write {
                 self.metrics.direct_writes.inc();
@@ -2954,7 +3010,10 @@ impl GengarClient {
             match p.kind {
                 ReadKind::Cached { .. } | ReadKind::Stamp => {
                     let (verdict, word) = self.check_frame(&p)?;
-                    let rejected = matches!(verdict, FrameVerdict::Stale | FrameVerdict::Invalid);
+                    let rejected = matches!(
+                        verdict,
+                        FrameVerdict::Stale | FrameVerdict::Locked | FrameVerdict::Invalid
+                    );
                     // Only a rejected frame or a fetched word changes the
                     // entry, and only a rejected frame's re-read depends
                     // on the hold: a frame that serves costs no lookup.

@@ -32,7 +32,8 @@ pub struct WriteBack {
 }
 
 /// A cache frame's slot, and the seq of the mailbox under which a read or
-/// a write found it outdated: the next mailbox's epoch re-copied it.
+/// a write found it outdated: by the next mailbox its epoch has re-copied
+/// it, if no writer refreshed it first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Frame {
     pub slot: u64,
@@ -53,9 +54,9 @@ impl ObjState {
         self.frame.is_none() && self.hold.is_none() && self.word.is_none() && self.staged.is_none()
     }
 
-    fn outdate(&mut self, mailbox: u64) {
+    fn outdate(&mut self, mailbox: Option<u64>) {
         if let Some(frame) = self.frame.as_mut() {
-            frame.outdated_at = Some(mailbox);
+            frame.outdated_at = mailbox;
         }
     }
 }
@@ -173,14 +174,15 @@ impl Objects {
     }
 
     /// Applies a fetched frame's verdict and the word fetched behind it;
-    /// returns whether the lock is held.
+    /// returns whether the lock is held. A frame locked at its stamp stays
+    /// usable: its holder refreshes it.
     pub fn judged(&mut self, base: u64, verdict: FrameVerdict, word: Option<u64>) -> bool {
         let (mailbox, word) = (self.mailbox, word.filter(|&w| !lockword::is_locked(w)));
         let held = self.edit(base, Make::Never, |st, _| {
             match verdict {
-                FrameVerdict::Stale => st.outdate(mailbox),
+                FrameVerdict::Stale => st.outdate(Some(mailbox)),
                 FrameVerdict::Invalid => st.frame = None,
-                FrameVerdict::Fresh | FrameVerdict::Unchecked => {}
+                FrameVerdict::Fresh | FrameVerdict::Locked | FrameVerdict::Unchecked => {}
             }
             if st.word.is_some() {
                 st.word = word.or(st.word);
@@ -231,9 +233,10 @@ impl Objects {
     }
 
     /// A direct write or an atomic changed the object under its frame and
-    /// its record.
-    pub fn wrote(&mut self, base: u64) {
-        let mailbox = self.mailbox;
+    /// its record: the frame is outdated, unless the write `refreshed` it
+    /// under its lock, which leaves it current.
+    pub fn wrote(&mut self, base: u64, refreshed: bool) {
+        let mailbox = (!refreshed).then_some(self.mailbox);
         let record = self.edit(base, Make::Never, |st, _| {
             st.outdate(mailbox);
             st.staged.take()
@@ -337,7 +340,7 @@ mod tests {
     fn a_new_mailbox_lapses_every_outdated_mark() {
         let mut t = Objects::default();
         t.set_frames(1, [(64, 0x77), (128, 0x88)]);
-        t.wrote(64);
+        t.wrote(64, false);
         assert!(!t.judged(128, FrameVerdict::Stale, None));
         let frame = |t: &Objects, base| t.get(base).and_then(|st| st.frame).unwrap();
         assert!(t.outdated(frame(&t, 64)) && t.outdated(frame(&t, 128)));
@@ -350,12 +353,28 @@ mod tests {
         assert_eq!(t.frames(), 0);
     }
 
+    /// A write that refreshed the frame under its lock leaves it current,
+    /// and clears an older outdated mark; a frame found locked at its
+    /// stamp stays usable, as its holder refreshes it.
+    #[test]
+    fn a_refreshed_or_locked_frame_stays_usable() {
+        let mut t = Objects::default();
+        t.set_frames(1, [(64, 0x77), (128, 0x88)]);
+        let frame = |t: &Objects, base| t.get(base).and_then(|st| st.frame).unwrap();
+        t.wrote(64, false);
+        assert!(t.outdated(frame(&t, 64)));
+        t.wrote(64, true);
+        assert!(!t.outdated(frame(&t, 64)));
+        t.judged(128, FrameVerdict::Locked, Some(lockword::locked(6)));
+        assert!(!t.outdated(frame(&t, 128)));
+    }
+
     #[test]
     fn an_emptied_entry_is_removed() {
         let mut t = Objects::default();
         full(&mut t, 64);
         t.drop_frame(64);
-        t.wrote(64);
+        t.wrote(64, false);
         assert_eq!(t.staged(), 0, "a direct write drops the record");
         t.release(64);
         assert_eq!(t.get(64).and_then(|st| st.word), Some(lockword::release(7)));
@@ -468,7 +487,7 @@ mod tests {
         t.drained(128);
         t.stage(192, 3, 0, &[1]);
         assert_eq!(record(&t, 192), first);
-        t.wrote(192);
+        t.wrote(192, false);
         t.stage(256, 4, 0, &[1]);
         assert_eq!(record(&t, 256), first);
         t.remove(256);

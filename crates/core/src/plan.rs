@@ -346,13 +346,16 @@ pub fn read_shape(c: Consistency, ptr: GlobalPtr, area: u64, k: Known) -> (ReadK
 }
 
 /// What a fetched cache frame is worth: its bytes (`Fresh`); nothing yet,
-/// a stamp to compare with the lock word (`Unchecked`); nothing until the
-/// epoch re-copies it, as a write moved the word past its stamp (`Stale`);
+/// a stamp to compare with the lock word (`Unchecked`); nothing now, as a
+/// writer holds the lock taken at the frame's stamp and refreshes the
+/// frame before it unlocks (`Locked`); nothing until a writer or the epoch
+/// refreshes it, as a write moved the word past its stamp (`Stale`);
 /// nothing, torn, recycled or mid-update (`Invalid`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameVerdict {
     Fresh,
     Stale,
+    Locked,
     Unchecked,
     Invalid,
 }
@@ -371,6 +374,7 @@ pub fn frame_verdict(h: &SlotHeader, ptr: GlobalPtr, tail: u64, word: Option<u64
         None if h.stamp == lockword::INIT => FrameVerdict::Fresh,
         None => FrameVerdict::Unchecked,
         Some(word) if word == h.stamp => FrameVerdict::Fresh,
+        Some(word) if word == lockword::locked(h.stamp) => FrameVerdict::Locked,
         Some(_) => FrameVerdict::Stale,
     }
 }
@@ -381,8 +385,56 @@ pub fn reread(verdict: FrameVerdict, c: Consistency, held: bool) -> Option<ReadK
     match verdict {
         FrameVerdict::Fresh => None,
         FrameVerdict::Unchecked => Some(ReadKind::Stamp),
-        FrameVerdict::Stale | FrameVerdict::Invalid => Some(nvm_read(c, held)),
+        FrameVerdict::Stale | FrameVerdict::Locked | FrameVerdict::Invalid => {
+            Some(nvm_read(c, held))
+        }
     }
+}
+
+/// What a `Seqlock` write puts into its object's cache frame while it
+/// holds the lock, after its payload and FLUSH and ahead of its fenced
+/// unlock: the odd head version first, then the payload with the tail
+/// `even` behind it, then the head's `even` version and `stamp` last. The
+/// stamp is the word the unlock publishes, so readers take the frame once
+/// the word is released and not before.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameUpdate {
+    pub odd: u64,
+    pub even: u64,
+    pub stamp: u64,
+}
+
+/// Whether a `Seqlock` write of `len` bytes at `offset` of `ptr`, holding
+/// the locked word `held`, refreshes the frame whose header `h` its lock
+/// doorbell fetched behind the CAS (`None`: it knew no frame). The server
+/// re-tags, drops and rewrites a stamped frame only while it holds the
+/// frame's lock word, and the writer holds it from before the fetch to its
+/// unlock, so a header tagged with the object and of its size is the
+/// object's frame until then. Never at version 0, or into a stamp-0 frame:
+/// the first lock drops those by RPC. The tail follows the payload in one
+/// WRITE, so the write must reach the object's end; one that starts past
+/// 0 keeps the frame's other bytes, so the frame must be whole and stamped
+/// with the word the lock was taken at.
+pub fn frame_update(
+    h: Option<&SlotHeader>,
+    ptr: GlobalPtr,
+    held: u64,
+    offset: u64,
+    len: u64,
+) -> Option<FrameUpdate> {
+    let h = h?;
+    let taken_at = lockword::with_version(lockword::version(held));
+    let owned = h.tag == ptr.addr.raw() && h.len == ptr.size && h.stamp != lockword::INIT;
+    let keeps_rest = offset == 0 || (h.stamp == taken_at && h.version.is_multiple_of(2));
+    if lockword::version(held) == 0 || !owned || offset + len != ptr.size || !keeps_rest {
+        return None;
+    }
+    let even = (h.version | 1) + 1;
+    Some(FrameUpdate {
+        odd: even - 1,
+        even,
+        stamp: lockword::release(held),
+    })
 }
 
 /// Whether a versioned triple validates: its words are equal and unlocked,
@@ -806,7 +858,7 @@ mod tests {
             len,
         };
         let tag = ptr.addr.raw();
-        use FrameVerdict::{Fresh, Invalid, Stale, Unchecked};
+        use FrameVerdict::{Fresh, Invalid, Locked, Stale, Unchecked};
         for (h, tail, word, want) in [
             // Whole, stamp 0 (version-0 object): fresh without the word.
             (hdr(tag, 4, 0, 64), 4, None, Fresh),
@@ -814,6 +866,10 @@ mod tests {
             (hdr(tag, 4, 6, 64), 4, None, Unchecked),
             (hdr(tag, 4, 6, 64), 4, Some(6), Fresh),
             (hdr(tag, 4, 6, 64), 4, Some(8), Stale),
+            // Locked at the stamp: its holder refreshes the frame. Locked
+            // past it: stale whatever the holder does.
+            (hdr(tag, 4, 6, 64), 4, Some(7), Locked),
+            (hdr(tag, 4, 6, 64), 4, Some(9), Stale),
             (hdr(tag, 4, 0, 64), 4, Some(0), Fresh),
             (hdr(tag, 4, 0, 64), 4, Some(2), Stale),
             // Recycled (other tag), wrong length, mid-update (odd
@@ -833,8 +889,58 @@ mod tests {
         assert_eq!(reread(Fresh, SEQ, false), None);
         assert_eq!(reread(Unchecked, NONE, false), Some(ReadKind::Stamp));
         assert_eq!(reread(Stale, SEQ, false), Some(ReadKind::Versioned));
+        assert_eq!(reread(Locked, SEQ, false), Some(ReadKind::Versioned));
         assert_eq!(reread(Invalid, SEQ, true), Some(ReadKind::Plain));
         assert_eq!(reread(Invalid, NONE, false), Some(ReadKind::Plain));
+    }
+
+    /// The frame a `Seqlock` write refreshes under its lock: known or not,
+    /// the object's or a recycled slot's, the object's first lock, and
+    /// writes that do or do not reach its end.
+    #[test]
+    fn frame_update_table() {
+        let ptr = obj(64);
+        let tag = ptr.addr.raw();
+        let hdr = |tag, version, stamp, len| SlotHeader {
+            tag,
+            version,
+            stamp,
+            len,
+        };
+        // Locked at word 6 (version 3): the unlock publishes 8.
+        let (held, stamp) = (lockword::locked(6), 8);
+        let update = |odd, even| Some(FrameUpdate { odd, even, stamp });
+        for (h, held, offset, len, want) in [
+            // The frame the remap named, current: the whole object, or
+            // its tail end.
+            (Some(hdr(tag, 4, 6, 64)), held, 0, 64, update(5, 6)),
+            (Some(hdr(tag, 4, 6, 64)), held, 16, 48, update(5, 6)),
+            // No frame known: nothing to refresh.
+            (None, held, 0, 64, None),
+            // The slot holds another object, or none (a cleared tag).
+            (Some(hdr(tag + 64, 4, 6, 64)), held, 0, 64, None),
+            (Some(hdr(0, 4, 6, 64)), held, 0, 64, None),
+            (Some(hdr(tag, 4, 6, 32)), held, 0, 64, None),
+            // Version 0: the first lock drops the frame by RPC instead,
+            // and a stamp-0 frame belongs to a version-0 object.
+            (Some(hdr(tag, 4, 0, 64)), lockword::locked(0), 0, 64, None),
+            (Some(hdr(tag, 4, 0, 64)), held, 0, 64, None),
+            // A whole write repairs a stale or torn frame...
+            (Some(hdr(tag, 4, 2, 64)), held, 0, 64, update(5, 6)),
+            (Some(hdr(tag, 5, 6, 64)), held, 0, 64, update(5, 6)),
+            // ...a partial one keeps bytes it must find current, and one
+            // that stops short of the end leaves the tail behind.
+            (Some(hdr(tag, 4, 2, 64)), held, 16, 48, None),
+            (Some(hdr(tag, 5, 6, 64)), held, 16, 48, None),
+            (Some(hdr(tag, 4, 6, 64)), held, 0, 48, None),
+        ] {
+            let row = format!("{h:?} held={held} {offset}+{len}");
+            assert_eq!(
+                frame_update(h.as_ref(), ptr, held, offset, len),
+                want,
+                "{row}"
+            );
+        }
     }
 
     #[test]

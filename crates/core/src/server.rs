@@ -357,9 +357,11 @@ impl MemoryServer {
         }
 
         let nvm_mr = pd.reg_mr(MemRegion::whole(Arc::clone(&nvm_dev)), Access::all())?;
+        // Remote-writable: a `Seqlock` writer refreshes its object's frame
+        // under the object's lock.
         let cache_mr = pd.reg_mr(
             MemRegion::whole(Arc::clone(&cache_dev)),
-            Access::LOCAL_WRITE | Access::REMOTE_READ,
+            Access::LOCAL_WRITE | Access::REMOTE_READ | Access::REMOTE_WRITE,
         )?;
         let staging_mr = pd.reg_mr(
             MemRegion::whole(Arc::clone(&staging_dev)),
@@ -400,7 +402,8 @@ impl MemoryServer {
             demote_region,
             config.cache,
             config.telemetry,
-        );
+        )
+        .guarding(nvm_mr.region().clone());
         let inner = Arc::new(ServerInner {
             id,
             ring,
@@ -1472,9 +1475,10 @@ impl ServerInner {
         }
     }
 
-    /// One hotness epoch: fold the report rings, refresh/decay cache
-    /// scores, promote hot objects, re-copy the frames of reported writes,
-    /// then post each reporter's remaps. Runs on the server loop between
+    /// One hotness epoch: free the retired slots whose locks are free, fold
+    /// the report rings, refresh/decay cache scores, promote hot objects,
+    /// re-copy the frames reported writes left stale, then post each
+    /// reporter's remaps. Runs on the server loop between
     /// harvests, so no drain apply interleaves with its copies; the loop
     /// also owns all demote-area traffic. With replication on it also
     /// checks this server's backup ([`ServerInner::check_backup`]).
@@ -1498,6 +1502,7 @@ impl ServerInner {
         }
         {
             let mut cache = self.cache.lock();
+            cache.reclaim();
             cache.decay_scores();
             cache.refresh_scores(&folded);
         }
@@ -1533,25 +1538,13 @@ impl ServerInner {
                     .promote_stamped(addr, &payload, word, score);
             }
         }
-        // A `Seqlock` write outdates its object's frame without telling the
-        // server, and its writer reports it written: re-copy every such
-        // frame into its own slot, so the remaps that point at it stay good.
-        // A stamp-0 frame is never outdated (the first lock drops it), and
-        // a current one needs no copy.
+        // A `Seqlock` writer that knew no frame (none in its remaps yet, a
+        // write short of the object's end, a lock the caller took) leaves
+        // the frame stale, and reports it written: re-copy such frames into
+        // their own slots, so the remaps that point at them stay good.
         for addr_raw in written {
-            let stamp = self.cache.lock().stamp(addr_raw);
-            let Some((addr, len)) = stamp
-                .filter(|&stamp| stamp != lockword::INIT)
-                .and_then(|_| self.cacheable(addr_raw))
-            else {
-                continue;
-            };
-            let word_off = addr.offset() - OBJ_HEADER;
-            if self.nvm_mr.region().load_u64(word_off).ok() == stamp {
-                continue;
-            }
-            if let Some((payload, word)) = self.bracketed_copy(addr, len) {
-                let _ = self.cache.lock().refresh(addr_raw, &payload, word);
+            if self.cacheable(addr_raw).is_some() {
+                let _ = self.cache.lock().refresh(addr_raw);
             }
         }
         self.post_remaps(reported);
@@ -1798,7 +1791,7 @@ impl ServerInner {
                 code: err_code::DOUBLE_FREE,
             };
         }
-        let _ = self.cache.lock().invalidate(addr_raw);
+        let _ = self.cache.lock().forget(addr_raw);
         match self.alloc.lock().free(payload_off - OBJ_HEADER) {
             Ok(_) => Response::Ok,
             Err(_) => Response::Err {

@@ -208,6 +208,47 @@ fn warm_seqlock_writes_allocate_nothing() {
     assert_eq!(n, 0, "allocations over {CALLS} Seqlock writes");
 }
 
+/// A `Seqlock` write that knows its object's frame fetches the frame's
+/// header behind its lock CAS and refreshes the frame ahead of its unlock,
+/// from the same op area: once warm, nothing allocates either.
+#[test]
+fn warm_seqlock_writes_that_refresh_frames_allocate_nothing() {
+    let cluster = cluster();
+    let mut client = client(&cluster, Consistency::Seqlock);
+    let ptrs = objects(&mut client, 2);
+    let mut buf = [0u8; 4096];
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while client.stats().cache_hits < 2 * CALLS {
+        for p in &ptrs {
+            client.read(*p, 0, &mut buf).unwrap();
+        }
+        client.flush_reports().unwrap();
+        assert!(
+            Instant::now() < deadline,
+            "no promotion: {:?}",
+            client.stats()
+        );
+    }
+    let mut data = [0u8; 4096];
+    let mut write = |client: &mut GengarClient, round: u64| {
+        for i in 0..CALLS {
+            data[..8].copy_from_slice(&(round + i).to_le_bytes());
+            client.write(ptrs[i as usize % 2], 0, &data).unwrap();
+        }
+    };
+    write(&mut client, 0);
+    let n = allocations(|| write(&mut client, CALLS));
+    // The server heard of no write: only the writer refreshed the frames.
+    let hits = client.stats().cache_hits;
+    for (i, p) in ptrs.iter().enumerate() {
+        client.read(*p, 0, &mut buf).unwrap();
+        let last = 2 * CALLS - 2 + i as u64;
+        assert_eq!(buf[..8], last.to_le_bytes());
+    }
+    assert_eq!(client.stats().cache_hits - hits, 2, "every frame refreshed");
+    assert_eq!(n, 0, "allocations over {CALLS} Seqlock writes");
+}
+
 /// The hotness report, written every `report_every` accesses, is the one
 /// issue-path step that allocates. Without a cache (no mailbox to fetch)
 /// a flush costs a fixed count: one list of flights, then 11 per server

@@ -5,6 +5,7 @@
 
 use std::time::{Duration, Instant};
 
+use gengar_core::cache::AdmissionMode;
 use gengar_core::cluster::Cluster;
 use gengar_core::config::{ClientConfig, Consistency, ServerConfig};
 use gengar_core::hotness::REPORT_SLOTS;
@@ -242,6 +243,134 @@ fn one_sided_writes_are_re_copied_in_place_by_the_next_epoch() {
         "{now:?}"
     );
     assert_eq!(reader.remap_entries(), remaps);
+}
+
+/// A `Seqlock` writer that knows its object's frame refreshes it while it
+/// holds the lock, ahead of its unlock: another client's next read is a
+/// cache hit on the new bytes. The epoch is 10 s, so none runs between the
+/// write and the read to re-copy the frame.
+#[test]
+fn a_seqlock_write_refreshes_the_frame_for_the_next_reader() {
+    let mut config = ServerConfig::small();
+    config.cache = config.cache.hot_threshold(1);
+    config.epoch = Duration::from_secs(10);
+    let cluster = Cluster::launch(1, config, FabricConfig::instant()).unwrap();
+    let server = cluster.server(0).unwrap();
+    let seqlock = ClientConfig {
+        consistency: Consistency::Seqlock,
+        report_every: 1,
+        ..Default::default()
+    };
+    let mut writer = cluster.client(seqlock.clone()).unwrap();
+    let mut reader = cluster.client(seqlock).unwrap();
+    let ptr = writer.alloc(0, 64).unwrap();
+    // The first lock moves the word past version 0 (by the flush RPC).
+    writer.write(ptr, 0, &[1u8; 64]).unwrap();
+    let mut buf = [0u8; 64];
+    reader.read(ptr, 0, &mut buf).unwrap();
+    // The first epoch promotes the object; both clients' mailboxes name
+    // its frame.
+    wait_for_fold(server);
+    let epoch = server.epochs();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while writer.remap_entries() == 0 || reader.stats().cache_hits == 0 {
+        writer.read(ptr, 0, &mut buf).unwrap();
+        reader.read(ptr, 0, &mut buf).unwrap();
+        assert_eq!(buf, [1u8; 64]);
+        assert!(Instant::now() < deadline, "{:?}", reader.stats());
+    }
+    for round in 2..8u8 {
+        writer.write(ptr, 0, &[round; 64]).unwrap();
+        let before = reader.stats();
+        reader.read(ptr, 0, &mut buf).unwrap();
+        let after = reader.stats();
+        assert_eq!(buf, [round; 64], "round {round}");
+        assert_eq!(
+            (after.cache_hits, after.nvm_reads),
+            (before.cache_hits + 1, before.nvm_reads),
+            "round {round}: {after:?}"
+        );
+    }
+    assert_eq!(server.epochs(), epoch, "an epoch ran in between");
+    assert_eq!(server.cache_stats().refreshes, 0);
+}
+
+/// The slot of a writer's frame is recycled to another object of the same
+/// size. While a client holds the first object's lock — as a writer does
+/// from the check of its frame's tag to its frame WRITEs — no epoch evicts
+/// it. Once free, the slot goes to the hotter object; the writer, whose
+/// remap still names that slot, then writes under the lock it takes and
+/// finds the other object's tag: the other object's readers never see its
+/// bytes, although the stamp it would write equals that object's word.
+#[test]
+fn a_recycled_slot_never_takes_a_writers_bytes() {
+    let mut config = ServerConfig::small();
+    // The smallest cache (4 KiB) holds one 2 KiB frame; score-only
+    // admission evicts at once.
+    config.cache = config
+        .cache
+        .capacity(4096)
+        .hot_threshold(1)
+        .admission(AdmissionMode::ScoreOnly)
+        .ghost_entries(0);
+    config.epoch = Duration::from_millis(5);
+    let cluster = Cluster::launch(1, config, FabricConfig::instant()).unwrap();
+    let server = cluster.server(0).unwrap();
+    let seqlock = |report_every| ClientConfig {
+        consistency: Consistency::Seqlock,
+        report_every,
+        ..Default::default()
+    };
+    let mut writer = cluster.client(seqlock(1)).unwrap();
+    let mut other = cluster.client(seqlock(1)).unwrap();
+    let mut holder = cluster.client(seqlock(u32::MAX)).unwrap();
+    const SIZE: usize = 2048;
+    let (x, y) = (
+        writer.alloc(0, 2048).unwrap(),
+        other.alloc(0, 2048).unwrap(),
+    );
+    let mut buf = [0u8; SIZE];
+    // x at word 4, cached, its frame known to the writer.
+    writer.write(x, 0, &[1u8; SIZE]).unwrap();
+    writer.write(x, 0, &[2u8; SIZE]).unwrap();
+    wait_for_hit(&mut writer, x);
+    assert_eq!(server.cached_objects(), 1);
+    // y at word 8: the stamp the writer's next write of x publishes.
+    for fill in 3..7u8 {
+        other.write(y, 0, &[fill; SIZE]).unwrap();
+    }
+    // A client holds x's lock (word 5): y, hot, must not take x's slot.
+    holder.lock(x).unwrap();
+    let cached = server.cache_stats();
+    let epoch = server.epochs();
+    while server.epochs() < epoch + 20 {
+        other.read(y, 0, &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 6), "y reads {}", buf[0]);
+    }
+    let held = server.cache_stats();
+    assert_eq!(
+        (held.evictions, held.promotions),
+        (cached.evictions, cached.promotions),
+        "evicted under a held lock"
+    );
+    // Released at word 6: the next epochs hand the slot to y.
+    holder.unlock(x).unwrap();
+    wait_for_hit(&mut other, y);
+    assert_eq!(server.cached_objects(), 1);
+    // The writer's remap still names the slot; its write of x locks at
+    // word 6 and would publish stamp 8, y's word.
+    assert!(writer.remap_entries() >= 1);
+    writer.write(x, 0, &[9u8; SIZE]).unwrap();
+    for _ in 0..50 {
+        other.read(y, 0, &mut buf).unwrap();
+        let fill = buf[0];
+        assert!(
+            buf.iter().all(|&b| b == 6),
+            "y reads {fill}: the writer's bytes"
+        );
+    }
+    writer.read(x, 0, &mut buf).unwrap();
+    assert!(buf.iter().all(|&b| b == 9), "x reads {}", buf[0]);
 }
 
 #[test]

@@ -549,6 +549,63 @@ fn seqlock_write_never_releases_the_lock_without_its_payload() {
     }
 }
 
+/// A `Seqlock` write that refreshes its object's frame loses one frame
+/// WRITE: the odd head version, the payload with its tail, or the head
+/// with the new stamp. The WRITEs behind the lost one flush with the queue
+/// pair and the write completes on a retry without the frame, leaving it
+/// torn or stale: readers fall back to NVM and read the new bytes, and
+/// once the epoch re-copies the frame they hit it again.
+#[test]
+fn a_dropped_frame_write_never_serves_wrong_bytes() {
+    // The second doorbell's WRITEs without an immediate: the payload, then
+    // the frame's odd head, payload and tail, head and stamp, then the
+    // unlock.
+    for at in [2, 3, 4] {
+        let plane = Arc::new(FaultPlane::new(37));
+        let mut fabric = FabricConfig::instant();
+        fabric.faults = Some(Arc::clone(&plane));
+        let mut config = ServerConfig::small();
+        config.cache = config.cache.hot_threshold(1);
+        let cluster = Cluster::launch(1, config, fabric).unwrap();
+        let seqlock = ClientConfig {
+            consistency: Consistency::Seqlock,
+            report_every: 1,
+            ..Default::default()
+        };
+        let mut writer = cluster.client(seqlock.clone()).unwrap();
+        let mut reader = cluster.client(seqlock).unwrap();
+        let ptr = writer.alloc(0, 64).unwrap();
+        writer.write(ptr, 0, &[1u8; 64]).unwrap();
+        let mut buf = [0u8; 64];
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while writer.remap_entries() == 0 || reader.stats().cache_hits == 0 {
+            writer.write(ptr, 0, &[1u8; 64]).unwrap();
+            reader.read(ptr, 0, &mut buf).unwrap();
+            assert!(std::time::Instant::now() < deadline, "never promoted");
+        }
+
+        plane
+            .parse(&format!("drop:verb=write,imm=0,at={at}"))
+            .unwrap();
+        writer.write(ptr, 0, &[2u8; 64]).unwrap();
+        plane.clear();
+        assert_eq!(writer.stats().reconnects, 1, "at={at}: nothing was lost");
+        let hits = reader.stats().cache_hits;
+        reader.read(ptr, 0, &mut buf).unwrap();
+        assert_eq!(buf, [2u8; 64], "at={at}");
+        assert_eq!(
+            reader.stats().cache_hits,
+            hits,
+            "at={at}: a torn frame served"
+        );
+        while reader.stats().cache_hits == hits {
+            reader.read(ptr, 0, &mut buf).unwrap();
+            assert_eq!(buf, [2u8; 64], "at={at}");
+            assert!(std::time::Instant::now() < deadline, "never re-copied");
+        }
+    }
+}
+
 /// A record lost in the middle of a four-record staged window fails the
 /// records behind it with the proxy queue pair. The two ahead of it are
 /// acknowledged; the reconnect replays them and the retry stages the

@@ -19,13 +19,15 @@
 # and NVM flushes per op, the cache hit ratio, the promotions and reported
 # accesses per op, and the modelled READ, WRITE and CAS verb latencies) and
 # the host-cost set (the client's own µs per op and the batch overlap
-# ratio) for every workload and both sides, moved or not, each as the
-# median and range of the three runs. AB_PARENT_DIR=<dir> uses an existing
-# checkout of the parent instead of a worktree. VERBOSE=1 also prints every
-# run's value. Reads BENCHMARK.json; writes nothing under the repository.
+# ratio) and the call-kind set (the read and write call p50s and the share
+# of reads the DRAM cache served) for every workload and both sides, moved
+# or not, each as the median and range of the three runs.
+# AB_PARENT_DIR=<dir> uses an existing checkout of the parent instead of a
+# worktree. VERBOSE=1 also prints every run's value. Reads BENCHMARK.json;
+# writes nothing under the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-[[ $# -ge 1 ]] || { sed -n '2,25p' "$0" >&2; exit 2; }
+[[ $# -ge 1 ]] || { sed -n '2,28p' "$0" >&2; exit 2; }
 parent_rev=$1
 shift
 
@@ -142,11 +144,14 @@ same_work = ["rdma.round_trips_per_op", "rdma.doorbells_per_op", "core.server.rp
              "rdma.read_verb_p50_ns", "rdma.write_verb_p50_ns", "rdma.cas_verb_p50_ns"]
 # Host cost: where a saving in host software shows, printed moved or not.
 host_cost = ["core.client.self_us_per_op", "core.batch.overlap_ratio"]
+# Call kinds: a change that trades write time for read time (or the other
+# way) shows here before the end-to-end call p50 moves 20 %.
+call_kinds = ["read_p50_us", "write_p50_us", "hybridmem.dram_cache_read_share"]
 
 def cell(s):
     return f"{s[0]:12.4g} [{s[1]:.4g}, {s[2]:.4g}]" if s else f"{'-':>12}"
 
-for title, names in (("same-work", same_work), ("host-cost", host_cost)):
+for title, names in (("same-work", same_work), ("host-cost", host_cost), ("call-kind", call_kinds)):
     print(f"\n{title} set (median [min, max] of the traced runs above)")
     print(f"{'workload':13}{'metric':45}{'parent':>12}{'':>22}{'change':>12}")
     for workload, (p, c) in traced.items():
