@@ -18,8 +18,9 @@
 //! and writes into the frame before it unlocks. So the cache re-tags,
 //! drops or rewrites a stamped frame only while it holds the object's lock
 //! word itself, taken with a local CAS (`CacheManager::seize`): a frame
-//! whose lock a client holds is no eviction victim this epoch, and a slot
-//! dropped under a client's lock is retired until the lock is free.
+//! whose lock a client holds is no eviction victim this epoch, a slot
+//! dropped under a client's lock is retired until the lock is free, and
+//! the free of an object whose lock a client holds is refused.
 //!
 //! # Policy
 //!
@@ -39,7 +40,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use gengar_hybridmem::MemRegion;
+use gengar_hybridmem::{DeviceProfile, MemDevice, MemKind, MemRegion};
 use gengar_telemetry::{CounterHandle, TelemetryConfig};
 use serde::{Deserialize, Serialize};
 
@@ -295,9 +296,9 @@ pub struct CacheManager {
     /// TinyLFU doorkeeper: addresses that have already knocked once.
     doorkeeper: HashSet<u64>,
     demote: Option<DemoteArea>,
-    /// The NVM region holding the objects' lock words, if clients write
-    /// frames ([`CacheManager::guarding`]).
-    words: Option<MemRegion>,
+    /// The NVM region holding the objects' lock words
+    /// ([`CacheManager::seize`]).
+    words: MemRegion,
     /// Slots dropped while a client held their object's lock: (object,
     /// slot offset), freed once the lock is free.
     retired: Vec<(u64, u64)>,
@@ -314,13 +315,34 @@ struct DemoteArea {
 }
 
 impl CacheManager {
-    /// Creates a manager over the server's cache region, governed by
-    /// `policy`. `demote` is the server-local NVM demote area (required iff
-    /// `policy.demotion`); the DRAM byte budget is `region.len()` — the
-    /// demote area is NVM and does not count against it.
+    /// Creates a manager over a cache region outside any server, governed
+    /// by `policy`. No client writes its frames, and it holds only
+    /// unstamped ones ([`CacheManager::promote`]; stamping is the
+    /// server's), which change under no lock word: its word area is an
+    /// 8-byte device of its own that no seize reads.
     pub fn with_policy(
         server_id: u8,
         region: MemRegion,
+        demote: Option<MemRegion>,
+        policy: CachePolicy,
+        telemetry: TelemetryConfig,
+    ) -> Self {
+        let no_words =
+            MemDevice::new(0, DeviceProfile::instant(MemKind::Nvm), 8).expect("an 8-byte device");
+        let words = MemRegion::whole(std::sync::Arc::new(no_words));
+        Self::for_server(server_id, region, words, demote, policy, telemetry)
+    }
+
+    /// Creates a server's manager over its cache region, governed by
+    /// `policy`, changing stamped frames only under their objects' lock
+    /// words in `words`, the server's NVM region ([`CacheManager::seize`]).
+    /// `demote` is the server-local NVM demote area (required iff
+    /// `policy.demotion`); the DRAM byte budget is `region.len()` — the
+    /// demote area is NVM and does not count against it.
+    pub(crate) fn for_server(
+        server_id: u8,
+        region: MemRegion,
+        words: MemRegion,
         demote: Option<MemRegion>,
         policy: CachePolicy,
         telemetry: TelemetryConfig,
@@ -352,19 +374,11 @@ impl CacheManager {
             ghost_order: VecDeque::new(),
             doorkeeper: HashSet::new(),
             demote,
-            words: None,
+            words,
             retired: Vec::new(),
             stats: CacheStats::default(),
             metrics: CacheMetrics::new(telemetry),
         }
-    }
-
-    /// The manager, changing stamped frames only under their objects' lock
-    /// words in `words`, the server's NVM region ([`CacheManager::seize`]).
-    #[must_use]
-    pub(crate) fn guarding(mut self, words: MemRegion) -> Self {
-        self.words = Some(words);
-        self
     }
 
     /// Takes `addr`'s lock word with a local CAS before the cache re-tags,
@@ -375,28 +389,28 @@ impl CacheManager {
     /// this server's loop answers its first lock's flush RPC. Returns the
     /// word to restore (`Some(None)`: no hold needed), or `None` while a
     /// client holds the lock. The word is restored unchanged, so no stamp
-    /// or remembered word goes stale.
+    /// or remembered word goes stale. A `Seqlock` writer whose CAS races
+    /// the hold sees the word locked and pays one parked retry: its next
+    /// guess, the word its holder would release to, is one version past the
+    /// word restored here.
     fn seize(&self, addr_raw: u64, slot_off: u64) -> Option<Option<u64>> {
-        let Some(words) = &self.words else {
-            return Some(None);
-        };
         if self.region.load_u64(slot_off + 16).ok()? == lockword::INIT {
             return Some(None);
         }
         let at = GlobalAddr::from_raw(addr_raw)?
             .offset()
             .checked_sub(OBJ_HEADER)?;
-        let word = words.load_u64(at).ok()?;
+        let word = self.words.load_u64(at).ok()?;
         let locked = lockword::locked(word);
-        let won = !lockword::is_locked(word) && words.cas_u64(at, word, locked).ok()? == word;
+        let won = !lockword::is_locked(word) && self.words.cas_u64(at, word, locked).ok()? == word;
         won.then_some(Some(word))
     }
 
     /// Restores the word [`CacheManager::seize`] took.
     fn unseize(&self, addr_raw: u64, held: Option<u64>) {
-        if let (Some(word), Some(words)) = (held, &self.words) {
+        if let Some(word) = held {
             let at = GlobalAddr::from_raw(addr_raw).map(|a| a.offset() - OBJ_HEADER);
-            let _ = at.map(|at| words.store_u64(at, word));
+            let _ = at.map(|at| self.words.store_u64(at, word));
         }
     }
 
@@ -864,13 +878,39 @@ impl CacheManager {
         Ok(true)
     }
 
-    /// Drops every trace of a freed object: its frame and any retired slot
-    /// are freed at once, as it has no lock word left to take.
+    /// Drops every trace of an object about to be freed: its frame and any
+    /// retired slot, under the object's lock word if one of them is stamped
+    /// ([`CacheManager::seize`]). While a client holds the lock it changes
+    /// nothing and returns `false`, and the free must wait: the holder may
+    /// have WRITEs in flight into the frame, and a retired slot cannot wait
+    /// for a lock word that goes with the object's memory.
     ///
     /// # Errors
     ///
     /// Propagates device errors.
-    pub(crate) fn forget(&mut self, addr_raw: u64) -> Result<(), GengarError> {
+    pub(crate) fn forget(&mut self, addr_raw: u64) -> Result<bool, GengarError> {
+        let stamped = self
+            .retired
+            .iter()
+            .filter(|&&(a, _)| a == addr_raw)
+            .map(|&(_, slot)| slot)
+            .chain(self.entries.get(&addr_raw).map(|e| e.slot_off))
+            .find(|&slot| {
+                self.region
+                    .load_u64(slot + 16)
+                    .is_ok_and(|stamp| stamp != lockword::INIT)
+            });
+        let held = match stamped.map(|slot| self.seize(addr_raw, slot)) {
+            Some(None) => return Ok(false),
+            Some(Some(held)) => held,
+            None => None,
+        };
+        let dropped = self.drop_all(addr_raw);
+        self.unseize(addr_raw, held);
+        dropped.map(|()| true)
+    }
+
+    fn drop_all(&mut self, addr_raw: u64) -> Result<(), GengarError> {
         self.demote_drop(addr_raw);
         if let Some(e) = self.unlink(addr_raw, false)? {
             self.free_slot(e.slot_off)?;
@@ -941,21 +981,22 @@ impl CacheManager {
     ///
     /// Propagates device errors.
     pub(crate) fn refresh(&mut self, addr_raw: u64) -> Result<bool, GengarError> {
-        let (Some(entry), Some(words)) = (self.entries.get(&addr_raw).copied(), &self.words) else {
+        let Some(entry) = self.entries.get(&addr_raw).copied() else {
             return Ok(false);
         };
         let Some(addr) = GlobalAddr::from_raw(addr_raw) else {
             return Ok(false);
         };
         let stamp = self.region.load_u64(entry.slot_off + 16)?;
-        if stamp == lockword::INIT || words.load_u64(addr.offset() - OBJ_HEADER)? == stamp {
+        if stamp == lockword::INIT || self.words.load_u64(addr.offset() - OBJ_HEADER)? == stamp {
             return Ok(false);
         }
         let Some(Some(word)) = self.seize(addr_raw, entry.slot_off) else {
             return Ok(false);
         };
         let mut payload = vec![0u8; entry.payload_len as usize];
-        let copied = words
+        let copied = self
+            .words
             .read(addr.offset(), &mut payload)
             .map_err(GengarError::from)
             .and_then(|()| self.rewrite(entry, 0, &payload, Some(word)));
@@ -1060,9 +1101,15 @@ mod tests {
     /// Legacy-behaviour manager (score-only admission, no ghost/demote) —
     /// what the deprecated `new`/`with_telemetry` shims produce.
     fn mgr(capacity: u64) -> CacheManager {
-        CacheManager::with_policy(
+        guarded(capacity, region(1 << 12))
+    }
+
+    /// [`mgr`] over the lock words in `words`.
+    fn guarded(capacity: u64, words: MemRegion) -> CacheManager {
+        CacheManager::for_server(
             1,
             region(capacity),
+            words,
             None,
             legacy_policy(capacity),
             TelemetryConfig::default(),
@@ -1071,9 +1118,10 @@ mod tests {
 
     fn adaptive_mgr(capacity: u64, ghost: usize, demotion: bool) -> CacheManager {
         let demote = demotion.then(|| region(capacity));
-        CacheManager::with_policy(
+        CacheManager::for_server(
             1,
             region(capacity),
+            region(1 << 12),
             demote,
             CachePolicy::new()
                 .capacity(capacity)
@@ -1188,7 +1236,7 @@ mod tests {
     fn refresh_rewrites_in_place_and_updates_keep_the_stamp() {
         // The object at NVM offset 64, its lock word at 48.
         let nvm = region(1 << 12);
-        let mut c = mgr(1 << 16).guarding(nvm.clone());
+        let mut c = guarded(1 << 16, nvm.clone());
         let word = lockword::with_version(3);
         nvm.store_u64(48, word).unwrap();
         nvm.write(64, b"version3").unwrap();
@@ -1237,7 +1285,7 @@ mod tests {
     #[test]
     fn a_locked_frame_is_neither_evicted_nor_recycled() {
         let nvm = region(1 << 12);
-        let mut c = mgr(128).guarding(nvm.clone());
+        let mut c = guarded(128, nvm.clone());
         let word = lockword::with_version(1);
         for (obj, score) in [(64, 1), (128, 5)] {
             nvm.store_u64(obj - 16, word).unwrap();
@@ -1268,6 +1316,34 @@ mod tests {
         assert!(c.promote(addr(256), b"dddd", 9).unwrap());
         assert!(c.invalidate(addr(256).raw()).unwrap());
         assert!(c.retired.is_empty());
+    }
+
+    /// A freed object's stamped frames go only under its lock word too:
+    /// while a client holds it the free is refused and nothing changes.
+    #[test]
+    fn a_locked_object_keeps_its_frames_through_a_free() {
+        let nvm = region(1 << 12);
+        let mut c = guarded(1 << 12, nvm.clone());
+        let word = lockword::with_version(1);
+        nvm.store_u64(48, word).unwrap();
+        assert!(c.promote_stamped(addr(64), b"aaaa", word, 1).unwrap());
+        nvm.store_u64(48, lockword::locked(word)).unwrap();
+        assert!(c.invalidate(addr(64).raw()).unwrap());
+        assert!(c.promote_stamped(addr(64), b"aaaa", word, 1).unwrap());
+        assert!(!c.forget(addr(64).raw()).unwrap());
+        assert!(c.contains(addr(64).raw()));
+        assert_eq!((c.retired.len(), c.alloc.stats().live), (1, 2));
+        nvm.store_u64(48, word).unwrap();
+        assert!(c.forget(addr(64).raw()).unwrap());
+        assert!(!c.contains(addr(64).raw()));
+        assert!(c.retired.is_empty());
+        assert_eq!(nvm.load_u64(48).unwrap(), word);
+        // A version-0 frame goes at once, whoever holds its lock.
+        nvm.store_u64(112, lockword::locked(0)).unwrap();
+        assert!(c.promote(addr(128), b"bbbb", 1).unwrap());
+        assert!(c.forget(addr(128).raw()).unwrap());
+        assert!(!c.contains(addr(128).raw()));
+        assert_eq!(c.alloc.stats().live, 0);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::plan::{
     self, DirectStep, FrameUpdate, FrameVerdict, Hold, Known, LostCas, Op, Persist, ReadKind,
     Release, Ring, Route, Start, Why,
 };
-use crate::proto::{error_for_code, MountInfo, Request, Response, NO_BACKUP};
+use crate::proto::{err_code, error_for_code, MountInfo, Request, Response, NO_BACKUP};
 use crate::proxy::{MirrorLane, StagedFlight, StagingWriter};
 use crate::qos::TenantState;
 use crate::retry::{attempt_timeout, classify, Disposition, RetryState};
@@ -1373,12 +1373,22 @@ impl GengarClient {
     /// # Errors
     ///
     /// Server-side rejection (bad address, double free) or transport
-    /// failures.
+    /// failures. [`GengarError::LockContended`] while a client holds the
+    /// object's lock and the server caches a frame of it past version 0:
+    /// nothing is freed, and the free may be retried once the lock is
+    /// released.
     pub fn free(&mut self, ptr: GlobalPtr) -> Result<(), GengarError> {
         let base = ptr.addr.raw();
         let conn = self.conn_mut(ptr.addr.server())?;
+        let reply = conn.rpc.call(&Request::Free { addr: base });
+        if let Ok(Response::Err {
+            code: err_code::LOCKED,
+        }) = reply
+        {
+            return Err(GengarError::LockContended(ptr.addr));
+        }
         conn.objects.remove(base);
-        match conn.rpc.call(&Request::Free { addr: base })? {
+        match reply? {
             Response::Ok => Ok(()),
             Response::Err { code } => Err(error_for_code(code, 0)),
             _ => Err(GengarError::ProtocolViolation("bad free response")),

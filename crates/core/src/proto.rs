@@ -180,6 +180,8 @@ pub mod err_code {
     pub const BAD_REQUEST: u16 = 6;
     /// Tenant over its QoS budget; retry after backing off.
     pub const THROTTLED: u16 = 7;
+    /// A client holds the object's lock; retry once it is released.
+    pub const LOCKED: u16 = 8;
 }
 
 /// Maps an error-code response to the client-visible error.

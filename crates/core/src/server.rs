@@ -396,14 +396,14 @@ impl MemoryServer {
         } else {
             None
         };
-        let cache = CacheManager::with_policy(
+        let cache = CacheManager::for_server(
             id,
             MemRegion::whole(Arc::clone(&cache_dev)),
+            nvm_mr.region().clone(),
             demote_region,
             config.cache,
             config.telemetry,
-        )
-        .guarding(nvm_mr.region().clone());
+        );
         let inner = Arc::new(ServerInner {
             id,
             ring,
@@ -1786,12 +1786,19 @@ impl ServerInner {
             }
         };
         let payload_off = addr.offset();
-        if self.objects.write().remove(&payload_off).is_none() {
+        if !self.objects.read().contains_key(&payload_off) {
             return Response::Err {
                 code: err_code::DOUBLE_FREE,
             };
         }
-        let _ = self.cache.lock().forget(addr_raw);
+        // A stamped frame goes only under the object's lock word, so a
+        // free of an object a client holds locked is refused.
+        if let Ok(false) = self.cache.lock().forget(addr_raw) {
+            return Response::Err {
+                code: err_code::LOCKED,
+            };
+        }
+        self.objects.write().remove(&payload_off);
         match self.alloc.lock().free(payload_off - OBJ_HEADER) {
             Ok(_) => Response::Ok,
             Err(_) => Response::Err {

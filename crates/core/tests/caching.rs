@@ -10,6 +10,7 @@ use gengar_core::cluster::Cluster;
 use gengar_core::config::{ClientConfig, Consistency, ServerConfig};
 use gengar_core::hotness::REPORT_SLOTS;
 use gengar_core::server::MemoryServer;
+use gengar_core::GengarError;
 use gengar_hybridmem::DeviceProfile;
 use gengar_rdma::FabricConfig;
 
@@ -371,6 +372,39 @@ fn a_recycled_slot_never_takes_a_writers_bytes() {
     }
     writer.read(x, 0, &mut buf).unwrap();
     assert!(buf.iter().all(|&b| b == 9), "x reads {}", buf[0]);
+}
+
+/// A free of an object whose stamped frame a client's lock guards is
+/// refused until the lock is released: the holder may still be writing
+/// into the frame, so its slot must not go to another object yet.
+#[test]
+fn a_free_waits_for_the_objects_lock() {
+    let mut config = ServerConfig::small();
+    config.cache = config.cache.hot_threshold(1);
+    config.epoch = Duration::from_millis(5);
+    let cluster = Cluster::launch(1, config, FabricConfig::instant()).unwrap();
+    let server = cluster.server(0).unwrap();
+    let seqlock = || ClientConfig {
+        consistency: Consistency::Seqlock,
+        report_every: 1,
+        ..Default::default()
+    };
+    let mut owner = cluster.client(seqlock()).unwrap();
+    let mut holder = cluster.client(seqlock()).unwrap();
+    let x = owner.alloc(0, 64).unwrap();
+    owner.write(x, 0, &[1u8; 64]).unwrap();
+    wait_for_hit(&mut owner, x);
+    holder.lock(x).unwrap();
+    let refused = owner.free(x);
+    assert!(
+        matches!(refused, Err(GengarError::LockContended(a)) if a == x.addr),
+        "{refused:?}"
+    );
+    assert_eq!(server.cached_objects(), 1);
+    holder.unlock(x).unwrap();
+    owner.free(x).unwrap();
+    assert_eq!(server.cached_objects(), 0);
+    assert!(owner.free(x).is_err(), "freed twice");
 }
 
 #[test]
